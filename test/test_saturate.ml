@@ -132,9 +132,36 @@ let test_json_report () =
       "\"steps\": ["; "\"predicted_saved_s\""; "\"measured_saved_s\"";
       "\"engine_compile_hits\"" ]
 
+(* The report depends only on the program: how much work the validation
+   ladder does (here, how many device-set sizes it checks) must not change
+   the search's order, labels or results — only the kernel-store counters,
+   which count that work. *)
+let test_report_independent_of_ladder () =
+  let report check_devices (b : Suite.Bench_def.t) =
+    let r =
+      Saturate.run
+        ~config:{ Saturate.default_config with Saturate.check_devices }
+        ~name:b.name ~outputs:b.outputs
+        (Minic.Parser.parse_string ~file:b.name b.source)
+    in
+    String.split_on_char '\n' (Saturate.to_json r)
+    |> List.filter (fun line ->
+           not (String.length line >= 8 && String.sub line 0 8 = "\"engine_"))
+    |> String.concat "\n"
+  in
+  List.iter
+    (fun name ->
+      let b = Option.get (Suite.Registry.find name) in
+      Alcotest.(check string)
+        (name ^ ": same report with 1 and 1/2/4 checked devices")
+        (report [ 1 ] b) (report [ 1; 2; 4 ] b))
+    [ "BACKPROP"; "SPMUL"; "CG"; "KMEANS" ]
+
 let tests =
   [ Alcotest.test_case "shared kernel store hits across runs" `Quick
       test_shared_store_hits;
     Alcotest.test_case "search accepts the hoist" `Slow
       test_search_accepts_hoist;
-    Alcotest.test_case "canonical JSON report" `Quick test_json_report ]
+    Alcotest.test_case "canonical JSON report" `Quick test_json_report;
+    Alcotest.test_case "report independent of the ladder's work" `Slow
+      test_report_independent_of_ladder ]
