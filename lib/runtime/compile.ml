@@ -885,6 +885,43 @@ let prepare cache (k : kernel) =
     Hashtbl.replace cache.ckernels (key_of cache k)
       (compile_kernel cache.cunit k)
 
+(* Thread registers: one cell per classified scalar (reset per thread in
+   the parallel modes), plus entry-member extra-induction candidates;
+   non-member candidates alias their base register. *)
+let thread_cells ck regs entry =
+  let entry_value v = match entry v with Some x -> x | None -> Int 0 in
+  let class_cells =
+    List.map
+      (fun (v, c, slot) ->
+        let init =
+          match c with
+          | Sc_reduction op -> Kernel_exec.identity op (entry_value v)
+          | Sc_private | Sc_firstprivate | Sc_raced _ -> entry_value v
+        in
+        let cell = { v = init } in
+        regs.(slot) <- Rscalar cell;
+        (v, c, cell, init))
+      ck.ck_class
+  in
+  let member_cands =
+    List.filter_map
+      (fun (v, tslot, bslot) ->
+        match entry v with
+        | Some init ->
+            let cell = { v = init } in
+            regs.(tslot) <- Rscalar cell;
+            Some (v, cell, init)
+        | None ->
+            regs.(tslot) <- regs.(bslot);
+            None)
+      ck.ck_cands
+  in
+  (class_cells, member_cands)
+
+let reset_thread class_cells member_cands =
+  List.iter (fun (_, _, cell, init) -> cell.v <- init) class_cells;
+  List.iter (fun (_, cell, init) -> cell.v <- init) member_cands
+
 (** Compiled counterpart of {!Kernel_exec.run}: a faithful transcription
     of the tree-walking kernel runner with registers in place of frames.
     [ops] accounting, iteration counts, reduction tree order, raced-scalar
@@ -920,42 +957,10 @@ let run_kernel cache (host_ctx : Eval.ctx) device (k : kernel) :
   let entry_value v =
     match Hashtbl.find_opt entry v with Some x -> x | None -> Int 0
   in
-
-  (* Thread registers: one cell per classified scalar (reset per thread in
-     the parallel modes), plus entry-member extra-induction candidates;
-     non-member candidates alias their base register. *)
-  let class_cells =
-    List.map
-      (fun (v, c, slot) ->
-        let init =
-          match c with
-          | Sc_reduction op -> Kernel_exec.identity op (entry_value v)
-          | Sc_private | Sc_firstprivate | Sc_raced _ -> entry_value v
-        in
-        let cell = { v = init } in
-        regs.(slot) <- Rscalar cell;
-        (v, c, cell, init))
-      ck.ck_class
+  let class_cells, member_cands =
+    thread_cells ck regs (Hashtbl.find_opt entry)
   in
-  let member_cands =
-    List.filter_map
-      (fun (v, tslot, bslot) ->
-        if Hashtbl.mem entry v then begin
-          let init = entry_value v in
-          let cell = { v = init } in
-          regs.(tslot) <- Rscalar cell;
-          Some (v, cell, init)
-        end
-        else begin
-          regs.(tslot) <- regs.(bslot);
-          None
-        end)
-      ck.ck_cands
-  in
-  let reset_thread () =
-    List.iter (fun (_, _, cell, init) -> cell.v <- init) class_cells;
-    List.iter (fun (_, cell, init) -> cell.v <- init) member_cands
-  in
+  let reset_thread () = reset_thread class_cells member_cands in
 
   let partials : (string, scalar list ref) Hashtbl.t = Hashtbl.create 4 in
   List.iter
@@ -1056,3 +1061,69 @@ let run_kernel cache (host_ctx : Eval.ctx) device (k : kernel) :
   List.iter (fun (v, _, _) -> commit_plain v) member_cands;
 
   { Kernel_exec.iterations = !iterations; ops = kctx.ops }
+
+(** Compiled counterpart of {!Kernel_exec.run_shard}: the kernel's cached
+    register-mode closure runs the ordinals selected by [owns] on
+    [device], with the same per-ordinal [weights] (interpreted ops of the
+    body), and stages every thread's scalars into the session's shared,
+    ordinal-tagged staging — so commits and reduction order are those of
+    the tree walker's shards. *)
+let run_shard cache session ?weights device ~owns =
+  let k = Kernel_exec.kernel session in
+  prepare cache k;
+  let ck = Hashtbl.find cache.ckernels (key_of cache k) in
+  let driver_slot, init, cond, step =
+    match ck.ck_mode with
+    | Cpar { driver_slot; init; cond; step; _ } ->
+        (driver_slot, init, cond, step)
+    | Cseq _ | Cnone -> invalid_arg "Compile.run_shard: not shardable"
+  in
+  let host_ctx = Kernel_exec.host session in
+  let regs = Array.make ck.ck_nregs Unbound in
+  let kenv : Value.t = { Value.globals = Hashtbl.create 1; frames = [] } in
+  let kctx = Eval.make host_ctx.prog kenv in
+  let st = { ctx = kctx; regs } in
+  let entry = Kernel_exec.entry session in
+  List.iter
+    (fun (n, slot) ->
+      match Value.lookup host_ctx.env n with
+      | Some (Array s) ->
+          let root = s.root in
+          let dbuf = Gpusim.Device.buffer device root in
+          regs.(slot) <-
+            Rarray { buf = Some dbuf; root; shape = Value.shape_of s }
+      | Some (Scalar _) ->
+          regs.(slot) <-
+            Rscalar { v = Option.value ~default:(Int 0) (entry n) }
+      | None -> ())
+    ck.ck_base;
+  let class_cells, member_cands = thread_cells ck regs entry in
+  let sg = Kernel_exec.staging session in
+  let executed = ref 0 in
+  let ordinal = ref 0 in
+  let driver = { v = init st } in
+  regs.(driver_slot) <- Rscalar driver;
+  while truthy (cond st) do
+    if owns !ordinal then begin
+      incr executed;
+      reset_thread class_cells member_cands;
+      let ops0 = kctx.ops in
+      ck.ck_body st;
+      (match weights with
+      | Some w when !ordinal < Array.length w ->
+          w.(!ordinal) <- kctx.ops - ops0
+      | Some _ | None -> ());
+      List.iter
+        (fun (v, _, cell, _) ->
+          Kernel_exec.stage session sg ~ordinal:!ordinal v cell.v)
+        class_cells;
+      List.iter
+        (fun (v, cell, _) ->
+          Kernel_exec.stage session sg ~ordinal:!ordinal v cell.v)
+        member_cands
+    end;
+    incr ordinal;
+    match step with Some c -> c st | None -> ()
+  done;
+  Kernel_exec.publish session sg;
+  !executed

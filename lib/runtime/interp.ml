@@ -205,26 +205,29 @@ let run ?(coherence = true) ?(engine = Engine.Tree) ?granularity
   Eval.init_globals ctx;
 
   (* Closure-compilation engine: kernel bodies compile once (cached by
-     kernel id) and run over register frames; host statement leaves
-     compile in mirror mode (cached by translated-statement id), keeping
-     the environment name-addressable for everything around them.  The
+     kernel content) and run over register frames — whole launches and
+     the shards of a sharded launch alike; host statement leaves compile
+     in mirror mode (cached by translated-statement id), keeping the
+     environment name-addressable for everything around them.  The
      recovery paths (CPU fallback, recovery validation) stay on the tree
      walker under either engine: recovery deliberately re-executes
      through the independent engine. *)
   let ecache = lazy (Compile.create_cache ?store:kcache tp.source) in
+  let compiled k =
+    let cache = Lazy.force ecache in
+    if Compile.cached cache k then bump "engine_compile_hits"
+    else begin
+      bump "engine_compiles";
+      in_span Obs.Trace.Phase "compile-kernel"
+        ~loc:(Minic.Loc.to_string k.k_loc) ~directive:k.k_name
+        (fun () -> Compile.prepare cache k)
+    end;
+    cache
+  in
   let exec_kernel dev k =
     match engine with
     | Engine.Tree -> Kernel_exec.run ctx dev k
-    | Engine.Compiled ->
-        let cache = Lazy.force ecache in
-        if Compile.cached cache k then bump "engine_compile_hits"
-        else begin
-          bump "engine_compiles";
-          in_span Obs.Trace.Phase "compile-kernel"
-            ~loc:(Minic.Loc.to_string k.k_loc) ~directive:k.k_name
-            (fun () -> Compile.prepare cache k)
-        end;
-        Compile.run_kernel cache ctx dev k
+    | Engine.Compiled -> Compile.run_kernel (compiled k) ctx dev k
   in
 
   let cmodel = device.Gpusim.Device.cm in
@@ -924,13 +927,17 @@ let run ?(coherence = true) ?(engine = Engine.Tree) ?granularity
     let weights = Array.make (max 1 total) 0 in
     let shard_iters = Array.make nparts 0 in
     let failed_over = Array.make nparts false in
+    let run_shard dev ~owns =
+      match engine with
+      | Engine.Tree -> Kernel_exec.run_shard session ~weights dev ~owns
+      | Engine.Compiled ->
+          Compile.run_shard (compiled k) session ~weights dev ~owns
+    in
     let rec exec_part p n =
       let dev = Gpusim.Device_set.device devset executor.(p) in
       match
         Gpusim.Device.begin_launch dev ~label:k.k_name;
-        shard_iters.(p) <-
-          Kernel_exec.run_shard session ~weights dev
-            ~owns:(fun i -> assign i = p);
+        shard_iters.(p) <- run_shard dev ~owns:(fun i -> assign i = p);
         Gpusim.Device.scrub dev written
       with
       | [] -> ()

@@ -385,6 +385,53 @@ let start (host_ctx : Eval.ctx) (k : kernel) : session =
 
 let total_iterations s = s.s_total
 
+let kernel s = s.s_k
+let host s = s.s_host
+let entry s v = Hashtbl.find_opt s.s_entry v
+
+(** One shard's scalar results, tagged with their iteration ordinal and
+    held back until the shard completes cleanly. *)
+type staging = {
+  sg_red : (string, (int * scalar) list ref) Hashtbl.t;
+  sg_last : (string, int * scalar) Hashtbl.t;
+}
+
+let staging s =
+  let sg = { sg_red = Hashtbl.create 4; sg_last = Hashtbl.create 8 } in
+  Hashtbl.iter (fun v _ -> Hashtbl.replace sg.sg_red v (ref [])) s.s_red;
+  sg
+
+(** Stage the value iteration [ordinal] left in thread scalar [v]:
+    reduction partials accumulate; private/raced scalars and outer
+    induction variables keep their latest writer; other names are not
+    committed. *)
+let stage s sg ~ordinal v x =
+  match List.assoc_opt v s.s_k.k_scalars with
+  | Some (Sc_reduction _) -> (
+      match Hashtbl.find_opt sg.sg_red v with
+      | Some r -> r := (ordinal, x) :: !r
+      | None -> ())
+  | Some _ -> Hashtbl.replace sg.sg_last v (ordinal, x)
+  | None ->
+      if Analysis.Varset.mem v s.s_extra then
+        Hashtbl.replace sg.sg_last v (ordinal, x)
+
+(** Clean shard completion: publish the staged results into the session
+    (the highest-ordinal writer wins across shards). *)
+let publish s sg =
+  Hashtbl.iter
+    (fun v r ->
+      match Hashtbl.find_opt s.s_red v with
+      | Some dst -> dst := !r @ !dst
+      | None -> ())
+    sg.sg_red;
+  Hashtbl.iter
+    (fun v (o, x) ->
+      match Hashtbl.find_opt s.s_last v with
+      | Some (o', _) when o' > o -> ()
+      | Some _ | None -> Hashtbl.replace s.s_last v (o, x))
+    sg.sg_last
+
 (** Execute the ordinals selected by [owns] on [device], against its
     buffers.  Returns the number of iterations executed.  [weights]
     (sized [total_iterations]) receives the measured interpreted-op
@@ -434,34 +481,7 @@ let run_shard s ?weights device ~owns =
       s.s_extra;
     frame
   in
-  (* Staged results, published only on clean shard completion. *)
-  let staged_red : (string, (int * scalar) list ref) Hashtbl.t =
-    Hashtbl.create 4
-  in
-  List.iter
-    (fun (v, c) ->
-      match c with
-      | Sc_reduction _ -> Hashtbl.replace staged_red v (ref [])
-      | Sc_private | Sc_firstprivate | Sc_raced _ -> ())
-    class_of;
-  let staged_last : (string, int * scalar) Hashtbl.t = Hashtbl.create 8 in
-  let record ordinal frame =
-    Hashtbl.iter
-      (fun v b ->
-        match b with
-        | Scalar c -> (
-            match List.assoc_opt v class_of with
-            | Some (Sc_reduction _) -> (
-                match Hashtbl.find_opt staged_red v with
-                | Some r -> r := (ordinal, c.v) :: !r
-                | None -> ())
-            | Some _ -> Hashtbl.replace staged_last v (ordinal, c.v)
-            | None ->
-                if Analysis.Varset.mem v s.s_extra then
-                  Hashtbl.replace staged_last v (ordinal, c.v))
-        | Array _ -> ())
-      frame
-  in
+  let sg = staging s in
   let executed = ref 0 in
   let ordinal = ref 0 in
   let driver = { v = Eval.eval kctx l.kl_init } in
@@ -478,26 +498,19 @@ let run_shard s ?weights device ~owns =
           w.(!ordinal) <- kctx.Eval.ops - ops0
       | Some _ | None -> ());
       kenv.frames <- List.tl kenv.frames;
-      record !ordinal frame
+      Hashtbl.iter
+        (fun v b ->
+          match b with
+          | Scalar c -> stage s sg ~ordinal:!ordinal v c.v
+          | Array _ -> ())
+        frame
     end;
     incr ordinal;
     match l.kl_step with
     | Some st -> Eval.exec kctx st
     | None -> ()
   done;
-  (* Clean completion: publish the staged scalar results. *)
-  Hashtbl.iter
-    (fun v r ->
-      match Hashtbl.find_opt s.s_red v with
-      | Some dst -> dst := !r @ !dst
-      | None -> ())
-    staged_red;
-  Hashtbl.iter
-    (fun v (o, x) ->
-      match Hashtbl.find_opt s.s_last v with
-      | Some (o', _) when o' > o -> ()
-      | Some _ | None -> Hashtbl.replace s.s_last v (o, x))
-    staged_last;
+  publish s sg;
   !executed
 
 (** Commit the merged scalar results to the host environment, in the same

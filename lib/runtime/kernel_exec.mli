@@ -47,6 +47,28 @@ type session
 val start : Eval.ctx -> Codegen.Tprog.kernel -> session
 
 val total_iterations : session -> int
+val kernel : session -> Codegen.Tprog.kernel
+
+(** The host context the session commits to. *)
+val host : session -> Eval.ctx
+
+(** Kernel-entry value of a host scalar the kernel names. *)
+val entry : session -> string -> Value.scalar option
+
+(** One shard's staged scalar results.  Shard runners of either engine
+    stage every thread's scalars and {!publish} only on clean completion,
+    so both engines commit through the same ordinal-tagged merge. *)
+type staging
+
+val staging : session -> staging
+
+(** [stage s sg ~ordinal v x]: iteration [ordinal] left [x] in thread
+    scalar [v].  Reduction partials accumulate; private/raced scalars and
+    outer induction variables keep their latest writer; other names are
+    not committed. *)
+val stage : session -> staging -> ordinal:int -> string -> Value.scalar -> unit
+
+val publish : session -> staging -> unit
 
 (** Execute the ordinals selected by [owns] on [device].  Returns the
     number of iterations executed.  [weights] (sized
