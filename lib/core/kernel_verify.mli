@@ -27,7 +27,12 @@ type t = {
   reports : kernel_report list;
   metrics : Gpusim.Metrics.t;  (** Figure 3's cost breakdown *)
   timeline : Gpusim.Timeline.t;  (** device events (with [trace]) *)
-  sequential_ops : int;  (** pure-reference op count, for normalization *)
+  sequential_ops : int;
+      (** op count of the sequential reference, for normalization.  It is
+          counted on the verification run itself, whose compute regions
+          execute their kernels' sequential sources in place of the region
+          body: equal to {!Accrt.Eval.run_reference}'s count whenever each
+          compute region is a single loop, as in every suite program. *)
   symeq : Symeq.Engine.t option;
       (** symbolic-tier verdicts for every kernel (with [symbolic]) *)
 }

@@ -234,6 +234,30 @@ let test_demotion_pass () =
   Alcotest.(check int) "one kernels directive left" 1
     (count_sub "acc kernels")
 
+(* [sequential_ops] is Figure 3's normalization baseline: counted on the
+   verification run itself, it must equal an independent sequential
+   reference run's op count for every suite program and build, with and
+   without the symbolic tier. *)
+let test_sequential_ops_pinned () =
+  List.iter
+    (fun (b : Suite.Bench_def.t) ->
+      List.iter
+        (fun (build, src, opts) ->
+          let prog = Minic.Parser.parse_string ~file:b.name src in
+          let expected = (Accrt.Eval.run_reference prog).Accrt.Eval.ops in
+          List.iter
+            (fun symbolic ->
+              let v = Openarc_core.Kernel_verify.verify ~opts ~symbolic prog in
+              Alcotest.(check int)
+                (Fmt.str "%s/%s%s: sequential ops" b.name build
+                   (if symbolic then " --symbolic" else ""))
+                expected v.Openarc_core.Kernel_verify.sequential_ops)
+            [ false; true ])
+        [ ("source", b.source, Codegen.Options.default);
+          ("optimized", b.optimized, Codegen.Options.default);
+          ("fault", b.source, Codegen.Options.fault_injection) ])
+    Suite.Registry.all
+
 let tests =
   [ Alcotest.test_case "correct program passes" `Quick
       test_correct_program_passes;
@@ -250,4 +274,6 @@ let tests =
       test_no_error_propagation;
     Alcotest.test_case "metrics breakdown" `Quick test_metrics_breakdown;
     Alcotest.test_case "vconfig parsing" `Quick test_vconfig_parsing;
-    Alcotest.test_case "demotion pass (Listing 2)" `Quick test_demotion_pass ]
+    Alcotest.test_case "demotion pass (Listing 2)" `Quick test_demotion_pass;
+    Alcotest.test_case "sequential ops = reference ops" `Quick
+      test_sequential_ops_pinned ]
