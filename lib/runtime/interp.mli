@@ -40,13 +40,15 @@ exception Stop
 (** Execute a translated program.  [coherence] enables the §III-B runtime
     (meaningful on instrumented programs); [engine] selects the kernel
     execution engine — {!Engine.Tree} (default) walks the AST,
-    {!Engine.Compiled} runs closure-compiled kernel bodies (cached per
-    kernel, bit-identical results); [granularity] picks whole-array
-    (default, as the paper) or interval tracking; [trace] records the
-    execution timeline; [seed] drives the deterministic jitter and fault
-    streams; [plan] arms device faults; [resilience] picks the recovery
-    policy (default {!Resilience.none}: faults propagate as
-    {!Gpusim.Device.Device_fault}).
+    {!Engine.Compiled} runs closure-compiled kernel bodies for whole
+    launches and for every shard of a sharded launch alike (cached per
+    kernel content, bit-identical results; recovery validation and CPU
+    fallback stay on the tree walker under either engine); [granularity]
+    picks whole-array (default, as the paper) or interval tracking;
+    [trace] records the execution timeline; [seed] drives the
+    deterministic jitter and fault streams; [plan] arms device faults;
+    [resilience] picks the recovery policy (default {!Resilience.none}:
+    faults propagate as {!Gpusim.Device.Device_fault}).
 
     [devices] sizes the simulated device set (default 1: the standalone
     device, on the exact pre-device-set code path); [schedule] picks how
@@ -62,12 +64,13 @@ exception Stop
     launch / transfer / alloc / free / wait / check, [Recovery] leaves for
     every resilience action, [Device] leaves for timeline events (with
     [trace]), and one charge event per {!Gpusim.Metrics.charge} (so
-    {!Obs.Profile} totals conserve exactly).  [ledger], when given,
-    records every DMA transfer (cause-attributed per {!Obs.Ledger.cause},
-    with per-member redundancy read from the coherence lattice when
-    [coherence] is on) and every device alloc/free — pure observation,
-    byte-conserving against the metrics accumulators.  [audit], when
-    given, records every coherence status transition.
+    {!Obs.Profile} totals conserve exactly).  Observation is pure: an
+    attached [obs] changes no output, [ops] count or simulated time.
+    [ledger], when given, records every DMA transfer (cause-attributed
+    per {!Obs.Ledger.cause}, with per-member redundancy read from the
+    coherence lattice when [coherence] is on) and every device alloc/free
+    — pure observation, byte-conserving against the metrics accumulators.
+    [audit], when given, records every coherence status transition.
 
     [kcache], when given, is a shared content-keyed kernel-closure store
     ({!Compile.store}): compiled-engine runs of *different translations*

@@ -11,7 +11,16 @@
     symbolic tier first → bit-identical designated outputs under both
     engines and 1/2/4-device sets → measured diff-profile corroboration
     within 0.25–4x of the prediction), re-run the ledger, repeat until no
-    material candidate remains. *)
+    material candidate remains.
+
+    Each checked configuration runs once per candidate: the traced
+    tree-engine single-device output run is also the step's measurement,
+    the original program's reference run gives the "before" profile, and
+    the last accepted measurement gives "after".  Later rungs and the
+    next step run on the round-trip rung's reparse under a rebased sid
+    allocator, and equal-priced candidates rank by label, so the report
+    depends only on the program — not on what the process parsed before,
+    nor on how much work the ladder does. *)
 
 type kind = Hoist | Present | Merge | Fuse
 
