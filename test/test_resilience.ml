@@ -168,28 +168,51 @@ let test_full_persistent_transfer_demotes () =
   check_simple o;
   Alcotest.(check int) "no unrecovered" 0 (stats o).Resilience.unrecovered
 
+(* Losing the only device is host mode, not a member drop: no survivor
+   accounting, no [device-drop] action, and no failover line in the
+   report. *)
+let check_no_member_drop ~plan o =
+  let st = stats o in
+  Alcotest.(check int) "no member counted lost" 0 st.Resilience.devices_lost;
+  Alcotest.(check int) "no failovers" 0 st.Resilience.failovers;
+  Alcotest.(check bool) "no device-drop action" false
+    (List.exists
+       (fun e -> e.Resilience.l_action = "device-drop")
+       (Resilience.log_entries st));
+  let report =
+    Fmt.str "%a"
+      (Resilience.pp_report ~seed:42 ~plan ~policy:Resilience.full
+         ~metrics:(Interp.metrics o))
+      st
+  in
+  Alcotest.(check bool) "no failover line" false
+    (List.exists
+       (String.starts_with ~prefix:"failover:")
+       (String.split_on_char '\n' report))
+
 let test_device_lost_host_mode () =
   (* Lost at the very first opportunity: the whole program runs in host
      mode and still produces correct outputs. *)
-  let o = run ~resilience:Resilience.full ~spec:"device-lost" simple_src in
+  let plan = plan "device-lost" in
+  let o = Interp.run_string ~plan ~resilience:Resilience.full simple_src in
   check_simple o;
   let st = stats o in
   Alcotest.(check bool) "device lost" true st.Resilience.device_lost;
   Alcotest.(check bool) "kernels fell back" true (st.Resilience.fallbacks >= 1);
-  Alcotest.(check int) "no unrecovered" 0 st.Resilience.unrecovered
+  Alcotest.(check int) "no unrecovered" 0 st.Resilience.unrecovered;
+  check_no_member_drop ~plan o
 
 let test_device_lost_mid_run_restores_mirrors () =
   (* The device dies at the second kernel's launch; b's freshest copy
      lives only in device memory and must be recovered from the
      resilience mirror for the CPU fallback to see it. *)
-  let o =
-    run ~resilience:Resilience.full ~spec:"device-lost:main_kernel1"
-      chained_src
-  in
+  let plan = plan "device-lost:main_kernel1" in
+  let o = Interp.run_string ~plan ~resilience:Resilience.full chained_src in
   check_chained o;
   let st = stats o in
   Alcotest.(check bool) "device lost" true st.Resilience.device_lost;
-  Alcotest.(check int) "no unrecovered" 0 st.Resilience.unrecovered
+  Alcotest.(check int) "no unrecovered" 0 st.Resilience.unrecovered;
+  check_no_member_drop ~plan o
 
 let test_acc_num_devices_after_loss () =
   (* Programs can poll device health through the standard routine. *)
