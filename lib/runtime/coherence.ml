@@ -440,13 +440,17 @@ let on_free t v =
    set-wide. *)
 
 (** A kernel committed [v] on exactly [devs]: their copies are fresh, every
-    other live member's copy is stale. *)
+    other live member's copy is stale.  A one-member lattice is the
+    paper's automaton, which moves its device copy only through the
+    inserted checks and transfers, so there is nothing to refine. *)
 let note_kernel_write t v ~devs =
-  set_ctx t "kernel-commit" "";
-  List.iter
-    (fun d ->
-      set_gpu t v d (if List.mem d devs then Not_stale else Stale))
-    (live_gpu_ids t)
+  if t.ndevices > 1 then begin
+    set_ctx t "kernel-commit" "";
+    List.iter
+      (fun d ->
+        set_gpu t v d (if List.mem d devs then Not_stale else Stale))
+      (live_gpu_ids t)
+  end
 
 (** A peer/broadcast sync refreshed [v] on [devs] (no report: the runtime
     initiated it, the program did not ask for a transfer). *)

@@ -85,7 +85,8 @@ val gpu_status : t -> string -> int -> Codegen.Tprog.status
 val set_gpu : t -> string -> int -> Codegen.Tprog.status -> unit
 
 (** A kernel committed [v] on exactly [devs]: their copies become fresh,
-    every other live member's copy stale. *)
+    every other live member's copy stale.  A no-op on a one-member
+    lattice, which is the paper's single-device automaton. *)
 val note_kernel_write : t -> string -> devs:int list -> unit
 
 (** A runtime-initiated peer/broadcast sync refreshed [v] on [devs]. *)

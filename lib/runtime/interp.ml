@@ -51,17 +51,17 @@ let run ?(coherence = true) ?(engine = Engine.Tree) ?granularity
     ?(resilience = Resilience.none) ?(devices = 1) ?schedule ?obs ?ledger
     ?audit ?kcache (tp : Codegen.Tprog.t) =
   if devices < 1 then invalid_arg "Interp.run: devices must be >= 1";
-  (* A one-member run creates the standalone device exactly as it always
-     did and merely wraps it, so [devices = 1] takes the identical code
-     path (and RNG stream) as the pre-device-set runtime. *)
   let devset =
-    if devices = 1 then
-      Gpusim.Device_set.of_device ?schedule
-        (Gpusim.Device.create ?cm ~seed ~trace ?plan ())
-    else Gpusim.Device_set.create ?cm ~seed ~trace ?plan ?schedule devices
+    Gpusim.Device_set.create ?cm ~seed ~trace ?plan ?schedule devices
   in
   let device = Gpusim.Device_set.primary devset in
-  let multi = Gpusim.Device_set.size devset > 1 in
+  (* One runtime path serves every set size; a one-member run is the
+     general protocol over a set of one.  The member count is consulted
+     only where a one-member run's output differs: charges and timeline
+     leaves carry no ordinal, there are no per-member transfer leaves and
+     no imbalance log, downloads are [copyout] rather than [gather] in the
+     ledger, and losing the only member degrades straight to {!on_lost}. *)
+  let multi = devices > 1 in
   (* Fold member fault events back into the base plan even when a fault
      escapes (the fault matrix reads the plan off exception paths). *)
   Fun.protect ~finally:(fun () -> Gpusim.Device_set.flush_events devset)
@@ -73,53 +73,35 @@ let run ?(coherence = true) ?(engine = Engine.Tree) ?granularity
       ~devices ()
   in
   (* Observability: spans are stamped by the simulated host clock; every
-     metrics charge becomes a trace event (the conservation invariant);
-     device-timeline events become [Device] leaf spans.  A one-member run
-     keeps the exact pre-device-set wiring — untagged charges on the
-     primary — so its trace is byte-identical to the standalone runtime; a
-     multi-member run observes {e every} member, tagging each charge and
-     timeline leaf with the owning ordinal. *)
+     metrics charge of every member becomes a trace event (the conservation
+     invariant); device-timeline events become [Device] leaf spans.  A
+     multi-member run tags each charge and leaf with the owning ordinal. *)
   (match obs with
   | None -> ()
   | Some tr ->
       Obs.Trace.set_clock tr (fun () -> metrics.Gpusim.Metrics.host_clock);
-      if not multi then begin
-        Gpusim.Metrics.set_on_charge metrics (fun cat dt ->
-            Obs.Trace.charge tr
-              ~category:(Gpusim.Metrics.category_name cat)
-              dt);
-        Gpusim.Timeline.set_on_event device.Gpusim.Device.timeline (fun e ->
-            Obs.Trace.leaf tr Obs.Trace.Device
-              (Gpusim.Timeline.kind_name e.Gpusim.Timeline.ev_kind)
-              ~attrs:[ ("label", e.Gpusim.Timeline.ev_label) ]
-              ~start:e.Gpusim.Timeline.ev_start
-              ~duration:e.Gpusim.Timeline.ev_duration ())
-      end
-      else
-        Array.iter
-          (fun d ->
-            let ord = d.Gpusim.Device.id in
-            Gpusim.Metrics.set_on_charge d.Gpusim.Device.metrics
-              (fun cat dt ->
-                Obs.Trace.charge tr ~dev:ord
-                  ~category:(Gpusim.Metrics.category_name cat)
-                  dt);
-            Gpusim.Timeline.set_on_event d.Gpusim.Device.timeline (fun e ->
-                Obs.Trace.leaf tr Obs.Trace.Device
-                  (Gpusim.Timeline.kind_name e.Gpusim.Timeline.ev_kind)
-                  ~dev:ord
-                  ~attrs:[ ("label", e.Gpusim.Timeline.ev_label) ]
-                  ~start:e.Gpusim.Timeline.ev_start
-                  ~duration:e.Gpusim.Timeline.ev_duration ()))
-          devset.Gpusim.Device_set.devices);
+      Array.iter
+        (fun d ->
+          let dev = if multi then Some d.Gpusim.Device.id else None in
+          Gpusim.Metrics.set_on_charge d.Gpusim.Device.metrics (fun cat dt ->
+              Obs.Trace.charge tr ?dev
+                ~category:(Gpusim.Metrics.category_name cat)
+                dt);
+          Gpusim.Timeline.set_on_event d.Gpusim.Device.timeline (fun e ->
+              Obs.Trace.leaf tr Obs.Trace.Device
+                (Gpusim.Timeline.kind_name e.Gpusim.Timeline.ev_kind)
+                ?dev
+                ~attrs:[ ("label", e.Gpusim.Timeline.ev_label) ]
+                ~start:e.Gpusim.Timeline.ev_start
+                ~duration:e.Gpusim.Timeline.ev_duration ()))
+        devset.Gpusim.Device_set.devices);
   (* Shard-level cost attribution: every sharded launch's measured
      iteration weights and charged durations, for the schedule analyzer.
      A one-member run has nothing to attribute. *)
   let ilog =
     if multi then
       Some
-        (Obs.Imbalance.create
-           ~devices:(Gpusim.Device_set.size devset)
+        (Obs.Imbalance.create ~devices
            ~schedule:
              (Gpusim.Device_set.schedule_name
                 devset.Gpusim.Device_set.schedule))
@@ -174,8 +156,7 @@ let run ?(coherence = true) ?(engine = Engine.Tree) ?granularity
               ~allocated:m.Gpusim.Device.m_allocated
               ~time:m.Gpusim.Device.m_time)
       in
-      if multi then Array.iter install devset.Gpusim.Device_set.devices
-      else install device);
+      Array.iter install devset.Gpusim.Device_set.devices);
   (* Record a peer/mirror blit the DMA hooks cannot see: modeled
      overlapped movement, ledgered uncounted so conservation still holds. *)
   let note_blit ~array ~dir ~cause ~bytes ~dev ~site ~loc =
@@ -309,7 +290,7 @@ let run ?(coherence = true) ?(engine = Engine.Tree) ?granularity
     if policy.Resilience.cpu_fallback then enter_host_mode fault
     else unrecovered fault
   in
-  (* ------------------- device-set (multi-device) state ------------------ *)
+  (* -------------------------- device-set state -------------------------- *)
   (* Member devices currently holding the freshest copy of each root, in
      device order (functional tracking, independent of the coherence
      runtime so it works with verification disabled). *)
@@ -324,18 +305,22 @@ let run ?(coherence = true) ?(engine = Engine.Tree) ?granularity
       (Gpusim.Device_set.alive_ids devset)
   in
   (* One member dropped off the bus: its copies are gone; survivors carry
-     on.  Losing the last member degrades the whole run ({!on_lost}). *)
+     on.  Losing the last member degrades the whole run ({!on_lost}); the
+     only member of a one-member set is not a dropped member. *)
   let on_member_lost d fault =
-    stats.Resilience.devices_lost <- stats.Resilience.devices_lost + 1;
-    record ~fault ~action:"device-drop" ~ok:true;
-    Coherence.on_device_lost coh d;
-    Hashtbl.filter_map_inplace
-      (fun _ ids ->
-        match List.filter (fun x -> x <> d) ids with
-        | [] -> None
-        | ids -> Some ids)
-      fresh_on;
-    if Gpusim.Device_set.all_lost devset then on_lost fault
+    if not multi then on_lost fault
+    else begin
+      stats.Resilience.devices_lost <- stats.Resilience.devices_lost + 1;
+      record ~fault ~action:"device-drop" ~ok:true;
+      Coherence.on_device_lost coh d;
+      Hashtbl.filter_map_inplace
+        (fun _ ids ->
+          match List.filter (fun x -> x <> d) ids with
+          | [] -> None
+          | ids -> Some ids)
+        fresh_on;
+      if Gpusim.Device_set.all_lost devset then on_lost fault
+    end
   in
   (* Keep an array on the host for the rest of the run. *)
   let demote_to_host v =
@@ -345,7 +330,7 @@ let run ?(coherence = true) ?(engine = Engine.Tree) ?granularity
     List.iter
       (fun dev ->
         if Gpusim.Device.is_allocated dev v then Gpusim.Device.free dev v)
-      (if multi then alive_members () else [ device ]);
+      (alive_members ());
     Hashtbl.remove fresh_on v;
     Hashtbl.replace host_only v ()
   in
@@ -373,8 +358,7 @@ let run ?(coherence = true) ?(engine = Engine.Tree) ?granularity
 
   (* ----------------------- resilient transfers ---------------------- *)
   let checksum_range ~range buf = Gpusim.Buf.checksum ?range buf in
-  let do_transfer ?(dev = device) ?(on_dev_lost = on_lost) x ~host ~range
-      ~async =
+  let do_transfer dev x ~host ~range ~async =
     let var = x.x_var in
     let label = x.x_site.site_label in
     let op = match x.x_dir with H2D -> "upload" | D2H -> "download" in
@@ -430,7 +414,7 @@ let run ?(coherence = true) ?(engine = Engine.Tree) ?granularity
           (* Host mode makes the host copy authoritative, so the transfer
              itself needs no replay; a member loss is replayed by the
              caller on a surviving member. *)
-          on_dev_lost fault
+          on_member_lost dev.Gpusim.Device.id fault
       | exception Gpusim.Device.Device_fault fault
         when Gpusim.Fault_plan.transient fault.Gpusim.Device.f_kind
              && policy.Resilience.max_retries > 0 ->
@@ -478,11 +462,7 @@ let run ?(coherence = true) ?(engine = Engine.Tree) ?granularity
         | _ -> ())
       ckpt;
     cpu_exec k;
-    if
-      (not !host_mode)
-      &&
-      if multi then Gpusim.Device_set.first_alive devset <> None
-      else Gpusim.Device.alive device
+    if (not !host_mode) && Gpusim.Device_set.first_alive devset <> None
     then begin
       lcause := Obs.Ledger.Failover;
       lsite := (k.k_name ^ ".recover", Minic.Loc.to_string k.k_loc);
@@ -503,9 +483,7 @@ let run ?(coherence = true) ?(engine = Engine.Tree) ?granularity
                   | Gpusim.Device.Device_fault fault
                     when fault.Gpusim.Device.f_kind
                          = Gpusim.Fault_plan.Device_lost ->
-                      if multi then
-                        on_member_lost dev.Gpusim.Device.id fault
-                      else on_lost fault
+                      on_member_lost dev.Gpusim.Device.id fault
                   | Gpusim.Device.Device_fault fault
                     when Gpusim.Fault_plan.transient
                            fault.Gpusim.Device.f_kind ->
@@ -520,8 +498,8 @@ let run ?(coherence = true) ?(engine = Engine.Tree) ?granularity
                 push 0;
                 Hashtbl.remove device_fresh v
               end)
-            (if multi then alive_members () else [ device ]);
-          if multi && not (Hashtbl.mem host_only v) then
+            (alive_members ());
+          if not (Hashtbl.mem host_only v) then
             Hashtbl.replace fresh_on v (Gpusim.Device_set.alive_ids devset))
         (kernel_arrays k)
     end
@@ -606,136 +584,8 @@ let run ?(coherence = true) ?(engine = Engine.Tree) ?granularity
     let lv = match k.k_loop with Some l -> [ l.kl_var ] | None -> [] in
     List.sort_uniq compare (base @ ind @ lv)
   in
-  let launch_device k async =
-    let arrays = Analysis.Varset.elements (kernel_arrays k) in
-    let checkpointing =
-      policy.Resilience.reexec || policy.Resilience.cpu_fallback
-    in
-    (* Checkpoint: pre-launch device buffers (the kernel's inputs, exactly
-       the data the §III-A demotion snapshot would upload) plus the
-       scalar cells the kernel will commit. *)
-    let ckpt =
-      if checkpointing then
-        List.filter_map
-          (fun v ->
-            if Gpusim.Device.is_allocated device v then begin
-              let b = Gpusim.Device.buffer device v in
-              charge_recovery
-                (Gpusim.Costmodel.compare_time cmodel
-                   ~elems:(Gpusim.Buf.length b));
-              Some (v, Gpusim.Buf.copy b)
-            end
-            else None)
-          arrays
-      else []
-    in
-    let scalars =
-      if checkpointing then
-        List.filter_map
-          (fun name ->
-            match Value.lookup env name with
-            | Some (Value.Scalar c) -> Some (c, c.Value.v)
-            | _ -> None)
-          (committed_names k)
-      else []
-    in
-    let scalar_values =
-      List.filter_map
-        (fun name ->
-          match Value.lookup env name with
-          | Some (Value.Scalar c) -> Some (name, c.Value.v)
-          | _ -> None)
-        (committed_names k)
-    in
-    let restore_ckpt () =
-      List.iter
-        (fun (v, b) ->
-          if Gpusim.Device.is_allocated device v then
-            Gpusim.Buf.blit ~src:b ~dst:(Gpusim.Device.buffer device v))
-        ckpt;
-      List.iter (fun (c, v0) -> c.Value.v <- v0) scalars
-    in
-    let written = Analysis.Varset.elements k.k_arrays_written in
-    let fall_back fault =
-      record ~fault ~action:"cpu-fallback" ~ok:true;
-      restore_ckpt ();
-      cpu_fallback_exec k ~ckpt ~scalars
-    in
-    let rec attempt n =
-      match
-        Gpusim.Device.begin_launch device ~label:k.k_name;
-        let r = exec_kernel device k in
-        let width =
-          let g, w, v = k.k_dims in
-          match List.filter_map (Option.map eval_int) [ g; w; v ] with
-          | [] -> None
-          | dims -> Some (List.fold_left ( * ) 1 dims)
-        in
-        Gpusim.Device.launch device ~iterations:r.Kernel_exec.iterations
-          ~ops_per_iter:k.k_ops_per_iter ?width ?async ~label:k.k_name ();
-        Gpusim.Device.scrub device written
-      with
-      | [] ->
-          (* Clean execution.  A recovery (n > 0) must additionally pass
-             the sequential-reference comparison before it counts. *)
-          if n > 0 && policy.Resilience.validate then begin
-            if validate_recovery device k ~ckpt ~scalar_values then
-              stats.Resilience.verified <- stats.Resilience.verified + 1
-            else begin
-              let fault =
-                { Gpusim.Device.f_kind = Gpusim.Fault_plan.Launch_fail;
-                  f_target = k.k_name; f_op = "recovery-validation" }
-              in
-              record ~fault ~action:"re-execute" ~ok:false;
-              escalate n fault
-            end
-          end;
-          refresh_mirrors device k.k_arrays_written
-      | detected :: _ ->
-          (* ECC caught a bit flip in a written buffer: the results are
-             poisoned, so recover exactly like a failed launch. *)
-          recover n detected
-      | exception Gpusim.Device.Device_fault fault -> recover n fault
-    and recover n fault =
-      match fault.Gpusim.Device.f_kind with
-      | Gpusim.Fault_plan.Device_lost
-        when policy.Resilience.cpu_fallback ->
-          enter_host_mode fault;
-          (* Device state is gone; the checkpoint still has the kernel's
-             inputs, so the sequential region replays it on the host. *)
-          cpu_fallback_exec k ~ckpt ~scalars
-      | Gpusim.Fault_plan.Device_lost
-        when policy.Resilience.max_retries > 0 ->
-          unrecovered fault
-      | k' when Gpusim.Fault_plan.transient k' && policy.Resilience.reexec
-        ->
-          if n < policy.Resilience.max_retries then begin
-            stats.Resilience.reexecs <- stats.Resilience.reexecs + 1;
-            record ~fault ~action:"re-execute" ~ok:true;
-            restore_ckpt ();
-            charge_recovery (backoff_delay n);
-            attempt (n + 1)
-          end
-          else escalate n fault
-      | k'
-        when Gpusim.Fault_plan.transient k'
-             && policy.Resilience.cpu_fallback ->
-          fall_back fault
-      | k'
-        when Gpusim.Fault_plan.transient k'
-             && policy.Resilience.max_retries > 0 ->
-          unrecovered fault
-      | _ -> raise (Gpusim.Device.Device_fault fault)
-    and escalate _n fault =
-      if policy.Resilience.cpu_fallback then fall_back fault
-      else unrecovered fault
-    in
-    attempt 0
-  in
-
-  (* ------------------ multi-device (device-set) launches ----------------- *)
-  (* Escalation out of a failed multi-device launch: degrade the whole
-     kernel to the sequential region (or propagate, per policy). *)
+  (* Escalation out of a failed launch: degrade the whole kernel to the
+     sequential region (or propagate, per policy). *)
   let exception Degrade of Gpusim.Device.fault_info in
   let kernel_width k =
     let g, w, v = k.k_dims in
@@ -784,10 +634,11 @@ let run ?(coherence = true) ?(engine = Engine.Tree) ?granularity
                   Coherence.note_gpu_fresh coh v ~devs:refreshed))
       (kernel_arrays k)
   in
-  (* Snapshot the kernel's device inputs from a fresh member.  Always taken
-     in multi mode: besides checkpointed recovery it is the merge reference
-     that separates each shard's writes.  The §III-A-style checkpoint cost
-     is charged only when the policy actually checkpoints. *)
+  (* Snapshot the kernel's device inputs from a fresh member: the
+     checkpoint of a recovering launch (exactly the data the §III-A
+     demotion snapshot would upload), the merge reference that separates a
+     sharded launch's writes, and the bridge of a host-only fallback.  The
+     checkpoint cost is charged only when the policy actually checkpoints. *)
   let snapshot_inputs k ~charge =
     match Gpusim.Device_set.first_alive devset with
     | None -> []
@@ -805,11 +656,11 @@ let run ?(coherence = true) ?(engine = Engine.Tree) ?granularity
             else None)
           (Analysis.Varset.elements (kernel_arrays k))
   in
-  (* Execute an unsharded kernel (seq, straight-line, or lone survivor) on
-     one member, failing over to the next alive member on device loss. *)
+  (* Execute an unsharded kernel (seq, straight-line, a one-member set's,
+     or a lone survivor's) on one member, failing over to the next alive
+     member on device loss. *)
   let launch_one_member dev0 k async ~ckpt ~scalars ~scalar_values =
     let written = Analysis.Varset.elements k.k_arrays_written in
-    let width = kernel_width k in
     let failed_over = ref false in
     let restore_ckpt dev =
       List.iter
@@ -823,6 +674,9 @@ let run ?(coherence = true) ?(engine = Engine.Tree) ?granularity
       match
         Gpusim.Device.begin_launch dev ~label:k.k_name;
         let r = exec_kernel dev k in
+        (* Launch dimensions are host expressions, evaluated (and their
+           ops counted) once per executed attempt. *)
+        let width = kernel_width k in
         Gpusim.Device.launch dev ~iterations:r.Kernel_exec.iterations
           ~ops_per_iter:k.k_ops_per_iter ?width ?async ~label:k.k_name ();
         Gpusim.Device.scrub dev written
@@ -1138,18 +992,31 @@ let run ?(coherence = true) ?(engine = Engine.Tree) ?granularity
     | Some dev -> refresh_mirrors dev k.k_arrays_written
     | None -> ()
   in
-  let launch_multi k async =
-    let arrays = Analysis.Varset.elements (kernel_arrays k) in
-    if List.exists (Hashtbl.mem host_only) arrays then begin
-      let ckpt = snapshot_inputs k ~charge:false in
-      cpu_fallback_exec k ~ckpt ~scalars:[]
-    end
+  let launch_resilient k async =
+    if !host_mode then cpu_exec k
+    else if Analysis.Varset.exists (Hashtbl.mem host_only) (kernel_arrays k)
+    then
+      (* Some of the kernel's data could not be kept on the device: run the
+         whole region on the host, bridging from/to the arrays that do live
+         on the device. *)
+      cpu_fallback_exec k ~ckpt:(snapshot_inputs k ~charge:false) ~scalars:[]
     else begin
       sync_inputs k;
+      let members = alive_members () in
+      let sharded =
+        match members with
+        | _ :: _ :: _ -> Kernel_exec.shardable k
+        | _ -> false
+      in
       let checkpointing =
         policy.Resilience.reexec || policy.Resilience.cpu_fallback
       in
-      let ckpt = snapshot_inputs k ~charge:checkpointing in
+      (* Only recovery and the shard merge read the snapshot. *)
+      let ckpt =
+        if checkpointing || sharded then
+          snapshot_inputs k ~charge:checkpointing
+        else []
+      in
       let scalars =
         if checkpointing then
           List.filter_map
@@ -1169,40 +1036,17 @@ let run ?(coherence = true) ?(engine = Engine.Tree) ?granularity
           (committed_names k)
       in
       try
-        match alive_members () with
+        match members with
         | [] -> cpu_exec k
-        | _ :: _ :: _ when Kernel_exec.shardable k ->
-            launch_sharded k async ~ckpt ~scalar_values
-        | dev :: _ ->
+        | dev :: _ when not sharded ->
             launch_one_member dev k async ~ckpt ~scalars ~scalar_values
+        | _ -> launch_sharded k async ~ckpt ~scalar_values
       with Degrade fault ->
         if policy.Resilience.cpu_fallback then begin
           record ~fault ~action:"cpu-fallback" ~ok:true;
           cpu_fallback_exec k ~ckpt ~scalars
         end
         else unrecovered fault
-    end
-  in
-  let launch_resilient k async =
-    if !host_mode then cpu_exec k
-    else if multi then launch_multi k async
-    else begin
-      let arrays = Analysis.Varset.elements (kernel_arrays k) in
-      if List.exists (Hashtbl.mem host_only) arrays then begin
-        (* Some of the kernel's data could not be kept on the device:
-           run the whole region on the host, bridging from/to the arrays
-           that do live on the device. *)
-        let ckpt =
-          List.filter_map
-            (fun v ->
-              if Gpusim.Device.is_allocated device v then
-                Some (v, Gpusim.Buf.copy (Gpusim.Device.buffer device v))
-              else None)
-            arrays
-        in
-        cpu_fallback_exec k ~ckpt ~scalars:[]
-      end
-      else launch_device k async
     end
   in
 
@@ -1270,12 +1114,9 @@ let run ?(coherence = true) ?(engine = Engine.Tree) ?granularity
         let need_alloc =
           (not !host_mode)
           && (not (Hashtbl.mem host_only v))
-          &&
-          if multi then
-            List.exists
-              (fun dev -> not (Gpusim.Device.is_allocated dev v))
-              (alive_members ())
-          else not (Gpusim.Device.is_allocated device v)
+          && List.exists
+               (fun dev -> not (Gpusim.Device.is_allocated dev v))
+               (alive_members ())
         in
         if need_alloc then begin
           charge_host ();
@@ -1292,8 +1133,7 @@ let run ?(coherence = true) ?(engine = Engine.Tree) ?granularity
                      = Gpusim.Fault_plan.Device_lost
                      && (policy.Resilience.cpu_fallback
                         || policy.Resilience.max_retries > 0) ->
-                  if multi then on_member_lost dev.Gpusim.Device.id fault
-                  else on_lost fault
+                  on_member_lost dev.Gpusim.Device.id fault
               | Gpusim.Device.Device_fault fault
                 when fault.Gpusim.Device.f_kind = Gpusim.Fault_plan.Oom
                      && policy.Resilience.max_retries > 0 ->
@@ -1314,17 +1154,14 @@ let run ?(coherence = true) ?(engine = Engine.Tree) ?granularity
             in
             attempt 0
           in
-          if multi then
-            List.iter
-              (fun dev ->
-                if
-                  (not !host_mode)
-                  && (not (Hashtbl.mem host_only v))
-                  && Gpusim.Device.alive dev
-                  && not (Gpusim.Device.is_allocated dev v)
-                then alloc_on dev)
-              (alive_members ())
-          else alloc_on device
+          List.iter
+            (fun dev ->
+              if
+                Gpusim.Device.alive dev
+                && (not (Hashtbl.mem host_only v))
+                && not (Gpusim.Device.is_allocated dev v)
+              then alloc_on dev)
+            (alive_members ())
         end
     | Tfree (v, site) ->
         charge_host ();
@@ -1332,14 +1169,10 @@ let run ?(coherence = true) ?(engine = Engine.Tree) ?granularity
           ~loc:(Minic.Loc.to_string site.site_loc)
           ~directive:site.site_label
         @@ fun () ->
-        (if multi then
-           List.iter
-             (fun dev ->
-               if Gpusim.Device.is_allocated dev v then
-                 Gpusim.Device.free dev v)
-             (if !host_mode then [] else alive_members ())
-         else if (not !host_mode) && Gpusim.Device.is_allocated device v
-         then Gpusim.Device.free device v);
+        List.iter
+          (fun dev ->
+            if Gpusim.Device.is_allocated dev v then Gpusim.Device.free dev v)
+          (alive_members ());
         Hashtbl.remove host_only v;
         Hashtbl.remove device_fresh v;
         Hashtbl.remove mirrors v;
@@ -1385,19 +1218,13 @@ let run ?(coherence = true) ?(engine = Engine.Tree) ?granularity
                else
                  match x.x_dir with
                  | H2D ->
-                     if multi then begin
-                       let fresh =
-                         List.filter
-                           (fun d ->
-                             Coherence.gpu_status coh x.x_var d = Not_stale)
-                           (Gpusim.Device_set.alive_ids devset)
-                       in
-                       fun d -> List.mem d fresh
-                     end
-                     else begin
-                       let r = Coherence.get coh x.x_var Gpu = Not_stale in
-                       fun _ -> r
-                     end
+                     let fresh =
+                       List.filter
+                         (fun d ->
+                           Coherence.gpu_status coh x.x_var d = Not_stale)
+                         (Gpusim.Device_set.alive_ids devset)
+                     in
+                     fun d -> List.mem d fresh
                  | D2H ->
                      let r = Coherence.get coh x.x_var Cpu = Not_stale in
                      fun _ -> r);
@@ -1416,107 +1243,86 @@ let run ?(coherence = true) ?(engine = Engine.Tree) ?granularity
         if (not !host_mode) && not (Hashtbl.mem host_only x.x_var) then begin
           let h2d0 = metrics.Gpusim.Metrics.bytes_h2d
           and d2h0 = metrics.Gpusim.Metrics.bytes_d2h in
-          (* Per-member child spans: in multi mode each member's share of a
-             broadcast/gather is a [Transfer] leaf on its own lane, timed
-             by that member's accumulator. *)
+          (* Per-member child spans: in a multi-member run each member's
+             share of a broadcast/gather is a [Transfer] leaf on its own
+             lane, timed by that member's accumulator. *)
           let member_xfer dev =
             let m = dev.Gpusim.Device.metrics in
             let t0 = m.Gpusim.Metrics.host_clock in
-            do_transfer ~dev
-              ~on_dev_lost:(fun fault ->
-                on_member_lost dev.Gpusim.Device.id fault)
-              x ~host ~range ~async;
+            do_transfer dev x ~host ~range ~async;
             match obs with
-            | None -> ()
-            | Some tr ->
+            | Some tr when multi ->
                 Obs.Trace.leaf tr Obs.Trace.Transfer x.x_site.site_label
                   ~loc:(Minic.Loc.to_string x.x_site.site_loc)
                   ~directive:x.x_site.site_label ~dev:dev.Gpusim.Device.id
                   ~start:t0
                   ~duration:(m.Gpusim.Metrics.host_clock -. t0) ()
+            | Some _ | None -> ()
           in
-          (if not multi then do_transfer x ~host ~range ~async
-           else
-             match x.x_dir with
-             | H2D ->
-                 (* Broadcast: every alive member refreshes its copy; each
-                    charges its own DMA engine, so the wall-clock cost is
-                    the primary's transfer (parallel broadcast). *)
-                 List.iter
-                   (fun dev ->
-                     if
-                       (not !host_mode)
-                       && (not (Hashtbl.mem host_only x.x_var))
-                       && Gpusim.Device.alive dev
-                       && Gpusim.Device.is_allocated dev x.x_var
-                     then member_xfer dev)
-                   (alive_members ());
-                 if
-                   (not !host_mode)
-                   && not (Hashtbl.mem host_only x.x_var)
-                 then
-                   Hashtbl.replace fresh_on x.x_var
-                     (Gpusim.Device_set.alive_ids devset)
-             | D2H ->
-                 (* Download from a member holding a fresh copy, rotating
-                    across the fresh set (every fresh copy is bit-identical
-                    by construction, so the gather is charged to rotating
-                    DMA engines); a member dying mid-download is replayed
-                    on the next candidate. *)
-                 let rec pull () =
-                   let candidates =
-                     match Hashtbl.find_opt fresh_on x.x_var with
-                     | Some (_ :: _ as ids) ->
-                         List.filter_map
-                           (fun d ->
-                             let dev = Gpusim.Device_set.device devset d in
-                             if
-                               Gpusim.Device.alive dev
-                               && Gpusim.Device.is_allocated dev x.x_var
-                             then Some dev
-                             else None)
-                           ids
-                     | Some [] | None -> (
-                         match Gpusim.Device_set.first_alive devset with
-                         | Some dev -> [ dev ]
-                         | None -> [])
-                   in
-                   match candidates with
-                   | [] -> ()
-                   | _ :: _ ->
-                       let dev =
-                         List.nth candidates
-                           (!gather_rr mod List.length candidates)
-                       in
-                       incr gather_rr;
-                       if Gpusim.Device.is_allocated dev x.x_var then begin
-                         member_xfer dev;
-                         (match ilog with
-                         | None -> ()
-                         | Some il ->
-                             let elems =
-                               match range with
-                               | Some (_, len) -> len
-                               | None -> Gpusim.Buf.length host
-                             in
-                             let per_elem =
-                               Gpusim.Buf.bytes host
-                               / max 1 (Gpusim.Buf.length host)
-                             in
-                             let bytes = elems * per_elem in
-                             Obs.Imbalance.note_gather il ~bytes
-                               ~time:
-                                 (cmodel.Gpusim.Costmodel.pcie_latency
-                                 +. float_of_int bytes
-                                    /. cmodel.Gpusim.Costmodel.pcie_bandwidth));
-                         if
-                           (not (Gpusim.Device.alive dev))
-                           && (not !host_mode)
-                           && not (Hashtbl.mem host_only x.x_var)
-                         then pull ()
-                       end
-                 in
-                 pull ());
+          (match x.x_dir with
+          | H2D ->
+              (* Broadcast: every alive member refreshes its copy; each
+                 charges its own DMA engine, so the wall-clock cost is the
+                 primary's transfer (parallel broadcast). *)
+              List.iter
+                (fun dev ->
+                  if
+                    Gpusim.Device.alive dev
+                    && not (Hashtbl.mem host_only x.x_var)
+                  then member_xfer dev)
+                (alive_members ());
+              if (not !host_mode) && not (Hashtbl.mem host_only x.x_var) then
+                Hashtbl.replace fresh_on x.x_var
+                  (Gpusim.Device_set.alive_ids devset)
+          | D2H ->
+              (* Download from a member holding a fresh copy, rotating across
+                 the fresh set (every fresh copy is bit-identical by
+                 construction, so the gather is charged to rotating DMA
+                 engines); a member dying mid-download is replayed on the
+                 next candidate. *)
+              let rec pull () =
+                let candidates =
+                  match Hashtbl.find_opt fresh_on x.x_var with
+                  | Some (_ :: _ as ids) ->
+                      List.filter Gpusim.Device.alive
+                        (List.map (Gpusim.Device_set.device devset) ids)
+                  | Some [] | None ->
+                      Option.to_list (Gpusim.Device_set.first_alive devset)
+                in
+                match candidates with
+                | [] -> ()
+                | _ :: _ ->
+                    let dev =
+                      List.nth candidates
+                        (!gather_rr mod List.length candidates)
+                    in
+                    incr gather_rr;
+                    member_xfer dev;
+                    (match ilog with
+                    | None -> ()
+                    | Some il ->
+                        let elems =
+                          match range with
+                          | Some (_, len) -> len
+                          | None -> Gpusim.Buf.length host
+                        in
+                        let per_elem =
+                          Gpusim.Buf.bytes host
+                          / max 1 (Gpusim.Buf.length host)
+                        in
+                        let bytes = elems * per_elem in
+                        Obs.Imbalance.note_gather il ~bytes
+                          ~time:
+                            (cmodel.Gpusim.Costmodel.pcie_latency
+                            +. float_of_int bytes
+                               /. cmodel.Gpusim.Costmodel.pcie_bandwidth));
+                    if
+                      (not (Gpusim.Device.alive dev))
+                      && (not !host_mode)
+                      && not (Hashtbl.mem host_only x.x_var)
+                    then pull ()
+              in
+              pull ());
           (* The transfer satisfied whatever host access preceded it:
              reset the hoistability trackers for this array. *)
           (match x.x_dir with
@@ -1550,11 +1356,9 @@ let run ?(coherence = true) ?(engine = Engine.Tree) ?granularity
         let q = eval_async e in
         charge_host ();
         in_span Obs.Trace.Wait "wait" @@ fun () ->
-        if multi then
-          Array.iter
-            (fun dev -> Gpusim.Device.wait dev q)
-            devset.Gpusim.Device_set.devices
-        else Gpusim.Device.wait device q
+        Array.iter
+          (fun dev -> Gpusim.Device.wait dev q)
+          devset.Gpusim.Device_set.devices
     | Tcheck c ->
         if coherence then begin
           charge_host ();
@@ -1600,16 +1404,11 @@ let run ?(coherence = true) ?(engine = Engine.Tree) ?granularity
       charge_host ();
       (* Drain outstanding async work and release device memory (both are
          no-ops on a lost device). *)
-      if multi then
-        Array.iter
-          (fun dev ->
-            Gpusim.Device.wait dev None;
-            Gpusim.Device.free_all dev)
-          devset.Gpusim.Device_set.devices
-      else begin
-        Gpusim.Device.wait device None;
-        Gpusim.Device.free_all device
-      end);
+      Array.iter
+        (fun dev ->
+          Gpusim.Device.wait dev None;
+          Gpusim.Device.free_all dev)
+        devset.Gpusim.Device_set.devices);
   { ctx; device; devset; coherence = coh; tprog = tp; site_execs; sites;
     resilience = stats; imbalance = ilog }
 

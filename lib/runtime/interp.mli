@@ -50,14 +50,18 @@ exception Stop
     [resilience] picks the recovery policy (default {!Resilience.none}:
     faults propagate as {!Gpusim.Device.Device_fault}).
 
-    [devices] sizes the simulated device set (default 1: the standalone
-    device, on the exact pre-device-set code path); [schedule] picks how
-    [parallel loop] iteration spaces split across members (default
-    {!Gpusim.Device_set.Block}).  With [devices > 1] the runtime broadcasts
-    allocations and uploads, shards parallel kernels across alive members,
-    lazily peer-syncs kernel inputs, and — under a recovering policy —
-    fails a dying member's shards over to survivors, validating every
-    recovery against the sequential reference.
+    [devices] sizes the simulated device set (default 1); [schedule] picks
+    how [parallel loop] iteration spaces split across members (default
+    {!Gpusim.Device_set.Block}).  Every size runs one runtime path: it
+    broadcasts allocations and uploads to the alive members, shards
+    parallel kernels across them when there are two or more, lazily
+    peer-syncs kernel inputs, and — under a recovering policy — fails a
+    dying member's shards over to survivors, validating every recovery
+    against the sequential reference.  A one-member run differs only in
+    what it emits: untagged charges and timeline leaves, no per-member
+    transfer leaves, no [imbalance] log, [copyout] (not [gather]) ledger
+    causes, and losing its device degrades to host mode without counting
+    a dropped member.
 
     [obs], when given, receives the run as a span tree stamped by the
     simulated clock — a "run" phase span with one child span per kernel

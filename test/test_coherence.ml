@@ -268,6 +268,41 @@ let test_cross_device_redundant () =
         r.Accrt.Coherence.r_desc
   | [] -> Alcotest.fail "expected a report"
 
+(* A one-device run keeps the paper's automaton: a kernel commit moves no
+   status, so a device-only buffer re-created in every trip of a loop
+   (freed, hence stale, in between) shows no runtime-initiated
+   transition in the audit.  A two-member run refines the commit per
+   member. *)
+let test_one_device_commit_unaudited () =
+  let src =
+    "int main() { int n = 8; float a[n]; float b[n]; float c[n];\n\
+     for (int i = 0; i < n; i++) { a[i] = float(i); }\n\
+     for (int t = 0; t < 2; t++) {\n\
+     #pragma acc data copyin(a) create(b) copyout(c)\n\
+     {\n\
+     #pragma acc kernels loop\n\
+     for (int i = 0; i < n; i++) { b[i] = a[i] + 1.0; }\n\
+     #pragma acc kernels loop\n\
+     for (int i = 0; i < n; i++) { c[i] = b[i] * 2.0; }\n\
+     }\n\
+     }\n\
+     return 0; }"
+  in
+  let commits devices =
+    let audit = Obs.Audit.create () in
+    ignore
+      (Accrt.Interp.run_string ~instrument:true ~devices ~audit src
+        : Accrt.Interp.outcome);
+    List.length
+      (List.filter
+         (fun e -> e.Obs.Audit.a_op = "kernel-commit")
+         (Obs.Audit.entries audit))
+  in
+  Alcotest.(check int) "one device: no kernel-commit transitions" 0
+    (commits 1);
+  Alcotest.(check bool) "two devices: commits refined per member" true
+    (commits 2 > 0)
+
 let tests =
   [ Alcotest.test_case "clean sequence" `Quick test_clean_sequence;
     Alcotest.test_case "missing transfer" `Quick test_missing;
@@ -282,4 +317,6 @@ let tests =
     Alcotest.test_case "per-device join" `Quick test_gpu_join;
     QCheck_alcotest.to_alcotest single_device_join_identity;
     Alcotest.test_case "cross-device redundant" `Quick
-      test_cross_device_redundant ]
+      test_cross_device_redundant;
+    Alcotest.test_case "one-device kernel commit unaudited" `Quick
+      test_one_device_commit_unaudited ]

@@ -107,11 +107,13 @@ let bench_case (b : Suite.Bench_def.t) =
       diff_variant b "unopt" b.source;
       diff_variant b "opt" b.optimized)
 
-(* A one-member device set is the pre-existing single-device runtime:
-   [~devices:1] must be observably bit-identical to not passing the
-   option at all — outputs, [ops] accounting, trace counters, the
-   simulated clock, the per-directive profile document, and the Chrome
-   trace — under both engines and both schedules. *)
+(* [Interp.run]'s [devices] defaults to 1, and every set size takes the
+   same runtime path, so this checks the default argument: an explicit
+   [~devices:1] under either schedule (which one member ignores) must be
+   bit-identical to passing nothing — outputs, [ops] accounting, trace
+   counters, the simulated clock, the per-directive profile document, and
+   the Chrome trace — under both engines.  Identity with the
+   pre-device-set runtime is held by the committed goldens. *)
 let profile_categories =
   List.map Gpusim.Metrics.category_name Gpusim.Metrics.all_categories
 

@@ -352,12 +352,21 @@ let test_device_set_members () =
   Alcotest.(check bool) "base plan latched lost" true p.Gpusim.Fault_plan.lost;
   Alcotest.(check int) "base plan sees the event" 1 (Gpusim.Fault_plan.injected p)
 
-let test_device_set_of_device () =
-  let dev = Gpusim.Device.create () in
-  let set = Gpusim.Device_set.of_device dev in
+(* A one-member set arms its device with the caller's plan itself (not a
+   reseeded partition), so injected events land there as they fire. *)
+let test_device_set_of_one_keeps_plan () =
+  let p =
+    Gpusim.Fault_plan.create ~seed:5
+      [ Gpusim.Fault_plan.mk_rule Gpusim.Fault_plan.Launch_fail ]
+  in
+  let set = Gpusim.Device_set.create ~seed:5 ~plan:p 1 in
+  let dev = Gpusim.Device_set.primary set in
   Alcotest.(check int) "one member" 1 (Gpusim.Device_set.size set);
-  Alcotest.(check bool) "wraps the same device" true
-    (Gpusim.Device_set.primary set == dev)
+  Alcotest.(check bool) "caller's plan" true (dev.Gpusim.Device.plan == p);
+  (try Gpusim.Device.begin_launch dev ~label:"k" with
+  | Gpusim.Device.Device_fault _ -> ());
+  Alcotest.(check int) "event visible without flush_events" 1
+    (Gpusim.Fault_plan.injected p)
 
 let tests =
   [ Alcotest.test_case "buf basics" `Quick test_buf_basics;
@@ -378,4 +387,5 @@ let tests =
     QCheck_alcotest.to_alcotest split_partitions;
     Alcotest.test_case "device set schedules" `Quick test_device_set_schedules;
     Alcotest.test_case "device set members" `Quick test_device_set_members;
-    Alcotest.test_case "device set of_device" `Quick test_device_set_of_device ]
+    Alcotest.test_case "device set of one keeps the plan" `Quick
+      test_device_set_of_one_keeps_plan ]
