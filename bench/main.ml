@@ -2,7 +2,7 @@
     (Table I-III, Figures 1, 3, 4, plus the design ablations), then runs a
     Bechamel micro-benchmark suite over the compiler pipeline stages.
 
-    Usage: [main.exe [table1|fig1|table2|fig3|table3|fig4|ablation|granularity|sweep|faults|symeq|symeq-smoke|profile|profile-smoke|imbalance|imbalance-smoke|memtrace|memtrace-smoke|trend|regress|wall|micro|all]]
+    Usage: [main.exe [table1|fig1|table2|fig3|table3|fig4|ablation|granularity|sweep|faults|symeq|symeq-smoke|profile|profile-smoke|scale|scale-smoke|imbalance|imbalance-smoke|memtrace|memtrace-smoke|saturate|saturate-smoke|trend|regress|wall|micro|all]]
     With no argument everything runs.  [trend] appends per-benchmark run
     summaries to BENCH_trend.jsonl; [regress] diffs the current sweep
     against the committed BENCH_profile.json under per-benchmark
