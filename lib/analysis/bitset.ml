@@ -1,0 +1,69 @@
+(** Dense bit vectors over a numbered set of names — the fact domain of
+    {!Dataflow}.
+
+    An {!index} numbers the names of a {!Varset} in its (sorted) order: bit
+    [i] stands for the [i]-th name.  A vector is an [int array] of
+    [Sys.int_size]-bit words; bits past the index's width are always
+    clear, so word-wise equality is set equality. *)
+
+type t = int array
+
+type index = { width : int; bits : (string, int) Hashtbl.t }
+
+let index set =
+  let bits = Hashtbl.create (max 16 (Varset.cardinal set)) in
+  Varset.iter (fun v -> Hashtbl.replace bits v (Hashtbl.length bits)) set;
+  { width = Hashtbl.length bits; bits }
+
+let width ix = ix.width
+let find ix v = Hashtbl.find_opt ix.bits v
+
+let word_bits = Sys.int_size
+let words width = (width + word_bits - 1) / word_bits
+let create width = Array.make (words width) 0
+let copy = Array.copy
+let mem t i = t.(i / word_bits) land (1 lsl (i mod word_bits)) <> 0
+
+let mem_name ix t v =
+  match find ix v with Some i -> mem t i | None -> false
+
+let add t i =
+  t.(i / word_bits) <- t.(i / word_bits) lor (1 lsl (i mod word_bits))
+
+let full width =
+  let t = Array.make (words width) (-1) in
+  let r = width mod word_bits in
+  if r > 0 then t.(Array.length t - 1) <- (1 lsl r) - 1;
+  t
+
+let equal (a : t) (b : t) =
+  let rec go i = i < 0 || (a.(i) = b.(i) && go (i - 1)) in
+  go (Array.length a - 1)
+
+let blit ~src ~dst = Array.blit src 0 dst 0 (Array.length src)
+
+let union_into ~dst src =
+  for i = 0 to Array.length dst - 1 do
+    dst.(i) <- dst.(i) lor src.(i)
+  done
+
+let inter_into ~dst src =
+  for i = 0 to Array.length dst - 1 do
+    dst.(i) <- dst.(i) land src.(i)
+  done
+
+let gen_kill ~dst ~gen ~kill src =
+  for i = 0 to Array.length dst - 1 do
+    dst.(i) <- gen.(i) lor (src.(i) land lnot kill.(i))
+  done
+
+let of_varset ix set =
+  let t = create (width ix) in
+  Varset.iter (fun v -> add t (Hashtbl.find ix.bits v)) set;
+  t
+
+let of_varsets ix sets =
+  let zero = create (width ix) in
+  Array.map
+    (fun s -> if Varset.is_empty s then zero else of_varset ix s)
+    sets

@@ -1,10 +1,10 @@
-(** Generic iterative dataflow solver over {!Graph} CFGs with {!Varset}
+(** Iterative gen/kill dataflow solver over {!Graph} CFGs with {!Bitset}
     facts.
 
     The paper's Algorithm 1 (may-dead / must-dead / may-live) and Algorithm 2
     (last-write), as well as the first-read/first-write placement analyses,
     are all instances of this solver with different directions, meets and
-    transfer functions. *)
+    gen/kill sets. *)
 
 type direction = Forward | Backward
 
@@ -13,71 +13,65 @@ type meet = Union | Intersect
 type spec = {
   direction : direction;
   meet : meet;
-  boundary : Varset.t;  (** fact at entry (forward) / exit nodes (backward) *)
-  universe : Varset.t;  (** top element, used to initialize Intersect meets *)
-  transfer : int -> Varset.t -> Varset.t;  (** node -> IN fact -> OUT fact *)
+  width : int;
+  top : Bitset.t;
+  gen : Bitset.t array;
+  kill : Bitset.t array;
 }
 
-type result = { input : Varset.t array; output : Varset.t array }
+type result = { input : Bitset.t array; output : Bitset.t array }
 
-(* For a backward analysis we conceptually flip the graph: "IN" below is the
-   fact flowing into the transfer function, i.e. the fact at the node's
-   successors side for backward problems. Callers read [input.(n)] as the
-   fact the transfer consumed and [output.(n)] as the fact it produced. *)
+(* For a backward analysis we conceptually flip the graph: "input" below is
+   the fact flowing into the transfer function, i.e. the fact at the node's
+   successors side for backward problems.
+
+   Every fact starts at [top] (Intersect) or empty (Union) and the
+   transfers are monotone, so each bit's facts move one way only and the
+   sweeps stop; a sweep that changes no output leaves every input as the
+   meet of final outputs. *)
 let solve g spec =
   let n = Graph.size g in
-  let sources, sinks, order =
+  let sources, order =
     match spec.direction with
-    | Forward ->
-        (Graph.preds g, Graph.succs g, Graph.reverse_postorder g ~entry:0)
+    | Forward -> (Graph.preds g, Graph.reverse_postorder g ~entry:0)
     | Backward ->
-        ( Graph.succs g,
-          Graph.preds g,
-          List.rev (Graph.reverse_postorder g ~entry:0) )
+        (Graph.succs g, List.rev (Graph.reverse_postorder g ~entry:0))
   in
-  let init = match spec.meet with Union -> Varset.empty | Intersect -> spec.universe in
-  let input = Array.make n init and output = Array.make n init in
-  (* Boundary nodes: no sources (preds for forward, succs for backward). *)
-  for i = 0 to n - 1 do
-    if sources i = [] then input.(i) <- spec.boundary
-  done;
+  let init () =
+    match spec.meet with
+    | Union -> Bitset.create spec.width
+    | Intersect -> Bitset.copy spec.top
+  in
+  let meet_into =
+    match spec.meet with
+    | Union -> Bitset.union_into
+    | Intersect -> Bitset.inter_into
+  in
+  (* Boundary nodes (no sources) keep an empty input. *)
+  let input =
+    Array.init n (fun i ->
+        if sources i = [] then Bitset.create spec.width else init ())
+  in
+  let output = Array.init n (fun _ -> init ()) in
+  let order = Array.of_list order in
+  let out = Bitset.create spec.width in
   let changed = ref true in
-  let rounds = ref 0 in
   while !changed do
     changed := false;
-    incr rounds;
-    if !rounds > n + 8 then
-      (* n+8 sweeps suffice for these monotone bit-vector problems;
-         guard against a non-monotone transfer looping forever. *)
-      invalid_arg "Dataflow.solve: fixpoint not reached (non-monotone transfer?)";
-    List.iter
+    Array.iter
       (fun node ->
-        let in_fact =
-          match sources node with
-          | [] -> spec.boundary
-          | srcs ->
-              let facts = List.map (fun s -> output.(s)) srcs in
-              let combine =
-                match spec.meet with
-                | Union -> Varset.union
-                | Intersect -> Varset.inter
-              in
-              List.fold_left combine (List.hd facts) (List.tl facts)
-        in
-        let out_fact = spec.transfer node in_fact in
-        if
-          (not (Varset.equal in_fact input.(node)))
-          || not (Varset.equal out_fact output.(node))
-        then begin
-          input.(node) <- in_fact;
-          output.(node) <- out_fact;
+        let inp = input.(node) in
+        (match sources node with
+        | [] -> ()
+        | s :: rest ->
+            Bitset.blit ~src:output.(s) ~dst:inp;
+            List.iter (fun s -> meet_into ~dst:inp output.(s)) rest);
+        Bitset.gen_kill ~dst:out ~gen:spec.gen.(node) ~kill:spec.kill.(node)
+          inp;
+        if not (Bitset.equal out output.(node)) then begin
+          Bitset.blit ~src:out ~dst:output.(node);
           changed := true
         end)
-      order;
-    ignore sinks
+      order
   done;
   { input; output }
-
-(** Standard gen/kill transfer: [out = (inp - kill) + gen]. *)
-let gen_kill ~gen ~kill = fun node inp ->
-  Varset.union (gen node) (Varset.diff inp (kill node))

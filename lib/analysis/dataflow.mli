@@ -1,7 +1,7 @@
-(** Generic iterative dataflow solver over {!Graph} CFGs with {!Varset}
+(** Iterative gen/kill dataflow solver over {!Graph} CFGs with {!Bitset}
     facts.  The paper's Algorithm 1 (may-dead/may-live), Algorithm 2
     (last-write) and the first-access placement analyses are instances with
-    different directions, meets and transfer functions. *)
+    different directions, meets and gen/kill sets. *)
 
 type direction = Forward | Backward
 type meet = Union | Intersect
@@ -9,25 +9,24 @@ type meet = Union | Intersect
 type spec = {
   direction : direction;
   meet : meet;
-  boundary : Varset.t;  (** fact at entry (forward) / exit nodes (backward) *)
-  universe : Varset.t;  (** top element, used to initialize Intersect meets *)
-  transfer : int -> Varset.t -> Varset.t;  (** node -> IN fact -> OUT fact *)
+  width : int;  (** bits per fact *)
+  top : Bitset.t;
+      (** initial fact of every node under [Intersect] (unused by [Union],
+          whose facts start empty) *)
+  gen : Bitset.t array;  (** per node *)
+  kill : Bitset.t array;  (** per node: [output = gen ∪ (input − kill)] *)
 }
 
 type result = {
-  input : Varset.t array;
+  input : Bitset.t array;
       (** per node, the fact the transfer consumed: the meet over
-          predecessors (forward) or successors (backward) — for a backward
-          problem this is the paper's OUT set *)
-  output : Varset.t array;  (** the fact the transfer produced *)
+          predecessors (forward) or successors (backward), empty at nodes
+          with none — for a backward problem this is the paper's OUT set *)
+  output : Bitset.t array;  (** the fact the transfer produced *)
 }
 
-(** Worklist solve to fixpoint.
-    @raise Invalid_argument if a non-monotone transfer prevents
-    convergence. *)
+(** Round-robin sweeps in reverse postorder from node 0 (its reverse for
+    [Backward]; unreachable nodes last) until a sweep changes no output.
+    Each sweep costs O((nodes + edges) × ⌈width / Sys.int_size⌉) word
+    operations. *)
 val solve : Graph.t -> spec -> result
-
-(** Standard gen/kill transfer: [out = (inp - kill) + gen]. *)
-val gen_kill :
-  gen:(int -> Varset.t) -> kill:(int -> Varset.t) -> int -> Varset.t ->
-  Varset.t

@@ -40,7 +40,7 @@ let preds g i = g.preds.(i)
 
 let nodes g = Array.init g.n (fun i -> i)
 
-(** Nodes in reverse postorder from [entry] (good worklist order for forward
+(** Nodes in reverse postorder from [entry] (good sweep order for forward
     analyses; reverse it for backward ones). Unreachable nodes are appended
     at the end in id order. *)
 let reverse_postorder g ~entry =

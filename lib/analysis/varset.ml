@@ -1,6 +1,7 @@
-(** Sets of variable names — the fact domain of every dataflow analysis in
-    this compiler (Algorithms 1 and 2 of the paper, first/last-access
-    analyses, liveness). *)
+(** Sets of variable names — the per-node access sets and the results of
+    the dataflow analyses in this compiler (Algorithms 1 and 2 of the
+    paper, first/last-access analyses, liveness).  The solver itself works
+    on {!Bitset} vectors numbered in this set order. *)
 
 include Set.Make (String)
 

@@ -1,6 +1,6 @@
-(** Sets of variable names — the fact domain of every dataflow analysis in
-    this compiler (the paper's Algorithms 1 and 2, first/last-access,
-    liveness). *)
+(** Sets of variable names — the per-node access sets and the results of
+    the dataflow analyses (the paper's Algorithms 1 and 2, first/last-access,
+    liveness); the solver numbers them into {!Bitset} vectors. *)
 
 include Set.S with type elt = string
 

@@ -28,8 +28,9 @@ open Tprog
 type dstatus = Live | May_dead | Must_dead
 
 type t = {
-  live_out : Varset.t array;  (** paper's OUT_Live per node *)
-  dead_out : Varset.t array;  (** paper's OUT_Dead per node *)
+  index : Bitset.index;  (** the tracked arrays *)
+  live_out : Bitset.t array;  (** paper's OUT_Live per node *)
+  dead_out : Bitset.t array;  (** paper's OUT_Dead per node *)
   weakened : Varset.t;  (** arrays whose must-dead facts are unreliable *)
 }
 
@@ -42,28 +43,18 @@ let compute (tp : Tprog.t) (cfg : Tcfg.t) (sets : Tcfg.sets) device =
     | Cpu -> (sets.Tcfg.host_read, sets.Tcfg.host_write)
     | Gpu -> (sets.Tcfg.kern_read, sets.Tcfg.kern_write)
   in
-  let kill = Array.make (Graph.size cfg.Tcfg.graph) Varset.empty in
-  let g = cfg.Tcfg.graph in
-  (* IN_Live(n) = OUT_Live(n) - KILL(n) - DEF(n) + USE(n) *)
-  let live =
-    Dataflow.solve g
-      { direction = Dataflow.Backward; meet = Dataflow.Union;
-        boundary = Varset.empty; universe = tp.tracked;
-        transfer =
-          (fun n out ->
-            Varset.union use.(n)
-              (Varset.diff (Varset.diff out kill.(n)) def.(n))) }
+  let index = Bitset.index tp.tracked in
+  let width = Bitset.width index in
+  let solve meet gen kill =
+    Dataflow.solve cfg.Tcfg.graph
+      { direction = Dataflow.Backward; meet; width; top = Bitset.full width;
+        gen = Bitset.of_varsets index gen;
+        kill = Bitset.of_varsets index kill }
   in
-  (* IN_Dead(n) = OUT_Dead(n) - KILL(n) + DEF(n) - USE(n) *)
-  let dead =
-    Dataflow.solve g
-      { direction = Dataflow.Backward; meet = Dataflow.Intersect;
-        boundary = Varset.empty; universe = tp.tracked;
-        transfer =
-          (fun n out ->
-            Varset.diff (Varset.union def.(n) (Varset.diff out kill.(n)))
-              use.(n)) }
-  in
+  (* With KILL empty: IN_Live(n) = OUT_Live(n) - DEF(n) + USE(n) *)
+  let live = solve Dataflow.Union use def in
+  (* IN_Dead(n) = OUT_Dead(n) + DEF(n) - USE(n) *)
+  let dead = solve Dataflow.Intersect (Array.map2 Varset.diff def use) use in
   let weakened =
     Varset.fold
       (fun ptr acc -> Varset.union acc (Alias.resolve tp.alias ptr))
@@ -75,13 +66,14 @@ let compute (tp : Tprog.t) (cfg : Tcfg.t) (sets : Tcfg.sets) device =
   in
   (* For a Backward solve, [input.(n)] is the meet over successors: the
      paper's OUT(n). *)
-  { live_out = live.Dataflow.input; dead_out = dead.Dataflow.input; weakened }
+  { index; live_out = live.Dataflow.input; dead_out = dead.Dataflow.input;
+    weakened }
 
 (** Deadness status of device copy [v] at the program point {e after} node
     [n]. *)
 let status_after t n v =
-  if Varset.mem v t.live_out.(n) then Live
-  else if Varset.mem v t.dead_out.(n) then May_dead
+  if Bitset.mem_name t.index t.live_out.(n) v then Live
+  else if Bitset.mem_name t.index t.dead_out.(n) v then May_dead
   else if Varset.mem v t.weakened then May_dead
   else Must_dead
 

@@ -2,15 +2,10 @@
     device's copies of the tracked arrays (see the implementation header
     for the KILL-set deviation and the aliasing-induced weakening). *)
 
-open Analysis
-
 type dstatus = Live | May_dead | Must_dead
 
-type t = {
-  live_out : Varset.t array;  (** paper's OUT_Live per CFG node *)
-  dead_out : Varset.t array;  (** paper's OUT_Dead per CFG node *)
-  weakened : Varset.t;  (** arrays whose must-dead facts are unreliable *)
-}
+(** Per-node OUT_Live and OUT_Dead facts of one device. *)
+type t
 
 val compute : Tprog.t -> Tcfg.t -> Tcfg.sets -> Tprog.device -> t
 

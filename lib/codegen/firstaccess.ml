@@ -16,34 +16,44 @@ type t = {
 }
 
 let compute (tp : Tprog.t) (cfg : Tcfg.t) (sets : Tcfg.sets) =
-  let g = cfg.Tcfg.graph in
+  let names =
+    Array.fold_left Varset.union Varset.empty
+      (Array.append sets.Tcfg.name_read sets.Tcfg.name_write)
+  in
+  let index = Bitset.index names in
+  let width = Bitset.width index in
+  let universe =
+    Varset.union tp.tracked
+      (Varset.of_list
+         (Minic.Typecheck.Smap.fold
+            (fun v _ l -> v :: l)
+            (Minic.Typecheck.function_vars tp.env "main") []))
+  in
+  (* Facts start at every accessed name in [main]'s scope or tracked. *)
+  let top = Bitset.of_varset index (Varset.inter names universe) in
+  let all = Bitset.full width and zero = Bitset.create width in
+  (* Seen so far: gen the node's accesses; kernel nodes reset the fact. *)
   let solve_seen access =
-    Dataflow.solve g
-      { direction = Dataflow.Forward; meet = Dataflow.Intersect;
-        boundary = Varset.empty;
-        universe =
-          Varset.union tp.tracked
-            (Varset.of_list
-               (Minic.Typecheck.Smap.fold
-                  (fun v _ l -> v :: l)
-                  (Minic.Typecheck.function_vars tp.env "main") []));
-        transfer =
-          (fun n inp ->
-            if sets.Tcfg.is_kernel.(n) then Varset.empty
-            else Varset.union inp access.(n)) }
+    Dataflow.solve cfg.Tcfg.graph
+      { direction = Dataflow.Forward; meet = Dataflow.Intersect; width; top;
+        gen =
+          Bitset.of_varsets index
+            (Array.mapi
+               (fun i a -> if sets.Tcfg.is_kernel.(i) then Varset.empty else a)
+               access);
+        kill =
+          Array.map (fun k -> if k then all else zero) sets.Tcfg.is_kernel }
+  in
+  (* An access is first where it is not seen on entry to its node. *)
+  let first access =
+    let seen = (solve_seen access).Dataflow.input in
+    Array.mapi
+      (fun i a ->
+        Varset.filter (fun v -> not (Bitset.mem_name index seen.(i) v)) a)
+      access
   in
   (* Placement is computed over accessed *names* (pointers included): the
      runtime resolves a name to its dynamic root, so a check on a pointer is
      precise even where static alias analysis is not. *)
-  let seen_read = solve_seen sets.Tcfg.name_read in
-  let seen_write = solve_seen sets.Tcfg.name_write in
-  let n = Graph.size g in
-  let first_read = Array.make n Varset.empty in
-  let first_write = Array.make n Varset.empty in
-  for i = 0 to n - 1 do
-    first_read.(i) <-
-      Varset.diff sets.Tcfg.name_read.(i) seen_read.Dataflow.input.(i);
-    first_write.(i) <-
-      Varset.diff sets.Tcfg.name_write.(i) seen_write.Dataflow.input.(i)
-  done;
-  { first_read; first_write }
+  { first_read = first sets.Tcfg.name_read;
+    first_write = first sets.Tcfg.name_write }

@@ -19,28 +19,35 @@ let compute (tp : Tprog.t) (cfg : Tcfg.t) (sets : Tcfg.sets) device =
     | Cpu -> (sets.Tcfg.host_write, sets.Tcfg.kern_write)
     | Gpu -> (sets.Tcfg.kern_write, sets.Tcfg.host_write)
   in
-  let g = cfg.Tcfg.graph in
+  let index = Bitset.index tp.tracked in
+  let width = Bitset.width index in
+  let all = Bitset.full width in
   (* IN_Write(n) = OUT_Write(n) + DEF(n) - KILL(n); kernel nodes start a new
-     segment. *)
+     segment, so they kill every bit. *)
   let res =
-    Dataflow.solve g
-      { direction = Dataflow.Backward; meet = Dataflow.Intersect;
-        boundary = Varset.empty; universe = tp.tracked;
-        transfer =
-          (fun n out ->
-            let out = if sets.Tcfg.is_kernel.(n) then Varset.empty else out in
-            Varset.diff (Varset.union def.(n) out) kill.(n)) }
+    Dataflow.solve cfg.Tcfg.graph
+      { direction = Dataflow.Backward; meet = Dataflow.Intersect; width;
+        top = all;
+        gen = Bitset.of_varsets index (Array.map2 Varset.diff def kill);
+        kill =
+          Array.mapi
+            (fun i k -> if sets.Tcfg.is_kernel.(i) then all else k)
+            (Bitset.of_varsets index kill) }
   in
-  let n = Graph.size g in
-  let last = Array.make n Varset.empty in
-  for i = 0 to n - 1 do
-    (* LAST_Write(n) = IN_Write(n) - OUT_Write(n), restricted to DEF(n).
-       input.(i) is the meet over successors (paper's OUT). *)
-    let out_fact =
-      if sets.Tcfg.is_kernel.(i) then Varset.empty else res.Dataflow.input.(i)
-    in
-    last.(i) <- Varset.inter def.(i) (Varset.diff res.Dataflow.output.(i) out_fact)
-  done;
+  (* LAST_Write(n) = IN_Write(n) - OUT_Write(n), restricted to DEF(n).
+     input.(i) is the meet over successors (paper's OUT), empty after a
+     kernel node. *)
+  let last =
+    Array.mapi
+      (fun i d ->
+        Varset.filter
+          (fun v ->
+            Bitset.mem_name index res.Dataflow.output.(i) v
+            && (sets.Tcfg.is_kernel.(i)
+               || not (Bitset.mem_name index res.Dataflow.input.(i) v)))
+          d)
+      def
+  in
   { last }
 
 let is_last_write t n v = Varset.mem v t.last.(n)

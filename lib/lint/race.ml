@@ -19,32 +19,35 @@ open Analysis.Affine
 
 (* ----------------------- explicit clause facts ---------------------- *)
 
+(* The program's directives by carrying sid, each list in pre-order. *)
+let directives_by_sid tp =
+  let tbl = Hashtbl.create 64 in
+  List.iter
+    (fun (sid, _, d) -> Hashtbl.add tbl sid d)
+    (List.rev (Acc.Query.directives_of tp.source));
+  tbl
+
 (* Clauses visible to a kernel: the compute-region directive (found by the
    kernel's anchoring sid) plus every loop directive inside its source
    statement. *)
-let kernel_directives tp (k : kernel) =
-  let region =
-    List.filter_map
-      (fun (sid, _, d) -> if sid = k.k_sid then Some d else None)
-      (Acc.Query.directives_of tp.source)
-  in
+let kernel_directives by_sid (k : kernel) =
   let inner = ref [] in
   iter_stmt
     (fun s ->
       match s.skind with Sacc (d, _) -> inner := d :: !inner | _ -> ())
     k.k_source;
-  region @ List.rev !inner
+  Hashtbl.find_all by_sid k.k_sid @ List.rev !inner
 
-let explicit_facts tp k =
-  let dirs = kernel_directives tp k in
+(* Explicitly private variables and reductions of a kernel. *)
+let explicit_facts by_sid k =
+  let dirs = kernel_directives by_sid k in
   ( Varset.of_list (List.concat_map Acc.Query.private_vars dirs),
     List.concat_map Acc.Query.reductions dirs )
 
 (* ----------------------------- scalars ------------------------------ *)
 
-let scalar_diags tp (k : kernel) =
+let scalar_diags tp (explicit_private, explicit_reduction) (k : kernel) =
   let region = Analysis.Regions.analyze ~alias:tp.alias k.k_body in
-  let explicit_private, explicit_reduction = explicit_facts tp k in
   let diag_of_scalar (v, cls) =
     match cls with
     | Sc_raced kind -> (
@@ -123,7 +126,7 @@ let varying_names (k : kernel) region =
     (Varset.union region.Analysis.Regions.scalars_written
        region.Analysis.Regions.declared)
 
-let array_diags tp (k : kernel) =
+let array_diags tp (explicit_private, _) (k : kernel) =
   match k.k_loop with
   | None -> []
   | Some _ when k.k_seq -> []
@@ -131,7 +134,6 @@ let array_diags tp (k : kernel) =
       let region = Analysis.Regions.analyze ~alias:tp.alias k.k_body in
       let iv = loop.kl_var in
       let varying = varying_names k region in
-      let explicit_private, _ = explicit_facts tp k in
       let accesses =
         List.filter
           (fun a -> not (Varset.mem a.a_arr explicit_private))
@@ -221,5 +223,8 @@ let array_diags tp (k : kernel) =
       List.rev !diags
 
 let analyze (tp : Codegen.Tprog.t) =
+  let by_sid = directives_by_sid tp in
   Array.to_list tp.kernels
-  |> List.concat_map (fun k -> scalar_diags tp k @ array_diags tp k)
+  |> List.concat_map (fun k ->
+         let facts = explicit_facts by_sid k in
+         scalar_diags tp facts k @ array_diags tp facts k)

@@ -1,15 +1,15 @@
 (** Static transfer diagnostics (compile-time shadow of the §III-B runtime
     coherence reports).
 
-    The abstract state is a pair of stale-bit sets over tags ["C:v"] /
-    ["G:v"] — "the CPU/GPU copy of [v] is stale".  The instrumented
-    program's coherence events drive gen/kill transfer functions exactly
-    mirroring {!Accrt.Coherence} (Coarse mode):
+    The abstract state is a pair of stale-bit vectors with one bit per
+    tracked array and device — "the CPU/GPU copy of [v] is stale".  The
+    instrumented program's coherence events drive gen/kill transfer
+    functions exactly mirroring {!Accrt.Coherence} (Coarse mode):
 
     - [check_read v dev]: after the (potential) report the local copy is
-      marked fresh (the runtime's anti-cascade), so the tag is killed;
+      marked fresh (the runtime's anti-cascade), so the bit is killed;
     - [check_write v dev]: local copy fresh, remote copy stale;
-    - [reset_status v dev st]: set the tag per [st];
+    - [reset_status v dev st]: set the bit per [st];
     - transfer: target copy fresh;
     - free: GPU copy stale.
 
@@ -21,9 +21,9 @@
 open Codegen
 open Codegen.Tprog
 module Varset = Analysis.Varset
+module Bitset = Analysis.Bitset
 module Dataflow = Analysis.Dataflow
 
-let tag dev v = (match dev with Cpu -> "C:" | Gpu -> "G:") ^ v
 let other = function Cpu -> Gpu | Gpu -> Cpu
 
 type event = {
@@ -46,20 +46,31 @@ let analyze ?(mode = Checkgen.Optimized) (tp : Tprog.t) =
     if Varset.is_empty r && Varset.mem v tp.tracked then Varset.singleton v
     else r
   in
-  let gen_may = Array.make n Varset.empty in
-  let kill_may = Array.make n Varset.empty in
-  let gen_must = Array.make n Varset.empty in
-  let kill_must = Array.make n Varset.empty in
+  (* Stale bits: the CPU copies of the tracked arrays in index order, then
+     the GPU copies. *)
+  let roots = Bitset.index tp.tracked in
+  let m = Bitset.width roots in
+  let width = 2 * m in
+  let bit dev r =
+    (match dev with Cpu -> 0 | Gpu -> m) + Option.get (Bitset.find roots r)
+  in
+  let zero = Bitset.create width in
+  let gen_may = Array.make n zero and kill_may = Array.make n zero in
+  let gen_must = Array.make n zero and kill_must = Array.make n zero in
+  let set facts i dev roots =
+    if facts.(i) == zero then facts.(i) <- Bitset.create width;
+    Varset.iter (fun r -> Bitset.add facts.(i) (bit dev r)) roots
+  in
   let events = ref [] in
   (* An event on possibly-aliased roots is not definite: it must not gen
      must-facts nor kill may-facts. *)
-  let gen i ~definite tags =
-    gen_may.(i) <- Varset.union gen_may.(i) tags;
-    if definite then gen_must.(i) <- Varset.union gen_must.(i) tags
+  let gen i ~definite dev roots =
+    set gen_may i dev roots;
+    if definite then set gen_must i dev roots
   in
-  let kill i ~definite tags =
-    kill_must.(i) <- Varset.union kill_must.(i) tags;
-    if definite then kill_may.(i) <- Varset.union kill_may.(i) tags
+  let kill i ~definite dev roots =
+    set kill_must i dev roots;
+    if definite then set kill_may i dev roots
   in
   for i = 0 to n - 1 do
     match Tcfg.payload cfg i with
@@ -75,57 +86,47 @@ let analyze ?(mode = Checkgen.Optimized) (tp : Tprog.t) =
             let roots = resolve v in
             if not (Varset.is_empty roots) then begin
               let definite = Varset.cardinal roots = 1 in
-              kill i ~definite (Varset.map (tag dev) roots);
+              kill i ~definite dev roots;
               event (`Read (v, dev)) roots
             end
         | Tcheck (Check_write (v, dev)) ->
             let roots = resolve v in
             if not (Varset.is_empty roots) then begin
               let definite = Varset.cardinal roots = 1 in
-              kill i ~definite (Varset.map (tag dev) roots);
-              gen i ~definite (Varset.map (tag (other dev)) roots);
+              kill i ~definite dev roots;
+              gen i ~definite (other dev) roots;
               event (`Write (v, dev)) roots
             end
         | Tcheck (Reset_status (v, dev, st)) ->
             let roots = resolve v in
             if not (Varset.is_empty roots) then begin
               let definite = Varset.cardinal roots = 1 in
-              let tags = Varset.map (tag dev) roots in
               match st with
-              | Not_stale -> kill i ~definite tags
+              | Not_stale -> kill i ~definite dev roots
               | May_stale ->
-                  gen_may.(i) <- Varset.union gen_may.(i) tags;
-                  kill_must.(i) <- Varset.union kill_must.(i) tags
-              | Stale -> gen i ~definite tags
+                  set gen_may i dev roots;
+                  set kill_must i dev roots
+              | Stale -> gen i ~definite dev roots
             end
         | Txfer x ->
             let roots = resolve x.x_var in
             if not (Varset.is_empty roots) then begin
               let definite = Varset.cardinal roots = 1 in
               let tgt = match x.x_dir with H2D -> Gpu | D2H -> Cpu in
-              kill i ~definite (Varset.map (tag tgt) roots);
+              kill i ~definite tgt roots;
               event (`Xfer x) roots
             end
         | Tfree (v, _) ->
             let roots = resolve v in
             if not (Varset.is_empty roots) then
-              gen i
-                ~definite:(Varset.cardinal roots = 1)
-                (Varset.map (tag Gpu) roots)
+              gen i ~definite:(Varset.cardinal roots = 1) Gpu roots
         | _ -> ())
     | _ -> ()
   done;
-  let universe =
-    Varset.fold
-      (fun v acc -> Varset.add (tag Cpu v) (Varset.add (tag Gpu v) acc))
-      tp.tracked Varset.empty
-  in
   let solve meet gen kill =
     Dataflow.solve cfg.Tcfg.graph
-      { Dataflow.direction = Dataflow.Forward; meet;
-        boundary = Varset.empty; universe;
-        transfer =
-          Dataflow.gen_kill ~gen:(fun i -> gen.(i)) ~kill:(fun i -> kill.(i)) }
+      { Dataflow.direction = Dataflow.Forward; meet; width;
+        top = Bitset.full width; gen; kill }
   in
   let may = solve Dataflow.Union gen_may kill_may in
   let must = solve Dataflow.Intersect gen_must kill_must in
@@ -134,10 +135,10 @@ let analyze ?(mode = Checkgen.Optimized) (tp : Tprog.t) =
     let may_in = may.Dataflow.input.(ev.ev_node) in
     let must_in = must.Dataflow.input.(ev.ev_node) in
     let all_stale dev set = (* definitely stale, whichever root it is *)
-      Varset.for_all (fun r -> Varset.mem (tag dev r) set) ev.ev_roots
+      Varset.for_all (fun r -> Bitset.mem set (bit dev r)) ev.ev_roots
     in
     let any_stale dev set =
-      Varset.exists (fun r -> Varset.mem (tag dev r) set) ev.ev_roots
+      Varset.exists (fun r -> Bitset.mem set (bit dev r)) ev.ev_roots
     in
     let var = Varset.min_elt ev.ev_roots in
     match ev.ev_kind with

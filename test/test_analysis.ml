@@ -1,6 +1,6 @@
 (* Analysis-library tests: points-to, region access analysis, the CFG
-   carrier graph, and the generic dataflow solver (with a QCheck fixpoint
-   property). *)
+   carrier graph, and the gen/kill dataflow solver (with QCheck fixpoint
+   and reference-solver properties). *)
 
 open Minic
 open Analysis
@@ -154,24 +154,28 @@ let diamond () =
   Graph.add_edge g n2 n3;
   g
 
+(* Bits of the names [l] over a one-name-per-bit index of [universe]. *)
+let bits_of universe l =
+  let ix = Bitset.index (Varset.of_list universe) in
+  Bitset.of_varset ix (Varset.of_list l)
+
 let test_dataflow_union_vs_intersect () =
   let g = diamond () in
-  let gen = [| Varset.empty; Varset.singleton "x"; Varset.empty;
-               Varset.empty |] in
-  let transfer n inp = Varset.union gen.(n) inp in
+  let x = bits_of [ "x" ] in
+  let gen = [| x []; x [ "x" ]; x []; x [] |] in
   let solve meet =
     Dataflow.solve g
-      { direction = Dataflow.Forward; meet; boundary = Varset.empty;
-        universe = Varset.of_list [ "x" ]; transfer }
+      { direction = Dataflow.Forward; meet; width = 1;
+        top = Bitset.full 1; gen; kill = Array.make 4 (x []) }
   in
   let union = solve Dataflow.Union in
   let inter = solve Dataflow.Intersect in
   (* x is generated on one branch only: union sees it at the join, the
      all-paths meet does not. *)
   Alcotest.(check bool) "union join has x" true
-    (Varset.mem "x" union.Dataflow.input.(3));
+    (Bitset.mem union.Dataflow.input.(3) 0);
   Alcotest.(check bool) "intersect join lacks x" false
-    (Varset.mem "x" inter.Dataflow.input.(3))
+    (Bitset.mem inter.Dataflow.input.(3) 0)
 
 let test_dataflow_backward_loop () =
   (* 0 -> 1 -> 2, 1 -> 1 (self loop); liveness-style: node 2 uses "v". *)
@@ -181,53 +185,161 @@ let test_dataflow_backward_loop () =
   Graph.add_edge g n0 n1;
   Graph.add_edge g n1 n1;
   Graph.add_edge g n1 n2;
-  let use = [| Varset.empty; Varset.empty; Varset.singleton "v" |] in
+  let v = bits_of [ "v" ] in
   let r =
     Dataflow.solve g
-      { direction = Dataflow.Backward; meet = Dataflow.Union;
-        boundary = Varset.empty; universe = Varset.singleton "v";
-        transfer = (fun n out -> Varset.union use.(n) out) }
+      { direction = Dataflow.Backward; meet = Dataflow.Union; width = 1;
+        top = Bitset.full 1; gen = [| v []; v []; v [ "v" ] |];
+        kill = Array.make 3 (v []) }
   in
   ignore n0;
   Alcotest.(check bool) "live through loop" true
-    (Varset.mem "v" r.Dataflow.output.(n1))
+    (Bitset.mem r.Dataflow.output.(n1) 0)
+
+(* Random gen/kill problems over 3..200-name universes (one, two, three and
+   four words, word boundaries included), every direction and meet. *)
+type problem = {
+  p_edges : (int * int) list;
+  p_direction : Dataflow.direction;
+  p_meet : Dataflow.meet;
+  p_names : string list;
+  p_top : Varset.t;
+  p_gen : Varset.t array;
+  p_kill : Varset.t array;
+}
+
+let problem_nodes = 8
+
+let gen_problem =
+  QCheck.Gen.(
+    let* width = oneofl [ 3; 63; 64; 127; 200 ] in
+    let names = List.init width (Printf.sprintf "v%03d") in
+    let subset =
+      let* picks = list_size (int_bound 6) (int_bound (width - 1)) in
+      let* all = frequency [ (1, return true); (9, return false) ] in
+      return
+        (if all then Varset.of_list names
+         else Varset.of_list (List.map (List.nth names) picks))
+    in
+    let* p_edges =
+      list_size (int_bound 14)
+        (pair (int_bound (problem_nodes - 1)) (int_bound (problem_nodes - 1)))
+    in
+    let* p_direction = oneofl [ Dataflow.Forward; Dataflow.Backward ] in
+    let* p_meet = oneofl [ Dataflow.Union; Dataflow.Intersect ] in
+    let* p_top =
+      frequency [ (3, return (Varset.of_list names)); (1, subset) ]
+    in
+    let* p_gen = array_size (return problem_nodes) subset in
+    let* p_kill = array_size (return problem_nodes) subset in
+    return
+      { p_edges; p_direction; p_meet; p_names = names; p_top; p_gen; p_kill })
+
+let print_problem p =
+  Fmt.str "%d names, %s %s, edges %a" (List.length p.p_names)
+    (match p.p_direction with
+    | Dataflow.Forward -> "forward"
+    | Backward -> "backward")
+    (match p.p_meet with Dataflow.Union -> "union" | Intersect -> "intersect")
+    Fmt.(list ~sep:comma (pair ~sep:(any "->") int int))
+    p.p_edges
+
+let arb_problem = QCheck.make ~print:print_problem gen_problem
+
+let graph_of p =
+  let g = Graph.create () in
+  for _ = 1 to problem_nodes do ignore (Graph.add_node g) done;
+  List.iter (fun (a, b) -> Graph.add_edge g a b) p.p_edges;
+  g
+
+let sources p g =
+  match p.p_direction with
+  | Dataflow.Forward -> Graph.preds g
+  | Dataflow.Backward -> Graph.succs g
+
+(* Solve [p] with the bit-vector solver; facts are read back as name sets. *)
+let solve_bits p =
+  let g = graph_of p in
+  let ix = Bitset.index (Varset.of_list p.p_names) in
+  let width = Bitset.width ix in
+  let r =
+    Dataflow.solve g
+      { direction = p.p_direction; meet = p.p_meet; width;
+        top =
+          (* the all-names top as the callers build it *)
+          (if Varset.cardinal p.p_top = width then Bitset.full width
+           else Bitset.of_varset ix p.p_top);
+        gen = Bitset.of_varsets ix p.p_gen;
+        kill = Bitset.of_varsets ix p.p_kill }
+  in
+  let names_of bits =
+    Varset.of_list (List.filter (Bitset.mem_name ix bits) p.p_names)
+  in
+  ( g,
+    Array.map names_of r.Dataflow.input,
+    Array.map names_of r.Dataflow.output )
+
+let transfer p n inp = Varset.union p.p_gen.(n) (Varset.diff inp p.p_kill.(n))
+
+let meet_of p g outputs n =
+  match sources p g n with
+  | [] -> Varset.empty
+  | s :: rest ->
+      let meet =
+        match p.p_meet with
+        | Dataflow.Union -> Varset.union
+        | Dataflow.Intersect -> Varset.inter
+      in
+      List.fold_left (fun acc s -> meet acc outputs.(s)) outputs.(s) rest
+
+(* Naive reference: name sets, node-id order, repeat until nothing moves.
+   Facts start at top (intersect) or empty (union); nodes without sources
+   consume the empty fact. *)
+let solve_reference p =
+  let g = graph_of p in
+  let init =
+    match p.p_meet with
+    | Dataflow.Union -> Varset.empty
+    | Dataflow.Intersect -> p.p_top
+  in
+  let input = Array.make problem_nodes init in
+  let output = Array.make problem_nodes init in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    for n = 0 to problem_nodes - 1 do
+      let inp = meet_of p g output n in
+      let out = transfer p n inp in
+      if not (Varset.equal inp input.(n) && Varset.equal out output.(n))
+      then begin
+        input.(n) <- inp;
+        output.(n) <- out;
+        changed := true
+      end
+    done
+  done;
+  (input, output)
 
 (* Property: the solver's solution is a fixpoint of the equations. *)
 let dataflow_fixpoint =
-  QCheck.Test.make ~count:100 ~name:"dataflow solution is a fixpoint"
-    (QCheck.make
-       QCheck.Gen.(
-         pair
-           (list_size (int_bound 12) (pair (int_bound 7) (int_bound 7)))
-           (array_size (return 8)
-              (list_size (int_bound 2) (oneofl [ "x"; "y"; "z" ])))))
-    (fun (edges, gens) ->
-      let g = Graph.create () in
-      for _ = 0 to 7 do ignore (Graph.add_node g) done;
-      List.iter (fun (a, b) -> Graph.add_edge g a b) edges;
-      let gens = Array.map Varset.of_list gens in
-      let transfer n inp = Varset.union gens.(n) inp in
-      let spec =
-        { Dataflow.direction = Dataflow.Forward; meet = Dataflow.Union;
-          boundary = Varset.empty;
-          universe = Varset.of_list [ "x"; "y"; "z" ]; transfer }
-      in
-      let r = Dataflow.solve g spec in
-      (* check: for each node, input = meet of preds' outputs, and
-         output = transfer input *)
+  QCheck.Test.make ~count:200 ~name:"dataflow solution is a fixpoint"
+    arb_problem (fun p ->
+      let g, input, output = solve_bits p in
       Array.for_all
         (fun n ->
-          let expected_in =
-            match Graph.preds g n with
-            | [] -> Varset.empty
-            | ps ->
-                List.fold_left
-                  (fun acc p -> Varset.union acc r.Dataflow.output.(p))
-                  Varset.empty ps
-          in
-          Varset.equal r.Dataflow.input.(n) expected_in
-          && Varset.equal r.Dataflow.output.(n) (transfer n expected_in))
+          let expected_in = meet_of p g output n in
+          Varset.equal input.(n) expected_in
+          && Varset.equal output.(n) (transfer p n expected_in))
         (Graph.nodes g))
+
+(* Property: it is the same fixpoint the naive name-set solver reaches. *)
+let dataflow_reference =
+  QCheck.Test.make ~count:200
+    ~name:"dataflow agrees with the reference solver" arb_problem (fun p ->
+      let _, input, output = solve_bits p in
+      let ref_input, ref_output = solve_reference p in
+      Array.for_all2 Varset.equal input ref_input
+      && Array.for_all2 Varset.equal output ref_output)
 
 let tests =
   [ Alcotest.test_case "alias: basic points-to" `Quick test_alias_basic;
@@ -245,4 +357,5 @@ let tests =
       test_dataflow_union_vs_intersect;
     Alcotest.test_case "dataflow: backward with loop" `Quick
       test_dataflow_backward_loop;
-    QCheck_alcotest.to_alcotest dataflow_fixpoint ]
+    QCheck_alcotest.to_alcotest dataflow_fixpoint;
+    QCheck_alcotest.to_alcotest dataflow_reference ]

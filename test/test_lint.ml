@@ -2,8 +2,9 @@
    race/transfer cases with machine-applicable fix-its, the Table II
    detection criterion (all 16 latent + 4 active injected faults), the
    zero-noise criterion on the hand-optimized suite, agreement between the
-   static transfer diagnostics and the runtime coherence reports, and
-   golden expected-diagnostic files for every suite variant. *)
+   static transfer diagnostics and the runtime coherence reports, facts
+   wider than one bit-vector word, and golden expected-diagnostic files for
+   every suite variant. *)
 
 module Diag = Lint.Diag
 
@@ -392,6 +393,49 @@ let test_runtime_agreement () =
 let normalize_sites s =
   Str.global_replace (Str.regexp "\\(data\\|declare\\)[0-9]+") "\\1N" s
 
+(* ------------------------- multi-word facts ------------------------- *)
+
+(* [k] independent JACOBI-style blocks, each over its own arrays [a<i>] and
+   [b<i>]: past 63 tracked arrays the dataflow facts span several words,
+   which no suite program reaches (CFD tracks 13). *)
+let jacobi_blocks k =
+  let block i =
+    String.concat (string_of_int i)
+      (String.split_on_char '@'
+         "float a@[n];\nfloat b@[n];\nfor (int i = 0; i < n; i++) { a@[i] = \
+          float(i % 13) * 0.25 + 1.0; b@[i] = 0.0; }\nfor (int t = 0; t < \
+          3; t++) {\n#pragma acc kernels loop\nfor (int i = 1; i < n - 1; \
+          i++) { b@[i] = 0.5 * (a@[i - 1] + a@[i + 1]); }\n#pragma acc \
+          kernels loop\nfor (int i = 1; i < n - 1; i++) { a@[i] = b@[i]; \
+          }\n#pragma acc update host(b@)\n}\n")
+  in
+  "int main() { int n = 16;\n" ^ String.concat "" (List.init k block)
+  ^ "return 0; }"
+
+let histogram ds =
+  List.map
+    (fun c -> (c, List.length (with_code c ds)))
+    (List.sort_uniq compare (codes ds))
+
+let test_multi_word () =
+  let k = 70 in
+  let one = jacobi_blocks 1 and many = jacobi_blocks k in
+  let tp = Codegen.Translate.compile_string many in
+  Alcotest.(check bool) "more than 128 tracked arrays (3+ words)" true
+    (Analysis.Varset.cardinal tp.Codegen.Tprog.tracked > 128);
+  let checks src =
+    Codegen.Tprog.count_checks
+      (Codegen.Checkgen.instrument (Codegen.Translate.compile_string src))
+  in
+  Alcotest.(check int) "checks scale with the blocks" (k * checks one)
+    (checks many);
+  let one_h = histogram (lint one) in
+  Alcotest.(check bool) "one block has findings" true (one_h <> []);
+  Alcotest.(check (list (pair string int)))
+    "lint histogram scales with the blocks"
+    (List.map (fun (c, n) -> (c, k * n)) one_h)
+    (histogram (lint many))
+
 let golden_text ~file src =
   normalize_sites
     (Diag.to_text (Diag.filter ~threshold:Diag.Info (lint ~file src)))
@@ -442,5 +486,7 @@ let tests =
     Alcotest.test_case "suite clean at default severity" `Quick
       test_suite_clean;
     Alcotest.test_case "static claims confirmed at runtime" `Quick
-      test_runtime_agreement ]
+      test_runtime_agreement;
+    Alcotest.test_case "multi-word facts scale per block" `Quick
+      test_multi_word ]
   @ List.map golden_case Suite.Registry.all
