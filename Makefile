@@ -2,7 +2,7 @@ DUNE ?= dune
 
 BENCHES = jacobi spmul ep cg backprop bfs cfd srad hotspot kmeans lud nw
 
-.PHONY: all build test lint fault-matrix profile-smoke symeq-smoke regress-smoke wall-smoke scale-smoke imbalance-smoke memtrace-smoke saturate-smoke check bench clean
+.PHONY: all build test lint fault-matrix wall-smoke goldens check bench clean
 
 all: build
 
@@ -30,26 +30,6 @@ fault-matrix: build
 	$(DUNE) exec --no-build bin/openarc.exe -- \
 	  fault-matrix --benches jacobi,ep,srad --seed 42 --devices 2,4
 
-# Profiler byte-stability: regenerate a 3-benchmark subset of the
-# per-directive profile and require it to match the committed
-# BENCH_profile.json verbatim (the full sweep is `bench/main.exe profile`).
-profile-smoke: build
-	$(DUNE) exec --no-build bench/main.exe profile-smoke
-
-# Symbolic-tier byte-stability: regenerate the full symbolic-equivalence
-# sweep (default + fault builds of all 12 benchmarks) and require it to
-# match the committed BENCH_symeq.json byte-for-byte.  A kernel silently
-# dropping out of the affine fragment shows up here as a diff.
-symeq-smoke: build
-	$(DUNE) exec --no-build bench/main.exe symeq-smoke
-
-# Regression sentinel smoke: diff a 3-benchmark sweep against the
-# committed BENCH_profile.json baseline; exits nonzero with a
-# per-directive culprit report (regress-report.json) on regression.
-regress-smoke: build
-	$(DUNE) exec --no-build bench/main.exe -- \
-	  regress --benches jacobi,ep,srad --json regress-report.json
-
 # Wall-clock smoke: time a 3-benchmark subset under both execution
 # engines (median of 3) and require the compiled engine not to be slower
 # than the tree walker; wall-report.json carries the measurements (the
@@ -59,41 +39,15 @@ wall-smoke: build
 	  wall --benches jacobi,ep,srad --repeats 3 --min-speedup 1.0 \
 	  --json wall-report.json
 
-# Device-set scaling byte-stability: regenerate the 1/2/4/8-device
-# simulated-time sweep and require it to match the committed
-# BENCH_scale.json byte-for-byte (including its monotonicity counts),
-# then run one seeded 2-device device-loss cell whose lost shard must
-# fail over to the survivor and verify against the sequential reference.
-scale-smoke: build
-	$(DUNE) exec --no-build bench/main.exe scale-smoke
+# Every byte golden: regenerate each BENCH_<tier>.json (profile, faults,
+# symeq, scale, imbalance, memtrace, saturate) in memory, run its gate,
+# and require it to match the committed file byte for byte; a mismatch
+# prints the first differing line of both versions.  BENCH_wall.json
+# holds real wall-clock times, so it is not a byte golden.
+goldens: build
+	$(DUNE) exec --no-build bench/main.exe check
 
-# Imbalance-analyzer byte-stability: regenerate a fixed 3-benchmark
-# subset (seed 42, 4 devices) of the shard-imbalance analysis — one of
-# which must carry a schedule-switch verdict — and require each entry to
-# match the committed BENCH_imbalance.json verbatim (the full sweep is
-# `bench/main.exe imbalance`).
-imbalance-smoke: build
-	$(DUNE) exec --no-build bench/main.exe imbalance-smoke
-
-# Data-movement-ledger byte-stability: regenerate a fixed 3-benchmark
-# subset (seed 42, single device, instrumented) of the memtrace
-# analysis, require each entry to match the committed
-# BENCH_memtrace.json verbatim, and re-confirm the BACKPROP
-# counterfactual prediction against a measured diff-profile delta (the
-# full sweep is `bench/main.exe memtrace`).
-memtrace-smoke: build
-	$(DUNE) exec --no-build bench/main.exe memtrace-smoke
-
-# Saturate-search byte-stability: re-run the automatic directive
-# optimizer on a fixed 2-benchmark subset (full 1/2/4-device validation
-# ladder), require each entry to match the committed BENCH_saturate.json
-# verbatim, and require BACKPROP's search to accept its hoist — the
-# canonical rewrite of the paper's motivating example (the full sweep is
-# `bench/main.exe saturate`).
-saturate-smoke: build
-	$(DUNE) exec --no-build bench/main.exe saturate-smoke
-
-check: build test lint fault-matrix profile-smoke symeq-smoke regress-smoke wall-smoke scale-smoke imbalance-smoke memtrace-smoke saturate-smoke
+check: build test lint fault-matrix wall-smoke goldens
 
 bench: build
 	$(DUNE) exec bench/main.exe

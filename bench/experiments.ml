@@ -461,602 +461,30 @@ let run_sweep ppf =
     "(bytes ratio grows linearly with iterations: at the paper's \
      production iteration counts it reaches the 10^3..10^5 of Figure 1)@."
 
-(* Fault-matrix sweep: the resilience counterpart of the performance
-   tables.  Every fault kind x recovery policy cell across the suite must
-   recover verified-correct or degrade to CPU fallback; the per-cell
-   overhead column is the simulated-time cost of recovery vs. the
-   fault-free baseline. *)
-let run_faults ?json ppf =
-  Fmt.pf ppf "Fault matrix: recovery across the suite (seeded, one-shot \
-              faults)@.";
-  hr ppf;
-  let subjects =
-    List.map
-      (fun (b : Bench_def.t) ->
-        { Openarc_core.Fault_matrix.s_name = b.Bench_def.name;
-          s_source = b.Bench_def.source;
-          s_outputs = b.Bench_def.outputs })
-      benchmarks
-  in
-  let m = Openarc_core.Fault_matrix.run ~seed:42 subjects in
-  Fmt.pf ppf "%a@." Openarc_core.Fault_matrix.pp m;
-  (match json with
-  | Some path ->
-      let oc = open_out path in
-      output_string oc (Openarc_core.Fault_matrix.to_json m);
-      output_char oc '\n';
-      close_out oc;
-      Fmt.pf ppf "matrix written to %s@." path
-  | None -> ());
-  hr ppf;
-  Fmt.pf ppf
-    "(transient kinds sweep the retry and full policies; device-lost \
-     requires full's host-mode fallback; a FAIL cell means a fault \
-     produced a wrong or unrecovered result)@."
-
-let run_all ppf =
-  run_table1 ppf; Fmt.pf ppf "@.";
-  run_fig1 ppf; Fmt.pf ppf "@.";
-  run_table2 ppf; Fmt.pf ppf "@.";
-  run_fig3 ppf; Fmt.pf ppf "@.";
-  run_table3 ppf; Fmt.pf ppf "@.";
-  run_fig4 ppf; Fmt.pf ppf "@.";
-  run_ablation ppf; Fmt.pf ppf "@.";
-  run_granularity ppf; Fmt.pf ppf "@.";
-  run_sweep ppf; Fmt.pf ppf "@.";
-  run_faults ppf
-
-(* Per-directive profile sweep: the observability counterpart of Figure
-   3/4.  Each benchmark runs once (seed 42, source variant, coherence
-   off) under a span trace; the per-directive cost report must conserve
-   the metrics total bit-exactly, and the canonical JSON is byte-stable,
-   so the committed BENCH_profile.json doubles as a regression baseline. *)
-
-let profile_path = "BENCH_profile.json"
-
-let profile_categories =
-  List.map Gpusim.Metrics.category_name Gpusim.Metrics.all_categories
-
-let profile_entry ?(devices = 1) ?(schedule = Gpusim.Device_set.Block)
-    (b : Bench_def.t) =
-  let prog = parse b in
-  let env = Minic.Typecheck.check prog in
-  let tp = Codegen.Translate.translate env prog in
-  let tr = Obs.Trace.create () in
-  let o =
-    Accrt.Interp.run ~coherence:false ~seed:42 ~devices ~schedule ~obs:tr tp
-  in
-  let total = Gpusim.Metrics.total_time (Accrt.Interp.metrics o) in
-  let p = Obs.Profile.of_trace ~categories:profile_categories tr in
-  if not (Obs.Profile.conserves p ~total) then
-    Fmt.failwith "profile conservation violated for %s" b.Bench_def.name;
-  ( b.Bench_def.name,
-    total,
-    String.trim (Obs.Profile.to_json ~name:b.Bench_def.name ~seed:42 p) )
-
-let profile_doc entries =
-  let buf = Buffer.create 16384 in
-  Buffer.add_string buf
-    "{\n\"schema\": \"openarc.obs.bench-profile\",\n\"version\": 1,\n\
-     \"seed\": 42,\n\"benchmarks\": [\n";
-  List.iteri
-    (fun i (_, _, e) ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf e)
-    entries;
-  Buffer.add_string buf "\n]}\n";
-  Buffer.contents buf
-
-let run_profile ?(json = profile_path) ppf =
-  Fmt.pf ppf "Per-directive profile sweep (seed 42, source variant)@.";
-  hr ppf;
-  let entries = List.map profile_entry benchmarks in
-  List.iter
-    (fun (name, total, _) ->
-      Fmt.pf ppf "  %-12s %12.9f s  conservation exact@." name total)
-    entries;
-  let oc = open_out json in
-  output_string oc (profile_doc entries);
-  close_out oc;
-  hr ppf;
-  Fmt.pf ppf "profile baseline written to %s@." json
-
-(* Byte-stability gate for CI: regenerate a 3-benchmark subset and require
-   each entry to appear verbatim in the committed baseline. *)
-let contains ~needle hay =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i =
-    i + nn <= nh && (String.sub hay i nn = needle || go (i + 1))
-  in
-  nn = 0 || go 0
-
-let run_profile_smoke ppf =
-  let committed =
-    match open_in_bin profile_path with
-    | ic ->
-        let n = in_channel_length ic in
-        let s = really_input_string ic n in
-        close_in ic;
-        s
-    | exception Sys_error _ ->
-        Fmt.failwith "missing %s (run 'bench/main.exe profile' and commit \
-                      the result)" profile_path
-  in
-  let names = [ "JACOBI"; "EP"; "SRAD" ] in
-  let ok =
-    List.for_all
-      (fun n ->
-        let b = List.find (fun b -> b.Bench_def.name = n) benchmarks in
-        let _, total, entry = profile_entry b in
-        if contains ~needle:entry committed then begin
-          Fmt.pf ppf "  %-12s %12.9f s  matches baseline@." n total;
-          true
-        end
-        else begin
-          Fmt.pf ppf "  %-12s MISMATCH against %s@." n profile_path;
-          false
-        end)
-      names
-  in
-  if ok then Fmt.pf ppf "profile smoke: %d/%d byte-stable@."
-      (List.length names) (List.length names)
-  else
-    Fmt.failwith
-      "profile smoke failed: regenerate with 'bench/main.exe profile' and \
-       inspect the diff"
-
-(* One instrumented, coherence-on run of [prog] with a data-movement
-   ledger attached (seed 42): returns the ledger's counterfactual
-   analysis after asserting byte conservation — the ledger's counted
-   per-direction totals must equal the metrics accumulators summed over
-   every device-set member, integer [=], no tolerance. *)
-let ledger_run ?(devices = 1) ?(schedule = Gpusim.Device_set.Block) ~name
-    prog =
-  let env = Minic.Typecheck.check prog in
-  let tp = Codegen.Translate.translate env prog in
-  let tp = Codegen.Checkgen.instrument tp in
-  let lg =
-    Obs.Ledger.create ~devices
-      ~schedule:(Gpusim.Device_set.schedule_name schedule)
-  in
-  let o =
-    Accrt.Interp.run ~coherence:true ~seed:42 ~devices ~schedule ~ledger:lg
-      tp
-  in
-  let mh, md =
-    Array.fold_left
-      (fun (h, d) dev ->
-        let m = dev.Gpusim.Device.metrics in
-        (h + m.Gpusim.Metrics.bytes_h2d, d + m.Gpusim.Metrics.bytes_d2h))
-      (0, 0) o.Accrt.Interp.devset.Gpusim.Device_set.devices
-  in
-  let lh, ld = Obs.Ledger.totals lg in
-  if lh <> mh || ld <> md then
-    Fmt.failwith
-      "ledger conservation violated for %s: h2d %d vs metrics %d, d2h %d \
-       vs metrics %d"
-      name lh mh ld md;
-  let cm = o.Accrt.Interp.device.Gpusim.Device.cm in
-  ( Obs.Ledger.analyze lg ~pcie_latency:cm.Gpusim.Costmodel.pcie_latency
-      ~pcie_bandwidth:cm.Gpusim.Costmodel.pcie_bandwidth,
-    o )
-
 (* ------------------------------------------------------------------ *)
-(* Regression sentinel: trend accumulation and baseline diffing        *)
+(* Golden tiers                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let trend_path = "BENCH_trend.jsonl"
+(* Each tier below runs its sweep, prints its table, raises [Failure]
+   when its gate fails, and returns the full document that [Golden]
+   writes to, or compares with, the committed BENCH_<tier>.json.  Every
+   run is seeded and the simulator is deterministic, so the documents
+   are byte-stable. *)
 
-(* Resolve a comma-separated --benches selection; unknown names raise
-   (the CLI maps that to exit 2, malformed input). *)
-let select = function
-  | None -> benchmarks
-  | Some names ->
-      List.map
-        (fun n ->
-          let n = String.uppercase_ascii n in
-          match
-            List.find_opt (fun b -> b.Bench_def.name = n) benchmarks
-          with
-          | Some b -> b
-          | None ->
-              Fmt.failwith "unknown benchmark '%s' (expected one of %s)" n
-                (String.concat ","
-                   (List.map (fun b -> b.Bench_def.name) benchmarks)))
-        names
+(* The envelope the bench documents share: schema, version and seed,
+   the [header] pairs, one entry per line, then the [footer] pairs. *)
+let envelope name ?(header = []) ?(footer = []) entries =
+  let pair (k, v) = Fmt.str "\"%s\": %s" k v in
+  Fmt.str
+    "{\n\"schema\": \"openarc.obs.bench-%s\",\n\"version\": 1,\n\
+     \"seed\": 42,\n%s\"benchmarks\": [\n%s\n]%s}\n"
+    name
+    (String.concat "" (List.map (fun p -> pair p ^ ",\n") header))
+    (String.concat ",\n" entries)
+    (if footer = [] then ""
+     else ",\n" ^ String.concat ",\n" (List.map pair footer) ^ "\n")
 
-(* The current sweep side of a diff re-parses its own canonical JSON so
-   both sides of every comparison went through the same %.9f rounding:
-   a clean tree diffs against the committed baseline to exactly zero. *)
-let current_profile ?devices ?schedule b =
-  let name, total, entry = profile_entry ?devices ?schedule b in
-  match Obs.Diff.profile_of_json entry with
-  | Ok (p, _, _) -> (name, total, p)
-  | Error e ->
-      Fmt.failwith "internal: generated profile for %s unparseable: %s" name
-        e
-
-let trend_line ~label ?(devices = 1) ?(schedule = "block")
-    ?(bytes_total = 0) ?(bytes_wasted = 0) ?(saturate_saved_s = 0.0) name
-    (p : Obs.Profile.t) =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf
-    (Fmt.str
-       "{\"schema\": %s, \"version\": %d, \"name\": %s, \"seed\": 42, \
-        \"devices\": %d, \"schedule\": %s, \"label\": %s, \"total\": \
-        %.9f, \"bytes_total\": %d, \"bytes_wasted\": %d, \
-        \"saturate_saved_s\": %.9f, \"totals\": {"
-       (Obs.Trace.json_str (Obs.Trace.schema ^ ".bench-trend"))
-       Obs.Trace.version
-       (Obs.Trace.json_str name)
-       devices
-       (Obs.Trace.json_str schedule)
-       (Obs.Trace.json_str label)
-       p.Obs.Profile.p_total bytes_total bytes_wasted saturate_saved_s);
-  List.iteri
-    (fun i (c, v) ->
-      if i > 0 then Buffer.add_string buf ", ";
-      Buffer.add_string buf
-        (Fmt.str "%s: %.9f" (Obs.Trace.json_str c) v))
-    p.Obs.Profile.p_totals;
-  Buffer.add_string buf "}, \"counters\": {";
-  List.iteri
-    (fun i (c, v) ->
-      if i > 0 then Buffer.add_string buf ", ";
-      Buffer.add_string buf (Fmt.str "%s: %d" (Obs.Trace.json_str c) v))
-    p.Obs.Profile.p_counters;
-  Buffer.add_string buf "}}";
-  Buffer.contents buf
-
-let run_trend ?(out = trend_path) ?names ?(label = "") ?(devices = 1)
-    ?(schedule = Gpusim.Device_set.Block) ppf =
-  let bs = select names in
-  let sched = Gpusim.Device_set.schedule_name schedule in
-  Fmt.pf ppf
-    "Bench trend sweep (seed 42, %d device(s), %s schedule, source \
-     variant)@."
-    devices sched;
-  hr ppf;
-  let lines =
-    List.map
-      (fun b ->
-        let name, total, p = current_profile ~devices ~schedule b in
-        (* A second, instrumented run feeds the data-movement columns:
-           total counted bytes and the ledger's wasted-byte verdict. *)
-        let la, _ = ledger_run ~devices ~schedule ~name (parse b) in
-        (* A saturate search (validated at the row's device count only —
-           the full 1/2/4 ladder is the saturate tier's job) feeds the
-           optimizer column: measured accepted saving, so a rewrite the
-           search stops finding shows up as a drop in the series. *)
-        let sat =
-          Saturate.run
-            ~config:
-              { Saturate.default_config with
-                Saturate.check_devices = [ devices ] }
-            ~name ~outputs:b.Bench_def.outputs (parse b)
-        in
-        Fmt.pf ppf
-          "  %-12s %12.9f s  %d byte(s), %d wasted  saturate %12.9f s@."
-          name total
-          (la.Obs.Ledger.a_h2d_bytes + la.Obs.Ledger.a_d2h_bytes)
-          la.Obs.Ledger.a_wasted_bytes sat.Saturate.r_measured_s;
-        trend_line ~label ~devices ~schedule:sched
-          ~bytes_total:
-            (la.Obs.Ledger.a_h2d_bytes + la.Obs.Ledger.a_d2h_bytes)
-          ~bytes_wasted:la.Obs.Ledger.a_wasted_bytes
-          ~saturate_saved_s:sat.Saturate.r_measured_s name p)
-      bs
-  in
-  let oc = open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 out in
-  List.iter
-    (fun l ->
-      output_string oc l;
-      output_char oc '\n')
-    lines;
-  close_out oc;
-  hr ppf;
-  Fmt.pf ppf "%d record(s) appended to %s@." (List.length lines) out
-
-(* Per-benchmark relative tolerances for the regress gate.  The default
-   absorbs cost-model retuning noise; short transfer-dominated runs get a
-   slightly wider band because a single PCIe transaction is a coarser
-   relative step of their total. *)
-let default_tolerance = 0.02
-
-let tolerances = [ ("EP", 0.03); ("HOTSPOT", 0.03) ]
-
-let tolerance name =
-  Option.value ~default:default_tolerance (List.assoc_opt name tolerances)
-
-(* Saturate savings are small absolute quantities assembled from a handful
-   of accepted rewrites, so the optimizer side of the sentinel gets a
-   wider relative band; benchmarks whose searches hinge on one marginal
-   candidate (EP's single in-band hoist, KMEANS's rejected one) wider
-   still. *)
-let saturate_default_tolerance = 0.10
-
-let saturate_tolerances = [ ("EP", 0.25); ("KMEANS", 0.25) ]
-
-let saturate_tolerance name =
-  Option.value ~default:saturate_default_tolerance
-    (List.assoc_opt name saturate_tolerances)
-
-type regress_row = {
-  rg_name : string;
-  rg_tol : float;
-  rg_status : string;  (* ok | regression | improved | missing-baseline *)
-  rg_diff : Obs.Diff.t option;
-  rg_culprits : Obs.Diff.row_delta list;
-}
-
-let baseline_profiles path =
-  let doc =
-    match open_in_bin path with
-    | ic ->
-        let n = in_channel_length ic in
-        let s = really_input_string ic n in
-        close_in ic;
-        s
-    | exception Sys_error _ ->
-        Fmt.failwith "missing baseline %s (run 'bench/main.exe profile' \
-                      and commit the result)" path
-  in
-  match Obs.Pjson.parse_result doc with
-  | Error e -> Fmt.failwith "malformed baseline %s: %s" path e
-  | Ok v -> (
-      match Obs.Pjson.member "benchmarks" v with
-      | Some (Obs.Pjson.Arr entries) ->
-          List.map
-            (fun ev ->
-              match Obs.Diff.profile_of_value ev with
-              | Ok (p, name, _seed) -> (name, p)
-              | Error e ->
-                  Fmt.failwith "malformed baseline entry in %s: %s" path e)
-            entries
-      | _ -> Fmt.failwith "baseline %s has no benchmarks array" path)
-
-let regress_row ~baseline b =
-  let name, _total, p_cur = current_profile b in
-  let tol = tolerance name in
-  match List.assoc_opt name baseline with
-  | None ->
-      { rg_name = name; rg_tol = tol; rg_status = "missing-baseline";
-        rg_diff = None; rg_culprits = [] }
-  | Some p_base ->
-      let d =
-        Obs.Diff.diff ~before_name:(name ^ "@baseline")
-          ~after_name:(name ^ "@current") ~before:p_base ~after:p_cur ()
-      in
-      let budget = tol *. Float.max d.Obs.Diff.d_total_before 1e-12 in
-      let cat_over =
-        List.exists
-          (fun c -> c.Obs.Diff.cd_delta > budget)
-          d.Obs.Diff.d_totals
-      in
-      let status =
-        if d.Obs.Diff.d_delta > budget || cat_over then "regression"
-        else if d.Obs.Diff.d_delta < -.budget then "improved"
-        else "ok"
-      in
-      let culprits =
-        if status <> "regression" then []
-        else
-          List.filteri (fun i _ -> i < 5)
-            (List.filter
-               (fun (r : Obs.Diff.row_delta) -> r.Obs.Diff.rd_delta > 0.0)
-               (Obs.Diff.movers d))
-      in
-      { rg_name = name; rg_tol = tol; rg_status = status; rg_diff = Some d;
-        rg_culprits = culprits }
-
-let regress_json ~baseline_path rows =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf
-    (Fmt.str
-       "{\n\"schema\": %s,\n\"version\": %d,\n\"baseline\": %s,\n\
-        \"seed\": 42,\n\"status\": %s,\n\"benchmarks\": [\n"
-       (Obs.Trace.json_str (Obs.Trace.schema ^ ".bench-regress"))
-       Obs.Trace.version
-       (Obs.Trace.json_str baseline_path)
-       (Obs.Trace.json_str
-          (if List.exists
-                (fun r ->
-                  r.rg_status = "regression"
-                  || r.rg_status = "missing-baseline")
-                rows
-           then "regression"
-           else "ok")));
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      let tb, ta, dl =
-        match r.rg_diff with
-        | Some d ->
-            (d.Obs.Diff.d_total_before, d.Obs.Diff.d_total_after,
-             d.Obs.Diff.d_delta)
-        | None -> (0.0, 0.0, 0.0)
-      in
-      Buffer.add_string buf
-        (Fmt.str
-           "{\"name\": %s, \"tolerance\": %.3f, \"status\": %s, \
-            \"total_before\": %.9f, \"total_after\": %.9f, \"delta\": \
-            %.9f, \"culprits\": ["
-           (Obs.Trace.json_str r.rg_name)
-           r.rg_tol
-           (Obs.Trace.json_str r.rg_status)
-           tb ta dl);
-      List.iteri
-        (fun j (c : Obs.Diff.row_delta) ->
-          if j > 0 then Buffer.add_string buf ", ";
-          Buffer.add_string buf
-            (Fmt.str
-               "{\"directive\": %s, \"verdict\": %s, \"delta\": %.9f, \
-                \"category\": %s}"
-               (Obs.Trace.json_str c.Obs.Diff.rd_directive)
-               (Obs.Trace.json_str
-                  (Obs.Diff.verdict_name c.Obs.Diff.rd_verdict))
-               c.Obs.Diff.rd_delta
-               (Obs.Trace.json_str
-                  (Option.value ~default:""
-                     (Obs.Diff.dominant_cat c)))))
-        r.rg_culprits;
-      Buffer.add_string buf "]}")
-    rows;
-  Buffer.add_string buf "\n]}\n";
-  Buffer.contents buf
-
-(* Optimizer side of the sentinel: the committed BENCH_saturate.json's
-   per-benchmark measured accepted saving, keyed by name. *)
-let saturate_baseline path =
-  let doc =
-    match open_in_bin path with
-    | ic ->
-        let n = in_channel_length ic in
-        let s = really_input_string ic n in
-        close_in ic;
-        s
-    | exception Sys_error _ ->
-        Fmt.failwith
-          "missing saturate baseline %s (run 'bench/main.exe saturate' and \
-           commit the result)"
-          path
-  in
-  match Obs.Pjson.parse_result doc with
-  | Error e -> Fmt.failwith "malformed saturate baseline %s: %s" path e
-  | Ok v -> (
-      match Obs.Pjson.member "benchmarks" v with
-      | Some (Obs.Pjson.Arr entries) ->
-          List.map
-            (fun ev ->
-              match
-                ( Option.bind (Obs.Pjson.member "name" ev) Obs.Pjson.str,
-                  Option.bind (Obs.Pjson.member "result" ev) (fun r ->
-                      Option.bind
-                        (Obs.Pjson.member "measured_saved_s" r)
-                        Obs.Pjson.num) )
-              with
-              | Some name, Some saved -> (name, saved)
-              | _ ->
-                  Fmt.failwith "malformed saturate baseline entry in %s"
-                    path)
-            entries
-      | _ ->
-          Fmt.failwith "saturate baseline %s has no benchmarks array" path)
-
-let run_regress ?(baseline = profile_path) ?names ?json ?saturate ppf =
-  let bs = select names in
-  let base = baseline_profiles baseline in
-  Fmt.pf ppf "Regression sentinel: current sweep vs %s (seed 42)@." baseline;
-  hr ppf;
-  let rows = List.map (regress_row ~baseline:base) bs in
-  List.iter
-    (fun r ->
-      (match r.rg_diff with
-      | Some d ->
-          Fmt.pf ppf
-            "  %-12s base %12.9f s  now %12.9f s  delta %+.9f s  %s (tol \
-             %.1f%%)@."
-            r.rg_name d.Obs.Diff.d_total_before d.Obs.Diff.d_total_after
-            d.Obs.Diff.d_delta r.rg_status (100. *. r.rg_tol)
-      | None ->
-          Fmt.pf ppf
-            "  %-12s missing from baseline (regenerate with \
-             'bench/main.exe profile')@."
-            r.rg_name);
-      List.iter
-        (fun (c : Obs.Diff.row_delta) ->
-          Fmt.pf ppf "    culprit: [%-9s] %-34s %+.9f s%s@."
-            (Obs.Diff.verdict_name c.Obs.Diff.rd_verdict)
-            c.Obs.Diff.rd_directive c.Obs.Diff.rd_delta
-            (match Obs.Diff.dominant_cat c with
-            | Some cat -> "  (" ^ cat ^ ")"
-            | None -> ""))
-        r.rg_culprits)
-    rows;
-  (* With --saturate, re-run the optimizer search per benchmark and hold
-     its measured accepted saving to the committed baseline under the
-     (wider) saturate tolerance — a search that stops finding or stops
-     confirming a rewrite is a regression even when the profile totals of
-     the unedited program are unchanged. *)
-  let sat_bad =
-    match saturate with
-    | None -> []
-    | Some path ->
-        hr ppf;
-        let sat_base = saturate_baseline path in
-        List.filter_map
-          (fun (b : Bench_def.t) ->
-            let name = b.Bench_def.name in
-            let tol = saturate_tolerance name in
-            match List.assoc_opt name sat_base with
-            | None ->
-                Fmt.pf ppf
-                  "  %-12s saturate: missing from %s (regenerate with \
-                   'bench/main.exe saturate')@."
-                  name path;
-                Some name
-            | Some before ->
-                let r =
-                  Saturate.run ~name ~outputs:b.Bench_def.outputs (parse b)
-                in
-                let now = r.Saturate.r_measured_s in
-                let budget = tol *. Float.max before 1e-12 in
-                let status =
-                  if before -. now > budget then "regression"
-                  else if now -. before > budget then "improved"
-                  else "ok"
-                in
-                Fmt.pf ppf
-                  "  %-12s saturate base %12.9f s  now %12.9f s  delta \
-                   %+.9f s  %s (tol %.1f%%)@."
-                  name before now (now -. before) status (100. *. tol);
-                if status = "regression" then Some name else None)
-          bs
-  in
-  hr ppf;
-  (match json with
-  | Some path ->
-      let oc = open_out path in
-      output_string oc (regress_json ~baseline_path:baseline rows);
-      close_out oc;
-      Fmt.pf ppf "regress report written to %s@." path
-  | None -> ());
-  let bad =
-    List.filter
-      (fun r ->
-        r.rg_status = "regression" || r.rg_status = "missing-baseline")
-      rows
-  in
-  let improved = List.filter (fun r -> r.rg_status = "improved") rows in
-  if bad <> [] || sat_bad <> [] then begin
-    if bad <> [] then
-      Fmt.pf ppf "REGRESSION: %d/%d benchmark(s) over tolerance@."
-        (List.length bad) (List.length rows);
-    if sat_bad <> [] then
-      Fmt.pf ppf
-        "SATURATE REGRESSION: %d benchmark(s) lost accepted savings \
-         (%s)@."
-        (List.length sat_bad)
-        (String.concat ", " sat_bad);
-    1
-  end
-  else begin
-    Fmt.pf ppf "regress: %d/%d benchmark(s) within tolerance@."
-      (List.length rows - List.length bad)
-      (List.length rows);
-    if improved <> [] then
-      Fmt.pf ppf
-        "note: %d benchmark(s) improved beyond tolerance — consider \
-         refreshing the baseline with 'bench/main.exe profile'@."
-        (List.length improved);
-    0
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Wall-clock tier: real interpreter time, per benchmark and engine    *)
-(* ------------------------------------------------------------------ *)
-
-let wall_path = "BENCH_wall.json"
+let count p l = List.length (List.filter p l)
 
 let median_float = function
   | [] -> 0.0
@@ -1064,135 +492,146 @@ let median_float = function
       let sorted = List.sort compare xs in
       List.nth sorted (List.length sorted / 2)
 
-(* Median-of-[repeats] wall-clock of one translated run.  Only
-   [Interp.run] is inside the timer: parse/translate cost is a separate
-   (micro-benchmarked) pipeline stage, and the compiled engine pays its
-   kernel compilation inside the run — so the comparison charges the
-   engine, not the front end. *)
-let wall_time ~repeats ~engine tp =
-  median_float
-    (List.init repeats (fun _ ->
-         let t0 = Unix.gettimeofday () in
-         ignore (Accrt.Interp.run ~coherence:false ~engine ~seed:42 tp);
-         Unix.gettimeofday () -. t0))
+(* Fault-matrix sweep: the resilience counterpart of the performance
+   tables.  Every fault kind x recovery policy cell across the suite must
+   recover verified-correct or degrade to CPU fallback; the per-cell
+   overhead column is the simulated-time cost of recovery vs. the
+   fault-free baseline. *)
+let faults ppf =
+  Fmt.pf ppf "Fault matrix: recovery across the suite (seeded, one-shot \
+              faults)@.";
+  hr ppf;
+  let m =
+    Openarc_core.Fault_matrix.run ~seed:42
+      (List.map
+         (fun (b : Bench_def.t) ->
+           { Openarc_core.Fault_matrix.s_name = b.name;
+             s_source = b.source;
+             s_outputs = b.outputs })
+         benchmarks)
+  in
+  Fmt.pf ppf "%a@." Openarc_core.Fault_matrix.pp m;
+  hr ppf;
+  Fmt.pf ppf
+    "(transient kinds sweep the retry and full policies; device-lost \
+     requires full's host-mode fallback; a FAIL cell means a fault \
+     produced a wrong or unrecovered result)@.";
+  Openarc_core.Fault_matrix.to_json m ^ "\n"
 
-let wall_entry ~repeats ~engines (b : Bench_def.t) =
+(* Per-directive profile sweep: the observability counterpart of Figure
+   3/4.  Each benchmark runs once (source variant, coherence off) under
+   a span trace, and the per-directive cost report must conserve the
+   metrics total bit-exactly. *)
+
+let profile_categories =
+  List.map Gpusim.Metrics.category_name Gpusim.Metrics.all_categories
+
+let profile_entry (b : Bench_def.t) =
   let prog = parse b in
   let env = Minic.Typecheck.check prog in
   let tp = Codegen.Translate.translate env prog in
-  ( b.Bench_def.name,
-    List.map (fun e -> (e, wall_time ~repeats ~engine:e tp)) engines )
+  let tr = Obs.Trace.create () in
+  let o = Accrt.Interp.run ~coherence:false ~seed:42 ~obs:tr tp in
+  let total = Gpusim.Metrics.total_time (Accrt.Interp.metrics o) in
+  let p = Obs.Profile.of_trace ~categories:profile_categories tr in
+  if not (Obs.Profile.conserves p ~total) then
+    Fmt.failwith "profile conservation violated for %s" b.name;
+  (b.name, total, String.trim (Obs.Profile.to_json ~name:b.name ~seed:42 p))
 
-let wall_speedup times =
-  match
-    ( List.assoc_opt Accrt.Engine.Tree times,
-      List.assoc_opt Accrt.Engine.Compiled times )
-  with
-  | Some t, Some c when c > 0.0 -> Some (t /. c)
-  | _ -> None
-
-let wall_doc ~repeats ~engines entries =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf
-    "{\n\"schema\": \"openarc.obs.bench-wall\",\n\"version\": 1,\n\
-     \"seed\": 42,\n";
-  Buffer.add_string buf (Fmt.str "\"repeats\": %d,\n" repeats);
-  Buffer.add_string buf
-    (Fmt.str "\"engines\": [%s],\n"
-       (String.concat ", "
-          (List.map
-             (fun e -> Fmt.str "%S" (Accrt.Engine.to_string e))
-             engines)));
-  Buffer.add_string buf "\"benchmarks\": [\n";
-  List.iteri
-    (fun i (name, times) ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf (Fmt.str "{\"name\": %S" name);
-      List.iter
-        (fun (e, t) ->
-          Buffer.add_string buf
-            (Fmt.str ", \"%s_s\": %.6f" (Accrt.Engine.to_string e) t))
-        times;
-      (match wall_speedup times with
-      | Some s -> Buffer.add_string buf (Fmt.str ", \"speedup\": %.2f" s)
-      | None -> ());
-      Buffer.add_string buf "}")
-    entries;
-  Buffer.add_string buf "\n],\n";
-  let speedups = List.filter_map (fun (_, t) -> wall_speedup t) entries in
-  if speedups <> [] then
-    Buffer.add_string buf
-      (Fmt.str "\"median_speedup\": %.2f\n" (median_float speedups))
-  else Buffer.add_string buf "\"median_speedup\": null\n";
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf
-
-(* The wall tier: per-benchmark wall-clock medians for the selected
-   engines, the bench-wall JSON report, and (when both engines ran and
-   [min_speedup] is set) a gate on the suite's median speedup — the
-   wall-smoke CI check.  Returns the exit code. *)
-let run_wall ?(json = wall_path) ?names
-    ?(engines = [ Accrt.Engine.Tree; Accrt.Engine.Compiled ])
-    ?(repeats = 5) ?min_speedup ppf =
-  let benches = select names in
-  Fmt.pf ppf
-    "Interpreter wall-clock (median of %d, seed 42, source variant)@."
-    repeats;
+let profile ppf =
+  Fmt.pf ppf "Per-directive profile sweep (seed 42, source variant)@.";
   hr ppf;
-  let entries = List.map (wall_entry ~repeats ~engines) benches in
+  let entries = List.map profile_entry benchmarks in
   List.iter
-    (fun (name, times) ->
-      Fmt.pf ppf "  %-12s" name;
-      List.iter
-        (fun (e, t) ->
-          Fmt.pf ppf "  %s %9.6f s" (Accrt.Engine.to_string e) t)
-        times;
-      (match wall_speedup times with
-      | Some s -> Fmt.pf ppf "  %6.2fx" s
-      | None -> ());
-      Fmt.pf ppf "@.")
+    (fun (name, total, _) ->
+      Fmt.pf ppf "  %-12s %12.9f s  conservation exact@." name total)
     entries;
-  let oc = open_out json in
-  output_string oc (wall_doc ~repeats ~engines entries);
-  close_out oc;
   hr ppf;
-  Fmt.pf ppf "wall report written to %s@." json;
-  let speedups = List.filter_map (fun (_, t) -> wall_speedup t) entries in
-  match (min_speedup, speedups) with
-  | None, _ | _, [] -> 0
-  | Some need, _ ->
-      let got = median_float speedups in
-      if got >= need then begin
-        Fmt.pf ppf "wall: median speedup %.2fx (>= %.2fx required)@." got
-          need;
-        0
-      end
-      else begin
-        Fmt.pf ppf
-          "WALL REGRESSION: median speedup %.2fx below required %.2fx@."
-          got need;
-        1
-      end
+  envelope "profile" (List.map (fun (_, _, e) -> e) entries)
+
+(* Symbolic-equivalence sweep (tier-0 coverage across the suite): the
+   symbolic checker over both the faithful build and the Table II fault
+   build (clauses stripped, recognition off) of every benchmark.  The
+   verdict text is part of the document, so a kernel silently dropping
+   from proved to unknown shows up as a diff. *)
+
+let symeq_doc entries =
+  let bench_json ((b : Bench_def.t), (default : Symeq.Engine.t), fault) =
+    Fmt.str
+      "{\"name\": %s, \"fully_proved\": %b, \"default\": %s, \"fault\": %s}"
+      (Obs.Trace.json_str b.name)
+      (default.Symeq.Engine.proved = List.length default.Symeq.Engine.kernels)
+      (Symeq.Report.to_json { Symeq.Report.program = b.name; result = default })
+      (Symeq.Report.to_json
+         { Symeq.Report.program = b.name ^ "-fault"; result = fault })
+  in
+  let total f = List.fold_left (fun acc (_, d, _) -> acc + f d) 0 entries in
+  let fully =
+    count
+      (fun (_, (d : Symeq.Engine.t), _) ->
+        d.Symeq.Engine.proved = List.length d.Symeq.Engine.kernels)
+      entries
+  in
+  let fault_disproved =
+    List.fold_left
+      (fun acc (_, _, (f : Symeq.Engine.t)) -> acc + f.Symeq.Engine.disproved)
+      0 entries
+  in
+  Fmt.str
+    "{\"schema\": \"openarc.obs.symeq-sweep\", \"version\": 1, \
+     \"benchmarks\": [%s], \"totals\": {\"benchmarks\": %d, \
+     \"fully_proved\": %d, \"kernels\": %d, \"proved\": %d, \
+     \"disproved\": %d, \"unknown\": %d, \"fault_disproved\": %d}}\n"
+    (String.concat ", " (List.map bench_json entries))
+    (List.length entries) fully
+    (total (fun d -> List.length d.Symeq.Engine.kernels))
+    (total (fun d -> d.Symeq.Engine.proved))
+    (total (fun d -> d.Symeq.Engine.disproved))
+    (total (fun d -> d.Symeq.Engine.unknown))
+    fault_disproved
+
+let symeq ppf =
+  Fmt.pf ppf "Symbolic equivalence sweep (tier-0, affine fragment)@.";
+  hr ppf;
+  Fmt.pf ppf "%-12s %28s %28s@." "" "default build P/D/U"
+    "fault build P/D/U";
+  let entries =
+    List.map
+      (fun (b : Bench_def.t) ->
+        let default = Symeq.Engine.check_program (parse b) in
+        let fault =
+          Symeq.Engine.check_program ~opts:Codegen.Options.fault_injection
+            (Openarc_core.Faults.strip_parallelism_clauses (parse b))
+        in
+        let pdu (r : Symeq.Engine.t) =
+          Fmt.str "%d/%d/%d" r.Symeq.Engine.proved r.Symeq.Engine.disproved
+            r.Symeq.Engine.unknown
+        in
+        Fmt.pf ppf "%-12s %28s %28s%s@." b.name (pdu default) (pdu fault)
+          (if default.Symeq.Engine.proved
+              = List.length default.Symeq.Engine.kernels
+           then "  [all proved]"
+           else "");
+        (b, default, fault))
+      benchmarks
+  in
+  hr ppf;
+  Fmt.pf ppf
+    "(a proved kernel skips the numeric comparison tier; the fault build \
+     reproduces Table II's clause-stripping, where every active fault \
+     must be disproved)@.";
+  symeq_doc entries
 
 (* ------------------------------------------------------------------ *)
 (* Scale tier: simulated-time speedup across device-set sizes          *)
 (* ------------------------------------------------------------------ *)
 
-(* Each benchmark runs at 1/2/4/8 simulated devices (seed 42, coherence
-   off) and reports total simulated time plus the speedup over the
-   single-device run.  The simulator is deterministic, so the canonical
-   JSON is byte-stable and the committed BENCH_scale.json doubles as a
-   regression baseline: a scheduling change that makes adding devices
-   slow a benchmark down shows up as a diff and as a monotonicity
-   failure. *)
-
-let scale_path = "BENCH_scale.json"
+(* Each benchmark runs at 1/2/4/8 simulated devices (coherence off) and
+   reports total simulated time plus the speedup over the single-device
+   run: a scheduling change that makes adding devices slow a benchmark
+   down shows up as a diff and as a monotonicity failure. *)
 
 let scale_counts = [ 1; 2; 4; 8 ]
-
-let scale_run ~devices tp =
-  let o = Accrt.Interp.run ~coherence:false ~seed:42 ~devices tp in
-  (Gpusim.Metrics.total_time (Accrt.Interp.metrics o), o)
 
 (* Per-ordinal cost attribution at the headline fan-out (the speedup
    column's denominator): each member's accumulated compute and transfer
@@ -1232,12 +671,12 @@ let scale_entry (b : Bench_def.t) =
   let times =
     List.map
       (fun n ->
-        let t, o = scale_run ~devices:n tp in
+        let o = Accrt.Interp.run ~coherence:false ~seed:42 ~devices:n tp in
         if n = scale_breakdown_devices then breakdown := scale_breakdown o;
-        (n, t))
+        (n, Gpusim.Metrics.total_time (Accrt.Interp.metrics o)))
       scale_counts
   in
-  (b.Bench_def.name, times, !breakdown)
+  (b.name, times, !breakdown)
 
 let scale_speedup times n =
   match (List.assoc_opt 1 times, List.assoc_opt n times) with
@@ -1252,58 +691,73 @@ let scale_monotone times =
   t 2 <= t 1 +. 1e-12 && t 4 <= t 2 +. 1e-12
 
 let scale_entry_json (name, times, breakdown) =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf (Fmt.str "{\"name\": %S" name);
-  List.iter
-    (fun (n, t) -> Buffer.add_string buf (Fmt.str ", \"t%d_s\": %.9f" n t))
-    times;
-  List.iter
-    (fun n ->
-      Buffer.add_string buf
-        (Fmt.str ", \"speedup%d\": %.4f" n (scale_speedup times n)))
-    (List.filter (fun n -> n > 1) scale_counts);
-  Buffer.add_string buf
-    (Fmt.str ", \"per_device%d\": [" scale_breakdown_devices);
-  List.iteri
-    (fun i (d, c, x, m) ->
-      if i > 0 then Buffer.add_string buf ", ";
-      Buffer.add_string buf
-        (Fmt.str
-           "{\"dev\": %d, \"compute_s\": %.9f, \"transfer_s\": %.9f, \
-            \"merge_s\": %.9f}"
-           d c x m))
-    breakdown;
-  Buffer.add_string buf
-    (Fmt.str "], \"monotone_1_4\": %b}" (scale_monotone times));
-  Buffer.contents buf
+  Fmt.str "{\"name\": %S%s%s, \"per_device%d\": [%s], \"monotone_1_4\": %b}"
+    name
+    (String.concat ""
+       (List.map (fun (n, t) -> Fmt.str ", \"t%d_s\": %.9f" n t) times))
+    (String.concat ""
+       (List.map
+          (fun n -> Fmt.str ", \"speedup%d\": %.4f" n (scale_speedup times n))
+          (List.filter (fun n -> n > 1) scale_counts)))
+    scale_breakdown_devices
+    (String.concat ", "
+       (List.map
+          (fun (d, c, x, m) ->
+            Fmt.str
+              "{\"dev\": %d, \"compute_s\": %.9f, \"transfer_s\": %.9f, \
+               \"merge_s\": %.9f}"
+              d c x m)
+          breakdown))
+    (scale_monotone times)
 
-let scale_doc entries =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf
-    "{\n\"schema\": \"openarc.obs.bench-scale\",\n\"version\": 1,\n\
-     \"seed\": 42,\n";
-  Buffer.add_string buf
-    (Fmt.str "\"devices\": [%s],\n"
-       (String.concat ", " (List.map string_of_int scale_counts)));
-  Buffer.add_string buf "\"benchmarks\": [\n";
-  List.iteri
-    (fun i e ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf (scale_entry_json e))
-    entries;
-  Buffer.add_string buf "\n],\n";
-  Buffer.add_string buf
-    (Fmt.str "\"monotone_1_4\": %d\n}\n"
-       (List.length
-          (List.filter (fun (_, times, _) -> scale_monotone times) entries)));
-  Buffer.contents buf
+(* Failover cell: kill member 1 of a 2-device set at JACOBI's first
+   kernel's launch gate; the fallback-less retry policy must re-execute
+   the lost shard on the survivor and verify it against the sequential
+   reference. *)
+let scale_failover ppf =
+  let b = Jacobi.bench in
+  let prog = parse b in
+  let reference = (Accrt.Eval.run_reference prog).Accrt.Eval.env in
+  let env = Minic.Typecheck.check prog in
+  let tp = Codegen.Translate.translate env prog in
+  let target = tp.Codegen.Tprog.kernels.(0).Codegen.Tprog.k_name in
+  let plan =
+    Gpusim.Fault_plan.create ~seed:42
+      [ Gpusim.Fault_plan.mk_rule ~target ~count:1 ~dev:1
+          Gpusim.Fault_plan.Device_lost ]
+  in
+  let o =
+    Accrt.Interp.run ~coherence:false ~seed:42 ~devices:2 ~plan
+      ~resilience:Accrt.Resilience.retry tp
+  in
+  let st = o.Accrt.Interp.resilience in
+  let correct =
+    Openarc_core.Session.outputs_match ~outputs:b.outputs ~reference o
+  in
+  if
+    not
+      (st.Accrt.Resilience.devices_lost = 1
+      && st.Accrt.Resilience.failovers >= 1
+      && st.Accrt.Resilience.verified >= 1
+      && st.Accrt.Resilience.unrecovered = 0
+      && correct)
+  then
+    Fmt.failwith
+      "scale: device-loss failover cell failed (lost=%d failovers=%d \
+       verified=%d unrecovered=%d correct=%b)"
+      st.Accrt.Resilience.devices_lost st.Accrt.Resilience.failovers
+      st.Accrt.Resilience.verified st.Accrt.Resilience.unrecovered correct;
+  Fmt.pf ppf
+    "scale: device-loss failover cell ok (%d shard(s) re-executed, %d \
+     verified, outputs correct)@."
+    st.Accrt.Resilience.failovers st.Accrt.Resilience.verified
 
 (* Transfer-bound benchmarks cannot speed up from extra devices (the
    broadcast upload costs what one device's upload costs), so the gate
    asks most — not all — of the suite to scale monotonically. *)
 let scale_min_monotone = 8
 
-let run_scale ?(json = scale_path) ppf =
+let scale ppf =
   Fmt.pf ppf
     "Device-set scaling (simulated time, seed 42, source variant)@.";
   hr ppf;
@@ -1324,110 +778,37 @@ let run_scale ?(json = scale_path) ppf =
         breakdown;
       Fmt.pf ppf "@.")
     entries;
-  let oc = open_out json in
-  output_string oc (scale_doc entries);
-  close_out oc;
   hr ppf;
-  Fmt.pf ppf "scale report written to %s@." json;
-  let mono =
-    List.length (List.filter (fun (_, t, _) -> scale_monotone t) entries)
-  in
-  if mono >= scale_min_monotone then begin
-    Fmt.pf ppf
-      "scale: %d/%d benchmark(s) monotone non-degrading through 4 \
-       devices (>= %d required)@."
-      mono (List.length entries) scale_min_monotone;
-    0
-  end
-  else begin
-    Fmt.pf ppf
-      "SCALE REGRESSION: only %d/%d benchmark(s) monotone non-degrading \
-       through 4 devices (>= %d required)@."
-      mono (List.length entries) scale_min_monotone;
-    1
-  end
-
-(* Scale smoke for CI: the whole document must regenerate byte-for-byte
-   against the committed baseline (which also re-checks the monotonicity
-   counts it records), and one seeded device-loss cell must fail over to
-   the surviving member and still produce verified-correct outputs. *)
-let run_scale_smoke ppf =
-  let committed =
-    match open_in_bin scale_path with
-    | ic ->
-        let n = in_channel_length ic in
-        let s = really_input_string ic n in
-        close_in ic;
-        s
-    | exception Sys_error _ ->
-        Fmt.failwith "missing %s (run 'bench/main.exe scale' and commit \
-                      the result)" scale_path
-  in
-  let entries = List.map scale_entry benchmarks in
-  let regenerated = scale_doc entries in
-  if regenerated <> committed then
+  let mono = count (fun (_, t, _) -> scale_monotone t) entries in
+  if mono < scale_min_monotone then
     Fmt.failwith
-      "scale smoke failed: %s is stale; regenerate with 'bench/main.exe \
-       scale' and inspect the diff"
-      scale_path;
-  Fmt.pf ppf "scale smoke: %d benchmarks byte-stable against %s@."
-    (List.length entries) scale_path;
-  (* Failover cell: kill member 1 of a 2-device set at the first
-     kernel's launch gate; the fallback-less retry policy must re-execute
-     the lost shard on the survivor and verify it against the sequential
-     reference. *)
-  let b = List.find (fun b -> b.Bench_def.name = "JACOBI") benchmarks in
-  let prog = parse b in
-  let reference = (Accrt.Eval.run_reference prog).Accrt.Eval.env in
-  let env = Minic.Typecheck.check prog in
-  let tp = Codegen.Translate.translate env prog in
-  let target = tp.Codegen.Tprog.kernels.(0).Codegen.Tprog.k_name in
-  let plan =
-    Gpusim.Fault_plan.create ~seed:42
-      [ Gpusim.Fault_plan.mk_rule ~target ~count:1 ~dev:1
-          Gpusim.Fault_plan.Device_lost ]
-  in
-  let o =
-    Accrt.Interp.run ~coherence:false ~seed:42 ~devices:2 ~plan
-      ~resilience:Accrt.Resilience.retry tp
-  in
-  let st = o.Accrt.Interp.resilience in
-  let correct =
-    Openarc_core.Session.outputs_match ~outputs:b.Bench_def.outputs
-      ~reference o
-  in
-  if
-    st.Accrt.Resilience.devices_lost = 1
-    && st.Accrt.Resilience.failovers >= 1
-    && st.Accrt.Resilience.verified >= 1
-    && st.Accrt.Resilience.unrecovered = 0
-    && correct
-  then
-    Fmt.pf ppf
-      "scale smoke: device-loss failover cell ok (%d shard(s) \
-       re-executed, %d verified, outputs correct)@."
-      st.Accrt.Resilience.failovers st.Accrt.Resilience.verified
-  else
-    Fmt.failwith
-      "scale smoke failed: device-loss failover cell (lost=%d failovers=%d \
-       verified=%d unrecovered=%d correct=%b)"
-      st.Accrt.Resilience.devices_lost st.Accrt.Resilience.failovers
-      st.Accrt.Resilience.verified st.Accrt.Resilience.unrecovered correct
+      "scale: only %d/%d benchmark(s) monotone non-degrading through 4 \
+       devices (>= %d required)"
+      mono (List.length entries) scale_min_monotone;
+  Fmt.pf ppf
+    "scale: %d/%d benchmark(s) monotone non-degrading through 4 devices \
+     (>= %d required)@."
+    mono (List.length entries) scale_min_monotone;
+  scale_failover ppf;
+  envelope "scale"
+    ~header:
+      [ ( "devices",
+          Fmt.str "[%s]"
+            (String.concat ", " (List.map string_of_int scale_counts)) ) ]
+    ~footer:[ ("monotone_1_4", string_of_int mono) ]
+    (List.map scale_entry_json entries)
 
 (* ------------------------------------------------------------------ *)
 (* Imbalance tier: shard-cost attribution and schedule verdicts        *)
 (* ------------------------------------------------------------------ *)
 
 (* Every benchmark runs at 4 devices under the default block schedule
-   (seed 42, coherence off); the shard log's analyzer re-costs the
-   recorded iteration weights under the cyclic split and issues a
-   keep/switch verdict.  For every "switch" the benchmark re-runs under
-   the recommendation and both measured totals are recorded — shard
-   launches are priced without jitter, so the measured delta reproduces
-   the analyzer's noise-free model exactly and the canonical JSON is
-   byte-stable (BENCH_imbalance.json is the committed baseline). *)
-
-let imbalance_path = "BENCH_imbalance.json"
+   (coherence off); the shard log's analyzer re-costs the recorded
+   iteration weights under the cyclic split and issues a keep/switch
+   verdict.  For every "switch" the benchmark re-runs under the
+   recommendation and both measured totals are recorded — shard launches
+   are priced without jitter, so the measured delta reproduces the
+   analyzer's noise-free model exactly. *)
 
 let imbalance_devices = 4
 
@@ -1447,7 +828,7 @@ let imbalance_entry (b : Bench_def.t) =
   let il =
     match il with
     | Some il -> il
-    | None -> Fmt.failwith "no shard log for %s" b.Bench_def.name
+    | None -> Fmt.failwith "imbalance: no shard log for %s" b.name
   in
   let a = Obs.Imbalance.analyze il in
   let switched =
@@ -1457,59 +838,26 @@ let imbalance_entry (b : Bench_def.t) =
     end
     else None
   in
-  (b.Bench_def.name, t_block, a, switched)
+  (b.name, t_block, a, switched)
 
 let imbalance_entry_json (name, t_block, (a : Obs.Imbalance.analysis),
                           switched) =
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf
-    (Fmt.str
-       "{\"name\": %S, \"measured_block_s\": %.9f, \"recommended\": %S, \
-        \"gain\": %.4f"
-       name t_block a.Obs.Imbalance.a_recommended a.Obs.Imbalance.a_gain);
-  (match switched with
-  | Some (t_alt, improved) ->
-      Buffer.add_string buf
-        (Fmt.str ", \"measured_%s_s\": %.9f, \"improved\": %b"
-           a.Obs.Imbalance.a_recommended t_alt improved)
-  | None -> ());
-  Buffer.add_string buf
-    (Fmt.str ", \"analysis\": %s}"
-       (String.trim (Obs.Imbalance.to_json ~name ~seed:42 a)));
-  Buffer.contents buf
+  Fmt.str
+    "{\"name\": %S, \"measured_block_s\": %.9f, \"recommended\": %S, \
+     \"gain\": %.4f%s, \"analysis\": %s}"
+    name t_block a.Obs.Imbalance.a_recommended a.Obs.Imbalance.a_gain
+    (match switched with
+    | Some (t_alt, improved) ->
+        Fmt.str ", \"measured_%s_s\": %.9f, \"improved\": %b"
+          a.Obs.Imbalance.a_recommended t_alt improved
+    | None -> "")
+    (String.trim (Obs.Imbalance.to_json ~name ~seed:42 a))
 
-let imbalance_doc entries =
-  let buf = Buffer.create 16384 in
-  Buffer.add_string buf
-    (Fmt.str
-       "{\n\"schema\": \"openarc.obs.bench-imbalance\",\n\"version\": 1,\n\
-        \"seed\": 42,\n\"devices\": %d,\n\"benchmarks\": [\n"
-       imbalance_devices);
-  List.iteri
-    (fun i e ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf (imbalance_entry_json e))
-    entries;
-  let switched =
-    List.length (List.filter (fun (_, _, _, s) -> s <> None) entries)
-  in
-  let improved =
-    List.length
-      (List.filter
-         (fun (_, _, _, s) ->
-           match s with Some (_, true) -> true | _ -> false)
-         entries)
-  in
-  Buffer.add_string buf
-    (Fmt.str "\n],\n\"switched\": %d,\n\"improved\": %d\n}\n" switched
-       improved);
-  Buffer.contents buf
-
-(* The gate of this tier: at least one benchmark's verdict must differ
-   from the default schedule AND the re-run under the recommendation
-   must measure faster — the analyzer's advice has to be actionable, not
-   just plausible. *)
-let run_imbalance ?(json = imbalance_path) ppf =
+(* The gate: at least one benchmark's verdict must differ from the
+   default schedule AND the re-run under the recommendation must measure
+   faster — the analyzer's advice has to be actionable, not just
+   plausible. *)
+let imbalance ppf =
   Fmt.pf ppf
     "Shard-imbalance analysis (seed 42, %d devices, block default)@."
     imbalance_devices;
@@ -1524,107 +872,65 @@ let run_imbalance ?(json = imbalance_path) ppf =
             t_block a.Obs.Imbalance.a_recommended t_alt
             (if improved then "[improved]" else "[NOT improved]"))
     entries;
-  let oc = open_out json in
-  output_string oc (imbalance_doc entries);
-  close_out oc;
   hr ppf;
-  Fmt.pf ppf "imbalance report written to %s@." json;
+  let switched = count (fun (_, _, _, s) -> s <> None) entries in
   let improved =
-    List.filter
+    count
       (fun (_, _, _, s) -> match s with Some (_, true) -> true | _ -> false)
       entries
   in
-  if improved <> [] then begin
-    Fmt.pf ppf
-      "imbalance: %d benchmark(s) with a measured-faster schedule switch \
-       (>= 1 required)@."
-      (List.length improved);
-    0
-  end
-  else begin
-    Fmt.pf ppf
-      "IMBALANCE REGRESSION: no benchmark with a measured-faster \
-       schedule switch (>= 1 required)@.";
-    1
-  end
-
-(* Imbalance smoke for CI: regenerate a fixed 3-benchmark subset — one
-   of which must be a switch verdict — and require each entry verbatim
-   in the committed baseline. *)
-let run_imbalance_smoke ppf =
-  let committed =
-    match open_in_bin imbalance_path with
-    | ic ->
-        let n = in_channel_length ic in
-        let s = really_input_string ic n in
-        close_in ic;
-        s
-    | exception Sys_error _ ->
-        Fmt.failwith
-          "missing %s (run 'bench/main.exe imbalance' and commit the \
-           result)"
-          imbalance_path
-  in
-  let names = [ "JACOBI"; "BFS"; "NW" ] in
-  let entries =
-    List.map
-      (fun n ->
-        imbalance_entry
-          (List.find (fun b -> b.Bench_def.name = n) benchmarks))
-      names
-  in
-  let ok =
-    List.for_all
-      (fun ((name, t_block, _, _) as e) ->
-        if contains ~needle:(imbalance_entry_json e) committed then begin
-          Fmt.pf ppf "  %-12s %12.9f s  matches baseline@." name t_block;
-          true
-        end
-        else begin
-          Fmt.pf ppf "  %-12s MISMATCH against %s@." name imbalance_path;
-          false
-        end)
-      entries
-  in
-  if not ok then
-    Fmt.failwith
-      "imbalance smoke failed: regenerate with 'bench/main.exe imbalance' \
-       and inspect the diff";
-  let switch = List.exists (fun (_, _, _, s) -> s <> None) entries in
-  if not switch then
-    Fmt.failwith
-      "imbalance smoke failed: no switch verdict in the %s subset"
-      (String.concat "," names);
+  if improved = 0 then
+    failwith
+      "imbalance: no benchmark with a measured-faster schedule switch (>= 1 \
+       required)";
   Fmt.pf ppf
-    "imbalance smoke: %d/%d byte-stable, switch verdict present@."
-    (List.length names) (List.length names)
+    "imbalance: %d benchmark(s) with a measured-faster schedule switch (>= \
+     1 required)@."
+    improved;
+  envelope "imbalance"
+    ~header:[ ("devices", string_of_int imbalance_devices) ]
+    ~footer:
+      [ ("switched", string_of_int switched);
+        ("improved", string_of_int improved) ]
+    (List.map imbalance_entry_json entries)
 
 (* ------------------------------------------------------------------ *)
 (* Memtrace tier: data-movement ledger and counterfactual savings      *)
 (* ------------------------------------------------------------------ *)
 
 (* Every benchmark's source (naive) variant runs once, instrumented with
-   the coherence runtime and a data-movement ledger attached (seed 42,
-   one device, block schedule).  Each entry is the ledger's canonical
-   memtrace JSON: per-site cause attribution, redundancy/hoistability
-   counts, allocation watermarks, and the counterfactual rewrite
-   verdicts.  Everything is deterministic for the fixed seed, so the
-   committed BENCH_memtrace.json is a byte-for-byte baseline.
+   the coherence runtime and a data-movement ledger attached (one device,
+   block schedule).  Each entry is the ledger's canonical memtrace JSON:
+   per-site cause attribution, redundancy/hoistability counts, allocation
+   watermarks, and the counterfactual rewrite verdicts.
 
-   The tier's gate is the confirmation record: the analyzer's predicted
-   saving for the naive BACKPROP must be corroborated by the measured
+   The gate is the confirmation record: the analyzer's predicted saving
+   for the naive BACKPROP must be corroborated by the measured
    Mem-Transfer delta between its naive and manually optimized variants
    (the optimized variant applies exactly the hoist/present rewrites the
    ledger recommends). *)
 
-let memtrace_path = "BENCH_memtrace.json"
-
+(* The ledger's analysis of one instrumented, coherence-on run, after
+   asserting byte conservation: the ledger's counted per-direction
+   totals must equal the metrics accumulators, integer [=], no
+   tolerance. *)
 let memtrace_entry (b : Bench_def.t) =
-  let a, _ = ledger_run ~name:b.Bench_def.name (parse b) in
-  (b.Bench_def.name, a)
-
-let memtrace_entry_json (name, a) =
-  String.trim (Obs.Ledger.to_json ~name ~seed:42 a)
+  let prog = parse b in
+  let env = Minic.Typecheck.check prog in
+  let tp = Codegen.Checkgen.instrument (Codegen.Translate.translate env prog) in
+  let lg = Obs.Ledger.create ~devices:1 ~schedule:"block" in
+  let o = Accrt.Interp.run ~coherence:true ~seed:42 ~ledger:lg tp in
+  let m = Accrt.Interp.metrics o in
+  let lh, ld = Obs.Ledger.totals lg in
+  if lh <> m.Gpusim.Metrics.bytes_h2d || ld <> m.Gpusim.Metrics.bytes_d2h then
+    Fmt.failwith
+      "ledger conservation violated for %s: h2d %d vs metrics %d, d2h %d \
+       vs metrics %d"
+      b.name lh m.Gpusim.Metrics.bytes_h2d ld m.Gpusim.Metrics.bytes_d2h;
+  let cm = o.Accrt.Interp.device.Gpusim.Device.cm in
+  ( b.name,
+    Obs.Ledger.analyze lg ~pcie_latency:cm.Gpusim.Costmodel.pcie_latency
+      ~pcie_bandwidth:cm.Gpusim.Costmodel.pcie_bandwidth )
 
 (* Measured Mem-Transfer saving of the optimized variant over the naive
    one (positive = the optimized variant moves less), via the same
@@ -1638,37 +944,41 @@ let memtrace_measured_saving (b : Bench_def.t) =
     Obs.Profile.of_trace ~categories:profile_categories tr
   in
   let d =
-    Obs.Diff.diff
-      ~before_name:b.Bench_def.name
-      ~after_name:(b.Bench_def.name ^ "-opt")
+    Obs.Diff.diff ~before_name:b.name ~after_name:(b.name ^ "-opt")
       ~before:(profile_of (parse b))
       ~after:(profile_of (parse_opt b))
       ()
   in
   let mem_cat = Gpusim.Metrics.category_name Gpusim.Metrics.Mem_transfer in
   match
-    List.find_opt
-      (fun c -> c.Obs.Diff.cd_cat = mem_cat)
-      d.Obs.Diff.d_totals
+    List.find_opt (fun c -> c.Obs.Diff.cd_cat = mem_cat) d.Obs.Diff.d_totals
   with
   | Some c -> -.c.Obs.Diff.cd_delta
   | None -> 0.0
 
-let memtrace_confirm_name = "BACKPROP"
-
-let memtrace_confirmation entries =
-  let a =
-    match List.assoc_opt memtrace_confirm_name entries with
-    | Some a -> a
-    | None -> Fmt.failwith "no memtrace entry for %s" memtrace_confirm_name
-  in
-  let b =
-    List.find
-      (fun b -> b.Bench_def.name = memtrace_confirm_name)
-      benchmarks
-  in
-  let predicted = a.Obs.Ledger.a_saved_s in
+let memtrace ppf =
+  Fmt.pf ppf
+    "Data-movement ledger sweep (seed 42, 1 device, source variant, \
+     instrumented)@.";
+  hr ppf;
+  let entries = List.map memtrace_entry benchmarks in
+  List.iter
+    (fun (name, a) ->
+      Fmt.pf ppf
+        "  %-12s %8d B h2d %8d B d2h %8d wasted  %d apply  conservation \
+         exact@."
+        name a.Obs.Ledger.a_h2d_bytes a.Obs.Ledger.a_d2h_bytes
+        a.Obs.Ledger.a_wasted_bytes
+        (count (fun s -> s.Obs.Ledger.s_verdict = "apply") a.Obs.Ledger.a_sites))
+    entries;
+  hr ppf;
+  let b = Backprop.bench in
+  let predicted = (List.assoc b.name entries).Obs.Ledger.a_saved_s in
   let measured = memtrace_measured_saving b in
+  Fmt.pf ppf
+    "counterfactual confirmation (%s): predicted %.9f s, measured %.9f s \
+     on the optimized variant@."
+    b.name predicted measured;
   (* The prediction is a noise-free re-costing; the measurement carries
      per-transfer PCIe jitter and whatever else the hand-optimized
      variant changed, so corroboration is a factor band, not equality. *)
@@ -1677,133 +987,27 @@ let memtrace_confirmation entries =
     && measured >= 0.25 *. predicted
     && measured <= 4.0 *. predicted
   in
-  (predicted, measured, confirmed)
-
-let memtrace_confirmation_json (predicted, measured, confirmed) =
-  Fmt.str
-    "{\"name\": %S, \"predicted_saved_s\": %.9f, \"measured_saved_s\": \
-     %.9f, \"confirmed\": %b}"
-    memtrace_confirm_name predicted measured confirmed
-
-let memtrace_doc entries confirmation =
-  let buf = Buffer.create 65536 in
-  Buffer.add_string buf
-    "{\n\"schema\": \"openarc.obs.bench-memtrace\",\n\"version\": 1,\n\
-     \"seed\": 42,\n\"devices\": 1,\n\"benchmarks\": [\n";
-  List.iteri
-    (fun i e ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf (memtrace_entry_json e))
-    entries;
-  let wasted =
-    List.fold_left
-      (fun acc (_, a) -> acc + a.Obs.Ledger.a_wasted_bytes)
-      0 entries
-  in
-  Buffer.add_string buf
-    (Fmt.str "\n],\n\"wasted_bytes\": %d,\n\"confirmation\": %s\n}\n"
-       wasted
-       (memtrace_confirmation_json confirmation));
-  Buffer.contents buf
-
-(* The gate of this tier: at least the designated benchmark's predicted
-   counterfactual saving must be measured on its hand-optimized variant —
-   the ledger's advice has to be actionable, not just plausible. *)
-let run_memtrace ?(json = memtrace_path) ppf =
-  Fmt.pf ppf
-    "Data-movement ledger sweep (seed 42, 1 device, source variant, \
-     instrumented)@.";
-  hr ppf;
-  let entries = List.map memtrace_entry benchmarks in
-  List.iter
-    (fun (name, a) ->
-      let apply =
-        List.length
-          (List.filter
-             (fun s -> s.Obs.Ledger.s_verdict = "apply")
-             a.Obs.Ledger.a_sites)
-      in
-      Fmt.pf ppf
-        "  %-12s %8d B h2d %8d B d2h %8d wasted  %d apply  conservation \
-         exact@."
-        name a.Obs.Ledger.a_h2d_bytes a.Obs.Ledger.a_d2h_bytes
-        a.Obs.Ledger.a_wasted_bytes apply)
-    entries;
-  let ((predicted, measured, confirmed) as confirmation) =
-    memtrace_confirmation entries
-  in
-  let oc = open_out json in
-  output_string oc (memtrace_doc entries confirmation);
-  close_out oc;
-  hr ppf;
-  Fmt.pf ppf "memtrace baseline written to %s@." json;
-  Fmt.pf ppf
-    "counterfactual confirmation (%s): predicted %.9f s, measured %.9f s \
-     on the optimized variant@."
-    memtrace_confirm_name predicted measured;
-  if confirmed then begin
-    Fmt.pf ppf "memtrace: prediction confirmed by measurement@.";
-    0
-  end
-  else begin
-    Fmt.pf ppf
-      "MEMTRACE REGRESSION: predicted saving not corroborated by the \
-       measured Mem-Transfer delta@.";
-    1
-  end
-
-(* Memtrace smoke for CI: regenerate a fixed 3-benchmark subset and
-   require each entry verbatim in the committed baseline, plus a
-   confirmed counterfactual for the designated benchmark. *)
-let run_memtrace_smoke ppf =
-  let committed =
-    match open_in_bin memtrace_path with
-    | ic ->
-        let n = in_channel_length ic in
-        let s = really_input_string ic n in
-        close_in ic;
-        s
-    | exception Sys_error _ ->
-        Fmt.failwith
-          "missing %s (run 'bench/main.exe memtrace' and commit the \
-           result)"
-          memtrace_path
-  in
-  let names = [ "BACKPROP"; "JACOBI"; "NW" ] in
-  let entries =
-    List.map
-      (fun n ->
-        memtrace_entry
-          (List.find (fun b -> b.Bench_def.name = n) benchmarks))
-      names
-  in
-  let ok =
-    List.for_all
-      (fun ((name, a) as e) ->
-        if contains ~needle:(memtrace_entry_json e) committed then begin
-          Fmt.pf ppf "  %-12s %8d wasted byte(s)  matches baseline@." name
-            a.Obs.Ledger.a_wasted_bytes;
-          true
-        end
-        else begin
-          Fmt.pf ppf "  %-12s MISMATCH against %s@." name memtrace_path;
-          false
-        end)
-      entries
-  in
-  if not ok then
-    Fmt.failwith
-      "memtrace smoke failed: regenerate with 'bench/main.exe memtrace' \
-       and inspect the diff";
-  let _, _, confirmed = memtrace_confirmation entries in
   if not confirmed then
-    Fmt.failwith
-      "memtrace smoke failed: %s counterfactual not confirmed by the \
-       optimized variant's measured saving"
-      memtrace_confirm_name;
-  Fmt.pf ppf
-    "memtrace smoke: %d/%d byte-stable, counterfactual confirmed@."
-    (List.length names) (List.length names)
+    failwith
+      "memtrace: predicted saving not corroborated by the measured \
+       Mem-Transfer delta";
+  Fmt.pf ppf "memtrace: prediction confirmed by measurement@.";
+  envelope "memtrace"
+    ~header:[ ("devices", "1") ]
+    ~footer:
+      [ ( "wasted_bytes",
+          string_of_int
+            (List.fold_left
+               (fun acc (_, a) -> acc + a.Obs.Ledger.a_wasted_bytes)
+               0 entries) );
+        ( "confirmation",
+          Fmt.str
+            "{\"name\": %S, \"predicted_saved_s\": %.9f, \
+             \"measured_saved_s\": %.9f, \"confirmed\": %b}"
+            b.name predicted measured confirmed ) ]
+    (List.map
+       (fun (name, a) -> String.trim (Obs.Ledger.to_json ~name ~seed:42 a))
+       entries)
 
 (* ------------------------------------------------------------------ *)
 (* Saturate tier: search-based automatic directive optimization        *)
@@ -1814,19 +1018,8 @@ let run_memtrace_smoke ppf =
    each accepted rewrite validated by kernel verification (symbolic tier
    first), bit-identical outputs under both engines across 1/2/4-device
    sets, and a measured diff-profile confirmation within 0.25-4x of the
-   ledger's prediction.  Everything is deterministic for the fixed seed,
-   so the committed BENCH_saturate.json is a byte-for-byte baseline; the
-   headline is the suite-wide simulated-time reduction of the patched
-   programs over the naive ones. *)
-
-let saturate_path = "BENCH_saturate.json"
-
-let saturate_entry (b : Bench_def.t) =
-  let r =
-    Saturate.run ~name:b.Bench_def.name ~outputs:b.Bench_def.outputs
-      (parse b)
-  in
-  (b.Bench_def.name, r)
+   ledger's prediction.  The headline is the suite-wide simulated-time
+   reduction of the patched programs over the naive ones. *)
 
 (* One benchmark's document entry: the search report plus the before/after
    diff-profile table (the same machinery the CLI's [diff-profile]
@@ -1860,42 +1053,21 @@ let saturate_confirmed (r : Saturate.t) =
          && s.Saturate.st_measured_s <= 4.0 *. s.Saturate.st_predicted_s))
     r.Saturate.r_steps
 
-let saturate_doc entries =
-  let buf = Buffer.create 131072 in
-  Buffer.add_string buf
-    "{\n\"schema\": \"openarc.obs.bench-saturate\",\n\"version\": 1,\n\
-     \"seed\": 42,\n\"check_devices\": [1, 2, 4],\n\"benchmarks\": [\n";
-  List.iteri
-    (fun i e ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf (saturate_entry_json e))
-    entries;
-  let total f = List.fold_left (fun acc (_, r) -> acc +. f r) 0.0 entries in
-  let tb = total (fun r -> r.Saturate.r_total_before) in
-  let ta = total (fun r -> r.Saturate.r_total_after) in
-  let accepted_benchmarks =
-    List.length
-      (List.filter (fun (_, r) -> r.Saturate.r_accepted >= 1) entries)
-  in
-  let accepted_rewrites =
-    List.fold_left (fun acc (_, r) -> acc + r.Saturate.r_accepted) 0 entries
-  in
-  Buffer.add_string buf
-    (Fmt.str
-       "\n],\n\"accepted_benchmarks\": %d,\n\"accepted_rewrites\": %d,\n\
-        \"total_before_s\": %.9f,\n\"total_after_s\": %.9f,\n\
-        \"suite_reduction\": %.9f,\n\"median_reduction\": %.9f\n}\n"
-       accepted_benchmarks accepted_rewrites tb ta
-       (if tb <= 0.0 then 0.0 else (tb -. ta) /. tb)
-       (median_float (List.map (fun (_, r) -> saturate_reduction r) entries)));
-  Buffer.contents buf
-
-let run_saturate ?(json = saturate_path) ppf =
+(* The gates: every accepted step confirmed in band, at least 6
+   benchmarks accepting a material rewrite, and BACKPROP's search
+   accepting its hoist — the canonical rewrite of the paper's motivating
+   example. *)
+let saturate ppf =
   Fmt.pf ppf
     "Saturate sweep (seed 42, greedy search, 1/2/4-device validation, \
      both engines)@.";
   hr ppf;
-  let entries = List.map saturate_entry benchmarks in
+  let entries =
+    List.map
+      (fun (b : Bench_def.t) ->
+        (b.name, Saturate.run ~name:b.name ~outputs:b.outputs (parse b)))
+      benchmarks
+  in
   List.iter
     (fun (name, r) ->
       Fmt.pf ppf
@@ -1908,228 +1080,183 @@ let run_saturate ?(json = saturate_path) ppf =
         (100.0 *. saturate_reduction r)
         r.Saturate.r_compile_hits)
     entries;
-  let oc = open_out json in
-  output_string oc (saturate_doc entries);
-  close_out oc;
   hr ppf;
-  let tb =
-    List.fold_left (fun a (_, r) -> a +. r.Saturate.r_total_before) 0.0
-      entries
-  in
-  let ta =
-    List.fold_left (fun a (_, r) -> a +. r.Saturate.r_total_after) 0.0
-      entries
+  let total f = List.fold_left (fun acc (_, r) -> acc +. f r) 0.0 entries in
+  let tb = total (fun r -> r.Saturate.r_total_before) in
+  let ta = total (fun r -> r.Saturate.r_total_after) in
+  let reduction = if tb <= 0.0 then 0.0 else (tb -. ta) /. tb in
+  let median =
+    median_float (List.map (fun (_, r) -> saturate_reduction r) entries)
   in
   let accepted_benchmarks =
-    List.length
-      (List.filter (fun (_, r) -> r.Saturate.r_accepted >= 1) entries)
+    count (fun (_, r) -> r.Saturate.r_accepted >= 1) entries
   in
-  Fmt.pf ppf "saturate baseline written to %s@." json;
   Fmt.pf ppf
     "suite-wide simulated time: %.9f s -> %.9f s (%.1f%% reduction); \
      median per-benchmark reduction %.1f%%@."
-    tb ta
-    (if tb <= 0.0 then 0.0 else 100.0 *. (tb -. ta) /. tb)
-    (100.0
-    *. median_float (List.map (fun (_, r) -> saturate_reduction r) entries));
+    tb ta (100.0 *. reduction) (100.0 *. median);
   let unconfirmed =
     List.filter (fun (_, r) -> not (saturate_confirmed r)) entries
   in
-  if unconfirmed <> [] then begin
-    Fmt.pf ppf
-      "SATURATE REGRESSION: accepted rewrite(s) outside the 0.25-4x \
-       confirmation band on %s@."
+  if unconfirmed <> [] then
+    Fmt.failwith
+      "saturate: accepted rewrite(s) outside the 0.25-4x confirmation band \
+       on %s"
       (String.concat ", " (List.map fst unconfirmed));
-    1
-  end
-  else if accepted_benchmarks < 6 then begin
-    Fmt.pf ppf
-      "SATURATE REGRESSION: only %d/%d benchmark(s) accepted a material \
-       rewrite (need >= 6)@."
-      accepted_benchmarks (List.length entries);
-    1
-  end
-  else begin
-    Fmt.pf ppf
-      "saturate: %d/%d benchmark(s) accepted material rewrites, every \
-       prediction confirmed by measurement@."
-      accepted_benchmarks (List.length entries);
-    0
-  end
-
-(* Saturate smoke for CI: regenerate a fixed 2-benchmark subset, require
-   each entry verbatim in the committed baseline, and require BACKPROP's
-   search to accept its hoist — the canonical rewrite of the paper's
-   motivating example. *)
-let run_saturate_smoke ppf =
-  let committed =
-    match open_in_bin saturate_path with
-    | ic ->
-        let n = in_channel_length ic in
-        let s = really_input_string ic n in
-        close_in ic;
-        s
-    | exception Sys_error _ ->
-        Fmt.failwith
-          "missing %s (run 'bench/main.exe saturate' and commit the \
-           result)"
-          saturate_path
-  in
-  let names = [ "BACKPROP"; "SPMUL" ] in
-  let entries =
-    List.map
-      (fun n ->
-        saturate_entry
-          (List.find (fun b -> b.Bench_def.name = n) benchmarks))
-      names
-  in
-  let ok =
-    List.for_all
-      (fun ((name, r) as e) ->
-        if contains ~needle:(saturate_entry_json e) committed then begin
-          Fmt.pf ppf "  %-12s %d accepted rewrite(s)  matches baseline@."
-            name r.Saturate.r_accepted;
-          true
-        end
-        else begin
-          Fmt.pf ppf "  %-12s MISMATCH against %s@." name saturate_path;
-          false
-        end)
-      entries
-  in
-  if not ok then
+  if accepted_benchmarks < 6 then
     Fmt.failwith
-      "saturate smoke failed: regenerate with 'bench/main.exe saturate' \
-       and inspect the diff";
-  let backprop = List.assoc "BACKPROP" entries in
-  let hoisted =
-    List.exists
-      (fun s -> s.Saturate.st_accepted && s.Saturate.st_kind = Saturate.Hoist)
-      backprop.Saturate.r_steps
-  in
-  if not hoisted then
-    Fmt.failwith
-      "saturate smoke failed: BACKPROP's search no longer accepts its \
-       hoist";
+      "saturate: only %d/%d benchmark(s) accepted a material rewrite (need \
+       >= 6)"
+      accepted_benchmarks (List.length entries);
+  if
+    not
+      (List.exists
+         (fun s ->
+           s.Saturate.st_accepted && s.Saturate.st_kind = Saturate.Hoist)
+         (List.assoc Backprop.bench.name entries).Saturate.r_steps)
+  then failwith "saturate: BACKPROP's search no longer accepts its hoist";
   Fmt.pf ppf
-    "saturate smoke: %d/%d byte-stable, BACKPROP hoist accepted@."
-    (List.length names) (List.length names)
+    "saturate: %d/%d benchmark(s) accepted material rewrites, every \
+     prediction confirmed by measurement, BACKPROP hoist accepted@."
+    accepted_benchmarks (List.length entries);
+  envelope "saturate"
+    ~header:[ ("check_devices", "[1, 2, 4]") ]
+    ~footer:
+      [ ("accepted_benchmarks", string_of_int accepted_benchmarks);
+        ( "accepted_rewrites",
+          string_of_int
+            (List.fold_left
+               (fun acc (_, r) -> acc + r.Saturate.r_accepted)
+               0 entries) );
+        ("total_before_s", Fmt.str "%.9f" tb);
+        ("total_after_s", Fmt.str "%.9f" ta);
+        ("suite_reduction", Fmt.str "%.9f" reduction);
+        ("median_reduction", Fmt.str "%.9f" median) ]
+    (List.map saturate_entry_json entries)
 
 (* ------------------------------------------------------------------ *)
-(* Symbolic-equivalence sweep (tier-0 coverage across the suite)       *)
+(* Wall-clock tier: real interpreter time, per benchmark and engine    *)
 (* ------------------------------------------------------------------ *)
 
-(* For every benchmark, run the symbolic checker over both the faithful
-   build and the Table II fault build (clauses stripped, recognition
-   off).  The canonical JSON is fully deterministic — verdict text
-   included — so the committed BENCH_symeq.json is a byte-for-byte
-   coverage baseline: a fragment regression (a kernel silently dropping
-   from proved to unknown) shows up as a diff. *)
+(* Real wall-clock times are machine-dependent, so BENCH_wall.json is a
+   record of one machine, not a byte golden. *)
 
-let symeq_path = "BENCH_symeq.json"
+let wall_path = "BENCH_wall.json"
 
-let symeq_entry (b : Bench_def.t) =
-  let default = Symeq.Engine.check_program (parse b) in
-  let fault =
-    Symeq.Engine.check_program ~opts:Codegen.Options.fault_injection
-      (Openarc_core.Faults.strip_parallelism_clauses (parse b))
-  in
-  (default, fault)
+(* Resolve a comma-separated --benches selection; unknown names raise
+   (the CLI maps that to exit 2, malformed input). *)
+let select = function
+  | None -> benchmarks
+  | Some names ->
+      List.map
+        (fun n ->
+          let n = String.uppercase_ascii n in
+          match
+            List.find_opt (fun (b : Bench_def.t) -> b.name = n) benchmarks
+          with
+          | Some b -> b
+          | None ->
+              Fmt.failwith "unknown benchmark '%s' (expected one of %s)" n
+                (String.concat ","
+                   (List.map (fun (b : Bench_def.t) -> b.name) benchmarks)))
+        names
 
-let symeq_doc entries =
-  let bench_json ((b : Bench_def.t), (default : Symeq.Engine.t), fault) =
-    Fmt.str
-      "{\"name\": %s, \"fully_proved\": %b, \"default\": %s, \"fault\": %s}"
-      (Obs.Trace.json_str b.name)
-      (default.Symeq.Engine.proved = List.length default.Symeq.Engine.kernels)
-      (Symeq.Report.to_json { Symeq.Report.program = b.name; result = default })
-      (Symeq.Report.to_json
-         { Symeq.Report.program = b.name ^ "-fault"; result = fault })
-  in
-  let total f = List.fold_left (fun acc (_, d, _) -> acc + f d) 0 entries in
-  let fully =
-    List.length
-      (List.filter
-         (fun (_, (d : Symeq.Engine.t), _) ->
-           d.Symeq.Engine.proved = List.length d.Symeq.Engine.kernels)
-         entries)
-  in
-  let fault_disproved =
-    List.fold_left
-      (fun acc (_, _, (f : Symeq.Engine.t)) -> acc + f.Symeq.Engine.disproved)
-      0 entries
-  in
-  Fmt.str
-    "{\"schema\": \"openarc.obs.symeq-sweep\", \"version\": 1, \
-     \"benchmarks\": [%s], \"totals\": {\"benchmarks\": %d, \
-     \"fully_proved\": %d, \"kernels\": %d, \"proved\": %d, \
-     \"disproved\": %d, \"unknown\": %d, \"fault_disproved\": %d}}\n"
-    (String.concat ", " (List.map bench_json entries))
-    (List.length entries) fully
-    (total (fun d -> List.length d.Symeq.Engine.kernels))
-    (total (fun d -> d.Symeq.Engine.proved))
-    (total (fun d -> d.Symeq.Engine.disproved))
-    (total (fun d -> d.Symeq.Engine.unknown))
-    fault_disproved
+(* Median-of-[repeats] wall-clock of one translated run.  Only
+   [Interp.run] is inside the timer: parse/translate cost is a separate
+   pipeline stage, and the compiled engine pays its kernel compilation
+   inside the run — so the comparison charges the engine, not the front
+   end. *)
+let wall_time ~repeats ~engine tp =
+  median_float
+    (List.init repeats (fun _ ->
+         let t0 = Unix.gettimeofday () in
+         ignore (Accrt.Interp.run ~coherence:false ~engine ~seed:42 tp);
+         Unix.gettimeofday () -. t0))
 
-let run_symeq ?(json = symeq_path) ppf =
-  Fmt.pf ppf "Symbolic equivalence sweep (tier-0, affine fragment)@.";
-  hr ppf;
-  Fmt.pf ppf "%-12s %28s %28s@." "" "default build P/D/U"
-    "fault build P/D/U";
-  let entries =
-    List.map
-      (fun (b : Bench_def.t) ->
-        let default, fault = symeq_entry b in
-        let pdu (r : Symeq.Engine.t) =
-          Fmt.str "%d/%d/%d" r.Symeq.Engine.proved r.Symeq.Engine.disproved
-            r.Symeq.Engine.unknown
-        in
-        Fmt.pf ppf "%-12s %28s %28s%s@." b.name (pdu default) (pdu fault)
-          (if default.Symeq.Engine.proved
-              = List.length default.Symeq.Engine.kernels
-           then "  [all proved]"
-           else "");
-        (b, default, fault))
-      benchmarks
-  in
-  let doc = symeq_doc entries in
-  let oc = open_out json in
-  output_string oc doc;
-  close_out oc;
-  hr ppf;
-  Fmt.pf ppf "symbolic sweep written to %s@." json;
+let wall_entry ~repeats ~engines (b : Bench_def.t) =
+  let prog = parse b in
+  let env = Minic.Typecheck.check prog in
+  let tp = Codegen.Translate.translate env prog in
+  (b.name, List.map (fun e -> (e, wall_time ~repeats ~engine:e tp)) engines)
+
+let wall_speedup times =
+  match
+    ( List.assoc_opt Accrt.Engine.Tree times,
+      List.assoc_opt Accrt.Engine.Compiled times )
+  with
+  | Some t, Some c when c > 0.0 -> Some (t /. c)
+  | _ -> None
+
+let wall_doc ~repeats ~engines entries =
+  let speedups = List.filter_map (fun (_, t) -> wall_speedup t) entries in
+  envelope "wall"
+    ~header:
+      [ ("repeats", string_of_int repeats);
+        ( "engines",
+          Fmt.str "[%s]"
+            (String.concat ", "
+               (List.map
+                  (fun e -> Fmt.str "%S" (Accrt.Engine.to_string e))
+                  engines)) ) ]
+    ~footer:
+      [ ( "median_speedup",
+          if speedups = [] then "null"
+          else Fmt.str "%.2f" (median_float speedups) ) ]
+    (List.map
+       (fun (name, times) ->
+         Fmt.str "{\"name\": %S%s%s}" name
+           (String.concat ""
+              (List.map
+                 (fun (e, t) ->
+                   Fmt.str ", \"%s_s\": %.6f" (Accrt.Engine.to_string e) t)
+                 times))
+           (match wall_speedup times with
+           | Some s -> Fmt.str ", \"speedup\": %.2f" s
+           | None -> ""))
+       entries)
+
+(* The wall tier: per-benchmark wall-clock medians for the selected
+   engines, the bench-wall JSON report, and (when both engines ran and
+   [min_speedup] is set) a gate on the suite's median speedup — the
+   wall-smoke CI check.  Returns the exit code. *)
+let run_wall ?(json = wall_path) ?names
+    ?(engines = [ Accrt.Engine.Tree; Accrt.Engine.Compiled ])
+    ?(repeats = 5) ?min_speedup ppf =
+  let benches = select names in
   Fmt.pf ppf
-    "(a proved kernel skips the numeric comparison tier; the fault build \
-     reproduces Table II's clause-stripping, where every active fault \
-     must be disproved)@."
-
-(* Byte-stability gate for CI: regenerate the whole document and require
-   it to match the committed baseline exactly. *)
-let run_symeq_smoke ppf =
-  let committed =
-    match open_in_bin symeq_path with
-    | ic ->
-        let n = in_channel_length ic in
-        let s = really_input_string ic n in
-        close_in ic;
-        s
-    | exception Sys_error _ ->
-        Fmt.failwith "missing %s (run 'bench/main.exe symeq' and commit \
-                      the result)" symeq_path
-  in
-  let entries =
-    List.map
-      (fun (b : Bench_def.t) ->
-        let default, fault = symeq_entry b in
-        (b, default, fault))
-      benchmarks
-  in
-  let regenerated = symeq_doc entries in
-  if regenerated = committed then
-    Fmt.pf ppf "symeq smoke: %d benchmarks byte-stable against %s@."
-      (List.length entries) symeq_path
-  else
-    Fmt.failwith
-      "symeq smoke failed: regenerate with 'bench/main.exe symeq' and \
-       inspect the diff"
+    "Interpreter wall-clock (median of %d, seed 42, source variant)@."
+    repeats;
+  hr ppf;
+  let entries = List.map (wall_entry ~repeats ~engines) benches in
+  List.iter
+    (fun (name, times) ->
+      Fmt.pf ppf "  %-12s" name;
+      List.iter
+        (fun (e, t) ->
+          Fmt.pf ppf "  %s %9.6f s" (Accrt.Engine.to_string e) t)
+        times;
+      (match wall_speedup times with
+      | Some s -> Fmt.pf ppf "  %6.2fx" s
+      | None -> ());
+      Fmt.pf ppf "@.")
+    entries;
+  Out_channel.with_open_bin json (fun oc ->
+      output_string oc (wall_doc ~repeats ~engines entries));
+  hr ppf;
+  Fmt.pf ppf "wall report written to %s@." json;
+  let speedups = List.filter_map (fun (_, t) -> wall_speedup t) entries in
+  match (min_speedup, speedups) with
+  | None, _ | _, [] -> 0
+  | Some need, _ ->
+      let got = median_float speedups in
+      if got >= need then begin
+        Fmt.pf ppf "wall: median speedup %.2fx (>= %.2fx required)@." got
+          need;
+        0
+      end
+      else begin
+        Fmt.pf ppf
+          "WALL REGRESSION: median speedup %.2fx below required %.2fx@."
+          got need;
+        1
+      end

@@ -22,24 +22,9 @@ type t = {
   compare_op_cost : float;  (** seconds per compared element (verification) *)
 }
 
-(* Test-only hook for the bench regression sentinel's self-test: when
-   OPENARC_COSTMODEL_PERTURB is set to a positive float, the PCIe fixed
-   latency is scaled by it, seeding a synthetic transfer-side slowdown
-   that `bench regress` must flag.  Unset (the normal case) the model is
-   exactly the constants below. *)
-let perturb_env = "OPENARC_COSTMODEL_PERTURB"
-
-let perturb_scale () =
-  match Sys.getenv_opt perturb_env with
-  | None -> 1.0
-  | Some s -> (
-      match float_of_string_opt s with
-      | Some f when f > 0.0 -> f
-      | _ -> 1.0)
-
 let default =
   {
-    pcie_latency = 10e-6 *. perturb_scale ();
+    pcie_latency = 10e-6;
     pcie_bandwidth = 8e9;
     pcie_jitter = 0.15;
     kernel_launch = 5e-6;

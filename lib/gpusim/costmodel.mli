@@ -16,15 +16,8 @@ type t = {
   compare_op_cost : float;  (** seconds per compared element (verification) *)
 }
 
-(** The baked-in testbed constants.  Test-only hook: setting the
-    [OPENARC_COSTMODEL_PERTURB] environment variable to a positive float
-    scales [pcie_latency] by it (read once at module init) — the seeded
-    synthetic regression the bench sentinel's self-test injects. *)
+(** The baked-in testbed constants. *)
 val default : t
-
-(** Name of the perturbation environment variable
-    ([OPENARC_COSTMODEL_PERTURB]). *)
-val perturb_env : string
 
 (** Transfer duration for [bytes] bytes; [noise] in [-1, 1] scales the
     jitter term (PCI-e contention variance — the source of the paper's

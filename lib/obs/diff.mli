@@ -11,7 +11,7 @@
     structurally identical profiles therefore diff to *exactly* zero
     (float [=], matching the profiler's bit-exact conservation
     discipline) — there is no epsilon anywhere in this module; tolerance
-    policy belongs to the callers (the bench regression sentinel). *)
+    policy, if any, belongs to the callers. *)
 
 type verdict =
   | Improved  (** present in both, total went down *)

@@ -1,5 +1,6 @@
 (** Minimal strict JSON parser for reading back the canonical documents the
-    sibling exporters emit ({!Profile.to_json}, the bench baselines).  The
+    sibling exporters emit ({!Profile.to_json} and the others; the test
+    suite validates every exported document with it).  The
     repo deliberately carries no JSON dependency; this recursive-descent
     parser accepts exactly the subset those exporters produce (plus
     standard escapes) and rejects everything else. *)

@@ -1,39 +1,42 @@
-(* Integration tests of the bench driver's sentinel subcommands: trend
-   accumulation, regress against the committed baseline (byte-reproducible
-   when clean, exit 1 with culprits under a seeded cost-model
-   perturbation), and the exit-2 usage convention. *)
+(* Integration tests of the bench driver: the golden byte gate
+   ([check]) on a temp copy of the committed BENCH_profile.json — clean,
+   with one digit of a directive row moved, and with a golden missing —
+   and the exit-2 usage convention. *)
 
-let exe = "../bench/main.exe"
+let exe = Filename.concat (Sys.getcwd ()) "../bench/main.exe"
 
 let baseline = "../BENCH_profile.json"
 
 let available = Sys.file_exists exe && Sys.file_exists baseline
 
-(* Separate stdout/stderr capture: the usage satellite requires the
-   diagnostics on stderr specifically. *)
-let run_cmd ?(env = "") args =
+(* Separate stdout/stderr capture, running in [cwd]: the goldens are read
+   relative to the working directory. *)
+let run_cmd ?(cwd = ".") args =
   let out = Filename.temp_file "bench_cli" ".out" in
   let err = Filename.temp_file "bench_cli" ".err" in
   let cmd =
-    Fmt.str "%s%s %s > %s 2> %s"
-      (if env = "" then "" else env ^ " ")
-      exe args (Filename.quote out) (Filename.quote err)
+    Fmt.str "cd %s && %s %s > %s 2> %s" (Filename.quote cwd) exe args
+      (Filename.quote out) (Filename.quote err)
   in
   let code = Sys.command cmd in
   let read p =
-    let ic = open_in_bin p in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
+    let s = In_channel.with_open_bin p In_channel.input_all in
     Sys.remove p;
     s
   in
   let o = read out and e = read err in
   (code, o, e)
 
-let contains ~needle s =
+let index_of ~needle s =
   let n = String.length needle and m = String.length s in
-  let rec go i = i + n <= m && (String.sub s i n = needle || go (i + 1)) in
+  let rec go i =
+    if i + n > m then None
+    else if String.sub s i n = needle then Some i
+    else go (i + 1)
+  in
   go 0
+
+let contains ~needle s = index_of ~needle s <> None
 
 let test_unknown_subcommand () =
   if available then begin
@@ -44,176 +47,107 @@ let test_unknown_subcommand () =
       (contains ~needle:"unknown experiment 'frobnicate'" err);
     Alcotest.(check bool) "usage on stderr" true
       (contains ~needle:"usage: main.exe" err);
-    Alcotest.(check bool) "usage lists the sentinel" true
-      (contains ~needle:"regress" err)
+    Alcotest.(check bool) "usage lists the byte gate" true
+      (contains ~needle:"check [TIER ...]" err)
   end
 
 let test_unknown_flag () =
   if available then begin
-    let code, _, err = run_cmd "regress --frobnicate yes" in
+    let code, _, err = run_cmd "wall --frobnicate yes" in
     Alcotest.(check int) "unknown flag: exit 2" 2 code;
     Alcotest.(check bool) "flag named on stderr" true
       (contains ~needle:"unknown option '--frobnicate'" err);
-    let code, _, err = run_cmd "trend --out" in
+    let code, _, err = run_cmd "wall --json" in
     Alcotest.(check int) "missing value: exit 2" 2 code;
     Alcotest.(check bool) "missing value named" true
       (contains ~needle:"requires a value" err);
-    let code, _, err = run_cmd "regress --benches nosuchbenchmark" in
+    let code, _, err = run_cmd "wall --benches nosuchbenchmark" in
     Alcotest.(check int) "unknown benchmark: exit 2" 2 code;
     Alcotest.(check bool) "benchmark named" true
-      (contains ~needle:"unknown benchmark" err)
+      (contains ~needle:"unknown benchmark" err);
+    let code, _, err = run_cmd "check nosuchtier" in
+    Alcotest.(check int) "unknown tier: exit 2" 2 code;
+    Alcotest.(check bool) "tier named" true
+      (contains ~needle:"unknown tier 'nosuchtier'" err)
   end
 
-let regress_args ?(extra = "") () =
-  Fmt.str "regress --baseline %s --benches jacobi,ep,srad%s" baseline extra
+(* A temp directory holding a copy of the committed profile golden. *)
+let with_profile_copy f =
+  let dir = Filename.temp_dir "bench_check" "" in
+  let golden = Filename.concat dir "BENCH_profile.json" in
+  let doc = In_channel.with_open_bin baseline In_channel.input_all in
+  Out_channel.with_open_bin golden (fun oc -> output_string oc doc);
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.remove golden;
+      Sys.rmdir dir)
+    (fun () -> f ~dir ~golden doc)
 
-let test_regress_clean () =
-  if available then begin
-    (* the committed baseline vs the current tree: exactly zero, twice *)
-    let code1, out1, err1 = run_cmd (regress_args ()) in
-    Alcotest.(check int) "clean regress: exit 0" 0 code1;
-    Alcotest.(check string) "clean regress: quiet stderr" "" err1;
-    Alcotest.(check bool) "all within tolerance" true
-      (contains ~needle:"3/3 benchmark(s) within tolerance" out1);
-    Alcotest.(check bool) "deltas are exactly zero" true
-      (contains ~needle:"delta +0.000000000 s" out1);
-    let code2, out2, _ = run_cmd (regress_args ()) in
-    Alcotest.(check int) "second run: exit 0" 0 code2;
-    Alcotest.(check string) "byte-reproducible report" out1 out2
-  end
+let test_check_clean () =
+  if available then
+    with_profile_copy (fun ~dir ~golden doc ->
+        let code, out, err = run_cmd ~cwd:dir "check profile" in
+        Alcotest.(check int) "unmodified golden: exit 0" 0 code;
+        Alcotest.(check string) "quiet stderr" "" err;
+        Alcotest.(check bool) "reported byte-identical" true
+          (contains ~needle:"BENCH_profile.json: byte-identical" out);
+        Alcotest.(check string) "golden left untouched" doc
+          (In_channel.with_open_bin golden In_channel.input_all))
 
-let test_regress_json () =
-  if available then begin
-    let json = Filename.temp_file "bench_regress" ".json" in
-    let code, _, _ =
-      run_cmd (regress_args ~extra:(" --json " ^ Filename.quote json) ())
-    in
-    Alcotest.(check int) "regress --json: exit 0" 0 code;
-    let ic = open_in_bin json in
-    let doc = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    Sys.remove json;
-    let v = Json_check.parse doc in
-    Alcotest.(check (option string)) "schema"
-      (Some "openarc.obs.bench-regress")
-      (Option.map Json_check.str_exn (Json_check.member "schema" v));
-    Alcotest.(check (option string)) "status ok" (Some "ok")
-      (Option.map Json_check.str_exn (Json_check.member "status" v));
-    let rows =
-      Json_check.arr_exn (Option.get (Json_check.member "benchmarks" v))
-    in
-    Alcotest.(check int) "three benchmarks" 3 (List.length rows);
-    List.iter
-      (fun rv ->
-        Alcotest.(check (option string)) "row status ok" (Some "ok")
-          (Option.map Json_check.str_exn (Json_check.member "status" rv));
-        Alcotest.(check bool) "zero delta" true
-          (Json_check.member "delta" rv = Some (Json_check.Num 0.0)))
-      rows
-  end
-
-let test_regress_detects_seeded_regression () =
-  if available then begin
-    (* the seeded synthetic regression: scale the PCIe fixed latency 8x
-       through the cost model's test-only hook; the sentinel must exit 1
-       and attribute the blow-up to transfer time *)
-    let json = Filename.temp_file "bench_regress" ".json" in
-    let code, out, _ =
-      run_cmd ~env:"OPENARC_COSTMODEL_PERTURB=8"
-        (regress_args ~extra:(" --json " ^ Filename.quote json) ())
-    in
-    Alcotest.(check int) "seeded regression: exit 1" 1 code;
-    Alcotest.(check bool) "flagged" true
-      (contains ~needle:"REGRESSION" out);
-    Alcotest.(check bool) "culprit directives named" true
-      (contains ~needle:"culprit:" out);
-    Alcotest.(check bool) "attributed to transfers" true
-      (contains ~needle:"(Mem Transfer)" out);
-    let ic = open_in_bin json in
-    let doc = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    Sys.remove json;
-    let v = Json_check.parse doc in
-    Alcotest.(check (option string)) "json status regression"
-      (Some "regression")
-      (Option.map Json_check.str_exn (Json_check.member "status" v));
-    let rows =
-      Json_check.arr_exn (Option.get (Json_check.member "benchmarks" v))
-    in
-    List.iter
-      (fun rv ->
-        Alcotest.(check (option string)) "every row regressed"
-          (Some "regression")
-          (Option.map Json_check.str_exn (Json_check.member "status" rv));
-        let culprits =
-          Json_check.arr_exn (Option.get (Json_check.member "culprits" rv))
+let test_check_names_moved_row () =
+  if available then
+    with_profile_copy (fun ~dir ~golden doc ->
+        (* Move the last digit of the total of JACOBI's first directive
+           row by one unit. *)
+        let lines = String.split_on_char '\n' doc in
+        let row =
+          List.find
+            (fun l ->
+              contains ~needle:"{\"directive\": " l
+              && contains ~needle:"\"loc\": \"JACOBI:" l)
+            lines
         in
-        Alcotest.(check bool) "culprits recorded" true (culprits <> []))
-      rows
-  end
-
-let test_trend_accumulates () =
-  if available then begin
-    let file = Filename.temp_file "bench_trend" ".jsonl" in
-    Sys.remove file;
-    let go label =
-      let code, _, _ =
-        run_cmd
-          (Fmt.str "trend --out %s --benches jacobi --label %s"
-             (Filename.quote file) label)
-      in
-      Alcotest.(check int) (label ^ ": exit 0") 0 code
-    in
-    go "first";
-    go "second";
-    let ic = open_in_bin file in
-    let doc = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    Sys.remove file;
-    let lines =
-      List.filter (fun l -> l <> "") (String.split_on_char '\n' doc)
-    in
-    Alcotest.(check int) "two appended records" 2 (List.length lines);
-    List.iteri
-      (fun i line ->
-        let v = Json_check.parse line in
-        Alcotest.(check (option string))
-          (Fmt.str "line %d schema" i)
-          (Some "openarc.obs.bench-trend")
-          (Option.map Json_check.str_exn (Json_check.member "schema" v));
-        Alcotest.(check (option string))
-          (Fmt.str "line %d name" i)
-          (Some "JACOBI")
-          (Option.map Json_check.str_exn (Json_check.member "name" v));
-        Alcotest.(check (option string))
-          (Fmt.str "line %d label" i)
-          (Some (if i = 0 then "first" else "second"))
-          (Option.map Json_check.str_exn (Json_check.member "label" v));
-        Alcotest.(check bool)
-          (Fmt.str "line %d carries counters" i)
-          true
-          (match Json_check.member "counters" v with
-          | Some (Json_check.Obj kvs) -> List.mem_assoc "transfers" kvs
-          | _ -> false))
-      lines;
-    (* identical runs produce identical records modulo the label *)
-    match lines with
-    | [ l1; l2 ] ->
-        let strip l =
-          Str.global_replace
-            (Str.regexp "\"label\": \"[a-z]*\"")
-            "\"label\": \"\"" l
+        let digit = Option.get (index_of ~needle:", \"categories\"" row) - 1 in
+        let moved =
+          String.mapi
+            (fun i c ->
+              if i <> digit then c
+              else if c = '9' then '8'
+              else Char.chr (Char.code c + 1))
+            row
         in
-        Alcotest.(check string) "deterministic modulo label" (strip l1)
-          (strip l2)
-    | _ -> Alcotest.fail "expected two lines"
-  end
+        let directive =
+          let start = Option.get (index_of ~needle:"\"directive\": " row) in
+          let stop = Option.get (index_of ~needle:", \"kind\"" row) in
+          String.sub row start (stop - start)
+        in
+        Out_channel.with_open_bin golden (fun oc ->
+            output_string oc
+              (String.concat "\n"
+                 (List.map (fun l -> if l == row then moved else l) lines)));
+        let code, _, err = run_cmd ~cwd:dir "check profile" in
+        Alcotest.(check int) "moved digit: exit 1" 1 code;
+        Alcotest.(check bool) "line number reported" true
+          (contains ~needle:"BENCH_profile.json: line " err);
+        Alcotest.(check bool) ("names " ^ directive) true
+          (contains ~needle:directive err);
+        Alcotest.(check bool) "both versions shown" true
+          (contains ~needle:"committed:" err
+          && contains ~needle:"regenerated:" err))
+
+let test_check_missing_golden () =
+  if available then
+    with_profile_copy (fun ~dir ~golden:_ _ ->
+        let code, _, err = run_cmd ~cwd:dir "check symeq" in
+        Alcotest.(check int) "missing golden: exit 1" 1 code;
+        Alcotest.(check bool) "names the regenerating command" true
+          (contains ~needle:"bench/main.exe symeq" err))
 
 let tests =
   [ Alcotest.test_case "unknown subcommand" `Quick test_unknown_subcommand;
     Alcotest.test_case "unknown flag" `Quick test_unknown_flag;
-    Alcotest.test_case "regress clean" `Quick test_regress_clean;
-    Alcotest.test_case "regress json" `Quick test_regress_json;
-    Alcotest.test_case "regress detects seeded regression" `Quick
-      test_regress_detects_seeded_regression;
-    Alcotest.test_case "trend accumulates" `Quick test_trend_accumulates ]
+    Alcotest.test_case "check clean" `Quick test_check_clean;
+    Alcotest.test_case "check names the moved row" `Quick
+      test_check_names_moved_row;
+    Alcotest.test_case "check missing golden" `Quick
+      test_check_missing_golden ]

@@ -524,12 +524,12 @@ let test_session () =
     Alcotest.(check int) "session --json: exit 0" 0 code;
     let doc = read_file json in
     Sys.remove json;
-    let v = Json_check.parse doc in
+    let v = Obs.Pjson.parse doc in
     Alcotest.(check (option string)) "session schema"
       (Some "openarc.obs.session")
-      (Option.map Json_check.str_exn (Json_check.member "schema" v));
+      (Option.map Obs.Pjson.str_exn (Obs.Pjson.member "schema" v));
     let records =
-      Json_check.arr_exn (Option.get (Json_check.member "records" v))
+      Obs.Pjson.arr_exn (Option.get (Obs.Pjson.member "records" v))
     in
     Alcotest.(check bool) "session records present" true (records <> []);
     (* byte-reproducible across processes: two invocations, same bytes *)
@@ -553,15 +553,15 @@ let test_analyze () =
     (* --json emits the canonical document, byte-reproducible *)
     let code, out = run_cmd "analyze bench:bfs --devices 4 --json" in
     Alcotest.(check int) "analyze --json: exit 0" 0 code;
-    let v = Json_check.parse out in
+    let v = Obs.Pjson.parse out in
     Alcotest.(check (option string)) "json schema"
       (Some "openarc.obs.imbalance")
-      (Option.map Json_check.str_exn (Json_check.member "schema" v));
+      (Option.map Obs.Pjson.str_exn (Obs.Pjson.member "schema" v));
     Alcotest.(check (option string)) "BFS recommended cyclic"
       (Some "cyclic")
-      (Option.map Json_check.str_exn (Json_check.member "recommended" v));
+      (Option.map Obs.Pjson.str_exn (Obs.Pjson.member "recommended" v));
     Alcotest.(check bool) "per-kernel verdicts present" true
-      (Json_check.arr_exn (Option.get (Json_check.member "kernels" v))
+      (Obs.Pjson.arr_exn (Option.get (Obs.Pjson.member "kernels" v))
       <> []);
     let _, out2 = run_cmd "analyze bench:bfs --devices 4 --json" in
     Alcotest.(check string) "analyze json byte-reproducible" out out2;

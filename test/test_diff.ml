@@ -230,17 +230,17 @@ let test_diff_json () =
   let d =
     Obs.Diff.diff ~before_name:"naive" ~after_name:"opt" ~before:b ~after:a ()
   in
-  let v = Json_check.parse (Obs.Diff.to_json d) in
+  let v = Obs.Pjson.parse (Obs.Diff.to_json d) in
   Alcotest.(check (option string)) "schema"
     (Some "openarc.obs.profile-diff")
-    (Option.map Json_check.str_exn (Json_check.member "schema" v));
+    (Option.map Obs.Pjson.str_exn (Obs.Pjson.member "schema" v));
   Alcotest.(check (option string)) "before name" (Some "naive")
-    (Option.map Json_check.str_exn (Json_check.member "before" v));
-  let rows = Json_check.arr_exn (Option.get (Json_check.member "rows" v)) in
+    (Option.map Obs.Pjson.str_exn (Obs.Pjson.member "before" v));
+  let rows = Obs.Pjson.arr_exn (Option.get (Obs.Pjson.member "rows" v)) in
   Alcotest.(check int) "rows serialized" (List.length d.Obs.Diff.d_rows)
     (List.length rows);
   let zero =
-    match Json_check.member "zero" v with Some (Json_check.Bool z) -> z
+    match Obs.Pjson.member "zero" v with Some (Obs.Pjson.Bool z) -> z
     | _ -> Alcotest.fail "zero field missing"
   in
   Alcotest.(check bool) "zero flag matches" (Obs.Diff.is_zero d) zero

@@ -158,28 +158,28 @@ let traced_device () =
 let test_chrome_json_parses () =
   let dev = traced_device () in
   let json = Gpusim.Timeline.to_chrome_json dev.Gpusim.Device.timeline in
-  let v = Json_check.parse json in
-  let events = Json_check.arr_exn v in
+  let v = Obs.Pjson.parse json in
+  let events = Obs.Pjson.arr_exn v in
   Alcotest.(check bool) "several events" true (List.length events >= 4);
   List.iter
     (fun e ->
       Alcotest.(check (option string))
         "complete-event phase" (Some "X")
-        (Option.map Json_check.str_exn (Json_check.member "ph" e));
+        (Option.map Obs.Pjson.str_exn (Obs.Pjson.member "ph" e));
       List.iter
         (fun field ->
           Alcotest.(check bool) (field ^ " present") true
-            (Json_check.member field e <> None))
+            (Obs.Pjson.member field e <> None))
         [ "name"; "cat"; "ts"; "dur"; "pid"; "tid" ])
     events
 
 let test_chrome_tids () =
   let dev = traced_device () in
   let tl = dev.Gpusim.Device.timeline in
-  let events = Json_check.arr_exn (Json_check.parse
+  let events = Obs.Pjson.arr_exn (Obs.Pjson.parse
                                      (Gpusim.Timeline.to_chrome_json tl)) in
-  let tid_of e = int_of_float (Json_check.num_exn
-                                 (Option.get (Json_check.member "tid" e))) in
+  let tid_of e = int_of_float (Obs.Pjson.num_exn
+                                 (Option.get (Obs.Pjson.member "tid" e))) in
   let tids = List.sort_uniq compare (List.map tid_of events) in
   (* host track is tid 0; stream q maps stably to tid q+1 *)
   Alcotest.(check bool) "host track present" true (List.mem 0 tids);
@@ -193,7 +193,7 @@ let test_chrome_tids () =
        (Gpusim.Timeline.events tl));
   (* per-tid (not global) start times are monotone: async submissions may
      interleave across tracks, but each track is ordered *)
-  let ts_of e = Json_check.num_exn (Option.get (Json_check.member "ts" e)) in
+  let ts_of e = Obs.Pjson.num_exn (Option.get (Obs.Pjson.member "ts" e)) in
   List.iter
     (fun tid ->
       let track = List.filter (fun e -> tid_of e = tid) events in
@@ -211,11 +211,11 @@ let test_chrome_tids () =
 
 let test_chrome_process_name () =
   let m = Gpusim.Timeline.chrome_process_name ~pid:3 "jacobi/bitflip/retry" in
-  let v = Json_check.parse m in
+  let v = Obs.Pjson.parse m in
   Alcotest.(check (option string)) "metadata phase" (Some "M")
-    (Option.map Json_check.str_exn (Json_check.member "ph" v));
+    (Option.map Obs.Pjson.str_exn (Obs.Pjson.member "ph" v));
   Alcotest.(check (option string)) "name" (Some "process_name")
-    (Option.map Json_check.str_exn (Json_check.member "name" v))
+    (Option.map Obs.Pjson.str_exn (Obs.Pjson.member "name" v))
 
 let test_metrics_pp_golden () =
   let m = Gpusim.Metrics.create () in

@@ -187,23 +187,23 @@ let test_watermarks () =
     lt_b.Obs.Ledger.lt_free;
   (* One chrome counter sample per allocation event, on the member's
      device lane (ordinal + 1). *)
-  let events = List.map Json_check.parse (Obs.Ledger.chrome_counter_events lg) in
+  let events = List.map Obs.Pjson.parse (Obs.Ledger.chrome_counter_events lg) in
   Alcotest.(check int) "one counter per event" 4 (List.length events);
   List.iter
     (fun e ->
       Alcotest.(check (option string)) "counter phase" (Some "C")
-        (Option.map Json_check.str_exn (Json_check.member "ph" e));
+        (Option.map Obs.Pjson.str_exn (Obs.Pjson.member "ph" e));
       Alcotest.(check (option string)) "counter name" (Some "allocated")
-        (Option.map Json_check.str_exn (Json_check.member "name" e));
+        (Option.map Obs.Pjson.str_exn (Obs.Pjson.member "name" e));
       let tid =
-        int_of_float (Json_check.num_exn (Option.get (Json_check.member "tid" e)))
+        int_of_float (Obs.Pjson.num_exn (Option.get (Obs.Pjson.member "tid" e)))
       in
       Alcotest.(check bool) "device-lane tid" true (tid = 1 || tid = 2);
-      match Json_check.member "args" e with
+      match Obs.Pjson.member "args" e with
       | Some args ->
           Alcotest.(check bool) "live bytes sampled" true
-            (match Json_check.member "bytes" args with
-            | Some (Json_check.Num v) -> v >= 0.0
+            (match Obs.Pjson.member "bytes" args with
+            | Some (Obs.Pjson.Num v) -> v >= 0.0
             | _ -> false)
       | None -> Alcotest.fail "counter without args")
     events
@@ -241,14 +241,14 @@ let test_backprop_counterfactual () =
   let j1 = Obs.Ledger.to_json ~name:"BACKPROP" ~seed:42 a in
   let j2 = Obs.Ledger.to_json ~name:"BACKPROP" ~seed:42 (analyze_of ()) in
   Alcotest.(check string) "byte-stable JSON" j1 j2;
-  let v = Json_check.parse j1 in
+  let v = Obs.Pjson.parse j1 in
   Alcotest.(check (option string)) "schema" (Some Obs.Ledger.schema)
-    (Option.map Json_check.str_exn (Json_check.member "schema" v));
+    (Option.map Obs.Pjson.str_exn (Obs.Pjson.member "schema" v));
   Alcotest.(check (option (float 0.)))
     "version"
     (Some (float_of_int Obs.Ledger.version))
-    (Option.map Json_check.num_exn (Json_check.member "version" v));
-  let sites = Json_check.arr_exn (Option.get (Json_check.member "sites" v)) in
+    (Option.map Obs.Pjson.num_exn (Obs.Pjson.member "version" v));
+  let sites = Obs.Pjson.arr_exn (Option.get (Obs.Pjson.member "sites" v)) in
   Alcotest.(check int) "one row per site"
     (List.length a.Obs.Ledger.a_sites)
     (List.length sites)

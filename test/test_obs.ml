@@ -73,16 +73,16 @@ let test_jsonl () =
     |> List.filter (fun l -> l <> "")
   in
   Alcotest.(check bool) "several lines" true (List.length lines >= 4);
-  let parsed = List.map Json_check.parse lines in
+  let parsed = List.map Obs.Pjson.parse lines in
   (match parsed with
   | meta :: _ ->
       Alcotest.(check (option string))
         "schema header" (Some "openarc.obs")
-        (Option.map Json_check.str_exn (Json_check.member "schema" meta))
+        (Option.map Obs.Pjson.str_exn (Obs.Pjson.member "schema" meta))
   | [] -> Alcotest.fail "empty JSONL");
   let types =
     List.filter_map
-      (fun v -> Option.map Json_check.str_exn (Json_check.member "type" v))
+      (fun v -> Option.map Obs.Pjson.str_exn (Obs.Pjson.member "type" v))
       parsed
   in
   List.iter
@@ -155,8 +155,8 @@ let test_audit_replay () =
   String.split_on_char '\n' (Obs.Audit.to_jsonl audit)
   |> List.filter (fun l -> l <> "")
   |> List.iter (fun l ->
-         match Json_check.member "type" (Json_check.parse l) with
-         | Some (Json_check.Str "audit") -> ()
+         match Obs.Pjson.member "type" (Obs.Pjson.parse l) with
+         | Some (Obs.Pjson.Str "audit") -> ()
          | _ -> Alcotest.fail "audit line without type=audit")
 
 (* ------------------------- determinism ----------------------------- *)
@@ -196,11 +196,11 @@ let test_profile_json_deterministic () =
   in
   let j1 = entry () and j2 = entry () in
   Alcotest.(check string) "byte-identical JSON" j1 j2;
-  let v = Json_check.parse j1 in
+  let v = Obs.Pjson.parse j1 in
   Alcotest.(check (option string))
     "schema" (Some "openarc.obs.profile")
-    (Option.map Json_check.str_exn (Json_check.member "schema" v));
-  let rows = Json_check.arr_exn (Option.get (Json_check.member "rows" v)) in
+    (Option.map Obs.Pjson.str_exn (Obs.Pjson.member "schema" v));
+  let rows = Obs.Pjson.arr_exn (Option.get (Obs.Pjson.member "rows" v)) in
   Alcotest.(check bool) "rows present" true (rows <> [])
 
 (* ---------------------- recovery & device spans --------------------- *)
@@ -327,7 +327,7 @@ let test_trace_lanes () =
       Accrt.Interp.run ~coherence:false ~seed:42 ~trace:true ~devices
         ?plan ~resilience:Accrt.Resilience.full ~obs:tr tp
     in
-    Json_check.parse
+    Obs.Pjson.parse
       (Gpusim.Timeline.to_chrome_json_devices
          ~host:(Obs.Chrome.host_lane_events tr)
          (Array.map
@@ -339,9 +339,9 @@ let test_trace_lanes () =
       (List.filter_map
          (fun e ->
            Option.map
-             (fun t -> int_of_float (Json_check.num_exn t))
-             (Json_check.member "tid" e))
-         (Json_check.arr_exn v))
+             (fun t -> int_of_float (Obs.Pjson.num_exn t))
+             (Obs.Pjson.member "tid" e))
+         (Obs.Pjson.arr_exn v))
   in
   let v = run None in
   Alcotest.(check (list int))
@@ -352,9 +352,9 @@ let test_trace_lanes () =
     "host lane carries directive spans" true
     (List.exists
        (fun e ->
-         Json_check.member "tid" e = Some (Json_check.Num 0.)
-         && Json_check.member "ph" e = Some (Json_check.Str "X"))
-       (Json_check.arr_exn v));
+         Obs.Pjson.member "tid" e = Some (Obs.Pjson.Num 0.)
+         && Obs.Pjson.member "ph" e = Some (Obs.Pjson.Str "X"))
+       (Obs.Pjson.arr_exn v));
   (* Lose member 1: its loss must surface as instant events — the fault
      on the dying member's lane, the recovery decision on the host's. *)
   let plan =
@@ -365,19 +365,19 @@ let test_trace_lanes () =
   let v = run (Some plan) in
   let instants =
     List.filter
-      (fun e -> Json_check.member "ph" e = Some (Json_check.Str "i"))
-      (Json_check.arr_exn v)
+      (fun e -> Obs.Pjson.member "ph" e = Some (Obs.Pjson.Str "i"))
+      (Obs.Pjson.arr_exn v)
   in
   Alcotest.(check bool) "instant events present" true (instants <> []);
   Alcotest.(check bool)
     "device-loss instant on the lost member's lane" true
     (List.exists
-       (fun e -> Json_check.member "tid" e = Some (Json_check.Num 2.))
+       (fun e -> Obs.Pjson.member "tid" e = Some (Obs.Pjson.Num 2.))
        instants);
   Alcotest.(check bool)
     "failover instant on the host lane" true
     (List.exists
-       (fun e -> Json_check.member "tid" e = Some (Json_check.Num 0.))
+       (fun e -> Obs.Pjson.member "tid" e = Some (Obs.Pjson.Num 0.))
        instants)
 
 (* ------------------------- memory lanes ----------------------------- *)
@@ -395,7 +395,7 @@ let test_memory_counter_lanes () =
       ~ledger:lg ~obs:tr tp
   in
   let v =
-    Json_check.parse
+    Obs.Pjson.parse
       (Gpusim.Timeline.to_chrome_json_devices
          ~host:
            (Obs.Chrome.host_lane_events tr
@@ -406,26 +406,26 @@ let test_memory_counter_lanes () =
   in
   let counters =
     List.filter
-      (fun e -> Json_check.member "ph" e = Some (Json_check.Str "C"))
-      (Json_check.arr_exn v)
+      (fun e -> Obs.Pjson.member "ph" e = Some (Obs.Pjson.Str "C"))
+      (Obs.Pjson.arr_exn v)
   in
   Alcotest.(check bool) "counter events present" true (counters <> []);
   List.iter
     (fun e ->
       Alcotest.(check (option string))
         "counter name" (Some "allocated")
-        (Option.map Json_check.str_exn (Json_check.member "name" e));
+        (Option.map Obs.Pjson.str_exn (Obs.Pjson.member "name" e));
       let tid =
         int_of_float
-          (Json_check.num_exn (Option.get (Json_check.member "tid" e)))
+          (Obs.Pjson.num_exn (Option.get (Obs.Pjson.member "tid" e)))
       in
       Alcotest.(check bool) "tid is a device lane" true
         (tid >= 1 && tid <= devices);
       Alcotest.(check bool) "args carry live bytes" true
-        (match Json_check.member "args" e with
+        (match Obs.Pjson.member "args" e with
         | Some args -> (
-            match Json_check.member "bytes" args with
-            | Some (Json_check.Num b) -> b >= 0.0
+            match Obs.Pjson.member "bytes" args with
+            | Some (Obs.Pjson.Num b) -> b >= 0.0
             | _ -> false)
         | None -> false))
     counters;
@@ -434,8 +434,8 @@ let test_memory_counter_lanes () =
       (List.filter_map
          (fun e ->
            Option.map
-             (fun t -> int_of_float (Json_check.num_exn t))
-             (Json_check.member "tid" e))
+             (fun t -> int_of_float (Obs.Pjson.num_exn t))
+             (Obs.Pjson.member "tid" e))
          counters)
   in
   Alcotest.(check (list int))

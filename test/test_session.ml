@@ -216,15 +216,15 @@ let test_session_report () =
 let test_session_to_json () =
   let prog = Parser.parse_string jacobi in
   let r = Openarc_core.Session.optimize ~outputs:[ "a"; "cs" ] prog in
-  let v = Json_check.parse (Openarc_core.Session.to_json ~name:"jacobi" r) in
+  let v = Obs.Pjson.parse (Openarc_core.Session.to_json ~name:"jacobi" r) in
   Alcotest.(check (option string)) "schema" (Some "openarc.obs.session")
-    (Option.map Json_check.str_exn (Json_check.member "schema" v));
+    (Option.map Obs.Pjson.str_exn (Obs.Pjson.member "schema" v));
   Alcotest.(check (option (float 0.)))
     "schema version"
     (Some (float_of_int Openarc_core.Session.json_version))
-    (Option.map Json_check.num_exn (Json_check.member "version" v));
+    (Option.map Obs.Pjson.num_exn (Obs.Pjson.member "version" v));
   let records =
-    Json_check.arr_exn (Option.get (Json_check.member "records" v))
+    Obs.Pjson.arr_exn (Option.get (Obs.Pjson.member "records" v))
   in
   Alcotest.(check int) "records match iterations"
     r.Openarc_core.Session.iterations (List.length records);
@@ -234,31 +234,31 @@ let test_session_to_json () =
   List.iter
     (fun rv ->
       Alcotest.(check bool) "record embeds a ledger summary" true
-        (match Json_check.member "ledger" rv with
+        (match Obs.Pjson.member "ledger" rv with
         | Some l ->
-            Json_check.member "causes" l <> None
-            && Json_check.member "wasted_bytes" l <> None
-            && Json_check.member "peak_bytes" l <> None
+            Obs.Pjson.member "causes" l <> None
+            && Obs.Pjson.member "wasted_bytes" l <> None
+            && Obs.Pjson.member "peak_bytes" l <> None
         | None -> false))
     records;
   (match records with
   | first :: _ ->
-      let l = Option.get (Json_check.member "ledger" first) in
+      let l = Option.get (Obs.Pjson.member "ledger" first) in
       Alcotest.(check bool) "naive run shows wasted bytes" true
-        (Json_check.num_exn (Option.get (Json_check.member "wasted_bytes" l))
+        (Obs.Pjson.num_exn (Option.get (Obs.Pjson.member "wasted_bytes" l))
         > 0.0)
   | [] -> Alcotest.fail "no records");
   List.iter
     (fun rv ->
       Alcotest.(check bool) "record embeds a profile doc" true
-        (match Json_check.member "profile" rv with
+        (match Obs.Pjson.member "profile" rv with
         | Some p ->
-            Json_check.member "schema" p
-            = Some (Json_check.Str "openarc.obs.profile")
+            Obs.Pjson.member "schema" p
+            = Some (Obs.Pjson.Str "openarc.obs.profile")
         | None -> false))
     records;
   let deltas =
-    Json_check.arr_exn (Option.get (Json_check.member "deltas" v))
+    Obs.Pjson.arr_exn (Option.get (Obs.Pjson.member "deltas" v))
   in
   Alcotest.(check int) "one delta per consecutive profiled pair"
     (max 0 (List.length records - 1))
@@ -266,8 +266,8 @@ let test_session_to_json () =
   List.iter
     (fun dv ->
       Alcotest.(check bool) "delta is a profile-diff doc" true
-        (Json_check.member "schema" dv
-        = Some (Json_check.Str "openarc.obs.profile-diff")))
+        (Obs.Pjson.member "schema" dv
+        = Some (Obs.Pjson.Str "openarc.obs.profile-diff")))
     deltas;
   (* deterministic export: same program, same seed, same bytes — modulo
      the statement ids baked into directive labels (the sid counter is

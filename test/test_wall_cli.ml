@@ -35,7 +35,7 @@ let read_json path =
   let doc = really_input_string ic (in_channel_length ic) in
   close_in ic;
   Sys.remove path;
-  Json_check.parse doc
+  Obs.Pjson.parse doc
 
 let test_bad_flags () =
   if available then begin
@@ -83,9 +83,9 @@ let test_wall_report () =
     let v = read_json json in
     Alcotest.(check (option string)) "schema"
       (Some "openarc.obs.bench-wall")
-      (Option.map Json_check.str_exn (Json_check.member "schema" v));
+      (Option.map Obs.Pjson.str_exn (Obs.Pjson.member "schema" v));
     let rows =
-      Json_check.arr_exn (Option.get (Json_check.member "benchmarks" v))
+      Obs.Pjson.arr_exn (Option.get (Obs.Pjson.member "benchmarks" v))
     in
     Alcotest.(check int) "two benchmarks" 2 (List.length rows);
     List.iter
@@ -95,14 +95,14 @@ let test_wall_report () =
             Alcotest.(check bool)
               (field ^ " present and positive")
               true
-              (match Json_check.member field rv with
-              | Some (Json_check.Num x) -> x > 0.0
+              (match Obs.Pjson.member field rv with
+              | Some (Obs.Pjson.Num x) -> x > 0.0
               | _ -> false))
           [ "tree_s"; "compiled_s"; "speedup" ])
       rows;
     Alcotest.(check bool) "median speedup present" true
-      (match Json_check.member "median_speedup" v with
-      | Some (Json_check.Num x) -> x > 0.0
+      (match Obs.Pjson.member "median_speedup" v with
+      | Some (Obs.Pjson.Num x) -> x > 0.0
       | _ -> false)
   end
 
@@ -118,16 +118,16 @@ let test_single_engine () =
     Alcotest.(check int) "single engine: exit 0" 0 code;
     let v = read_json json in
     let rows =
-      Json_check.arr_exn (Option.get (Json_check.member "benchmarks" v))
+      Obs.Pjson.arr_exn (Option.get (Obs.Pjson.member "benchmarks" v))
     in
     List.iter
       (fun rv ->
         Alcotest.(check bool) "compiled time present" true
-          (Json_check.member "compiled_s" rv <> None);
+          (Obs.Pjson.member "compiled_s" rv <> None);
         Alcotest.(check bool) "no tree column" true
-          (Json_check.member "tree_s" rv = None);
+          (Obs.Pjson.member "tree_s" rv = None);
         Alcotest.(check bool) "no speedup without a baseline" true
-          (Json_check.member "speedup" rv = None))
+          (Obs.Pjson.member "speedup" rv = None))
       rows
   end
 
