@@ -1161,34 +1161,60 @@ let select = function
                    (List.map (fun (b : Bench_def.t) -> b.name) benchmarks)))
         names
 
-(* Median-of-[repeats] wall-clock of one translated run.  Only
-   [Interp.run] is inside the timer: parse/translate cost is a separate
-   pipeline stage, and the compiled engine pays its kernel compilation
-   inside the run — so the comparison charges the engine, not the front
-   end. *)
-let wall_time ~repeats ~engine tp =
+(* Median-of-[repeats] wall-clock of [f ()]. *)
+let median_wall ~repeats f =
   median_float
     (List.init repeats (fun _ ->
          let t0 = Unix.gettimeofday () in
-         ignore (Accrt.Interp.run ~coherence:false ~engine ~seed:42 tp);
+         f ();
          Unix.gettimeofday () -. t0))
+
+(* Per engine, the medians of two timers.  [run_s] times one translated
+   run: only [Interp.run] is inside the timer, because parse/translate
+   cost is a separate pipeline stage and the compiled engine pays its
+   kernel compilation inside the run — so the comparison charges the
+   engine, not the front end.  [verify_s] times the symbolic kernel
+   verification the debugging loop repeats per edit, whose cost is its
+   hooked sequential run. *)
+type wall_times = { run_s : float; verify_s : float }
 
 let wall_entry ~repeats ~engines (b : Bench_def.t) =
   let prog = parse b in
   let env = Minic.Typecheck.check prog in
   let tp = Codegen.Translate.translate env prog in
-  (b.name, List.map (fun e -> (e, wall_time ~repeats ~engine:e tp)) engines)
+  ( b.name,
+    List.map
+      (fun engine ->
+        ( engine,
+          { run_s =
+              median_wall ~repeats (fun () ->
+                  ignore
+                    (Accrt.Interp.run ~coherence:false ~engine ~seed:42 tp));
+            verify_s =
+              median_wall ~repeats (fun () ->
+                  ignore
+                    (Openarc_core.Kernel_verify.verify ~symbolic:true ~engine
+                       prog)) } ))
+      engines )
 
-let wall_speedup times =
+(* Tree time over compiled time of one timer, when both engines ran. *)
+let wall_speedup timer times =
   match
     ( List.assoc_opt Accrt.Engine.Tree times,
       List.assoc_opt Accrt.Engine.Compiled times )
   with
-  | Some t, Some c when c > 0.0 -> Some (t /. c)
+  | Some t, Some c when timer c > 0.0 -> Some (timer t /. timer c)
   | _ -> None
 
+(* The two timers: (row-field prefix, gate label, timer). *)
+let wall_timers =
+  [ ("", "speedup", fun w -> w.run_s);
+    ("verify_", "verify speedup", fun w -> w.verify_s) ]
+
+let suite_speedups timer entries =
+  List.filter_map (fun (_, t) -> wall_speedup timer t) entries
+
 let wall_doc ~repeats ~engines entries =
-  let speedups = List.filter_map (fun (_, t) -> wall_speedup t) entries in
   envelope "wall"
     ~header:
       [ ("repeats", string_of_int repeats);
@@ -1199,26 +1225,36 @@ let wall_doc ~repeats ~engines entries =
                   (fun e -> Fmt.str "%S" (Accrt.Engine.to_string e))
                   engines)) ) ]
     ~footer:
-      [ ( "median_speedup",
-          if speedups = [] then "null"
-          else Fmt.str "%.2f" (median_float speedups) ) ]
+      (List.map
+         (fun (prefix, _, timer) ->
+           ( Fmt.str "median_%sspeedup" prefix,
+             match suite_speedups timer entries with
+             | [] -> "null"
+             | speedups -> Fmt.str "%.2f" (median_float speedups) ))
+         wall_timers)
     (List.map
        (fun (name, times) ->
-         Fmt.str "{\"name\": %S%s%s}" name
+         Fmt.str "{\"name\": %S%s}" name
            (String.concat ""
-              (List.map
-                 (fun (e, t) ->
-                   Fmt.str ", \"%s_s\": %.6f" (Accrt.Engine.to_string e) t)
-                 times))
-           (match wall_speedup times with
-           | Some s -> Fmt.str ", \"speedup\": %.2f" s
-           | None -> ""))
+              (List.concat_map
+                 (fun (prefix, _, timer) ->
+                   List.map
+                     (fun (e, w) ->
+                       Fmt.str ", \"%s%s_s\": %.6f" prefix
+                         (Accrt.Engine.to_string e) (timer w))
+                     times
+                   @
+                   match wall_speedup timer times with
+                   | Some s -> [ Fmt.str ", \"%sspeedup\": %.2f" prefix s ]
+                   | None -> [])
+                 wall_timers)))
        entries)
 
-(* The wall tier: per-benchmark wall-clock medians for the selected
-   engines, the bench-wall JSON report, and (when both engines ran and
-   [min_speedup] is set) a gate on the suite's median speedup — the
-   wall-smoke CI check.  Returns the exit code. *)
+(* The wall tier: per-benchmark wall-clock medians of a run and of a
+   symbolic verification for the selected engines, the bench-wall JSON
+   report, and (when both engines ran and [min_speedup] is set) a gate
+   on both suite median speedups — the wall-smoke CI check.  Returns the
+   exit code. *)
 let run_wall ?(json = wall_path) ?names
     ?(engines = [ Accrt.Engine.Tree; Accrt.Engine.Compiled ])
     ?(repeats = 5) ?min_speedup ppf =
@@ -1230,33 +1266,43 @@ let run_wall ?(json = wall_path) ?names
   let entries = List.map (wall_entry ~repeats ~engines) benches in
   List.iter
     (fun (name, times) ->
-      Fmt.pf ppf "  %-12s" name;
-      List.iter
-        (fun (e, t) ->
-          Fmt.pf ppf "  %s %9.6f s" (Accrt.Engine.to_string e) t)
-        times;
-      (match wall_speedup times with
-      | Some s -> Fmt.pf ppf "  %6.2fx" s
-      | None -> ());
-      Fmt.pf ppf "@.")
+      List.iteri
+        (fun i (prefix, _, timer) ->
+          Fmt.pf ppf "  %-12s %-6s"
+            (if i = 0 then name else "")
+            (if prefix = "" then "run" else "verify");
+          List.iter
+            (fun (e, w) ->
+              Fmt.pf ppf "  %s %9.6f s" (Accrt.Engine.to_string e) (timer w))
+            times;
+          (match wall_speedup timer times with
+          | Some s -> Fmt.pf ppf "  %6.2fx" s
+          | None -> ());
+          Fmt.pf ppf "@.")
+        wall_timers)
     entries;
   Out_channel.with_open_bin json (fun oc ->
       output_string oc (wall_doc ~repeats ~engines entries));
   hr ppf;
   Fmt.pf ppf "wall report written to %s@." json;
-  let speedups = List.filter_map (fun (_, t) -> wall_speedup t) entries in
-  match (min_speedup, speedups) with
-  | None, _ | _, [] -> 0
-  | Some need, _ ->
-      let got = median_float speedups in
-      if got >= need then begin
-        Fmt.pf ppf "wall: median speedup %.2fx (>= %.2fx required)@." got
-          need;
-        0
-      end
-      else begin
-        Fmt.pf ppf
-          "WALL REGRESSION: median speedup %.2fx below required %.2fx@."
-          got need;
-        1
-      end
+  match min_speedup with
+  | None -> 0
+  | Some need ->
+      List.fold_left
+        (fun code (_, label, timer) ->
+          match suite_speedups timer entries with
+          | [] -> code
+          | speedups ->
+              let got = median_float speedups in
+              if got >= need then begin
+                Fmt.pf ppf "wall: median %s %.2fx (>= %.2fx required)@."
+                  label got need;
+                code
+              end
+              else begin
+                Fmt.pf ppf
+                  "WALL REGRESSION: median %s %.2fx below required %.2fx@."
+                  label got need;
+                1
+              end)
+        0 wall_timers

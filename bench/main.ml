@@ -10,8 +10,9 @@
     - [check [TIER...]]: regenerates each named tier (every tier by
       default) in memory and compares it byte for byte with the committed
       BENCH_<tier>.json, printing the first differing line on a mismatch;
-    - [wall]: measures real interpreter wall-clock per benchmark and
-      engine (median-of-N) and can gate on the tree-vs-compiled speedup.
+    - [wall]: measures real wall-clock of a run and of a symbolic kernel
+      verification per benchmark and engine (median-of-N) and can gate
+      on both tree-vs-compiled suite median speedups.
 
     Exit codes: 0 ok; 1 a failed gate, a mismatching or missing golden;
     2 malformed input (unknown command, flag, value or name). *)

@@ -184,12 +184,12 @@ let engine_arg =
     Arg.enum
       [ ("tree", Accrt.Engine.Tree); ("compiled", Accrt.Engine.Compiled) ]
   in
-  Arg.(value & opt engine_conv Accrt.Engine.Tree
+  Arg.(value & opt engine_conv Accrt.Engine.Compiled
        & info [ "engine" ] ~docv:"ENGINE"
-           ~doc:"Execution engine: 'tree' walks the AST; 'compiled' runs \
-                 closure-compiled code over slot-resolved register frames \
-                 (observably identical, several times faster in \
-                 wall-clock)")
+           ~doc:"Execution engine: 'compiled' (the default) runs \
+                 closure-compiled code over slot-resolved register frames; \
+                 'tree' walks the AST (observably identical, several times \
+                 slower in wall-clock)")
 
 let handle f = handle_code (fun () -> f (); 0)
 

@@ -78,7 +78,7 @@ let shadow_ctx (ctx : Accrt.Eval.ctx) =
     per-kernel verdicts, the simulated cost of the verification run, and the
     cost of the pure sequential execution. *)
 let verify ?(opts = Codegen.Options.default) ?(config = Vconfig.default)
-    ?(engine = Accrt.Engine.Tree) ?(env = None) ?cm ?obs ?(trace = false)
+    ?(engine = Accrt.Engine.Compiled) ?(env = None) ?cm ?obs ?(trace = false)
     ?(symbolic = false) prog =
   (* Directive-containing callees are inlined so that kernel ids and the
      reference execution agree on one program. *)
@@ -173,15 +173,29 @@ let verify ?(opts = Codegen.Options.default) ?(config = Vconfig.default)
       (Gpusim.Costmodel.cpu_time cmodel ~ops:delta)
   in
 
-  (* Kernel-engine dispatch: under [Compiled], kernel bodies compile once
-     per verification run; the surrounding reference execution (and the
-     hook's sequential regions) share the same engine-selected reference. *)
+  (* Engine dispatch.  Under [Compiled], the surrounding reference run
+     compiles in mirror mode, and each kernel's body and sequential source
+     compile once per verification run in register mode — the source's
+     names bound to the reference environment's own cells at every
+     occurrence, so its writes land where the comparison reads them.
+     Under [Tree], all three are tree-walked. *)
   let ecache = lazy (Accrt.Compile.create_cache prog) in
   let exec_kernel sctx k =
     match engine with
     | Accrt.Engine.Tree -> Accrt.Kernel_exec.run sctx device k
     | Accrt.Engine.Compiled ->
         Accrt.Compile.run_kernel (Lazy.force ecache) sctx device k
+  in
+  (* The sequential run of [k]'s compute region, charged as CPU time. *)
+  let exec_source (ctx : Accrt.Eval.ctx) k =
+    let ops0 = ctx.Accrt.Eval.ops in
+    (match engine with
+    | Accrt.Engine.Tree ->
+        Accrt.Value.scoped ctx.Accrt.Eval.env (fun () ->
+            Accrt.Eval.exec ctx k.k_source)
+    | Accrt.Engine.Compiled ->
+        Accrt.Compile.run_source (Lazy.force ecache) ctx k);
+    charge_cpu (ctx.Accrt.Eval.ops - ops0)
   in
 
   let verify_kernel (ctx : Accrt.Eval.ctx) k =
@@ -207,9 +221,7 @@ let verify ?(opts = Codegen.Options.default) ?(config = Vconfig.default)
       ~ops_per_iter:k.k_ops_per_iter ~async:queue ();
     (* Sequential reference execution of the original statement (overlaps
        with the asynchronous GPU work). *)
-    let ops0 = ctx.Accrt.Eval.ops in
-    Accrt.Value.scoped env (fun () -> Accrt.Eval.exec ctx k.k_source);
-    charge_cpu (ctx.Accrt.Eval.ops - ops0);
+    exec_source ctx k;
     (* Synchronize, download GPU outputs to temporaries, compare. *)
     Gpusim.Device.wait device (Some queue);
     Analysis.Varset.iter
@@ -315,10 +327,7 @@ let verify ?(opts = Codegen.Options.default) ?(config = Vconfig.default)
                       (1
                       + Option.value ~default:0
                           (Hashtbl.find_opt occurrences k.k_name));
-                  let ops0 = ctx.Accrt.Eval.ops in
-                  Accrt.Value.scoped ctx.Accrt.Eval.env (fun () ->
-                      Accrt.Eval.exec ctx k.k_source);
-                  charge_cpu (ctx.Accrt.Eval.ops - ops0)
+                  exec_source ctx k
                 end)
               kernels;
             true)

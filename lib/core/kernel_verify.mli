@@ -42,8 +42,12 @@ val detected_errors : t -> kernel_report list
 
 (** Verify [prog]; [opts] controls translation (use
     {!Codegen.Options.fault_injection} for the Table II experiment);
-    [engine] selects the execution engine for both the reference run and
-    the simulated kernels (verdicts are engine-independent);
+    [engine] selects the execution engine of the reference run, of every
+    compute region's sequential run and of the simulated kernels —
+    {!Accrt.Engine.Compiled} (default) compiles each kernel's body and
+    sequential source once per verification run, {!Accrt.Engine.Tree}
+    walks them (verdicts, [sequential_ops] and metrics are
+    engine-independent);
     [env] may pass a pre-computed type environment.  [obs] records a
     "verify" phase span with one [Kernel] span per verified occurrence and
     all metrics charges; [trace] additionally records the device timeline

@@ -173,6 +173,9 @@ let optimize ?(policy = Follow_all) ?(max_iterations = 12) ?(devices = 1)
   Acc.Validate.check_program prog;
   ignore (Minic.Typecheck.check prog);
   let reference = (Accrt.Eval.run_reference prog).Accrt.Eval.env in
+  (* One kernel store for every iteration's run: edits touch data clauses
+     only, so later iterations reuse the kernels the first one compiled. *)
+  let kcache = Accrt.Compile.create_store () in
   (* vars whose (uncertain) transfer removal was applied, per direction *)
   let removed : (string * bool, unit) Hashtbl.t = Hashtbl.create 8 in
   let frozen_vars : (string, unit) Hashtbl.t = Hashtbl.create 8 in
@@ -256,7 +259,7 @@ let optimize ?(policy = Follow_all) ?(max_iterations = 12) ?(devices = 1)
           let tp = Codegen.Checkgen.instrument tp in
           Ok
             (Accrt.Interp.run ~coherence:true ~devices ?schedule ~obs:tr
-               ~ledger:lg tp)
+               ~ledger:lg ~kcache tp)
         with e -> Error (Printexc.to_string e)
       in
       match outcome_or_err with

@@ -15,19 +15,27 @@
     order is identical.  The differential test suite enforces this over the
     whole benchmark suite.
 
-    Two modes:
+    Two modes, three uses:
 
-    - {e mirror} mode (the sequential reference path): every declaration is
-      also published into the name-addressable {!Value} environment and
-      scopes push/pop real (pooled) frames, so [stmt_hook]s — which execute
-      tree-walked code against the environment by name (kernel verification,
-      coherence instrumentation) — observe exactly the state the tree walker
-      would produce.  Registers hold the {e same} cells/slots as the
-      environment, so the two views can never diverge.
+    - {e mirror} mode (the sequential reference path and the interpreter's
+      host statements): every declaration is also published into the
+      name-addressable {!Value} environment and scopes push/pop real
+      (pooled) frames, so [stmt_hook]s — which execute code against the
+      environment by name (kernel verification, coherence instrumentation)
+      — observe exactly the state the tree walker would produce.
+      Registers hold the {e same} cells/slots as the environment, so the
+      two views can never diverge.
     - {e register} mode (kernel bodies): no name mirror at all — every name
       of the kernel body is register-resolved, which is what makes compiled
-      kernels fast.  Kernels compile once and are cached by kernel id, so
-      repeated launches (JACOBI sweeps) reuse the closure. *)
+      kernels fast.  Kernels compile once and are cached by content, so
+      repeated launches (JACOBI sweeps) reuse the closure.  Entry names
+      are bound to device buffers and private scalar copies per launch.
+    - {e register-bound regions} (kernel verification's sequential runs):
+      a kernel's sequential source compiles once in register mode, and at
+      each occurrence every name it mentions is bound to the environment's
+      {e own} cell or slot.  Writes — pointer rebinding included — land
+      where the surrounding program and the verifier's comparison read
+      them, while names the region declares stay in registers. *)
 
 open Minic.Ast
 open Codegen.Tprog
@@ -664,7 +672,7 @@ let run_reference ?hook prog =
   ctx
 
 (** Engine-dispatching reference runner. *)
-let reference ?(engine = Engine.Tree) ?hook prog =
+let reference ~engine ?hook prog =
   match engine with
   | Engine.Tree -> Eval.run_reference ?hook prog
   | Engine.Compiled -> run_reference ?hook prog
@@ -837,21 +845,28 @@ let kernel_key prog (k : kernel) =
     meaningful within one translation — so [chost] is never shared), so
     names they declare stay visible — with the same cells — to the
     interpreter's environment and to every other compiled or tree-walked
-    fragment. *)
+    fragment.  Kernels' sequential sources compile once each in register
+    mode (keyed by kernel id, so [csources] is never shared either). *)
 type cache = {
-  cunit : cu;  (** register mode, for kernel bodies *)
+  cunit : cu;  (** register mode, for kernel bodies and sources *)
   ckernels : store;  (** content-keyed; may be shared across programs *)
   ckeys : (int, string) Hashtbl.t;  (** k_id -> content key memo *)
   cmunit : cu;  (** mirror mode, for host statements *)
   chost : (int, int * cstm) Hashtbl.t;  (** tid -> (nregs, closure) *)
+  csources : (int, csource) Hashtbl.t;  (** k_id -> compiled source *)
 }
+
+(** A kernel's sequential source: the names it mentions with their
+    registers, bound afresh at every occurrence. *)
+and csource = { cs_names : (string * int) list; cs_nregs : int; cs_body : cstm }
 
 let create_cache ?store prog =
   { cunit = unit_of ~mirror:false prog;
     ckernels = (match store with Some s -> s | None -> create_store ());
     ckeys = Hashtbl.create 8;
     cmunit = unit_of ~mirror:true prog;
-    chost = Hashtbl.create 32 }
+    chost = Hashtbl.create 32;
+    csources = Hashtbl.create 8 }
 
 let key_of cache (k : kernel) =
   match Hashtbl.find_opt cache.ckeys k.k_id with
@@ -877,6 +892,43 @@ let host_stmt cache (ctx : Eval.ctx) tid s =
         entry
   in
   c { ctx; regs = Array.make nregs Unbound }
+
+(** Compiled counterpart of [Value.scoped env (fun () -> Eval.exec ctx
+    k.k_source)]: run kernel [k]'s sequential source against [ctx] — its
+    [ops], hooks and environment.  Every name the source mentions is bound
+    once, before the run, to the binding a frame-stack lookup finds (a name
+    with none stays unbound and raises the tree walker's error if read);
+    declarations inside the source shadow it in fresh registers, as they
+    would in the tree walker's scope frame. *)
+let run_source cache (ctx : Eval.ctx) (k : kernel) =
+  let cs =
+    match Hashtbl.find_opt cache.csources k.k_id with
+    | Some cs -> cs
+    | None ->
+        let res = Resolve.create () in
+        let names =
+          List.map
+            (fun n -> (n, Resolve.declare res n))
+            (Kernel_exec.names_of_block [ k.k_source ])
+        in
+        let body =
+          Resolve.scoped res (fun () -> cstmt cache.cunit res k.k_source)
+        in
+        let cs =
+          { cs_names = names; cs_nregs = max 1 (Resolve.frame_size res);
+            cs_body = body }
+        in
+        Hashtbl.replace cache.csources k.k_id cs;
+        cs
+  in
+  let regs = Array.make cs.cs_nregs Unbound in
+  List.iter
+    (fun (n, slot) ->
+      match Value.lookup ctx.env n with
+      | Some b -> regs.(slot) <- reg_of_binding b
+      | None -> ())
+    cs.cs_names;
+  cs.cs_body { ctx; regs }
 
 let cached cache (k : kernel) = Hashtbl.mem cache.ckernels (key_of cache k)
 

@@ -38,12 +38,13 @@ val host_scalar : outcome -> string -> Value.scalar
 exception Stop
 
 (** Execute a translated program.  [coherence] enables the §III-B runtime
-    (meaningful on instrumented programs); [engine] selects the kernel
-    execution engine — {!Engine.Tree} (default) walks the AST,
-    {!Engine.Compiled} runs closure-compiled kernel bodies for whole
-    launches and for every shard of a sharded launch alike (cached per
-    kernel content, bit-identical results; recovery validation and CPU
-    fallback stay on the tree walker under either engine); [granularity]
+    (meaningful on instrumented programs); [engine] selects the
+    execution engine — {!Engine.Compiled} (default) runs closure-compiled
+    kernel bodies for whole launches and for every shard of a sharded
+    launch alike (cached per kernel content) and host statements in
+    mirror mode, {!Engine.Tree} walks the AST; results are bit-identical,
+    and recovery validation and CPU fallback stay on the tree walker under
+    either engine; [granularity]
     picks whole-array (default, as the paper) or interval tracking;
     [trace] records the execution timeline; [seed] drives the
     deterministic jitter and fault streams; [plan] arms device faults;
@@ -78,8 +79,8 @@ exception Stop
 
     [kcache], when given, is a shared content-keyed kernel-closure store
     ({!Compile.store}): compiled-engine runs of *different translations*
-    (e.g. the saturate search loop's edited program variants) reuse each
-    other's compiled kernels whenever the kernel body is unchanged —
+    (the saturate search loop's edited program variants, a session's
+    iterations) reuse each other's compiled kernels whenever the kernel body is unchanged —
     visible as [engine_compile_hits] in the [obs] counters.
     @raise Resilience.Unrecovered when the policy's budget is exhausted. *)
 val run :

@@ -19,6 +19,9 @@ val combine : Minic.Ast.redop -> Value.scalar -> Value.scalar -> Value.scalar
 (** Pairwise (tree-order) combination of per-thread partials. *)
 val tree_reduce : Minic.Ast.redop -> Value.scalar list -> Value.scalar option
 
+(** All names appearing in a statement list (declared ones included). *)
+val names_of_block : Minic.Ast.stmt list -> string list
+
 (** All names appearing in a kernel (loop header first, then body), in the
     deterministic order both engines bind kernel-entry state in. *)
 val kernel_names : Codegen.Tprog.kernel -> string list

@@ -617,7 +617,8 @@ let run ?(config = default_config) ~name ~outputs prog0 =
     o
   in
   let tree_run ?obs ~devices prog =
-    Accrt.Interp.run ~coherence:false ~seed ~devices ?obs (translate prog)
+    Accrt.Interp.run ~coherence:false ~engine:Accrt.Engine.Tree ~seed
+      ~devices ?obs (translate prog)
   in
   (* The measured side of every prediction: a traced tree-engine run on
      one device (the committed profile baseline's configuration) — its

@@ -589,6 +589,33 @@ let test_analyze () =
       (contains ~needle:"keep" out)
   end
 
+(* The compiled engine is the default: each command that takes --engine
+   prints byte-identical output under --engine tree, and an unknown
+   engine is still cmdliner's usage error. *)
+let test_engine_default () =
+  if available then begin
+    let _, help = run_cmd "run --help=plain" in
+    Alcotest.(check bool) "--engine defaults to compiled" true
+      (contains ~needle:"--engine=ENGINE (absent=compiled)" help);
+    List.iter
+      (fun b ->
+        List.iter
+          (fun args ->
+            let code, default = run_cmd args in
+            let code', tree = run_cmd (args ^ " --engine tree") in
+            Alcotest.(check int) (args ^ ": exit 0") 0 code;
+            Alcotest.(check int) (args ^ " --engine tree: exit 0") 0 code';
+            Alcotest.(check string)
+              (args ^ ": output identical under --engine tree")
+              tree default)
+          [ Fmt.str "run bench:%s --instrument" b;
+            Fmt.str "analyze bench:%s --devices 4" b;
+            Fmt.str "memtrace bench:%s" b ])
+      [ "jacobi"; "backprop"; "bfs" ];
+    let code, _ = run_cmd "run bench:jacobi --engine frobnicate" in
+    Alcotest.(check int) "--engine frobnicate: exit 124" 124 code
+  end
+
 let test_fault_matrix () =
   check_cmd "fault-matrix"
     "fault-matrix --benches jacobi --kinds xfer-fail,bitflip"
@@ -621,5 +648,6 @@ let tests =
     Alcotest.test_case "analyze" `Quick test_analyze;
     Alcotest.test_case "session" `Slow test_session;
     Alcotest.test_case "fault matrix" `Quick test_fault_matrix;
+    Alcotest.test_case "engine default" `Quick test_engine_default;
     Alcotest.test_case "version" `Quick test_version;
     Alcotest.test_case "error handling" `Quick test_error_handling ]

@@ -370,34 +370,125 @@ let test_failover_diff () =
   Alcotest.(check bool) (what ^ ": shard weight vectors identical") true
     (shard_weights ot = shard_weights oc)
 
-(* Verification verdicts — including injected faults — are engine-free. *)
+(* Verification is engine-free: the compiled engine runs each compute
+   region's sequential source as a register-mode region bound to the
+   reference environment, the tree walker walks it, and the two must
+   agree on the reports (symbolic verdicts included), the sequential op
+   count and every category of the simulated cost, to the bit. *)
+let check_verify what (vt : Openarc_core.Kernel_verify.t)
+    (vc : Openarc_core.Kernel_verify.t) =
+  let strip (r : Openarc_core.Kernel_verify.kernel_report) =
+    ( r.Openarc_core.Kernel_verify.kr_kernel.Codegen.Tprog.k_name,
+      r.kr_occurrences, r.kr_mismatches, r.kr_assertion_failures,
+      r.kr_symbolic )
+  in
+  Alcotest.(check bool)
+    (what ^ ": verification reports identical")
+    true
+    (List.map strip vt.Openarc_core.Kernel_verify.reports
+    = List.map strip vc.Openarc_core.Kernel_verify.reports);
+  Alcotest.(check int)
+    (what ^ ": sequential ops identical")
+    vt.Openarc_core.Kernel_verify.sequential_ops
+    vc.Openarc_core.Kernel_verify.sequential_ops;
+  List.iter
+    (fun cat ->
+      let bits (v : Openarc_core.Kernel_verify.t) =
+        Int64.bits_of_float
+          (Gpusim.Metrics.time_of v.Openarc_core.Kernel_verify.metrics cat)
+      in
+      Alcotest.(check int64)
+        (Fmt.str "%s: %s time identical" what
+           (Gpusim.Metrics.category_name cat))
+        (bits vt) (bits vc))
+    Gpusim.Metrics.all_categories
+
+(* Every suite program, verified the three ways the debugging loop
+   verifies it: the source and optimized builds with the symbolic tier,
+   and the clause-stripped fault build under fault-injection options
+   (every kernel compared numerically, injected races included). *)
 let test_verify_diff () =
   List.iter
-    (fun name ->
-      let b = Option.get (Suite.Registry.find name) in
-      let prog = Parser.parse_string ~file:b.name b.source in
-      let strip (r : Openarc_core.Kernel_verify.kernel_report) =
-        ( r.Openarc_core.Kernel_verify.kr_kernel.Codegen.Tprog.k_name,
-          r.kr_occurrences, r.kr_mismatches, r.kr_assertion_failures )
-      in
-      let vt =
-        Openarc_core.Kernel_verify.verify
-          ~opts:Codegen.Options.fault_injection ~engine:tree prog
-      in
-      let vc =
-        Openarc_core.Kernel_verify.verify
-          ~opts:Codegen.Options.fault_injection ~engine:compiled prog
-      in
-      Alcotest.(check bool)
-        (name ^ ": verification verdicts identical")
-        true
-        (List.map strip vt.Openarc_core.Kernel_verify.reports
-        = List.map strip vc.Openarc_core.Kernel_verify.reports);
-      Alcotest.(check int)
-        (name ^ ": sequential ops identical")
-        vt.Openarc_core.Kernel_verify.sequential_ops
-        vc.Openarc_core.Kernel_verify.sequential_ops)
-    [ "JACOBI"; "EP"; "BACKPROP" ]
+    (fun (b : Suite.Bench_def.t) ->
+      let parse src = Parser.parse_string ~file:b.name src in
+      List.iter
+        (fun (variant, opts, symbolic, prog) ->
+          let verify engine =
+            Openarc_core.Kernel_verify.verify ~opts ~symbolic ~engine prog
+          in
+          check_verify
+            (Fmt.str "%s/%s" b.name variant)
+            (verify tree) (verify compiled))
+        [ ("source", Codegen.Options.default, true, parse b.source);
+          ("optimized", Codegen.Options.default, true, parse b.optimized);
+          ( "fault", Codegen.Options.fault_injection, false,
+            Openarc_core.Faults.strip_parallelism_clauses (parse b.source) )
+        ])
+    Suite.Registry.all
+
+(* A compute region whose sequential source swaps two outer pointers of
+   different lengths through a region-local temporary (an odd number of
+   times, so they leave the region swapped), shadows an outer scalar with
+   an inner declaration, calls a user function and accumulates a committed
+   scalar.  The code after it reads the outer [k] the shadow must leave
+   alone, and its op count depends on where the pointers point. *)
+let region_src =
+  {|float shift(float x, int k) { return x * 0.5 + float(k); }
+
+int main() {
+  int n = 16;
+  int k = 3;
+  float a[n];
+  float b[2 * n];
+  float *p;
+  float *q;
+  float s = 0.0;
+  for (int i = 0; i < n; i++) { a[i] = float(i); b[i] = 0.0; b[n + i] = 0.0; }
+  p = a; q = b;
+  #pragma acc kernels loop seq
+  for (int r = 0; r < 3; r++) {
+    int k = r + 1;
+    for (int i = 0; i < n; i++) { q[i] = shift(p[i], k); }
+    s = s + q[0];
+    float *t = p; p = q; q = t;
+  }
+  #pragma acc kernels loop
+  for (int i = 0; i < n; i++) { q[i] = p[i] + float(k) + s; }
+  float c = 0.0;
+  for (int i = 0; i < int(q[0]); i++) { c = c + p[i]; }
+  return 0;
+}|}
+
+let test_region_diff () =
+  let prog = Parser.parse_string ~file:"region" region_src in
+  let verify engine = Openarc_core.Kernel_verify.verify ~engine prog in
+  let vt = verify tree in
+  check_verify "region" vt (verify compiled);
+  Alcotest.(check int) "region: both kernels verify clean" 0
+    (List.length (Openarc_core.Kernel_verify.detected_errors vt));
+  (* A name the environment does not bind fails the same way, after the
+     same op count, under both engines. *)
+  let tp = Codegen.Translate.translate (Typecheck.check prog) prog in
+  let k = tp.Codegen.Tprog.kernels.(0) in
+  let unbound engine =
+    let env = Accrt.Value.create () in
+    let ctx = Accrt.Eval.make prog env in
+    match
+      match engine with
+      | Accrt.Engine.Tree ->
+          Accrt.Value.scoped env (fun () ->
+              Accrt.Eval.exec ctx k.Codegen.Tprog.k_source)
+      | Accrt.Engine.Compiled ->
+          Accrt.Compile.run_source (Accrt.Compile.create_cache prog) ctx k
+    with
+    | () -> Alcotest.fail "region ran without its bindings"
+    | exception Accrt.Value.Runtime_error m -> (m, ctx.Accrt.Eval.ops)
+  in
+  let mt, ot = unbound tree in
+  Alcotest.(check string) "unbound name: tree message"
+    "unbound variable 'n'" mt;
+  Alcotest.(check (pair string int)) "unbound name: same error, same ops"
+    (mt, ot) (unbound compiled)
 
 (* Fault-matrix slice: the resilient runtime (retry, re-execution with
    validation, CPU fallback, host mode) recovers identically under both
@@ -441,5 +532,6 @@ let tests =
   @ List.map multi_device_case Suite.Registry.all
   @ List.map trace_purity_case Suite.Registry.all
   @ [ Alcotest.test_case "verification verdicts" `Quick test_verify_diff;
+      Alcotest.test_case "register-mode region" `Quick test_region_diff;
       Alcotest.test_case "fault matrix" `Quick test_fault_diff;
       Alcotest.test_case "device-loss failover" `Quick test_failover_diff ]

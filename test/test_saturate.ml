@@ -132,6 +132,27 @@ let test_json_report () =
       "\"steps\": ["; "\"predicted_saved_s\""; "\"measured_saved_s\"";
       "\"engine_compile_hits\"" ]
 
+(* The before/after measurements come from the ladder's tree rung, which
+   pins the tree walker: a compiled run would record the kernel store's
+   [engine_*] counters in the measured profiles. *)
+let test_measured_on_tree () =
+  let prog = Minic.Parser.parse_string hoistable_src in
+  let config =
+    { Saturate.default_config with
+      Saturate.check_devices = [ 1 ];
+      max_steps = 2 }
+  in
+  let r = Saturate.run ~config ~name:"unit" ~outputs:[ "b" ] prog in
+  let engine_keys (p : Obs.Profile.t) =
+    List.filter
+      (fun (n, _) -> String.length n >= 7 && String.sub n 0 7 = "engine_")
+      p.Obs.Profile.p_counters
+  in
+  Alcotest.(check (list (pair string int))) "before: no engine counters" []
+    (engine_keys r.Saturate.r_before);
+  Alcotest.(check (list (pair string int))) "after: no engine counters" []
+    (engine_keys r.Saturate.r_after)
+
 (* The report depends only on the program: how much work the validation
    ladder does (here, how many device-set sizes it checks) must not change
    the search's order, labels or results — only the kernel-store counters,
@@ -163,5 +184,7 @@ let tests =
     Alcotest.test_case "search accepts the hoist" `Slow
       test_search_accepts_hoist;
     Alcotest.test_case "canonical JSON report" `Quick test_json_report;
+    Alcotest.test_case "measurements run on the tree walker" `Quick
+      test_measured_on_tree;
     Alcotest.test_case "report independent of the ladder's work" `Slow
       test_report_independent_of_ladder ]

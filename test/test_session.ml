@@ -285,6 +285,36 @@ let test_session_to_json () =
     (normalize (Openarc_core.Session.to_json ~name:"jacobi" r))
     (normalize (Openarc_core.Session.to_json ~name:"jacobi" r2))
 
+(* One kernel store serves a whole session: its edits touch data clauses
+   only, so on every suite program the first iteration's run compiles the
+   kernels and every later iteration's profile records cache hits only. *)
+let test_session_kernel_store () =
+  List.iter
+    (fun (b : Suite.Bench_def.t) ->
+      let r =
+        Openarc_core.Session.optimize ~outputs:b.outputs
+          (Parser.parse_string ~file:b.name b.source)
+      in
+      List.iter
+        (fun (it : Openarc_core.Session.iteration) ->
+          match it.it_profile with
+          | None -> ()
+          | Some p ->
+              let compiles =
+                List.assoc_opt "engine_compiles" p.Obs.Profile.p_counters
+              in
+              if it.it_index = 1 then
+                Alcotest.(check bool)
+                  (Fmt.str "%s iteration 1 compiles its kernels" b.name)
+                  true (compiles <> None)
+              else
+                Alcotest.(check (option int))
+                  (Fmt.str "%s iteration %d compiles nothing" b.name
+                     it.it_index)
+                  None compiles)
+        r.Openarc_core.Session.telemetry)
+    Suite.Registry.all
+
 let tests =
   [ Alcotest.test_case "suggestions from naive run" `Quick
       test_suggestions_from_naive_run;
@@ -303,4 +333,6 @@ let tests =
     Alcotest.test_case "telemetry wrong suggestion" `Quick
       test_telemetry_wrong_suggestion;
     Alcotest.test_case "session report" `Quick test_session_report;
-    Alcotest.test_case "session to_json" `Quick test_session_to_json ]
+    Alcotest.test_case "session to_json" `Quick test_session_to_json;
+    Alcotest.test_case "one kernel store per session" `Quick
+      test_session_kernel_store ]

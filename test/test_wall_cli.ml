@@ -1,7 +1,8 @@
 (* Integration tests of the bench driver's [wall] tier: the exit-2 usage
-   convention for malformed flags, the bench-wall JSON report shape, the
-   single-engine mode, and the --min-speedup gate (both directions —
-   impossible bounds must fail, a sub-1.0 sanity bound must pass). *)
+   convention for malformed flags, the bench-wall JSON report shape (run
+   and verify timers), the single-engine mode, and the --min-speedup gate
+   on both suite medians (both directions — impossible bounds must fail,
+   a sub-1.0 sanity bound must pass). *)
 
 let exe = "../bench/main.exe"
 
@@ -98,12 +99,16 @@ let test_wall_report () =
               (match Obs.Pjson.member field rv with
               | Some (Obs.Pjson.Num x) -> x > 0.0
               | _ -> false))
-          [ "tree_s"; "compiled_s"; "speedup" ])
+          [ "tree_s"; "compiled_s"; "speedup"; "verify_tree_s";
+            "verify_compiled_s"; "verify_speedup" ])
       rows;
-    Alcotest.(check bool) "median speedup present" true
-      (match Obs.Pjson.member "median_speedup" v with
-      | Some (Obs.Pjson.Num x) -> x > 0.0
-      | _ -> false)
+    List.iter
+      (fun field ->
+        Alcotest.(check bool) (field ^ " present") true
+          (match Obs.Pjson.member field v with
+          | Some (Obs.Pjson.Num x) -> x > 0.0
+          | _ -> false))
+      [ "median_speedup"; "median_verify_speedup" ]
   end
 
 let test_single_engine () =
@@ -122,12 +127,16 @@ let test_single_engine () =
     in
     List.iter
       (fun rv ->
-        Alcotest.(check bool) "compiled time present" true
-          (Obs.Pjson.member "compiled_s" rv <> None);
-        Alcotest.(check bool) "no tree column" true
-          (Obs.Pjson.member "tree_s" rv = None);
-        Alcotest.(check bool) "no speedup without a baseline" true
-          (Obs.Pjson.member "speedup" rv = None))
+        List.iter
+          (fun field ->
+            Alcotest.(check bool) (field ^ " present") true
+              (Obs.Pjson.member field rv <> None))
+          [ "compiled_s"; "verify_compiled_s" ];
+        List.iter
+          (fun field ->
+            Alcotest.(check bool) (field ^ " absent") true
+              (Obs.Pjson.member field rv = None))
+          [ "tree_s"; "verify_tree_s"; "speedup"; "verify_speedup" ])
       rows
   end
 
@@ -138,17 +147,23 @@ let test_min_speedup_gate () =
       Fmt.str "wall --benches jacobi --repeats 1 --json %s %s"
         (Filename.quote json) extra
     in
-    (* An impossible bound must trip the gate... *)
+    (* An impossible bound must trip the gate on both medians... *)
     let code, out, _ = run_cmd (args "--min-speedup 1000000") in
     Alcotest.(check int) "impossible bound: exit 1" 1 code;
-    Alcotest.(check bool) "flagged" true
-      (contains ~needle:"WALL REGRESSION" out);
+    List.iter
+      (fun label ->
+        Alcotest.(check bool) (label ^ " flagged") true
+          (contains ~needle:("WALL REGRESSION: median " ^ label ^ " ") out))
+      [ "speedup"; "verify speedup" ];
     (* ...and a trivial one must pass (any positive speedup clears 0.01). *)
     let code, out, _ = run_cmd (args "--min-speedup 0.01") in
     Sys.remove json;
     Alcotest.(check int) "trivial bound: exit 0" 0 code;
-    Alcotest.(check bool) "reports the gate" true
-      (contains ~needle:"median speedup" out)
+    List.iter
+      (fun label ->
+        Alcotest.(check bool) (label ^ " gate reported") true
+          (contains ~needle:("wall: median " ^ label ^ " ") out))
+      [ "speedup"; "verify speedup" ]
   end
 
 let tests =
