@@ -15,28 +15,6 @@ let phase obs name f =
   | None -> f ()
   | Some tr -> Obs.Trace.with_span tr Obs.Trace.Phase name f
 
-(** Compile a source string end to end. *)
-let compile ?(opts = Codegen.Options.default) ?file ?obs src =
-  let program = phase obs "parse" (fun () -> Minic.Parser.parse_string ?file src) in
-  phase obs "validate" (fun () -> Acc.Validate.check_program program);
-  let env = phase obs "typecheck" (fun () -> Minic.Typecheck.check program) in
-  let tprog =
-    phase obs "translate" (fun () ->
-        Codegen.Translate.translate ~opts env program)
-  in
-  (match obs with
-  | Some tr ->
-      Obs.Trace.count tr "kernels" (Array.length tprog.Codegen.Tprog.kernels)
-  | None -> ());
-  { program; env; tprog }
-
-let compile_file ?opts path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let src = really_input_string ic n in
-  close_in ic;
-  compile ?opts ~file:path src
-
 let compile_program ?(opts = Codegen.Options.default) ?obs program =
   phase obs "validate" (fun () -> Acc.Validate.check_program program);
   let env = phase obs "typecheck" (fun () -> Minic.Typecheck.check program) in
@@ -49,6 +27,18 @@ let compile_program ?(opts = Codegen.Options.default) ?obs program =
       Obs.Trace.count tr "kernels" (Array.length tprog.Codegen.Tprog.kernels)
   | None -> ());
   { program; env; tprog }
+
+(** Compile a source string end to end. *)
+let compile ?opts ?file ?obs src =
+  compile_program ?opts ?obs
+    (phase obs "parse" (fun () -> Minic.Parser.parse_string ?file src))
+
+let compile_file ?opts path =
+  let ic = open_in_bin path in
+  let n = in_channel_length ic in
+  let src = really_input_string ic n in
+  close_in ic;
+  compile ?opts ~file:path src
 
 (** Execute the translated program on the simulated device. *)
 let run ?seed ?cm c = Accrt.Interp.run ~coherence:false ?seed ?cm c.tprog

@@ -197,7 +197,7 @@ let pp ppf t =
     (if bad = [] then "" else " — MATRIX FAILED");
   Fmt.pf ppf "@]"
 
-let json_str s = Fmt.str "\"%s\"" (String.concat "\\\"" (String.split_on_char '"' s))
+let json_str = Obs.Trace.json_str
 
 let to_json t =
   let cell c =
@@ -226,22 +226,11 @@ let to_json t =
     [bench/fault/policy], so recovery behaviour is comparable side by
     side in one Perfetto view. *)
 let trace_json t =
-  let lines =
-    List.concat
-      (List.mapi
-         (fun i (label, tl) ->
-           let pid = i + 1 in
-           Gpusim.Timeline.chrome_process_name ~pid label
-           :: Gpusim.Timeline.chrome_events ~pid tl)
-         t.traces)
-  in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "[\n";
-  List.iteri
-    (fun i l ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf "  ";
-      Buffer.add_string buf l)
-    lines;
-  Buffer.add_string buf "\n]\n";
-  Buffer.contents buf
+  Gpusim.Timeline.chrome_document
+    (List.concat
+       (List.mapi
+          (fun i (label, tl) ->
+            let pid = i + 1 in
+            Gpusim.Timeline.chrome_process_name ~pid label
+            :: Gpusim.Timeline.chrome_events ~pid tl)
+          t.traces))

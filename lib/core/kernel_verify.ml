@@ -53,25 +53,13 @@ let committed_scalars k = List.map fst k.k_scalars
    kernel touches device buffers only, and root resolution goes through the
    original slots. *)
 let shadow_ctx (ctx : Accrt.Eval.ctx) =
-  let env = ctx.Accrt.Eval.env in
-  let clone_frame fr =
-    let fr' = Hashtbl.create (Hashtbl.length fr) in
-    Hashtbl.iter
-      (fun k b ->
-        let b' =
-          match b with
-          | Accrt.Value.Scalar c -> Accrt.Value.Scalar { v = c.Accrt.Value.v }
-          | Accrt.Value.Array _ as a -> a
-        in
-        Hashtbl.replace fr' k b')
-      fr;
-    fr'
-  in
-  let env' =
-    { Accrt.Value.globals = clone_frame env.Accrt.Value.globals;
-      frames = List.map clone_frame env.Accrt.Value.frames }
-  in
-  Accrt.Eval.make ctx.Accrt.Eval.prog env'
+  Accrt.Eval.make ctx.Accrt.Eval.prog
+    (Accrt.Value.map_bindings
+       (fun _ b ->
+         match b with
+         | Accrt.Value.Scalar c -> Accrt.Value.Scalar { v = c.Accrt.Value.v }
+         | Accrt.Value.Array _ -> b)
+       ctx.Accrt.Eval.env)
 
 (** Verify [prog].  [opts] controls translation (use
     {!Codegen.Options.fault_injection} to reproduce Table II).  Returns the
@@ -98,16 +86,7 @@ let verify ?(opts = Codegen.Options.default) ?(config = Vconfig.default)
   | None -> ()
   | Some tr ->
       Obs.Trace.set_clock tr (fun () -> metrics.Gpusim.Metrics.host_clock);
-      Gpusim.Metrics.set_on_charge metrics (fun cat dt ->
-          Obs.Trace.charge tr
-            ~category:(Gpusim.Metrics.category_name cat)
-            dt);
-      Gpusim.Timeline.set_on_event device.Gpusim.Device.timeline (fun e ->
-          Obs.Trace.leaf tr Obs.Trace.Device
-            (Gpusim.Timeline.kind_name e.Gpusim.Timeline.ev_kind)
-            ~attrs:[ ("label", e.Gpusim.Timeline.ev_label) ]
-            ~start:e.Gpusim.Timeline.ev_start
-            ~duration:e.Gpusim.Timeline.ev_duration ()));
+      Gpusim.Device.observe device (Accrt.Interp.trace_event tr));
   let in_span kind name ?loc ?directive f =
     match obs with
     | None -> f ()
@@ -169,7 +148,7 @@ let verify ?(opts = Codegen.Options.default) ?(config = Vconfig.default)
   let charged_ops = ref 0 in
   let charge_cpu delta =
     charged_ops := !charged_ops + delta;
-    Gpusim.Metrics.charge metrics Gpusim.Metrics.Cpu_time
+    Gpusim.Device.charge device Gpusim.Metrics.Cpu_time
       (Gpusim.Costmodel.cpu_time cmodel ~ops:delta)
   in
 
@@ -230,7 +209,7 @@ let verify ?(opts = Codegen.Options.default) ?(config = Vconfig.default)
         let gpu_copy = Gpusim.Buf.copy reference in
         Gpusim.Device.download device v ~host:gpu_copy ();
         let n = Gpusim.Buf.length reference in
-        Gpusim.Metrics.charge metrics Gpusim.Metrics.Result_comp
+        Gpusim.Device.charge device Gpusim.Metrics.Result_comp
           (Gpusim.Costmodel.compare_time cmodel ~elems:n);
         (* §III-C application-knowledge bounds: a difference whose GPU
            value still falls within the user-declared bound for this
@@ -286,7 +265,7 @@ let verify ?(opts = Codegen.Options.default) ?(config = Vconfig.default)
         | Some (Accrt.Value.Scalar c_ref), Some (Accrt.Value.Scalar c_gpu) ->
             let x = Accrt.Value.to_float c_ref.Accrt.Value.v in
             let y = Accrt.Value.to_float c_gpu.Accrt.Value.v in
-            Gpusim.Metrics.charge metrics Gpusim.Metrics.Result_comp
+            Gpusim.Device.charge device Gpusim.Metrics.Result_comp
               (Gpusim.Costmodel.compare_time cmodel ~elems:1);
             if Float.abs x >= config.Vconfig.min_value then begin
               let tol =
@@ -338,7 +317,7 @@ let verify ?(opts = Codegen.Options.default) ?(config = Vconfig.default)
         Accrt.Compile.reference ~engine ~hook prog)
   in
   (* Host work outside compute regions (regions were charged as they ran). *)
-  Gpusim.Metrics.charge metrics Gpusim.Metrics.Cpu_time
+  Gpusim.Device.charge device Gpusim.Metrics.Cpu_time
     (Gpusim.Costmodel.cpu_time cmodel
        ~ops:(max 0 (vctx.Accrt.Eval.ops - !charged_ops)));
 

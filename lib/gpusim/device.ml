@@ -8,9 +8,9 @@
 
 type stream = { mutable avail : float  (** completion time of queued work *) }
 
-(** One completed DMA transfer, as seen by the data-movement ledger hook:
-    fired with exactly the bytes the metrics accumulator recorded, so a
-    listener conserves bytes by construction. *)
+(** One completed DMA transfer, reported with exactly the bytes the
+    metrics accumulator recorded, so an observer conserves bytes by
+    construction. *)
 type xfer_info = {
   x_name : string;  (** buffer name *)
   x_h2d : bool;
@@ -28,6 +28,13 @@ type mem_info = {
   m_time : float;
 }
 
+(** What the device reports to its observer, in the order it happens. *)
+type event =
+  | Charge of Metrics.category * float
+  | Timeline of Timeline.event
+  | Xfer of xfer_info
+  | Mem of mem_info
+
 type t = {
   id : int;  (** ordinal within a {!Device_set} (0 when standalone) *)
   cm : Costmodel.t;
@@ -39,10 +46,7 @@ type t = {
   plan : Fault_plan.t;  (** armed device faults (empty by default) *)
   mutable allocated_bytes : int;
   mutable peak_bytes : int;
-  mutable on_xfer : (xfer_info -> unit) option;
-      (** observation hook: fired after every completed upload/download *)
-  mutable on_mem : (mem_info -> unit) option;
-      (** observation hook: fired after every alloc/free bookkeeping *)
+  mutable observer : (event -> unit) option;
 }
 
 let create ?(id = 0) ?(cm = Costmodel.default) ?(seed = 42) ?(trace = false)
@@ -54,16 +58,31 @@ let create ?(id = 0) ?(cm = Costmodel.default) ?(seed = 42) ?(trace = false)
     timeline = Timeline.create ~enabled:trace ();
     mem = Hashtbl.create 32;
     streams = Hashtbl.create 4; rng = Rng.create seed; plan;
-    allocated_bytes = 0; peak_bytes = 0; on_xfer = None; on_mem = None }
+    allocated_bytes = 0; peak_bytes = 0; observer = None }
 
-let set_on_xfer dev f = dev.on_xfer <- Some f
-let set_on_mem dev f = dev.on_mem <- Some f
+let observe dev f = dev.observer <- Some f
 
-let notify_xfer dev info =
-  match dev.on_xfer with None -> () | Some f -> f info
+(* The reports below build their event only under an attached observer,
+   so a detached device allocates nothing for observation. *)
+let charge dev cat dt =
+  Metrics.charge dev.metrics cat dt;
+  match dev.observer with None -> () | Some f -> f (Charge (cat, dt))
 
-let notify_mem dev info =
-  match dev.on_mem with None -> () | Some f -> f info
+let record dev ?stream ~kind ~label ~start ~duration () =
+  match
+    ( Timeline.record dev.timeline ?stream ~kind ~label ~start ~duration (),
+      dev.observer )
+  with
+  | Some e, Some f -> f (Timeline e)
+  | _ -> ()
+
+let report_mem dev name delta =
+  match dev.observer with
+  | None -> ()
+  | Some f ->
+      f (Mem { m_name = name; m_delta = delta;
+               m_allocated = dev.allocated_bytes;
+               m_time = dev.metrics.Metrics.host_clock })
 
 (* Deterministic noise in [-1, 1]. *)
 let noise dev = Rng.noise dev.rng
@@ -105,7 +124,7 @@ let alive dev = not dev.plan.Fault_plan.lost
 let fault_event dev kind ~target ~op =
   dev.metrics.Metrics.faults_injected <-
     dev.metrics.Metrics.faults_injected + 1;
-  Timeline.record dev.timeline ~kind:(Timeline.Ev_fault (Fault_plan.kind_name kind))
+  record dev ~kind:(Timeline.Ev_fault (Fault_plan.kind_name kind))
     ~label:(Fmt.str "%s(%s) during %s" (Fault_plan.kind_name kind) target op)
     ~start:dev.metrics.Metrics.host_clock ~duration:0.0 ();
   { f_kind = kind; f_target = target; f_op = op }
@@ -147,8 +166,7 @@ let alloc dev name ~like =
   (match inject dev Fault_plan.Oom ~target:name ~op:"alloc" with
   | Some f ->
       (* a failed cudaMalloc still costs the host its round trip *)
-      Metrics.charge dev.metrics Metrics.Gpu_alloc
-        (Costmodel.alloc_time dev.cm ~bytes:0);
+      charge dev Metrics.Gpu_alloc (Costmodel.alloc_time dev.cm ~bytes:0);
       raise (Device_fault f)
   | None -> ());
   let b =
@@ -160,14 +178,12 @@ let alloc dev name ~like =
   Hashtbl.add dev.mem name b;
   dev.allocated_bytes <- dev.allocated_bytes + bytes;
   dev.peak_bytes <- max dev.peak_bytes dev.allocated_bytes;
-  notify_mem dev
-    { m_name = name; m_delta = bytes; m_allocated = dev.allocated_bytes;
-      m_time = dev.metrics.Metrics.host_clock };
+  report_mem dev name bytes;
   let duration = Costmodel.alloc_time dev.cm ~bytes in
-  Timeline.record dev.timeline ~kind:(Timeline.Ev_alloc name)
+  record dev ~kind:(Timeline.Ev_alloc name)
     ~label:(Fmt.str "cudaMalloc(%s, %dB)" name bytes)
     ~start:dev.metrics.Metrics.host_clock ~duration ();
-  Metrics.charge dev.metrics Metrics.Gpu_alloc duration
+  charge dev Metrics.Gpu_alloc duration
 
 (* [free] stays available on a lost device (it is the cleanup path): the
    memory is gone either way, so only the bookkeeping happens. *)
@@ -178,16 +194,13 @@ let free dev name =
       let bytes = Buf.bytes b in
       Hashtbl.remove dev.mem name;
       dev.allocated_bytes <- dev.allocated_bytes - bytes;
-      notify_mem dev
-        { m_name = name; m_delta = -bytes;
-          m_allocated = dev.allocated_bytes;
-          m_time = dev.metrics.Metrics.host_clock };
+      report_mem dev name (-bytes);
       if alive dev then begin
         let duration = Costmodel.free_time dev.cm ~bytes in
-        Timeline.record dev.timeline ~kind:(Timeline.Ev_free name)
+        record dev ~kind:(Timeline.Ev_free name)
           ~label:(Fmt.str "cudaFree(%s)" name)
           ~start:dev.metrics.Metrics.host_clock ~duration ();
-        Metrics.charge dev.metrics Metrics.Gpu_free duration
+        charge dev Metrics.Gpu_free duration
       end
 
 let free_all dev =
@@ -201,14 +214,14 @@ let charge_async dev ~async ~category ~duration =
   match async with
   | None ->
       let start = dev.metrics.Metrics.host_clock in
-      Metrics.charge dev.metrics category duration;
+      charge dev category duration;
       start
   | Some q ->
       let s = stream dev q in
       let start = Float.max dev.metrics.Metrics.host_clock s.avail in
       s.avail <- start +. duration;
       (* submission overhead on the host *)
-      Metrics.charge dev.metrics category (dev.cm.Costmodel.kernel_launch /. 5.);
+      charge dev category (dev.cm.Costmodel.kernel_launch /. 5.);
       start
 
 let transfer_bytes ~range buf =
@@ -224,7 +237,7 @@ let transfer_faults dev name ~op ~src ~dst ~range =
   check_lost dev ~target:name ~op;
   (match inject dev Fault_plan.Xfer_fail ~target:name ~op with
   | Some f ->
-      Metrics.charge dev.metrics Metrics.Mem_transfer dev.cm.Costmodel.pcie_latency;
+      charge dev Metrics.Mem_transfer dev.cm.Costmodel.pcie_latency;
       raise (Device_fault f)
   | None -> ());
   let lo, len =
@@ -234,7 +247,7 @@ let transfer_faults dev name ~op ~src ~dst ~range =
   | Some f ->
       Buf.blit_range ~src ~dst ~lo ~len:(len / 2);
       let bytes = transfer_bytes ~range src / 2 in
-      Metrics.charge dev.metrics Metrics.Mem_transfer
+      charge dev Metrics.Mem_transfer
         (Costmodel.transfer_time dev.cm ~bytes ~noise:(noise dev));
       raise (Device_fault f)
   | None -> ());
@@ -247,50 +260,43 @@ let transfer_faults dev name ~op ~src ~dst ~range =
           ~bit:(Fault_plan.rand_int dev.plan 52)
     | Some _ | None -> ()
 
+(* One DMA copy between [host] and the device buffer [name], in the
+   direction [h2d] names. *)
+let transfer dev name ~h2d ~host ?range ?async ?label () =
+  let dbuf = buffer dev name in
+  let src, dst = if h2d then (host, dbuf) else (dbuf, host) in
+  let corrupt =
+    transfer_faults dev name ~op:(if h2d then "upload" else "download") ~src
+      ~dst ~range
+  in
+  (match range with
+  | None -> Buf.blit ~src ~dst
+  | Some (lo, len) -> Buf.blit_range ~src ~dst ~lo ~len);
+  corrupt ();
+  let bytes = transfer_bytes ~range src in
+  (if h2d then Metrics.record_h2d else Metrics.record_d2h) dev.metrics bytes;
+  let duration = Costmodel.transfer_time dev.cm ~bytes ~noise:(noise dev) in
+  let start = charge_async dev ~async ~category:Metrics.Mem_transfer ~duration in
+  record dev ?stream:async
+    ~kind:(Timeline.Ev_transfer { var = name; h2d; bytes })
+    ~label:
+      (Option.value label
+         ~default:(Fmt.str "memcpy%s(%s)" (if h2d then "in" else "out") name))
+    ~start ~duration ();
+  match dev.observer with
+  | None -> ()
+  | Some f ->
+      f (Xfer { x_name = name; x_h2d = h2d; x_bytes = bytes;
+                x_start = start; x_duration = duration })
+
 (** Host-to-device copy of [host] into the device buffer [name].
     [range = Some (lo, len)] restricts to a subarray. *)
 let upload dev name ~host ?range ?async ?label () =
-  let dbuf = buffer dev name in
-  let corrupt =
-    transfer_faults dev name ~op:"upload" ~src:host ~dst:dbuf ~range
-  in
-  (match range with
-  | None -> Buf.blit ~src:host ~dst:dbuf
-  | Some (lo, len) -> Buf.blit_range ~src:host ~dst:dbuf ~lo ~len);
-  corrupt ();
-  let bytes = transfer_bytes ~range host in
-  Metrics.record_h2d dev.metrics bytes;
-  let duration = Costmodel.transfer_time dev.cm ~bytes ~noise:(noise dev) in
-  let start = charge_async dev ~async ~category:Metrics.Mem_transfer ~duration in
-  Timeline.record dev.timeline ?stream:async
-    ~kind:(Timeline.Ev_transfer { var = name; h2d = true; bytes })
-    ~label:(Option.value label ~default:(Fmt.str "memcpyin(%s)" name))
-    ~start ~duration ();
-  notify_xfer dev
-    { x_name = name; x_h2d = true; x_bytes = bytes; x_start = start;
-      x_duration = duration }
+  transfer dev name ~h2d:true ~host ?range ?async ?label ()
 
 (** Device-to-host copy of the device buffer [name] into [host]. *)
 let download dev name ~host ?range ?async ?label () =
-  let dbuf = buffer dev name in
-  let corrupt =
-    transfer_faults dev name ~op:"download" ~src:dbuf ~dst:host ~range
-  in
-  (match range with
-  | None -> Buf.blit ~src:dbuf ~dst:host
-  | Some (lo, len) -> Buf.blit_range ~src:dbuf ~dst:host ~lo ~len);
-  corrupt ();
-  let bytes = transfer_bytes ~range dbuf in
-  Metrics.record_d2h dev.metrics bytes;
-  let duration = Costmodel.transfer_time dev.cm ~bytes ~noise:(noise dev) in
-  let start = charge_async dev ~async ~category:Metrics.Mem_transfer ~duration in
-  Timeline.record dev.timeline ?stream:async
-    ~kind:(Timeline.Ev_transfer { var = name; h2d = false; bytes })
-    ~label:(Option.value label ~default:(Fmt.str "memcpyout(%s)" name))
-    ~start ~duration ();
-  notify_xfer dev
-    { x_name = name; x_h2d = false; x_bytes = bytes; x_start = start;
-      x_duration = duration }
+  transfer dev name ~h2d:false ~host ?range ?async ?label ()
 
 (** Fault gate called before a kernel's functional execution: launch
     errors, watchdog timeouts, and device loss all surface here, before any
@@ -301,14 +307,13 @@ let begin_launch dev ~label =
   (match inject dev Fault_plan.Launch_fail ~target:label ~op:"launch" with
   | Some f ->
       (* a failed launch costs the submission overhead *)
-      Metrics.charge dev.metrics Metrics.Async_wait dev.cm.Costmodel.kernel_launch;
+      charge dev Metrics.Async_wait dev.cm.Costmodel.kernel_launch;
       raise (Device_fault f)
   | None -> ());
   match inject dev Fault_plan.Launch_timeout ~target:label ~op:"launch" with
   | Some f ->
       (* the watchdog lets the kernel hang for a while before killing it *)
-      Metrics.charge dev.metrics Metrics.Async_wait
-        (100.0 *. dev.cm.Costmodel.kernel_launch);
+      charge dev Metrics.Async_wait (100.0 *. dev.cm.Costmodel.kernel_launch);
       raise (Device_fault f)
   | None -> ()
 
@@ -363,11 +368,11 @@ let launch_timed dev ~iterations ~ops_per_iter ?width ?time ?(jitter = true)
     match async with
     | None ->
         let start = dev.metrics.Metrics.host_clock in
-        Metrics.charge dev.metrics Metrics.Async_wait duration;
+        charge dev Metrics.Async_wait duration;
         start
     | Some _ -> charge_async dev ~async ~category:Metrics.Cpu_time ~duration
   in
-  Timeline.record dev.timeline ?stream:async
+  record dev ?stream:async
     ~kind:(Timeline.Ev_kernel { name = label; iterations })
     ~label:(Fmt.str "%s<<<%d>>>" label iterations)
     ~start ~duration ();
@@ -406,7 +411,7 @@ let wait dev q =
   in
   let dt = target -. dev.metrics.Metrics.host_clock in
   if dt > 0.0 then begin
-    Timeline.record dev.timeline ~kind:Timeline.Ev_wait ~label:"wait"
+    record dev ~kind:Timeline.Ev_wait ~label:"wait"
       ~start:dev.metrics.Metrics.host_clock ~duration:dt ();
-    Metrics.charge dev.metrics Metrics.Async_wait dt
+    charge dev Metrics.Async_wait dt
   end

@@ -4,13 +4,29 @@
     Data movement happens functionally at submission time; asynchrony is
     modeled in the timing domain (streams with completion times, the host
     blocking at {!wait}).  All timing flows into {!Metrics} and, when
-    tracing is enabled, the {!Timeline}. *)
+    tracing is enabled, the {!Timeline}.
+
+    {b Observation.}  A device has at most one observer ({!observe}),
+    which sees one {!event} stream in the order things happen: every
+    charge, every recorded timeline event, every completed transfer and
+    every alloc/free bookkeeping update.  Within one operation the order
+    is fixed: an alloc reports [Mem], [Timeline], [Charge]; a free the
+    same (only [Mem] on a lost device); an upload or download [Charge],
+    [Timeline], [Xfer] (async ones charge only the submit); a launch
+    [Charge], [Timeline]; a wait [Timeline], [Charge]; an injected fault
+    its [Timeline] mark, then any [Charge] it costs.
+
+    Code outside gpusim charges a device through {!charge}, never
+    {!Metrics.charge} directly: only {!charge}'s charges reach the
+    observer, so only they count toward a trace's (and [Obs.Profile]'s)
+    conservation against the metrics totals. *)
 
 type stream = { mutable avail : float }
 
-(** One completed DMA transfer, as seen by the data-movement ledger hook:
-    fired with exactly the bytes the metrics accumulator recorded, so a
-    listener conserves bytes by construction. *)
+(** One completed DMA transfer, reported with exactly the bytes the
+    metrics accumulator recorded, so an observer conserves bytes by
+    construction.  Injected transfer faults that abort the copy report
+    none. *)
 type xfer_info = {
   x_name : string;  (** buffer name *)
   x_h2d : bool;
@@ -28,6 +44,16 @@ type mem_info = {
   m_time : float;
 }
 
+(** One observed device event. *)
+type event =
+  | Charge of Metrics.category * float
+      (** [dt] seconds charged to a category (the host clock advanced) *)
+  | Timeline of Timeline.event
+      (** an event the timeline recorded (only with [trace]) *)
+  | Xfer of xfer_info  (** a completed upload/download *)
+  | Mem of mem_info
+      (** alloc/free bookkeeping (frees report even on a lost device) *)
+
 type t = {
   id : int;  (** ordinal within a {!Device_set} (0 when standalone) *)
   cm : Costmodel.t;
@@ -39,21 +65,17 @@ type t = {
   plan : Fault_plan.t;  (** armed device faults (empty by default) *)
   mutable allocated_bytes : int;
   mutable peak_bytes : int;
-  mutable on_xfer : (xfer_info -> unit) option;
-      (** observation hook: fired after every completed upload/download *)
-  mutable on_mem : (mem_info -> unit) option;
-      (** observation hook: fired after every alloc/free bookkeeping *)
+  mutable observer : (event -> unit) option;  (** see {!observe} *)
 }
 
-(** Install the transfer observation hook: called after every completed
-    {!upload}/{!download} with the same byte count the metrics recorded.
-    Injected transfer faults that abort the copy do not fire it. *)
-val set_on_xfer : t -> (xfer_info -> unit) -> unit
+(** Install the device's observer, replacing any earlier one.  Observing
+    is pure: it changes no charge, RNG draw or functional effect. *)
+val observe : t -> (event -> unit) -> unit
 
-(** Install the allocation observation hook: called after every
-    {!alloc}/{!free} bookkeeping update (frees fire even on a lost
-    device — the cleanup path still releases memory). *)
-val set_on_mem : t -> (mem_info -> unit) -> unit
+(** Charge [dt] seconds to a category (advancing the host clock) and
+    report it to the observer as [Charge].  The event is built only when
+    an observer is attached. *)
+val charge : t -> Metrics.category -> float -> unit
 
 (** Host-side misuse (double alloc, unallocated buffer): a programming
     error, not a recoverable fault. *)

@@ -53,15 +53,12 @@ type t = {
   mutable checks : int;
   mutable faults_injected : int;  (** device faults injected by the plan *)
   mutable host_clock : float;  (** simulated wall clock of the host thread *)
-  mutable on_charge : (category -> float -> unit) option;
-      (** observer called after each charge (tracing) *)
 }
 
 let create () =
   { times = Array.make num_categories 0.0;
     bytes_h2d = 0; bytes_d2h = 0; transfers_h2d = 0; transfers_d2h = 0;
-    kernel_launches = 0; checks = 0; faults_injected = 0; host_clock = 0.0;
-    on_charge = None }
+    kernel_launches = 0; checks = 0; faults_injected = 0; host_clock = 0.0 }
 
 let reset m =
   Array.fill m.times 0 num_categories 0.0;
@@ -70,14 +67,11 @@ let reset m =
   m.kernel_launches <- 0; m.checks <- 0; m.faults_injected <- 0;
   m.host_clock <- 0.0
 
-let set_on_charge m f = m.on_charge <- Some f
-
 (** Charge [dt] seconds of host time to [cat] and advance the host clock. *)
 let charge m cat dt =
   let i = category_index cat in
   m.times.(i) <- m.times.(i) +. dt;
-  m.host_clock <- m.host_clock +. dt;
-  match m.on_charge with None -> () | Some f -> f cat dt
+  m.host_clock <- m.host_clock +. dt
 
 let time_of m cat = m.times.(category_index cat)
 

@@ -33,17 +33,15 @@ type t = {
   mutable checks : int;
   mutable faults_injected : int;  (** device faults injected by the plan *)
   mutable host_clock : float;  (** simulated wall clock of the host thread *)
-  mutable on_charge : (category -> float -> unit) option;
-      (** observer called after each charge (tracing) *)
 }
 
 val create : unit -> t
 val reset : t -> unit
 
-(** Install an observer invoked after every [charge] (tracing hook). *)
-val set_on_charge : t -> (category -> float -> unit) -> unit
-
-(** Charge [dt] seconds of host time to a category and advance the clock. *)
+(** Charge [dt] seconds of host time to a category and advance the clock.
+    Accounting only: no observer sees it.  Code outside gpusim charges a
+    device through {!Device.charge}, which also reports the charge to the
+    device's observer. *)
 val charge : t -> category -> float -> unit
 
 val time_of : t -> category -> float

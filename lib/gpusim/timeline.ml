@@ -28,14 +28,12 @@ type event = {
 type t = {
   mutable events : event list (* reversed *);
   mutable enabled : bool;
-  mutable on_event : (event -> unit) option;
-      (** observer called on each recorded event (tracing) *)
 }
 
-let create ?(enabled = true) () = { events = []; enabled; on_event = None }
+let create ?(enabled = true) () = { events = []; enabled }
 
-let set_on_event t f = t.on_event <- Some f
-
+(* The recorded event is returned so the device can report it to its
+   observer; a disabled timeline records nothing and returns [None]. *)
 let record t ?stream ~kind ~label ~start ~duration () =
   if t.enabled then begin
     let e =
@@ -43,8 +41,9 @@ let record t ?stream ~kind ~label ~start ~duration () =
         ev_duration = duration; ev_stream = stream }
     in
     t.events <- e :: t.events;
-    match t.on_event with None -> () | Some f -> f e
+    Some e
   end
+  else None
 
 let events t = List.rev t.events
 
@@ -132,8 +131,9 @@ let chrome_process_name ~pid name =
      {\"name\": \"%s\"}}"
     pid (escape name)
 
-(** Chrome-trace ("trace event format") JSON. *)
-let to_chrome_json t =
+(** A Chrome-trace JSON document: the event objects as one array, one
+    per line. *)
+let chrome_document lines =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "[\n";
   List.iteri
@@ -141,31 +141,23 @@ let to_chrome_json t =
       if i > 0 then Buffer.add_string buf ",\n";
       Buffer.add_string buf "  ";
       Buffer.add_string buf line)
-    (chrome_events t);
+    lines;
   Buffer.add_string buf "\n]\n";
   Buffer.contents buf
 
+(** Chrome-trace ("trace event format") JSON. *)
+let to_chrome_json t = chrome_document (chrome_events t)
+
 (** Multi-lane Chrome-trace JSON for a device set: the pre-rendered
     [host] event objects on lane [tid 0], then member [d]'s timeline on
-    lane [tid d + 1].  Same document framing as {!to_chrome_json}. *)
+    lane [tid d + 1]. *)
 let to_chrome_json_devices ?(host = []) timelines =
-  let lanes =
-    host
+  chrome_document
+    (host
     @ List.concat
         (List.mapi
            (fun d t -> chrome_device_events ~tid:(d + 1) t)
-           (Array.to_list timelines))
-  in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "[\n";
-  List.iteri
-    (fun i line ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf "  ";
-      Buffer.add_string buf line)
-    lanes;
-  Buffer.add_string buf "\n]\n";
-  Buffer.contents buf
+           (Array.to_list timelines)))
 
 let pp ppf t =
   List.iter

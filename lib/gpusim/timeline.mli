@@ -24,12 +24,12 @@ type t
 
 val create : ?enabled:bool -> unit -> t
 
+(** Append an event and return it; a timeline created with
+    [~enabled:false] records nothing and returns [None].  Observers see
+    recorded events through {!Device.observe}, not here. *)
 val record :
   t -> ?stream:int -> kind:kind -> label:string -> start:float ->
-  duration:float -> unit -> unit
-
-(** Install an observer invoked on every recorded event (tracing hook). *)
-val set_on_event : t -> (event -> unit) -> unit
+  duration:float -> unit -> event option
 
 val events : t -> event list
 val count : t -> int
@@ -49,6 +49,11 @@ val chrome_device_events : ?pid:int -> tid:int -> t -> string list
 
 (** Chrome metadata event naming process [pid] (for merged traces). *)
 val chrome_process_name : pid:int -> string -> string
+
+(** A Chrome-trace JSON document framing pre-rendered event objects:
+    ["[\n"], the objects one per line (indented, comma-separated), then
+    ["\n]\n"].  Every Chrome exporter goes through it. *)
+val chrome_document : string list -> string
 
 (** Chrome "trace event format" JSON (chrome://tracing, Perfetto). *)
 val to_chrome_json : t -> string

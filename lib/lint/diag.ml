@@ -103,22 +103,7 @@ let to_text ds = String.concat "" (List.map (Fmt.str "%a@." pp) ds)
 
 (* ------------------------------- JSON ------------------------------- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Fmt.str "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_str s = Fmt.str "\"%s\"" (json_escape s)
+let json_str = Obs.Trace.json_str
 
 let json_opt = function None -> "null" | Some s -> json_str s
 

@@ -5,11 +5,11 @@
     H2D uploads, D2H downloads, reduction re-broadcasts, peer syncs,
     recovery re-transfers — as a typed ledger entry carrying the *cause*
     of the movement, the device ordinal whose DMA engine did the work, the
-    source directive (transfer-site label and location), the enclosing
-    trace span, and whether the destination copy was already fresh
-    (a redundant transfer, per the §III-B coherence lattice).  Allocation
-    and free events feed per-device watermarks (current/peak bytes) and
-    per-array lifetime intervals.
+    source directive (transfer-site label and location), and whether the
+    destination copy was already fresh (a redundant transfer, per the
+    §III-B coherence lattice).  Allocation and free events feed
+    per-device watermarks (current/peak bytes) and per-array lifetime
+    intervals.
 
     Entries that pass through a device DMA engine are *counted*: their
     per-direction byte totals equal the {!Gpusim.Metrics}
@@ -61,7 +61,6 @@ type entry = {
   e_site : string;  (** source directive label, e.g. ["copyin(a)"] *)
   e_loc : string;
   e_exec : int;  (** transfer-site execution ordinal (1-based; 0 if none) *)
-  e_span : int;  (** enclosing trace span id, [-1] outside any span *)
   e_time : float;  (** simulated start time *)
   e_duration : float;
   e_counted : bool;  (** passed through a DMA engine (metrics bytes) *)
@@ -102,12 +101,12 @@ let create ~devices ~schedule =
     peak = Array.make (max 1 devices) 0;
     samples_rev = []; lifetimes_rev = []; open_lts = Hashtbl.create 16 }
 
-let xfer t ~array ~dir ~cause ~bytes ~dev ~site ~loc ~exec ~span ~time
-    ~duration ~counted ~redundant ~hoist =
+let xfer t ~array ~dir ~cause ~bytes ~dev ~site ~loc ~exec ~time ~duration
+    ~counted ~redundant ~hoist =
   let e =
     { e_seq = t.seq; e_array = array; e_dir = dir; e_cause = cause;
       e_bytes = bytes; e_dev = dev; e_site = site; e_loc = loc;
-      e_exec = exec; e_span = span; e_time = time; e_duration = duration;
+      e_exec = exec; e_time = time; e_duration = duration;
       e_counted = counted; e_redundant = redundant; e_hoistable = hoist }
   in
   t.seq <- t.seq + 1;

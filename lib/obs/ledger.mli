@@ -7,8 +7,11 @@
     Counted entries (the ones that passed through a device DMA engine)
     conserve bytes exactly against the {!Gpusim.Metrics}
     [bytes_h2d]/[bytes_d2h] accumulators summed over every device-set
-    member.  The module is plain data — it knows nothing about
-    [Gpusim]; cost-model constants are passed into {!analyze}. *)
+    member: the runtime records them from each member's [Xfer] and [Mem]
+    device events ({!Gpusim.Device.observe}).  Entries carry no link to
+    the trace, so the ledger and the trace observe a run independently.
+    The module is plain data — it knows nothing about [Gpusim];
+    cost-model constants are passed into {!analyze}. *)
 
 type cause =
   | Copyin  (** data-clause H2D upload (broadcast members included) *)
@@ -35,7 +38,6 @@ type entry = {
   e_site : string;  (** source directive label, e.g. ["copyin(a)"] *)
   e_loc : string;
   e_exec : int;  (** transfer-site execution ordinal (1-based; 0 if none) *)
-  e_span : int;  (** enclosing trace span id, [-1] outside any span *)
   e_time : float;  (** simulated start time *)
   e_duration : float;
   e_counted : bool;  (** passed through a DMA engine (metrics bytes) *)
@@ -66,8 +68,8 @@ val create : devices:int -> schedule:string -> t
     access required (see {!entry.e_hoistable}). *)
 val xfer :
   t -> array:string -> dir:dir -> cause:cause -> bytes:int -> dev:int ->
-  site:string -> loc:string -> exec:int -> span:int -> time:float ->
-  duration:float -> counted:bool -> redundant:bool -> hoist:bool -> unit
+  site:string -> loc:string -> exec:int -> time:float -> duration:float ->
+  counted:bool -> redundant:bool -> hoist:bool -> unit
 
 (** Record one allocation event: [bytes] is the signed delta (positive
     alloc, negative free), [allocated] the device's live total after

@@ -146,9 +146,6 @@ let leaf t kind name ?loc ?directive ?dev ?attrs ~start ~duration () =
   push_event t (E_begin sp);
   push_event t (E_end (sp, start +. duration))
 
-let current_span_id t =
-  match t.stack with [] -> None | s :: _ -> Some s.sp_id
-
 let current_directive t =
   let rec find = function
     | [] -> host_directive

@@ -89,9 +89,6 @@ val leaf :
   ?attrs:(string * string) list -> start:float -> duration:float -> unit ->
   unit
 
-(** Id of the innermost open span, [None] outside any span. *)
-val current_span_id : t -> int option
-
 (** Directive of the nearest enclosing span carrying one, else
     {!host_directive}. *)
 val current_directive : t -> string

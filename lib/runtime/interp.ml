@@ -46,6 +46,29 @@ let host_scalar o name = Value.get_scalar o.ctx.Eval.env name
 
 exception Stop
 
+let trace_event tr ?dev = function
+  | Gpusim.Device.Charge (cat, dt) ->
+      Obs.Trace.charge tr ?dev ~category:(Gpusim.Metrics.category_name cat) dt
+  | Gpusim.Device.Timeline e ->
+      Obs.Trace.leaf tr Obs.Trace.Device
+        (Gpusim.Timeline.kind_name e.Gpusim.Timeline.ev_kind)
+        ?dev
+        ~attrs:[ ("label", e.Gpusim.Timeline.ev_label) ]
+        ~start:e.Gpusim.Timeline.ev_start
+        ~duration:e.Gpusim.Timeline.ev_duration ()
+  | Gpusim.Device.Xfer _ | Gpusim.Device.Mem _ -> ()
+
+(* The ledger attribution of the transfer in flight, stamped on every DMA
+   transfer a member reports. *)
+type attribution = {
+  cause : Obs.Ledger.cause;
+  site : string;
+  loc : string;
+  exec : int;
+  redundant : int -> bool;  (** member [d]'s destination copy was fresh *)
+  hoist : bool;
+}
+
 let run ?(coherence = true) ?(engine = Engine.Compiled) ?granularity
     ?(seed = 42) ?(trace = false) ?cm ?plan
     ?(resilience = Resilience.none) ?(devices = 1) ?schedule ?obs ?ledger
@@ -72,29 +95,10 @@ let run ?(coherence = true) ?(engine = Engine.Compiled) ?granularity
       ~now:(fun () -> metrics.Gpusim.Metrics.host_clock)
       ~devices ()
   in
-  (* Observability: spans are stamped by the simulated host clock; every
-     metrics charge of every member becomes a trace event (the conservation
-     invariant); device-timeline events become [Device] leaf spans.  A
-     multi-member run tags each charge and leaf with the owning ordinal. *)
-  (match obs with
-  | None -> ()
-  | Some tr ->
-      Obs.Trace.set_clock tr (fun () -> metrics.Gpusim.Metrics.host_clock);
-      Array.iter
-        (fun d ->
-          let dev = if multi then Some d.Gpusim.Device.id else None in
-          Gpusim.Metrics.set_on_charge d.Gpusim.Device.metrics (fun cat dt ->
-              Obs.Trace.charge tr ?dev
-                ~category:(Gpusim.Metrics.category_name cat)
-                dt);
-          Gpusim.Timeline.set_on_event d.Gpusim.Device.timeline (fun e ->
-              Obs.Trace.leaf tr Obs.Trace.Device
-                (Gpusim.Timeline.kind_name e.Gpusim.Timeline.ev_kind)
-                ?dev
-                ~attrs:[ ("label", e.Gpusim.Timeline.ev_label) ]
-                ~start:e.Gpusim.Timeline.ev_start
-                ~duration:e.Gpusim.Timeline.ev_duration ()))
-        devset.Gpusim.Device_set.devices);
+  Option.iter
+    (fun tr ->
+      Obs.Trace.set_clock tr (fun () -> metrics.Gpusim.Metrics.host_clock))
+    obs;
   (* Shard-level cost attribution: every sharded launch's measured
      iteration weights and charged durations, for the schedule analyzer.
      A one-member run has nothing to attribute. *)
@@ -107,18 +111,13 @@ let run ?(coherence = true) ?(engine = Engine.Compiled) ?granularity
                 devset.Gpusim.Device_set.schedule))
     else None
   in
-  (* Data-movement ledger: the cause/site/redundancy of the transfer
-     currently in flight, read by the per-device DMA hooks below.  The
-     hooks fire inside [Gpusim.Device.upload]/[download] with exactly the
-     bytes the metrics accumulator recorded, so the ledger conserves
-     bytes against [bytes_h2d]/[bytes_d2h] by construction; attaching a
-     ledger is pure observation — no RNG draw, charge, or functional
-     effect changes. *)
-  let lcause = ref Obs.Ledger.Copyin in
-  let lsite = ref ("", "") in
-  let lexec = ref 0 in
-  let lredundant : (int -> bool) ref = ref (fun _ -> false) in
-  let lhoist = ref false in
+  (* The attribution of the transfer in flight: set at the transfer site,
+     on each retry and by the fallback re-upload. *)
+  let attr =
+    ref
+      { cause = Obs.Ledger.Copyin; site = ""; loc = ""; exec = 0;
+        redundant = (fun _ -> false); hoist = false }
+  in
   (* Hoistability tracking: a transfer-site execution is hoistable when
      it repeats an earlier movement of the same array and no host access
      in between required it — no host [Check_write] since the previous
@@ -129,42 +128,48 @@ let run ?(coherence = true) ?(engine = Engine.Compiled) ?granularity
   let host_fetched : (string, unit) Hashtbl.t = Hashtbl.create 16 in
   let up_seen : (string, unit) Hashtbl.t = Hashtbl.create 16 in
   let down_seen : (string, unit) Hashtbl.t = Hashtbl.create 16 in
-  let lspan () =
-    match obs with
-    | Some tr -> Option.value ~default:(-1) (Obs.Trace.current_span_id tr)
-    | None -> -1
-  in
-  (match ledger with
-  | None -> ()
-  | Some lg ->
-      let install dev =
-        let ord = dev.Gpusim.Device.id in
-        Gpusim.Device.set_on_xfer dev (fun x ->
-            let site, loc = !lsite in
-            Obs.Ledger.xfer lg ~array:x.Gpusim.Device.x_name
-              ~dir:
-                (if x.Gpusim.Device.x_h2d then Obs.Ledger.H2d
-                 else Obs.Ledger.D2h)
-              ~cause:!lcause ~bytes:x.Gpusim.Device.x_bytes ~dev:ord ~site
-              ~loc ~exec:!lexec ~span:(lspan ())
-              ~time:x.Gpusim.Device.x_start
-              ~duration:x.Gpusim.Device.x_duration ~counted:true
-              ~redundant:(!lredundant ord) ~hoist:!lhoist);
-        Gpusim.Device.set_on_mem dev (fun m ->
-            Obs.Ledger.mem lg ~array:m.Gpusim.Device.m_name ~dev:ord
-              ~bytes:m.Gpusim.Device.m_delta
-              ~allocated:m.Gpusim.Device.m_allocated
-              ~time:m.Gpusim.Device.m_time)
-      in
-      Array.iter install devset.Gpusim.Device_set.devices);
-  (* Record a peer/mirror blit the DMA hooks cannot see: modeled
-     overlapped movement, ledgered uncounted so conservation still holds. *)
+  (* One observer per member: charges and timeline events go to the trace
+     (a charge event each: the conservation invariant), tagged with the
+     member's ordinal in a multi-member run; transfers and allocations go
+     to the ledger.  The device reports exactly the bytes its metrics
+     recorded, so the ledger conserves bytes against
+     [bytes_h2d]/[bytes_d2h] by construction.  Observing is pure: no RNG
+     draw, charge or functional effect changes. *)
+  (match (obs, ledger) with
+  | None, None -> ()
+  | _ ->
+      Array.iter
+        (fun d ->
+          let ord = d.Gpusim.Device.id in
+          let dev = if multi then Some ord else None in
+          Gpusim.Device.observe d (fun ev ->
+              match (ev, ledger, obs) with
+              | Gpusim.Device.Xfer x, Some lg, _ ->
+                  let a = !attr in
+                  Obs.Ledger.xfer lg ~array:x.Gpusim.Device.x_name
+                    ~dir:
+                      (if x.Gpusim.Device.x_h2d then Obs.Ledger.H2d
+                       else Obs.Ledger.D2h)
+                    ~cause:a.cause ~bytes:x.Gpusim.Device.x_bytes ~dev:ord
+                    ~site:a.site ~loc:a.loc ~exec:a.exec
+                    ~time:x.Gpusim.Device.x_start
+                    ~duration:x.Gpusim.Device.x_duration ~counted:true
+                    ~redundant:(a.redundant ord) ~hoist:a.hoist
+              | Gpusim.Device.Mem m, Some lg, _ ->
+                  Obs.Ledger.mem lg ~array:m.Gpusim.Device.m_name ~dev:ord
+                    ~bytes:m.Gpusim.Device.m_delta
+                    ~allocated:m.Gpusim.Device.m_allocated
+                    ~time:m.Gpusim.Device.m_time
+              | _, _, Some tr -> trace_event tr ?dev ev
+              | _, _, None -> ()))
+        devset.Gpusim.Device_set.devices);
+  (* Record a peer/mirror blit no device reports: modeled overlapped
+     movement, ledgered uncounted so conservation still holds. *)
   let note_blit ~array ~dir ~cause ~bytes ~dev ~site ~loc =
     match ledger with
     | None -> ()
     | Some lg ->
-        Obs.Ledger.xfer lg ~array ~dir ~cause ~bytes ~dev ~site ~loc
-          ~exec:0 ~span:(lspan ())
+        Obs.Ledger.xfer lg ~array ~dir ~cause ~bytes ~dev ~site ~loc ~exec:0
           ~time:metrics.Gpusim.Metrics.host_clock ~duration:0.0
           ~counted:false ~redundant:false ~hoist:false
   in
@@ -217,7 +222,7 @@ let run ?(coherence = true) ?(engine = Engine.Compiled) ?granularity
   let charge_host () =
     let delta = ctx.Eval.ops - !last_ops in
     if delta > 0 then
-      Gpusim.Metrics.charge metrics Gpusim.Metrics.Cpu_time
+      Gpusim.Device.charge device Gpusim.Metrics.Cpu_time
         (Gpusim.Costmodel.cpu_time cmodel ~ops:delta);
     last_ops := ctx.Eval.ops
   in
@@ -254,7 +259,7 @@ let run ?(coherence = true) ?(engine = Engine.Compiled) ?granularity
   let mirrors : (string, Gpusim.Buf.t) Hashtbl.t = Hashtbl.create 8 in
 
   let charge_recovery dt =
-    Gpusim.Metrics.charge metrics Gpusim.Metrics.Fault_recovery dt
+    Gpusim.Device.charge device Gpusim.Metrics.Fault_recovery dt
   in
   let backoff_delay attempt =
     policy.Resilience.backoff *. float_of_int (1 lsl attempt)
@@ -334,6 +339,24 @@ let run ?(coherence = true) ?(engine = Engine.Compiled) ?granularity
     Hashtbl.remove fresh_on v;
     Hashtbl.replace host_only v ()
   in
+  (* A transfer or allocation of [v] failed with [fault] on attempt [n]:
+     [retry] after a backoff while the budget lasts, then keep [v] on the
+     host under a fallback-capable policy, else give up. *)
+  let retry_or_demote ~fault ~action v n retry =
+    if n < policy.Resilience.max_retries then begin
+      if action = "re-transfer" then
+        stats.Resilience.retransfers <- stats.Resilience.retransfers + 1
+      else stats.Resilience.retries <- stats.Resilience.retries + 1;
+      record ~fault ~action ~ok:true;
+      charge_recovery (backoff_delay n);
+      retry (n + 1)
+    end
+    else if policy.Resilience.cpu_fallback then begin
+      record ~fault ~action:"host-demote" ~ok:true;
+      demote_to_host v
+    end
+    else unrecovered fault
+  in
   (* After a successful launch the written roots are freshest on the
      device; under a fallback-capable policy, mirror them so device loss
      cannot destroy data (the checkpoint upkeep the report accounts for). *)
@@ -362,7 +385,6 @@ let run ?(coherence = true) ?(engine = Engine.Compiled) ?granularity
     let var = x.x_var in
     let label = x.x_site.site_label in
     let op = match x.x_dir with H2D -> "upload" | D2H -> "download" in
-    let base_cause = !lcause in
     let dev_op () =
       match x.x_dir with
       | H2D -> Gpusim.Device.upload dev var ~host ?range ?async ~label ()
@@ -382,31 +404,17 @@ let run ?(coherence = true) ?(engine = Engine.Compiled) ?granularity
        charge_recovery (Gpusim.Costmodel.compare_time cmodel ~elems);
        checksum_range ~range host = checksum_range ~range dbuf)
     in
-    let corrupt_fault () =
-      { Gpusim.Device.f_kind = Gpusim.Fault_plan.Xfer_corrupt;
-        f_target = var; f_op = op }
-    in
     let rec attempt n =
       (* Re-transfers (transient retry, checksum repair) are their own
          ledger cause: recovery traffic, not the data clause's. *)
-      lcause := (if n = 0 then base_cause else Obs.Ledger.Retry);
+      if n > 0 then attr := { !attr with cause = Obs.Ledger.Retry };
       match dev_op () with
       | () ->
           if not (checksum_ok ()) then
-            if n < policy.Resilience.max_retries then begin
-              stats.Resilience.retransfers <-
-                stats.Resilience.retransfers + 1;
-              record ~fault:(corrupt_fault ())
-                ~action:"re-transfer" ~ok:true;
-              charge_recovery (backoff_delay n);
-              attempt (n + 1)
-            end
-            else if policy.Resilience.cpu_fallback then begin
-              record ~fault:(corrupt_fault ())
-                ~action:"host-demote" ~ok:true;
-              demote_to_host var
-            end
-            else unrecovered (corrupt_fault ())
+            retry_or_demote ~action:"re-transfer" var n attempt
+              ~fault:
+                { Gpusim.Device.f_kind = Gpusim.Fault_plan.Xfer_corrupt;
+                  f_target = var; f_op = op }
       | exception Gpusim.Device.Device_fault fault
         when fault.Gpusim.Device.f_kind = Gpusim.Fault_plan.Device_lost
              && (policy.Resilience.cpu_fallback
@@ -418,17 +426,7 @@ let run ?(coherence = true) ?(engine = Engine.Compiled) ?granularity
       | exception Gpusim.Device.Device_fault fault
         when Gpusim.Fault_plan.transient fault.Gpusim.Device.f_kind
              && policy.Resilience.max_retries > 0 ->
-          if n < policy.Resilience.max_retries then begin
-            stats.Resilience.retries <- stats.Resilience.retries + 1;
-            record ~fault ~action:"retry" ~ok:true;
-            charge_recovery (backoff_delay n);
-            attempt (n + 1)
-          end
-          else if policy.Resilience.cpu_fallback then begin
-            record ~fault ~action:"host-demote" ~ok:true;
-            demote_to_host var
-          end
-          else unrecovered fault
+          retry_or_demote ~fault ~action:"retry" var n attempt
     in
     attempt 0
   in
@@ -464,11 +462,10 @@ let run ?(coherence = true) ?(engine = Engine.Compiled) ?granularity
     cpu_exec k;
     if (not !host_mode) && Gpusim.Device_set.first_alive devset <> None
     then begin
-      lcause := Obs.Ledger.Failover;
-      lsite := (k.k_name ^ ".recover", Minic.Loc.to_string k.k_loc);
-      lexec := 0;
-      lredundant := (fun _ -> false);
-      lhoist := false;
+      attr :=
+        { cause = Obs.Ledger.Failover; site = k.k_name ^ ".recover";
+          loc = Minic.Loc.to_string k.k_loc; exec = 0;
+          redundant = (fun _ -> false); hoist = false };
       Analysis.Varset.iter
         (fun v ->
           List.iter
@@ -513,35 +510,26 @@ let run ?(coherence = true) ?(engine = Engine.Compiled) ?granularity
     (* One shadow copy per checkpointed root, shared by every binding that
        aliases it (pointer-swap programs). *)
     let shadow_bufs = List.map (fun (v, b) -> (v, Gpusim.Buf.copy b)) ckpt in
-    let clone_frame fr =
-      let fr' = Hashtbl.create (Hashtbl.length fr) in
-      Hashtbl.iter
-        (fun name b ->
-          let b' =
-            match b with
-            | Value.Scalar c ->
-                let v =
-                  match List.assoc_opt name scalar_values with
-                  | Some v0 -> v0
-                  | None -> c.Value.v
-                in
-                Value.Scalar { Value.v }
-            | Value.Array slot -> (
-                match List.assoc_opt slot.Value.root shadow_bufs with
-                | Some sb ->
-                    Value.Array
-                      { Value.buf = Some sb;
-                        root = slot.Value.root;
-                        shape = slot.Value.shape }
-                | None -> b)
-          in
-          Hashtbl.replace fr' name b')
-        fr;
-      fr'
-    in
     let env' =
-      { Value.globals = clone_frame env.Value.globals;
-        frames = List.map clone_frame env.Value.frames }
+      Value.map_bindings
+        (fun name b ->
+          match b with
+          | Value.Scalar c ->
+              let v =
+                match List.assoc_opt name scalar_values with
+                | Some v0 -> v0
+                | None -> c.Value.v
+              in
+              Value.Scalar { Value.v }
+          | Value.Array slot -> (
+              match List.assoc_opt slot.Value.root shadow_bufs with
+              | Some sb ->
+                  Value.Array
+                    { Value.buf = Some sb;
+                      root = slot.Value.root;
+                      shape = slot.Value.shape }
+              | None -> b))
+        env
     in
     let sctx = Eval.make ctx.Eval.prog env' in
     Value.scoped env' (fun () -> Eval.exec sctx k.k_source);
@@ -587,6 +575,58 @@ let run ?(coherence = true) ?(engine = Engine.Compiled) ?granularity
   (* Escalation out of a failed launch: degrade the whole kernel to the
      sequential region (or propagate, per policy). *)
   let exception Degrade of Gpusim.Device.fault_info in
+  (* Under a validating policy, check a recovered launch with the §III-A
+     comparator: a confirmed recovery is counted, a refuted one degrades
+     the kernel. *)
+  let validated ~recovered k ~ckpt ~scalar_values dev =
+    if recovered && policy.Resilience.validate then
+      if validate_recovery dev k ~ckpt ~scalar_values then
+        stats.Resilience.verified <- stats.Resilience.verified + 1
+      else begin
+        let fault =
+          { Gpusim.Device.f_kind = Gpusim.Fault_plan.Launch_fail;
+            f_target = k.k_name; f_op = "recovery-validation" }
+        in
+        record ~fault ~action:"re-execute" ~ok:false;
+        raise (Degrade fault)
+      end
+  in
+  (* The launch-fault decision of whole launches and shards alike: a lost
+     [member] fails over to [survivor ()] (or takes [on_host_mode ()] once
+     the run is in host mode); a transient fault re-executes in place while
+     the retry budget lasts; any other transient fault under a recovering
+     policy degrades the kernel; everything else propagates.  [failover]
+     (same attempt count) and [reexec] (the next) restore state and re-run
+     once the backoff is charged. *)
+  let on_launch_fault ~member ~on_host_mode ~survivor ~failover ~reexec n
+      fault =
+    match fault.Gpusim.Device.f_kind with
+    | Gpusim.Fault_plan.Device_lost
+      when policy.Resilience.reexec || policy.Resilience.cpu_fallback -> (
+        on_member_lost member fault;
+        if !host_mode then on_host_mode ()
+        else
+          match survivor () with
+          | None -> raise (Degrade fault)
+          | Some s ->
+              stats.Resilience.failovers <- stats.Resilience.failovers + 1;
+              record ~fault ~action:"failover" ~ok:true;
+              charge_recovery (backoff_delay n);
+              failover s n)
+    | kind
+      when Gpusim.Fault_plan.transient kind && policy.Resilience.reexec
+           && n < policy.Resilience.max_retries ->
+        stats.Resilience.reexecs <- stats.Resilience.reexecs + 1;
+        record ~fault ~action:"re-execute" ~ok:true;
+        charge_recovery (backoff_delay n);
+        reexec (n + 1)
+    | kind
+      when Gpusim.Fault_plan.transient kind
+           && (policy.Resilience.reexec || policy.Resilience.cpu_fallback
+              || policy.Resilience.max_retries > 0) ->
+        raise (Degrade fault)
+    | _ -> raise (Gpusim.Device.Device_fault fault)
+  in
   let kernel_width k =
     let g, w, v = k.k_dims in
     match List.filter_map (Option.map eval_int) [ g; w; v ] with
@@ -682,18 +722,8 @@ let run ?(coherence = true) ?(engine = Engine.Compiled) ?granularity
         Gpusim.Device.scrub dev written
       with
       | [] ->
-          if (n > 0 || !failed_over) && policy.Resilience.validate then begin
-            if validate_recovery dev k ~ckpt ~scalar_values then
-              stats.Resilience.verified <- stats.Resilience.verified + 1
-            else begin
-              let fault =
-                { Gpusim.Device.f_kind = Gpusim.Fault_plan.Launch_fail;
-                  f_target = k.k_name; f_op = "recovery-validation" }
-              in
-              record ~fault ~action:"re-execute" ~ok:false;
-              raise (Degrade fault)
-            end
-          end;
+          validated ~recovered:(n > 0 || !failed_over) k ~ckpt ~scalar_values
+            dev;
           (* The written roots are fresh only on the executing member: the
              per-device divergence the cross-device coherence reports (and
              later peer syncs) stem from. *)
@@ -707,38 +737,16 @@ let run ?(coherence = true) ?(engine = Engine.Compiled) ?granularity
       | detected :: _ -> recover dev n detected
       | exception Gpusim.Device.Device_fault fault -> recover dev n fault
     and recover dev n fault =
-      match fault.Gpusim.Device.f_kind with
-      | Gpusim.Fault_plan.Device_lost
-        when policy.Resilience.reexec || policy.Resilience.cpu_fallback -> (
-          on_member_lost dev.Gpusim.Device.id fault;
-          if !host_mode then cpu_fallback_exec k ~ckpt ~scalars
-          else
-            match Gpusim.Device_set.first_alive devset with
-            | None -> raise (Degrade fault)
-            | Some dev' ->
-                stats.Resilience.failovers <-
-                  stats.Resilience.failovers + 1;
-                failed_over := true;
-                record ~fault ~action:"failover" ~ok:true;
-                restore_ckpt dev';
-                charge_recovery (backoff_delay n);
-                attempt dev' n)
-      | k' when Gpusim.Fault_plan.transient k' && policy.Resilience.reexec
-        ->
-          if n < policy.Resilience.max_retries then begin
-            stats.Resilience.reexecs <- stats.Resilience.reexecs + 1;
-            record ~fault ~action:"re-execute" ~ok:true;
-            restore_ckpt dev;
-            charge_recovery (backoff_delay n);
-            attempt dev (n + 1)
-          end
-          else raise (Degrade fault)
-      | k'
-        when Gpusim.Fault_plan.transient k'
-             && (policy.Resilience.cpu_fallback
-                || policy.Resilience.max_retries > 0) ->
-          raise (Degrade fault)
-      | _ -> raise (Gpusim.Device.Device_fault fault)
+      on_launch_fault ~member:dev.Gpusim.Device.id n fault
+        ~on_host_mode:(fun () -> cpu_fallback_exec k ~ckpt ~scalars)
+        ~survivor:(fun () -> Gpusim.Device_set.first_alive devset)
+        ~failover:(fun dev' n ->
+          failed_over := true;
+          restore_ckpt dev';
+          attempt dev' n)
+        ~reexec:(fun n ->
+          restore_ckpt dev;
+          attempt dev n)
     in
     attempt dev0 0
   in
@@ -798,40 +806,18 @@ let run ?(coherence = true) ?(engine = Engine.Compiled) ?granularity
       | detected :: _ -> recover_part p n detected
       | exception Gpusim.Device.Device_fault fault -> recover_part p n fault
     and recover_part p n fault =
-      match fault.Gpusim.Device.f_kind with
-      | Gpusim.Fault_plan.Device_lost
-        when policy.Resilience.reexec || policy.Resilience.cpu_fallback -> (
-          on_member_lost executor.(p) fault;
-          if !host_mode then raise (Degrade fault)
-          else
-            match survivor_for p with
-            | None -> raise (Degrade fault)
-            | Some d' ->
-                executor.(p) <- d';
-                stats.Resilience.failovers <-
-                  stats.Resilience.failovers + 1;
-                recovered := true;
-                failed_over.(p) <- true;
-                record ~fault ~action:"failover" ~ok:true;
-                charge_recovery (backoff_delay n);
-                exec_part p n)
-      | k' when Gpusim.Fault_plan.transient k' && policy.Resilience.reexec
-        ->
-          if n < policy.Resilience.max_retries then begin
-            stats.Resilience.reexecs <- stats.Resilience.reexecs + 1;
-            recovered := true;
-            record ~fault ~action:"re-execute" ~ok:true;
-            restore_written (Gpusim.Device_set.device devset executor.(p));
-            charge_recovery (backoff_delay n);
-            exec_part p (n + 1)
-          end
-          else raise (Degrade fault)
-      | k'
-        when Gpusim.Fault_plan.transient k'
-             && (policy.Resilience.cpu_fallback
-                || policy.Resilience.max_retries > 0) ->
-          raise (Degrade fault)
-      | _ -> raise (Gpusim.Device.Device_fault fault)
+      on_launch_fault ~member:executor.(p) n fault
+        ~on_host_mode:(fun () -> raise (Degrade fault))
+        ~survivor:(fun () -> survivor_for p)
+        ~failover:(fun d' n ->
+          executor.(p) <- d';
+          recovered := true;
+          failed_over.(p) <- true;
+          exec_part p n)
+        ~reexec:(fun n ->
+          recovered := true;
+          restore_written (Gpusim.Device_set.device devset executor.(p));
+          exec_part p n)
     in
     for p = 0 to nparts - 1 do
       exec_part p 0
@@ -892,7 +878,7 @@ let run ?(coherence = true) ?(engine = Engine.Compiled) ?granularity
     let idle = Float.max 0.0 (maxbusy -. busy.(0)) in
     if idle > 0.0 then (
       match async with
-      | None -> Gpusim.Metrics.charge metrics Gpusim.Metrics.Async_wait idle
+      | None -> Gpusim.Device.charge device Gpusim.Metrics.Async_wait idle
       | Some q -> Gpusim.Device.delay_stream device q idle);
     (* Merge each member's disjoint shard writes against the pre-launch
        snapshot and broadcast the result (overlapped peer DMA: charged to
@@ -974,20 +960,9 @@ let run ?(coherence = true) ?(engine = Engine.Compiled) ?granularity
             l_merge = merge_cost;
             l_merge_bytes = !merge_bytes });
     Kernel_exec.commit session;
-    (if !recovered && policy.Resilience.validate then
-       match Gpusim.Device_set.first_alive devset with
-       | None -> ()
-       | Some dev ->
-           if validate_recovery dev k ~ckpt ~scalar_values then
-             stats.Resilience.verified <- stats.Resilience.verified + 1
-           else begin
-             let fault =
-               { Gpusim.Device.f_kind = Gpusim.Fault_plan.Launch_fail;
-                 f_target = k.k_name; f_op = "recovery-validation" }
-             in
-             record ~fault ~action:"re-execute" ~ok:false;
-             raise (Degrade fault)
-           end);
+    Option.iter
+      (validated ~recovered:!recovered k ~ckpt ~scalar_values)
+      (Gpusim.Device_set.first_alive devset);
     match Gpusim.Device_set.first_alive devset with
     | Some dev -> refresh_mirrors dev k.k_arrays_written
     | None -> ()
@@ -1137,20 +1112,9 @@ let run ?(coherence = true) ?(engine = Engine.Compiled) ?granularity
               | Gpusim.Device.Device_fault fault
                 when fault.Gpusim.Device.f_kind = Gpusim.Fault_plan.Oom
                      && policy.Resilience.max_retries > 0 ->
-                  if n < policy.Resilience.max_retries then begin
-                    stats.Resilience.retries <- stats.Resilience.retries + 1;
-                    record ~fault ~action:"retry" ~ok:true;
-                    charge_recovery (backoff_delay n);
-                    attempt (n + 1)
-                  end
-                  else if policy.Resilience.cpu_fallback then begin
-                    (* Keep this array host-resident; kernels touching it
-                       take the CPU-fallback path. *)
-                    record ~fault ~action:"host-demote"
-                      ~ok:true;
-                    demote_to_host v
-                  end
-                  else unrecovered fault
+                  (* A demoted array stays host-resident; kernels touching
+                     it take the CPU-fallback path. *)
+                  retry_or_demote ~fault ~action:"retry" v n attempt
             in
             attempt 0
           in
@@ -1203,39 +1167,41 @@ let run ?(coherence = true) ?(engine = Engine.Compiled) ?granularity
         (match ledger with
         | None -> ()
         | Some _ ->
-            lsite :=
-              (x.x_site.site_label, Minic.Loc.to_string x.x_site.site_loc);
-            lexec :=
-              Option.value ~default:0
-                (Hashtbl.find_opt site_execs x.x_site.site_id);
-            lcause :=
-              (match x.x_dir with
-              | H2D -> Obs.Ledger.Copyin
-              | D2H ->
-                  if multi then Obs.Ledger.Gather else Obs.Ledger.Copyout);
-            lredundant :=
-              (if not coherence then fun _ -> false
-               else
-                 match x.x_dir with
-                 | H2D ->
-                     let fresh =
-                       List.filter
-                         (fun d ->
-                           Coherence.gpu_status coh x.x_var d = Not_stale)
-                         (Gpusim.Device_set.alive_ids devset)
-                     in
-                     fun d -> List.mem d fresh
-                 | D2H ->
-                     let r = Coherence.get coh x.x_var Cpu = Not_stale in
-                     fun _ -> r);
-            lhoist :=
-              (match x.x_dir with
-              | H2D ->
-                  Hashtbl.mem up_seen x.x_var
-                  && not (Hashtbl.mem host_dirty x.x_var)
-              | D2H ->
-                  Hashtbl.mem down_seen x.x_var
-                  && not (Hashtbl.mem host_fetched x.x_var)));
+            let redundant =
+              if not coherence then fun _ -> false
+              else
+                match x.x_dir with
+                | H2D ->
+                    let fresh =
+                      List.filter
+                        (fun d -> Coherence.gpu_status coh x.x_var d = Not_stale)
+                        (Gpusim.Device_set.alive_ids devset)
+                    in
+                    fun d -> List.mem d fresh
+                | D2H ->
+                    let r = Coherence.get coh x.x_var Cpu = Not_stale in
+                    fun _ -> r
+            in
+            attr :=
+              { cause =
+                  (match x.x_dir with
+                  | H2D -> Obs.Ledger.Copyin
+                  | D2H ->
+                      if multi then Obs.Ledger.Gather else Obs.Ledger.Copyout);
+                site = x.x_site.site_label;
+                loc = Minic.Loc.to_string x.x_site.site_loc;
+                exec =
+                  Option.value ~default:0
+                    (Hashtbl.find_opt site_execs x.x_site.site_id);
+                redundant;
+                hoist =
+                  (match x.x_dir with
+                  | H2D ->
+                      Hashtbl.mem up_seen x.x_var
+                      && not (Hashtbl.mem host_dirty x.x_var)
+                  | D2H ->
+                      Hashtbl.mem down_seen x.x_var
+                      && not (Hashtbl.mem host_fetched x.x_var)) });
         if coherence then begin
           Coherence.register_len coh x.x_var (Gpusim.Buf.length host);
           Coherence.on_transfer ?range coh x.x_var x.x_dir ~site:x.x_site
@@ -1393,7 +1359,7 @@ let run ?(coherence = true) ?(engine = Engine.Compiled) ?granularity
               Coherence.check_write ~sid:s.tsid coh v dev
           | Reset_status (v, dev, st) -> Coherence.reset_status coh v dev st);
           metrics.Gpusim.Metrics.checks <- metrics.Gpusim.Metrics.checks + 1;
-          Gpusim.Metrics.charge metrics Gpusim.Metrics.Check_overhead
+          Gpusim.Device.charge device Gpusim.Metrics.Check_overhead
             cmodel.Gpusim.Costmodel.check_cost
         end
   and exec_ts b = List.iter exec_t b in

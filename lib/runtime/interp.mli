@@ -37,6 +37,12 @@ val host_scalar : outcome -> string -> Value.scalar
 
 exception Stop
 
+(** Forward one device event to a trace: a [Charge] becomes a trace
+    charge, a [Timeline] event a [Device] leaf span, both tagged with
+    [dev] when given; [Xfer] and [Mem] are the ledger's and ignored.  The
+    trace observer of {!run} and of kernel verification. *)
+val trace_event : Obs.Trace.t -> ?dev:int -> Gpusim.Device.event -> unit
+
 (** Execute a translated program.  [coherence] enables the §III-B runtime
     (meaningful on instrumented programs); [engine] selects the
     execution engine — {!Engine.Compiled} (default) runs closure-compiled
@@ -64,18 +70,23 @@ exception Stop
     causes, and losing its device degrades to host mode without counting
     a dropped member.
 
-    [obs], when given, receives the run as a span tree stamped by the
-    simulated clock — a "run" phase span with one child span per kernel
-    launch / transfer / alloc / free / wait / check, [Recovery] leaves for
-    every resilience action, [Device] leaves for timeline events (with
-    [trace]), and one charge event per {!Gpusim.Metrics.charge} (so
-    {!Obs.Profile} totals conserve exactly).  Observation is pure: an
-    attached [obs] changes no output, [ops] count or simulated time.
-    [ledger], when given, records every DMA transfer (cause-attributed
-    per {!Obs.Ledger.cause}, with per-member redundancy read from the
-    coherence lattice when [coherence] is on) and every device alloc/free
-    — pure observation, byte-conserving against the metrics accumulators.
-    [audit], when given, records every coherence status transition.
+    [obs] and [ledger] observe the run through one {!Gpusim.Device.observe}
+    subscription per member: its charges and timeline events go to [obs]
+    (via {!trace_event}; tagged with the member ordinal on a multi-member
+    set), its transfers and allocations to [ledger].  [obs], when given,
+    receives the run as a span tree stamped by the simulated clock — a
+    "run" phase span with one child span per kernel launch / transfer /
+    alloc / free / wait / check, [Recovery] leaves for every resilience
+    action, [Device] leaves for timeline events (with [trace]), and one
+    charge event per {!Gpusim.Device.charge} (so {!Obs.Profile} totals
+    conserve exactly).  [ledger], when given, records every DMA transfer
+    (cause-attributed per {!Obs.Ledger.cause}, with per-member redundancy
+    read from the coherence lattice when [coherence] is on) and every
+    device alloc/free, byte-conserving against the metrics accumulators.
+    Both are pure observation: attaching either changes no output, [ops]
+    count or simulated time.  [audit], when given, records every
+    coherence status transition (a direct call from the coherence
+    runtime, not a device event).
 
     [kcache], when given, is a shared content-keyed kernel-closure store
     ({!Compile.store}): compiled-engine runs of *different translations*

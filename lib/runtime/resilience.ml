@@ -138,22 +138,7 @@ let pp_report ~seed ~plan ~policy ~metrics ppf s =
       List.iter (fun e -> Fmt.pf ppf "@,  %a" pp_entry e) log);
   Fmt.pf ppf "@]"
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Fmt.str "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_str s = Fmt.str "\"%s\"" (json_escape s)
+let json_str = Obs.Trace.json_str
 
 let report_json ~seed ~plan ~policy ~metrics s =
   let event e =

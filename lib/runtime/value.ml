@@ -131,6 +131,15 @@ let shape_of slot =
   | [||], Some b -> [| Gpusim.Buf.length b |]
   | shape, _ -> shape
 
+(* A frame-by-frame copy of [env] with every binding passed through [f]. *)
+let map_bindings f env =
+  let map_frame fr =
+    let fr' = Hashtbl.create (Hashtbl.length fr) in
+    Hashtbl.iter (fun name b -> Hashtbl.replace fr' name (f name b)) fr;
+    fr'
+  in
+  { globals = map_frame env.globals; frames = List.map map_frame env.frames }
+
 (** Deep snapshot of all array contents reachable by root name, plus scalar
     values; used by kernel verification to checkpoint the reference state. *)
 let snapshot_arrays env names =

@@ -63,6 +63,11 @@ val set_scalar : t -> string -> scalar -> unit
 (** Shape of an array binding ([[|len|]] when it was never given one). *)
 val shape_of : slot -> int array
 
+(** [map_bindings f env] is a fresh environment with [env]'s frame
+    structure, each binding replaced by [f name binding] (the shadow
+    environments of kernel verification and recovery validation). *)
+val map_bindings : (string -> binding -> binding) -> t -> t
+
 (** Deep snapshot of named array contents (kernel verification
     checkpoints). *)
 val snapshot_arrays : t -> string list -> (string * Gpusim.Buf.t) list

@@ -153,7 +153,7 @@ let mem_saving before after =
 
 (* The designated outputs a run left in the host environment — all the
    search keeps of a run (the outcome itself holds the run's device set,
-   and through its observer hooks the whole trace). *)
+   and through its devices' observers the whole trace). *)
 let outputs_of ~outputs (o : Accrt.Interp.outcome) =
   List.map (Accrt.Value.lookup o.Accrt.Interp.ctx.Accrt.Eval.env) outputs
 

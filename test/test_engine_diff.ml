@@ -298,31 +298,64 @@ let multi_device_case (b : Suite.Bench_def.t) =
 (* An attached span trace is pure observation: the saturate search takes
    its measurements from the very runs that check outputs, so attaching
    [~obs] must change no output bit, no [ops] count and no simulated
-   time — under either engine, on one device or a device set. *)
+   time — under either engine, on one device or a device set.  The same
+   holds for every observer at once (trace, device timelines, ledger and
+   audit) on the instrumented, coherence-on program under the default
+   engine, the configuration of [session], [memtrace] and saturate's
+   scoring runs: the coherence reports stay identical too, and the
+   ledger conserves the members' DMA byte counters. *)
 let trace_purity (b : Suite.Bench_def.t) =
   let prog = Parser.parse_string ~file:b.name b.source in
   let tp = Codegen.Translate.translate (Typecheck.check prog) prog in
+  let same what plain observed =
+    check_outputs what plain.Accrt.Interp.ctx.Accrt.Eval.env
+      observed.Accrt.Interp.ctx.Accrt.Eval.env b.outputs;
+    Alcotest.(check int) (what ^ ": ops identical")
+      plain.Accrt.Interp.ctx.Accrt.Eval.ops
+      observed.Accrt.Interp.ctx.Accrt.Eval.ops;
+    Alcotest.(check bool) (what ^ ": simulated clock identical") true
+      (clock_bits plain = clock_bits observed)
+  in
   List.iter
     (fun (engine, devices) ->
       let run ?obs () =
         Accrt.Interp.run ~coherence:false ~engine ~seed:42 ~devices ?obs tp
       in
-      let plain = run () in
-      let traced = run ~obs:(Obs.Trace.create ()) () in
-      let what =
-        Fmt.str "%s/%s --devices %d +trace" b.name
-          (Accrt.Engine.to_string engine) devices
-      in
-      check_outputs what plain.Accrt.Interp.ctx.Accrt.Eval.env
-        traced.Accrt.Interp.ctx.Accrt.Eval.env b.outputs;
-      Alcotest.(check int) (what ^ ": ops identical")
-        plain.Accrt.Interp.ctx.Accrt.Eval.ops
-        traced.Accrt.Interp.ctx.Accrt.Eval.ops;
-      Alcotest.(check bool) (what ^ ": simulated clock identical") true
-        (clock_bits plain = clock_bits traced))
+      same
+        (Fmt.str "%s/%s --devices %d +trace" b.name
+           (Accrt.Engine.to_string engine) devices)
+        (run ()) (run ~obs:(Obs.Trace.create ()) ()))
     (List.concat_map
        (fun d -> [ (tree, d); (compiled, d) ])
-       [ 1; 2; 4 ])
+       [ 1; 2; 4 ]);
+  let itp = Codegen.Checkgen.instrument tp in
+  List.iter
+    (fun devices ->
+      let plain = Accrt.Interp.run ~coherence:true ~seed:42 ~devices itp in
+      let lg = Obs.Ledger.create ~devices ~schedule:"block" in
+      let observed =
+        Accrt.Interp.run ~coherence:true ~seed:42 ~devices ~trace:true
+          ~obs:(Obs.Trace.create ()) ~ledger:lg ~audit:(Obs.Audit.create ())
+          itp
+      in
+      let what =
+        Fmt.str "%s instrumented --devices %d +trace+ledger+audit" b.name
+          devices
+      in
+      same what plain observed;
+      Alcotest.(check bool) (what ^ ": coherence reports identical") true
+        (Accrt.Interp.reports plain = Accrt.Interp.reports observed);
+      let mh, md =
+        Array.fold_left
+          (fun (h, d) dev ->
+            let m = dev.Gpusim.Device.metrics in
+            (h + m.Gpusim.Metrics.bytes_h2d, d + m.Gpusim.Metrics.bytes_d2h))
+          (0, 0) observed.Accrt.Interp.devset.Gpusim.Device_set.devices
+      in
+      Alcotest.(check (pair int int))
+        (what ^ ": ledger conserves the members' DMA bytes")
+        (mh, md) (Obs.Ledger.totals lg))
+    [ 1; 2; 4 ]
 
 let trace_purity_case (b : Suite.Bench_def.t) =
   Alcotest.test_case (b.name ^ " trace observer is pure") `Quick (fun () ->

@@ -233,17 +233,52 @@ let test_metrics_pp_golden () =
   Alcotest.(check string) "pp golden" expected
     (Fmt.str "%a" Gpusim.Metrics.pp m)
 
+(* The device's one observer sees every charge in order, and a traced
+   device reports each operation's events in a fixed order. *)
 let test_metrics_charge_hook () =
-  let m = Gpusim.Metrics.create () in
+  let d = Gpusim.Device.create ~trace:true () in
   let seen = ref [] in
-  Gpusim.Metrics.set_on_charge m (fun c dt ->
-      seen := (Gpusim.Metrics.category_name c, dt) :: !seen);
-  Gpusim.Metrics.charge m Gpusim.Metrics.Gpu_alloc 0.5;
-  Gpusim.Metrics.charge m Gpusim.Metrics.Cpu_time 0.25;
+  Gpusim.Device.observe d (fun ev -> seen := ev :: !seen);
+  let observed f =
+    seen := [];
+    f ();
+    List.rev !seen
+  in
+  let charges =
+    observed (fun () ->
+        Gpusim.Device.charge d Gpusim.Metrics.Gpu_alloc 0.5;
+        Gpusim.Device.charge d Gpusim.Metrics.Cpu_time 0.25)
+  in
   Alcotest.(check (list (pair string (float 0.))))
     "hook sees every charge in order"
     [ ("GPU Mem Alloc", 0.5); ("CPU Time", 0.25) ]
-    (List.rev !seen)
+    (List.filter_map
+       (function
+         | Gpusim.Device.Charge (c, dt) ->
+             Some (Gpusim.Metrics.category_name c, dt)
+         | _ -> None)
+       charges);
+  let tag = function
+    | Gpusim.Device.Charge _ -> "Charge"
+    | Gpusim.Device.Timeline _ -> "Timeline"
+    | Gpusim.Device.Xfer _ -> "Xfer"
+    | Gpusim.Device.Mem _ -> "Mem"
+  in
+  let order what expected f =
+    Alcotest.(check (list string)) (what ^ " event order") expected
+      (List.map tag (observed f))
+  in
+  let host = Gpusim.Buf.create_float 16 in
+  order "alloc" [ "Mem"; "Timeline"; "Charge" ] (fun () ->
+      Gpusim.Device.alloc d "a" ~like:host);
+  order "upload" [ "Charge"; "Timeline"; "Xfer" ] (fun () ->
+      Gpusim.Device.upload d "a" ~host ());
+  order "launch" [ "Charge"; "Timeline" ] (fun () ->
+      Gpusim.Device.launch d ~iterations:16 ~ops_per_iter:4 ());
+  order "download" [ "Charge"; "Timeline"; "Xfer" ] (fun () ->
+      Gpusim.Device.download d "a" ~host ());
+  order "free" [ "Mem"; "Timeline"; "Charge" ] (fun () ->
+      Gpusim.Device.free d "a")
 
 let test_metrics () =
   let m = Gpusim.Metrics.create () in

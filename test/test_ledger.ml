@@ -71,7 +71,7 @@ let test_analyzer_hoist () =
   for i = 1 to 4 do
     Obs.Ledger.xfer lg ~array:"a" ~dir:Obs.Ledger.H2d
       ~cause:Obs.Ledger.Copyin ~bytes:1024 ~dev:0 ~site:"copyin(a)"
-      ~loc:"t.c:1" ~exec:i ~span:(-1)
+      ~loc:"t.c:1" ~exec:i
       ~time:(float_of_int i) ~duration:1e-6 ~counted:true ~redundant:false
       ~hoist:(i > 1)
   done;
@@ -99,7 +99,7 @@ let test_analyzer_hoist_needs_repeat () =
   let lg = Obs.Ledger.create ~devices:1 ~schedule:"block" in
   Obs.Ledger.xfer lg ~array:"a" ~dir:Obs.Ledger.H2d
     ~cause:Obs.Ledger.Copyin ~bytes:1024 ~dev:0 ~site:"copyin(a)"
-    ~loc:"t.c:1" ~exec:1 ~span:(-1) ~time:0.0 ~duration:1e-6 ~counted:true
+    ~loc:"t.c:1" ~exec:1 ~time:0.0 ~duration:1e-6 ~counted:true
     ~redundant:false ~hoist:true;
   let a = Obs.Ledger.analyze lg ~pcie_latency:lat ~pcie_bandwidth:bw in
   match a.Obs.Ledger.a_sites with
@@ -117,7 +117,7 @@ let test_analyzer_present () =
     (fun i ->
       Obs.Ledger.xfer lg ~array:"b" ~dir:Obs.Ledger.D2h
         ~cause:Obs.Ledger.Copyout ~bytes:2048 ~dev:0 ~site:"copyout(b)"
-        ~loc:"t.c:9" ~exec:i ~span:(-1)
+        ~loc:"t.c:9" ~exec:i
         ~time:(float_of_int i) ~duration:1e-6 ~counted:true ~redundant:true
         ~hoist:false)
     [ 1; 2 ];
@@ -136,13 +136,13 @@ let test_analyzer_materiality () =
   let lg = Obs.Ledger.create ~devices:1 ~schedule:"block" in
   Obs.Ledger.xfer lg ~array:"big" ~dir:Obs.Ledger.H2d
     ~cause:Obs.Ledger.Copyin ~bytes:100_000_000 ~dev:0 ~site:"copyin(big)"
-    ~loc:"t.c:1" ~exec:1 ~span:(-1) ~time:0.0 ~duration:1e-2 ~counted:true
+    ~loc:"t.c:1" ~exec:1 ~time:0.0 ~duration:1e-2 ~counted:true
     ~redundant:false ~hoist:false;
   List.iter
     (fun (i, red) ->
       Obs.Ledger.xfer lg ~array:"tiny" ~dir:Obs.Ledger.H2d
         ~cause:Obs.Ledger.Copyin ~bytes:8 ~dev:0 ~site:"copyin(tiny)"
-        ~loc:"t.c:2" ~exec:i ~span:(-1)
+        ~loc:"t.c:2" ~exec:i
         ~time:(float_of_int i) ~duration:1e-6 ~counted:true ~redundant:red
         ~hoist:false)
     [ (1, false); (2, true) ];
