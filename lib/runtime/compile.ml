@@ -4,7 +4,11 @@
     array-backed register frame: a {!Resolve} pass assigns every declared
     variable a register slot at compile time, so variable access is an array
     index instead of string hashing over a frame stack, and all AST-tag
-    dispatch happens once, at compile time.
+    dispatch happens once, at compile time.  A subscript chain rooted at a
+    variable ([a\[i\]\[j\]], read or assigned) compiles to one closure
+    that computes the row-major offset in place, where the tree walker
+    takes one [Eval.view_step] per subscript; the tree walker keeps that
+    separate code because it is the oracle this engine is tested against.
 
     The engine is observably {e bit-identical} to the tree walker in
     {!Eval} / {!Kernel_exec}: every compiled node bumps [ops] exactly like
@@ -92,6 +96,47 @@ let reg_of_binding = function
   | Scalar c -> Rscalar c
   | Array s -> Rarray s
 
+(* The slot an array name designates: its register, or a frame-stack
+   lookup when the name is free. *)
+let croot res name : st -> Value.slot =
+  match Resolve.slot_of res name with
+  | Some i -> fun st -> reg_slot st i name
+  | None -> fun st -> array_slot st.ctx.env name
+
+(* ------------------------------------------------------------------ *)
+(* Flat subscripts.                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* A subscript chain rooted at a variable, [a[i0]...[ik]], compiles to one
+   closure that computes the row-major offset in place of one
+   [Eval.view_step] — a view record and a shape copy — per subscript.  It
+   makes the tree walker's checks in the tree walker's order, with its
+   messages: the root's buffer and shape are taken before any subscript
+   is evaluated ("not materialized" first), then each subscript is
+   evaluated and checked in turn ("too many subscripts", then its
+   dimension's bounds), and leftover dimensions are reported last. *)
+
+let root_buf name (slot : Value.slot) =
+  match slot.buf with
+  | Some b -> b
+  | None -> error "array '%s' is not materialized" name
+
+(* [unfinished] ends the message for leftover dimensions. *)
+let offset name ~unfinished shape (cis : cexp array) st =
+  let ndims = Array.length shape and n = Array.length cis in
+  let off = ref 0 in
+  for j = 0 to n - 1 do
+    let idx = to_int (cis.(j) st) in
+    if j >= ndims then error "too many subscripts on '%s'" name;
+    let dim = shape.(j) in
+    if idx < 0 || idx >= dim then
+      error "index %d out of bounds [0,%d) on '%s'" idx dim name;
+    off := (!off * dim) + idx
+  done;
+  if n < ndims then
+    error "'%s' needs %d more subscript(s) %s" name (ndims - n) unfinished;
+  !off
+
 (* ------------------------------------------------------------------ *)
 (* Expression and statement compilation.                               *)
 (* ------------------------------------------------------------------ *)
@@ -118,23 +163,28 @@ let rec cexpr u res e : cexp =
           fun st ->
             st.ctx.ops <- st.ctx.ops + 1;
             get_scalar st.ctx.env v)
-  | Eindex (a, i) ->
-      let name = view_name a in
-      let cvw = cview u res a in
-      let ci = cexpr u res i in
-      fun st -> (
-        st.ctx.ops <- st.ctx.ops + 1;
-        let vw = cvw st in
-        let idx = to_int (ci st) in
-        let vw = view_step name vw idx in
-        match Array.length vw.vshape with
-        | 0 ->
-            if is_float_buf vw.vbuf then
-              Flt (Gpusim.Buf.get_float vw.vbuf vw.voff)
-            else Int (Gpusim.Buf.get_int vw.vbuf vw.voff)
-        | _ ->
-            error "'%s' needs %d more subscript(s) to yield a value" name
-              (Array.length vw.vshape))
+  | Eindex _ -> (
+      match Analysis.Affine.expr_root_subs [] e with
+      | Some (name, subs) ->
+          let root = croot res name in
+          let cis = Array.of_list (List.map (cexpr u res) subs) in
+          fun st -> (
+            st.ctx.ops <- st.ctx.ops + 1;
+            let slot = root st in
+            let buf = root_buf name slot in
+            let off =
+              offset name ~unfinished:"to yield a value" (shape_of slot) cis
+                st
+            in
+            match buf with
+            | Gpusim.Buf.Fbuf a -> Flt a.(off)
+            | Gpusim.Buf.Ibuf a -> Int a.(off))
+      | None ->
+          (* [Eval.eval_view] rejects a root that is not a variable before
+             evaluating any subscript. *)
+          fun st ->
+            st.ctx.ops <- st.ctx.ops + 1;
+            error "expected an array expression")
   | Eunop (Neg, a) ->
       let ca = cexpr u res a in
       fun st -> (
@@ -173,23 +223,6 @@ let rec cexpr u res e : cexp =
       fun st ->
         st.ctx.ops <- st.ctx.ops + 1;
         if truthy (cc st) then ca st else cb st
-
-(* Mirrors [Eval.eval_view]: no ops bump of its own. *)
-and cview u res e : st -> Eval.aview =
-  match e with
-  | Evar v -> (
-      match Resolve.slot_of res v with
-      | Some i -> fun st -> view_of_slot v (reg_slot st i v)
-      | None -> fun st -> view_of_slot v (array_slot st.ctx.env v))
-  | Eindex (a, i) ->
-      let name = view_name a in
-      let cvw = cview u res a in
-      let ci = cexpr u res i in
-      fun st ->
-        let vw = cvw st in
-        let idx = to_int (ci st) in
-        view_step name vw idx
-  | _ -> fun _ -> error "expected an array expression"
 
 and ccall u res f args : cexp =
   if is_acc_routine f then begin
@@ -314,22 +347,13 @@ and cuser u res f args : cexp =
               match p.p_typ with
               | Tarr _ | Tptr _ -> (
                   match arg with
-                  | Evar v -> (
-                      match Resolve.slot_of res v with
-                      | Some i ->
-                          fun st ->
-                            let s = reg_slot st i v in
-                            ( p.p_name,
-                              Array
-                                { buf = s.buf; root = s.root; shape = s.shape }
-                            )
-                      | None ->
-                          fun st ->
-                            let s = array_slot st.ctx.env v in
-                            ( p.p_name,
-                              Array
-                                { buf = s.buf; root = s.root; shape = s.shape }
-                            ))
+                  | Evar v ->
+                      let csrc = croot res v in
+                      fun st ->
+                        let s = csrc st in
+                        ( p.p_name,
+                          Array { buf = s.buf; root = s.root; shape = s.shape }
+                        )
                   | _ ->
                       fun _ ->
                         error "array argument to '%s' must be a variable" f)
@@ -356,10 +380,8 @@ and cuser u res f args : cexp =
               (fun i (_, b) -> regs.(i) <- reg_of_binding b)
               bindings;
             let saved = st.ctx.env.frames in
-            let frame = Hashtbl.create 8 in
-            List.iter
-              (fun (name, b) -> Hashtbl.replace frame name b)
-              bindings;
+            let frame = Frame.create 8 in
+            List.iter (fun (name, b) -> Frame.replace frame name b) bindings;
             st.ctx.env.frames <- [ frame ];
             let restore () = st.ctx.env.frames <- saved in
             (try
@@ -471,11 +493,7 @@ and cdecl u res typ name init : cstm =
   | Tptr _ -> (
       match init with
       | Some (Evar src) ->
-          let csrc =
-            match Resolve.slot_of res src with
-            | Some i -> fun st -> reg_slot st i src
-            | None -> fun st -> array_slot st.ctx.env src
-          in
+          let csrc = croot res src in
           let slot = Resolve.declare res name in
           if u.umirror then
             fun st ->
@@ -507,37 +525,14 @@ and cdecl u res typ name init : cstm =
 (* Pointer rebinding [p = a] when the assignment target holds an array. *)
 and crebind res v rhs : st -> Value.slot -> unit =
   match rhs with
-  | Evar src -> (
-      match Resolve.slot_of res src with
-      | Some i ->
-          fun st slot ->
-            let s = reg_slot st i src in
-            slot.buf <- s.buf;
-            slot.root <- s.root;
-            slot.shape <- s.shape
-      | None ->
-          fun st slot ->
-            let s = array_slot st.ctx.env src in
-            slot.buf <- s.buf;
-            slot.root <- s.root;
-            slot.shape <- s.shape)
+  | Evar src ->
+      let csrc = croot res src in
+      fun st slot ->
+        let s = csrc st in
+        slot.buf <- s.buf;
+        slot.root <- s.root;
+        slot.shape <- s.shape
   | _ -> fun _ _ -> error "'%s' holds an array; assign another array to it" v
-
-(* Mirrors [Eval.assign]'s lvalue_view: composed views, no ops bumps of
-   their own. *)
-and clview u res lv : st -> Eval.aview =
-  match lv with
-  | Lvar name -> (
-      match Resolve.slot_of res name with
-      | Some i -> fun st -> view_of_slot name (reg_slot st i name)
-      | None -> fun st -> view_of_slot name (array_slot st.ctx.env name))
-  | Lindex (b, i) ->
-      let root = lvalue_root b in
-      let cb = clview u res b in
-      let ci = cexpr u res i in
-      fun st ->
-        let vw = cb st in
-        view_step root vw (to_int (ci st))
 
 and cassign u res lv rhs : cstm =
   match lv with
@@ -556,22 +551,22 @@ and cassign u res lv rhs : cstm =
             match lookup_exn st.ctx.env v with
             | Scalar cell -> cell.v <- crhs st
             | Array slot -> rebind st slot))
-  | Lindex (base, idx) ->
+  | Lindex _ ->
+      (* The right-hand side is evaluated first, as in [Eval.assign]. *)
       let crhs = cexpr u res rhs in
-      let root = lvalue_root base in
-      let cbase = clview u res base in
-      let ci = cexpr u res idx in
-      fun st ->
+      let name, subs = Option.get (Analysis.Affine.lvalue_root_subs [] lv) in
+      let root = croot res name in
+      let cis = Array.of_list (List.map (cexpr u res) subs) in
+      fun st -> (
         let v = crhs st in
-        let vw = cbase st in
-        let i = to_int (ci st) in
-        let vw = view_step root vw i in
-        if Array.length vw.vshape <> 0 then
-          error "'%s' needs %d more subscript(s) to be assignable" root
-            (Array.length vw.vshape);
-        (match vw.vbuf with
-        | Gpusim.Buf.Fbuf a -> a.(vw.voff) <- to_float v
-        | Gpusim.Buf.Ibuf a -> a.(vw.voff) <- to_int v)
+        let slot = root st in
+        let buf = root_buf name slot in
+        let off =
+          offset name ~unfinished:"to be assignable" (shape_of slot) cis st
+        in
+        match buf with
+        | Gpusim.Buf.Fbuf a -> a.(off) <- to_float v
+        | Gpusim.Buf.Ibuf a -> a.(off) <- to_int v)
 
 and cstmt u res s : cstm =
   let body = cskind u res s in
@@ -984,7 +979,7 @@ let run_kernel cache (host_ctx : Eval.ctx) device (k : kernel) :
   let ck = Hashtbl.find cache.ckernels (key_of cache k) in
   let host_env = host_ctx.env in
   let regs = Array.make ck.ck_nregs Unbound in
-  let kenv : Value.t = { Value.globals = Hashtbl.create 1; frames = [] } in
+  let kenv : Value.t = { Value.globals = Frame.create 1; frames = [] } in
   let kctx = Eval.make host_ctx.prog kenv in
   let st = { ctx = kctx; regs } in
 
@@ -1132,7 +1127,7 @@ let run_shard cache session ?weights device ~owns =
   in
   let host_ctx = Kernel_exec.host session in
   let regs = Array.make ck.ck_nregs Unbound in
-  let kenv : Value.t = { Value.globals = Hashtbl.create 1; frames = [] } in
+  let kenv : Value.t = { Value.globals = Frame.create 1; frames = [] } in
   let kctx = Eval.make host_ctx.prog kenv in
   let st = { ctx = kctx; regs } in
   let entry = Kernel_exec.entry session in

@@ -94,7 +94,10 @@ let is_float_buf = function Gpusim.Buf.Fbuf _ -> true | Gpusim.Buf.Ibuf _ -> fal
 
 (** A view into (part of) a flattened array: what a partially-indexed
     multi-dimensional array denotes ([a\[i\]] of a 2-D [a] is the i-th
-    row). *)
+    row).  The tree walker subscripts one view step at a time; the
+    compiled engine computes the same offset in place ({!Compile}'s flat
+    subscripts), and this separate code is the oracle it is tested
+    against. *)
 type aview = { vbuf : Gpusim.Buf.t; voff : int; vshape : int array }
 
 let view_of_slot name (slot : Value.slot) =
@@ -236,8 +239,8 @@ and call_user ctx f args =
           fn.f_params args
       in
       let saved = ctx.env.frames in
-      let frame = Hashtbl.create 8 in
-      List.iter (fun (name, b) -> Hashtbl.replace frame name b) bindings;
+      let frame = Frame.create 8 in
+      List.iter (fun (name, b) -> Frame.replace frame name b) bindings;
       ctx.env.frames <- [ frame ];
       let restore () = ctx.env.frames <- saved in
       let result =

@@ -43,21 +43,6 @@ val of_bool : bool -> Value.scalar
 (** C-like arithmetic on scalars (ints stay ints, mixing promotes). *)
 val arith : Minic.Ast.binop -> Value.scalar -> Value.scalar -> Value.scalar
 
-val is_float_buf : Gpusim.Buf.t -> bool
-
-(** A view into (part of) a flattened array: what a partially-indexed
-    multi-dimensional array denotes. *)
-type aview = { vbuf : Gpusim.Buf.t; voff : int; vshape : int array }
-
-(** @raise Value.Runtime_error when the slot is not materialized. *)
-val view_of_slot : string -> Value.slot -> aview
-
-(** Take one subscript step (with the bounds check) into a view. *)
-val view_step : string -> aview -> int -> aview
-
-(** Root name of an array expression, for error messages. *)
-val view_name : Minic.Ast.expr -> string
-
 (** Default value of a scalar declaration without initializer. *)
 val zero_of_typ : Minic.Ast.typ -> Value.scalar
 

@@ -62,51 +62,64 @@ let rec tree_reduce op = function
       in
       tree_reduce op (pair l)
 
-(* All names appearing in a statement list. *)
-let names_of_block block =
-  let acc = ref [] in
-  let add v = if not (List.mem v !acc) then acc := v :: !acc in
-  let rec expr = function
-    | Eint _ | Efloat _ -> ()
-    | Evar v -> add v
-    | Eindex (a, i) -> expr a; expr i
-    | Eunop (_, a) -> expr a
-    | Ebinop (_, a, b) -> expr a; expr b
-    | Ecall (_, args) -> List.iter expr args
-    | Econd (c, a, b) -> expr c; expr a; expr b
-  in
-  let rec lv = function
-    | Lvar v -> add v
-    | Lindex (b, i) -> lv b; expr i
-  in
-  let rec stmt s =
-    match s.skind with
-    | Sskip | Sbreak | Scontinue -> ()
-    | Sexpr e -> expr e
-    | Sassign (l, e) -> lv l; expr e
-    | Sdecl (_, v, init) -> add v; Option.iter expr init
-    | Sif (c, b1, b2) -> expr c; List.iter stmt b1; List.iter stmt b2
-    | Swhile (c, b) -> expr c; List.iter stmt b
-    | Sfor (i, c, st, b) ->
-        Option.iter stmt i; Option.iter expr c; Option.iter stmt st;
-        List.iter stmt b
-    | Sblock b -> List.iter stmt b
-    | Sreturn e -> Option.iter expr e
-    | Sacc (_, b) -> Option.iter stmt b
-  in
-  List.iter stmt block;
-  !acc
+(* Names appearing in statements, each once; [rev] lists them most recent
+   first occurrence first. *)
+type names = { seen : (string, unit) Hashtbl.t; mutable rev : string list }
 
+let add ns v =
+  if not (Hashtbl.mem ns.seen v) then begin
+    Hashtbl.replace ns.seen v ();
+    ns.rev <- v :: ns.rev
+  end
+
+let rec add_expr ns = function
+  | Eint _ | Efloat _ -> ()
+  | Evar v -> add ns v
+  | Eindex (a, i) -> add_expr ns a; add_expr ns i
+  | Eunop (_, a) -> add_expr ns a
+  | Ebinop (_, a, b) -> add_expr ns a; add_expr ns b
+  | Ecall (_, args) -> List.iter (add_expr ns) args
+  | Econd (c, a, b) -> add_expr ns c; add_expr ns a; add_expr ns b
+
+let rec add_lvalue ns = function
+  | Lvar v -> add ns v
+  | Lindex (b, i) -> add_lvalue ns b; add_expr ns i
+
+let rec add_stmt ns s =
+  match s.skind with
+  | Sskip | Sbreak | Scontinue -> ()
+  | Sexpr e -> add_expr ns e
+  | Sassign (l, e) -> add_lvalue ns l; add_expr ns e
+  | Sdecl (_, v, init) -> add ns v; Option.iter (add_expr ns) init
+  | Sif (c, b1, b2) ->
+      add_expr ns c; List.iter (add_stmt ns) b1; List.iter (add_stmt ns) b2
+  | Swhile (c, b) -> add_expr ns c; List.iter (add_stmt ns) b
+  | Sfor (i, c, st, b) ->
+      Option.iter (add_stmt ns) i; Option.iter (add_expr ns) c;
+      Option.iter (add_stmt ns) st; List.iter (add_stmt ns) b
+  | Sblock b -> List.iter (add_stmt ns) b
+  | Sreturn e -> Option.iter (add_expr ns) e
+  | Sacc (_, b) -> Option.iter (add_stmt ns) b
+
+let names_of_block block =
+  let ns = { seen = Hashtbl.create 16; rev = [] } in
+  List.iter (add_stmt ns) block;
+  ns.rev
+
+(* The loop header is walked in place — as [kl_var = kl_init;],
+   [kl_cond;] and [kl_step] — so a launch builds no statement and
+   allocates no statement id. *)
 let kernel_names k =
-  let header =
-    match k.k_loop with
-    | None -> []
-    | Some l ->
-        [ mk_stmt (Sassign (Lvar l.kl_var, l.kl_init));
-          mk_stmt (Sexpr l.kl_cond) ]
-        @ Option.to_list l.kl_step
-  in
-  names_of_block (header @ k.k_body)
+  let ns = { seen = Hashtbl.create 16; rev = [] } in
+  (match k.k_loop with
+  | None -> ()
+  | Some l ->
+      add ns l.kl_var;
+      add_expr ns l.kl_init;
+      add_expr ns l.kl_cond;
+      Option.iter (add_stmt ns) l.kl_step);
+  List.iter (add_stmt ns) k.k_body;
+  ns.rev
 
 (** Execute kernel [k] against [device], reading initial scalar values from —
     and committing results to — the host environment of [host_ctx]. *)
@@ -115,7 +128,7 @@ let run (host_ctx : Eval.ctx) device (k : kernel) : result =
   let names = kernel_names k in
 
   (* Base frame: device-array bindings and kernel-entry scalar copies. *)
-  let base : Value.frame = Hashtbl.create 16 in
+  let base = Frame.create 16 in
   let entry = Hashtbl.create 16 in
   List.iter
     (fun n ->
@@ -123,16 +136,16 @@ let run (host_ctx : Eval.ctx) device (k : kernel) : result =
       | Some (Array slot) ->
           let root = slot.root in
           let dbuf = Gpusim.Device.buffer device root in
-          Hashtbl.replace base n
+          Frame.replace base n
             (Array { buf = Some dbuf; root; shape = Value.shape_of slot })
       | Some (Scalar c) ->
           Hashtbl.replace entry n c.v;
-          Hashtbl.replace base n (Scalar { v = c.v })
+          Frame.replace base n (Scalar { v = c.v })
       | None -> () (* declared inside the kernel body *))
     names;
 
   let kenv : Value.t =
-    { Value.globals = Hashtbl.create 1; frames = [ base ] }
+    { Value.globals = Frame.create 1; frames = [ base ] }
   in
   let kctx = Eval.make host_ctx.Eval.prog kenv in
 
@@ -160,7 +173,7 @@ let run (host_ctx : Eval.ctx) device (k : kernel) : result =
   let last_values : (string, scalar) Hashtbl.t = Hashtbl.create 8 in
 
   let fresh_thread_frame () =
-    let frame = Hashtbl.create 8 in
+    let frame = Frame.create 8 in
     List.iter
       (fun (v, c) ->
         let init =
@@ -168,16 +181,16 @@ let run (host_ctx : Eval.ctx) device (k : kernel) : result =
           | Sc_reduction op -> identity op (entry_value v)
           | Sc_private | Sc_firstprivate | Sc_raced _ -> entry_value v
         in
-        Hashtbl.replace frame v (Scalar { v = init }))
+        Frame.replace frame v (Scalar { v = init }))
       class_of;
     Analysis.Varset.iter
-      (fun v -> Hashtbl.replace frame v (Scalar { v = entry_value v }))
+      (fun v -> Frame.replace frame v (Scalar { v = entry_value v }))
       extra_induction;
     frame
   in
 
   let record_thread_results frame =
-    Hashtbl.iter
+    Frame.iter
       (fun v b ->
         match b with
         | Scalar c -> (
@@ -212,11 +225,11 @@ let run (host_ctx : Eval.ctx) device (k : kernel) : result =
       (* sequential semantics: start private-ish cells from entry values *)
       List.iter
         (fun (v, _) ->
-          Hashtbl.replace frame v (Scalar { v = entry_value v }))
+          Frame.replace frame v (Scalar { v = entry_value v }))
         class_of;
       kenv.frames <- frame :: kenv.frames;
       let driver = { v = Eval.eval kctx l.kl_init } in
-      Hashtbl.replace frame l.kl_var (Scalar driver);
+      Frame.replace frame l.kl_var (Scalar driver);
       while truthy (Eval.eval kctx l.kl_cond) do
         incr iterations;
         Value.scoped kenv (fun () -> Eval.exec_block kctx l.kl_body);
@@ -226,20 +239,20 @@ let run (host_ctx : Eval.ctx) device (k : kernel) : result =
       done;
       kenv.frames <- List.tl kenv.frames;
       (* Sequential commits: every handled scalar takes its final value. *)
-      Hashtbl.iter
+      Frame.iter
         (fun v b ->
           match b with
           | Scalar c when v <> l.kl_var ->
               Hashtbl.replace last_values v c.v
           | _ -> ())
         frame;
-      (match Hashtbl.find_opt frame l.kl_var with
+      (match Frame.find_opt frame l.kl_var with
       | Some (Scalar c) -> Hashtbl.replace last_values l.kl_var c.v
       | _ -> ())
   | Some l ->
       (* Parallel loop: one thread per iteration. *)
       let driver = { v = Eval.eval kctx l.kl_init } in
-      Hashtbl.replace base l.kl_var (Scalar driver);
+      Frame.replace base l.kl_var (Scalar driver);
       while truthy (Eval.eval kctx l.kl_cond) do
         incr iterations;
         let frame = fresh_thread_frame () in
@@ -321,16 +334,16 @@ let entry_value_of s v =
 (* Scratch context over kernel-entry scalar copies and the host's array
    slots: enough to evaluate the loop driver without touching any device. *)
 let scratch_ctx s =
-  let base : Value.frame = Hashtbl.create 16 in
+  let base = Frame.create 16 in
   List.iter
     (fun n ->
       match Value.lookup s.s_host.Eval.env n with
-      | Some (Array slot) -> Hashtbl.replace base n (Array slot)
-      | Some (Scalar c) -> Hashtbl.replace base n (Scalar { v = c.v })
+      | Some (Array slot) -> Frame.replace base n (Array slot)
+      | Some (Scalar c) -> Frame.replace base n (Scalar { v = c.v })
       | None -> ())
     s.s_names;
   let kenv : Value.t =
-    { Value.globals = Hashtbl.create 1; frames = [ base ] }
+    { Value.globals = Frame.create 1; frames = [ base ] }
   in
   (base, Eval.make s.s_host.Eval.prog kenv)
 
@@ -371,7 +384,7 @@ let start (host_ctx : Eval.ctx) (k : kernel) : session =
   | Some l ->
       let base, kctx = scratch_ctx s in
       let driver = { v = Eval.eval kctx l.kl_init } in
-      Hashtbl.replace base l.kl_var (Scalar driver);
+      Frame.replace base l.kl_var (Scalar driver);
       let n = ref 0 in
       while truthy (Eval.eval kctx l.kl_cond) do
         incr n;
@@ -447,26 +460,26 @@ let run_shard s ?weights device ~owns =
     | Some _ | None -> invalid_arg "Kernel_exec.run_shard: not shardable"
   in
   let host_env = s.s_host.Eval.env in
-  let base : Value.frame = Hashtbl.create 16 in
+  let base = Frame.create 16 in
   List.iter
     (fun n ->
       match Value.lookup host_env n with
       | Some (Array slot) ->
           let root = slot.root in
           let dbuf = Gpusim.Device.buffer device root in
-          Hashtbl.replace base n
+          Frame.replace base n
             (Array { buf = Some dbuf; root; shape = Value.shape_of slot })
       | Some (Scalar _) ->
-          Hashtbl.replace base n (Scalar { v = entry_value_of s n })
+          Frame.replace base n (Scalar { v = entry_value_of s n })
       | None -> ())
     s.s_names;
   let kenv : Value.t =
-    { Value.globals = Hashtbl.create 1; frames = [ base ] }
+    { Value.globals = Frame.create 1; frames = [ base ] }
   in
   let kctx = Eval.make s.s_host.Eval.prog kenv in
   let class_of = k.k_scalars in
   let fresh_thread_frame () =
-    let frame = Hashtbl.create 8 in
+    let frame = Frame.create 8 in
     List.iter
       (fun (v, c) ->
         let init =
@@ -474,10 +487,10 @@ let run_shard s ?weights device ~owns =
           | Sc_reduction op -> identity op (entry_value_of s v)
           | Sc_private | Sc_firstprivate | Sc_raced _ -> entry_value_of s v
         in
-        Hashtbl.replace frame v (Scalar { v = init }))
+        Frame.replace frame v (Scalar { v = init }))
       class_of;
     Analysis.Varset.iter
-      (fun v -> Hashtbl.replace frame v (Scalar { v = entry_value_of s v }))
+      (fun v -> Frame.replace frame v (Scalar { v = entry_value_of s v }))
       s.s_extra;
     frame
   in
@@ -485,7 +498,7 @@ let run_shard s ?weights device ~owns =
   let executed = ref 0 in
   let ordinal = ref 0 in
   let driver = { v = Eval.eval kctx l.kl_init } in
-  Hashtbl.replace base l.kl_var (Scalar driver);
+  Frame.replace base l.kl_var (Scalar driver);
   while truthy (Eval.eval kctx l.kl_cond) do
     if owns !ordinal then begin
       incr executed;
@@ -498,7 +511,7 @@ let run_shard s ?weights device ~owns =
           w.(!ordinal) <- kctx.Eval.ops - ops0
       | Some _ | None -> ());
       kenv.frames <- List.tl kenv.frames;
-      Hashtbl.iter
+      Frame.iter
         (fun v b ->
           match b with
           | Scalar c -> stage s sg ~ordinal:!ordinal v c.v

@@ -19,11 +19,13 @@ val combine : Minic.Ast.redop -> Value.scalar -> Value.scalar -> Value.scalar
 (** Pairwise (tree-order) combination of per-thread partials. *)
 val tree_reduce : Minic.Ast.redop -> Value.scalar list -> Value.scalar option
 
-(** All names appearing in a statement list (declared ones included). *)
+(** All names appearing in a statement list (declared ones included),
+    each once, the latest first occurrence first. *)
 val names_of_block : Minic.Ast.stmt list -> string list
 
 (** All names appearing in a kernel (loop header first, then body), in the
-    deterministic order both engines bind kernel-entry state in. *)
+    deterministic order both engines bind kernel-entry state in.  Walks
+    the kernel in place: it allocates no statement id. *)
 val kernel_names : Codegen.Tprog.kernel -> string list
 
 (** Execute a kernel against the device, reading initial scalars from — and

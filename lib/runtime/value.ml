@@ -35,18 +35,126 @@ let () =
 
 (** {1 Environments}: a stack of frames over a global frame. *)
 
-type frame = (string, binding) Hashtbl.t
+(* A frame is a chained hash table from names to bindings whose entries
+   keep their key's hash, so a lookup hashes the name once for the whole
+   frame stack, probes each frame with that hash, and compares keys with
+   [String.equal] only on a hash match; a resize re-buckets entries by
+   their stored hash. *)
+module Frame = struct
+  type bucket =
+    | Empty
+    | Cons of {
+        key : string;
+        hash : int;  (** [hash key] *)
+        mutable data : binding;
+        next : bucket;
+      }
+
+  type t = {
+    mutable size : int;  (** number of bindings *)
+    mutable buckets : bucket array;  (** a power of two of them *)
+    initial : int;  (** the bucket count [reset] restores *)
+  }
+
+  let hash name =
+    let h = ref 0 in
+    for i = 0 to String.length name - 1 do
+      h := (!h * 31) + Char.code (String.unsafe_get name i)
+    done;
+    !h land max_int
+
+  let create n =
+    let rec pow2 k = if k >= n then k else pow2 (2 * k) in
+    let initial = pow2 1 in
+    { size = 0; buckets = Array.make initial Empty; initial }
+
+  let length fr = fr.size
+
+  let reset fr =
+    if fr.size > 0 then begin
+      fr.size <- 0;
+      if Array.length fr.buckets = fr.initial then
+        Array.fill fr.buckets 0 fr.initial Empty
+      else fr.buckets <- Array.make fr.initial Empty
+    end
+
+  (* Physically unique stand-in for "no binding", so a hit allocates no
+     option. *)
+  let absent = Scalar { v = Int 0 }
+
+  let rec find_bucket name h = function
+    | Empty -> absent
+    | Cons c ->
+        if c.hash = h && String.equal c.key name then c.data
+        else find_bucket name h c.next
+
+  let find_hashed fr name h =
+    if fr.size = 0 then absent
+    else
+      find_bucket name h
+        (Array.unsafe_get fr.buckets (h land (Array.length fr.buckets - 1)))
+
+  let find_opt fr name =
+    let b = find_hashed fr name (hash name) in
+    if b == absent then None else Some b
+
+  let resize fr =
+    let old = fr.buckets in
+    let n = 2 * Array.length old in
+    let buckets = Array.make n Empty in
+    let rec move = function
+      | Empty -> ()
+      | Cons c ->
+          let i = c.hash land (n - 1) in
+          buckets.(i) <-
+            Cons { key = c.key; hash = c.hash; data = c.data;
+                   next = buckets.(i) };
+          move c.next
+    in
+    Array.iter move old;
+    fr.buckets <- buckets
+
+  let rec set_bucket name h binding = function
+    | Empty -> false
+    | Cons c ->
+        if c.hash = h && String.equal c.key name then begin
+          c.data <- binding;
+          true
+        end
+        else set_bucket name h binding c.next
+
+  let replace fr name binding =
+    let h = hash name in
+    let i = h land (Array.length fr.buckets - 1) in
+    if not (set_bucket name h binding fr.buckets.(i)) then begin
+      fr.buckets.(i) <-
+        Cons { key = name; hash = h; data = binding; next = fr.buckets.(i) };
+      fr.size <- fr.size + 1;
+      if fr.size > 2 * Array.length fr.buckets then resize fr
+    end
+
+  let iter f fr =
+    let rec go = function
+      | Empty -> ()
+      | Cons c ->
+          f c.key c.data;
+          go c.next
+    in
+    Array.iter go fr.buckets
+end
+
+type frame = Frame.t
 
 type t = { globals : frame; mutable frames : frame list }
 
-let create () = { globals = Hashtbl.create 16; frames = [ Hashtbl.create 16 ] }
+let create () = { globals = Frame.create 16; frames = [ Frame.create 16 ] }
 
 (* A small pool of recycled scope frames.  [push]/[pop] pairs run once per
    executed scope — loop iterations included — so they sit on the
-   interpreter's hottest path; reusing the hashtables avoids an allocation
-   per scope.  A pooled frame is [Hashtbl.reset] before reuse, which
-   restores its initial size-8 geometry, so it is observably identical to a
-   fresh [Hashtbl.create 8].  Frames popped by [pop] are never retained by
+   interpreter's hottest path; reusing the frames avoids an allocation per
+   scope.  A pooled frame is [Frame.reset] before reuse, which empties it
+   and restores its initial geometry, so it is observably identical to a
+   fresh [Frame.create 8].  Frames popped by [pop] are never retained by
    callers (scopes hand values out through shared cells), which is what
    makes recycling safe. *)
 let frame_pool : frame list ref = ref []
@@ -59,11 +167,11 @@ let acquire_frame () =
       frame_pool := rest;
       decr frame_pool_len;
       f
-  | [] -> Hashtbl.create 8
+  | [] -> Frame.create 8
 
 let release_frame f =
   if !frame_pool_len < frame_pool_max then begin
-    Hashtbl.reset f;
+    Frame.reset f;
     frame_pool := f :: !frame_pool;
     incr frame_pool_len
   end
@@ -84,25 +192,30 @@ let scoped env f =
 
 let declare env name binding =
   match env.frames with
-  | frame :: _ -> Hashtbl.replace frame name binding
+  | frame :: _ -> Frame.replace frame name binding
   | [] -> invalid_arg "Value.declare"
 
-let declare_global env name binding = Hashtbl.replace env.globals name binding
+let declare_global env name binding = Frame.replace env.globals name binding
 
-let lookup env name =
+(* The innermost binding of [name], or [Frame.absent]: the name is hashed
+   once for the whole stack. *)
+let find env name =
+  let h = Frame.hash name in
   let rec go = function
-    | [] -> Hashtbl.find_opt env.globals name
-    | frame :: rest -> (
-        match Hashtbl.find_opt frame name with
-        | Some b -> Some b
-        | None -> go rest)
+    | [] -> Frame.find_hashed env.globals name h
+    | frame :: rest ->
+        let b = Frame.find_hashed frame name h in
+        if b == Frame.absent then go rest else b
   in
   go env.frames
 
+let lookup env name =
+  let b = find env name in
+  if b == Frame.absent then None else Some b
+
 let lookup_exn env name =
-  match lookup env name with
-  | Some b -> b
-  | None -> error "unbound variable '%s'" name
+  let b = find env name in
+  if b == Frame.absent then error "unbound variable '%s'" name else b
 
 let scalar_cell env name =
   match lookup_exn env name with
@@ -134,8 +247,8 @@ let shape_of slot =
 (* A frame-by-frame copy of [env] with every binding passed through [f]. *)
 let map_bindings f env =
   let map_frame fr =
-    let fr' = Hashtbl.create (Hashtbl.length fr) in
-    Hashtbl.iter (fun name b -> Hashtbl.replace fr' name (f name b)) fr;
+    let fr' = Frame.create (Frame.length fr) in
+    Frame.iter (fun name b -> Frame.replace fr' name (f name b)) fr;
     fr'
   in
   { globals = map_frame env.globals; frames = List.map map_frame env.frames }

@@ -29,7 +29,34 @@ val error : ('a, Format.formatter, unit, 'b) format4 -> 'a
 
 (** {1 Environments}: a stack of frames over a global frame. *)
 
-type frame = (string, binding) Hashtbl.t
+(** A frame: a table from names to bindings, one binding per name.  Each
+    entry stores its key's hash (any deterministic string hash), so
+    {!lookup} hashes a name once for the whole frame stack, probes every
+    frame with that hash and compares keys with [String.equal] only on a
+    hash match.  Iteration order is unspecified and must never be
+    observed: only name-keyed code iterates frames ({!map_bindings}, the
+    kernel runners' per-thread commits). *)
+module Frame : sig
+  type t
+
+  (** An empty frame sized for about [n] names; it grows as needed. *)
+  val create : int -> t
+
+  (** Bind a name, replacing any binding it had in this frame. *)
+  val replace : t -> string -> binding -> unit
+
+  val find_opt : t -> string -> binding option
+
+  (** Visit every binding once, in unspecified order. *)
+  val iter : (string -> binding -> unit) -> t -> unit
+
+  val length : t -> int
+
+  (** Empty the frame and restore its initial size. *)
+  val reset : t -> unit
+end
+
+type frame = Frame.t
 
 type t = { globals : frame; mutable frames : frame list }
 
@@ -37,14 +64,19 @@ val create : unit -> t
 val push : t -> unit
 val pop : t -> unit
 
-(** Run [f] in a fresh scope. *)
+(** Run [f] in a fresh scope: a pooled frame, empty on entry, popped on
+    exit whether [f] returns or raises. *)
 val scoped : t -> (unit -> 'a) -> 'a
 
 val declare : t -> string -> binding -> unit
 val declare_global : t -> string -> binding -> unit
+
+(** The innermost binding of a name: the frames from the top of the stack
+    down, then the globals. *)
 val lookup : t -> string -> binding option
 
-(** @raise Runtime_error when unbound. *)
+(** {!lookup} without the option: a hit allocates nothing.
+    @raise Runtime_error ["unbound variable 'x'"] when unbound. *)
 val lookup_exn : t -> string -> binding
 
 val scalar_cell : t -> string -> cell

@@ -544,6 +544,38 @@ let test_session () =
     Sys.remove json2
   end
 
+(* The data regions a session inserts are labelled from the statement-id
+   counter, which kernel launches leave alone: BACKPROP's report names
+   them identically whatever the device count. *)
+let test_session_labels () =
+  if available then begin
+    let labels devices =
+      let code, out =
+        run_cmd
+          (Fmt.str
+             "session bench:backprop --outputs checksum,err --report \
+              --devices %d"
+             devices)
+      in
+      Alcotest.(check int) (Fmt.str "--devices %d: exit 0" devices) 0 code;
+      let re = Str.regexp "\\(data\\|declare\\)[0-9]+" in
+      let rec go pos acc =
+        match Str.search_forward re out pos with
+        | i -> go (i + 1) (Str.matched_string out :: acc)
+        | exception Not_found -> List.sort_uniq compare acc
+      in
+      go 0 []
+    in
+    let one = labels 1 in
+    Alcotest.(check bool) "the report names inserted regions" true (one <> []);
+    List.iter
+      (fun d ->
+        Alcotest.(check (list string))
+          (Fmt.str "--devices %d: same labels as one device" d)
+          one (labels d))
+      [ 2; 4 ]
+  end
+
 let test_analyze () =
   check_cmd "analyze" "analyze bench:bfs --devices 4"
     ~expect:
@@ -647,6 +679,8 @@ let tests =
     Alcotest.test_case "diff profile" `Quick test_diff_profile;
     Alcotest.test_case "analyze" `Quick test_analyze;
     Alcotest.test_case "session" `Slow test_session;
+    Alcotest.test_case "session labels across device counts" `Slow
+      test_session_labels;
     Alcotest.test_case "fault matrix" `Quick test_fault_matrix;
     Alcotest.test_case "engine default" `Quick test_engine_default;
     Alcotest.test_case "version" `Quick test_version;

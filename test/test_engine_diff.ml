@@ -523,6 +523,158 @@ let test_region_diff () =
   Alcotest.(check (pair string int)) "unbound name: same error, same ops"
     (mt, ot) (unbound compiled)
 
+(* Subscript errors: every way a subscript chain can fail must raise the
+   same message after the same op count under both engines — in host code
+   (mirror mode, with the chain's root both register-resolved and a free
+   global), in a kernel body (register mode) and in a verified region's
+   sequential source (register-bound).  Each row's [stmt] runs where [t]
+   is 0, after [decls], and raises [expect] under the tree walker; when
+   [Typecheck] rejects [stmt], [typed] is a well-typed stand-in whose type
+   environment translates the program, which then runs untyped. *)
+type subscript_case = {
+  what : string;
+  decls : string;
+  stmt : string;
+  typed : string option;
+  expect : string;
+}
+
+let subscript_cases =
+  let case ?typed what decls stmt expect =
+    { what; decls; stmt; typed; expect }
+  in
+  [ case "1-D out of bounds" "float v[4];" "v[t + 4] = 1.0;"
+      "index 4 out of bounds [0,4) on 'v'";
+    case "1-D negative index" "float v[4];" "float x = v[t - 1];"
+      "index -1 out of bounds [0,4) on 'v'";
+    case "2-D row out of bounds" "float a[3][4];" "a[t + 3][0] = 1.0;"
+      "index 3 out of bounds [0,3) on 'a'";
+    case "2-D negative column" "float a[3][4];" "float x = a[0][t - 1];"
+      "index -1 out of bounds [0,4) on 'a'";
+    case "3-D innermost" "float c[2][3][4];" "c[1][2][t + 4] = 1.0;"
+      "index 4 out of bounds [0,4) on 'c'";
+    case "3-D middle" "float c[2][3][4];" "float x = c[1][t + 3][0];"
+      "index 3 out of bounds [0,3) on 'c'";
+    case "too many subscripts (write)" "float a[3][4];" "a[t][0][0] = 1.0;"
+      ~typed:"a[t][0] = 1.0;" "too many subscripts on 'a'";
+    case "too many subscripts (read)" "float a[3][4];"
+      "float x = a[1][2][t];" ~typed:"float x = a[1][t];"
+      "too many subscripts on 'a'";
+    case "too few subscripts (read)" "float a[3][4];" "float x = a[t] + 1.0;"
+      ~typed:"float x = a[t][0] + 1.0;"
+      "'a' needs 1 more subscript(s) to yield a value";
+    case "too few subscripts (write)" "float c[2][3][4];" "c[t] = 1.0;"
+      ~typed:"c[t][0][0] = 1.0;"
+      "'c' needs 2 more subscript(s) to be assignable";
+    case "unmaterialized local pointer" "" "float *q; q[t] = 1.0;"
+      "array 'q' is not materialized";
+    case "unmaterialized pointer" "float *p;" "float x = p[t + 2];"
+      "array 'p' is not materialized";
+    case "unmaterialized before its subscript" "float *p; int b[2];"
+      "p[b[t + 9]] = 1.0;" "array 'p' is not materialized";
+    case "subscript fails first" "float v[4]; int b[2];" "v[b[t + 9]] = 1.0;"
+      "index 9 out of bounds [0,2) on 'b'";
+    case "subscript divides by zero" "float a[3][4]; int z = 0;"
+      "float x = a[1][t / z];" "integer division by zero";
+    case "row checked before the column is evaluated"
+      "float a[3][4]; int b[2];" "a[t + 3][b[t + 9]] = 1.0;"
+      "index 3 out of bounds [0,3) on 'a'";
+    case "subscript evaluated before too many" "float a[3][4]; int b[2];"
+      "float x = a[1][2][b[t + 9]];" ~typed:"float x = a[1][b[t + 9]];"
+      "index 9 out of bounds [0,2) on 'b'";
+    case "right-hand side first" "float a[3][4]; int b[2];"
+      "a[t + 3][0] = float(b[t + 9]);" "index 9 out of bounds [0,2) on 'b'" ]
+
+let raised f =
+  match f () with
+  | () -> Alcotest.fail "expected a runtime error"
+  | exception Accrt.Value.Runtime_error m -> m
+  | exception e -> Printexc.to_string e
+
+let test_subscript_errors () =
+  List.iter
+    (fun { what; decls; stmt; typed; expect } ->
+      let kernel_src s =
+        Fmt.str
+          "int main() { %s\n\
+           #pragma acc parallel loop\n\
+           for (int t = 0; t < 1; t++) { %s }\n\
+           return 0; }"
+          decls s
+      in
+      let prog = Parser.parse_string ~file:what (kernel_src stmt) in
+      let tenv =
+        Typecheck.check
+          (Parser.parse_string (kernel_src (Option.value ~default:stmt typed)))
+      in
+      let tp = Codegen.Translate.translate tenv prog in
+      let same mode run =
+        let t = run tree in
+        Alcotest.(check (pair string int))
+          (Fmt.str "%s (%s): same message, same ops" what mode)
+          t (run compiled)
+      in
+      (* Host code: the main body under each engine's reference runner; a
+         hook holds on to the context so its op count survives the raise. *)
+      let host src engine =
+        let prog = Parser.parse_string ~file:what src in
+        let ctx = ref None in
+        let hook c _ = ctx := Some c; false in
+        let m =
+          raised (fun () ->
+              ignore (Accrt.Compile.reference ~engine ~hook prog))
+        in
+        (m, (Option.get !ctx).Accrt.Eval.ops)
+      in
+      let local =
+        host (Fmt.str "int main() { int t = 0; %s %s return 0; }" decls stmt)
+      in
+      Alcotest.(check string) (what ^ ": tree message") expect
+        (fst (local tree));
+      same "host" local;
+      same "host, global root"
+        (host (Fmt.str "%s int main() { int t = 0; %s return 0; }" decls stmt));
+      (* Kernel body: launched through each engine's kernel runner, on one
+         device and sharded over two.  The launch's own context is private
+         to the runner, so the region mode below carries the op check for
+         register-mode code. *)
+      List.iter
+        (fun devices ->
+          let launch engine =
+            raised (fun () ->
+                ignore
+                  (Accrt.Interp.run ~coherence:false ~engine ~seed:42 ~devices
+                     tp))
+          in
+          Alcotest.(check string)
+            (Fmt.str "%s (kernel, --devices %d): same message" what devices)
+            (launch tree) (launch compiled))
+        [ 1; 2 ];
+      (* Verified region: the region's sequential source in place of the
+         region, as kernel verification runs it. *)
+      let k = tp.Codegen.Tprog.kernels.(0) in
+      same "region" (fun engine ->
+          let cache = Accrt.Compile.create_cache prog in
+          let ctx = ref None in
+          let hook c s =
+            if s.Ast.sid <> k.Codegen.Tprog.k_sid then false
+            else begin
+              ctx := Some c;
+              (match engine with
+              | Accrt.Engine.Tree ->
+                  Accrt.Value.scoped c.Accrt.Eval.env (fun () ->
+                      Accrt.Eval.exec c k.Codegen.Tprog.k_source)
+              | Accrt.Engine.Compiled -> Accrt.Compile.run_source cache c k);
+              true
+            end
+          in
+          let m =
+            raised (fun () ->
+                ignore (Accrt.Compile.reference ~engine ~hook prog))
+          in
+          (m, (Option.get !ctx).Accrt.Eval.ops)))
+    subscript_cases
+
 (* Fault-matrix slice: the resilient runtime (retry, re-execution with
    validation, CPU fallback, host mode) recovers identically under both
    engines. *)
@@ -566,5 +718,6 @@ let tests =
   @ List.map trace_purity_case Suite.Registry.all
   @ [ Alcotest.test_case "verification verdicts" `Quick test_verify_diff;
       Alcotest.test_case "register-mode region" `Quick test_region_diff;
+      Alcotest.test_case "subscript errors" `Quick test_subscript_errors;
       Alcotest.test_case "fault matrix" `Quick test_fault_diff;
       Alcotest.test_case "device-loss failover" `Quick test_failover_diff ]

@@ -162,6 +162,94 @@ let test_promotion_rules () =
     (a Lt (Accrt.Value.Int 4) (Accrt.Value.Int 3)
     == a Ge (Accrt.Value.Flt 3.0) (Accrt.Value.Flt 4.0))
 
+(* Environment frames: one binding per name and frame, the innermost
+   frame wins, globals come last, and a pooled scope frame is empty. *)
+let int_binding n = Accrt.Value.Scalar { v = Accrt.Value.Int n }
+
+let bound_int env name =
+  match Accrt.Value.lookup env name with
+  | Some (Accrt.Value.Scalar c) -> Some (Accrt.Value.to_int c.v)
+  | Some (Accrt.Value.Array _) | None -> None
+
+let test_frame_lookup () =
+  let env = Accrt.Value.create () in
+  Accrt.Value.declare_global env "g" (int_binding 1);
+  Accrt.Value.declare_global env "x" (int_binding 2);
+  Accrt.Value.declare env "x" (int_binding 3);
+  Accrt.Value.push env;
+  Accrt.Value.declare env "x" (int_binding 4);
+  let check what name expected =
+    Alcotest.(check (option int)) what expected (bound_int env name)
+  in
+  check "innermost frame shadows" "x" (Some 4);
+  check "globals are the fallback" "g" (Some 1);
+  Accrt.Value.pop env;
+  check "the shadow goes with its frame" "x" (Some 3);
+  Alcotest.(check (option int)) "absent name" None (bound_int env "y");
+  Alcotest.check_raises "unbound name"
+    (Accrt.Value.Runtime_error "unbound variable 'y'") (fun () ->
+      ignore (Accrt.Value.lookup_exn env "y"))
+
+let test_frame_table () =
+  let module F = Accrt.Value.Frame in
+  let fr = F.create 8 in
+  F.replace fr "v" (int_binding 1);
+  F.replace fr "v" (int_binding 2);
+  Alcotest.(check int) "replace keeps one binding per name" 1 (F.length fr);
+  (match F.find_opt fr "v" with
+  | Some (Accrt.Value.Scalar c) ->
+      Alcotest.(check int) "the later binding wins" 2 (Accrt.Value.to_int c.v)
+  | _ -> Alcotest.fail "v unbound");
+  (* the frame of a large generated [main]: several resizes *)
+  let fr = F.create 8 in
+  let names = List.init 1000 (fun i -> Fmt.str "v%d" i) in
+  List.iteri (fun i n -> F.replace fr n (int_binding i)) names;
+  Alcotest.(check int) "1,000 names" 1000 (F.length fr);
+  List.iteri
+    (fun i n ->
+      match F.find_opt fr n with
+      | Some (Accrt.Value.Scalar c) when Accrt.Value.to_int c.v = i -> ()
+      | _ -> Alcotest.failf "%s lost after resizing" n)
+    names;
+  let seen = Hashtbl.create 1000 in
+  F.iter
+    (fun n _ ->
+      Hashtbl.replace seen n
+        (1 + Option.value ~default:0 (Hashtbl.find_opt seen n)))
+    fr;
+  Alcotest.(check int) "iter visits every name" 1000 (Hashtbl.length seen);
+  Alcotest.(check bool) "iter visits each name once" true
+    (Hashtbl.fold (fun _ k ok -> ok && k = 1) seen true);
+  F.reset fr;
+  Alcotest.(check int) "reset empties" 0 (F.length fr);
+  Alcotest.(check bool) "reset forgets" true (F.find_opt fr "v1" = None)
+
+let test_frame_pool () =
+  let env = Accrt.Value.create () in
+  (* fill pooled frames, then take them back out of the pool *)
+  for round = 1 to 3 do
+    Accrt.Value.scoped env (fun () ->
+        List.iter
+          (fun n -> Accrt.Value.declare env n (int_binding round))
+          [ "i"; "j"; "tmp" ];
+        Accrt.Value.scoped env (fun () ->
+            Accrt.Value.declare env "inner" (int_binding round)))
+  done;
+  (try
+     Accrt.Value.scoped env (fun () ->
+         Accrt.Value.declare env "i" (int_binding 9);
+         failwith "leave by an exception")
+   with Failure _ -> ());
+  Alcotest.(check int) "scopes pop, also on an exception" 1
+    (List.length env.Accrt.Value.frames);
+  Accrt.Value.scoped env (fun () ->
+      Accrt.Value.scoped env (fun () ->
+          List.iter
+            (fun n ->
+              Alcotest.(check (option int)) (n ^ ": no stale binding") None
+                (bound_int env n))
+            [ "i"; "j"; "tmp"; "inner" ]))
+
 let tests =
   [ Alcotest.test_case "arithmetic" `Quick test_arithmetic;
     Alcotest.test_case "promotion rules" `Quick test_promotion_rules;
@@ -174,4 +262,7 @@ let tests =
     Alcotest.test_case "directives transparent" `Quick
       test_directives_transparent;
     Alcotest.test_case "runtime errors" `Quick test_runtime_errors;
-    Alcotest.test_case "op counting" `Quick test_op_counting ]
+    Alcotest.test_case "op counting" `Quick test_op_counting;
+    Alcotest.test_case "frame lookup" `Quick test_frame_lookup;
+    Alcotest.test_case "frame table" `Quick test_frame_table;
+    Alcotest.test_case "frame pool" `Quick test_frame_pool ]

@@ -116,6 +116,52 @@ let test_single_thread_kernel () =
   Alcotest.(check (float 0.)) "second kernel used it" 0.25
     (Gpusim.Buf.get_float (Accrt.Interp.host_array o "a") 0)
 
+(* Statement ids number the sites a session inserts, so running a
+   program must allocate none: a launch walks its kernel's loop header in
+   place.  [Kernel_verify.verify] translates the program it is given, so
+   it may take exactly the ids that translation takes, and no more. *)
+let test_runs_allocate_no_sids () =
+  let taken f =
+    let before = !Minic.Ast.stmt_counter in
+    f ();
+    !Minic.Ast.stmt_counter - before
+  in
+  List.iter
+    (fun (b : Suite.Bench_def.t) ->
+      let prog = Minic.Parser.parse_string ~file:b.name b.source in
+      let translate prog =
+        Codegen.Translate.translate (Minic.Typecheck.check prog) prog
+      in
+      let tp = translate prog in
+      Alcotest.(check int) (b.name ^ ": reference run") 0
+        (taken (fun () -> ignore (Accrt.Eval.run_reference prog)));
+      let translation =
+        taken (fun () ->
+            ignore
+              (translate
+                 (if Codegen.Inline.needs_expansion prog then
+                    Codegen.Inline.expand prog
+                  else prog)))
+      in
+      List.iter
+        (fun engine ->
+          let what = Fmt.str "%s/%s" b.name (Accrt.Engine.to_string engine) in
+          List.iter
+            (fun devices ->
+              Alcotest.(check int)
+                (Fmt.str "%s --devices %d: run" what devices)
+                0
+                (taken (fun () ->
+                     ignore (Accrt.Interp.run ~engine ~seed:42 ~devices tp))))
+            [ 1; 4 ];
+          Alcotest.(check int)
+            (what ^ ": verify takes only its translation's ids")
+            translation
+            (taken (fun () ->
+                 ignore (Openarc_core.Kernel_verify.verify ~engine prog))))
+        [ Accrt.Engine.Tree; Accrt.Engine.Compiled ])
+    Suite.Registry.all
+
 let tests =
   [ Alcotest.test_case "reduction identities" `Quick test_identities;
     Alcotest.test_case "combine" `Quick test_combine;
@@ -125,4 +171,6 @@ let tests =
     Alcotest.test_case "loop var exit value" `Quick test_loop_var_exit_value;
     Alcotest.test_case "int reduction" `Quick test_reduction_on_int;
     Alcotest.test_case "single-thread kernel" `Quick
-      test_single_thread_kernel ]
+      test_single_thread_kernel;
+    Alcotest.test_case "runs allocate no statement ids" `Quick
+      test_runs_allocate_no_sids ]
