@@ -104,8 +104,11 @@ let handle_code f =
       (* unreadable FILE, unknown benchmark name, ... *)
       Fmt.epr "openarc: %s@." msg;
       2
-  | (Accrt.Value.Runtime_error _ | Gpusim.Device.Device_error _) as e ->
+  | Accrt.Value.Runtime_error _ as e ->
       Fmt.epr "%s@." (Printexc.to_string e);
+      1
+  | Gpusim.Device.Device_error msg ->
+      Fmt.epr "openarc: device error: %s@." msg;
       1
   (* Device faults carry distinct diagnostic codes: ACC-FAULT-001 is a
      fault the active resilience policy could not mask; ACC-FAULT-002 is a

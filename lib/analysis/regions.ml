@@ -170,16 +170,17 @@ let rec scan_stmt ctx s =
   | Sreturn e -> Option.iter (read_expr ctx) e
   | Sacc (_, body) -> Option.iter (scan_stmt ctx) body
 
+let fresh alias =
+  { alias; ar = Varset.empty; aw = Varset.empty; rr = Varset.empty;
+    rw = Varset.empty; sr = Varset.empty;
+    sw = Varset.empty; dcl = Varset.empty; firsts = Hashtbl.create 16;
+    red_writes = Hashtbl.create 8; plain_writes = Hashtbl.create 8;
+    nonred_reads = Hashtbl.create 8; ops = 0; amb = Varset.empty }
+
 (** Analyze the statements of a region.  [alias] must come from the
     enclosing function. *)
 let analyze ~alias stmts =
-  let ctx =
-    { alias; ar = Varset.empty; aw = Varset.empty; rr = Varset.empty;
-      rw = Varset.empty; sr = Varset.empty;
-      sw = Varset.empty; dcl = Varset.empty; firsts = Hashtbl.create 16;
-      red_writes = Hashtbl.create 8; plain_writes = Hashtbl.create 8;
-      nonred_reads = Hashtbl.create 8; ops = 0; amb = Varset.empty }
-  in
+  let ctx = fresh alias in
   List.iter (scan_stmt ctx) stmts;
   let accumulators =
     Hashtbl.fold
@@ -209,6 +210,14 @@ let privatizable t =
       (not (Varset.mem v t.declared))
       && Hashtbl.find_opt t.first_access v = Some First_write)
     t.scalars_written
+
+(** Array roots read by [exprs] and [stmts] — a loop header's bounds and
+    step, which {!analyze} of the loop body does not see. *)
+let arrays_read ~alias exprs stmts =
+  let ctx = fresh alias in
+  List.iter (read_expr ctx) exprs;
+  List.iter (scan_stmt ctx) stmts;
+  ctx.ar
 
 (** Host-side access analysis of an arbitrary statement (used when building
     DEF/USE sets of translated host statements). *)

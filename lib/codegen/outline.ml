@@ -163,6 +163,14 @@ let mk_kernel ~(opts : Options.t) ~alias ~fname ~id ~sid ~loc ~clauses
           kl_body = body })
       loop
   in
+  (* Arrays the loop header reads are kernel inputs too: every shard
+     steps the driver against its own device's buffers. *)
+  let header_reads =
+    match loop with
+    | Some (_, init, cond, step) ->
+        Regions.arrays_read ~alias [ init; cond ] (Option.to_list step)
+    | None -> Varset.empty
+  in
   {
     k_id = id;
     k_name = Fmt.str "%s_kernel%d" fname id;
@@ -172,7 +180,7 @@ let mk_kernel ~(opts : Options.t) ~alias ~fname ~id ~sid ~loc ~clauses
     k_body = body;
     k_source = source;
     k_scalars = scalars;
-    k_arrays_read = acc.Regions.arrays_read;
+    k_arrays_read = Varset.union acc.Regions.arrays_read header_reads;
     k_arrays_written = acc.Regions.arrays_written;
     k_params = params;
     k_induction = induction;

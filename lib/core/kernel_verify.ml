@@ -159,11 +159,19 @@ let verify ?(opts = Codegen.Options.default) ?(config = Vconfig.default)
      occurrence, so its writes land where the comparison reads them.
      Under [Tree], all three are tree-walked. *)
   let ecache = lazy (Accrt.Compile.create_cache prog) in
+  (* A whole launch: the session's start, the engine's runner owning every
+     ordinal, the commit.  Returns the iteration count. *)
   let exec_kernel sctx k =
-    match engine with
-    | Accrt.Engine.Tree -> Accrt.Kernel_exec.run sctx device k
-    | Accrt.Engine.Compiled ->
-        Accrt.Compile.run_kernel (Lazy.force ecache) sctx device k
+    let session = Accrt.Kernel_exec.start sctx k in
+    let owns _ = true in
+    let iterations =
+      match engine with
+      | Accrt.Engine.Tree -> Accrt.Kernel_exec.run_shard session device ~owns
+      | Accrt.Engine.Compiled ->
+          Accrt.Compile.run_shard (Lazy.force ecache) session device ~owns
+    in
+    Accrt.Kernel_exec.commit session;
+    iterations
   in
   (* The sequential run of [k]'s compute region, charged as CPU time. *)
   let exec_source (ctx : Accrt.Eval.ctx) k =
@@ -195,9 +203,9 @@ let verify ?(opts = Codegen.Options.default) ?(config = Vconfig.default)
       arrays;
     (* Launch on the GPU against a shadow scalar context. *)
     let sctx = shadow_ctx ctx in
-    let r = exec_kernel sctx k in
-    Gpusim.Device.launch device ~iterations:r.Accrt.Kernel_exec.iterations
-      ~ops_per_iter:k.k_ops_per_iter ~async:queue ();
+    let iterations = exec_kernel sctx k in
+    Gpusim.Device.launch device ~iterations ~ops_per_iter:k.k_ops_per_iter
+      ~async:queue ();
     (* Sequential reference execution of the original statement (overlaps
        with the asynchronous GPU work). *)
     exec_source ctx k;

@@ -48,7 +48,9 @@ type iteration = {
 }
 
 type result = {
-  final : program;  (** program after optimization *)
+  final : program;
+      (** the optimized program: the converged one, else the latest whose
+          outputs matched the reference *)
   iterations : int;  (** total verification iterations (Table III) *)
   incorrect_iterations : int;  (** iterations spoiled by wrong suggestions *)
   converged : bool;
@@ -173,6 +175,11 @@ let optimize ?(policy = Follow_all) ?(max_iterations = 12) ?(devices = 1)
   Acc.Validate.check_program prog;
   ignore (Minic.Typecheck.check prog);
   let reference = (Accrt.Eval.run_reference prog).Accrt.Eval.env in
+  List.iter
+    (fun name ->
+      if Option.is_none (Accrt.Value.lookup reference name) then
+        Fmt.failwith "output '%s' is not a variable of the program" name)
+    outputs;
   (* One kernel store for every iteration's run: edits touch data clauses
      only, so later iterations reuse the kernels the first one compiled. *)
   let kcache = Accrt.Compile.create_store () in
@@ -237,10 +244,15 @@ let optimize ?(policy = Follow_all) ?(max_iterations = 12) ?(devices = 1)
     | _ -> []
   in
 
+  (* A loop that stops without converging hands back the latest program
+     whose outputs matched the reference, or the input if none did. *)
+  let last_good = ref prog in
+  let stop iterations incorrect =
+    { final = !last_good; iterations; incorrect_iterations = incorrect;
+      converged = false; telemetry = List.rev !telemetry }
+  in
   let rec loop prog history iterations incorrect =
-    if iterations >= max_iterations then
-      { final = prog; iterations; incorrect_iterations = incorrect;
-        converged = false; telemetry = List.rev !telemetry }
+    if iterations >= max_iterations then stop iterations incorrect
     else begin
       let iterations = iterations + 1 in
       let tr = Obs.Trace.create () in
@@ -284,10 +296,10 @@ let optimize ?(policy = Follow_all) ?(max_iterations = 12) ?(devices = 1)
               push
                 { (blank_iteration iterations) with
                   it_note = "failed: " ^ msg };
-              { final = prog; iterations; incorrect_iterations = incorrect;
-                converged = false; telemetry = List.rev !telemetry })
+              stop iterations incorrect)
       | Ok outcome ->
           let correct = outputs_match ~outputs ~reference outcome in
+          if correct then last_good := prog;
           let m = Accrt.Interp.metrics outcome in
           let la =
             let cm = outcome.Accrt.Interp.device.Gpusim.Device.cm in
@@ -364,9 +376,7 @@ let optimize ?(policy = Follow_all) ?(max_iterations = 12) ?(devices = 1)
                   loop prev rest iterations (incorrect + 1)
               | [] ->
                   push { base with it_note = "not converged" };
-                  { final = prog; iterations;
-                    incorrect_iterations = incorrect; converged = false;
-                    telemetry = List.rev !telemetry }
+                  stop iterations incorrect
             end
             else begin
               say "iteration %d: no further suggestions — converged"

@@ -36,7 +36,9 @@ type iteration = {
 }
 
 type result = {
-  final : Minic.Ast.program;  (** program after optimization *)
+  final : Minic.Ast.program;
+      (** the optimized program: the converged one, else the latest whose
+          outputs matched the reference *)
   iterations : int;  (** total verification iterations (Table III) *)
   incorrect_iterations : int;
   converged : bool;
@@ -73,7 +75,11 @@ val apply_action : Minic.Ast.program -> Suggest.action -> Minic.Ast.program
     [devices]/[schedule] size the simulated device set for every profiled
     run (see {!Accrt.Interp.run}), so the coherence reports driving the
     loop include per-device staleness — e.g. cross-device redundant
-    transfers. *)
+    transfers.  A session that stops without converging returns, as
+    [final], the latest program whose outputs matched the reference (the
+    input program if none did).
+    @raise Failure when an output names no variable of the program's
+    sequential reference run. *)
 val optimize :
   ?policy:policy -> ?max_iterations:int -> ?devices:int ->
   ?schedule:Gpusim.Device_set.schedule -> outputs:string list ->

@@ -33,7 +33,12 @@
       of the kernel body is register-resolved, which is what makes compiled
       kernels fast.  Kernels compile once and are cached by content, so
       repeated launches (JACOBI sweeps) reuse the closure.  Entry names
-      are bound to device buffers and private scalar copies per launch.
+      are bound to device buffers and private scalar copies per runner
+      call.  Every launch is one {!Kernel_exec} session, and {!run_shard}
+      is this engine's one runner for it: called once owning every
+      ordinal for a whole launch, once per shard for a sharded one, for
+      every kernel shape.  The thread registers hold the session's cells,
+      so staging and commit are shared with the tree walker's runner.
     - {e register-bound regions} (kernel verification's sequential runs):
       a kernel's sequential source compiles once in register mode, and at
       each occurrence every name it mentions is bound to the environment's
@@ -683,28 +688,21 @@ let reference ~engine ?hook prog =
     per-thread cells). *)
 type cmode =
   | Cnone
-  | Cseq of {
-      driver_slot : int;
-      init : cexp;
-      cond : cexp;
-      step : cstm option;
-      kl_var : string;
-    }
+  | Cseq of { driver_slot : int; init : cexp; cond : cexp; step : cstm option }
   | Cpar of {
       driver_slot : int;  (** base-scope register of [kl_var] *)
       init : cexp;
       cond : cexp;
       step : cstm option;
-      kl_var : string;
     }
 
 type ckernel = {
   ck_base : (string * int) list;  (** kernel names, in {!Kernel_exec.kernel_names} order *)
-  ck_class : (string * scalar_class * int) list;  (** classified scalars, thread registers *)
+  ck_class : int list;  (** thread registers of the classified scalars *)
   ck_cands : (string * int * int) list;
       (** extra-induction candidates: (name, thread register, base register);
-          entry membership is a launch-time property, so non-members alias
-          their base register instead *)
+          a launch's session commits those the host binds as scalars (a
+          launch-time property), and the others alias their base register *)
   ck_mode : cmode;
   ck_nregs : int;
   ck_body : cstm;
@@ -726,9 +724,7 @@ let compile_kernel u (k : kernel) : ckernel =
            && (match k.k_loop with Some l -> v <> l.kl_var | None -> true))
   in
   let declare_thread () =
-    let cls =
-      List.map (fun (v, c) -> (v, c, Resolve.declare res v)) k.k_scalars
-    in
+    let cls = List.map (fun (v, _) -> Resolve.declare res v) k.k_scalars in
     let cands =
       List.map (fun v -> (v, Resolve.declare res v, base_slot v)) cand_names
     in
@@ -756,7 +752,7 @@ let compile_kernel u (k : kernel) : ckernel =
         Resolve.leave res;
         ( cls,
           cands,
-          Cseq { driver_slot; init; cond; step; kl_var = l.kl_var },
+          Cseq { driver_slot; init; cond; step },
           body )
     | Some l ->
         (* Parallel: header compiled against the base scope only. *)
@@ -770,7 +766,7 @@ let compile_kernel u (k : kernel) : ckernel =
         Resolve.leave res;
         ( cls,
           cands,
-          Cpar { driver_slot; init; cond; step; kl_var = l.kl_var },
+          Cpar { driver_slot; init; cond; step },
           body )
   in
   { ck_base = base;
@@ -932,245 +928,84 @@ let prepare cache (k : kernel) =
     Hashtbl.replace cache.ckernels (key_of cache k)
       (compile_kernel cache.cunit k)
 
-(* Thread registers: one cell per classified scalar (reset per thread in
-   the parallel modes), plus entry-member extra-induction candidates;
-   non-member candidates alias their base register. *)
-let thread_cells ck regs entry =
-  let entry_value v = match entry v with Some x -> x | None -> Int 0 in
-  let class_cells =
-    List.map
-      (fun (v, c, slot) ->
-        let init =
-          match c with
-          | Sc_reduction op -> Kernel_exec.identity op (entry_value v)
-          | Sc_private | Sc_firstprivate | Sc_raced _ -> entry_value v
-        in
-        let cell = { v = init } in
-        regs.(slot) <- Rscalar cell;
-        (v, c, cell, init))
-      ck.ck_class
-  in
-  let member_cands =
-    List.filter_map
-      (fun (v, tslot, bslot) ->
-        match entry v with
-        | Some init ->
-            let cell = { v = init } in
-            regs.(tslot) <- Rscalar cell;
-            Some (v, cell, init)
-        | None ->
-            regs.(tslot) <- regs.(bslot);
-            None)
-      ck.ck_cands
-  in
-  (class_cells, member_cands)
-
-let reset_thread class_cells member_cands =
-  List.iter (fun (_, _, cell, init) -> cell.v <- init) class_cells;
-  List.iter (fun (_, cell, init) -> cell.v <- init) member_cands
-
-(** Compiled counterpart of {!Kernel_exec.run}: a faithful transcription
-    of the tree-walking kernel runner with registers in place of frames.
-    [ops] accounting, iteration counts, reduction tree order, raced-scalar
-    and commit semantics are bit-identical. *)
-let run_kernel cache (host_ctx : Eval.ctx) device (k : kernel) :
-    Kernel_exec.result =
-  prepare cache k;
-  let ck = Hashtbl.find cache.ckernels (key_of cache k) in
-  let host_env = host_ctx.env in
-  let regs = Array.make ck.ck_nregs Unbound in
-  let kenv : Value.t = { Value.globals = Frame.create 1; frames = [] } in
-  let kctx = Eval.make host_ctx.prog kenv in
-  let st = { ctx = kctx; regs } in
-
-  (* Base registers: device-array bindings and kernel-entry scalar copies,
-     bound in [kernel_names] order (device-buffer resolution can raise, so
-     order matters). *)
-  let entry = Hashtbl.create 16 in
-  List.iter
-    (fun (n, slot) ->
-      match Value.lookup host_env n with
-      | Some (Array s) ->
-          let root = s.root in
-          let dbuf = Gpusim.Device.buffer device root in
-          regs.(slot) <-
-            Rarray { buf = Some dbuf; root; shape = Value.shape_of s }
-      | Some (Scalar c) ->
-          Hashtbl.replace entry n c.v;
-          regs.(slot) <- Rscalar { v = c.v }
-      | None -> () (* declared inside the kernel body *))
-    ck.ck_base;
-
-  let entry_value v =
-    match Hashtbl.find_opt entry v with Some x -> x | None -> Int 0
-  in
-  let class_cells, member_cands =
-    thread_cells ck regs (Hashtbl.find_opt entry)
-  in
-  let reset_thread () = reset_thread class_cells member_cands in
-
-  let partials : (string, scalar list ref) Hashtbl.t = Hashtbl.create 4 in
-  List.iter
-    (fun (v, c, _, _) ->
-      match c with
-      | Sc_reduction _ -> Hashtbl.replace partials v (ref [])
-      | Sc_private | Sc_firstprivate | Sc_raced _ -> ())
-    class_cells;
-  let last_values : (string, scalar) Hashtbl.t = Hashtbl.create 8 in
-  let record_thread_results () =
-    List.iter
-      (fun (v, c, cell, _) ->
-        match c with
-        | Sc_reduction _ -> (
-            match Hashtbl.find_opt partials v with
-            | Some l -> l := cell.v :: !l
-            | None -> ())
-        | Sc_private | Sc_firstprivate | Sc_raced _ ->
-            Hashtbl.replace last_values v cell.v)
-      class_cells;
-    List.iter
-      (fun (v, cell, _) -> Hashtbl.replace last_values v cell.v)
-      member_cands
-  in
-
-  let iterations = ref 0 in
-  (match ck.ck_mode with
-  | Cnone ->
-      iterations := 1;
-      ck.ck_body st;
-      record_thread_results ()
-  | Cseq { driver_slot; init; cond; step; kl_var } ->
-      iterations := 0;
-      (* sequential semantics: start private-ish cells from entry values *)
-      List.iter
-        (fun (v, _, cell, _) -> cell.v <- entry_value v)
-        class_cells;
-      let driver = { v = init st } in
-      regs.(driver_slot) <- Rscalar driver;
-      while truthy (cond st) do
-        incr iterations;
-        ck.ck_body st;
-        match step with Some c -> c st | None -> ()
-      done;
-      (* Sequential commits: every handled scalar takes its final value;
-         if [kl_var] was also classified, the driver cell shadows the
-         stale classified cell (the tree walker's frame has one entry). *)
-      List.iter
-        (fun (v, _, cell, _) ->
-          if v <> kl_var then Hashtbl.replace last_values v cell.v)
-        class_cells;
-      List.iter
-        (fun (v, cell, _) -> Hashtbl.replace last_values v cell.v)
-        member_cands;
-      Hashtbl.replace last_values kl_var driver.v
-  | Cpar { driver_slot; init; cond; step; kl_var } ->
-      let driver = { v = init st } in
-      regs.(driver_slot) <- Rscalar driver;
-      while truthy (cond st) do
-        incr iterations;
-        reset_thread ();
-        ck.ck_body st;
-        record_thread_results ();
-        match step with Some c -> c st | None -> ()
-      done;
-      (* The loop variable's exit value matches sequential execution. *)
-      Hashtbl.replace last_values kl_var driver.v);
-
-  (* Commit results back to the host environment. *)
-  List.iter
-    (fun (v, c) ->
-      match Value.lookup host_env v with
-      | Some (Scalar host_cell) -> (
-          match c with
-          | Sc_reduction op when not k.k_seq -> (
-              let parts =
-                match Hashtbl.find_opt partials v with
-                | Some l -> List.rev !l
-                | None -> []
-              in
-              match Kernel_exec.tree_reduce op parts with
-              | Some total ->
-                  host_cell.v <- Kernel_exec.combine op (entry_value v) total
-              | None -> ())
-          | Sc_reduction _ | Sc_private | Sc_firstprivate | Sc_raced _ -> (
-              match Hashtbl.find_opt last_values v with
-              | Some value -> host_cell.v <- value
-              | None -> ()))
-      | Some (Array _) | None -> ())
-    k.k_scalars;
-  (* Loop variable and other outer induction variables. *)
-  let commit_plain v =
-    match (Value.lookup host_env v, Hashtbl.find_opt last_values v) with
-    | Some (Scalar host_cell), Some value -> host_cell.v <- value
-    | _ -> ()
-  in
-  (match k.k_loop with Some l -> commit_plain l.kl_var | None -> ());
-  List.iter (fun (v, _, _) -> commit_plain v) member_cands;
-
-  { Kernel_exec.iterations = !iterations; ops = kctx.ops }
-
-(** Compiled counterpart of {!Kernel_exec.run_shard}: the kernel's cached
-    register-mode closure runs the ordinals selected by [owns] on
-    [device], with the same per-ordinal [weights] (interpreted ops of the
-    body), and stages every thread's scalars into the session's shared,
-    ordinal-tagged staging — so commits and reduction order are those of
-    the tree walker's shards. *)
+(** The compiled engine's runner for a launch session, with
+    {!Kernel_exec.run_shard}'s contract: every kernel shape, the ordinals
+    [owns] selects on [device], the same returned iteration count,
+    per-ordinal [weights] and staged results, published when the call
+    completes — with the kernel's cached register-mode closure in place of
+    the tree walk.  A whole launch is one call owning every ordinal. *)
 let run_shard cache session ?weights device ~owns =
   let k = Kernel_exec.kernel session in
   prepare cache k;
   let ck = Hashtbl.find cache.ckernels (key_of cache k) in
-  let driver_slot, init, cond, step =
-    match ck.ck_mode with
-    | Cpar { driver_slot; init; cond; step; _ } ->
-        (driver_slot, init, cond, step)
-    | Cseq _ | Cnone -> invalid_arg "Compile.run_shard: not shardable"
-  in
   let host_ctx = Kernel_exec.host session in
   let regs = Array.make ck.ck_nregs Unbound in
   let kenv : Value.t = { Value.globals = Frame.create 1; frames = [] } in
   let kctx = Eval.make host_ctx.prog kenv in
   let st = { ctx = kctx; regs } in
-  let entry = Kernel_exec.entry session in
+  (* Base registers: device-array bindings and copies of the host
+     scalars, bound in [kernel_names] order (device-buffer resolution can
+     raise, so order matters). *)
   List.iter
     (fun (n, slot) ->
       match Value.lookup host_ctx.env n with
-      | Some (Array s) ->
-          let root = s.root in
-          let dbuf = Gpusim.Device.buffer device root in
+      | Some (Array a) ->
           regs.(slot) <-
-            Rarray { buf = Some dbuf; root; shape = Value.shape_of s }
-      | Some (Scalar _) ->
-          regs.(slot) <-
-            Rscalar { v = Option.value ~default:(Int 0) (entry n) }
+            reg_of_binding (Kernel_exec.device_array session device a)
+      | Some (Scalar c) -> regs.(slot) <- Rscalar { v = c.v }
       | None -> ())
     ck.ck_base;
-  let class_cells, member_cands = thread_cells ck regs entry in
   let sg = Kernel_exec.staging session in
-  let executed = ref 0 in
-  let ordinal = ref 0 in
-  let driver = { v = init st } in
-  regs.(driver_slot) <- Rscalar driver;
-  while truthy (cond st) do
-    if owns !ordinal then begin
-      incr executed;
-      reset_thread class_cells member_cands;
-      let ops0 = kctx.ops in
-      ck.ck_body st;
-      (match weights with
-      | Some w when !ordinal < Array.length w ->
-          w.(!ordinal) <- kctx.ops - ops0
-      | Some _ | None -> ());
-      List.iter
-        (fun (v, _, cell, _) ->
-          Kernel_exec.stage session sg ~ordinal:!ordinal v cell.v)
-        class_cells;
-      List.iter
-        (fun (v, cell, _) ->
-          Kernel_exec.stage session sg ~ordinal:!ordinal v cell.v)
-        member_cands
-    end;
-    incr ordinal;
-    match step with Some c -> c st | None -> ()
-  done;
+  let cells = Kernel_exec.cells sg in
+  List.iteri (fun i slot -> regs.(slot) <- Rscalar cells.(i)) ck.ck_class;
+  List.iter
+    (fun (v, tslot, bslot) ->
+      regs.(tslot) <-
+        (match Kernel_exec.slot session v with
+        | Some i -> Rscalar cells.(i)
+        | None -> regs.(bslot)))
+    ck.ck_cands;
+  let thread ordinal run =
+    Kernel_exec.thread session sg ?weights kctx ~ordinal run
+  in
+  let run_body () = ck.ck_body st in
+  let executed =
+    match ck.ck_mode with
+    | Cnone ->
+        if owns 0 then begin
+          thread 0 run_body;
+          1
+        end
+        else 0
+    | Cseq { driver_slot; init; cond; step } ->
+        if owns 0 then begin
+          let trips = ref 0 in
+          thread 0 (fun () ->
+              let driver = { v = init st } in
+              regs.(driver_slot) <- Rscalar driver;
+              while truthy (cond st) do
+                incr trips;
+                ck.ck_body st;
+                match step with Some c -> c st | None -> ()
+              done;
+              Kernel_exec.stage_exit sg driver.v);
+          !trips
+        end
+        else 0
+    | Cpar { driver_slot; init; cond; step } ->
+        let driver = { v = init st } in
+        regs.(driver_slot) <- Rscalar driver;
+        let executed = ref 0 and ordinal = ref 0 in
+        while truthy (cond st) do
+          if owns !ordinal then begin
+            incr executed;
+            thread !ordinal run_body
+          end;
+          incr ordinal;
+          match step with Some c -> c st | None -> ()
+        done;
+        Kernel_exec.stage_exit sg driver.v;
+        !executed
+  in
   Kernel_exec.publish session sg;
-  !executed
+  executed

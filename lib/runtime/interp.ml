@@ -191,10 +191,9 @@ let run ?(coherence = true) ?(engine = Engine.Compiled) ?granularity
   Eval.init_globals ctx;
 
   (* Closure-compilation engine: kernel bodies compile once (cached by
-     kernel content) and run over register frames — whole launches and
-     the shards of a sharded launch alike; host statement leaves compile
-     in mirror mode (cached by translated-statement id), keeping the
-     environment name-addressable for everything around them.  The
+     kernel content) and run over register frames; host statement leaves
+     compile in mirror mode (cached by translated-statement id), keeping
+     the environment name-addressable for everything around them.  The
      recovery paths (CPU fallback, recovery validation) stay on the tree
      walker under either engine: recovery deliberately re-executes
      through the independent engine. *)
@@ -210,10 +209,16 @@ let run ?(coherence = true) ?(engine = Engine.Compiled) ?granularity
     end;
     cache
   in
-  let exec_kernel dev k =
+  (* The engine's kernel runner, shared by both launch paths: a whole
+     launch calls it once owning every ordinal, a sharded launch once per
+     shard, each between the session's start and commit. *)
+  let run_shard session ?weights dev ~owns =
     match engine with
-    | Engine.Tree -> Kernel_exec.run ctx dev k
-    | Engine.Compiled -> Compile.run_kernel (compiled k) ctx dev k
+    | Engine.Tree -> Kernel_exec.run_shard session ?weights dev ~owns
+    | Engine.Compiled ->
+        Compile.run_shard
+          (compiled (Kernel_exec.kernel session))
+          session ?weights dev ~owns
   in
 
   let cmodel = device.Gpusim.Device.cm in
@@ -713,12 +718,14 @@ let run ?(coherence = true) ?(engine = Engine.Compiled) ?granularity
     let rec attempt dev n =
       match
         Gpusim.Device.begin_launch dev ~label:k.k_name;
-        let r = exec_kernel dev k in
+        let session = Kernel_exec.start ctx k in
+        let iterations = run_shard session dev ~owns:(fun _ -> true) in
+        Kernel_exec.commit session;
         (* Launch dimensions are host expressions, evaluated (and their
            ops counted) once per executed attempt. *)
         let width = kernel_width k in
-        Gpusim.Device.launch dev ~iterations:r.Kernel_exec.iterations
-          ~ops_per_iter:k.k_ops_per_iter ?width ?async ~label:k.k_name ();
+        Gpusim.Device.launch dev ~iterations ~ops_per_iter:k.k_ops_per_iter
+          ?width ?async ~label:k.k_name ();
         Gpusim.Device.scrub dev written
       with
       | [] ->
@@ -758,8 +765,11 @@ let run ?(coherence = true) ?(engine = Engine.Compiled) ?granularity
      broadcast back; recoveries are validated by the §III-A comparator. *)
   let launch_sharded k async ~ckpt ~scalar_values =
     let session = Kernel_exec.start ctx k in
-    let total = Kernel_exec.total_iterations session in
     let parts = Array.of_list (Gpusim.Device_set.alive_ids devset) in
+    let total =
+      Kernel_exec.total_iterations session
+        (Gpusim.Device_set.device devset parts.(0))
+    in
     let nparts = Array.length parts in
     let schedule = devset.Gpusim.Device_set.schedule in
     let assign i = Gpusim.Device_set.owner schedule ~parts:nparts ~total i in
@@ -789,17 +799,12 @@ let run ?(coherence = true) ?(engine = Engine.Compiled) ?granularity
     let weights = Array.make (max 1 total) 0 in
     let shard_iters = Array.make nparts 0 in
     let failed_over = Array.make nparts false in
-    let run_shard dev ~owns =
-      match engine with
-      | Engine.Tree -> Kernel_exec.run_shard session ~weights dev ~owns
-      | Engine.Compiled ->
-          Compile.run_shard (compiled k) session ~weights dev ~owns
-    in
     let rec exec_part p n =
       let dev = Gpusim.Device_set.device devset executor.(p) in
       match
         Gpusim.Device.begin_launch dev ~label:k.k_name;
-        shard_iters.(p) <- run_shard dev ~owns:(fun i -> assign i = p);
+        shard_iters.(p) <-
+          run_shard session ~weights dev ~owns:(fun i -> assign i = p);
         Gpusim.Device.scrub dev written
       with
       | [] -> ()

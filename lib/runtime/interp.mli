@@ -46,11 +46,14 @@ val trace_event : Obs.Trace.t -> ?dev:int -> Gpusim.Device.event -> unit
 (** Execute a translated program.  [coherence] enables the §III-B runtime
     (meaningful on instrumented programs); [engine] selects the
     execution engine — {!Engine.Compiled} (default) runs closure-compiled
-    kernel bodies for whole launches and for every shard of a sharded
-    launch alike (cached per kernel content) and host statements in
+    kernel bodies (cached per kernel content) and host statements in
     mirror mode, {!Engine.Tree} walks the AST; results are bit-identical,
     and recovery validation and CPU fallback stay on the tree walker under
-    either engine; [granularity]
+    either engine.  Every kernel launch is one {!Kernel_exec} session: its
+    start, the engine's one runner called once owning every ordinal (a
+    whole launch, priced by {!Gpusim.Device.launch}) or once per shard (a
+    sharded launch, each shard priced by its measured work), then its
+    commit; [granularity]
     picks whole-array (default, as the paper) or interval tracking;
     [trace] records the execution timeline; [seed] drives the
     deterministic jitter and fault streams; [plan] arms device faults;

@@ -15,13 +15,19 @@
       and the last writer wins — the canonical GPU race outcome;
     - a {e latent} raced scalar is register-promoted by the backend and
       behaves like a private one; only its final (dead) writeback races, so
-      outputs never differ (§IV-B's undetectable latent errors). *)
+      outputs never differ (§IV-B's undetectable latent errors).
+
+    Every launch is one session: {!start}, then the engine's runner called
+    once owning every ordinal (a whole launch) or once per shard (a launch
+    split across a device set), then {!commit}.  Runners stage their
+    threads' scalars and publish them only when the call completes, so a
+    dying device's in-flight results are discarded, and reduction partials
+    carry their ordinal, so they combine in the one-device tree order
+    however the space was split or re-executed. *)
 
 open Minic.Ast
 open Codegen.Tprog
 open Value
-
-type result = { iterations : int; ops : int }
 
 let identity op init_value =
   match (op, init_value) with
@@ -109,460 +115,300 @@ let names_of_block block =
 (* The loop header is walked in place — as [kl_var = kl_init;],
    [kl_cond;] and [kl_step] — so a launch builds no statement and
    allocates no statement id. *)
+let add_header ns l =
+  add ns l.kl_var;
+  add_expr ns l.kl_init;
+  add_expr ns l.kl_cond;
+  Option.iter (add_stmt ns) l.kl_step
+
 let kernel_names k =
   let ns = { seen = Hashtbl.create 16; rev = [] } in
-  (match k.k_loop with
-  | None -> ()
-  | Some l ->
-      add ns l.kl_var;
-      add_expr ns l.kl_init;
-      add_expr ns l.kl_cond;
-      Option.iter (add_stmt ns) l.kl_step);
+  Option.iter (add_header ns) k.k_loop;
   List.iter (add_stmt ns) k.k_body;
   ns.rev
-
-(** Execute kernel [k] against [device], reading initial scalar values from —
-    and committing results to — the host environment of [host_ctx]. *)
-let run (host_ctx : Eval.ctx) device (k : kernel) : result =
-  let host_env = host_ctx.Eval.env in
-  let names = kernel_names k in
-
-  (* Base frame: device-array bindings and kernel-entry scalar copies. *)
-  let base = Frame.create 16 in
-  let entry = Hashtbl.create 16 in
-  List.iter
-    (fun n ->
-      match Value.lookup host_env n with
-      | Some (Array slot) ->
-          let root = slot.root in
-          let dbuf = Gpusim.Device.buffer device root in
-          Frame.replace base n
-            (Array { buf = Some dbuf; root; shape = Value.shape_of slot })
-      | Some (Scalar c) ->
-          Hashtbl.replace entry n c.v;
-          Frame.replace base n (Scalar { v = c.v })
-      | None -> () (* declared inside the kernel body *))
-    names;
-
-  let kenv : Value.t =
-    { Value.globals = Frame.create 1; frames = [ base ] }
-  in
-  let kctx = Eval.make host_ctx.Eval.prog kenv in
-
-  let entry_value v =
-    match Hashtbl.find_opt entry v with Some x -> x | None -> Int 0
-  in
-
-  (* Scalars handled per-thread, with their treatment. *)
-  let class_of = k.k_scalars in
-  let extra_induction =
-    Analysis.Varset.filter
-      (fun v ->
-        Hashtbl.mem entry v && not (List.mem_assoc v class_of)
-        && (match k.k_loop with Some l -> v <> l.kl_var | None -> true))
-      k.k_induction
-  in
-
-  let partials : (string, scalar list ref) Hashtbl.t = Hashtbl.create 4 in
-  List.iter
-    (fun (v, c) ->
-      match c with
-      | Sc_reduction _ -> Hashtbl.replace partials v (ref [])
-      | Sc_private | Sc_firstprivate | Sc_raced _ -> ())
-    class_of;
-  let last_values : (string, scalar) Hashtbl.t = Hashtbl.create 8 in
-
-  let fresh_thread_frame () =
-    let frame = Frame.create 8 in
-    List.iter
-      (fun (v, c) ->
-        let init =
-          match c with
-          | Sc_reduction op -> identity op (entry_value v)
-          | Sc_private | Sc_firstprivate | Sc_raced _ -> entry_value v
-        in
-        Frame.replace frame v (Scalar { v = init }))
-      class_of;
-    Analysis.Varset.iter
-      (fun v -> Frame.replace frame v (Scalar { v = entry_value v }))
-      extra_induction;
-    frame
-  in
-
-  let record_thread_results frame =
-    Frame.iter
-      (fun v b ->
-        match b with
-        | Scalar c -> (
-            match List.assoc_opt v class_of with
-            | Some (Sc_reduction _) -> (
-                match Hashtbl.find_opt partials v with
-                | Some l -> l := c.v :: !l
-                | None -> ())
-            | Some _ -> Hashtbl.replace last_values v c.v
-            | None ->
-                if Analysis.Varset.mem v extra_induction then
-                  Hashtbl.replace last_values v c.v)
-        | Array _ -> ())
-      frame
-  in
-
-  let iterations = ref 0 in
-  (match k.k_loop with
-  | None ->
-      (* Single-thread kernel. *)
-      iterations := 1;
-      let frame = fresh_thread_frame () in
-      kenv.frames <- frame :: kenv.frames;
-      Value.scoped kenv (fun () -> Eval.exec_block kctx k.k_body);
-      kenv.frames <- List.tl kenv.frames;
-      record_thread_results frame
-  | Some l when k.k_seq ->
-      (* seq clause: genuinely sequential on the device — persistent scalar
-         state across iterations, no race semantics. *)
-      iterations := 0;
-      let frame = fresh_thread_frame () in
-      (* sequential semantics: start private-ish cells from entry values *)
-      List.iter
-        (fun (v, _) ->
-          Frame.replace frame v (Scalar { v = entry_value v }))
-        class_of;
-      kenv.frames <- frame :: kenv.frames;
-      let driver = { v = Eval.eval kctx l.kl_init } in
-      Frame.replace frame l.kl_var (Scalar driver);
-      while truthy (Eval.eval kctx l.kl_cond) do
-        incr iterations;
-        Value.scoped kenv (fun () -> Eval.exec_block kctx l.kl_body);
-        match l.kl_step with
-        | Some st -> Eval.exec kctx st
-        | None -> ()
-      done;
-      kenv.frames <- List.tl kenv.frames;
-      (* Sequential commits: every handled scalar takes its final value. *)
-      Frame.iter
-        (fun v b ->
-          match b with
-          | Scalar c when v <> l.kl_var ->
-              Hashtbl.replace last_values v c.v
-          | _ -> ())
-        frame;
-      (match Frame.find_opt frame l.kl_var with
-      | Some (Scalar c) -> Hashtbl.replace last_values l.kl_var c.v
-      | _ -> ())
-  | Some l ->
-      (* Parallel loop: one thread per iteration. *)
-      let driver = { v = Eval.eval kctx l.kl_init } in
-      Frame.replace base l.kl_var (Scalar driver);
-      while truthy (Eval.eval kctx l.kl_cond) do
-        incr iterations;
-        let frame = fresh_thread_frame () in
-        kenv.frames <- frame :: kenv.frames;
-        Value.scoped kenv (fun () -> Eval.exec_block kctx l.kl_body);
-        kenv.frames <- List.tl kenv.frames;
-        record_thread_results frame;
-        match l.kl_step with
-        | Some st -> Eval.exec kctx st
-        | None -> ()
-      done;
-      (* The loop variable's exit value matches sequential execution. *)
-      Hashtbl.replace last_values l.kl_var driver.v);
-
-  (* Commit results back to the host environment. *)
-  List.iter
-    (fun (v, c) ->
-      match Value.lookup host_env v with
-      | Some (Scalar host_cell) -> (
-          match c with
-          | Sc_reduction op when not k.k_seq -> (
-              let parts =
-                match Hashtbl.find_opt partials v with
-                | Some l -> List.rev !l
-                | None -> []
-              in
-              match tree_reduce op parts with
-              | Some total -> host_cell.v <- combine op (entry_value v) total
-              | None -> ())
-          | Sc_reduction _ | Sc_private | Sc_firstprivate | Sc_raced _ -> (
-              match Hashtbl.find_opt last_values v with
-              | Some value -> host_cell.v <- value
-              | None -> ()))
-      | Some (Array _) | None -> ())
-    class_of;
-  (* Loop variable and other outer induction variables. *)
-  let commit_plain v =
-    match (Value.lookup host_env v, Hashtbl.find_opt last_values v) with
-    | Some (Scalar host_cell), Some value -> host_cell.v <- value
-    | _ -> ()
-  in
-  (match k.k_loop with Some l -> commit_plain l.kl_var | None -> ());
-  Analysis.Varset.iter commit_plain extra_induction;
-
-  { iterations = !iterations; ops = kctx.Eval.ops }
-
-(* ------------------- multi-device (sharded) execution ------------------- *)
 
 (* A parallel (non-seq) loop kernel can be split across a device set; seq
    and straight-line kernels are pinned to one member by the runtime. *)
 let shardable k =
   match k.k_loop with Some _ -> not k.k_seq | None -> false
 
-(** A sharded execution of one kernel across a device set.  Every shard
-    steps the full loop driver but executes only the iteration ordinals it
-    owns, against its own device's buffers.  Scalar results are staged
-    per-shard and published only when the shard completes without a device
-    fault — a dying device's in-flight contribution is discarded wholesale —
-    and are tagged with their iteration ordinal, so reductions combine in
-    exactly the single-device tree order no matter how the space was split
-    or how many failover passes re-executed lost ordinals. *)
+(* ------------------------------ sessions ------------------------------ *)
+
+(* A committed name: a classified scalar, or an outer induction variable
+   the host binds as a scalar. *)
+type slot = {
+  sl_name : string;
+  sl_host : cell option;  (* the host cell the commit writes *)
+  sl_entry : scalar;  (* kernel-entry value ([Int 0] when unbound) *)
+  sl_init : scalar;  (* a thread's initial value *)
+  sl_red : redop option;
+      (* a parallel reduction: ordinal-tagged partials in tree order *)
+}
+
+(* Scalar results per slot: reduction partials tagged with their ordinal
+   (newest first), every other slot's latest writer, and the loop
+   driver's exit value. *)
+type results = {
+  parts : (int * scalar) list array;
+  last_ord : int array;  (* -1: no writer yet *)
+  last : scalar array;
+  mutable exit : scalar option;
+}
+
 type session = {
   s_host : Eval.ctx;
   s_k : kernel;
-  s_names : string list;
-  s_entry : (string, scalar) Hashtbl.t;  (** kernel-entry scalar values *)
-  s_extra : Analysis.Varset.t;  (** outer induction vars (beyond the loop) *)
-  s_red : (string, (int * scalar) list ref) Hashtbl.t;
-      (** reduction partials, ordinal-tagged *)
-  s_last : (string, int * scalar) Hashtbl.t;
-      (** private/raced commits: highest-ordinal writer wins *)
-  mutable s_exit : scalar option;  (** loop variable's exit value *)
-  mutable s_total : int;  (** iteration-space size *)
+  s_slots : slot array;  (* classified scalars in order, then induction *)
+  s_exit_cell : cell option;  (* host cell of the loop variable *)
+  s_res : results;  (* everything published so far *)
 }
 
-let entry_value_of s v =
-  match Hashtbl.find_opt s.s_entry v with Some x -> x | None -> Int 0
+(* One runner call: its threads' cells, one per slot, and what they
+   staged. *)
+type staging = { cells : cell array; res : results }
 
-(* Scratch context over kernel-entry scalar copies and the host's array
-   slots: enough to evaluate the loop driver without touching any device. *)
-let scratch_ctx s =
+let results n =
+  { parts = Array.make n []; last_ord = Array.make n (-1);
+    last = Array.make n (Int 0); exit = None }
+
+(* Entry values come from the host cells of the committed names, found
+   through the kernel's classification: starting does not walk the
+   kernel. *)
+let start (host_ctx : Eval.ctx) (k : kernel) : session =
+  let host_cell v =
+    match Value.lookup host_ctx.Eval.env v with
+    | Some (Scalar c) -> Some c
+    | Some (Array _) | None -> None
+  in
+  let classified =
+    List.map
+      (fun (v, c) ->
+        let cell = host_cell v in
+        let entry = match cell with Some c -> c.v | None -> Int 0 in
+        let red =
+          match c with
+          | Sc_reduction op when not k.k_seq -> Some op
+          | Sc_reduction _ | Sc_private | Sc_firstprivate | Sc_raced _ -> None
+        in
+        { sl_name = v; sl_host = cell; sl_entry = entry;
+          sl_init = (match red with Some op -> identity op entry | None -> entry);
+          sl_red = red })
+      k.k_scalars
+  in
+  let loop_var v =
+    match k.k_loop with Some l -> String.equal v l.kl_var | None -> false
+  in
+  let induction =
+    Analysis.Varset.fold
+      (fun v acc ->
+        if loop_var v || List.mem_assoc v k.k_scalars then acc
+        else
+          match host_cell v with
+          | Some c ->
+              { sl_name = v; sl_host = Some c; sl_entry = c.v; sl_init = c.v;
+                sl_red = None }
+              :: acc
+          | None -> acc)
+      k.k_induction []
+  in
+  let slots = Array.of_list (classified @ List.rev induction) in
+  { s_host = host_ctx; s_k = k; s_slots = slots;
+    s_exit_cell = Option.bind k.k_loop (fun l -> host_cell l.kl_var);
+    s_res = results (Array.length slots) }
+
+let kernel s = s.s_k
+let host s = s.s_host
+
+let device_array s device (a : Value.slot) =
+  let buf =
+    try Gpusim.Device.buffer device a.root
+    with Gpusim.Device.Device_error m ->
+      raise
+        (Gpusim.Device.Device_error
+           (Fmt.str "kernel %s at %s: %s" s.s_k.k_name
+              (Minic.Loc.to_string s.s_k.k_loc) m))
+  in
+  Array { buf = Some buf; root = a.root; shape = Value.shape_of a }
+
+(* A kernel-side context whose base frame binds [names] as a launch on
+   [device] sees them: host arrays to the device's buffers, host scalars
+   to private copies.  Names bound nowhere are declared in the kernel. *)
+let kernel_ctx s device names =
   let base = Frame.create 16 in
   List.iter
     (fun n ->
       match Value.lookup s.s_host.Eval.env n with
-      | Some (Array slot) -> Frame.replace base n (Array slot)
+      | Some (Array a) -> Frame.replace base n (device_array s device a)
       | Some (Scalar c) -> Frame.replace base n (Scalar { v = c.v })
       | None -> ())
-    s.s_names;
-  let kenv : Value.t =
-    { Value.globals = Frame.create 1; frames = [ base ] }
-  in
-  (base, Eval.make s.s_host.Eval.prog kenv)
-
-let start (host_ctx : Eval.ctx) (k : kernel) : session =
-  if not (shardable k) then
-    invalid_arg "Kernel_exec.start: kernel is not shardable";
-  let names = kernel_names k in
-  let entry = Hashtbl.create 16 in
-  List.iter
-    (fun n ->
-      match Value.lookup host_ctx.Eval.env n with
-      | Some (Scalar c) -> Hashtbl.replace entry n c.v
-      | Some (Array _) | None -> ())
     names;
-  let extra =
-    Analysis.Varset.filter
-      (fun v ->
-        Hashtbl.mem entry v
-        && (not (List.mem_assoc v k.k_scalars))
-        && (match k.k_loop with Some l -> v <> l.kl_var | None -> true))
-      k.k_induction
-  in
-  let s =
-    { s_host = host_ctx; s_k = k; s_names = names; s_entry = entry;
-      s_extra = extra; s_red = Hashtbl.create 4; s_last = Hashtbl.create 8;
-      s_exit = None; s_total = 0 }
-  in
-  List.iter
-    (fun (v, c) ->
-      match c with
-      | Sc_reduction _ -> Hashtbl.replace s.s_red v (ref [])
-      | Sc_private | Sc_firstprivate | Sc_raced _ -> ())
-    k.k_scalars;
-  (* Driver-only pass: size the iteration space and capture the loop
-     variable's sequential exit value, without any device involved. *)
-  (match k.k_loop with
-  | None -> s.s_total <- 1
-  | Some l ->
-      let base, kctx = scratch_ctx s in
-      let driver = { v = Eval.eval kctx l.kl_init } in
-      Frame.replace base l.kl_var (Scalar driver);
+  let kenv : Value.t = { Value.globals = Frame.create 1; frames = [ base ] } in
+  (base, kenv, Eval.make s.s_host.Eval.prog kenv)
+
+let total_iterations s device =
+  match s.s_k.k_loop with
+  | Some l when not s.s_k.k_seq ->
+      let ns = { seen = Hashtbl.create 8; rev = [] } in
+      add_header ns l;
+      let base, _, kctx = kernel_ctx s device ns.rev in
+      Frame.replace base l.kl_var (Scalar { v = Eval.eval kctx l.kl_init });
       let n = ref 0 in
       while truthy (Eval.eval kctx l.kl_cond) do
         incr n;
-        match l.kl_step with
-        | Some st -> Eval.exec kctx st
-        | None -> ()
+        match l.kl_step with Some st -> Eval.exec kctx st | None -> ()
       done;
-      s.s_exit <- Some driver.v;
-      s.s_total <- !n);
-  s
-
-let total_iterations s = s.s_total
-
-let kernel s = s.s_k
-let host s = s.s_host
-let entry s v = Hashtbl.find_opt s.s_entry v
-
-(** One shard's scalar results, tagged with their iteration ordinal and
-    held back until the shard completes cleanly. *)
-type staging = {
-  sg_red : (string, (int * scalar) list ref) Hashtbl.t;
-  sg_last : (string, int * scalar) Hashtbl.t;
-}
+      !n
+  | Some _ | None -> 1
 
 let staging s =
-  let sg = { sg_red = Hashtbl.create 4; sg_last = Hashtbl.create 8 } in
-  Hashtbl.iter (fun v _ -> Hashtbl.replace sg.sg_red v (ref [])) s.s_red;
-  sg
+  { cells = Array.map (fun sl -> { v = sl.sl_init }) s.s_slots;
+    res = results (Array.length s.s_slots) }
 
-(** Stage the value iteration [ordinal] left in thread scalar [v]:
-    reduction partials accumulate; private/raced scalars and outer
-    induction variables keep their latest writer; other names are not
-    committed. *)
-let stage s sg ~ordinal v x =
-  match List.assoc_opt v s.s_k.k_scalars with
-  | Some (Sc_reduction _) -> (
-      match Hashtbl.find_opt sg.sg_red v with
-      | Some r -> r := (ordinal, x) :: !r
-      | None -> ())
-  | Some _ -> Hashtbl.replace sg.sg_last v (ordinal, x)
-  | None ->
-      if Analysis.Varset.mem v s.s_extra then
-        Hashtbl.replace sg.sg_last v (ordinal, x)
+let cells sg = sg.cells
 
-(** Clean shard completion: publish the staged results into the session
-    (the highest-ordinal writer wins across shards). *)
+let slot s v =
+  let rec find i =
+    if i = Array.length s.s_slots then None
+    else if String.equal s.s_slots.(i).sl_name v then Some i
+    else find (i + 1)
+  in
+  find 0
+
+let thread s sg ?weights (ctx : Eval.ctx) ~ordinal run =
+  let cells = sg.cells and r = sg.res in
+  for i = 0 to Array.length cells - 1 do
+    cells.(i).v <- s.s_slots.(i).sl_init
+  done;
+  let ops0 = ctx.Eval.ops in
+  run ();
+  (match weights with
+  | Some w when ordinal < Array.length w -> w.(ordinal) <- ctx.Eval.ops - ops0
+  | Some _ | None -> ());
+  for i = 0 to Array.length cells - 1 do
+    match s.s_slots.(i).sl_red with
+    | Some _ -> r.parts.(i) <- (ordinal, cells.(i).v) :: r.parts.(i)
+    | None ->
+        r.last_ord.(i) <- ordinal;
+        r.last.(i) <- cells.(i).v
+  done
+
+let stage_exit sg v = sg.res.exit <- Some v
+
+(* Merge a completed call's results: partials accumulate, the
+   highest-ordinal writer wins. *)
 let publish s sg =
-  Hashtbl.iter
-    (fun v r ->
-      match Hashtbl.find_opt s.s_red v with
-      | Some dst -> dst := !r @ !dst
-      | None -> ())
-    sg.sg_red;
-  Hashtbl.iter
-    (fun v (o, x) ->
-      match Hashtbl.find_opt s.s_last v with
-      | Some (o', _) when o' > o -> ()
-      | Some _ | None -> Hashtbl.replace s.s_last v (o, x))
-    sg.sg_last
+  let r = s.s_res and g = sg.res in
+  for i = 0 to Array.length s.s_slots - 1 do
+    (match (g.parts.(i), r.parts.(i)) with
+    | [], _ -> ()
+    | p, [] -> r.parts.(i) <- p
+    | p, dst -> r.parts.(i) <- p @ dst);
+    let o = g.last_ord.(i) in
+    if o >= 0 && o >= r.last_ord.(i) then begin
+      r.last_ord.(i) <- o;
+      r.last.(i) <- g.last.(i)
+    end
+  done;
+  match g.exit with Some _ -> r.exit <- g.exit | None -> ()
 
-(** Execute the ordinals selected by [owns] on [device], against its
-    buffers.  Returns the number of iterations executed.  [weights]
-    (sized [total_iterations]) receives the measured interpreted-op
-    count of every executed ordinal — the per-iteration work the
-    imbalance analyzer re-costs under alternative schedules.  Raises
-    [Gpusim.Device.Device_fault] if the device dies; staged scalar results
-    of the aborted shard are discarded. *)
+(* Partials in ordinal order.  One runner call, or block shards published
+   in order, leave them strictly descending; interleaved ones (cyclic
+   schedule, failover) are sorted.  A shard re-executed after its scrub
+   found a flipped bit has published its ordinals twice: the latest
+   publication, first among equal ordinals, stands. *)
+let ascending parts =
+  let rec descending = function
+    | (a, _) :: ((b, _) :: _ as rest) -> a > b && descending rest
+    | [ _ ] | [] -> true
+  in
+  let rec latest = function
+    | (a, x) :: (b, _) :: rest when Int.equal a b -> latest ((a, x) :: rest)
+    | (_, x) :: rest -> x :: latest rest
+    | [] -> []
+  in
+  if descending parts then List.rev_map snd parts
+  else latest (List.sort (fun (a, _) (b, _) -> Int.compare a b) parts)
+
+let commit s =
+  let r = s.s_res in
+  Array.iteri
+    (fun i sl ->
+      match (sl.sl_host, sl.sl_red) with
+      | None, _ -> ()
+      | Some cell, Some op -> (
+          match tree_reduce op (ascending r.parts.(i)) with
+          | Some total -> cell.v <- combine op sl.sl_entry total
+          | None -> ())
+      | Some cell, None -> if r.last_ord.(i) >= 0 then cell.v <- r.last.(i))
+    s.s_slots;
+  match (s.s_exit_cell, r.exit) with
+  | Some cell, Some v -> cell.v <- v
+  | _ -> ()
+
+(* The tree walker's runner: one thread per owned ordinal of a parallel
+   loop; ordinal 0 alone runs a straight-line body or a whole [seq] loop
+   over persistent cells. *)
 let run_shard s ?weights device ~owns =
   let k = s.s_k in
-  let l =
-    match k.k_loop with
-    | Some l when not k.k_seq -> l
-    | Some _ | None -> invalid_arg "Kernel_exec.run_shard: not shardable"
-  in
-  let host_env = s.s_host.Eval.env in
-  let base = Frame.create 16 in
-  List.iter
-    (fun n ->
-      match Value.lookup host_env n with
-      | Some (Array slot) ->
-          let root = slot.root in
-          let dbuf = Gpusim.Device.buffer device root in
-          Frame.replace base n
-            (Array { buf = Some dbuf; root; shape = Value.shape_of slot })
-      | Some (Scalar _) ->
-          Frame.replace base n (Scalar { v = entry_value_of s n })
-      | None -> ())
-    s.s_names;
-  let kenv : Value.t =
-    { Value.globals = Frame.create 1; frames = [ base ] }
-  in
-  let kctx = Eval.make s.s_host.Eval.prog kenv in
-  let class_of = k.k_scalars in
-  let fresh_thread_frame () =
-    let frame = Frame.create 8 in
-    List.iter
-      (fun (v, c) ->
-        let init =
-          match c with
-          | Sc_reduction op -> identity op (entry_value_of s v)
-          | Sc_private | Sc_firstprivate | Sc_raced _ -> entry_value_of s v
-        in
-        Frame.replace frame v (Scalar { v = init }))
-      class_of;
-    Analysis.Varset.iter
-      (fun v -> Frame.replace frame v (Scalar { v = entry_value_of s v }))
-      s.s_extra;
-    frame
-  in
+  let base, kenv, kctx = kernel_ctx s device (kernel_names k) in
+  (* The thread frame binds the committed names to the staging's cells;
+     declarations land in the body's own scope above it. *)
   let sg = staging s in
-  let executed = ref 0 in
-  let ordinal = ref 0 in
-  let driver = { v = Eval.eval kctx l.kl_init } in
-  Frame.replace base l.kl_var (Scalar driver);
-  while truthy (Eval.eval kctx l.kl_cond) do
-    if owns !ordinal then begin
-      incr executed;
-      let frame = fresh_thread_frame () in
-      kenv.frames <- frame :: kenv.frames;
-      let ops0 = kctx.Eval.ops in
-      Value.scoped kenv (fun () -> Eval.exec_block kctx l.kl_body);
-      (match weights with
-      | Some w when !ordinal < Array.length w ->
-          w.(!ordinal) <- kctx.Eval.ops - ops0
-      | Some _ | None -> ());
-      kenv.frames <- List.tl kenv.frames;
-      Frame.iter
-        (fun v b ->
-          match b with
-          | Scalar c -> stage s sg ~ordinal:!ordinal v c.v
-          | Array _ -> ())
-        frame
-    end;
-    incr ordinal;
-    match l.kl_step with
-    | Some st -> Eval.exec kctx st
-    | None -> ()
-  done;
+  let frame = Frame.create 8 in
+  Array.iteri
+    (fun i c -> Frame.replace frame s.s_slots.(i).sl_name (Scalar c))
+    sg.cells;
+  let push () = kenv.frames <- frame :: kenv.frames in
+  let pop () = kenv.frames <- List.tl kenv.frames in
+  let in_thread b =
+    let exec () = Eval.exec_block kctx b in
+    fun () ->
+      push ();
+      Value.scoped kenv exec;
+      pop ()
+  in
+  let executed =
+    match k.k_loop with
+    | None ->
+        if owns 0 then begin
+          thread s sg ?weights kctx ~ordinal:0 (in_thread k.k_body);
+          1
+        end
+        else 0
+    | Some l when k.k_seq ->
+        if owns 0 then begin
+          let trips = ref 0 in
+          let exec () = Eval.exec_block kctx l.kl_body in
+          thread s sg ?weights kctx ~ordinal:0 (fun () ->
+              push ();
+              let driver = { v = Eval.eval kctx l.kl_init } in
+              Frame.replace frame l.kl_var (Scalar driver);
+              while truthy (Eval.eval kctx l.kl_cond) do
+                incr trips;
+                Value.scoped kenv exec;
+                match l.kl_step with Some st -> Eval.exec kctx st | None -> ()
+              done;
+              pop ();
+              stage_exit sg driver.v);
+          !trips
+        end
+        else 0
+    | Some l ->
+        let driver = { v = Eval.eval kctx l.kl_init } in
+        Frame.replace base l.kl_var (Scalar driver);
+        let body = in_thread l.kl_body in
+        let executed = ref 0 and ordinal = ref 0 in
+        while truthy (Eval.eval kctx l.kl_cond) do
+          if owns !ordinal then begin
+            incr executed;
+            thread s sg ?weights kctx ~ordinal:!ordinal body
+          end;
+          incr ordinal;
+          match l.kl_step with Some st -> Eval.exec kctx st | None -> ()
+        done;
+        (* The loop variable's exit value matches sequential execution. *)
+        stage_exit sg driver.v;
+        !executed
+  in
   publish s sg;
-  !executed
-
-(** Commit the merged scalar results to the host environment, in the same
-    order and combination scheme as single-device {!run}. *)
-let commit s =
-  let k = s.s_k in
-  let host_env = s.s_host.Eval.env in
-  List.iter
-    (fun (v, c) ->
-      match Value.lookup host_env v with
-      | Some (Scalar host_cell) -> (
-          match c with
-          | Sc_reduction op -> (
-              let parts =
-                match Hashtbl.find_opt s.s_red v with
-                | Some r ->
-                    List.sort (fun (a, _) (b, _) -> compare a b) !r
-                    |> List.map snd
-                | None -> []
-              in
-              match tree_reduce op parts with
-              | Some total ->
-                  host_cell.v <- combine op (entry_value_of s v) total
-              | None -> ())
-          | Sc_private | Sc_firstprivate | Sc_raced _ -> (
-              match Hashtbl.find_opt s.s_last v with
-              | Some (_, value) -> host_cell.v <- value
-              | None -> ()))
-      | Some (Array _) | None -> ())
-    k.k_scalars;
-  (match k.k_loop with
-  | Some l -> (
-      match (Value.lookup host_env l.kl_var, s.s_exit) with
-      | Some (Scalar cell), Some v -> cell.v <- v
-      | _ -> ())
-  | None -> ());
-  Analysis.Varset.iter
-    (fun v ->
-      match (Value.lookup host_env v, Hashtbl.find_opt s.s_last v) with
-      | Some (Scalar host_cell), Some (_, value) -> host_cell.v <- value
-      | _ -> ())
-    s.s_extra
+  executed

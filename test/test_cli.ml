@@ -544,6 +544,84 @@ let test_session () =
     Sys.remove json2
   end
 
+let with_source src f =
+  let path = Filename.temp_file "openarc_cli" ".c" in
+  let oc = open_out path in
+  output_string oc src;
+  close_out oc;
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () ->
+      f (Filename.quote path))
+
+(* An output the program never binds is malformed input; a session that
+   never converges reports the transfers of a program whose outputs
+   matched (here the input's: 3 -> 3), not of its last, broken edit. *)
+let test_session_outputs () =
+  if available then begin
+    List.iter
+      (fun cmd ->
+        let code, out = run_cmd (cmd ^ " bench:jacobi --outputs a,nosuch") in
+        Alcotest.(check int) (cmd ^ " unknown output: exit 2") 2 code;
+        Alcotest.(check bool) (cmd ^ " unknown output: named") true
+          (contains ~needle:"output 'nosuch'" out))
+      [ "session"; "optimize" ];
+    with_source Test_session.device_written_input (fun path ->
+        let code, out = run_cmd (Fmt.str "optimize %s --outputs s,b" path) in
+        Alcotest.(check int) "unconverged optimize: exit 0" 0 code;
+        Alcotest.(check bool) "unconverged optimize: not converged" true
+          (contains ~needle:"converged: false" out);
+        Alcotest.(check bool) "unconverged optimize: input's transfers" true
+          (contains ~needle:"transfers: 3 (192 bytes) -> 3 (192 bytes)" out))
+  end
+
+(* Arrays a loop header reads are kernel inputs ([Test_kernel_exec]'s
+   header-read programs): runs and verification succeed at every device
+   count, and a session's first profiled run matches the reference; an
+   input the device lacks names the kernel and exits 1. *)
+let test_kernel_inputs () =
+  if available then begin
+    List.iter
+      (fun (what, src, outputs) ->
+        with_source src (fun path ->
+            List.iter
+              (fun devices ->
+                let code, _ =
+                  run_cmd (Fmt.str "run %s --devices %d" path devices)
+                in
+                Alcotest.(check int)
+                  (Fmt.str "%s: run --devices %d exits 0" what devices)
+                  0 code;
+                let code, out =
+                  run_cmd
+                    (Fmt.str "session %s --outputs %s --devices %d" path
+                       (String.concat "," outputs) devices)
+                in
+                Alcotest.(check int)
+                  (Fmt.str "%s: session --devices %d exits 0" what devices)
+                  0 code;
+                Alcotest.(check bool)
+                  (Fmt.str "%s: session --devices %d iteration 1 ok" what
+                     devices)
+                  true
+                  (contains ~needle:"iteration 1: outputs ok" out))
+              [ 1; 2; 4 ];
+            let code, out = run_cmd (Fmt.str "verify %s" path) in
+            Alcotest.(check int) (what ^ ": verify exits 0") 0 code;
+            Alcotest.(check bool) (what ^ ": verify clean") true
+              (contains ~needle:"0 kernel(s) with detected errors" out)))
+      Test_kernel_exec.header_read_programs;
+    with_source
+      "int main() { float a[4];\n#pragma acc data present(a)\n{\n#pragma acc \
+       kernels loop\nfor (int i = 0; i < 4; i++) { a[i] = 1.0; }\n}\nreturn \
+       0; }"
+      (fun path ->
+        let code, out = run_cmd (Fmt.str "run %s" path) in
+        Alcotest.(check int) "absent input: exit 1" 1 code;
+        Alcotest.(check string) "absent input: readable message"
+          "openarc: device error: kernel main_kernel0 at <input>:5:1: device \
+           buffer 'a' is not allocated\n"
+          out)
+  end
+
 (* The data regions a session inserts are labelled from the statement-id
    counter, which kernel launches leave alone: BACKPROP's report names
    them identically whatever the device count. *)
@@ -684,4 +762,6 @@ let tests =
     Alcotest.test_case "fault matrix" `Quick test_fault_matrix;
     Alcotest.test_case "engine default" `Quick test_engine_default;
     Alcotest.test_case "version" `Quick test_version;
-    Alcotest.test_case "error handling" `Quick test_error_handling ]
+    Alcotest.test_case "error handling" `Quick test_error_handling;
+    Alcotest.test_case "session outputs" `Quick test_session_outputs;
+    Alcotest.test_case "kernel inputs" `Quick test_kernel_inputs ]

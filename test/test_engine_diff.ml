@@ -675,6 +675,134 @@ let test_subscript_errors () =
           (m, (Option.get !ctx).Accrt.Eval.ops)))
     subscript_cases
 
+(* Kernel shapes x engines x device counts.  The suite's kernels are all
+   parallel loops, so this table holds one program per other shape a
+   launch can take — a straight-line kernel, a [seq] loop, a zero-trip
+   parallel loop, a parallel loop over a variable declared before the
+   region — plus EP's Table II fault build with its raced scalars.  Each
+   runs under both engines on 1, 2 and 4 devices with either schedule,
+   and every host scalar and array it leaves must be bit-identical to the
+   tree walker's one-device run; a race-free program must also leave the
+   sequential reference's values.  Verification must agree across the
+   engines (and find nothing in a race-free program). *)
+let shape_programs =
+  let ep = Option.get (Suite.Registry.find "EP") in
+  let parse ~file src = Parser.parse_string ~file src in
+  [ ( "straight-line kernel",
+      Codegen.Options.default,
+      true,
+      parse ~file:"straight"
+        {|int main() {
+  int n = 8; float a[n]; float s = 1.5; float t = 0.0;
+  for (int q = 0; q < n; q++) { a[q] = float(q) + 0.25; }
+  #pragma acc kernels
+  {
+    s = s + a[3] * 2.0;
+    t = a[1] + 1.0;
+    a[2] = t * 3.0;
+  }
+  return 0;
+}|} );
+    ( "seq loop, data-dependent exit",
+      Codegen.Options.default,
+      true,
+      parse ~file:"seq"
+        {|int main() {
+  int n = 16; float a[n]; float b[n]; float s = 3.0; int i = 0;
+  for (int q = 0; q < n; q++) { a[q] = float(q) * 0.75; b[q] = 0.0; }
+  #pragma acc kernels loop seq reduction(+:s)
+  for (i = 0; i < n && s < 10.0; i++) { s = s + a[i]; b[i] = a[i] * 2.0; }
+  return 0;
+}|} );
+    ( "zero-trip parallel loop",
+      Codegen.Options.default,
+      true,
+      parse ~file:"zero"
+        {|int main() {
+  int n = 8; float a[n]; float z = 2.5; int j = 7;
+  for (int q = 0; q < n; q++) { a[q] = 1.0; }
+  #pragma acc kernels loop reduction(+:z)
+  for (j = 3; j < 3; j++) { z = z + a[j]; }
+  return 0;
+}|} );
+    ( "outer loop variable, private/firstprivate, outer induction",
+      Codegen.Options.default,
+      true,
+      parse ~file:"outer"
+        {|int main() {
+  int n = 12; float a[n]; float b[n]; int k = -1; int j = -1;
+  float p = 0.0; float f = 2.0;
+  for (int q = 0; q < n; q++) { a[q] = float(q) * 0.5; b[q] = 0.0; }
+  #pragma acc parallel loop private(p) firstprivate(f)
+  for (k = 0; k < n; k++) {
+    f = f * 2.0;
+    p = a[k] * f;
+    f = f * 0.5;
+    for (j = 0; j < 3; j++) { p = p + 1.0; }
+    b[k] = p;
+  }
+  return 0;
+}|} );
+    ( "EP fault build",
+      Codegen.Options.fault_injection,
+      false,
+      Openarc_core.Faults.strip_parallelism_clauses
+        (parse ~file:ep.name ep.source) ) ]
+
+(* Every name bound in [env], once, sorted (frame iteration order is
+   unspecified, so only the sorted set is observed). *)
+let bound_names env =
+  let names = ref [] in
+  ignore
+    (Accrt.Value.map_bindings
+       (fun name b ->
+         names := name :: !names;
+         b)
+       env);
+  List.sort_uniq compare !names
+
+let test_kernel_shapes () =
+  List.iter
+    (fun (what, opts, race_free, prog) ->
+      let tp = Codegen.Translate.translate ~opts (Typecheck.check prog) prog in
+      let run engine devices schedule =
+        (Accrt.Interp.run ~coherence:false ~engine ~seed:42 ~devices ~schedule
+           tp)
+          .Accrt.Interp.ctx.Accrt.Eval.env
+      in
+      let oracle = run tree 1 Gpusim.Device_set.Block in
+      let names = bound_names oracle in
+      if race_free then
+        check_outputs (what ^ ": tree --devices 1 vs sequential reference")
+          (Accrt.Eval.run_reference prog).Accrt.Eval.env oracle names;
+      List.iter
+        (fun engine ->
+          List.iter
+            (fun (devices, schedule) ->
+              let env = run engine devices schedule in
+              let label =
+                Fmt.str "%s: %s --devices %d --schedule %s" what
+                  (Accrt.Engine.to_string engine) devices
+                  (Gpusim.Device_set.schedule_name schedule)
+              in
+              Alcotest.(check (list string))
+                (label ^ ": same host names")
+                names (bound_names env);
+              check_outputs label oracle env names)
+            [ (1, Gpusim.Device_set.Block); (1, Gpusim.Device_set.Cyclic);
+              (2, Gpusim.Device_set.Block); (2, Gpusim.Device_set.Cyclic);
+              (4, Gpusim.Device_set.Block); (4, Gpusim.Device_set.Cyclic) ])
+        [ tree; compiled ];
+      let verify engine = Openarc_core.Kernel_verify.verify ~opts ~engine prog in
+      let vt = verify tree in
+      check_verify (what ^ " verify") vt (verify compiled);
+      if race_free then
+        Alcotest.(check int)
+          (what ^ ": verifies clean")
+          0
+          (List.length (Openarc_core.Kernel_verify.detected_errors vt)))
+    shape_programs
+
 (* Fault-matrix slice: the resilient runtime (retry, re-execution with
    validation, CPU fallback, host mode) recovers identically under both
    engines. *)
@@ -719,5 +847,6 @@ let tests =
   @ [ Alcotest.test_case "verification verdicts" `Quick test_verify_diff;
       Alcotest.test_case "register-mode region" `Quick test_region_diff;
       Alcotest.test_case "subscript errors" `Quick test_subscript_errors;
+      Alcotest.test_case "kernel shapes" `Quick test_kernel_shapes;
       Alcotest.test_case "fault matrix" `Quick test_fault_diff;
       Alcotest.test_case "device-loss failover" `Quick test_failover_diff ]

@@ -102,16 +102,26 @@ let test_seq_kernel_semantics () =
   Alcotest.(check (float 1e-9)) "seq loop-carried" (ref_f r "acc")
     (out_f o "acc")
 
+(* The device error names the kernel and its location, under both
+   engines, whole or sharded. *)
 let test_present_error () =
   let src =
     "int main() { float a[4];\n#pragma acc data present(a)\n{\n#pragma acc \
      kernels loop\nfor (int i = 0; i < 4; i++) { a[i] = 1.0; }\n}\nreturn \
      0; }"
   in
-  try
-    ignore (run src);
-    Alcotest.fail "expected presence failure"
-  with Gpusim.Device.Device_error _ -> ()
+  List.iter
+    (fun (engine, devices) ->
+      match Accrt.Interp.run_string ~engine ~devices src with
+      | _ -> Alcotest.fail "expected presence failure"
+      | exception Gpusim.Device.Device_error m ->
+          Alcotest.(check string)
+            (Fmt.str "%s --devices %d" (Accrt.Engine.to_string engine) devices)
+            "kernel main_kernel0 at <string>:5:1: device buffer 'a' is not \
+             allocated"
+            m)
+    [ (Accrt.Engine.Tree, 1); (Accrt.Engine.Compiled, 1);
+      (Accrt.Engine.Tree, 2); (Accrt.Engine.Compiled, 2) ]
 
 let test_async_timing () =
   let src_async =

@@ -116,6 +116,70 @@ let test_single_thread_kernel () =
   Alcotest.(check (float 0.)) "second kernel used it" 0.25
     (Gpusim.Buf.get_float (Accrt.Interp.host_array o "a") 0)
 
+(* Arrays a loop header reads are kernel inputs: they are transferred,
+   peer-synced and uploaded for verification like body reads.  In [lim]
+   the bound lives in a host array the body never reads; in [device] a
+   straight-line kernel rewrites the bound on the device first, so every
+   member must step the driver against device data, and the loop
+   variable's exit value comes from the runner.  Both must leave the
+   sequential reference's values under both engines on 1, 2 and 4
+   devices, and verify clean. *)
+let header_read_programs =
+  [ ( "lim",
+      "int main() { int n = 8; int lim[2]; float b[n]; int i = 0; lim[0] = \
+       5;\nfor (int q = 0; q < n; q++) { b[q] = 0.0; }\n#pragma acc kernels \
+       loop gang worker\nfor (i = 0; i < lim[0]; i++) { b[i] = 1.0; \
+       }\nreturn 0; }",
+      [ "i"; "b" ] );
+    ( "device",
+      "int main() { int n = 8; int a[2]; float b[n]; float s = 0.0; int i = \
+       0;\na[0] = 8; a[1] = 0;\nfor (int q = 0; q < n; q++) { b[q] = 0.0; \
+       }\n#pragma acc data copyin(a) copy(b)\n{\n#pragma acc kernels\n{ \
+       a[0] = 5; }\n#pragma acc kernels loop gang worker\nfor (i = 0; i < \
+       a[0]; i++) { b[i] = 1.0; s = s + 1.0; }\n}\nreturn 0; }",
+      [ "i"; "s"; "b" ] ) ]
+
+let test_header_reads () =
+  List.iter
+    (fun (what, src, outputs) ->
+      let prog = Minic.Parser.parse_string ~file:what src in
+      let reference = (Accrt.Eval.run_reference prog).Accrt.Eval.env in
+      let same label env =
+        List.iter
+          (fun v ->
+            let same =
+              match (Accrt.Value.lookup reference v, Accrt.Value.lookup env v)
+              with
+              | Some (Accrt.Value.Scalar r), Some (Accrt.Value.Scalar c) ->
+                  r.Accrt.Value.v = c.Accrt.Value.v
+              | Some (Accrt.Value.Array { buf = Some r; _ }),
+                Some (Accrt.Value.Array { buf = Some c; _ }) ->
+                  Gpusim.Buf.equal r c
+              | _ -> false
+            in
+            Alcotest.(check bool) (Fmt.str "%s: %s as the reference" label v)
+              true same)
+          outputs
+      in
+      List.iter
+        (fun engine ->
+          List.iter
+            (fun devices ->
+              let o = Accrt.Interp.run_string ~engine ~devices src in
+              same
+                (Fmt.str "%s/%s --devices %d" what
+                   (Accrt.Engine.to_string engine) devices)
+                o.Accrt.Interp.ctx.Accrt.Eval.env)
+            [ 1; 2; 4 ];
+          let v = Openarc_core.Kernel_verify.verify ~engine prog in
+          Alcotest.(check int)
+            (Fmt.str "%s/%s: verifies clean" what
+               (Accrt.Engine.to_string engine))
+            0
+            (List.length (Openarc_core.Kernel_verify.detected_errors v)))
+        [ Accrt.Engine.Tree; Accrt.Engine.Compiled ])
+    header_read_programs
+
 (* Statement ids number the sites a session inserts, so running a
    program must allocate none: a launch walks its kernel's loop header in
    place.  [Kernel_verify.verify] translates the program it is given, so
@@ -173,4 +237,6 @@ let tests =
     Alcotest.test_case "single-thread kernel" `Quick
       test_single_thread_kernel;
     Alcotest.test_case "runs allocate no statement ids" `Quick
-      test_runs_allocate_no_sids ]
+      test_runs_allocate_no_sids;
+    Alcotest.test_case "header reads are kernel inputs" `Quick
+      test_header_reads ]

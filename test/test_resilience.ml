@@ -113,12 +113,41 @@ let test_checksum_retransfer () =
   Alcotest.(check bool) "re-transferred" true
     ((stats o).Resilience.retransfers >= 1)
 
+(* A reduction kernel that also writes an array the scrub checks. *)
+let reduction_src =
+  "int main() { int n = 16; float a[n]; float b[n]; float s = 0.5;\n\
+   for (int i = 0; i < n; i++) { a[i] = float(i) * 0.75; }\n\
+   #pragma acc kernels loop reduction(+:s)\n\
+   for (int i = 0; i < n; i++) { b[i] = a[i] * 2.0; s = s + a[i]; }\n\
+   return 0; }"
+
+(* A flipped bit found by the scrub re-executes the kernel; on a device
+   set the re-executed shard's reduction partials, published before the
+   scrub ran, must count once. *)
 let test_bitflip_reexecution () =
   let o = run ~resilience:Resilience.retry ~spec:"bitflip:b" simple_src in
   check_simple o;
   let st = stats o in
   Alcotest.(check bool) "re-executed" true (st.Resilience.reexecs >= 1);
-  Alcotest.(check bool) "recovery verified" true (st.Resilience.verified >= 1)
+  Alcotest.(check bool) "recovery verified" true (st.Resilience.verified >= 1);
+  List.iter
+    (fun devices ->
+      let what = Fmt.str "reduction --devices %d" devices in
+      let clean = run ~devices reduction_src in
+      let o =
+        run ~resilience:Resilience.retry ~spec:"bitflip:b" ~devices
+          reduction_src
+      in
+      let st = stats o in
+      Alcotest.(check bool) (what ^ ": re-executed") true
+        (st.Resilience.reexecs >= 1);
+      Alcotest.(check int) (what ^ ": recovery verified") 1
+        st.Resilience.verified;
+      Alcotest.(check int) (what ^ ": no CPU fallback") 0
+        st.Resilience.fallbacks;
+      Alcotest.(check bool) (what ^ ": reduction as fault-free") true
+        (Interp.host_scalar clean "s" = Interp.host_scalar o "s"))
+    [ 1; 2 ]
 
 let test_launch_reexecution () =
   List.iter

@@ -315,6 +315,47 @@ let test_session_kernel_store () =
         r.Openarc_core.Session.telemetry)
     Suite.Registry.all
 
+(* A kernel rewrites a copied-in array that a later kernel reads: the
+   first profiled run matches the reference, then the removal the loop
+   applies breaks the outputs and no later edit repairs them.  The loop
+   stops without converging, and must hand back a program whose outputs
+   still match — not the last, broken one. *)
+let device_written_input =
+  "int main() { int n = 8; float a[n]; float b[n]; float s = 0.0;\nfor \
+   (int q = 0; q < n; q++) { a[q] = 1.0; b[q] = 0.0; }\n#pragma acc data \
+   copyin(a) copy(b)\n{\n#pragma acc kernels\n{ a[0] = 5.0; }\n#pragma acc \
+   kernels loop gang worker\nfor (int i = 0; i < 5; i++) { b[i] = \
+   float(a[0]); s = s + 1.0; }\n}\nreturn 0; }"
+
+let test_unconverged_final_matches () =
+  let prog = Parser.parse_string device_written_input in
+  let reference = (Accrt.Eval.run_reference prog).Accrt.Eval.env in
+  let outputs = [ "s"; "b" ] in
+  let r = Openarc_core.Session.optimize ~outputs prog in
+  Alcotest.(check bool) "not converged" false r.Openarc_core.Session.converged;
+  Alcotest.(check bool) "some iteration diverged" true
+    (List.exists
+       (fun it -> not it.Openarc_core.Session.it_outputs_ok)
+       r.Openarc_core.Session.telemetry);
+  let final = r.Openarc_core.Session.final in
+  let tp = Codegen.Translate.translate (Typecheck.check final) final in
+  Alcotest.(check bool) "final program's outputs match" true
+    (Openarc_core.Session.outputs_match ~outputs ~reference
+       (Accrt.Interp.run ~coherence:false tp));
+  Alcotest.(check (pair int int)) "final keeps the input's transfers"
+    (Openarc_core.Session.transfer_stats prog)
+    (Openarc_core.Session.transfer_stats final)
+
+(* An output the program never binds would make every iteration diverge:
+   the session rejects it up front, naming it. *)
+let test_unknown_output () =
+  let prog = Parser.parse_string jacobi in
+  match Openarc_core.Session.optimize ~outputs:[ "a"; "nosuch" ] prog with
+  | _ -> Alcotest.fail "an unbound output was accepted"
+  | exception Failure m ->
+      Alcotest.(check string) "names the output"
+        "output 'nosuch' is not a variable of the program" m
+
 let tests =
   [ Alcotest.test_case "suggestions from naive run" `Quick
       test_suggestions_from_naive_run;
@@ -335,4 +376,7 @@ let tests =
     Alcotest.test_case "session report" `Quick test_session_report;
     Alcotest.test_case "session to_json" `Quick test_session_to_json;
     Alcotest.test_case "one kernel store per session" `Quick
-      test_session_kernel_store ]
+      test_session_kernel_store;
+    Alcotest.test_case "unconverged session keeps matching program" `Quick
+      test_unconverged_final_matches;
+    Alcotest.test_case "unknown output rejected" `Quick test_unknown_output ]
