@@ -13,10 +13,9 @@ let parse (b : Bench_def.t) = Minic.Parser.parse_string ~file:b.name b.source
 let parse_opt (b : Bench_def.t) =
   Minic.Parser.parse_string ~file:(b.name ^ "-opt") b.optimized
 
-let run_program prog =
-  let env = Minic.Typecheck.check prog in
-  let tp = Codegen.Translate.translate env prog in
-  Accrt.Interp.run ~coherence:false tp
+let compile = Openarc_core.Compiler.compile_program
+
+let run_program prog = Accrt.Interp.run ~coherence:false (compile prog)
 
 let hr ppf = Fmt.pf ppf "%s@." (String.make 78 '-')
 
@@ -208,10 +207,8 @@ let uncaught_redundancy prog ~outputs =
   let reference = (Accrt.Eval.run_reference prog).Accrt.Eval.env in
   let ok candidate =
     try
-      let env = Minic.Typecheck.check candidate in
-      let tp = Codegen.Translate.translate env candidate in
-      let o = Accrt.Interp.run ~coherence:false tp in
-      Openarc_core.Session.outputs_match ~outputs ~reference o
+      Openarc_core.Session.outputs_match ~outputs ~reference
+        (run_program candidate)
     with _ -> false
   in
   let updates =
@@ -287,9 +284,7 @@ type fig4_row = { f4_name : string; f4_overhead_pct : float }
 let fig4_rows () =
   List.map
     (fun b ->
-      let prog = parse_opt b in
-      let env = Minic.Typecheck.check prog in
-      let tp = Codegen.Translate.translate env prog in
+      let tp = compile (parse_opt b) in
       (* Separate measurements get separate PCIe-jitter streams, as two
          wall-clock runs would on real hardware. *)
       let base = Accrt.Interp.run ~coherence:false ~seed:11 tp in
@@ -338,9 +333,7 @@ let run_ablation ppf =
   hr ppf;
   List.iter
     (fun (b : Bench_def.t) ->
-      let prog = parse_opt b in
-      let env = Minic.Typecheck.check prog in
-      let tp = Codegen.Translate.translate env prog in
+      let tp = compile (parse_opt b) in
       let t0 =
         Gpusim.Metrics.total_time
           (Accrt.Interp.metrics (Accrt.Interp.run ~coherence:false tp))
@@ -373,10 +366,7 @@ let run_granularity ppf =
   List.iter
     (fun (b : Bench_def.t) ->
       let measure granularity =
-        let prog = parse b in
-        let env = Minic.Typecheck.check prog in
-        let tp = Codegen.Translate.translate env prog in
-        let tp = Codegen.Checkgen.instrument tp in
+        let tp = Codegen.Checkgen.instrument (compile (parse b)) in
         let o = Accrt.Interp.run ~coherence:true ~granularity tp in
         (List.length (Accrt.Interp.reports o),
          o.Accrt.Interp.coherence.Accrt.Coherence.interval_ops)
@@ -399,10 +389,9 @@ let run_granularity ppf =
      return 0; }"
   in
   let measure_partial granularity =
-    let prog = Minic.Parser.parse_string partial_bug in
-    let env = Minic.Typecheck.check prog in
     let tp =
-      Codegen.Checkgen.instrument (Codegen.Translate.translate env prog)
+      Codegen.Checkgen.instrument
+        (compile (Minic.Parser.parse_string partial_bug))
     in
     let o = Accrt.Interp.run ~coherence:true ~granularity tp in
     (List.length
@@ -527,9 +516,7 @@ let profile_categories =
   List.map Gpusim.Metrics.category_name Gpusim.Metrics.all_categories
 
 let profile_entry (b : Bench_def.t) =
-  let prog = parse b in
-  let env = Minic.Typecheck.check prog in
-  let tp = Codegen.Translate.translate env prog in
+  let tp = compile (parse b) in
   let tr = Obs.Trace.create () in
   let o = Accrt.Interp.run ~coherence:false ~seed:42 ~obs:tr tp in
   let total = Gpusim.Metrics.total_time (Accrt.Interp.metrics o) in
@@ -664,9 +651,7 @@ let scale_breakdown (o : Accrt.Interp.outcome) =
     (Array.mapi (fun d (c, x) -> (d, c, x, merge.(d))) mt)
 
 let scale_entry (b : Bench_def.t) =
-  let prog = parse b in
-  let env = Minic.Typecheck.check prog in
-  let tp = Codegen.Translate.translate env prog in
+  let tp = compile (parse b) in
   let breakdown = ref [] in
   let times =
     List.map
@@ -718,8 +703,7 @@ let scale_failover ppf =
   let b = Jacobi.bench in
   let prog = parse b in
   let reference = (Accrt.Eval.run_reference prog).Accrt.Eval.env in
-  let env = Minic.Typecheck.check prog in
-  let tp = Codegen.Translate.translate env prog in
+  let tp = compile prog in
   let target = tp.Codegen.Tprog.kernels.(0).Codegen.Tprog.k_name in
   let plan =
     Gpusim.Fault_plan.create ~seed:42
@@ -813,9 +797,7 @@ let scale ppf =
 let imbalance_devices = 4
 
 let imbalance_entry (b : Bench_def.t) =
-  let prog = parse b in
-  let env = Minic.Typecheck.check prog in
-  let tp = Codegen.Translate.translate env prog in
+  let tp = compile (parse b) in
   let run schedule =
     let o =
       Accrt.Interp.run ~coherence:false ~seed:42
@@ -915,9 +897,7 @@ let imbalance ppf =
    totals must equal the metrics accumulators, integer [=], no
    tolerance. *)
 let memtrace_entry (b : Bench_def.t) =
-  let prog = parse b in
-  let env = Minic.Typecheck.check prog in
-  let tp = Codegen.Checkgen.instrument (Codegen.Translate.translate env prog) in
+  let tp = Codegen.Checkgen.instrument (compile (parse b)) in
   let lg = Obs.Ledger.create ~devices:1 ~schedule:"block" in
   let o = Accrt.Interp.run ~coherence:true ~seed:42 ~ledger:lg tp in
   let m = Accrt.Interp.metrics o in
@@ -937,10 +917,8 @@ let memtrace_entry (b : Bench_def.t) =
    profile-diff machinery the CLI's [diff-profile] exposes. *)
 let memtrace_measured_saving (b : Bench_def.t) =
   let profile_of prog =
-    let env = Minic.Typecheck.check prog in
-    let tp = Codegen.Translate.translate env prog in
     let tr = Obs.Trace.create () in
-    ignore (Accrt.Interp.run ~coherence:false ~seed:42 ~obs:tr tp);
+    ignore (Accrt.Interp.run ~coherence:false ~seed:42 ~obs:tr (compile prog));
     Obs.Profile.of_trace ~categories:profile_categories tr
   in
   let d =
@@ -1180,8 +1158,7 @@ type wall_times = { run_s : float; verify_s : float }
 
 let wall_entry ~repeats ~engines (b : Bench_def.t) =
   let prog = parse b in
-  let env = Minic.Typecheck.check prog in
-  let tp = Codegen.Translate.translate env prog in
+  let tp = compile prog in
   ( b.name,
     List.map
       (fun engine ->

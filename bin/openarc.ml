@@ -72,21 +72,25 @@ let fault_arg =
 let opts_of_fault fault =
   if fault then Codegen.Options.fault_injection else Codegen.Options.default
 
-let prepare ?obs ~fault src =
-  let phase name f =
+(* The one loader every command reads FILE through.  [parse] names the
+   program [name] in diagnostics ("<input>"; lint passes FILE itself) and
+   applies --fault-injection's clause stripping; [load] compiles the result
+   through the one front end.  [obs] records the parse phase span, as
+   {!Openarc_core.Compiler.compile} does. *)
+let parse ?obs ?(name = "<input>") ~fault file =
+  let src = load_source file in
+  let prog =
     match obs with
-    | None -> f ()
-    | Some tr -> Obs.Trace.with_span tr Obs.Trace.Phase name f
+    | None -> Minic.Parser.parse_string ~file:name src
+    | Some tr ->
+        Obs.Trace.with_span tr Obs.Trace.Phase "parse" (fun () ->
+            Minic.Parser.parse_string ~file:name src)
   in
-  let prog =
-    phase "parse" (fun () -> Minic.Parser.parse_string ~file:"<input>" src)
-  in
-  let prog =
-    if fault then Openarc_core.Faults.strip_parallelism_clauses prog else prog
-  in
-  ( prog,
-    Openarc_core.Compiler.compile_program ~opts:(opts_of_fault fault) ?obs
-      prog )
+  if fault then Openarc_core.Faults.strip_parallelism_clauses prog else prog
+
+let load ?obs ?name ~fault file =
+  Openarc_core.Compiler.compile_program ~opts:(opts_of_fault fault) ?obs
+    (parse ?obs ?name ~fault file)
 
 let write_file path contents =
   let oc = open_out path in
@@ -210,8 +214,7 @@ let compile_cmd =
   in
   let run file fault emit_cuda instrument =
     handle (fun () ->
-        let _, c = prepare ~fault (load_source file) in
-        let tp = c.Openarc_core.Compiler.tprog in
+        let tp = load ~fault file in
         let tp =
           if instrument then Codegen.Checkgen.instrument tp else tp
         in
@@ -290,8 +293,7 @@ let run_cmd =
         let plan = plan_of_spec ~seed device_faults in
         check_devices ~devices plan;
         let policy = policy_of_name resilience in
-        let _, c = prepare ~fault (load_source file) in
-        let tp = c.Openarc_core.Compiler.tprog in
+        let tp = load ~fault file in
         let tp =
           if instrument then Codegen.Checkgen.instrument tp else tp
         in
@@ -475,8 +477,7 @@ let profile_cmd =
         let session =
           Obs.Trace.start_span tr Obs.Trace.Session ("profile " ^ file) ()
         in
-        let _, c = prepare ~obs:tr ~fault (load_source file) in
-        let tp = c.Openarc_core.Compiler.tprog in
+        let tp = load ~obs:tr ~fault file in
         let tp =
           if instrument then Codegen.Checkgen.instrument tp else tp
         in
@@ -580,8 +581,7 @@ let analyze_cmd =
              --devices >= 2)"
             devices;
         check_devices ~devices None;
-        let _, c = prepare ~fault (load_source file) in
-        let tp = c.Openarc_core.Compiler.tprog in
+        let tp = load ~fault file in
         let o = Accrt.Interp.run ~engine ~seed ~devices ~schedule tp in
         match o.Accrt.Interp.imbalance with
         | None -> Fmt.failwith "no shard log recorded (internal error)"
@@ -626,10 +626,9 @@ let memtrace_cmd =
   let run file fault seed engine devices schedule json out =
     handle_code (fun () ->
         check_devices ~devices None;
-        let _, c = prepare ~fault (load_source file) in
         (* The redundancy attribution reads the §III-B coherence lattice,
            so the program runs instrumented with the runtime enabled. *)
-        let tp = Codegen.Checkgen.instrument c.Openarc_core.Compiler.tprog in
+        let tp = Codegen.Checkgen.instrument (load ~fault file) in
         let lg =
           Obs.Ledger.create ~devices
             ~schedule:(Gpusim.Device_set.schedule_name schedule)
@@ -693,7 +692,7 @@ let saturate_cmd =
              ~doc:"Candidate-attempt budget of the greedy search \
                    (accepted or rejected; default 16)")
   in
-  let run file fault seed devices json apply out max_steps =
+  let run file seed devices json apply out max_steps =
     handle_code (fun () ->
         check_devices ~devices None;
         if max_steps < 1 then
@@ -704,12 +703,7 @@ let saturate_cmd =
           Fmt.failwith
             "--json and --apply both print to stdout; pass --out FILE for \
              the patched program";
-        let src = load_source file in
-        let prog = Minic.Parser.parse_string ~file:"<input>" src in
-        let prog =
-          if fault then Openarc_core.Faults.strip_parallelism_clauses prog
-          else prog
-        in
+        let tp = load ~fault:false file in
         (* Designated outputs: the benchmark's declared ones, else every
            array a kernel writes (the host-visible footprint). *)
         let outputs =
@@ -729,8 +723,6 @@ let saturate_cmd =
           match from_bench with
           | Some outs -> outs
           | None ->
-              let env = Minic.Typecheck.check prog in
-              let tp = Codegen.Translate.translate env prog in
               Array.fold_left
                 (fun acc k ->
                   Analysis.Varset.union acc
@@ -750,7 +742,9 @@ let saturate_cmd =
             max_steps;
             check_devices = check_devices_list }
         in
-        let r = Saturate.run ~config ~name:file ~outputs prog in
+        let r =
+          Saturate.run ~config ~name:file ~outputs tp.Codegen.Tprog.source
+        in
         let report ppf =
           if json then Fmt.pf ppf "%s" (Saturate.to_json r)
           else Fmt.pf ppf "%a" Saturate.pp r
@@ -777,8 +771,8 @@ let saturate_cmd =
              bit-identical outputs under both engines and 1/2/4-device \
              sets, and a measured diff-profile confirmation, then repeat \
              until no material candidate remains")
-    Term.(const run $ file_arg $ fault_arg $ seed_arg $ devices_arg $ json
-          $ apply $ out $ max_steps)
+    Term.(const run $ file_arg $ seed_arg $ devices_arg $ json $ apply $ out
+          $ max_steps)
 
 (* ------------------------------ verify ----------------------------- *)
 
@@ -835,12 +829,9 @@ let verify_cmd =
         let obs =
           if events <> None then Some (Obs.Trace.create ()) else None
         in
-        let prog, c = prepare ?obs ~fault (load_source file) in
+        let tp = load ?obs ~fault file in
         match show_transformed with
-        | Some kname ->
-            Fmt.pr "%s@."
-              (Openarc_core.Demotion.to_string c.Openarc_core.Compiler.tprog
-                 kname)
+        | Some kname -> Fmt.pr "%s@." (Openarc_core.Demotion.to_string tp kname)
         | None ->
             let config =
               match options with
@@ -852,8 +843,8 @@ let verify_cmd =
             in
             let symbolic = symbolic || symeq_json <> None in
             let v =
-              Openarc_core.Kernel_verify.verify ~opts:(opts_of_fault fault)
-                ~config ?obs ~trace:(trace <> None) ~symbolic prog
+              Openarc_core.Kernel_verify.verify_tprog ~config ?obs
+                ~trace:(trace <> None) ~symbolic tp
             in
             (match v.Openarc_core.Kernel_verify.symeq with
             | Some result ->
@@ -919,8 +910,7 @@ let optimize_cmd =
   in
   let run file outputs max_iterations conservative show_final =
     handle (fun () ->
-        let prog = Minic.Parser.parse_string ~file:"<input>"
-            (load_source file) in
+        let prog = parse ~fault:false file in
         let outputs = String.split_on_char ',' outputs in
         let policy =
           if conservative then Openarc_core.Session.Conservative
@@ -986,9 +976,7 @@ let session_cmd =
       json =
     handle (fun () ->
         check_devices ~devices None;
-        let prog =
-          Minic.Parser.parse_string ~file:"<input>" (load_source file)
-        in
+        let prog = parse ~fault:false file in
         let outputs = String.split_on_char ',' outputs in
         let policy =
           if conservative then Openarc_core.Session.Conservative
@@ -1112,7 +1100,7 @@ let lint_cmd =
   in
   let run file fault json severity deny_warnings =
     handle_code (fun () ->
-        let ds = Lint.run_string ~fault ~file (load_source file) in
+        let ds = Lint.run_tprog (load ~name:file ~fault file) in
         let shown = Lint.Diag.filter ~threshold:severity ds in
         if json then Fmt.pr "%s@." (Lint.Diag.to_json shown)
         else begin

@@ -7,11 +7,12 @@
      dune exec examples/benchmark_tour.exe
 *)
 
-let run src =
-  let prog = Minic.Parser.parse_string src in
-  let env = Minic.Typecheck.check prog in
-  let tp = Codegen.Translate.translate env prog in
-  Accrt.Interp.metrics (Accrt.Interp.run ~coherence:false tp)
+let run_program prog =
+  Accrt.Interp.metrics
+    (Accrt.Interp.run ~coherence:false
+       (Openarc_core.Compiler.compile_program prog))
+
+let run src = run_program (Minic.Parser.parse_string src)
 
 let () =
   Fmt.pr "%-10s %14s %14s %14s %9s@." "Benchmark" "naive bytes" "manual bytes"
@@ -25,15 +26,7 @@ let () =
         Openarc_core.Session.optimize ~outputs:b.outputs
           (Minic.Parser.parse_string b.source)
       in
-      let m_tool =
-        let env =
-          Minic.Typecheck.check session.Openarc_core.Session.final
-        in
-        let tp =
-          Codegen.Translate.translate env session.Openarc_core.Session.final
-        in
-        Accrt.Interp.metrics (Accrt.Interp.run ~coherence:false tp)
-      in
+      let m_tool = run_program session.Openarc_core.Session.final in
       Fmt.pr "%-10s %14d %14d %14d %6d it@." b.name
         (Gpusim.Metrics.total_bytes m_naive)
         (Gpusim.Metrics.total_bytes m_manual)

@@ -85,9 +85,8 @@ let () =
     v.Openarc_core.Kernel_verify.reports;
 
   (* The memory-transfer-demotion pass the verifier relies on (Listing 2). *)
-  let c =
+  let tp =
     Openarc_core.Compiler.compile ~opts:Codegen.Options.fault_injection buggy
   in
   Fmt.pr "@.=== demoted source for main_kernel0 (paper Listing 2) ===@.%s@."
-    (Openarc_core.Demotion.to_string c.Openarc_core.Compiler.tprog
-       "main_kernel0")
+    (Openarc_core.Demotion.to_string tp "main_kernel0")

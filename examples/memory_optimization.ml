@@ -15,8 +15,8 @@ let () =
   let prog = Minic.Parser.parse_string source in
 
   (* Step 1: profile the unoptimized program with coherence checking. *)
-  let compiled = Openarc_core.Compiler.compile source in
-  let outcome = Openarc_core.Compiler.run_instrumented compiled in
+  let tp = Codegen.Checkgen.instrument (Openarc_core.Compiler.compile source) in
+  let outcome = Accrt.Interp.run ~coherence:true tp in
   let reports = Accrt.Interp.reports outcome in
   Fmt.pr "Profiled run produced %d transfer reports; first five:@."
     (List.length reports);

@@ -45,9 +45,9 @@ int main() {
 |}
 
 let () =
-  let compiled = Openarc_core.Compiler.compile source in
+  let tp = Openarc_core.Compiler.compile source in
   Fmt.pr "After inlining, main holds %d kernels:@."
-    (Array.length compiled.Openarc_core.Compiler.tprog.Codegen.Tprog.kernels);
+    (Array.length tp.Codegen.Tprog.kernels);
   Array.iter
     (fun k ->
       let g, w, _ = k.Codegen.Tprog.k_dims in
@@ -55,10 +55,9 @@ let () =
         (match (g, w) with
         | Some _, Some _ -> "explicit num_gangs x num_workers"
         | _ -> "device default"))
-    compiled.Openarc_core.Compiler.tprog.Codegen.Tprog.kernels;
+    tp.Codegen.Tprog.kernels;
 
   (* Run with the timeline recorder on. *)
-  let tp = compiled.Openarc_core.Compiler.tprog in
   let outcome = Accrt.Interp.run ~coherence:false ~trace:true tp in
   Fmt.pr "@.checksum = %g   (async test before/after wait: %g)@."
     (Accrt.Value.to_float (Accrt.Interp.host_scalar outcome "checksum"))

@@ -35,8 +35,7 @@ int main() {
 
 let () =
   (* 1. Compile: parse, validate OpenACC usage, type check, translate. *)
-  let compiled = Openarc_core.Compiler.compile source in
-  let tp = compiled.Openarc_core.Compiler.tprog in
+  let tp = Openarc_core.Compiler.compile source in
   Fmt.pr "Compiled %d kernels:@." (Array.length tp.Codegen.Tprog.kernels);
   Array.iter
     (fun k ->
@@ -46,14 +45,14 @@ let () =
     tp.Codegen.Tprog.kernels;
 
   (* 2. Execute on the simulated accelerator. *)
-  let outcome = Openarc_core.Compiler.run compiled in
+  let outcome = Accrt.Interp.run ~coherence:false tp in
   Fmt.pr "@.Simulated execution:@.%a@." Gpusim.Metrics.pp
     (Accrt.Interp.metrics outcome);
   Fmt.pr "@.dot = %g@."
     (Accrt.Value.to_float (Accrt.Interp.host_scalar outcome "dot"));
 
   (* 3. Cross-check against the sequential reference execution. *)
-  let reference = Openarc_core.Compiler.run_reference compiled in
+  let reference = Accrt.Eval.run_reference tp.Codegen.Tprog.source in
   Fmt.pr "reference dot = %g@."
     (Accrt.Value.to_float
        (Accrt.Value.get_scalar reference.Accrt.Eval.env "dot"));

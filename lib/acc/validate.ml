@@ -64,6 +64,30 @@ let construct_name d = Pretty.construct_str d
 
 exception Invalid of Loc.t * string
 
+let rec const_int = function
+  | Eint n -> Some n
+  | Eunop (Neg, e) -> Option.map (fun n -> -n) (const_int e)
+  | Ebinop (((Add | Sub | Mul) as op), a, b) -> (
+      match (const_int a, const_int b) with
+      | Some x, Some y ->
+          Some (match op with Add -> x + y | Sub -> x - y | _ -> x * y)
+      | _ -> None)
+  | _ -> None
+
+(* Element count of an array type whose every extent is constant: 32 for
+   "float a[4][8]" (subarray bounds index the flattened buffer). *)
+let rec const_elements = function
+  | Tarr ((Tint | Tfloat), Some e) -> const_int e
+  | Tarr ((Tarr _ as t), Some e) -> (
+      match (const_int e, const_elements t) with
+      | Some n, Some m -> Some (n * m)
+      | _ -> None)
+  | _ -> None
+
+let subarrays d =
+  List.map snd (Query.data_clauses d)
+  @ Query.update_host_subs d @ Query.update_device_subs d
+
 let invalid loc fmt = Fmt.kstr (fun m -> raise (Invalid (loc, m))) fmt
 
 let () =
@@ -118,23 +142,6 @@ let check_directive d =
   (* Subarray sanity: a constant lower bound must be non-negative, a
      constant length positive.  Bounds must be both present or both
      absent (the parser enforces that). *)
-  let rec const_int = function
-    | Eint n -> Some n
-    | Eunop (Neg, e) -> Option.map (fun n -> -n) (const_int e)
-    | Ebinop (Add, a, b) -> (
-        match (const_int a, const_int b) with
-        | Some x, Some y -> Some (x + y)
-        | _ -> None)
-    | Ebinop (Sub, a, b) -> (
-        match (const_int a, const_int b) with
-        | Some x, Some y -> Some (x - y)
-        | _ -> None)
-    | Ebinop (Mul, a, b) -> (
-        match (const_int a, const_int b) with
-        | Some x, Some y -> Some (x * y)
-        | _ -> None)
-    | _ -> None
-  in
   let check_sub sub =
     (match Option.bind sub.sub_lo const_int with
     | Some lo when lo < 0 ->
@@ -147,9 +154,7 @@ let check_directive d =
           sub.sub_var n
     | _ -> ()
   in
-  List.iter (fun (_, sub) -> check_sub sub) (Query.data_clauses d);
-  List.iter check_sub (Query.update_host_subs d);
-  List.iter check_sub (Query.update_device_subs d);
+  List.iter check_sub (subarrays d);
   (* Private vars must not also be in a data clause or a reduction. *)
   let data_vars = Query.data_vars d in
   let red_vars = List.map snd (Query.reductions d) in
@@ -161,11 +166,46 @@ let check_directive d =
         invalid d.dloc "variable '%s' is both private and a reduction" v)
     (Query.private_vars d)
 
-(* Structural rules on the statement tree. *)
-let rec check_stmt ~in_compute s =
+module Smap = Map.Make (String)
+
+(* The names in scope that denote an array of constant element count.  A
+   declaration of anything else shadows the name out of the map: scalars,
+   pointers and run-time extents, whose ranges the runtime checks when the
+   transfer executes. *)
+let declare extents v t =
+  match const_elements t with
+  | Some n -> Smap.add v n extents
+  | None -> Smap.remove v extents
+
+(* A constant subarray must end inside its array's constant extent. *)
+let check_extents extents d =
+  List.iter
+    (fun sub ->
+      match
+        (Option.bind sub.sub_lo const_int, Option.bind sub.sub_len const_int)
+      with
+      | Some lo, Some len -> (
+          match Smap.find_opt sub.sub_var extents with
+          | Some n when lo + len > n ->
+              invalid d.dloc
+                "subarray '%s[%d:%d]' runs past the end of '%s' (%d \
+                 element(s))"
+                sub.sub_var lo len sub.sub_var n
+          | _ -> ())
+      | _ -> ())
+    (subarrays d)
+
+(* Structural rules on the statement tree.  [check_stmt] returns the
+   extents in scope after [s]: a declaration adds its name for the rest of
+   the enclosing block. *)
+let rec check_block ~in_compute extents b =
+  ignore (List.fold_left (check_stmt ~in_compute) extents b)
+
+and check_stmt ~in_compute extents s =
   match s.skind with
-  | Sacc (d, body) -> (
+  | Sacc (d, body) ->
       check_directive d;
+      check_extents extents d;
       (match d.dir with
       | Acc_parallel | Acc_kernels | Acc_parallel_loop | Acc_kernels_loop ->
           if in_compute then
@@ -199,19 +239,38 @@ let rec check_stmt ~in_compute s =
           invalid d.dloc "'%s' must be followed by a for loop"
             (construct_name d.dir)
       | _ -> ());
-      Option.iter (check_stmt ~in_compute) body)
+      Option.iter (fun b -> ignore (check_stmt ~in_compute extents b)) body;
+      extents
+  | Sdecl (t, v, _) -> declare extents v t
   | Sif (_, b1, b2) ->
-      List.iter (check_stmt ~in_compute) b1;
-      List.iter (check_stmt ~in_compute) b2
-  | Swhile (_, b) -> List.iter (check_stmt ~in_compute) b
-  | Sfor (_, _, _, b) -> List.iter (check_stmt ~in_compute) b
-  | Sblock b -> List.iter (check_stmt ~in_compute) b
-  | Sskip | Sexpr _ | Sassign _ | Sdecl _ | Sreturn _ | Sbreak | Scontinue ->
-      ()
+      check_block ~in_compute extents b1;
+      check_block ~in_compute extents b2;
+      extents
+  | Swhile (_, b) | Sblock b ->
+      check_block ~in_compute extents b;
+      extents
+  | Sfor (init, _, _, b) ->
+      let inner =
+        Option.fold ~none:extents ~some:(check_stmt ~in_compute extents) init
+      in
+      check_block ~in_compute inner b;
+      extents
+  | Sskip | Sexpr _ | Sassign _ | Sreturn _ | Sbreak | Scontinue -> extents
 
 (** Validate every directive in [prog]; raises {!Invalid} on the first
     violation. *)
 let check_program prog =
+  let globals =
+    List.fold_left
+      (fun extents g ->
+        match g with Gvar (t, v, _) -> declare extents v t | Gfunc _ -> extents)
+      Smap.empty prog.globals
+  in
   List.iter
-    (fun f -> List.iter (check_stmt ~in_compute:false) f.f_body)
+    (fun f ->
+      (* parameters are pointers, whatever their declared extent *)
+      let extents =
+        List.fold_left (fun m p -> Smap.remove p.p_name m) globals f.f_params
+      in
+      check_block ~in_compute:false extents f.f_body)
     (functions prog)

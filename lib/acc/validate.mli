@@ -11,6 +11,7 @@ val allowed_on : Minic.Ast.construct -> Minic.Ast.clause -> bool
 (** Check one directive's clauses.  @raise Invalid on a violation. *)
 val check_directive : Minic.Ast.directive -> unit
 
-(** Validate every directive in the program.
+(** Validate every directive in the program, including that a constant
+    subarray ends inside its array's constant extent.
     @raise Invalid on the first violation. *)
 val check_program : Minic.Ast.program -> unit

@@ -307,16 +307,3 @@ let translate ?(opts = Options.default) env prog =
   let body = tr_block st main.f_body in
   let kernels = Array.of_list (List.rev st.kernels) in
   { source = prog; env; alias; kernels; body; tracked = st.tracked }
-
-(** Parse, validate, type check and translate a source string. *)
-let compile_string ?opts ?file src =
-  let prog = Parser.parse_string ?file src in
-  Acc.Validate.check_program prog;
-  let env = Typecheck.check prog in
-  translate ?opts env prog
-
-let compile_file ?opts path =
-  let prog = Parser.parse_file path in
-  Acc.Validate.check_program prog;
-  let env = Typecheck.check prog in
-  translate ?opts env prog

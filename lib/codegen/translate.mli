@@ -5,11 +5,10 @@
     baseline of the paper's Figure 1.  Directive-containing callees are
     inlined first. *)
 
-(** Translate a validated, type-checked program (its [main]). *)
+(** Translate a validated, type-checked program (its [main]).  This is the
+    one place callees are inlined: when [prog] needs it, the inlined
+    program is re-typechecked, and the result's [source] and [env] are the
+    inlined program and its types.  Tools reach it through
+    [Openarc_core.Compiler]. *)
 val translate :
   ?opts:Options.t -> Minic.Typecheck.env -> Minic.Ast.program -> Tprog.t
-
-(** Parse + validate + type check + translate a source string. *)
-val compile_string : ?opts:Options.t -> ?file:string -> string -> Tprog.t
-
-val compile_file : ?opts:Options.t -> string -> Tprog.t

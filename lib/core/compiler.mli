@@ -1,45 +1,25 @@
-(** Facade over the whole OpenARC pipeline: parse, validate, type check,
-    translate, (optionally instrument), run, verify, optimize.  This is the
-    entry point the examples and the CLI use. *)
+(** The one front end of the OpenARC pipeline: parse, validate, type check
+    and translate.  The CLI commands, {!Kernel_verify}, {!Session},
+    {!Faults}, {!Fault_matrix}, [Lint], [Saturate], the bench tiers and the
+    examples all compile through it, so every tool accepts and rejects the
+    same programs.
 
-type compiled = {
-  program : Minic.Ast.program;
-  env : Minic.Typecheck.env;
-  tprog : Codegen.Tprog.t;  (** uninstrumented translation *)
-}
+    The result is the translation itself.  Its [source] is the program that
+    was translated — with directive-containing callees inlined into [main]
+    ({!Codegen.Inline}) — and its [env] holds that program's types, so a
+    tool that executes or edits the source reads [source], never the
+    program it passed in.  Instrument it with {!Codegen.Checkgen.instrument}
+    and run it with {!Accrt.Interp.run}. *)
 
-(** Compile a source string end to end.  [obs] records one phase span per
-    pipeline stage (parse, validate, typecheck, translate) plus a
-    ["kernels"] counter.
+(** Compile a source string.  [obs] records one phase span per stage
+    (parse, validate, typecheck, translate) plus a ["kernels"] counter.
     @raise Minic.Loc.Error on lexical/syntax/type errors
     @raise Acc.Validate.Invalid on OpenACC misuse *)
 val compile :
   ?opts:Codegen.Options.t -> ?file:string -> ?obs:Obs.Trace.t -> string ->
-  compiled
+  Codegen.Tprog.t
 
-val compile_file : ?opts:Codegen.Options.t -> string -> compiled
-
+(** Compile a parsed program: {!compile} without the parse stage. *)
 val compile_program :
-  ?opts:Codegen.Options.t -> ?obs:Obs.Trace.t -> Minic.Ast.program -> compiled
-
-(** Execute the translated program on the simulated device. *)
-val run :
-  ?seed:int -> ?cm:Gpusim.Costmodel.t -> compiled -> Accrt.Interp.outcome
-
-(** Execute with coherence instrumentation and collect transfer reports. *)
-val run_instrumented :
-  ?mode:Codegen.Checkgen.mode -> ?seed:int -> ?cm:Gpusim.Costmodel.t ->
-  compiled -> Accrt.Interp.outcome
-
-(** Sequential reference execution of the unmodified source. *)
-val run_reference : compiled -> Accrt.Eval.ctx
-
-(** Kernel verification (§III-A). *)
-val verify :
-  ?opts:Codegen.Options.t -> ?config:Vconfig.t -> ?obs:Obs.Trace.t ->
-  ?trace:bool -> compiled -> Kernel_verify.t
-
-(** Interactive memory-transfer optimization (§III-B / Figure 2). *)
-val optimize :
-  ?policy:Session.policy -> ?max_iterations:int -> outputs:string list ->
-  compiled -> Session.result
+  ?opts:Codegen.Options.t -> ?obs:Obs.Trace.t -> Minic.Ast.program ->
+  Codegen.Tprog.t

@@ -60,8 +60,7 @@ let run ?(seed = 42) ?(kinds = Gpusim.Fault_plan.all_kinds)
   List.iter
     (fun s ->
       let prog = Minic.Parser.parse_string ~file:s.s_name s.s_source in
-      let c = Compiler.compile_program prog in
-      let tp = c.Compiler.tprog in
+      let tp = Compiler.compile_program prog in
       let reference = (Accrt.Eval.run_reference prog).Accrt.Eval.env in
       let base_time_for devices =
         let baseline =

@@ -53,11 +53,9 @@ let census_of_program ?config prog =
   let stripped = strip_parallelism_clauses prog in
   let opts = Codegen.Options.fault_injection in
   (* Census (private/reduction kernels) comes from the *normal* compile. *)
-  let env = Minic.Typecheck.check prog in
-  let tp_normal = Codegen.Translate.translate env prog in
-  let env_s = Minic.Typecheck.check stripped in
-  let tp_faulty = Codegen.Translate.translate ~opts env_s stripped in
-  let v = Kernel_verify.verify ~opts ?config stripped in
+  let tp_normal = Compiler.compile_program prog in
+  let tp_faulty = Compiler.compile_program ~opts stripped in
+  let v = Kernel_verify.verify_tprog ?config tp_faulty in
   let detected =
     List.filter_map
       (fun r ->

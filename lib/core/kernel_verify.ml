@@ -61,24 +61,14 @@ let shadow_ctx (ctx : Accrt.Eval.ctx) =
          | Accrt.Value.Array _ -> b)
        ctx.Accrt.Eval.env)
 
-(** Verify [prog].  [opts] controls translation (use
-    {!Codegen.Options.fault_injection} to reproduce Table II).  Returns the
-    per-kernel verdicts, the simulated cost of the verification run, and the
-    cost of the pure sequential execution. *)
-let verify ?(opts = Codegen.Options.default) ?(config = Vconfig.default)
-    ?(engine = Accrt.Engine.Compiled) ?(env = None) ?cm ?obs ?(trace = false)
-    ?(symbolic = false) prog =
-  (* Directive-containing callees are inlined so that kernel ids and the
-     reference execution agree on one program. *)
-  let prog, env =
-    if Codegen.Inline.needs_expansion prog then
-      (Codegen.Inline.expand prog, None)
-    else (prog, env)
-  in
-  let tenv =
-    match env with Some e -> e | None -> Minic.Typecheck.check prog
-  in
-  let tp = Codegen.Translate.translate ~opts tenv prog in
+(** Verify a translation.  Returns the per-kernel verdicts, the simulated
+    cost of the verification run, and the cost of the pure sequential
+    execution. *)
+let verify_tprog ?(config = Vconfig.default) ?(engine = Accrt.Engine.Compiled)
+    ?cm ?obs ?(trace = false) ?(symbolic = false) (tp : Codegen.Tprog.t) =
+  (* The translated source has its directive-containing callees inlined,
+     so kernel ids and the reference execution agree on one program. *)
+  let prog = tp.source in
   let device = Gpusim.Device.create ?cm ~trace () in
   let metrics = device.Gpusim.Device.metrics in
   let cmodel = device.Gpusim.Device.cm in
@@ -350,6 +340,12 @@ let verify ?(opts = Codegen.Options.default) ?(config = Vconfig.default)
      normalization baseline. *)
   { reports; metrics; timeline = device.Gpusim.Device.timeline;
     sequential_ops = vctx.Accrt.Eval.ops; symeq }
+
+(** Verify [prog].  [opts] controls translation (use
+    {!Codegen.Options.fault_injection} to reproduce Table II). *)
+let verify ?opts ?config ?engine ?cm ?obs ?trace ?symbolic prog =
+  verify_tprog ?config ?engine ?cm ?obs ?trace ?symbolic
+    (Compiler.compile_program ?opts prog)
 
 let pp_report ppf r =
   if kernel_ok r then

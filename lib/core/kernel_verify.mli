@@ -40,15 +40,15 @@ type t = {
 val kernel_ok : kernel_report -> bool
 val detected_errors : t -> kernel_report list
 
-(** Verify [prog]; [opts] controls translation (use
-    {!Codegen.Options.fault_injection} for the Table II experiment);
+(** Verify a translation made by {!Compiler}: every kernel of [tp] runs
+    against the sequential reference of [tp]'s source (the program with
+    its callees inlined).
     [engine] selects the execution engine of the reference run, of every
     compute region's sequential run and of the simulated kernels —
     {!Accrt.Engine.Compiled} (default) compiles each kernel's body and
     sequential source once per verification run, {!Accrt.Engine.Tree}
     walks them (verdicts, [sequential_ops] and metrics are
-    engine-independent);
-    [env] may pass a pre-computed type environment.  [obs] records a
+    engine-independent).  [obs] records a
     "verify" phase span with one [Kernel] span per verified occurrence and
     all metrics charges; [trace] additionally records the device timeline
     (exported as [Device] leaves when [obs] is also given).
@@ -61,9 +61,18 @@ val detected_errors : t -> kernel_report list
     cross-checked.  With [obs], the tier runs under a "symeq" phase span
     and records [symeq.proved]/[symeq.disproved]/[symeq.unknown]
     counters. *)
+val verify_tprog :
+  ?config:Vconfig.t -> ?engine:Accrt.Engine.t -> ?cm:Gpusim.Costmodel.t ->
+  ?obs:Obs.Trace.t -> ?trace:bool -> ?symbolic:bool -> Codegen.Tprog.t -> t
+
+(** Compile [prog] with {!Compiler.compile_program} and verify the
+    translation; [opts] controls translation (use
+    {!Codegen.Options.fault_injection} for the Table II experiment).
+    @raise Minic.Loc.Error on type errors
+    @raise Acc.Validate.Invalid on OpenACC misuse *)
 val verify :
   ?opts:Codegen.Options.t -> ?config:Vconfig.t -> ?engine:Accrt.Engine.t ->
-  ?env:Minic.Typecheck.env option -> ?cm:Gpusim.Costmodel.t ->
-  ?obs:Obs.Trace.t -> ?trace:bool -> ?symbolic:bool -> Minic.Ast.program -> t
+  ?cm:Gpusim.Costmodel.t -> ?obs:Obs.Trace.t -> ?trace:bool ->
+  ?symbolic:bool -> Minic.Ast.program -> t
 
 val pp_report : Format.formatter -> kernel_report -> unit

@@ -166,14 +166,19 @@ let rec apply_action prog (a : Suggest.action) =
     the detour is recorded as an incorrect iteration. *)
 let optimize ?(policy = Follow_all) ?(max_iterations = 12) ?(devices = 1)
     ?schedule ~outputs prog =
-  (* Work on the inlined program so report sites and directive edits refer
-     to the same statements. *)
-  let prog =
-    if Codegen.Inline.needs_expansion prog then Codegen.Inline.expand prog
-    else prog
+  (* Work on the translated (inlined) source so report sites and
+     directive edits refer to the same statements.  The first iteration
+     runs this translation; every later one compiles its edited program. *)
+  let first = Compiler.compile_program prog in
+  let prog = first.Codegen.Tprog.source in
+  let pending = ref (Some first) in
+  let compile prog =
+    match !pending with
+    | Some tp ->
+        pending := None;
+        tp
+    | None -> Compiler.compile_program prog
   in
-  Acc.Validate.check_program prog;
-  ignore (Minic.Typecheck.check prog);
   let reference = (Accrt.Eval.run_reference prog).Accrt.Eval.env in
   List.iter
     (fun name ->
@@ -266,9 +271,7 @@ let optimize ?(policy = Follow_all) ?(max_iterations = 12) ?(devices = 1)
       in
       let outcome_or_err =
         try
-          let env = Minic.Typecheck.check prog in
-          let tp = Codegen.Translate.translate env prog in
-          let tp = Codegen.Checkgen.instrument tp in
+          let tp = Codegen.Checkgen.instrument (compile prog) in
           Ok
             (Accrt.Interp.run ~coherence:true ~devices ?schedule ~obs:tr
                ~ledger:lg ~kcache tp)
@@ -594,9 +597,7 @@ let to_json ~name r =
     Used to quantify leftover (uncaught) redundancy against the manually
     optimized version. *)
 let transfer_stats prog =
-  let env = Minic.Typecheck.check prog in
-  let tp = Codegen.Translate.translate env prog in
-  let o = Accrt.Interp.run ~coherence:false tp in
+  let o = Accrt.Interp.run ~coherence:false (Compiler.compile_program prog) in
   let m = Accrt.Interp.metrics o in
   (m.Gpusim.Metrics.transfers_h2d + m.Gpusim.Metrics.transfers_d2h,
    Gpusim.Metrics.total_bytes m)

@@ -77,7 +77,10 @@ val apply_action : Minic.Ast.program -> Suggest.action -> Minic.Ast.program
     loop include per-device staleness — e.g. cross-device redundant
     transfers.  A session that stops without converging returns, as
     [final], the latest program whose outputs matched the reference (the
-    input program if none did).
+    input program, with its callees inlined, if none did).  Every
+    iteration's program is compiled by {!Compiler}.
+    @raise Minic.Loc.Error on type errors
+    @raise Acc.Validate.Invalid on OpenACC misuse
     @raise Failure when an output names no variable of the program's
     sequential reference run. *)
 val optimize :
@@ -85,5 +88,6 @@ val optimize :
   ?schedule:Gpusim.Device_set.schedule -> outputs:string list ->
   Minic.Ast.program -> result
 
-(** Dynamic transfer statistics of a program: (transfer count, bytes). *)
+(** Dynamic transfer statistics of a program compiled by {!Compiler}:
+    (transfer count, bytes). *)
 val transfer_stats : Minic.Ast.program -> int * int

@@ -9,20 +9,4 @@ let run_tprog ?mode tp =
   Diag.sort (List.sort_uniq compare ds)
 
 let run_program ?opts prog =
-  Acc.Validate.check_program prog;
-  let env = Minic.Typecheck.check prog in
-  run_tprog (Codegen.Translate.translate ?opts env prog)
-
-let run_string ?opts ?(fault = false) ?(file = "<input>") src =
-  let prog = Minic.Parser.parse_string ~file src in
-  let prog =
-    if fault then Openarc_core.Faults.strip_parallelism_clauses prog else prog
-  in
-  let opts =
-    match opts with
-    | Some o -> o
-    | None ->
-        if fault then Codegen.Options.fault_injection
-        else Codegen.Options.default
-  in
-  run_program ~opts prog
+  run_tprog (Openarc_core.Compiler.compile_program ?opts prog)

@@ -8,20 +8,11 @@ module Diag = Diag
 module Race = Race
 module Xfer = Xfer
 
-(** Lint an already compiled program. *)
+(** Lint a program compiled by [Openarc_core.Compiler]. *)
 val run_tprog : ?mode:Codegen.Checkgen.mode -> Codegen.Tprog.t -> Diag.t list
 
-(** Validate, type check, translate and lint a parsed program.
+(** Compile a parsed program through [Openarc_core.Compiler] and lint it.
     @raise Minic.Loc.Error on type errors
     @raise Acc.Validate.Invalid on OpenACC misuse *)
 val run_program :
   ?opts:Codegen.Options.t -> Minic.Ast.program -> Diag.t list
-
-(** Parse and lint a source string.  [fault] applies the Table II fault
-    injection first (strip [private]/[reduction] clauses, disable automatic
-    recognition) — under it the detector must flag all 20 injected races.
-    @raise Minic.Loc.Error on lexical/syntax/type errors
-    @raise Acc.Validate.Invalid on OpenACC misuse *)
-val run_string :
-  ?opts:Codegen.Options.t -> ?fault:bool -> ?file:string -> string ->
-  Diag.t list

@@ -1153,6 +1153,18 @@ let run ?(coherence = true) ?(engine = Engine.Compiled) ?granularity
           | Some lo, Some len -> Some (eval_int lo, eval_int len)
           | _ -> None
         in
+        (* A subarray must lie inside the host buffer: reject it before
+           any transfer state moves. *)
+        (match range with
+        | Some (lo, len) ->
+            let n = Gpusim.Buf.length (Value.array_buf env x.x_var) in
+            if lo < 0 || len < 0 || lo + len > n then
+              Value.error
+                "subarray %s[%d:%d] at %s (%a) is outside the %d element(s) \
+                 of '%s'"
+                x.x_var lo len x.x_site.site_label Minic.Loc.pp
+                x.x_site.site_loc n x.x_var
+        | None -> ());
         charge_host ();
         let async = eval_async x.x_async in
         Hashtbl.replace site_execs x.x_site.site_id
@@ -1382,14 +1394,3 @@ let run ?(coherence = true) ?(engine = Engine.Compiled) ?granularity
         devset.Gpusim.Device_set.devices);
   { ctx; device; devset; coherence = coh; tprog = tp; site_execs; sites;
     resilience = stats; imbalance = ilog }
-
-(** Convenience: compile and run a source string (uninstrumented unless
-    [instrument] is set). *)
-let run_string ?opts ?(instrument = false) ?mode ?engine ?granularity
-    ?coherence ?seed ?cm ?plan ?resilience ?devices ?schedule ?obs ?ledger
-    ?audit ?kcache src =
-  let tp = Codegen.Translate.compile_string ?opts src in
-  let tp = if instrument then Codegen.Checkgen.instrument ?mode tp else tp in
-  let coherence = Option.value coherence ~default:instrument in
-  run ~coherence ?engine ?granularity ?seed ?cm ?plan ?resilience ?devices
-    ?schedule ?obs ?ledger ?audit ?kcache tp

@@ -105,14 +105,3 @@ val run :
   ?schedule:Gpusim.Device_set.schedule -> ?obs:Obs.Trace.t ->
   ?ledger:Obs.Ledger.t -> ?audit:Obs.Audit.t -> ?kcache:Compile.store ->
   Codegen.Tprog.t -> outcome
-
-(** Compile and run a source string (instrumented when [instrument]). *)
-val run_string :
-  ?opts:Codegen.Options.t -> ?instrument:bool -> ?mode:Codegen.Checkgen.mode ->
-  ?engine:Engine.t ->
-  ?granularity:Coherence.granularity -> ?coherence:bool -> ?seed:int ->
-  ?cm:Gpusim.Costmodel.t -> ?plan:Gpusim.Fault_plan.t ->
-  ?resilience:Resilience.policy -> ?devices:int ->
-  ?schedule:Gpusim.Device_set.schedule -> ?obs:Obs.Trace.t ->
-  ?ledger:Obs.Ledger.t -> ?audit:Obs.Audit.t -> ?kcache:Compile.store ->
-  string -> outcome

@@ -12,11 +12,14 @@
     Each step applies the highest-predicted-saving candidate and walks a
     validation ladder before committing:
 
-    + static validity (directive well-formedness, typechecking);
     + print→reparse round trip to the structurally identical AST (the
       patched program must survive being written out);
+    + static validity: the reparsed candidate compiles through
+      {!Openarc_core.Compiler} (directive well-formedness, typechecking),
+      once — every later rung, and the next step's ledger run, uses that
+      one translation;
     + §III-A kernel verification with the symbolic tier first
-      ({!Openarc_core.Kernel_verify.verify} [~symbolic:true]), so proved
+      ({!Openarc_core.Kernel_verify.verify_tprog} [~symbolic:true]), so proved
       kernels cost zero device launches;
     + bit-identical designated host outputs against the *original*
       program under both execution engines and 1/2/4-device sets;
@@ -108,15 +111,11 @@ let profile_categories =
 
 let mem_cat = Gpusim.Metrics.category_name Gpusim.Metrics.Mem_transfer
 
-let translate prog =
-  let env = Typecheck.check prog in
-  Codegen.Translate.translate env prog
-
-(* One instrumented, coherence-on, ledger-attached run: the scoring side
-   of the search.  Conservation against the metrics accumulators is an
-   invariant, not a tolerance. *)
-let ledger_analysis ~name ~seed ~devices prog =
-  let tp = Codegen.Checkgen.instrument (translate prog) in
+(* One instrumented, coherence-on, ledger-attached run of a translation:
+   the scoring side of the search.  Conservation against the metrics
+   accumulators is an invariant, not a tolerance. *)
+let ledger_analysis ~name ~seed ~devices tp =
+  let tp = Codegen.Checkgen.instrument tp in
   let lg =
     Obs.Ledger.create ~devices
       ~schedule:(Gpusim.Device_set.schedule_name Gpusim.Device_set.Block)
@@ -595,19 +594,23 @@ let run ?(config = default_config) ~name ~outputs prog0 =
      (`data<sid>.copyin(v)`) and from there into the report, so the
      search must not observe how many statements the process parsed
      before it. *)
-  let prog0 =
-    Parser.parse_string ~file:"<saturate>" (Pretty.program_to_string prog0)
+  let tp0 =
+    Openarc_core.Compiler.compile_program
+      (Parser.parse_string ~file:"<saturate>" (Pretty.program_to_string prog0))
   in
+  (* Edit the translated (inlined) source, whose statements the ledger's
+     sites name. *)
+  let prog0 = tp0.Codegen.Tprog.source in
   let seed = config.seed in
   let store = Accrt.Compile.create_store () in
   let hits = ref 0 and compiles = ref 0 in
   (* Compiled-engine run sharing the cross-iteration kernel store; its
      counters accumulate into the search-wide hit/compile totals. *)
-  let compiled_run ~devices prog =
+  let compiled_run ~devices tp =
     let tr = Obs.Trace.create () in
     let o =
       Accrt.Interp.run ~coherence:false ~engine:Accrt.Engine.Compiled ~seed
-        ~devices ~obs:tr ~kcache:store (translate prog)
+        ~devices ~obs:tr ~kcache:store tp
     in
     List.iter
       (fun (n, v) ->
@@ -616,16 +619,16 @@ let run ?(config = default_config) ~name ~outputs prog0 =
       (Obs.Trace.counters tr);
     o
   in
-  let tree_run ?obs ~devices prog =
+  let tree_run ?obs ~devices tp =
     Accrt.Interp.run ~coherence:false ~engine:Accrt.Engine.Tree ~seed
-      ~devices ?obs (translate prog)
+      ~devices ?obs tp
   in
   (* The measured side of every prediction: a traced tree-engine run on
      one device (the committed profile baseline's configuration) — its
      outcome, profile and simulated total. *)
-  let measured_run prog =
+  let measured_run tp =
     let tr = Obs.Trace.create () in
-    let o = tree_run ~obs:tr ~devices:1 prog in
+    let o = tree_run ~obs:tr ~devices:1 tp in
     ( o,
       (Obs.Profile.of_trace ~categories:profile_categories tr,
        Gpusim.Metrics.total_time (Accrt.Interp.metrics o)) )
@@ -633,14 +636,14 @@ let run ?(config = default_config) ~name ~outputs prog0 =
   (* The designated outputs of one run of a checked configuration, and
      its measurement when it is the tree-engine single-device run: that
      output check is the measurement run itself, so no rung repeats it. *)
-  let run_config prog cfg =
+  let run_config tp cfg =
     let o, m =
       match cfg with
       | Accrt.Engine.Tree, 1 ->
-          let o, m = measured_run prog in
+          let o, m = measured_run tp in
           (o, Some m)
-      | Accrt.Engine.Tree, devices -> (tree_run ~devices prog, None)
-      | Accrt.Engine.Compiled, devices -> (compiled_run ~devices prog, None)
+      | Accrt.Engine.Tree, devices -> (tree_run ~devices tp, None)
+      | Accrt.Engine.Compiled, devices -> (compiled_run ~devices tp, None)
     in
     (outputs_of ~outputs o, m)
   in
@@ -650,24 +653,20 @@ let run ?(config = default_config) ~name ~outputs prog0 =
     List.concat_map
       (fun devices ->
         List.map
-          (fun cfg -> (cfg, run_config prog0 cfg))
+          (fun cfg -> (cfg, run_config tp0 cfg))
           [ (Accrt.Engine.Tree, devices); (Accrt.Engine.Compiled, devices) ])
       config.check_devices
   in
   let before =
     match List.find_map (fun (_, (_, m)) -> m) reference with
     | Some m -> m
-    | None -> snd (measured_run prog0)
+    | None -> snd (measured_run tp0)
   in
-  (* Returns the canonical patched program — every later rung, and once
-     accepted the next step, runs on it — with its measurement. *)
+  (* Returns the canonical patched program with its one translation —
+     every later rung, and once accepted the next step, runs on it — and
+     its measurement. *)
   let validate cand_prog =
-    (* 1. static validity *)
-    (try
-       Acc.Validate.check_program cand_prog;
-       ignore (Typecheck.check cand_prog)
-     with e -> raise (Rejected ("invalid program: " ^ Printexc.to_string e)));
-    (* 2. print -> reparse round trip.  The reparse runs under a rebased
+    (* 1. print -> reparse round trip.  The reparse runs under a rebased
        sid allocator, so the statements an edit created get the sids
        their position in the printed program gives them, not whatever the
        search's own translations and runs had allocated by then. *)
@@ -683,9 +682,14 @@ let run ?(config = default_config) ~name ~outputs prog0 =
           raise
             (Rejected ("patched source unparseable: " ^ Printexc.to_string e))
     in
+    (* 2. static validity: the one compilation of the candidate *)
+    let tp =
+      try Openarc_core.Compiler.compile_program cand_prog
+      with e -> raise (Rejected ("invalid program: " ^ Printexc.to_string e))
+    in
     (* 3. kernel verification, symbolic tier first *)
     let kv =
-      try Openarc_core.Kernel_verify.verify ~symbolic:true cand_prog
+      try Openarc_core.Kernel_verify.verify_tprog ~symbolic:true tp
       with e ->
         raise
           (Rejected ("kernel verification crashed: " ^ Printexc.to_string e))
@@ -709,7 +713,7 @@ let run ?(config = default_config) ~name ~outputs prog0 =
             | Accrt.Engine.Compiled -> "compiled"
           in
           let outs, m =
-            try run_config cand_prog cfg
+            try run_config tp cfg
             with e ->
               raise
                 (Rejected
@@ -727,22 +731,25 @@ let run ?(config = default_config) ~name ~outputs prog0 =
     (* 5. the measurement: rung 4's tree x1 run, unless the ladder skipped
        that configuration *)
     match measurement with
-    | Some m -> (cand_prog, m)
+    | Some m -> (cand_prog, tp, m)
     | None -> (
-        match measured_run cand_prog with
-        | _, m -> (cand_prog, m)
+        match measured_run tp with
+        | _, m -> (cand_prog, tp, m)
         | exception e ->
             raise
               (Rejected ("measurement run failed: " ^ Printexc.to_string e)))
   in
   let prog = ref prog0 in
+  let prog_tp = ref tp0 in  (* translation of [!prog] *)
   let current = ref before in  (* measurement of [!prog] *)
   let steps = ref [] in
   let step_idx = ref 0 in
   let rejected = Hashtbl.create 8 in
   let finished = ref false in
   while (not !finished) && !step_idx < config.max_steps do
-    let analysis, outcome = ledger_analysis ~name ~seed ~devices:1 !prog in
+    let analysis, outcome =
+      ledger_analysis ~name ~seed ~devices:1 !prog_tp
+    in
     let tp = outcome.Accrt.Interp.tprog in
     let floor = config.materiality *. analysis.Obs.Ledger.a_transfer_s in
     let cands =
@@ -784,13 +791,14 @@ let run ?(config = default_config) ~name ~outputs prog0 =
         | cand_prog -> (
             match validate cand_prog with
             | exception Rejected reason -> reject reason
-            | cand_prog, ((after_profile, _) as m) ->
+            | cand_prog, cand_tp, ((after_profile, _) as m) ->
                 let measured = mem_saving (fst !current) after_profile in
                 if
                   measured >= 0.25 *. c.c_predicted_s
                   && measured <= 4.0 *. c.c_predicted_s
                 then begin
                   prog := cand_prog;
+                  prog_tp := cand_tp;
                   current := m;
                   record ~measured ~accepted:true ~reason:"accepted"
                 end

@@ -6,8 +6,9 @@
     proven-fresh array to [present]/[copyin]/[copyout], merge adjacent
     kernels' round trips under one region — plus structural fusion of
     compatible adjacent kernels, then runs a greedy-with-rollback search:
-    apply the top-ranked candidate, validate it (static validity →
-    print/reparse round trip → §III-A kernel verification with the
+    apply the top-ranked candidate, validate it (print/reparse round
+    trip → static validity, the reparse's one compilation through
+    [Openarc_core.Compiler] → §III-A kernel verification with the
     symbolic tier first → bit-identical designated outputs under both
     engines and 1/2/4-device sets → measured diff-profile corroboration
     within 0.25–4x of the prediction), re-run the ledger, repeat until no
@@ -83,7 +84,11 @@ val candidates :
   Accrt.Interp.outcome -> candidate list
 
 (** Run the search.  [outputs] are the designated host-visible outputs
-    whose bit-identity every accepted rewrite must preserve. *)
+    whose bit-identity every accepted rewrite must preserve.  The search
+    edits [prog]'s translated source (callees inlined), which is also
+    what [r_program] holds.
+    @raise Minic.Loc.Error or Acc.Validate.Invalid when [prog] does not
+    compile through [Openarc_core.Compiler] *)
 val run :
   ?config:config -> name:string -> outputs:string list ->
   Minic.Ast.program -> t

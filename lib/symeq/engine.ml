@@ -992,13 +992,8 @@ let check_tprog tp =
       count (fun k -> match k.kv_verdict with Unknown _ -> true | _ -> false) }
 
 let check_program ?(opts = Codegen.Options.default) prog =
-  let prog =
-    if Codegen.Inline.needs_expansion prog then Codegen.Inline.expand prog
-    else prog
-  in
-  let tenv = Minic.Typecheck.check prog in
-  let tp = Codegen.Translate.translate ~opts tenv prog in
-  check_tprog tp
+  check_tprog
+    (Codegen.Translate.translate ~opts (Minic.Typecheck.check prog) prog)
 
 (* ------------------------------ printing ----------------------------- *)
 

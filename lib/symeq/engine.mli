@@ -64,9 +64,11 @@ val check_tprog : Codegen.Tprog.t -> t
 (** Verdicts for every kernel of a translated program, in kernel order. *)
 
 val check_program : ?opts:Codegen.Options.t -> Minic.Ast.program -> t
-(** Convenience: inline, typecheck and translate [prog], then run
-    {!check_tprog}.  Raises the usual front-end exceptions on invalid
-    programs. *)
+(** Convenience: typecheck and translate a validated [prog] (callees
+    are inlined by the translation), then run {!check_tprog}.  Raises the
+    usual front-end exceptions on ill-typed programs.  This library sits
+    below [Openarc_core.Compiler]; tools that have its translation call
+    {!check_tprog}. *)
 
 val pp_kernel : Format.formatter -> kernel_verdict -> unit
 val pp : Format.formatter -> t -> unit

@@ -29,7 +29,9 @@ let () =
     (fun (b : Suite.Bench_def.t) ->
       List.iter
         (fun (vname, src) ->
-          let ds = Lint.run_string ~file:b.name src in
+          let ds =
+            Lint.run_tprog (Openarc_core.Compiler.compile ~file:b.name src)
+          in
           let text =
             normalize_sites
               (Lint.Diag.to_text

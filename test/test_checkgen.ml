@@ -6,7 +6,7 @@ open Codegen
 open Codegen.Tprog
 
 let instrument ?mode src =
-  Checkgen.instrument ?mode (Translate.compile_string src)
+  Checkgen.instrument ?mode (Openarc_core.Compiler.compile src)
 
 (* Flattened (depth, tkind) list for structural assertions. *)
 let flat tp =
@@ -218,7 +218,7 @@ let instrumentation_transparent =
            update host(b)\n}\nreturn 0; }"
           (iters + 1) rhs
       in
-      let tp = Translate.compile_string src in
+      let tp = Openarc_core.Compiler.compile src in
       let base = Accrt.Interp.run ~coherence:false tp in
       let buf_of o = Accrt.Interp.host_array o "b" in
       let same o =
@@ -257,7 +257,7 @@ let no_false_errors =
            device(a)\n}\n}\nfloat cs = a[0];\nreturn 0; }"
           iters
       in
-      let tp = Checkgen.instrument (Translate.compile_string src) in
+      let tp = Checkgen.instrument (Openarc_core.Compiler.compile src) in
       let o = Accrt.Interp.run ~coherence:true tp in
       not
         (List.exists

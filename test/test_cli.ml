@@ -16,6 +16,21 @@ let run_cmd args =
   Sys.remove out;
   (code, text)
 
+(* Like [run_cmd], with stdout and stderr kept apart. *)
+let run_split args =
+  let out = Filename.temp_file "openarc_cli" ".out" in
+  let err = Filename.temp_file "openarc_cli" ".err" in
+  let code =
+    Sys.command
+      (Fmt.str "%s %s > %s 2> %s" exe args (Filename.quote out)
+         (Filename.quote err))
+  in
+  let read path = In_channel.with_open_bin path In_channel.input_all in
+  let stdout_text = read out and stderr_text = read err in
+  Sys.remove out;
+  Sys.remove err;
+  (code, stdout_text, stderr_text)
+
 let contains ~needle s =
   let n = String.length needle and m = String.length s in
   let rec go i = i + n <= m && (String.sub s i n = needle || go (i + 1)) in
@@ -176,25 +191,21 @@ let test_saturate_errors () =
     Alcotest.(check bool) "saturate --json --apply: names the fix" true
       (contains ~needle:"--out" out);
     (* unknown flags on both optimizer entry points: usage to stderr,
-       stdout silent, exit 2 *)
+       stdout silent, exit 2.  Neither takes --fault-injection: the search
+       runs with automatic recognition on, so it could not search Table
+       II's build. *)
     List.iter
-      (fun sub ->
-        let out = Filename.temp_file "openarc_cli" ".out" in
-        let err = Filename.temp_file "openarc_cli" ".err" in
-        let code =
-          Sys.command
-            (Fmt.str "%s %s bench:jacobi --no-such-flag > %s 2> %s" exe sub
-               (Filename.quote out) (Filename.quote err))
+      (fun (sub, flag) ->
+        let what = Fmt.str "%s %s" sub flag in
+        let code, stdout_text, stderr_text =
+          run_split (Fmt.str "%s bench:jacobi %s" sub flag)
         in
-        let stdout_text = read_file out and stderr_text = read_file err in
-        Sys.remove out;
-        Sys.remove err;
-        Alcotest.(check int) (sub ^ " unknown flag: exit 2") 2 code;
-        Alcotest.(check bool) (sub ^ " unknown flag: usage on stderr") true
+        Alcotest.(check int) (what ^ ": exit 2") 2 code;
+        Alcotest.(check bool) (what ^ ": usage on stderr") true
           (contains ~needle:("Usage: openarc " ^ sub) stderr_text);
-        Alcotest.(check string) (sub ^ " unknown flag: stdout silent") ""
-          stdout_text)
-      [ "saturate"; "optimize" ]
+        Alcotest.(check string) (what ^ ": stdout silent") "" stdout_text)
+      [ ("saturate", "--no-such-flag"); ("optimize", "--no-such-flag");
+        ("saturate", "--fault-injection"); ("optimize", "--fault-injection") ]
   end
 
 let test_multi_device () =
@@ -737,6 +748,113 @@ let test_fault_matrix () =
     Alcotest.(check int) "unknown kind: exit 2" 2 code
   end
 
+(* One expected outcome per malformed input, from every command that
+   takes a program: exit 2 with one located line on stderr, never 125.
+   A subarray whose constant bounds run past a constant extent is a
+   validation error; one whose length is only known at run time fails
+   the run (exit 1) with a message naming the site. *)
+let test_exit_code_table () =
+  if available then begin
+    let with_data clause update =
+      Fmt.str
+        "int main() { int n = 100; float a[4];\n\
+         for (int i = 0; i < 4; i++) { a[i] = 0.0; }\n\
+         #pragma acc data %s\n\
+         {\n\
+         #pragma acc kernels loop\n\
+         for (int i = 0; i < 4; i++) { a[i] = 1.0; }\n\
+         %s}\n\
+         return 0; }\n"
+        clause update
+    in
+    let files = ref [] in
+    let source text =
+      let path = Filename.temp_file "openarc_cli" ".c" in
+      Out_channel.with_open_bin path (fun oc -> output_string oc text);
+      files := path :: !files;
+      path
+    in
+    let run_lines args =
+      let code, _, err = run_split args in
+      (code, List.filter (( <> ) "") (String.split_on_char '\n' err))
+    in
+    let commands =
+      [ "compile"; "run"; "profile"; "analyze --devices 2"; "memtrace";
+        "verify"; "saturate"; "optimize --outputs a"; "session --outputs a";
+        "lint" ]
+    in
+    (* row, FILE argument (None: bench:nope), what stderr must say *)
+    let malformed =
+      [ ("zero-length subarray", Some (with_data "copy(a[0:0])" ""),
+         "length must be positive");
+        ("copy past the end", Some (with_data "copy(a[0:100])" ""),
+         "'a[0:100]' runs past the end of 'a' (4 element(s))");
+        ("copyin past the end", Some (with_data "copyin(a[0:100])" ""),
+         "'a[0:100]' runs past the end of 'a' (4 element(s))");
+        ("update past the end",
+         Some (with_data "copyin(a)" "#pragma acc update host(a[1:9])\n"),
+         "'a[1:9]' runs past the end of 'a' (4 element(s))");
+        ("syntax error", Some "int main() { float a[4]; return 0 }\n",
+         "expected ';'");
+        ("type error", Some "int main() { float a[4]; a[0] = b; return 0; }\n",
+         "undeclared variable 'b'");
+        ("bench:nope", None, "unknown benchmark 'nope'") ]
+    in
+    List.iter
+      (fun (row, text, needle) ->
+        let path = Option.map source text in
+        List.iter
+          (fun cmd ->
+            let what = Fmt.str "%s / %s" row cmd in
+            let code, err =
+              run_lines
+                (Fmt.str "%s %s" cmd
+                   (Option.fold ~none:"bench:nope" ~some:Filename.quote path))
+            in
+            Alcotest.(check int) (what ^ ": exit 2") 2 code;
+            Alcotest.(check int) (what ^ ": one stderr line") 1
+              (List.length err);
+            let line = String.concat "" err in
+            Alcotest.(check bool) (what ^ ": says " ^ needle) true
+              (contains ~needle line);
+            match path with
+            | Some p ->
+                (* lint names FILE, the other commands <input> *)
+                let at = if cmd = "lint" then p else "<input>" in
+                Alcotest.(check bool) (what ^ ": located at " ^ at) true
+                  (contains ~needle:(" at " ^ at ^ ":") line)
+            | None -> ())
+          commands)
+      malformed;
+    (* the commands that run the program fail the run *)
+    let running =
+      [ "run"; "profile"; "analyze --devices 2"; "memtrace"; "saturate";
+        "optimize --outputs a" ]
+    in
+    let runtime = source (with_data "copy(a[0:n])" "") in
+    List.iter
+      (fun cmd ->
+        let code, err = run_lines (cmd ^ " " ^ Filename.quote runtime) in
+        let line = String.concat "" err in
+        Alcotest.(check bool) (cmd ^ ": run-time overrun is no crash") true
+          (code <> 125);
+        if List.mem cmd running then begin
+          Alcotest.(check int) (cmd ^ ": run-time overrun exits 1") 1 code;
+          Alcotest.(check bool) (cmd ^ ": names the site") true
+            (contains ~needle:"subarray a[0:100] at data" line
+            && contains ~needle:"outside the 4 element(s) of 'a'" line)
+        end)
+      commands;
+    (* session reports the failed iteration and carries on to its summary *)
+    let code, out =
+      run_cmd (Fmt.str "session %s --outputs a" (Filename.quote runtime))
+    in
+    Alcotest.(check int) "session: run-time overrun exits 0" 0 code;
+    Alcotest.(check bool) "session: failed iteration names the overrun" true
+      (contains ~needle:"failed: Mini-C runtime error: subarray a[0:100]" out);
+    List.iter Sys.remove !files
+  end
+
 let tests =
   [ Alcotest.test_case "benchmarks" `Quick test_benchmarks;
     Alcotest.test_case "compile" `Quick test_compile;
@@ -764,4 +882,5 @@ let tests =
     Alcotest.test_case "version" `Quick test_version;
     Alcotest.test_case "error handling" `Quick test_error_handling;
     Alcotest.test_case "session outputs" `Quick test_session_outputs;
-    Alcotest.test_case "kernel inputs" `Quick test_kernel_inputs ]
+    Alcotest.test_case "kernel inputs" `Quick test_kernel_inputs;
+    Alcotest.test_case "exit code table" `Quick test_exit_code_table ]

@@ -291,7 +291,8 @@ let test_one_device_commit_unaudited () =
   let commits devices =
     let audit = Obs.Audit.create () in
     ignore
-      (Accrt.Interp.run_string ~instrument:true ~devices ~audit src
+      (Accrt.Interp.run ~coherence:true ~devices ~audit
+         (Codegen.Checkgen.instrument (Openarc_core.Compiler.compile src))
         : Accrt.Interp.outcome);
     List.length
       (List.filter

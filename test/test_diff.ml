@@ -8,12 +8,9 @@ let categories =
   List.map Gpusim.Metrics.category_name Gpusim.Metrics.all_categories
 
 let profile_of_source ?file src =
-  let c = Openarc_core.Compiler.compile ?file src in
+  let tp = Openarc_core.Compiler.compile ?file src in
   let tr = Obs.Trace.create () in
-  let _o =
-    Accrt.Interp.run ~coherence:false ~seed:42 ~obs:tr
-      c.Openarc_core.Compiler.tprog
-  in
+  let _o = Accrt.Interp.run ~coherence:false ~seed:42 ~obs:tr tp in
   Obs.Profile.of_trace ~categories tr
 
 let profile_bench ?(opt = false) name =

@@ -3,7 +3,7 @@
 
 
 let run ?instrument ?trace src =
-  let tp = Codegen.Translate.compile_string src in
+  let tp = Openarc_core.Compiler.compile src in
   let tp =
     if instrument = Some true then Codegen.Checkgen.instrument tp else tp
   in

@@ -5,7 +5,8 @@
 
 open Minic
 
-let run src = Accrt.Interp.run_string src
+let run src =
+  Accrt.Interp.run ~coherence:false (Openarc_core.Compiler.compile src)
 let reference src = Accrt.Eval.run_reference (Parser.parse_string src)
 
 let out_f o name = Accrt.Value.to_float (Accrt.Interp.host_scalar o name)
@@ -32,7 +33,7 @@ let test_inlined_execution () =
     (ref_f r "d") (out_f o "d")
 
 let test_kernels_outlined_per_site () =
-  let tp = Codegen.Translate.compile_string saxpy_prog in
+  let tp = Openarc_core.Compiler.compile saxpy_prog in
   (* two saxpy call sites + one dot call = 3 kernels *)
   Alcotest.(check int) "three kernels" 3
     (Array.length tp.Codegen.Tprog.kernels);
@@ -103,7 +104,7 @@ let test_rejects_expression_calls () =
      int main() { float a[4]; float x = f(a, 4) + 1.0; return 0; }"
   in
   (try
-     ignore (Codegen.Translate.compile_string src);
+     ignore (Openarc_core.Compiler.compile src);
      Alcotest.fail "expected Not_inlinable"
    with Codegen.Inline.Not_inlinable _ -> ());
   let src_early_return =
@@ -113,7 +114,7 @@ let test_rejects_expression_calls () =
      0; }"
   in
   try
-    ignore (Codegen.Translate.compile_string src_early_return);
+    ignore (Openarc_core.Compiler.compile src_early_return);
     Alcotest.fail "expected Not_inlinable (early return)"
   with Codegen.Inline.Not_inlinable _ -> ()
 

@@ -6,8 +6,11 @@
 
 open Minic
 
-let run ?opts ?instrument src =
-  Accrt.Interp.run_string ?opts ?instrument src
+let run ?opts ?(instrument = false) src =
+  let tp = Openarc_core.Compiler.compile ?opts src in
+  if instrument then
+    Accrt.Interp.run ~coherence:true (Codegen.Checkgen.instrument tp)
+  else Accrt.Interp.run ~coherence:false tp
 
 let reference src = Accrt.Eval.run_reference (Parser.parse_string src)
 
@@ -112,7 +115,10 @@ let test_present_error () =
   in
   List.iter
     (fun (engine, devices) ->
-      match Accrt.Interp.run_string ~engine ~devices src with
+      match
+        Accrt.Interp.run ~coherence:false ~engine ~devices
+          (Openarc_core.Compiler.compile src)
+      with
       | _ -> Alcotest.fail "expected presence failure"
       | exception Gpusim.Device.Device_error m ->
           Alcotest.(check string)
@@ -122,6 +128,53 @@ let test_present_error () =
             m)
     [ (Accrt.Engine.Tree, 1); (Accrt.Engine.Compiled, 1);
       (Accrt.Engine.Tree, 2); (Accrt.Engine.Compiled, 2) ]
+
+(* A subarray whose run-time bounds leave the host buffer is a typed
+   runtime error naming the site and its location, raised before the
+   transfer moves any state: no byte comes back to the host. *)
+let test_subarray_overrun () =
+  let program clause update =
+    Fmt.str
+      "int main() { int n = 100; int k = 1; float a[4];\n\
+       #pragma acc data %s\n\
+       {\n\
+       #pragma acc kernels loop\n\
+       for (int i = 0; i < 4; i++) { a[i] = 1.0; }\n\
+       %s}\n\
+       return 0; }"
+      clause update
+  in
+  List.iter
+    (fun (src, expected) ->
+      List.iter
+        (fun (engine, devices) ->
+          let lg = Obs.Ledger.create ~devices ~schedule:"block" in
+          match
+            Accrt.Interp.run ~coherence:false ~engine ~devices ~ledger:lg
+              (Openarc_core.Compiler.compile src)
+          with
+          | _ -> Alcotest.fail "expected a subarray overrun"
+          | exception Accrt.Value.Runtime_error m ->
+              let what =
+                Fmt.str "%s --devices %d" (Accrt.Engine.to_string engine)
+                  devices
+              in
+              (* site labels carry parse-order statement ids *)
+              let m =
+                Str.global_replace (Str.regexp "\\(data\\|update\\)[0-9]+")
+                  "\\1N" m
+              in
+              Alcotest.(check string) what expected m;
+              Alcotest.(check int) (what ^ ": no bytes downloaded") 0
+                (snd (Obs.Ledger.totals lg)))
+        [ (Accrt.Engine.Tree, 1); (Accrt.Engine.Compiled, 1);
+          (Accrt.Engine.Compiled, 2) ])
+    [ ( program "copy(a[0:n])" "",
+        "subarray a[0:100] at dataN.copy(a) (<string>:2:1) is outside the 4 \
+         element(s) of 'a'" );
+      ( program "copyin(a)" "#pragma acc update host(a[k:9])\n",
+        "subarray a[1:9] at updateN.host(a) (<string>:6:1) is outside the 4 \
+         element(s) of 'a'" ) ]
 
 let test_async_timing () =
   let src_async =
@@ -193,6 +246,7 @@ let translated_equals_reference =
 
 let tests =
   [ Alcotest.test_case "matches reference" `Quick test_matches_reference;
+    Alcotest.test_case "subarray overrun" `Quick test_subarray_overrun;
     Alcotest.test_case "active race corrupts" `Quick test_active_race_corrupts;
     Alcotest.test_case "latent race invisible" `Quick
       test_latent_race_invisible;

@@ -149,7 +149,10 @@ let test_fine_end_to_end () =
      }"
   in
   let run granularity =
-    let o = Accrt.Interp.run_string ~instrument:true ~granularity src in
+    let o =
+      Accrt.Interp.run ~coherence:true ~granularity
+        (Codegen.Checkgen.instrument (Openarc_core.Compiler.compile src))
+    in
     List.length
       (List.filter
          (fun r -> r.Accrt.Coherence.r_kind = Accrt.Coherence.May_missing

@@ -69,6 +69,10 @@ let tree_vs_sequential =
           <= 1e-9 *. Float.max 1.0 (Float.abs seq)
       | None -> false)
 
+let run ?engine ?devices src =
+  Accrt.Interp.run ~coherence:false ?engine ?devices
+    (Openarc_core.Compiler.compile src)
+
 let test_zero_trip_kernel () =
   (* a loop that never runs leaves everything untouched *)
   let src =
@@ -77,7 +81,7 @@ let test_zero_trip_kernel () =
      reduction(+:s)\nfor (int i = 3; i < 3; i++) { s = s + a[i]; }\nreturn \
      0; }"
   in
-  let o = Accrt.Interp.run_string src in
+  let o = run src in
   Alcotest.(check (float 0.)) "reduction unchanged" 5.0
     (Accrt.Value.to_float (Accrt.Interp.host_scalar o "s"))
 
@@ -88,7 +92,7 @@ let test_loop_var_exit_value () =
      k++) { a[k] = 1.0; }\n#pragma acc kernels loop\nfor (i = 0; i < n; i \
      = i + 2) { a[i] = 2.0; }\nreturn 0; }"
   in
-  let o = Accrt.Interp.run_string src in
+  let o = run src in
   Alcotest.(check int) "i exits at 8" 8
     (Accrt.Value.to_int (Accrt.Interp.host_scalar o "i"))
 
@@ -98,7 +102,7 @@ let test_reduction_on_int () =
      n; i++) { a[i] = i; }\n#pragma acc kernels loop reduction(+:s)\nfor \
      (int i = 0; i < n; i++) { s = s + a[i]; }\nreturn 0; }"
   in
-  let o = Accrt.Interp.run_string src in
+  let o = run src in
   Alcotest.(check int) "int reduction exact" 4950
     (Accrt.Value.to_int (Accrt.Interp.host_scalar o "s"))
 
@@ -110,7 +114,7 @@ let test_single_thread_kernel () =
      a[2] + a[3];\nfor (int i = 0; i < 4; i++) { a[i] = a[i] / norm; \
      }\n}\nreturn 0; }"
   in
-  let o = Accrt.Interp.run_string src in
+  let o = run src in
   Alcotest.(check (float 0.)) "scalar kernel computed" 8.0
     (Accrt.Value.to_float (Accrt.Interp.host_scalar o "norm"));
   Alcotest.(check (float 0.)) "second kernel used it" 0.25
@@ -165,7 +169,7 @@ let test_header_reads () =
         (fun engine ->
           List.iter
             (fun devices ->
-              let o = Accrt.Interp.run_string ~engine ~devices src in
+              let o = run ~engine ~devices src in
               same
                 (Fmt.str "%s/%s --devices %d" what
                    (Accrt.Engine.to_string engine) devices)

@@ -17,7 +17,14 @@ let race_codes ds =
     (fun c -> String.length c >= 8 && String.sub c 0 8 = "ACC-RACE")
     (codes ds)
 
-let lint ?opts ?fault ?file src = Lint.run_string ?opts ?fault ?file src
+(* Lint a source string as [openarc lint] does: [fault] strips the
+   private/reduction clauses and turns automatic recognition off. *)
+let lint ?opts ?(fault = false) ?(file = "<input>") src =
+  let prog = Minic.Parser.parse_string ~file src in
+  if fault then
+    Lint.run_program ~opts:Codegen.Options.fault_injection
+      (Openarc_core.Faults.strip_parallelism_clauses prog)
+  else Lint.run_program ?opts prog
 
 (* --------------------------- diag engine ---------------------------- *)
 
@@ -354,9 +361,11 @@ let test_runtime_agreement () =
     (fun (b : Suite.Bench_def.t) ->
       List.iter
         (fun (vname, src) ->
-          let c = Openarc_core.Compiler.compile ~file:b.name src in
-          let ds = Lint.Xfer.analyze c.Openarc_core.Compiler.tprog in
-          let o = Openarc_core.Compiler.run_instrumented c in
+          let tp = Openarc_core.Compiler.compile ~file:b.name src in
+          let ds = Lint.Xfer.analyze tp in
+          let o =
+            Accrt.Interp.run ~coherence:true (Codegen.Checkgen.instrument tp)
+          in
           let reports = Accrt.Interp.reports o in
           let confirmed d =
             match kind_of_code d.Diag.code with
@@ -420,12 +429,12 @@ let histogram ds =
 let test_multi_word () =
   let k = 70 in
   let one = jacobi_blocks 1 and many = jacobi_blocks k in
-  let tp = Codegen.Translate.compile_string many in
+  let tp = Openarc_core.Compiler.compile many in
   Alcotest.(check bool) "more than 128 tracked arrays (3+ words)" true
     (Analysis.Varset.cardinal tp.Codegen.Tprog.tracked > 128);
   let checks src =
     Codegen.Tprog.count_checks
-      (Codegen.Checkgen.instrument (Codegen.Translate.compile_string src))
+      (Codegen.Checkgen.instrument (Openarc_core.Compiler.compile src))
   in
   Alcotest.(check int) "checks scale with the blocks" (k * checks one)
     (checks many);

@@ -4,7 +4,8 @@
 
 open Minic
 
-let run src = Accrt.Interp.run_string src
+let run src =
+  Accrt.Interp.run ~coherence:false (Openarc_core.Compiler.compile src)
 let reference src = Accrt.Eval.run_reference (Parser.parse_string src)
 
 let out_f o name = Accrt.Value.to_float (Accrt.Interp.host_scalar o name)
@@ -114,7 +115,10 @@ let test_coherence_on_2d () =
      for (int j = 0; j < n; j++) { a[i][j] = a[i][j] + 1.0; } }\n}\nfloat \
      cs = a[0][0];\nreturn 0; }"
   in
-  let o = Accrt.Interp.run_string ~instrument:true src in
+  let o =
+    Accrt.Interp.run ~coherence:true
+      (Codegen.Checkgen.instrument (Openarc_core.Compiler.compile src))
+  in
   Alcotest.(check (float 0.)) "value" 4.0 (out_f o "cs");
   Alcotest.(check bool) "redundant copies of the 2-D buffer reported" true
     (List.exists

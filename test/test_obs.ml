@@ -7,11 +7,8 @@ let bench name = Option.get (Suite.Registry.find name)
 
 let tprog_of name =
   let b = bench name in
-  let c =
-    Openarc_core.Compiler.compile ~file:b.Suite.Bench_def.name
-      b.Suite.Bench_def.source
-  in
-  c.Openarc_core.Compiler.tprog
+  Openarc_core.Compiler.compile ~file:b.Suite.Bench_def.name
+    b.Suite.Bench_def.source
 
 let categories =
   List.map Gpusim.Metrics.category_name Gpusim.Metrics.all_categories
@@ -129,8 +126,10 @@ let tprog_device_of = function
 
 let test_audit_replay () =
   let b = bench "JACOBI" in
-  let c = Openarc_core.Compiler.compile b.Suite.Bench_def.source in
-  let tp = Codegen.Checkgen.instrument c.Openarc_core.Compiler.tprog in
+  let tp =
+    Codegen.Checkgen.instrument
+      (Openarc_core.Compiler.compile b.Suite.Bench_def.source)
+  in
   let audit = Obs.Audit.create () in
   let o = Accrt.Interp.run ~coherence:true ~seed:42 ~audit tp in
   Alcotest.(check bool) "transitions recorded" true

@@ -13,9 +13,18 @@ let plan spec =
   | Ok p -> p
   | Error e -> Alcotest.failf "bad spec %S: %s" spec e
 
+(* Compile [src] and run it; [instrument] adds the coherence checks and
+   turns the coherence runtime on. *)
+let run_src ?(instrument = false) ?seed ?plan ?resilience ?devices ?schedule
+    src =
+  let tp = Openarc_core.Compiler.compile src in
+  let tp = if instrument then Codegen.Checkgen.instrument tp else tp in
+  Interp.run ~coherence:instrument ?seed ?plan ?resilience ?devices
+    ?schedule tp
+
 let run ?instrument ?resilience ?spec ?devices ?schedule src =
   let plan = Option.map plan spec in
-  Interp.run_string ?instrument ?plan ?resilience ?devices ?schedule src
+  run_src ?instrument ?plan ?resilience ?devices ?schedule src
 
 let arr o name i = Gpusim.Buf.get_float (Interp.host_array o name) i
 
@@ -223,7 +232,7 @@ let test_device_lost_host_mode () =
   (* Lost at the very first opportunity: the whole program runs in host
      mode and still produces correct outputs. *)
   let plan = plan "device-lost" in
-  let o = Interp.run_string ~plan ~resilience:Resilience.full simple_src in
+  let o = run_src ~plan ~resilience:Resilience.full simple_src in
   check_simple o;
   let st = stats o in
   Alcotest.(check bool) "device lost" true st.Resilience.device_lost;
@@ -236,7 +245,7 @@ let test_device_lost_mid_run_restores_mirrors () =
      lives only in device memory and must be recovered from the
      resilience mirror for the CPU fallback to see it. *)
   let plan = plan "device-lost:main_kernel1" in
-  let o = Interp.run_string ~plan ~resilience:Resilience.full chained_src in
+  let o = run_src ~plan ~resilience:Resilience.full chained_src in
   check_chained o;
   let st = stats o in
   Alcotest.(check bool) "device lost" true st.Resilience.device_lost;
@@ -357,7 +366,7 @@ let test_acc_api_device_set_corners () =
 let test_reports_reproducible () =
   let report src spec =
     let p = plan spec in
-    let o = Interp.run_string ~plan:p ~resilience:Resilience.full ~seed:42 src in
+    let o = run_src ~plan:p ~resilience:Resilience.full ~seed:42 src in
     Resilience.report_json ~seed:42 ~plan:p ~policy:Resilience.full
       ~metrics:(Interp.metrics o) (stats o)
   in
@@ -397,13 +406,13 @@ let test_coherence_equivalence () =
   List.iter
     (fun (b : Suite.Bench_def.t) ->
       let baseline =
-        Interp.run_string ~instrument:true ~seed:42 b.Suite.Bench_def.source
+        run_src ~instrument:true ~seed:42 b.Suite.Bench_def.source
       in
       let want = coherence_fingerprint baseline in
       List.iter
         (fun spec ->
           let faulty =
-            Interp.run_string ~instrument:true ~seed:42 ~plan:(plan spec)
+            run_src ~instrument:true ~seed:42 ~plan:(plan spec)
               ~resilience:Resilience.retry b.Suite.Bench_def.source
           in
           let got = coherence_fingerprint faulty in

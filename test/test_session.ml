@@ -11,8 +11,10 @@ let jacobi =
    0.0;\nfor (int i = 0; i < n; i++) { cs = cs + a[i]; }\nreturn 0; }"
 
 let test_suggestions_from_naive_run () =
-  let c = Openarc_core.Compiler.compile jacobi in
-  let o = Openarc_core.Compiler.run_instrumented c in
+  let o =
+    Accrt.Interp.run ~coherence:true
+      (Codegen.Checkgen.instrument (Openarc_core.Compiler.compile jacobi))
+  in
   let suggestions = Openarc_core.Suggest.analyze o in
   let has_region_plan =
     List.exists

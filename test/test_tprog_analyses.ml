@@ -16,7 +16,7 @@ let src =
    }\nreturn 0; }"
 
 let setup () =
-  let tp = Translate.compile_string src in
+  let tp = Openarc_core.Compiler.compile src in
   let cfg = Tcfg.build tp in
   let sets = Tcfg.access_sets tp cfg ~through_aliases:true in
   (tp, cfg, sets)
@@ -43,7 +43,7 @@ let test_cfg_structure () =
   (* host-only loops collapse into single Thost leaves; a loop that
      contains a kernel gets real CFG structure with a join at its header *)
   let tp2 =
-    Translate.compile_string
+    Openarc_core.Compiler.compile
       "int main() { float a[4];\nfor (int i = 0; i < 4; i++) { a[i] = 0.0; \
        }\nfor (int k = 0; k < 2; k++) {\n#pragma acc kernels loop\nfor \
        (int i = 0; i < 4; i++) { a[i] = a[i] + 1.0; }\n}\nreturn 0; }"
@@ -109,7 +109,7 @@ let test_blind_sets_drop_alias_reads () =
      loop\nfor (int i = 0; i < 4; i++) { a[i] = 1.0; b[i] = 1.0; }\nt = p; \
      p = q; q = t;\n}\nfloat cs = p[0];\nreturn 0; }"
   in
-  let tp = Translate.compile_string src in
+  let tp = Openarc_core.Compiler.compile src in
   let cfg = Tcfg.build tp in
   let full = Tcfg.access_sets tp cfg ~through_aliases:true in
   let blind = Tcfg.access_sets tp cfg ~through_aliases:false in

@@ -4,7 +4,7 @@
 open Codegen
 open Codegen.Tprog
 
-let compile ?opts src = Translate.compile_string ?opts src
+let compile ?opts src = Openarc_core.Compiler.compile ?opts src
 
 let kernels tp = Array.to_list tp.kernels
 

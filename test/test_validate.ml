@@ -115,6 +115,49 @@ let test_subarray_sanity () =
         0; i < 4; i++) { s = s + a[i]; }");
   ok (kernel_on "#pragma acc data copyin(a[1:3])\n{ }")
 
+(* A constant subarray must end inside its array's constant extent, in
+   the scope where the clause sits; other extents are checked at run time. *)
+let test_subarray_extent () =
+  let message src =
+    match ok src with
+    | () -> Alcotest.fail "expected validation error"
+    | exception Acc.Validate.Invalid (loc, m) ->
+        Fmt.str "%d:%d: %s" loc.Loc.line loc.Loc.col m
+  in
+  Alcotest.(check string) "copy past the end, located"
+    "2:1: subarray 'a[0:100]' runs past the end of 'a' (4 element(s))"
+    (message (kernel_on "#pragma acc data copy(a[0:100])\n{ }"));
+  bad "update past the end" (kernel_on "#pragma acc update host(a[1:9])");
+  bad "copyin on a kernels construct"
+    (kernel_on
+       "#pragma acc kernels loop copyin(a[2:3])\nfor (int i = 0; i < 4; i++) \
+        { a[i] = 0.0; }");
+  bad "2-D extent is the element count"
+    "int main() { float m[2][3];\n#pragma acc data copy(m[0:7])\n{ }\n\
+     return 0; }";
+  bad "global array"
+    "float g[4];\nint main() {\n#pragma acc data copy(g[0:5])\n{ }\n\
+     return 0; }";
+  ok (kernel_on "#pragma acc data copy(a[0:4])\n{ }");
+  ok
+    "int main() { float m[2][3];\n#pragma acc data copy(m[0:6])\n{ }\n\
+     return 0; }";
+  (* run-time extents and lengths are the runtime's to check *)
+  ok
+    "int main() { int n = 100; float a[n];\n#pragma acc data \
+     copy(a[0:200])\n{ }\nreturn 0; }";
+  ok (kernel_on "int n = 100;\n#pragma acc data copy(a[0:n])\n{ }");
+  (* the innermost declaration in scope decides *)
+  ok
+    "int main() { float a[4];\n{ float a[100];\n#pragma acc data \
+     copy(a[0:100])\n{ }\n}\nreturn 0; }";
+  bad "inner declaration ended with its block"
+    "int main() { float a[4];\n{ float a[100]; a[0] = 1.0; }\n#pragma acc \
+     data copy(a[0:100])\n{ }\nreturn 0; }";
+  ok
+    "int main() { float b[100]; float *a = b;\n#pragma acc data \
+     copy(a[0:100])\n{ }\nreturn 0; }"
+
 let tests =
   [ Alcotest.test_case "legal programs" `Quick test_legal;
     Alcotest.test_case "illegal clauses" `Quick test_illegal_clauses;
@@ -122,4 +165,5 @@ let tests =
     Alcotest.test_case "data-clause sanity" `Quick test_data_sanity;
     Alcotest.test_case "duplicate clauses" `Quick test_duplicate_clauses;
     Alcotest.test_case "nesting edge cases" `Quick test_nesting_edges;
-    Alcotest.test_case "subarray sanity" `Quick test_subarray_sanity ]
+    Alcotest.test_case "subarray sanity" `Quick test_subarray_sanity;
+    Alcotest.test_case "subarray extent" `Quick test_subarray_extent ]

@@ -204,9 +204,8 @@ let test_demotion_pass () =
      b[i] = a[i]; }\n#pragma acc kernels loop\nfor (int i = 0; i < n; i++) \
      { a[i] = b[i] * 2.0; }\n}\nreturn 0; }"
   in
-  let c = Openarc_core.Compiler.compile src in
   let out =
-    Openarc_core.Demotion.to_string c.Openarc_core.Compiler.tprog
+    Openarc_core.Demotion.to_string (Openarc_core.Compiler.compile src)
       "main_kernel0"
   in
   let contains needle =
