@@ -15,6 +15,8 @@ let parse_opt (b : Bench_def.t) =
 
 let compile = Openarc_core.Compiler.compile_program
 
+module P = Obs.Pjson
+
 let run_program prog = Accrt.Interp.run ~coherence:false (compile prog)
 
 let hr ppf = Fmt.pf ppf "%s@." (String.make 78 '-')
@@ -456,22 +458,18 @@ let run_sweep ppf =
 
 (* Each tier below runs its sweep, prints its table, raises [Failure]
    when its gate fails, and returns the full document that [Golden]
-   writes to, or compares with, the committed BENCH_<tier>.json.  Every
+   prints to, or compares with, the committed BENCH_<tier>.json.  Every
    run is seeded and the simulator is deterministic, so the documents
    are byte-stable. *)
 
 (* The envelope the bench documents share: schema, version and seed,
-   the [header] pairs, one entry per line, then the [footer] pairs. *)
+   the [header] members, the entries, then the [footer] members. *)
 let envelope name ?(header = []) ?(footer = []) entries =
-  let pair (k, v) = Fmt.str "\"%s\": %s" k v in
-  Fmt.str
-    "{\n\"schema\": \"openarc.obs.bench-%s\",\n\"version\": 1,\n\
-     \"seed\": 42,\n%s\"benchmarks\": [\n%s\n]%s}\n"
-    name
-    (String.concat "" (List.map (fun p -> pair p ^ ",\n") header))
-    (String.concat ",\n" entries)
-    (if footer = [] then ""
-     else ",\n" ^ String.concat ",\n" (List.map pair footer) ^ "\n")
+  P.Obj
+    ([ ("schema", P.Str ("openarc.obs.bench-" ^ name)); ("version", P.int 1);
+       ("seed", P.int 42) ]
+    @ header
+    @ (("benchmarks", P.Arr entries) :: footer))
 
 let count p l = List.length (List.filter p l)
 
@@ -505,7 +503,7 @@ let faults ppf =
     "(transient kinds sweep the retry and full policies; device-lost \
      requires full's host-mode fallback; a FAIL cell means a fault \
      produced a wrong or unrecovered result)@.";
-  Openarc_core.Fault_matrix.to_json m ^ "\n"
+  Openarc_core.Fault_matrix.json m
 
 (* Per-directive profile sweep: the observability counterpart of Figure
    3/4.  Each benchmark runs once (source variant, coherence off) under
@@ -523,7 +521,7 @@ let profile_entry (b : Bench_def.t) =
   let p = Obs.Profile.of_trace ~categories:profile_categories tr in
   if not (Obs.Profile.conserves p ~total) then
     Fmt.failwith "profile conservation violated for %s" b.name;
-  (b.name, total, String.trim (Obs.Profile.to_json ~name:b.name ~seed:42 p))
+  (b.name, total, Obs.Profile.json ~name:b.name ~seed:42 p)
 
 let profile ppf =
   Fmt.pf ppf "Per-directive profile sweep (seed 42, source variant)@.";
@@ -544,13 +542,18 @@ let profile ppf =
 
 let symeq_doc entries =
   let bench_json ((b : Bench_def.t), (default : Symeq.Engine.t), fault) =
-    Fmt.str
-      "{\"name\": %s, \"fully_proved\": %b, \"default\": %s, \"fault\": %s}"
-      (Obs.Trace.json_str b.name)
-      (default.Symeq.Engine.proved = List.length default.Symeq.Engine.kernels)
-      (Symeq.Report.to_json { Symeq.Report.program = b.name; result = default })
-      (Symeq.Report.to_json
-         { Symeq.Report.program = b.name ^ "-fault"; result = fault })
+    P.Obj
+      [ ("name", P.Str b.name);
+        ( "fully_proved",
+          P.Bool
+            (default.Symeq.Engine.proved
+            = List.length default.Symeq.Engine.kernels) );
+        ( "default",
+          Symeq.Report.json
+            { Symeq.Report.program = b.name; result = default } );
+        ( "fault",
+          Symeq.Report.json
+            { Symeq.Report.program = b.name ^ "-fault"; result = fault } ) ]
   in
   let total f = List.fold_left (fun acc (_, d, _) -> acc + f d) 0 entries in
   let fully =
@@ -564,18 +567,19 @@ let symeq_doc entries =
       (fun acc (_, _, (f : Symeq.Engine.t)) -> acc + f.Symeq.Engine.disproved)
       0 entries
   in
-  Fmt.str
-    "{\"schema\": \"openarc.obs.symeq-sweep\", \"version\": 1, \
-     \"benchmarks\": [%s], \"totals\": {\"benchmarks\": %d, \
-     \"fully_proved\": %d, \"kernels\": %d, \"proved\": %d, \
-     \"disproved\": %d, \"unknown\": %d, \"fault_disproved\": %d}}\n"
-    (String.concat ", " (List.map bench_json entries))
-    (List.length entries) fully
-    (total (fun d -> List.length d.Symeq.Engine.kernels))
-    (total (fun d -> d.Symeq.Engine.proved))
-    (total (fun d -> d.Symeq.Engine.disproved))
-    (total (fun d -> d.Symeq.Engine.unknown))
-    fault_disproved
+  P.Obj
+    [ ("schema", P.Str "openarc.obs.symeq-sweep"); ("version", P.int 1);
+      ("benchmarks", P.Arr (List.map bench_json entries));
+      ( "totals",
+        P.Obj
+          [ ("benchmarks", P.int (List.length entries));
+            ("fully_proved", P.int fully);
+            ( "kernels",
+              P.int (total (fun d -> List.length d.Symeq.Engine.kernels)) );
+            ("proved", P.int (total (fun d -> d.Symeq.Engine.proved)));
+            ("disproved", P.int (total (fun d -> d.Symeq.Engine.disproved)));
+            ("unknown", P.int (total (fun d -> d.Symeq.Engine.unknown)));
+            ("fault_disproved", P.int fault_disproved) ] ) ]
 
 let symeq ppf =
   Fmt.pf ppf "Symbolic equivalence sweep (tier-0, affine fragment)@.";
@@ -676,24 +680,24 @@ let scale_monotone times =
   t 2 <= t 1 +. 1e-12 && t 4 <= t 2 +. 1e-12
 
 let scale_entry_json (name, times, breakdown) =
-  Fmt.str "{\"name\": %S%s%s, \"per_device%d\": [%s], \"monotone_1_4\": %b}"
-    name
-    (String.concat ""
-       (List.map (fun (n, t) -> Fmt.str ", \"t%d_s\": %.9f" n t) times))
-    (String.concat ""
-       (List.map
-          (fun n -> Fmt.str ", \"speedup%d\": %.4f" n (scale_speedup times n))
-          (List.filter (fun n -> n > 1) scale_counts)))
-    scale_breakdown_devices
-    (String.concat ", "
-       (List.map
-          (fun (d, c, x, m) ->
-            Fmt.str
-              "{\"dev\": %d, \"compute_s\": %.9f, \"transfer_s\": %.9f, \
-               \"merge_s\": %.9f}"
-              d c x m)
-          breakdown))
-    (scale_monotone times)
+  P.Obj
+    ([ ("name", P.Str name) ]
+    @ List.map (fun (n, t) -> (Fmt.str "t%d_s" n, P.fixed 9 t)) times
+    @ List.filter_map
+        (fun n ->
+          if n > 1 then
+            Some (Fmt.str "speedup%d" n, P.fixed 4 (scale_speedup times n))
+          else None)
+        scale_counts
+    @ [ ( Fmt.str "per_device%d" scale_breakdown_devices,
+          P.Arr
+            (List.map
+               (fun (d, c, x, m) ->
+                 P.Obj
+                   [ ("dev", P.int d); ("compute_s", P.fixed 9 c);
+                     ("transfer_s", P.fixed 9 x); ("merge_s", P.fixed 9 m) ])
+               breakdown) );
+        ("monotone_1_4", P.Bool (scale_monotone times)) ])
 
 (* Failover cell: kill member 1 of a 2-device set at JACOBI's first
    kernel's launch gate; the fallback-less retry policy must re-execute
@@ -775,11 +779,8 @@ let scale ppf =
     mono (List.length entries) scale_min_monotone;
   scale_failover ppf;
   envelope "scale"
-    ~header:
-      [ ( "devices",
-          Fmt.str "[%s]"
-            (String.concat ", " (List.map string_of_int scale_counts)) ) ]
-    ~footer:[ ("monotone_1_4", string_of_int mono) ]
+    ~header:[ ("devices", P.Arr (List.map P.int scale_counts)) ]
+    ~footer:[ ("monotone_1_4", P.int mono) ]
     (List.map scale_entry_json entries)
 
 (* ------------------------------------------------------------------ *)
@@ -824,16 +825,17 @@ let imbalance_entry (b : Bench_def.t) =
 
 let imbalance_entry_json (name, t_block, (a : Obs.Imbalance.analysis),
                           switched) =
-  Fmt.str
-    "{\"name\": %S, \"measured_block_s\": %.9f, \"recommended\": %S, \
-     \"gain\": %.4f%s, \"analysis\": %s}"
-    name t_block a.Obs.Imbalance.a_recommended a.Obs.Imbalance.a_gain
-    (match switched with
-    | Some (t_alt, improved) ->
-        Fmt.str ", \"measured_%s_s\": %.9f, \"improved\": %b"
-          a.Obs.Imbalance.a_recommended t_alt improved
-    | None -> "")
-    (String.trim (Obs.Imbalance.to_json ~name ~seed:42 a))
+  P.Obj
+    ([ ("name", P.Str name); ("measured_block_s", P.fixed 9 t_block);
+       ("recommended", P.Str a.Obs.Imbalance.a_recommended);
+       ("gain", P.fixed 4 a.Obs.Imbalance.a_gain) ]
+    @ (match switched with
+      | Some (t_alt, improved) ->
+          [ ( Fmt.str "measured_%s_s" a.Obs.Imbalance.a_recommended,
+              P.fixed 9 t_alt );
+            ("improved", P.Bool improved) ]
+      | None -> [])
+    @ [ ("analysis", Obs.Imbalance.json ~name ~seed:42 a) ])
 
 (* The gate: at least one benchmark's verdict must differ from the
    default schedule AND the re-run under the recommendation must measure
@@ -870,10 +872,8 @@ let imbalance ppf =
      1 required)@."
     improved;
   envelope "imbalance"
-    ~header:[ ("devices", string_of_int imbalance_devices) ]
-    ~footer:
-      [ ("switched", string_of_int switched);
-        ("improved", string_of_int improved) ]
+    ~header:[ ("devices", P.int imbalance_devices) ]
+    ~footer:[ ("switched", P.int switched); ("improved", P.int improved) ]
     (List.map imbalance_entry_json entries)
 
 (* ------------------------------------------------------------------ *)
@@ -971,21 +971,20 @@ let memtrace ppf =
        Mem-Transfer delta";
   Fmt.pf ppf "memtrace: prediction confirmed by measurement@.";
   envelope "memtrace"
-    ~header:[ ("devices", "1") ]
+    ~header:[ ("devices", P.int 1) ]
     ~footer:
       [ ( "wasted_bytes",
-          string_of_int
+          P.int
             (List.fold_left
                (fun acc (_, a) -> acc + a.Obs.Ledger.a_wasted_bytes)
                0 entries) );
         ( "confirmation",
-          Fmt.str
-            "{\"name\": %S, \"predicted_saved_s\": %.9f, \
-             \"measured_saved_s\": %.9f, \"confirmed\": %b}"
-            b.name predicted measured confirmed ) ]
-    (List.map
-       (fun (name, a) -> String.trim (Obs.Ledger.to_json ~name ~seed:42 a))
-       entries)
+          P.Obj
+            [ ("name", P.Str b.name);
+              ("predicted_saved_s", P.fixed 9 predicted);
+              ("measured_saved_s", P.fixed 9 measured);
+              ("confirmed", P.Bool confirmed) ] ) ]
+    (List.map (fun (name, a) -> Obs.Ledger.json ~name ~seed:42 a) entries)
 
 (* ------------------------------------------------------------------ *)
 (* Saturate tier: search-based automatic directive optimization        *)
@@ -1007,10 +1006,9 @@ let saturate_entry_json (name, (r : Saturate.t)) =
     Obs.Diff.diff ~before_name:name ~after_name:(name ^ "-saturated")
       ~before:r.Saturate.r_before ~after:r.Saturate.r_after ()
   in
-  Fmt.str "{\"name\": %s,\n\"result\": %s,\n\"diff\": %s}"
-    (Obs.Trace.json_str name)
-    (String.trim (Saturate.to_json r))
-    (String.trim (Obs.Diff.to_json d))
+  P.Obj
+    [ ("name", P.Str name); ("result", Saturate.json r);
+      ("diff", Obs.Diff.json d) ]
 
 let saturate_reduction (r : Saturate.t) =
   if r.Saturate.r_total_before <= 0.0 then 0.0
@@ -1098,18 +1096,20 @@ let saturate ppf =
      prediction confirmed by measurement, BACKPROP hoist accepted@."
     accepted_benchmarks (List.length entries);
   envelope "saturate"
-    ~header:[ ("check_devices", "[1, 2, 4]") ]
+    ~header:
+      [ ( "check_devices",
+          P.Arr (List.map P.int Saturate.default_config.Saturate.check_devices)
+        ) ]
     ~footer:
-      [ ("accepted_benchmarks", string_of_int accepted_benchmarks);
+      [ ("accepted_benchmarks", P.int accepted_benchmarks);
         ( "accepted_rewrites",
-          string_of_int
+          P.int
             (List.fold_left
                (fun acc (_, r) -> acc + r.Saturate.r_accepted)
                0 entries) );
-        ("total_before_s", Fmt.str "%.9f" tb);
-        ("total_after_s", Fmt.str "%.9f" ta);
-        ("suite_reduction", Fmt.str "%.9f" reduction);
-        ("median_reduction", Fmt.str "%.9f" median) ]
+        ("total_before_s", P.fixed 9 tb); ("total_after_s", P.fixed 9 ta);
+        ("suite_reduction", P.fixed 9 reduction);
+        ("median_reduction", P.fixed 9 median) ]
     (List.map saturate_entry_json entries)
 
 (* ------------------------------------------------------------------ *)
@@ -1194,37 +1194,35 @@ let suite_speedups timer entries =
 let wall_doc ~repeats ~engines entries =
   envelope "wall"
     ~header:
-      [ ("repeats", string_of_int repeats);
+      [ ("repeats", P.int repeats);
         ( "engines",
-          Fmt.str "[%s]"
-            (String.concat ", "
-               (List.map
-                  (fun e -> Fmt.str "%S" (Accrt.Engine.to_string e))
-                  engines)) ) ]
+          P.Arr
+            (List.map (fun e -> P.Str (Accrt.Engine.to_string e)) engines) )
+      ]
     ~footer:
       (List.map
          (fun (prefix, _, timer) ->
            ( Fmt.str "median_%sspeedup" prefix,
              match suite_speedups timer entries with
-             | [] -> "null"
-             | speedups -> Fmt.str "%.2f" (median_float speedups) ))
+             | [] -> P.Null
+             | speedups -> P.fixed 2 (median_float speedups) ))
          wall_timers)
     (List.map
        (fun (name, times) ->
-         Fmt.str "{\"name\": %S%s}" name
-           (String.concat ""
-              (List.concat_map
-                 (fun (prefix, _, timer) ->
-                   List.map
-                     (fun (e, w) ->
-                       Fmt.str ", \"%s%s_s\": %.6f" prefix
-                         (Accrt.Engine.to_string e) (timer w))
-                     times
-                   @
-                   match wall_speedup timer times with
-                   | Some s -> [ Fmt.str ", \"%sspeedup\": %.2f" prefix s ]
-                   | None -> [])
-                 wall_timers)))
+         P.Obj
+           (("name", P.Str name)
+           :: List.concat_map
+                (fun (prefix, _, timer) ->
+                  List.map
+                    (fun (e, w) ->
+                      ( Fmt.str "%s%s_s" prefix (Accrt.Engine.to_string e),
+                        P.fixed 6 (timer w) ))
+                    times
+                  @
+                  match wall_speedup timer times with
+                  | Some s -> [ (Fmt.str "%sspeedup" prefix, P.fixed 2 s) ]
+                  | None -> [])
+                wall_timers))
        entries)
 
 (* The wall tier: per-benchmark wall-clock medians of a run and of a
@@ -1259,7 +1257,7 @@ let run_wall ?(json = wall_path) ?names
         wall_timers)
     entries;
   Out_channel.with_open_bin json (fun oc ->
-      output_string oc (wall_doc ~repeats ~engines entries));
+      output_string oc (P.to_string (wall_doc ~repeats ~engines entries)));
   hr ppf;
   Fmt.pf ppf "wall report written to %s@." json;
   match min_speedup with

@@ -5,7 +5,7 @@
 
 type tier = {
   name : string;
-  document : Format.formatter -> string;
+  document : Format.formatter -> Obs.Pjson.t;
       (** runs the sweep, prints its table, raises [Failure] when the
           tier's gate fails, and returns the full document *)
 }
@@ -28,7 +28,7 @@ let path t = "BENCH_" ^ t.name ^ ".json"
    gate as one line on stderr. *)
 let run ppf t =
   match t.document ppf with
-  | doc -> Some doc
+  | doc -> Some (Obs.Pjson.to_string doc)
   | exception Failure msg ->
       Fmt.epr "%s@." msg;
       None
@@ -51,8 +51,8 @@ let first_difference a b =
   in
   go 1 (String.split_on_char '\n' a, String.split_on_char '\n' b)
 
-(* [line] clipped to a window around byte [i]; a golden can be one long
-   line (BENCH_symeq.json is). *)
+(* [line] clipped to a window around byte [i]; a golden's lines can be
+   long (a BENCH_saturate.json row holds a whole search step). *)
 let clip line i =
   let lo = max 0 (i - 120) and hi = min (String.length line) (i + 60) in
   (if lo > 0 then "..." else "")

@@ -97,6 +97,16 @@ let write_file path contents =
   output_string oc contents;
   close_out oc
 
+let write_json path v = write_file path (Obs.Pjson.to_string v)
+
+(* The Chrome trace of a run over its whole device set (see
+   [Obs.Chrome.of_run]). *)
+let chrome_of_run ~trace ~ledger (o : Accrt.Interp.outcome) =
+  Obs.Chrome.of_run ~trace ~ledger
+    (Array.map
+       (fun d -> d.Gpusim.Device.timeline)
+       o.Accrt.Interp.devset.Gpusim.Device_set.devices)
+
 (* Exit codes: 0 success, 1 runtime/simulation failure (or lint findings),
    2 malformed input (lexical/syntax/type errors, invalid OpenACC). *)
 let handle_code f =
@@ -185,6 +195,9 @@ let check_devices ~devices plan =
              %d device(s) are configured (need --devices >= %d)"
             d devices (d + 1)
       | _ -> ())
+
+let check_max_iterations n =
+  if n < 1 then Fmt.failwith "invalid --max-iterations: %d (must be >= 1)" n
 
 let engine_arg =
   let engine_conv =
@@ -323,34 +336,11 @@ let run_cmd =
         in
         (match trace with
         | Some path ->
-            let json, count =
-              match obs with
-              | Some tr ->
-                  let tls =
-                    Array.map
-                      (fun d -> d.Gpusim.Device.timeline)
-                      o.Accrt.Interp.devset.Gpusim.Device_set.devices
-                  in
-                  let host =
-                    Obs.Chrome.host_lane_events tr
-                    @ (match ledger with
-                      | Some lg -> Obs.Ledger.chrome_counter_events lg
-                      | None -> [])
-                  in
-                  ( Gpusim.Timeline.to_chrome_json_devices ~host tls,
-                    List.length host
-                    + Array.fold_left
-                        (fun acc tl -> acc + Gpusim.Timeline.count tl)
-                        0 tls )
-              | None ->
-                  let tl = o.Accrt.Interp.device.Gpusim.Device.timeline in
-                  (Gpusim.Timeline.to_chrome_json tl,
-                   Gpusim.Timeline.count tl)
-            in
-            let oc = open_out path in
-            output_string oc json;
-            close_out oc;
-            Fmt.pr "timeline (%d events) written to %s@." count path
+            let doc = chrome_of_run ~trace:obs ~ledger o in
+            write_json path doc;
+            Fmt.pr "timeline (%d events) written to %s@."
+              (List.length (Obs.Pjson.arr_exn doc))
+              path
         | None -> ());
         Fmt.pr "%a@." Gpusim.Metrics.pp (Accrt.Interp.metrics o);
         (if plan <> None || policy.Accrt.Resilience.p_name <> "none" then
@@ -363,13 +353,10 @@ let run_cmd =
              o.Accrt.Interp.resilience;
            match faults_json with
            | Some path ->
-               let oc = open_out path in
-               output_string oc
+               write_file path
                  (Accrt.Resilience.report_json ~seed ~plan ~policy
                     ~metrics:(Accrt.Interp.metrics o)
                     o.Accrt.Interp.resilience);
-               output_char oc '\n';
-               close_out oc;
                Fmt.pr "fault report written to %s@." path
            | None -> ());
         if instrument then begin
@@ -527,20 +514,7 @@ let profile_cmd =
         | None -> ());
         (match trace with
         | Some path ->
-            write_file path
-              (if devices > 1 then
-                 Gpusim.Timeline.to_chrome_json_devices
-                   ~host:
-                     (Obs.Chrome.host_lane_events tr
-                     @ (match ledger with
-                       | Some lg -> Obs.Ledger.chrome_counter_events lg
-                       | None -> []))
-                   (Array.map
-                      (fun d -> d.Gpusim.Device.timeline)
-                      o.Accrt.Interp.devset.Gpusim.Device_set.devices)
-               else
-                 Gpusim.Timeline.to_chrome_json
-                   o.Accrt.Interp.device.Gpusim.Device.timeline);
+            write_json path (chrome_of_run ~trace:(Some tr) ~ledger o);
             Fmt.pr "timeline written to %s@." path
         | None -> ());
         if conserved && replayed then 0 else 1)
@@ -587,11 +561,12 @@ let analyze_cmd =
         | None -> Fmt.failwith "no shard log recorded (internal error)"
         | Some il ->
             let a = Obs.Imbalance.analyze il in
-            if json then print_string (Obs.Imbalance.to_json ~name:file ~seed a)
+            let doc = Obs.Imbalance.json ~name:file ~seed a in
+            if json then print_string (Obs.Pjson.to_string doc)
             else Fmt.pr "%a" Obs.Imbalance.pp a;
             (match out with
             | Some path ->
-                write_file path (Obs.Imbalance.to_json ~name:file ~seed a);
+                write_json path doc;
                 if not json then Fmt.pr "analysis written to %s@." path
             | None -> ());
             0)
@@ -854,8 +829,7 @@ let verify_cmd =
                 | Some path ->
                     write_file path
                       (Symeq.Report.to_json
-                         { Symeq.Report.program = file; result }
-                       ^ "\n");
+                         { Symeq.Report.program = file; result });
                     Fmt.pr "symbolic verdicts written to %s@." path
                 | None -> ())
             | None -> ());
@@ -868,8 +842,8 @@ let verify_cmd =
             Fmt.pr "@.%d kernel(s) with detected errors@." bad;
             (match trace with
             | Some path ->
-                write_file path
-                  (Gpusim.Timeline.to_chrome_json
+                write_json path
+                  (Obs.Chrome.of_timeline
                      v.Openarc_core.Kernel_verify.timeline);
                 Fmt.pr "timeline written to %s@." path
             | None -> ());
@@ -910,6 +884,7 @@ let optimize_cmd =
   in
   let run file outputs max_iterations conservative show_final =
     handle (fun () ->
+        check_max_iterations max_iterations;
         let prog = parse ~fault:false file in
         let outputs = String.split_on_char ',' outputs in
         let policy =
@@ -976,6 +951,7 @@ let session_cmd =
       json =
     handle (fun () ->
         check_devices ~devices None;
+        check_max_iterations max_iterations;
         let prog = parse ~fault:false file in
         let outputs = String.split_on_char ',' outputs in
         let policy =
@@ -1102,7 +1078,7 @@ let lint_cmd =
     handle_code (fun () ->
         let ds = Lint.run_tprog (load ~name:file ~fault file) in
         let shown = Lint.Diag.filter ~threshold:severity ds in
-        if json then Fmt.pr "%s@." (Lint.Diag.to_json shown)
+        if json then Fmt.pr "%s" (Lint.Diag.to_json shown)
         else begin
           Fmt.pr "%s" (Lint.Diag.to_text shown);
           let count s =
@@ -1222,12 +1198,12 @@ let fault_matrix_cmd =
         Fmt.pr "%a@." Openarc_core.Fault_matrix.pp m;
         (match json with
         | Some path ->
-            write_file path (Openarc_core.Fault_matrix.to_json m ^ "\n");
+            write_json path (Openarc_core.Fault_matrix.json m);
             Fmt.pr "matrix written to %s@." path
         | None -> ());
         (match trace with
         | Some path ->
-            write_file path (Openarc_core.Fault_matrix.trace_json m);
+            write_json path (Openarc_core.Fault_matrix.trace m);
             Fmt.pr "merged timeline written to %s@." path
         | None -> ());
         if Openarc_core.Fault_matrix.all_ok m then 0 else 1)

@@ -73,6 +73,6 @@ let () =
     (Gpusim.Timeline.summary timeline);
 
   (* Chrome-trace export, as `openarc run --trace` does. *)
-  let json = Gpusim.Timeline.to_chrome_json timeline in
+  let json = Obs.Pjson.to_string (Obs.Chrome.of_timeline timeline) in
   Fmt.pr "@.Chrome-trace JSON: %d bytes (open in chrome://tracing)@."
     (String.length json)

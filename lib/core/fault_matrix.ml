@@ -196,40 +196,37 @@ let pp ppf t =
     (if bad = [] then "" else " — MATRIX FAILED");
   Fmt.pf ppf "@]"
 
-let json_str = Obs.Trace.json_str
-
-let to_json t =
+let json t =
+  let module P = Obs.Pjson in
   let cell c =
-    Fmt.str
-      "{\"bench\": %s, \"fault\": %s, \"policy\": %s, \"devices\": %d, \
-       \"injected\": %d, \"retries\": %d, \"reexecs\": %d, \"fallbacks\": \
-       %d, \"failovers\": %d, \"verified\": %d, \"correct\": %b, \
-       \"recovered\": %b, \"device_lost\": %b, \"overhead\": %.6f}"
-      (json_str c.c_bench)
-      (json_str (Gpusim.Fault_plan.kind_name c.c_kind))
-      (json_str c.c_policy) c.c_devices c.c_injected c.c_retries c.c_reexecs
-      c.c_fallbacks c.c_failovers c.c_verified c.c_correct c.c_recovered
-      c.c_device_lost c.c_overhead
+    P.Obj
+      [ ("bench", P.Str c.c_bench);
+        ("fault", P.Str (Gpusim.Fault_plan.kind_name c.c_kind));
+        ("policy", P.Str c.c_policy); ("devices", P.int c.c_devices);
+        ("injected", P.int c.c_injected); ("retries", P.int c.c_retries);
+        ("reexecs", P.int c.c_reexecs); ("fallbacks", P.int c.c_fallbacks);
+        ("failovers", P.int c.c_failovers); ("verified", P.int c.c_verified);
+        ("correct", P.Bool c.c_correct); ("recovered", P.Bool c.c_recovered);
+        ("device_lost", P.Bool c.c_device_lost);
+        ("overhead", P.fixed 6 c.c_overhead) ]
   in
-  let ok = all_ok t in
-  let fallback_cells =
-    List.length (List.filter (fun c -> c.c_fallbacks > 0) t.cells)
-  in
-  Fmt.str
-    "{\"seed\": %d,\n \"cells\": %d,\n \"all_ok\": %b,\n \
-     \"fallback_cells\": %d,\n \"matrix\": [\n  %s\n]}"
-    t.seed (List.length t.cells) ok fallback_cells
-    (String.concat ",\n  " (List.map cell t.cells))
+  P.Obj
+    [ ("seed", P.int t.seed); ("cells", P.int (List.length t.cells));
+      ("all_ok", P.Bool (all_ok t));
+      ( "fallback_cells",
+        P.int (List.length (List.filter (fun c -> c.c_fallbacks > 0) t.cells))
+      );
+      ("matrix", P.Arr (List.map cell t.cells)) ]
 
 (** Merged Chrome trace of every traced cell: one process per cell, named
     [bench/fault/policy], so recovery behaviour is comparable side by
     side in one Perfetto view. *)
-let trace_json t =
-  Gpusim.Timeline.chrome_document
+let trace t =
+  Obs.Pjson.Arr
     (List.concat
        (List.mapi
           (fun i (label, tl) ->
             let pid = i + 1 in
-            Gpusim.Timeline.chrome_process_name ~pid label
-            :: Gpusim.Timeline.chrome_events ~pid tl)
+            Obs.Chrome.process_name ~pid label
+            :: Obs.Chrome.timeline_events ~pid tl)
           t.traces))

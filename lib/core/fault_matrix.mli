@@ -55,7 +55,9 @@ val run :
 
 val pp_cell : Format.formatter -> cell -> unit
 val pp : Format.formatter -> t -> unit
-val to_json : t -> string
+
+(** The matrix document: seed, cell counts and one row per cell. *)
+val json : t -> Obs.Pjson.t
 
 (** Merged Chrome trace of every traced cell (one process per cell). *)
-val trace_json : t -> string
+val trace : t -> Obs.Pjson.t

@@ -524,74 +524,49 @@ let json_version = 2
     iteration with its embedded profile and ledger summary, plus the
     inter-iteration profile diffs (schema [openarc.obs.session]). *)
 let to_json ~name r =
-  let js = Obs.Trace.json_str in
-  let b = Buffer.create 16384 in
-  let pf fmt = Fmt.kstr (Buffer.add_string b) fmt in
-  pf "{\n";
-  pf "  \"schema\": %s,\n  \"version\": %d,\n"
-    (js (Obs.Trace.schema ^ ".session"))
-    json_version;
-  pf "  \"name\": %s,\n" (js name);
-  pf "  \"converged\": %b,\n  \"iterations\": %d,\n  \
-      \"incorrect_iterations\": %d,\n"
-    r.converged r.iterations r.incorrect_iterations;
-  pf "  \"records\": [\n";
-  let nrec = List.length r.telemetry in
-  List.iteri
-    (fun i it ->
-      pf "    {\"index\": %d, \"outputs_ok\": %b, \"reverted\": %b, \
-          \"note\": %s,\n"
-        it.it_index it.it_outputs_ok it.it_reverted (js it.it_note);
-      pf "     \"transfers\": %d, \"bytes\": %d,\n" it.it_transfers
-        it.it_bytes;
-      pf "     \"reports\": {%s},\n"
-        (String.concat ", "
-           (List.map
-              (fun (k, n) -> Fmt.str "%s: %d" (js k) n)
-              it.it_report_counts));
-      pf "     \"suggestions\": [%s],\n"
-        (String.concat ", "
-           (List.map
-              (fun (text, certain) ->
-                Fmt.str "{\"text\": %s, \"certain\": %b}" (js text) certain)
-              it.it_suggestions));
-      pf "     \"wrong_restored\": [%s],\n"
-        (String.concat ", " (List.map js it.it_wrong_restored));
-      pf "     \"events\": [%s],\n"
-        (String.concat ", " (List.map js it.it_events));
-      pf "     \"ledger\": {\"causes\": {%s}, \"wasted_bytes\": %d, \
-          \"peak_bytes\": %d},\n"
-        (String.concat ", "
-           (List.map
-              (fun (c, n) -> Fmt.str "%s: %d" (js c) n)
-              it.it_bytes_by_cause))
-        it.it_wasted_bytes it.it_peak_bytes;
-      (match it.it_profile with
-      | Some p ->
-          pf "     \"profile\": %s}"
-            (String.trim
-               (Obs.Profile.to_json
-                  ~name:(Fmt.str "%s#it%d" name it.it_index)
-                  ~seed:42 p))
-      | None -> pf "     \"profile\": null}");
-      if i < nrec - 1 then pf ",";
-      pf "\n")
-    r.telemetry;
-  pf "  ],\n  \"deltas\": [\n";
-  let pairs = profile_pairs r in
-  let npairs = List.length pairs in
-  List.iteri
-    (fun i (ia, pa, ib, pb) ->
-      let d =
-        Obs.Diff.diff ~before_name:(iter_label ia)
-          ~after_name:(iter_label ib) ~before:pa ~after:pb ()
-      in
-      pf "    %s" (String.trim (Obs.Diff.to_json d));
-      if i < npairs - 1 then pf ",";
-      pf "\n")
-    pairs;
-  pf "  ]\n}\n";
-  Buffer.contents b
+  let module P = Obs.Pjson in
+  let counts l = P.Obj (List.map (fun (k, n) -> (k, P.int n)) l) in
+  let strs l = P.Arr (List.map (fun s -> P.Str s) l) in
+  let record it =
+    P.Obj
+      [ ("index", P.int it.it_index); ("outputs_ok", P.Bool it.it_outputs_ok);
+        ("reverted", P.Bool it.it_reverted); ("note", P.Str it.it_note);
+        ("transfers", P.int it.it_transfers); ("bytes", P.int it.it_bytes);
+        ("reports", counts it.it_report_counts);
+        ( "suggestions",
+          P.Arr
+            (List.map
+               (fun (text, certain) ->
+                 P.Obj [ ("text", P.Str text); ("certain", P.Bool certain) ])
+               it.it_suggestions) );
+        ("wrong_restored", strs it.it_wrong_restored);
+        ("events", strs it.it_events);
+        ( "ledger",
+          P.Obj
+            [ ("causes", counts it.it_bytes_by_cause);
+              ("wasted_bytes", P.int it.it_wasted_bytes);
+              ("peak_bytes", P.int it.it_peak_bytes) ] );
+        ( "profile",
+          P.opt
+            (Obs.Profile.json
+               ~name:(Fmt.str "%s#it%d" name it.it_index)
+               ~seed:42)
+            it.it_profile ) ]
+  in
+  let delta (ia, pa, ib, pb) =
+    Obs.Diff.json
+      (Obs.Diff.diff ~before_name:(iter_label ia) ~after_name:(iter_label ib)
+         ~before:pa ~after:pb ())
+  in
+  P.to_string
+    (P.Obj
+       [ ("schema", P.Str (Obs.Trace.schema ^ ".session"));
+         ("version", P.int json_version); ("name", P.Str name);
+         ("converged", P.Bool r.converged);
+         ("iterations", P.int r.iterations);
+         ("incorrect_iterations", P.int r.incorrect_iterations);
+         ("records", P.Arr (List.map record r.telemetry));
+         ("deltas", P.Arr (List.map delta (profile_pairs r))) ])
 
 (** Dynamic transfer statistics of a program: (transfer count, bytes moved).
     Used to quantify leftover (uncaught) redundancy against the manually

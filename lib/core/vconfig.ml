@@ -45,45 +45,53 @@ let selects t name =
 let bound_for t var = List.find_opt (fun b -> b.b_var = var) t.bounds
 
 (** Parse a "verificationOptions=complement=0,kernels=main_kernel0"
-    style string, as the paper's examples show. *)
+    style string, as the paper's examples show.  Malformed specs raise
+    [Failure] naming the option and the offending part. *)
 let of_string s =
-  let t = ref default in
+  let fail fmt = Fmt.kstr failwith ("invalid verification options: " ^^ fmt) in
   let s =
     match String.index_opt s '=' with
     | Some i when String.sub s 0 i = "verificationOptions" ->
         String.sub s (i + 1) (String.length s - i - 1)
     | _ -> s
   in
-  (* Split on commas, but "kernels=" consumes the rest (kernel names are
-     themselves comma-separated). *)
-  let rec consume parts =
-    match parts with
-    | [] -> ()
+  let number key value =
+    match float_of_string_opt value with
+    | Some x when Float.is_finite x -> x
+    | _ -> fail "%s=%s is not a finite number" key value
+  in
+  (* Split on commas; once "kernels=" has appeared, bare words are more
+     kernel names (kernel names are themselves comma-separated). *)
+  let rec consume t ~listing = function
+    | [] -> t
+    | "" :: rest -> consume t ~listing rest
     | p :: rest -> (
         match String.index_opt p '=' with
-        | None -> consume rest
+        | None when listing ->
+            consume { t with kernels = t.kernels @ [ p ] } ~listing rest
+        | None -> fail "'%s' is not a key=value option" p
         | Some i ->
             let key = String.sub p 0 i in
             let value = String.sub p (i + 1) (String.length p - i - 1) in
-            (match key with
-            | "complement" -> t := { !t with complement = value <> "0" }
-            | "kernels" ->
-                t := { !t with kernels = (!t).kernels @ [ value ] };
-                (* remaining bare parts are more kernel names *)
-                List.iter
-                  (fun k ->
-                    if not (String.contains k '=') then
-                      t := { !t with kernels = (!t).kernels @ [ k ] })
-                  rest
-            | "errorMargin" ->
-                t := { !t with error_margin = float_of_string value }
-            | "minValueToCheck" ->
-                t := { !t with min_value = float_of_string value }
-            | _ -> ());
-            consume rest)
+            let t, listing =
+              match key with
+              | "complement" -> (
+                  match value with
+                  | "0" -> ({ t with complement = false }, listing)
+                  | "1" -> ({ t with complement = true }, listing)
+                  | _ -> fail "complement=%s is not 0 or 1" value)
+              | "kernels" -> ({ t with kernels = t.kernels @ [ value ] }, true)
+              | "errorMargin" ->
+                  let m = number key value in
+                  if m < 0.0 then fail "errorMargin=%s is negative" value;
+                  ({ t with error_margin = m }, listing)
+              | "minValueToCheck" ->
+                  ({ t with min_value = number key value }, listing)
+              | _ -> fail "unknown option '%s' in '%s'" key p
+            in
+            consume t ~listing rest)
   in
-  consume (String.split_on_char ',' s);
-  !t
+  consume default ~listing:false (String.split_on_char ',' s)
 
 (** Read the configuration from the [OPENARC_VERIFICATION] environment
     variable, the paper's "or using environment variables" interface.
@@ -91,4 +99,5 @@ let of_string s =
 let from_env ?(var = "OPENARC_VERIFICATION") () =
   match Sys.getenv_opt var with
   | None | Some "" -> default
-  | Some s -> of_string s
+  | Some s -> (
+      try of_string s with Failure m -> Fmt.failwith "%s: %s" var m)

@@ -32,9 +32,17 @@ val selects : t -> string -> bool
 val bound_for : t -> string -> bound option
 
 (** Parse "verificationOptions=complement=0,kernels=main_kernel0" style
-    strings (also accepts the spec without the prefix). *)
+    strings (also accepts the spec without the prefix).  Options are
+    [complement=0|1], [kernels=a,b,...] (after it, bare words are more
+    kernel names), [errorMargin=X] (finite, not negative) and
+    [minValueToCheck=X] (finite).
+    @raise Failure on an unknown option, a bare word before [kernels=], a
+    value that is not a finite number, a negative [errorMargin] or a
+    [complement] other than 0 or 1; the message names the option and the
+    offending part. *)
 val of_string : string -> t
 
 (** Read the configuration from the [OPENARC_VERIFICATION] environment
-    variable; {!default} when unset. *)
+    variable; {!default} when unset.
+    @raise Failure as {!of_string}, the message prefixed with [var]. *)
 val from_env : ?var:string -> unit -> t

@@ -103,21 +103,16 @@ let to_text ds = String.concat "" (List.map (Fmt.str "%a@." pp) ds)
 
 (* ------------------------------- JSON ------------------------------- *)
 
-let json_str = Obs.Trace.json_str
-
-let json_opt = function None -> "null" | Some s -> json_str s
-
 let to_json ds =
+  let module P = Obs.Pjson in
+  let str s = P.Str s in
   let obj d =
-    Fmt.str
-      "{\"code\": %s, \"severity\": %s, \"file\": %s, \"line\": %d, \
-       \"col\": %d, \"var\": %s, \"site\": %s, \"message\": %s, \"fixit\": \
-       %s}"
-      (json_str d.code)
-      (json_str (severity_name d.severity))
-      (json_str d.loc.Minic.Loc.file)
-      d.loc.Minic.Loc.line d.loc.Minic.Loc.col (json_opt d.var)
-      (json_opt d.site) (json_str d.message)
-      (json_opt (Option.map fixit_text d.fixit))
+    P.Obj
+      [ ("code", str d.code); ("severity", str (severity_name d.severity));
+        ("file", str d.loc.Minic.Loc.file);
+        ("line", P.int d.loc.Minic.Loc.line);
+        ("col", P.int d.loc.Minic.Loc.col); ("var", P.opt str d.var);
+        ("site", P.opt str d.site); ("message", str d.message);
+        ("fixit", P.opt str (Option.map fixit_text d.fixit)) ]
   in
-  Fmt.str "[%s]" (String.concat ",\n " (List.map obj ds))
+  P.to_string (P.Arr (List.map obj ds))

@@ -71,29 +71,21 @@ let pp_entry ppf e =
 let pp ppf t =
   List.iter (fun e -> Fmt.pf ppf "%a@." pp_entry e) (entries t)
 
-let jsonl_line e =
-  let loops =
-    String.concat ", "
-      (List.map
-         (fun (l, i) ->
-           Fmt.str "{\"loop\": %s, \"iter\": %d}" (Trace.json_str l) i)
-         e.a_loops)
-  in
-  Fmt.str
-    "{\"type\": \"audit\", \"seq\": %d, \"t\": %.9f, \"var\": %s, \"dev\": \
-     %s, \"from\": %s, \"to\": %s, \"op\": %s, \"point\": %s, \"loops\": \
-     [%s]}"
-    e.a_seq e.a_time (Trace.json_str e.a_var)
-    (Trace.json_str (device_name e.a_dev))
-    (Trace.json_str (status_name e.a_from))
-    (Trace.json_str (status_name e.a_to))
-    (Trace.json_str e.a_op) (Trace.json_str e.a_point) loops
+let entry_json e =
+  let str s = Pjson.Str s in
+  Pjson.Obj
+    [ ("type", str "audit"); ("seq", Pjson.int e.a_seq);
+      ("t", Pjson.fixed 9 e.a_time); ("var", str e.a_var);
+      ("dev", str (device_name e.a_dev)); ("from", str (status_name e.a_from));
+      ("to", str (status_name e.a_to)); ("op", str e.a_op);
+      ("point", str e.a_point);
+      ( "loops",
+        Pjson.Arr
+          (List.map
+             (fun (l, i) ->
+               Pjson.Obj [ ("loop", str l); ("iter", Pjson.int i) ])
+             e.a_loops) ) ]
 
 let to_jsonl t =
-  let b = Buffer.create 1024 in
-  List.iter
-    (fun e ->
-      Buffer.add_string b (jsonl_line e);
-      Buffer.add_char b '\n')
-    (entries t);
-  Buffer.contents b
+  String.concat ""
+    (List.map (fun e -> Pjson.to_line (entry_json e) ^ "\n") (entries t))

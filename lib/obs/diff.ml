@@ -198,130 +198,88 @@ let pp ppf d =
 (* ------------------------------ JSON ------------------------------ *)
 
 let cat_json c =
-  Fmt.str
-    "{\"category\": %s, \"before\": %.9f, \"after\": %.9f, \"delta\": %.9f}"
-    (Trace.json_str c.cd_cat) c.cd_before c.cd_after c.cd_delta
+  Pjson.Obj
+    [ ("category", Pjson.Str c.cd_cat); ("before", Pjson.fixed 9 c.cd_before);
+      ("after", Pjson.fixed 9 c.cd_after); ("delta", Pjson.fixed 9 c.cd_delta)
+    ]
 
 let row_json r =
-  Fmt.str
-    "{\"directive\": %s, \"kind\": %s, \"loc\": %s, \"verdict\": %s, \
-     \"before\": %.9f, \"after\": %.9f, \"delta\": %.9f, \"categories\": \
-     [%s]}"
-    (Trace.json_str r.rd_directive)
-    (Trace.json_str r.rd_kind) (Trace.json_str r.rd_loc)
-    (Trace.json_str (verdict_name r.rd_verdict))
-    r.rd_before r.rd_after r.rd_delta
-    (String.concat ", " (List.map cat_json r.rd_cats))
+  Pjson.Obj
+    [ ("directive", Pjson.Str r.rd_directive); ("kind", Pjson.Str r.rd_kind);
+      ("loc", Pjson.Str r.rd_loc);
+      ("verdict", Pjson.Str (verdict_name r.rd_verdict));
+      ("before", Pjson.fixed 9 r.rd_before);
+      ("after", Pjson.fixed 9 r.rd_after);
+      ("delta", Pjson.fixed 9 r.rd_delta);
+      ("categories", Pjson.Arr (List.map cat_json r.rd_cats)) ]
 
-let to_json d =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b
-    (Fmt.str "  \"schema\": %s,\n  \"version\": %d,\n"
-       (Trace.json_str (Trace.schema ^ ".profile-diff"))
-       Trace.version);
-  Buffer.add_string b
-    (Fmt.str "  \"before\": %s,\n  \"after\": %s,\n"
-       (Trace.json_str d.d_before_name)
-       (Trace.json_str d.d_after_name));
-  Buffer.add_string b
-    (Fmt.str
-       "  \"total_before\": %.9f,\n  \"total_after\": %.9f,\n  \"delta\": \
-        %.9f,\n  \"zero\": %b,\n"
-       d.d_total_before d.d_total_after d.d_delta (is_zero d));
-  Buffer.add_string b "  \"totals\": [\n";
-  List.iteri
-    (fun i c ->
-      Buffer.add_string b "    ";
-      Buffer.add_string b (cat_json c);
-      if i < List.length d.d_totals - 1 then Buffer.add_char b ',';
-      Buffer.add_char b '\n')
-    d.d_totals;
-  Buffer.add_string b "  ],\n  \"rows\": [\n";
-  List.iteri
-    (fun i r ->
-      Buffer.add_string b "    ";
-      Buffer.add_string b (row_json r);
-      if i < List.length d.d_rows - 1 then Buffer.add_char b ',';
-      Buffer.add_char b '\n')
-    d.d_rows;
-  Buffer.add_string b "  ],\n  \"counters\": [\n";
-  List.iteri
-    (fun i (n, bv, av) ->
-      Buffer.add_string b
-        (Fmt.str "    {\"name\": %s, \"before\": %d, \"after\": %d}"
-           (Trace.json_str n) bv av);
-      if i < List.length d.d_counters - 1 then Buffer.add_char b ',';
-      Buffer.add_char b '\n')
-    d.d_counters;
-  Buffer.add_string b "  ]\n}\n";
-  Buffer.contents b
+let json d =
+  Pjson.Obj
+    [ ("schema", Pjson.Str (Trace.schema ^ ".profile-diff"));
+      ("version", Pjson.int Trace.version);
+      ("before", Pjson.Str d.d_before_name);
+      ("after", Pjson.Str d.d_after_name);
+      ("total_before", Pjson.fixed 9 d.d_total_before);
+      ("total_after", Pjson.fixed 9 d.d_total_after);
+      ("delta", Pjson.fixed 9 d.d_delta); ("zero", Pjson.Bool (is_zero d));
+      ("totals", Pjson.Arr (List.map cat_json d.d_totals));
+      ("rows", Pjson.Arr (List.map row_json d.d_rows));
+      ( "counters",
+        Pjson.Arr
+          (List.map
+             (fun (n, b, a) ->
+               Pjson.Obj
+                 [ ("name", Pjson.Str n); ("before", Pjson.int b);
+                   ("after", Pjson.int a) ])
+             d.d_counters) ) ]
+
+let to_json d = Pjson.to_string (json d)
 
 (* ---------------------- canonical-JSON loader ---------------------- *)
 
-let profile_of_value v =
-  (
-      try
-        let get k =
-          match Pjson.member k v with
-          | Some x -> x
-          | None -> raise (Pjson.Bad ("missing field " ^ k))
-        in
-        (match Pjson.str (get "schema") with
-        | Some sc when sc = Trace.schema ^ ".profile" -> ()
-        | Some sc -> raise (Pjson.Bad ("unexpected schema " ^ sc))
-        | None -> raise (Pjson.Bad "schema is not a string"));
-        let name = Pjson.str_exn (get "name") in
-        let seed = int_of_float (Pjson.num_exn (get "seed")) in
-        let obj_members k =
-          match get k with
-          | Pjson.Obj kvs -> kvs
-          | _ -> raise (Pjson.Bad (k ^ " is not an object"))
-        in
-        let totals =
-          List.map (fun (k, x) -> (k, Pjson.num_exn x)) (obj_members "totals")
-        in
-        let categories = List.map fst totals in
-        let rows =
+let profile_of_json s =
+  try
+    let v = Pjson.parse s in
+    (* A read whose error names the member it failed on. *)
+    let named k read x =
+      try read x with Pjson.Bad m -> raise (Pjson.Bad (k ^ ": " ^ m))
+    in
+    let field v k read =
+      match Pjson.member k v with
+      | Some x -> named k read x
+      | None -> raise (Pjson.Bad ("missing field " ^ k))
+    in
+    let members read = function
+      | Pjson.Obj kvs -> List.map (fun (k, x) -> (k, named k read x)) kvs
+      | _ -> raise (Pjson.Bad "expected an object")
+    in
+    (match field v "schema" Pjson.str_exn with
+    | sc when sc = Trace.schema ^ ".profile" -> ()
+    | sc -> raise (Pjson.Bad ("unexpected schema " ^ sc)));
+    (match field v "version" Pjson.int_exn with
+    | n when n = Trace.version -> ()
+    | n -> raise (Pjson.Bad (Fmt.str "unsupported version %d" n)));
+    let totals = field v "totals" (members Pjson.num_exn) in
+    let rows =
+      field v "rows" (fun x ->
           List.map
             (fun rv ->
-              let m k =
-                match Pjson.member k rv with
-                | Some x -> x
-                | None -> raise (Pjson.Bad ("row missing " ^ k))
-              in
-              let cats =
-                match m "categories" with
-                | Pjson.Obj kvs ->
-                    List.map (fun (k, x) -> (k, Pjson.num_exn x)) kvs
-                | _ -> raise (Pjson.Bad "row categories is not an object")
-              in
-              { Profile.r_directive = Pjson.str_exn (m "directive");
-                r_kind = Pjson.str_exn (m "kind");
-                r_loc = Pjson.str_exn (m "loc");
-                r_cats = cats;
-                r_total = Pjson.num_exn (m "total") })
-            (Pjson.arr_exn (get "rows"))
-        in
-        let counters =
-          List.map
-            (fun (k, x) -> (k, int_of_float (Pjson.num_exn x)))
-            (obj_members "counters")
-        in
-        Ok
-          ( { Profile.p_categories = categories;
-              p_rows = rows;
-              p_totals = totals;
-              p_total = Pjson.num_exn (get "total");
-              (* Diffs compare host-clock attribution; a multi-device
-                 document's per-device tables are not re-parsed. *)
-              p_devices = [];
-              p_counters = counters },
-            name,
-            seed )
-      with Pjson.Bad m -> Error m)
-
-let profile_of_json s =
-  match Pjson.parse_result s with
-  | Error e -> Error e
-  | Ok v -> profile_of_value v
+              { Profile.r_directive = field rv "directive" Pjson.str_exn;
+                r_kind = field rv "kind" Pjson.str_exn;
+                r_loc = field rv "loc" Pjson.str_exn;
+                r_cats = field rv "categories" (members Pjson.num_exn);
+                r_total = field rv "total" Pjson.num_exn })
+            (Pjson.arr_exn x))
+    in
+    Ok
+      ( { Profile.p_categories = List.map fst totals;
+          p_rows = rows;
+          p_totals = totals;
+          p_total = field v "total" Pjson.num_exn;
+          (* Diffs compare host-clock attribution; a multi-device
+             document's per-device tables are not re-parsed. *)
+          p_devices = [];
+          p_counters = field v "counters" (members Pjson.int_exn) },
+        field v "name" Pjson.str_exn,
+        field v "seed" Pjson.int_exn )
+  with Pjson.Bad m -> Error m

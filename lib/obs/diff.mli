@@ -75,12 +75,13 @@ val pp : Format.formatter -> t -> unit
 
 (** Canonical deterministic JSON document
     (schema [openarc.obs.profile-diff]). *)
+val json : t -> Pjson.t
+
+(** [json], printed. *)
 val to_json : t -> string
 
 (** Parse a canonical [openarc profile --json] document back into a
-    profile, with its [name] and [seed].  Rejects other schemas. *)
+    profile, with its [name] and [seed].  Rejects other schemas and
+    versions, and what a profile cannot hold: a non-integral or
+    out-of-range [seed] or counter, a number too large for a float. *)
 val profile_of_json : string -> (Profile.t * string * int, string) result
-
-(** Same, from an already-parsed JSON value — for profile documents
-    embedded in larger ones (the committed bench baseline). *)
-val profile_of_value : Pjson.t -> (Profile.t * string * int, string) result

@@ -239,43 +239,36 @@ let version = 1
 
 (* Percentiles of an empty shard population print as 0 (JSON has no
    NaN); it only happens when no sharded kernel ran. *)
-let num x = if Float.is_nan x then "0.0" else Fmt.str "%.9f" x
+let num x = if Float.is_nan x then Pjson.Num "0.0" else Pjson.fixed 9 x
 
 let report_json r =
-  Fmt.str
-    "{\"kernel\": %s, \"loc\": %s, \"launches\": %d, \"imbalance\": %.4f, \
-     \"idle_s\": %s, \"merge_s\": %s, \"merge_share\": %.4f, \"wall_s\": \
-     %s, \"p50_s\": %s, \"p95_s\": %s, \"p99_s\": %s, \"failovers\": %d, \
-     \"pred_block_s\": %s, \"pred_cyclic_s\": %s, \"recommended\": %s, \
-     \"verdict\": %s, \"gain\": %.4f}"
-    (Trace.json_str r.r_kernel) (Trace.json_str r.r_loc) r.r_launches
-    r.r_imbalance (num r.r_idle) (num r.r_merge) r.r_merge_share
-    (num r.r_wall) (num r.r_p50) (num r.r_p95) (num r.r_p99) r.r_failovers
-    (num r.r_pred_block) (num r.r_pred_cyclic)
-    (Trace.json_str r.r_recommended) (Trace.json_str r.r_verdict) r.r_gain
+  Pjson.Obj
+    [ ("kernel", Pjson.Str r.r_kernel); ("loc", Pjson.Str r.r_loc);
+      ("launches", Pjson.int r.r_launches);
+      ("imbalance", Pjson.fixed 4 r.r_imbalance); ("idle_s", num r.r_idle);
+      ("merge_s", num r.r_merge);
+      ("merge_share", Pjson.fixed 4 r.r_merge_share);
+      ("wall_s", num r.r_wall); ("p50_s", num r.r_p50);
+      ("p95_s", num r.r_p95); ("p99_s", num r.r_p99);
+      ("failovers", Pjson.int r.r_failovers);
+      ("pred_block_s", num r.r_pred_block);
+      ("pred_cyclic_s", num r.r_pred_cyclic);
+      ("recommended", Pjson.Str r.r_recommended);
+      ("verdict", Pjson.Str r.r_verdict); ("gain", Pjson.fixed 4 r.r_gain) ]
 
-let to_json ?(name = "") ?(seed = 0) a =
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf
-    (Fmt.str
-       "{\n\"schema\": %s,\n\"version\": %d,\n\"name\": %s,\n\"seed\": \
-        %d,\n\"devices\": %d,\n\"schedule\": %s,\n\"kernels\": [\n"
-       (Trace.json_str schema) version (Trace.json_str name) seed
-       a.a_devices (Trace.json_str a.a_schedule));
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf (report_json r))
-    a.a_kernels;
-  Buffer.add_string buf
-    (Fmt.str
-       "\n],\n\"gather_bytes\": %d,\n\"gather_s\": %s,\n\
-        \"pred_block_s\": %s,\n\"pred_cyclic_s\": %s,\n\"recommended\": \
-        %s,\n\"gain\": %.4f\n}\n"
-       a.a_gather_bytes (num a.a_gather_time) (num a.a_pred_block)
-       (num a.a_pred_cyclic)
-       (Trace.json_str a.a_recommended) a.a_gain);
-  Buffer.contents buf
+let json ~name ~seed a =
+  Pjson.Obj
+    [ ("schema", Pjson.Str schema); ("version", Pjson.int version);
+      ("name", Pjson.Str name); ("seed", Pjson.int seed);
+      ("devices", Pjson.int a.a_devices);
+      ("schedule", Pjson.Str a.a_schedule);
+      ("kernels", Pjson.Arr (List.map report_json a.a_kernels));
+      ("gather_bytes", Pjson.int a.a_gather_bytes);
+      ("gather_s", num a.a_gather_time);
+      ("pred_block_s", num a.a_pred_block);
+      ("pred_cyclic_s", num a.a_pred_cyclic);
+      ("recommended", Pjson.Str a.a_recommended);
+      ("gain", Pjson.fixed 4 a.a_gain) ]
 
 let pp ppf a =
   Fmt.pf ppf

@@ -101,6 +101,6 @@ val version : int
 
 (** Canonical JSON (schema [openarc.obs.imbalance], version 1);
     deterministic byte-for-byte from the recorded launches. *)
-val to_json : ?name:string -> ?seed:int -> analysis -> string
+val json : name:string -> seed:int -> analysis -> Pjson.t
 
 val pp : Format.formatter -> analysis -> unit

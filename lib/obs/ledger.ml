@@ -332,86 +332,58 @@ let analyze t ~pcie_latency ~pcie_bandwidth =
 let schema = Trace.schema ^ ".memtrace"
 let version = 1
 
-let num x = if Float.is_nan x then "0.0" else Fmt.str "%.9f" x
+(* JSON has no NaN. *)
+let num x = if Float.is_nan x then Pjson.Num "0.0" else Pjson.fixed 9 x
 
 let causes_json causes =
-  Fmt.str "{%s}"
-    (String.concat ", "
-       (List.map
-          (fun (c, b) -> Fmt.str "%s: %d" (Trace.json_str c) b)
-          causes))
+  Pjson.Obj (List.map (fun (c, b) -> (c, Pjson.int b)) causes)
 
 let site_json s =
-  Fmt.str
-    "{\"site\": %s, \"loc\": %s, \"array\": %s, \"dir\": %s, \"execs\": \
-     %d, \"transfers\": %d, \"bytes\": %d, \"redundant\": %d, \
-     \"hoistable\": %d, \"wasted_bytes\": %d, \"causes\": %s, \
-     \"rewrite\": %s, \"saved_s\": %s, \"verdict\": %s}"
-    (Trace.json_str s.s_site) (Trace.json_str s.s_loc)
-    (Trace.json_str s.s_array)
-    (Trace.json_str (dir_name s.s_dir))
-    s.s_execs s.s_transfers s.s_bytes s.s_redundant s.s_hoistable
-    s.s_wasted_bytes
-    (causes_json s.s_causes)
-    (Trace.json_str s.s_rewrite) (num s.s_saved_s)
-    (Trace.json_str s.s_verdict)
+  Pjson.Obj
+    [ ("site", Pjson.Str s.s_site); ("loc", Pjson.Str s.s_loc);
+      ("array", Pjson.Str s.s_array); ("dir", Pjson.Str (dir_name s.s_dir));
+      ("execs", Pjson.int s.s_execs); ("transfers", Pjson.int s.s_transfers);
+      ("bytes", Pjson.int s.s_bytes); ("redundant", Pjson.int s.s_redundant);
+      ("hoistable", Pjson.int s.s_hoistable);
+      ("wasted_bytes", Pjson.int s.s_wasted_bytes);
+      ("causes", causes_json s.s_causes); ("rewrite", Pjson.Str s.s_rewrite);
+      ("saved_s", num s.s_saved_s); ("verdict", Pjson.Str s.s_verdict) ]
 
 let lifetime_json lt =
-  Fmt.str
-    "{\"array\": %s, \"dev\": %d, \"bytes\": %d, \"alloc_s\": %s, \
-     \"free_s\": %s}"
-    (Trace.json_str lt.lt_array) lt.lt_dev lt.lt_bytes (num lt.lt_alloc)
-    (match lt.lt_free with None -> "null" | Some f -> num f)
+  Pjson.Obj
+    [ ("array", Pjson.Str lt.lt_array); ("dev", Pjson.int lt.lt_dev);
+      ("bytes", Pjson.int lt.lt_bytes); ("alloc_s", num lt.lt_alloc);
+      ("free_s", Pjson.opt num lt.lt_free) ]
 
-let to_json ?(name = "") ?(seed = 0) a =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf
-    (Fmt.str
-       "{\n\"schema\": %s,\n\"version\": %d,\n\"name\": %s,\n\"seed\": \
-        %d,\n\"devices\": %d,\n\"schedule\": %s,\n\"bytes_h2d\": \
-        %d,\n\"bytes_d2h\": %d,\n\"bytes_uncounted\": \
-        %d,\n\"transfers\": %d,\n\"transfer_s\": %s,\n\"causes\": \
-        %s,\n\"sites\": [\n"
-       (Trace.json_str schema) version (Trace.json_str name) seed
-       a.a_devices (Trace.json_str a.a_schedule) a.a_h2d_bytes
-       a.a_d2h_bytes a.a_uncounted_bytes a.a_transfers (num a.a_transfer_s)
-       (causes_json a.a_causes));
-  List.iteri
-    (fun i s ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf (site_json s))
-    a.a_sites;
-  Buffer.add_string buf "\n],\n\"watermarks\": [\n";
-  List.iteri
-    (fun i (dev, current, peak) ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf
-        (Fmt.str "{\"dev\": %d, \"current_bytes\": %d, \"peak_bytes\": %d}"
-           dev current peak))
-    a.a_peaks;
-  Buffer.add_string buf "\n],\n\"lifetimes\": [\n";
-  List.iteri
-    (fun i lt ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf (lifetime_json lt))
-    a.a_lifetimes;
-  Buffer.add_string buf
-    (Fmt.str "\n],\n\"wasted_bytes\": %d,\n\"saved_s\": %s\n}\n"
-       a.a_wasted_bytes (num a.a_saved_s));
-  Buffer.contents buf
+let json ~name ~seed a =
+  Pjson.Obj
+    [ ("schema", Pjson.Str schema); ("version", Pjson.int version);
+      ("name", Pjson.Str name); ("seed", Pjson.int seed);
+      ("devices", Pjson.int a.a_devices);
+      ("schedule", Pjson.Str a.a_schedule);
+      ("bytes_h2d", Pjson.int a.a_h2d_bytes);
+      ("bytes_d2h", Pjson.int a.a_d2h_bytes);
+      ("bytes_uncounted", Pjson.int a.a_uncounted_bytes);
+      ("transfers", Pjson.int a.a_transfers);
+      ("transfer_s", num a.a_transfer_s); ("causes", causes_json a.a_causes);
+      ("sites", Pjson.Arr (List.map site_json a.a_sites));
+      ( "watermarks",
+        Pjson.Arr
+          (List.map
+             (fun (dev, current, peak) ->
+               Pjson.Obj
+                 [ ("dev", Pjson.int dev);
+                   ("current_bytes", Pjson.int current);
+                   ("peak_bytes", Pjson.int peak) ])
+             a.a_peaks) );
+      ("lifetimes", Pjson.Arr (List.map lifetime_json a.a_lifetimes));
+      ("wasted_bytes", Pjson.int a.a_wasted_bytes);
+      ("saved_s", num a.a_saved_s) ]
+
+let to_json ~name ~seed a = Pjson.to_string (json ~name ~seed a)
 
 let peak_bytes a =
   List.fold_left (fun acc (_, _, p) -> Int.max acc p) 0 a.a_peaks
-
-(* Chrome counter ("C") events: the live allocated-bytes lane of each
-   device-set member, sampled at every alloc/free, on the member's own
-   tid (ordinal + 1, matching the device-lane exporter). *)
-let chrome_counter_events t =
-  List.rev_map
-    (fun (dev, time, allocated) ->
-      Chrome.counter ~name:"allocated" ~ts:time ~tid:(dev + 1)
-        ~value:allocated)
-    t.samples_rev
 
 let pp ppf a =
   Fmt.pf ppf

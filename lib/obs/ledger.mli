@@ -141,13 +141,12 @@ val version : int
 
 (** Canonical JSON document ([schema openarc.obs.memtrace], byte-stable
     for a fixed seed). *)
-val to_json : ?name:string -> ?seed:int -> analysis -> string
+val json : name:string -> seed:int -> analysis -> Pjson.t
+
+(** [json], printed. *)
+val to_json : name:string -> seed:int -> analysis -> string
 
 (** Largest per-device peak in the analysis. *)
 val peak_bytes : analysis -> int
-
-(** Chrome counter ("C") events — the live allocated-bytes lane of each
-    member, on the member's device-lane tid (ordinal + 1). *)
-val chrome_counter_events : t -> string list
 
 val pp : Format.formatter -> analysis -> unit

@@ -175,71 +175,37 @@ let pp ppf p =
 (* ------------------------------ JSON ------------------------------ *)
 
 let json_cats cats =
-  Fmt.str "{%s}"
-    (String.concat ", "
-       (List.map
-          (fun (c, v) -> Fmt.str "%s: %.9f" (Trace.json_str c) v)
-          cats))
+  Pjson.Obj (List.map (fun (c, v) -> (c, Pjson.fixed 9 v)) cats)
 
 let row_json r =
-  Fmt.str
-    "{\"directive\": %s, \"kind\": %s, \"loc\": %s, \"total\": %.9f, \
-     \"categories\": %s}"
-    (Trace.json_str r.r_directive)
-    (Trace.json_str r.r_kind) (Trace.json_str r.r_loc) r.r_total
-    (json_cats r.r_cats)
+  Pjson.Obj
+    [ ("directive", Pjson.Str r.r_directive); ("kind", Pjson.Str r.r_kind);
+      ("loc", Pjson.Str r.r_loc); ("total", Pjson.fixed 9 r.r_total);
+      ("categories", json_cats r.r_cats) ]
 
-(** Canonical, deterministic JSON document (2-space indent, ordered
-    fields) — byte-comparable across runs with the same seed. *)
-let to_json ~name ~seed p =
-  let b = Buffer.create 2048 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b
-    (Fmt.str "  \"schema\": %s,\n  \"version\": %d,\n"
-       (Trace.json_str (Trace.schema ^ ".profile"))
-       Trace.version);
-  Buffer.add_string b
-    (Fmt.str "  \"name\": %s,\n  \"seed\": %d,\n" (Trace.json_str name) seed);
-  Buffer.add_string b (Fmt.str "  \"total\": %.9f,\n" p.p_total);
-  Buffer.add_string b
-    (Fmt.str "  \"totals\": %s,\n" (json_cats p.p_totals));
-  Buffer.add_string b "  \"rows\": [\n";
-  List.iteri
-    (fun i r ->
-      Buffer.add_string b "    ";
-      Buffer.add_string b (row_json r);
-      if i < List.length p.p_rows - 1 then Buffer.add_char b ',';
-      Buffer.add_char b '\n')
-    p.p_rows;
-  Buffer.add_string b "  ],\n";
-  (* The devices section appears only on multi-device runs, keeping the
-     single-device document bit-identical to the pre-device-aware one. *)
-  if p.p_devices <> [] then begin
-    Buffer.add_string b "  \"devices\": [\n";
-    List.iteri
-      (fun i (d, rows) ->
-        Buffer.add_string b (Fmt.str "    {\"dev\": %d, \"rows\": [\n" d);
-        List.iteri
-          (fun j r ->
-            Buffer.add_string b "      ";
-            Buffer.add_string b (row_json r);
-            if j < List.length rows - 1 then Buffer.add_char b ',';
-            Buffer.add_char b '\n')
-          rows;
-        Buffer.add_string b "    ]}";
-        if i < List.length p.p_devices - 1 then Buffer.add_char b ',';
-        Buffer.add_char b '\n')
-      p.p_devices;
-    Buffer.add_string b "  ],\n"
-  end;
-  Buffer.add_string b "  \"counters\": {";
-  Buffer.add_string b
-    (String.concat ", "
-       (List.map
-          (fun (n, v) -> Fmt.str "%s: %d" (Trace.json_str n) v)
-          p.p_counters));
-  Buffer.add_string b "}\n}\n";
-  Buffer.contents b
+let json ~name ~seed p =
+  Pjson.Obj
+    ([ ("schema", Pjson.Str (Trace.schema ^ ".profile"));
+       ("version", Pjson.int Trace.version); ("name", Pjson.Str name);
+       ("seed", Pjson.int seed); ("total", Pjson.fixed 9 p.p_total);
+       ("totals", json_cats p.p_totals);
+       ("rows", Pjson.Arr (List.map row_json p.p_rows)) ]
+    (* The devices section appears only on multi-device runs. *)
+    @ (if p.p_devices = [] then []
+       else
+         [ ( "devices",
+             Pjson.Arr
+               (List.map
+                  (fun (d, rows) ->
+                    Pjson.Obj
+                      [ ("dev", Pjson.int d);
+                        ("rows", Pjson.Arr (List.map row_json rows)) ])
+                  p.p_devices) ) ])
+    @ [ ( "counters",
+          Pjson.Obj
+            (List.map (fun (n, v) -> (n, Pjson.int v)) p.p_counters) ) ])
+
+let to_json ~name ~seed p = Pjson.to_string (json ~name ~seed p)
 
 (* --------------------------- flamegraph --------------------------- *)
 

@@ -40,8 +40,11 @@ val conserves : t -> total:float -> bool
 (** Text table: one line per directive, zero-total categories elided. *)
 val pp : Format.formatter -> t -> unit
 
-(** Canonical deterministic JSON document — byte-comparable across runs
-    with the same seed. *)
+(** Canonical deterministic JSON document (schema [openarc.obs.profile])
+    — byte-comparable across runs with the same seed. *)
+val json : name:string -> seed:int -> t -> Pjson.t
+
+(** [json], printed. *)
 val to_json : name:string -> seed:int -> t -> string
 
 (** Folded-stack flamegraph lines ([name;...;category nanoseconds]),

@@ -180,91 +180,52 @@ let counters t =
 
 (* ------------------------------ JSONL ------------------------------ *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Fmt.str "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let str s = Pjson.Str s
 
-let json_str s = Fmt.str "\"%s\"" (json_escape s)
+(* A member present only when the field is set. *)
+let some k f = function Some v -> [ (k, f v) ] | None -> []
 
-let attrs_json attrs =
-  Fmt.str "{%s}"
-    (String.concat ", "
-       (List.map (fun (k, v) -> Fmt.str "%s: %s" (json_str k) (json_str v))
-          attrs))
-
-let meta_line =
-  Fmt.str "{\"type\": \"meta\", \"schema\": %s, \"version\": %d}"
-    (json_str schema) version
-
-let span_begin_line sp =
-  Fmt.str
-    "{\"type\": \"span_begin\", \"id\": %d, \"parent\": %s, \"kind\": %s, \
-     \"name\": %s%s%s%s, \"t\": %.9f}"
-    sp.sp_id
-    (match sp.sp_parent with None -> "null" | Some p -> string_of_int p)
-    (json_str (kind_name sp.sp_kind))
-    (json_str sp.sp_name)
-    (match sp.sp_loc with
-    | None -> ""
-    | Some l -> Fmt.str ", \"loc\": %s" (json_str l))
-    (match sp.sp_directive with
-    | None -> ""
-    | Some d -> Fmt.str ", \"directive\": %s" (json_str d))
-    (match sp.sp_dev with
-    | None -> ""
-    | Some d -> Fmt.str ", \"dev\": %d" d)
-    sp.sp_start
-
-let span_end_line sp at =
-  Fmt.str "{\"type\": \"span_end\", \"id\": %d, \"t\": %.9f%s}" sp.sp_id at
-    (match sp.sp_attrs with
-    | [] -> ""
-    | attrs -> Fmt.str ", \"attrs\": %s" (attrs_json attrs))
-
-let charge_line c =
-  Fmt.str
-    "{\"type\": \"charge\", \"span\": %d, \"directive\": %s, \"category\": \
-     %s%s, \"dt\": %.12e}"
-    c.c_span (json_str c.c_directive) (json_str c.c_category)
-    (match c.c_dev with
-    | None -> ""
-    | Some d -> Fmt.str ", \"dev\": %d" d)
-    c.c_dt
-
-let counter_line (name, v) =
-  Fmt.str "{\"type\": \"counter\", \"name\": %s, \"value\": %d}"
-    (json_str name) v
+let record = function
+  | E_begin sp ->
+      Pjson.Obj
+        ([ ("type", str "span_begin"); ("id", Pjson.int sp.sp_id);
+           ("parent", Pjson.opt Pjson.int sp.sp_parent);
+           ("kind", str (kind_name sp.sp_kind)); ("name", str sp.sp_name) ]
+        @ some "loc" str sp.sp_loc
+        @ some "directive" str sp.sp_directive
+        @ some "dev" Pjson.int sp.sp_dev
+        @ [ ("t", Pjson.fixed 9 sp.sp_start) ])
+  | E_end (sp, at) ->
+      Pjson.Obj
+        ([ ("type", str "span_end"); ("id", Pjson.int sp.sp_id);
+           ("t", Pjson.fixed 9 at) ]
+        @
+        match sp.sp_attrs with
+        | [] -> []
+        | attrs ->
+            [ ("attrs", Pjson.Obj (List.map (fun (k, v) -> (k, str v)) attrs))
+            ])
+  | E_charge c ->
+      Pjson.Obj
+        ([ ("type", str "charge"); ("span", Pjson.int c.c_span);
+           ("directive", str c.c_directive); ("category", str c.c_category) ]
+        @ some "dev" Pjson.int c.c_dev
+        @ [ ("dt", Pjson.exp 12 c.c_dt) ])
 
 let to_jsonl t =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b meta_line;
-  Buffer.add_char b '\n';
-  List.iter
-    (fun e ->
-      Buffer.add_string b
-        (match e with
-        | E_begin sp -> span_begin_line sp
-        | E_end (sp, at) -> span_end_line sp at
-        | E_charge c -> charge_line c);
-      Buffer.add_char b '\n')
-    (events t);
-  List.iter
-    (fun kv ->
-      Buffer.add_string b (counter_line kv);
-      Buffer.add_char b '\n')
-    (counters t);
-  Buffer.contents b
+  let meta =
+    Pjson.Obj
+      [ ("type", str "meta"); ("schema", str schema);
+        ("version", Pjson.int version) ]
+  in
+  let counter (name, v) =
+    Pjson.Obj
+      [ ("type", str "counter"); ("name", str name); ("value", Pjson.int v) ]
+  in
+  String.concat ""
+    (List.map
+       (fun r -> Pjson.to_line r ^ "\n")
+       ((meta :: List.map record (events t)) @ List.map counter (counters t)))
 
 let pp ppf t =
   let depth = Hashtbl.create 16 in

@@ -116,12 +116,4 @@ val counters : t -> (string * int) list
     [span_end] / [charge] lines in event order, then [counter] lines. *)
 val to_jsonl : t -> string
 
-(** JSON string literal (escaped and quoted) — shared by the sibling
-    exporters. *)
-val json_str : string -> string
-
-(** The escaping alone, unquoted (for exporters that build their own
-    string literals). *)
-val json_escape : string -> string
-
 val pp : Format.formatter -> t -> unit

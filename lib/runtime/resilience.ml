@@ -138,37 +138,38 @@ let pp_report ~seed ~plan ~policy ~metrics ppf s =
       List.iter (fun e -> Fmt.pf ppf "@,  %a" pp_entry e) log);
   Fmt.pf ppf "@]"
 
-let json_str = Obs.Trace.json_str
-
 let report_json ~seed ~plan ~policy ~metrics s =
-  let event e =
-    Fmt.str "{\"kind\": %s, \"target\": %s, \"op\": %s, \"time\": %.9f}"
-      (json_str (Gpusim.Fault_plan.kind_name e.Gpusim.Fault_plan.e_kind))
-      (json_str e.Gpusim.Fault_plan.e_target)
-      (json_str e.Gpusim.Fault_plan.e_op)
-      e.Gpusim.Fault_plan.e_time
+  let module P = Obs.Pjson in
+  let kind k = P.Str (Gpusim.Fault_plan.kind_name k) in
+  let event (e : Gpusim.Fault_plan.event) =
+    P.Obj
+      [ ("kind", kind e.e_kind); ("target", P.Str e.e_target);
+        ("op", P.Str e.e_op); ("time", P.fixed 9 e.e_time) ]
   in
   let entry e =
-    Fmt.str
-      "{\"fault\": %s, \"target\": %s, \"op\": %s, \"action\": %s, \"ok\": \
-       %b}"
-      (json_str (Gpusim.Fault_plan.kind_name e.l_fault))
-      (json_str e.l_target) (json_str e.l_op) (json_str e.l_action) e.l_ok
+    P.Obj
+      [ ("fault", kind e.l_fault); ("target", P.Str e.l_target);
+        ("op", P.Str e.l_op); ("action", P.Str e.l_action);
+        ("ok", P.Bool e.l_ok) ]
   in
   let events = Gpusim.Fault_plan.events plan in
-  Fmt.str
-    "{\"seed\": %d,\n \"policy\": %s,\n \"plan\": %s,\n \"injected\": %d,\n \
-     \"events\": [%s],\n \"recovery\": {\"retries\": %d, \"retransfers\": \
-     %d, \"reexecs\": %d, \"fallbacks\": %d, \"failovers\": %d, \
-     \"devices_lost\": %d, \"verified\": %d, \"unrecovered\": %d, \
-     \"device_lost\": %b},\n \"recovery_time\": %.9f,\n \
-     \"log\": [%s]}"
-    seed
-    (json_str policy.p_name)
-    (json_str (Gpusim.Fault_plan.to_spec plan))
-    (List.length events)
-    (String.concat ", " (List.map event events))
-    s.retries s.retransfers s.reexecs s.fallbacks s.failovers s.devices_lost
-    s.verified s.unrecovered s.device_lost
-    (Gpusim.Metrics.time_of metrics Gpusim.Metrics.Fault_recovery)
-    (String.concat ",\n   " (List.map entry (log_entries s)))
+  P.to_string
+    (P.Obj
+       [ ("seed", P.int seed); ("policy", P.Str policy.p_name);
+         ("plan", P.Str (Gpusim.Fault_plan.to_spec plan));
+         ("injected", P.int (List.length events));
+         ("events", P.Arr (List.map event events));
+         ( "recovery",
+           P.Obj
+             [ ("retries", P.int s.retries);
+               ("retransfers", P.int s.retransfers);
+               ("reexecs", P.int s.reexecs); ("fallbacks", P.int s.fallbacks);
+               ("failovers", P.int s.failovers);
+               ("devices_lost", P.int s.devices_lost);
+               ("verified", P.int s.verified);
+               ("unrecovered", P.int s.unrecovered);
+               ("device_lost", P.Bool s.device_lost) ] );
+         ( "recovery_time",
+           P.fixed 9
+             (Gpusim.Metrics.time_of metrics Gpusim.Metrics.Fault_recovery) );
+         ("log", P.Arr (List.map entry (log_entries s))) ])

@@ -834,38 +834,31 @@ let run ?(config = default_config) ~name ~outputs prog0 =
 
 let json_version = 1
 
-let to_json (r : t) =
-  let buf = Buffer.create 4096 in
-  let str = Obs.Trace.json_str in
-  Buffer.add_string buf
-    (Fmt.str
-       "{\n\"schema\": %s,\n\"version\": %d,\n\"name\": %s,\n\"seed\": \
-        %d,\n\"devices\": %d,\n\"steps\": [\n"
-       (str (Obs.Trace.schema ^ ".saturate"))
-       json_version (str r.r_name) r.r_seed r.r_devices);
-  List.iteri
-    (fun i s ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf
-        (Fmt.str
-           "{\"index\": %d, \"kind\": %s, \"candidate\": %s, \"sites\": \
-            [%s], \"predicted_saved_s\": %.9f, \"measured_saved_s\": %.9f, \
-            \"accepted\": %b, \"reason\": %s}"
-           s.st_index
-           (str (kind_name s.st_kind))
-           (str s.st_label)
-           (String.concat ", " (List.map str s.st_sites))
-           s.st_predicted_s s.st_measured_s s.st_accepted (str s.st_reason)))
-    r.r_steps;
-  Buffer.add_string buf
-    (Fmt.str
-       "\n],\n\"accepted\": %d,\n\"predicted_saved_s\": %.9f,\n\
-        \"measured_saved_s\": %.9f,\n\"total_before_s\": %.9f,\n\
-        \"total_after_s\": %.9f,\n\"engine_compile_hits\": %d,\n\
-        \"engine_compiles\": %d\n}\n"
-       r.r_accepted r.r_predicted_s r.r_measured_s r.r_total_before
-       r.r_total_after r.r_compile_hits r.r_compiles);
-  Buffer.contents buf
+let json (r : t) =
+  let module P = Obs.Pjson in
+  let step s =
+    P.Obj
+      [ ("index", P.int s.st_index); ("kind", P.Str (kind_name s.st_kind));
+        ("candidate", P.Str s.st_label);
+        ("sites", P.Arr (List.map (fun x -> P.Str x) s.st_sites));
+        ("predicted_saved_s", P.fixed 9 s.st_predicted_s);
+        ("measured_saved_s", P.fixed 9 s.st_measured_s);
+        ("accepted", P.Bool s.st_accepted); ("reason", P.Str s.st_reason) ]
+  in
+  P.Obj
+    [ ("schema", P.Str (Obs.Trace.schema ^ ".saturate"));
+      ("version", P.int json_version); ("name", P.Str r.r_name);
+      ("seed", P.int r.r_seed); ("devices", P.int r.r_devices);
+      ("steps", P.Arr (List.map step r.r_steps));
+      ("accepted", P.int r.r_accepted);
+      ("predicted_saved_s", P.fixed 9 r.r_predicted_s);
+      ("measured_saved_s", P.fixed 9 r.r_measured_s);
+      ("total_before_s", P.fixed 9 r.r_total_before);
+      ("total_after_s", P.fixed 9 r.r_total_after);
+      ("engine_compile_hits", P.int r.r_compile_hits);
+      ("engine_compiles", P.int r.r_compiles) ]
+
+let to_json r = Obs.Pjson.to_string (json r)
 
 let pp ppf (r : t) =
   Fmt.pf ppf "saturate %s: %d step(s), %d accepted@." r.r_name

@@ -96,6 +96,9 @@ val run :
 val json_version : int
 
 (** Canonical deterministic JSON (schema [openarc.obs.saturate]). *)
+val json : t -> Obs.Pjson.t
+
+(** [json], printed. *)
 val to_json : t -> string
 
 val pp : Format.formatter -> t -> unit

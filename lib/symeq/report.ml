@@ -6,46 +6,48 @@ type t = { program : string; result : Engine.t }
 
 let schema = "openarc.obs.symeq"
 let version = 1
-let jstr = Obs.Trace.json_str
 
 (* ----------------------------- emission ------------------------------ *)
 
-let kernel_json (k : Engine.kernel_verdict) =
-  let common = Fmt.str "\"kernel\": %s, \"verdict\": %s" (jstr k.kv_name)
-      (jstr (Engine.verdict_name k.kv_verdict))
-  in
-  match k.kv_verdict with
-  | Engine.Proved c ->
-      Fmt.str "{%s, \"objects\": [%s], \"hypotheses\": [%s], \"notes\": [%s]}"
-        common
-        (String.concat ", "
-           (List.map
-              (fun (name, form) ->
-                Fmt.str "{\"name\": %s, \"form\": %s}" (jstr name) (jstr form))
-              c.Engine.c_objects))
-        (String.concat ", " (List.map jstr c.Engine.c_hypotheses))
-        (String.concat ", " (List.map jstr c.Engine.c_notes))
-  | Engine.Disproved r ->
-      Fmt.str
-        "{%s, \"object\": %s, \"device\": %s, \"sequential\": %s, \
-         \"index\": %s, \"witness\": %s}"
-        common (jstr r.Engine.r_object) (jstr r.Engine.r_device)
-        (jstr r.Engine.r_sequential)
-        (match r.Engine.r_index with
-        | Some i -> string_of_int i
-        | None -> "null")
-        (jstr r.Engine.r_witness)
-  | Engine.Unknown why -> Fmt.str "{%s, \"reason\": %s}" common (jstr why)
+let strs l = P.Arr (List.map (fun s -> P.Str s) l)
 
-let to_json t =
-  Fmt.str
-    "{\"schema\": %s, \"version\": %d, \"program\": %s, \"kernels\": [%s], \
-     \"coverage\": {\"kernels\": %d, \"proved\": %d, \"disproved\": %d, \
-     \"unknown\": %d}}"
-    (jstr schema) version (jstr t.program)
-    (String.concat ", " (List.map kernel_json t.result.Engine.kernels))
-    (List.length t.result.Engine.kernels)
-    t.result.Engine.proved t.result.Engine.disproved t.result.Engine.unknown
+let kernel_json (k : Engine.kernel_verdict) =
+  P.Obj
+    ([ ("kernel", P.Str k.kv_name);
+       ("verdict", P.Str (Engine.verdict_name k.kv_verdict)) ]
+    @
+    match k.kv_verdict with
+    | Engine.Proved c ->
+        [ ( "objects",
+            P.Arr
+              (List.map
+                 (fun (name, form) ->
+                   P.Obj [ ("name", P.Str name); ("form", P.Str form) ])
+                 c.Engine.c_objects) );
+          ("hypotheses", strs c.Engine.c_hypotheses);
+          ("notes", strs c.Engine.c_notes) ]
+    | Engine.Disproved r ->
+        [ ("object", P.Str r.Engine.r_object);
+          ("device", P.Str r.Engine.r_device);
+          ("sequential", P.Str r.Engine.r_sequential);
+          ("index", P.opt P.int r.Engine.r_index);
+          ("witness", P.Str r.Engine.r_witness) ]
+    | Engine.Unknown why -> [ ("reason", P.Str why) ])
+
+let json t =
+  let r = t.result in
+  P.Obj
+    [ ("schema", P.Str schema); ("version", P.int version);
+      ("program", P.Str t.program);
+      ("kernels", P.Arr (List.map kernel_json r.Engine.kernels));
+      ( "coverage",
+        P.Obj
+          [ ("kernels", P.int (List.length r.Engine.kernels));
+            ("proved", P.int r.Engine.proved);
+            ("disproved", P.int r.Engine.disproved);
+            ("unknown", P.int r.Engine.unknown) ] ) ]
+
+let to_json t = P.to_string (json t)
 
 (* ----------------------------- validation ---------------------------- *)
 
@@ -56,9 +58,11 @@ let need what = function
   | None -> raise (Invalid ("missing or ill-typed " ^ what))
 
 let get_str name j = need name (Option.bind (P.member name j) P.str)
-let get_num name j = need name (Option.bind (P.member name j) P.num)
 let get_arr name j = need name (Option.bind (P.member name j) P.arr)
-let get_int name j = int_of_float (get_num name j)
+let int_of name v =
+  try P.int_exn v with P.Bad m -> raise (Invalid (name ^ ": " ^ m))
+
+let get_int name j = int_of name (need name (P.member name j))
 
 let str_list name j = List.map (fun v -> need name (P.str v)) (get_arr name j)
 
@@ -82,7 +86,7 @@ let kernel_of_json j =
             r_index =
               (match P.member "index" j with
               | Some P.Null -> None
-              | Some v -> Some (int_of_float (need "index" (P.num v)))
+              | Some v -> Some (int_of "index" v)
               | None -> raise (Invalid "missing index"));
             r_witness = get_str "witness" j }
     | "unknown" -> Engine.Unknown (get_str "reason" j)

@@ -13,8 +13,11 @@ val schema : string
 
 val version : int
 
+val json : t -> Obs.Pjson.t
+(** The canonical JSON document. *)
+
 val to_json : t -> string
-(** One-line canonical JSON document. *)
+(** [json], printed. *)
 
 val of_json : string -> (t, string) result
 (** Strict inverse of {!to_json}: rejects malformed JSON, wrong or

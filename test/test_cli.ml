@@ -855,6 +855,117 @@ let test_exit_code_table () =
     List.iter Sys.remove !files
   end
 
+(* Malformed option values and documents: each exits 2 with one stderr
+   line naming the offending part — a profile number diff-profile cannot
+   represent (or one outside JSON's grammar), a verification spec with an
+   unknown key, a stray word or a non-finite or negative number (from
+   --options or OPENARC_VERIFICATION), and an iteration cap below 1. *)
+let test_malformed_options_table () =
+  if available then begin
+    let files = ref [] in
+    let temp () =
+      let path = Filename.temp_file "openarc_cli" ".json" in
+      files := path :: !files;
+      path
+    in
+    let base = temp () in
+    let code, _ =
+      run_cmd (Fmt.str "profile bench:jacobi --json %s" (Filename.quote base))
+    in
+    Alcotest.(check int) "base profile: exit 0" 0 code;
+    let doc = read_file base in
+    (* the base profile with its first [sub] replaced by [by] *)
+    let edited sub by =
+      let n = String.length sub in
+      let rec find i = if String.sub doc i n = sub then i else find (i + 1) in
+      let i = find 0 in
+      let path = temp () in
+      Out_channel.with_open_bin path (fun oc ->
+          output_string oc
+            (String.sub doc 0 i ^ by
+            ^ String.sub doc (i + n) (String.length doc - i - n)));
+      Fmt.str "diff-profile %s %s" (Filename.quote base) (Filename.quote path)
+    in
+    let seed v = edited "\"seed\": 42" ("\"seed\": " ^ v) in
+    (* row, OPENARC_VERIFICATION-style spec or command line, stderr *)
+    let rows =
+      [ ("seed 1.5", `Cmd (seed "1.5"), "seed: expected an integer, got 1.5");
+        ("seed 1e400", `Cmd (seed "1e400"),
+         "seed: expected an integer, got 1e400");
+        ("counter 2.5",
+         `Cmd
+           (edited "\"counters\": {\"kernels\": "
+              "\"counters\": {\"kernels\": 2.5, \"was\": "),
+         "counters: kernels: expected an integer, got 2.5");
+        ("version 7", `Cmd (edited "\"version\": 1" "\"version\": 7"),
+         "unsupported version 7");
+        ("total 1e400",
+         `Cmd (edited "\"total\": " "\"total\": 1e400, \"was\": "),
+         "total: number 1e400 is out of range");
+        ("number +42", `Cmd (seed "+42"), "expected a value");
+        ("number 042", `Cmd (seed "042"), "expected ',' or '}'");
+        ("number 42.", `Cmd (seed "42."), "malformed number");
+        ("number .5", `Cmd (seed ".5"), "expected a value");
+        ("unknown key", `Spec "errorMarg=0.5",
+         "unknown option 'errorMarg' in 'errorMarg=0.5'");
+        ("stray word", `Spec "garbage", "'garbage' is not a key=value option");
+        ("word before kernels=", `Spec "main_kernel1,kernels=main_kernel0",
+         "'main_kernel1' is not a key=value option");
+        ("errorMargin=abc", `Spec "errorMargin=abc",
+         "errorMargin=abc is not a finite number");
+        ("errorMargin=nan", `Spec "errorMargin=nan",
+         "errorMargin=nan is not a finite number");
+        ("errorMargin=inf", `Spec "errorMargin=inf",
+         "errorMargin=inf is not a finite number");
+        ("minValueToCheck=inf", `Spec "minValueToCheck=inf",
+         "minValueToCheck=inf is not a finite number");
+        ("negative errorMargin", `Spec "errorMargin=-0.5",
+         "errorMargin=-0.5 is negative");
+        ("optimize --max-iterations 0",
+         `Cmd "optimize bench:jacobi --outputs a --max-iterations 0",
+         "invalid --max-iterations: 0");
+        ("session --max-iterations 0",
+         `Cmd "session bench:jacobi --outputs a --max-iterations 0",
+         "invalid --max-iterations: 0") ]
+    in
+    let check what args needle =
+      let code, _, err = run_split args in
+      let err = List.filter (( <> ) "") (String.split_on_char '\n' err) in
+      Alcotest.(check int) (what ^ ": exit 2") 2 code;
+      Alcotest.(check int) (what ^ ": one stderr line") 1 (List.length err);
+      Alcotest.(check bool) (what ^ ": says " ^ needle) true
+        (contains ~needle (String.concat "" err))
+    in
+    List.iter
+      (fun (row, input, needle) ->
+        match input with
+        | `Cmd args -> check row args needle
+        | `Spec spec ->
+            check (row ^ " / --options")
+              (Fmt.str "verify bench:ep --fault-injection --options %s"
+                 (Filename.quote spec))
+              needle;
+            Unix.putenv "OPENARC_VERIFICATION" spec;
+            Fun.protect
+              ~finally:(fun () -> Unix.putenv "OPENARC_VERIFICATION" "")
+              (fun () ->
+                check
+                  (row ^ " / OPENARC_VERIFICATION")
+                  "verify bench:ep --fault-injection"
+                  ("OPENARC_VERIFICATION: invalid verification options: "
+                  ^ needle)))
+      rows;
+    (* a \u escape in a profile name decodes to its byte *)
+    let code, out =
+      run_cmd
+        (edited "\"name\": \"bench:jacobi\"" "\"name\": \"x\\u0001y\"")
+    in
+    Alcotest.(check int) "escaped name: exit 0" 0 code;
+    Alcotest.(check bool) "escaped name: decoded" true
+      (contains ~needle:"-> x\001y" out);
+    List.iter Sys.remove !files
+  end
+
 let tests =
   [ Alcotest.test_case "benchmarks" `Quick test_benchmarks;
     Alcotest.test_case "compile" `Quick test_compile;
@@ -883,4 +994,6 @@ let tests =
     Alcotest.test_case "error handling" `Quick test_error_handling;
     Alcotest.test_case "session outputs" `Quick test_session_outputs;
     Alcotest.test_case "kernel inputs" `Quick test_kernel_inputs;
-    Alcotest.test_case "exit code table" `Quick test_exit_code_table ]
+    Alcotest.test_case "exit code table" `Quick test_exit_code_table;
+    Alcotest.test_case "malformed options table" `Quick
+      test_malformed_options_table ]

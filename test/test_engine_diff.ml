@@ -136,8 +136,9 @@ let diff_devices1 (b : Suite.Bench_def.t) =
           (Obs.Profile.of_trace ~categories:profile_categories tr)
       in
       let chrome (o : Accrt.Interp.outcome) =
-        Gpusim.Timeline.to_chrome_json
-          o.Accrt.Interp.device.Gpusim.Device.timeline
+        Obs.Pjson.to_string
+          (Obs.Chrome.of_timeline
+             o.Accrt.Interp.device.Gpusim.Device.timeline)
       in
       let o0, tr0 = run () in
       List.iter

@@ -133,7 +133,7 @@ let test_timeline () =
         && e.Gpusim.Timeline.ev_duration >= 0.0))
     evs;
   (* chrome-trace JSON is well-formed enough to be bracketed and quoted *)
-  let json = Gpusim.Timeline.to_chrome_json tl in
+  let json = Obs.Pjson.to_string (Obs.Chrome.of_timeline tl) in
   Alcotest.(check bool) "json brackets" true
     (String.length json > 2 && json.[0] = '[');
   Alcotest.(check bool) "summary has kernels" true

@@ -157,7 +157,9 @@ let traced_device () =
 
 let test_chrome_json_parses () =
   let dev = traced_device () in
-  let json = Gpusim.Timeline.to_chrome_json dev.Gpusim.Device.timeline in
+  let json =
+    Obs.Pjson.to_string (Obs.Chrome.of_timeline dev.Gpusim.Device.timeline)
+  in
   let v = Obs.Pjson.parse json in
   let events = Obs.Pjson.arr_exn v in
   Alcotest.(check bool) "several events" true (List.length events >= 4);
@@ -177,7 +179,8 @@ let test_chrome_tids () =
   let dev = traced_device () in
   let tl = dev.Gpusim.Device.timeline in
   let events = Obs.Pjson.arr_exn (Obs.Pjson.parse
-                                     (Gpusim.Timeline.to_chrome_json tl)) in
+                                     (Obs.Pjson.to_string
+                                        (Obs.Chrome.of_timeline tl))) in
   let tid_of e = int_of_float (Obs.Pjson.num_exn
                                  (Option.get (Obs.Pjson.member "tid" e))) in
   let tids = List.sort_uniq compare (List.map tid_of events) in
@@ -210,7 +213,9 @@ let test_chrome_tids () =
     tids
 
 let test_chrome_process_name () =
-  let m = Gpusim.Timeline.chrome_process_name ~pid:3 "jacobi/bitflip/retry" in
+  let m =
+    Obs.Pjson.to_line (Obs.Chrome.process_name ~pid:3 "jacobi/bitflip/retry")
+  in
   let v = Obs.Pjson.parse m in
   Alcotest.(check (option string)) "metadata phase" (Some "M")
     (Option.map Obs.Pjson.str_exn (Obs.Pjson.member "ph" v));

@@ -187,7 +187,11 @@ let test_watermarks () =
     lt_b.Obs.Ledger.lt_free;
   (* One chrome counter sample per allocation event, on the member's
      device lane (ordinal + 1). *)
-  let events = List.map Obs.Pjson.parse (Obs.Ledger.chrome_counter_events lg) in
+  let events =
+    List.map
+      (fun e -> Obs.Pjson.parse (Obs.Pjson.to_line e))
+      (Obs.Chrome.counter_lanes lg)
+  in
   Alcotest.(check int) "one counter per event" 4 (List.length events);
   List.iter
     (fun e ->
@@ -203,7 +207,7 @@ let test_watermarks () =
       | Some args ->
           Alcotest.(check bool) "live bytes sampled" true
             (match Obs.Pjson.member "bytes" args with
-            | Some (Obs.Pjson.Num v) -> v >= 0.0
+            | Some (Obs.Pjson.Num v) -> float_of_string v >= 0.0
             | _ -> false)
       | None -> Alcotest.fail "counter without args")
     events

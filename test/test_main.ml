@@ -30,6 +30,7 @@ let () =
       ("obs", Test_obs.tests);
       ("ledger", Test_ledger.tests);
       ("diff", Test_diff.tests);
+      ("pjson", Test_pjson.tests);
       ("saturate", Test_saturate.tests);
       ("cli", Test_cli.tests);
       ("bench_cli", Test_bench_cli.tests);

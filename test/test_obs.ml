@@ -327,11 +327,11 @@ let test_trace_lanes () =
         ?plan ~resilience:Accrt.Resilience.full ~obs:tr tp
     in
     Obs.Pjson.parse
-      (Gpusim.Timeline.to_chrome_json_devices
-         ~host:(Obs.Chrome.host_lane_events tr)
-         (Array.map
-            (fun d -> d.Gpusim.Device.timeline)
-            o.Accrt.Interp.devset.Gpusim.Device_set.devices))
+      (Obs.Pjson.to_string
+         (Obs.Chrome.of_run ~trace:(Some tr) ~ledger:None
+            (Array.map
+               (fun d -> d.Gpusim.Device.timeline)
+               o.Accrt.Interp.devset.Gpusim.Device_set.devices)))
   in
   let tids v =
     List.sort_uniq compare
@@ -351,7 +351,7 @@ let test_trace_lanes () =
     "host lane carries directive spans" true
     (List.exists
        (fun e ->
-         Obs.Pjson.member "tid" e = Some (Obs.Pjson.Num 0.)
+         Obs.Pjson.member "tid" e = Some (Obs.Pjson.Num "0")
          && Obs.Pjson.member "ph" e = Some (Obs.Pjson.Str "X"))
        (Obs.Pjson.arr_exn v));
   (* Lose member 1: its loss must surface as instant events — the fault
@@ -371,12 +371,12 @@ let test_trace_lanes () =
   Alcotest.(check bool)
     "device-loss instant on the lost member's lane" true
     (List.exists
-       (fun e -> Obs.Pjson.member "tid" e = Some (Obs.Pjson.Num 2.))
+       (fun e -> Obs.Pjson.member "tid" e = Some (Obs.Pjson.Num "2"))
        instants);
   Alcotest.(check bool)
     "failover instant on the host lane" true
     (List.exists
-       (fun e -> Obs.Pjson.member "tid" e = Some (Obs.Pjson.Num 0.))
+       (fun e -> Obs.Pjson.member "tid" e = Some (Obs.Pjson.Num "0"))
        instants)
 
 (* ------------------------- memory lanes ----------------------------- *)
@@ -395,13 +395,11 @@ let test_memory_counter_lanes () =
   in
   let v =
     Obs.Pjson.parse
-      (Gpusim.Timeline.to_chrome_json_devices
-         ~host:
-           (Obs.Chrome.host_lane_events tr
-           @ Obs.Ledger.chrome_counter_events lg)
-         (Array.map
-            (fun d -> d.Gpusim.Device.timeline)
-            o.Accrt.Interp.devset.Gpusim.Device_set.devices))
+      (Obs.Pjson.to_string
+         (Obs.Chrome.of_run ~trace:(Some tr) ~ledger:(Some lg)
+            (Array.map
+               (fun d -> d.Gpusim.Device.timeline)
+               o.Accrt.Interp.devset.Gpusim.Device_set.devices)))
   in
   let counters =
     List.filter
@@ -424,7 +422,7 @@ let test_memory_counter_lanes () =
         (match Obs.Pjson.member "args" e with
         | Some args -> (
             match Obs.Pjson.member "bytes" args with
-            | Some (Obs.Pjson.Num b) -> b >= 0.0
+            | Some (Obs.Pjson.Num b) -> float_of_string b >= 0.0
             | _ -> false)
         | None -> false))
     counters;

@@ -97,7 +97,7 @@ let test_wall_report () =
               (field ^ " present and positive")
               true
               (match Obs.Pjson.member field rv with
-              | Some (Obs.Pjson.Num x) -> x > 0.0
+              | Some (Obs.Pjson.Num x) -> float_of_string x > 0.0
               | _ -> false))
           [ "tree_s"; "compiled_s"; "speedup"; "verify_tree_s";
             "verify_compiled_s"; "verify_speedup" ])
@@ -106,7 +106,7 @@ let test_wall_report () =
       (fun field ->
         Alcotest.(check bool) (field ^ " present") true
           (match Obs.Pjson.member field v with
-          | Some (Obs.Pjson.Num x) -> x > 0.0
+          | Some (Obs.Pjson.Num x) -> float_of_string x > 0.0
           | _ -> false))
       [ "median_speedup"; "median_verify_speedup" ]
   end
