@@ -712,10 +712,7 @@ let saturate_cmd =
             (devices :: List.filter (fun d -> d < devices) [ 1; 2; 4 ])
         in
         let config =
-          { Saturate.default_config with
-            Saturate.seed;
-            max_steps;
-            check_devices = check_devices_list }
+          { Saturate.seed; max_steps; check_devices = check_devices_list }
         in
         let r =
           Saturate.run ~config ~name:file ~outputs tp.Codegen.Tprog.source

@@ -16,17 +16,10 @@
 open Minic.Ast
 open Codegen.Tprog
 
-type mismatch = {
-  m_what : string;  (** array or scalar name *)
-  m_count : int;  (** elements beyond the margin (1 for scalars) *)
-  m_max_diff : float;
-  m_first_indices : int list;
-}
-
 type kernel_report = {
   kr_kernel : kernel;
   kr_occurrences : int;  (** dynamic launches verified *)
-  kr_mismatches : mismatch list;  (** aggregated over occurrences *)
+  kr_mismatches : Accrt.Value.mismatch list;  (** aggregated over occurrences *)
   kr_assertion_failures : string list;
   kr_symbolic : Symeq.Engine.verdict option;
       (** tier-0 symbolic verdict, when the symbolic tier ran *)
@@ -65,11 +58,11 @@ let shadow_ctx (ctx : Accrt.Eval.ctx) =
     cost of the verification run, and the cost of the pure sequential
     execution. *)
 let verify_tprog ?(config = Vconfig.default) ?(engine = Accrt.Engine.Compiled)
-    ?cm ?obs ?(trace = false) ?(symbolic = false) (tp : Codegen.Tprog.t) =
+    ?obs ?(trace = false) ?(symbolic = false) (tp : Codegen.Tprog.t) =
   (* The translated source has its directive-containing callees inlined,
      so kernel ids and the reference execution agree on one program. *)
   let prog = tp.source in
-  let device = Gpusim.Device.create ?cm ~trace () in
+  let device = Gpusim.Device.create ~trace () in
   let metrics = device.Gpusim.Device.metrics in
   let cmodel = device.Gpusim.Device.cm in
   (match obs with
@@ -118,7 +111,7 @@ let verify_tprog ?(config = Vconfig.default) ?(engine = Accrt.Engine.Compiled)
 
   (* Per-kernel aggregation. *)
   let occurrences = Hashtbl.create 16 in
-  let mismatches : (string, mismatch list) Hashtbl.t = Hashtbl.create 16 in
+  let mismatches = Hashtbl.create 16 in
   let assertion_failures : (string, string list) Hashtbl.t =
     Hashtbl.create 16 in
   let add_mismatch k m =
@@ -135,6 +128,8 @@ let verify_tprog ?(config = Vconfig.default) ?(engine = Accrt.Engine.Compiled)
     tp.kernels;
 
   let queue = 1 in
+  let margin = config.Vconfig.error_margin
+  and min_value = config.Vconfig.min_value in
   let charged_ops = ref 0 in
   let charge_cpu delta =
     charged_ops := !charged_ops + delta;
@@ -206,41 +201,18 @@ let verify_tprog ?(config = Vconfig.default) ?(engine = Accrt.Engine.Compiled)
         let reference = Accrt.Value.array_buf env v in
         let gpu_copy = Gpusim.Buf.copy reference in
         Gpusim.Device.download device v ~host:gpu_copy ();
-        let n = Gpusim.Buf.length reference in
         Gpusim.Device.charge device Gpusim.Metrics.Result_comp
-          (Gpusim.Costmodel.compare_time cmodel ~elems:n);
-        (* §III-C application-knowledge bounds: a difference whose GPU
-           value still falls within the user-declared bound for this
-           variable is acceptable and not reported. *)
+          (Gpusim.Costmodel.compare_time cmodel
+             ~elems:(Gpusim.Buf.length reference));
+        (* §III-C application-knowledge bounds: a GPU value within the
+           user-declared bound for this variable is acceptable. *)
         let idx, count =
-          match Vconfig.bound_for config v with
-          | None ->
-              Gpusim.Buf.compare ~min_value:config.Vconfig.min_value
-                ~margin:config.Vconfig.error_margin ~reference gpu_copy
-          | Some b ->
-              let bad = ref [] and nbad = ref 0 in
-              for i = 0 to n - 1 do
-                let r = Gpusim.Buf.get_float reference i in
-                let g = Gpusim.Buf.get_float gpu_copy i in
-                if Float.abs r >= config.Vconfig.min_value then begin
-                  let tol =
-                    config.Vconfig.error_margin
-                    *. Float.max 1.0 (Float.abs r)
-                  in
-                  let within_bound =
-                    g >= b.Vconfig.b_min && g <= b.Vconfig.b_max
-                  in
-                  if Float.abs (r -. g) > tol && not within_bound then begin
-                    incr nbad;
-                    if List.length !bad < 5 then bad := i :: !bad
-                  end
-                end
-              done;
-              (List.rev !bad, !nbad)
+          Gpusim.Buf.compare ~min_value ?bound:(Vconfig.bound_for config v)
+            ~margin ~reference gpu_copy
         in
         if count > 0 then
           add_mismatch k
-            { m_what = v; m_count = count;
+            { Accrt.Value.m_what = v; m_count = count;
               m_max_diff = Gpusim.Buf.max_abs_diff reference gpu_copy;
               m_first_indices = idx };
         (* §III-C debug assertions on GPU results. *)
@@ -265,20 +237,14 @@ let verify_tprog ?(config = Vconfig.default) ?(engine = Accrt.Engine.Compiled)
             let y = Accrt.Value.to_float c_gpu.Accrt.Value.v in
             Gpusim.Device.charge device Gpusim.Metrics.Result_comp
               (Gpusim.Costmodel.compare_time cmodel ~elems:1);
-            if Float.abs x >= config.Vconfig.min_value then begin
-              let tol =
-                config.Vconfig.error_margin *. Float.max 1.0 (Float.abs x)
-              in
-              let within_bound =
-                match Vconfig.bound_for config v with
-                | Some b -> y >= b.Vconfig.b_min && y <= b.Vconfig.b_max
-                | None -> false
-              in
-              if Float.abs (x -. y) > tol && not within_bound then
-                add_mismatch k
-                  { m_what = v; m_count = 1;
-                    m_max_diff = Float.abs (x -. y); m_first_indices = [] }
-            end
+            if
+              not
+                (Gpusim.Buf.matches ~min_value
+                   ?bound:(Vconfig.bound_for config v) ~margin ~reference:x y)
+            then
+              add_mismatch k
+                { Accrt.Value.m_what = v; m_count = 1;
+                  m_max_diff = Float.abs (x -. y); m_first_indices = [] }
         | _ -> ())
       (committed_scalars k);
     (* Release the demoted allocations. *)
@@ -343,8 +309,8 @@ let verify_tprog ?(config = Vconfig.default) ?(engine = Accrt.Engine.Compiled)
 
 (** Verify [prog].  [opts] controls translation (use
     {!Codegen.Options.fault_injection} to reproduce Table II). *)
-let verify ?opts ?config ?engine ?cm ?obs ?trace ?symbolic prog =
-  verify_tprog ?config ?engine ?cm ?obs ?trace ?symbolic
+let verify ?opts ?config ?engine ?obs ?trace ?symbolic prog =
+  verify_tprog ?config ?engine ?obs ?trace ?symbolic
     (Compiler.compile_program ?opts prog)
 
 let pp_report ppf r =
@@ -359,8 +325,8 @@ let pp_report ppf r =
       r.kr_occurrences;
     List.iter
       (fun m ->
-        Fmt.pf ppf "@,  %s: %d element(s) differ, max |diff| = %g" m.m_what
-          m.m_count m.m_max_diff)
+        Fmt.pf ppf "@,  %s: %d element(s) differ, max |diff| = %g"
+          m.Accrt.Value.m_what m.m_count m.m_max_diff)
       r.kr_mismatches;
     List.iter
       (fun a -> Fmt.pf ppf "@,  assertion '%s' failed" a)

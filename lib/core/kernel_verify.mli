@@ -7,17 +7,10 @@
     configured error margin.  Sequential results always win, so errors never
     propagate between kernels. *)
 
-type mismatch = {
-  m_what : string;  (** array or scalar name *)
-  m_count : int;  (** elements beyond the margin (1 for scalars) *)
-  m_max_diff : float;
-  m_first_indices : int list;
-}
-
 type kernel_report = {
   kr_kernel : Codegen.Tprog.kernel;
   kr_occurrences : int;  (** dynamic launches verified *)
-  kr_mismatches : mismatch list;
+  kr_mismatches : Accrt.Value.mismatch list;
   kr_assertion_failures : string list;
   kr_symbolic : Symeq.Engine.verdict option;
       (** tier-0 symbolic verdict, when the symbolic tier ran *)
@@ -62,8 +55,8 @@ val detected_errors : t -> kernel_report list
     and records [symeq.proved]/[symeq.disproved]/[symeq.unknown]
     counters. *)
 val verify_tprog :
-  ?config:Vconfig.t -> ?engine:Accrt.Engine.t -> ?cm:Gpusim.Costmodel.t ->
-  ?obs:Obs.Trace.t -> ?trace:bool -> ?symbolic:bool -> Codegen.Tprog.t -> t
+  ?config:Vconfig.t -> ?engine:Accrt.Engine.t -> ?obs:Obs.Trace.t ->
+  ?trace:bool -> ?symbolic:bool -> Codegen.Tprog.t -> t
 
 (** Compile [prog] with {!Compiler.compile_program} and verify the
     translation; [opts] controls translation (use
@@ -72,7 +65,7 @@ val verify_tprog :
     @raise Acc.Validate.Invalid on OpenACC misuse *)
 val verify :
   ?opts:Codegen.Options.t -> ?config:Vconfig.t -> ?engine:Accrt.Engine.t ->
-  ?cm:Gpusim.Costmodel.t -> ?obs:Obs.Trace.t -> ?trace:bool ->
-  ?symbolic:bool -> Minic.Ast.program -> t
+  ?obs:Obs.Trace.t -> ?trace:bool -> ?symbolic:bool -> Minic.Ast.program ->
+  t
 
 val pp_report : Format.formatter -> kernel_report -> unit

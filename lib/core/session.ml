@@ -64,23 +64,10 @@ let log_lines r =
    reference; small relative tolerance absorbs the GPU's tree-order
    reductions. *)
 let outputs_match ~outputs ~reference (o : Accrt.Interp.outcome) =
-  let margin = 1e-6 in
-  List.for_all
-    (fun name ->
-      match
-        (Accrt.Value.lookup reference name,
-         Accrt.Value.lookup o.Accrt.Interp.ctx.Accrt.Eval.env name)
-      with
-      | Some (Accrt.Value.Array { buf = Some b1; _ }),
-        Some (Accrt.Value.Array { buf = Some b2; _ }) ->
-          let _, bad = Gpusim.Buf.compare ~margin ~reference:b1 b2 in
-          bad = 0
-      | Some (Accrt.Value.Scalar c1), Some (Accrt.Value.Scalar c2) ->
-          let x = Accrt.Value.to_float c1.Accrt.Value.v in
-          let y = Accrt.Value.to_float c2.Accrt.Value.v in
-          Float.abs (x -. y) <= margin *. Float.max 1.0 (Float.abs x)
-      | _ -> false)
-    outputs
+  Accrt.Value.compare_outputs ~margin:1e-6
+    ~reference:(Accrt.Value.outputs reference outputs)
+    (Accrt.Value.outputs o.Accrt.Interp.ctx.Accrt.Eval.env outputs)
+  = []
 
 (* Source span (first/last sid) covering all compute regions: the statements
    a new data region must enclose. *)

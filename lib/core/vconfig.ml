@@ -42,7 +42,10 @@ let selects t name =
   | ks, false -> List.mem name ks
   | ks, true -> not (List.mem name ks)
 
-let bound_for t var = List.find_opt (fun b -> b.b_var = var) t.bounds
+let bound_for t var =
+  List.find_map
+    (fun b -> if b.b_var = var then Some (b.b_min, b.b_max) else None)
+    t.bounds
 
 (** Parse a "verificationOptions=complement=0,kernels=main_kernel0"
     style string, as the paper's examples show.  Malformed specs raise
@@ -96,8 +99,9 @@ let of_string s =
 (** Read the configuration from the [OPENARC_VERIFICATION] environment
     variable, the paper's "or using environment variables" interface.
     Returns {!default} when unset. *)
-let from_env ?(var = "OPENARC_VERIFICATION") () =
-  match Sys.getenv_opt var with
+let from_env () =
+  match Sys.getenv_opt "OPENARC_VERIFICATION" with
   | None | Some "" -> default
   | Some s -> (
-      try of_string s with Failure m -> Fmt.failwith "%s: %s" var m)
+      try of_string s
+      with Failure m -> Fmt.failwith "OPENARC_VERIFICATION: %s" m)

@@ -29,7 +29,9 @@ val default : t
 (** Does the configuration select kernel [name]? *)
 val selects : t -> string -> bool
 
-val bound_for : t -> string -> bound option
+(** [(b_min, b_max)] of the bound declared for [var], if any: the
+    [bound] of {!Gpusim.Buf.matches}. *)
+val bound_for : t -> string -> (float * float) option
 
 (** Parse "verificationOptions=complement=0,kernels=main_kernel0" style
     strings (also accepts the spec without the prefix).  Options are
@@ -44,5 +46,6 @@ val of_string : string -> t
 
 (** Read the configuration from the [OPENARC_VERIFICATION] environment
     variable; {!default} when unset.
-    @raise Failure as {!of_string}, the message prefixed with [var]. *)
-val from_env : ?var:string -> unit -> t
+    @raise Failure as {!of_string}, the message prefixed with the
+    variable's name. *)
+val from_env : unit -> t

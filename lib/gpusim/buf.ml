@@ -47,11 +47,6 @@ let set_float b i v =
 let set_int b i v =
   match b with Ibuf a -> a.(i) <- v | Fbuf a -> a.(i) <- float_of_int v
 
-let fill_float b v =
-  match b with
-  | Fbuf a -> Array.fill a 0 (Array.length a) v
-  | Ibuf a -> Array.fill a 0 (Array.length a) (int_of_float v)
-
 (** Maximum absolute elementwise difference; buffers must share shape. *)
 let max_abs_diff b1 b2 =
   match (b1, b2) with
@@ -65,23 +60,31 @@ let max_abs_diff b1 b2 =
       float_of_int !m
   | _ -> invalid_arg "Buf.max_abs_diff: shape mismatch"
 
-(** Elementwise comparison under a relative-or-absolute error margin,
-    optionally skipping reference elements below [min_value] (the paper's
-    [minValueToCheck] configuration).  Returns the indices (up to [limit]) and
-    count of elements whose difference exceeds the margin. *)
-let compare ?(min_value = 0.0) ?(limit = 5) ~margin ~reference other =
-  let bad = ref [] and nbad = ref 0 in
+(* The one result-comparison rule (§III-A, with the §III-C bound); see
+   [matches] in the interface.  It is inlined into [compare]'s loop, which
+   a call through [matches]'s optional arguments would not be. *)
+let[@inline] rule min_value bound margin r v =
+  (if Float.is_finite r && Float.is_finite v then
+     Float.abs r < min_value
+     || Float.abs (r -. v) <= margin *. Float.max 1.0 (Float.abs r)
+   else r = v || (Float.is_nan r && Float.is_nan v))
+  || match bound with Some (lo, hi) -> lo <= v && v <= hi | None -> false
+
+let matches ?(min_value = 0.0) ?bound ~margin ~reference value =
+  rule min_value bound margin reference value
+
+(** Elementwise {!matches}: the first five offending indices and the count
+    of elements that do not match. *)
+let compare ?(min_value = 0.0) ?bound ~margin ~reference other =
   let n = length reference in
   if length other <> n then invalid_arg "Buf.compare: shape mismatch";
+  let bad = ref [] and nbad = ref 0 in
   for i = 0 to n - 1 do
-    let r = get_float reference i and o = get_float other i in
-    if Float.abs r >= min_value then begin
-      let diff = Float.abs (r -. o) in
-      let tol = margin *. Float.max 1.0 (Float.abs r) in
-      if diff > tol then begin
-        incr nbad;
-        if List.length !bad < limit then bad := i :: !bad
-      end
+    if not (rule min_value bound margin (get_float reference i)
+              (get_float other i))
+    then begin
+      incr nbad;
+      if !nbad <= 5 then bad := i :: !bad
     end
   done;
   (List.rev !bad, !nbad)

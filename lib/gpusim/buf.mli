@@ -26,18 +26,28 @@ val get_float : t -> int -> float
 val get_int : t -> int -> int
 val set_float : t -> int -> float -> unit
 val set_int : t -> int -> int -> unit
-val fill_float : t -> float -> unit
 
 (** Maximum absolute elementwise difference; buffers must share shape. *)
 val max_abs_diff : t -> t -> float
 
-(** Elementwise comparison under a relative-or-absolute error margin,
-    optionally skipping reference elements below [min_value] (the paper's
-    [minValueToCheck]).  Returns up to [limit] offending indices and the
-    total count of elements beyond the margin. *)
+(** The one result-comparison rule (§III-A): does [value] match its
+    [reference]?  Equal values match: NaN with NaN, an infinity with the
+    same infinity, 0.0 with -0.0.  Any other pair holding a NaN or an
+    infinity is a mismatch.  Of two finite values, a reference whose
+    magnitude is below [min_value] (the paper's [minValueToCheck],
+    default 0) is not checked; otherwise [|reference - value|] must not
+    exceed [margin * max 1 |reference|].  A value inside the §III-C
+    application bound [(lo, hi)] is accepted whatever its reference. *)
+val matches :
+  ?min_value:float -> ?bound:float * float -> margin:float ->
+  reference:float -> float -> bool
+
+(** Elementwise {!matches} of two buffers of one shape: the first five
+    indices that do not match, and how many do not.
+    @raise Invalid_argument on a shape mismatch. *)
 val compare :
-  ?min_value:float -> ?limit:int -> margin:float -> reference:t -> t ->
-  int list * int
+  ?min_value:float -> ?bound:float * float -> margin:float -> reference:t ->
+  t -> int list * int
 
 (** Flip one bit of element [idx] (fault injection: a transient device
     memory error).  Floats are flipped in their IEEE-754 bit pattern. *)

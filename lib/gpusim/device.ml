@@ -49,12 +49,11 @@ type t = {
   mutable observer : (event -> unit) option;
 }
 
-let create ?(id = 0) ?(cm = Costmodel.default) ?(seed = 42) ?(trace = false)
-    ?plan () =
+let create ?(id = 0) ?(seed = 42) ?(trace = false) ?plan () =
   let plan =
     match plan with Some p -> p | None -> Fault_plan.none ()
   in
-  { id; cm; metrics = Metrics.create ();
+  { id; cm = Costmodel.default; metrics = Metrics.create ();
     timeline = Timeline.create ~enabled:trace ();
     mem = Hashtbl.create 32;
     streams = Hashtbl.create 4; rng = Rng.create seed; plan;

@@ -92,8 +92,7 @@ type fault_info = {
 exception Device_fault of fault_info
 
 val create :
-  ?id:int -> ?cm:Costmodel.t -> ?seed:int -> ?trace:bool ->
-  ?plan:Fault_plan.t -> unit -> t
+  ?id:int -> ?seed:int -> ?trace:bool -> ?plan:Fault_plan.t -> unit -> t
 
 (** Has the device {e not} been lost to a [Device_lost] fault? *)
 val alive : t -> bool

@@ -30,7 +30,7 @@ type t = {
       (** the un-partitioned plan, kept for event reporting *)
 }
 
-let create ?cm ?(seed = 42) ?(trace = false) ?plan ?(schedule = Block) n =
+let create ?(seed = 42) ?(trace = false) ?plan ?(schedule = Block) n =
   if n < 1 then invalid_arg "Device_set.create: need at least one device";
   let plans =
     match plan with
@@ -40,7 +40,7 @@ let create ?cm ?(seed = 42) ?(trace = false) ?plan ?(schedule = Block) n =
   in
   let devices =
     Array.init n (fun id ->
-        Device.create ~id ?cm
+        Device.create ~id
           ~seed:(if id = 0 then seed else seed + (7919 * id))
           ~trace ?plan:plans.(id) ())
   in

@@ -24,8 +24,8 @@ type t = {
     partitioned by [#DEV] selector ({!Fault_plan.partition}) and
     {!flush_events} folds the members' events back into it. *)
 val create :
-  ?cm:Costmodel.t -> ?seed:int -> ?trace:bool -> ?plan:Fault_plan.t ->
-  ?schedule:schedule -> int -> t
+  ?seed:int -> ?trace:bool -> ?plan:Fault_plan.t -> ?schedule:schedule ->
+  int -> t
 
 val size : t -> int
 val primary : t -> Device.t

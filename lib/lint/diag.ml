@@ -29,15 +29,14 @@ let apply_fixit prog = function
           { d with
             clauses = Acc.Edit.add_reduction_var d.Minic.Ast.clauses op var })
   | Fix_weaken_clause { sid; var; side } ->
-      Acc.Edit.weaken_clause prog ~sid ~var ~side
+      Openarc_core.Session.apply_action prog
+        (Openarc_core.Suggest.Weaken_clause { sid; var; side })
   | Fix_remove_update_var { sid; var; host } ->
-      Acc.Edit.map_directive prog ~sid ~f:(fun d ->
-          { d with
-            clauses =
-              Acc.Edit.remove_update_var d.Minic.Ast.clauses ~host var })
+      Openarc_core.Session.apply_action prog
+        (Openarc_core.Suggest.Remove_update_var { sid; var; host })
   | Fix_insert_update { before_sid; var; host } ->
-      Acc.Edit.insert_before prog ~sid:before_sid
-        [ Acc.Edit.mk_update ~host [ var ] ]
+      Openarc_core.Session.apply_action prog
+        (Openarc_core.Suggest.Add_update { before_sid; var; host })
 
 let fixit_text = function
   | Fix_add_private { var; _ } -> Fmt.str "add 'private(%s)' to the directive" var

@@ -35,7 +35,9 @@ type fixit =
   | Fix_remove_update_var of { sid : int; var : string; host : bool }
   | Fix_insert_update of { before_sid : int; var : string; host : bool }
 
-(** Apply a fix-it to the source program. *)
+(** Apply a fix-it to the source program.  The transfer fix-its are the
+    session's edits ({!Openarc_core.Session.apply_action}): removing the
+    last variable of an [update] removes the directive. *)
 val apply_fixit : Minic.Ast.program -> fixit -> Minic.Ast.program
 
 val fixit_text : fixit -> string

@@ -4,8 +4,8 @@ module Diag = Diag
 module Race = Race
 module Xfer = Xfer
 
-let run_tprog ?mode tp =
-  let ds = Race.analyze tp @ Xfer.analyze ?mode tp in
+let run_tprog tp =
+  let ds = Race.analyze tp @ Xfer.analyze tp in
   Diag.sort (List.sort_uniq compare ds)
 
 let run_program ?opts prog =

@@ -9,7 +9,7 @@ module Race = Race
 module Xfer = Xfer
 
 (** Lint a program compiled by [Openarc_core.Compiler]. *)
-val run_tprog : ?mode:Codegen.Checkgen.mode -> Codegen.Tprog.t -> Diag.t list
+val run_tprog : Codegen.Tprog.t -> Diag.t list
 
 (** Compile a parsed program through [Openarc_core.Compiler] and lint it.
     @raise Minic.Loc.Error on type errors

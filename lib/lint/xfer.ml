@@ -37,8 +37,8 @@ type event = {
   ev_sid : int;
 }
 
-let analyze ?(mode = Checkgen.Optimized) (tp : Tprog.t) =
-  let tp = Checkgen.instrument ~mode tp in
+let analyze (tp : Tprog.t) =
+  let tp = Checkgen.instrument tp in
   let cfg = Tcfg.build tp in
   let n = Analysis.Graph.size cfg.Tcfg.graph in
   let resolve v =

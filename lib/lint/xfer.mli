@@ -18,6 +18,6 @@
     [-003] incorrect (error), [-004] redundant (warning), [-005]
     may-redundant (info). *)
 
-(** Diagnostics for one (uninstrumented) translated program; [mode]
-    selects the check placement, default {!Codegen.Checkgen.Optimized}. *)
-val analyze : ?mode:Codegen.Checkgen.mode -> Codegen.Tprog.t -> Diag.t list
+(** Diagnostics for one (uninstrumented) translated program, over the
+    {!Codegen.Checkgen.Optimized} check placement. *)
+val analyze : Codegen.Tprog.t -> Diag.t list

@@ -70,12 +70,12 @@ type attribution = {
 }
 
 let run ?(coherence = true) ?(engine = Engine.Compiled) ?granularity
-    ?(seed = 42) ?(trace = false) ?cm ?plan
+    ?(seed = 42) ?(trace = false) ?plan
     ?(resilience = Resilience.none) ?(devices = 1) ?schedule ?obs ?ledger
     ?audit ?kcache (tp : Codegen.Tprog.t) =
   if devices < 1 then invalid_arg "Interp.run: devices must be >= 1";
   let devset =
-    Gpusim.Device_set.create ?cm ~seed ~trace ?plan ?schedule devices
+    Gpusim.Device_set.create ~seed ~trace ?plan ?schedule devices
   in
   let device = Gpusim.Device_set.primary devset in
   (* One runtime path serves every set size; a one-member run is the
@@ -561,9 +561,9 @@ let run ?(coherence = true) ?(engine = Engine.Compiled) ?granularity
         (fun (name, _) ->
           match (Value.lookup env' name, Value.lookup env name) with
           | Some (Value.Scalar c_ref), Some (Value.Scalar c_got) ->
-              let x = Value.to_float c_ref.Value.v in
-              let y = Value.to_float c_got.Value.v in
-              Float.abs (x -. y) <= margin *. Float.max 1.0 (Float.abs x)
+              Gpusim.Buf.matches ~margin
+                ~reference:(Value.to_float c_ref.Value.v)
+                (Value.to_float c_got.Value.v)
           | _ -> true)
         k.k_scalars
     in

@@ -100,7 +100,7 @@ val trace_event : Obs.Trace.t -> ?dev:int -> Gpusim.Device.event -> unit
 val run :
   ?coherence:bool -> ?engine:Engine.t ->
   ?granularity:Coherence.granularity -> ?seed:int ->
-  ?trace:bool -> ?cm:Gpusim.Costmodel.t -> ?plan:Gpusim.Fault_plan.t ->
+  ?trace:bool -> ?plan:Gpusim.Fault_plan.t ->
   ?resilience:Resilience.policy -> ?devices:int ->
   ?schedule:Gpusim.Device_set.schedule -> ?obs:Obs.Trace.t ->
   ?ledger:Obs.Ledger.t -> ?audit:Obs.Audit.t -> ?kcache:Compile.store ->

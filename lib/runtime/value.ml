@@ -253,12 +253,34 @@ let map_bindings f env =
   in
   { globals = map_frame env.globals; frames = List.map map_frame env.frames }
 
-(** Deep snapshot of all array contents reachable by root name, plus scalar
-    values; used by kernel verification to checkpoint the reference state. *)
-let snapshot_arrays env names =
+(** {1 Result comparison} *)
+
+type mismatch = {
+  m_what : string;
+  m_count : int;
+  m_max_diff : float;
+  m_first_indices : int list;
+}
+
+type outputs = (string * binding option) list
+
+let outputs env names = List.map (fun name -> (name, lookup env name)) names
+
+let compare_outputs ~margin ~reference got =
   List.filter_map
-    (fun name ->
-      match lookup env name with
-      | Some (Array { buf = Some b; _ }) -> Some (name, Gpusim.Buf.copy b)
-      | _ -> None)
-    names
+    (fun (name, r) ->
+      let differ m_count m_max_diff m_first_indices =
+        Some { m_what = name; m_count; m_max_diff; m_first_indices }
+      in
+      match (r, Option.join (List.assoc_opt name got)) with
+      | Some (Array { buf = Some rb; _ }), Some (Array { buf = Some gb; _ })
+        when Gpusim.Buf.length rb = Gpusim.Buf.length gb ->
+          let first, count = Gpusim.Buf.compare ~margin ~reference:rb gb in
+          if count = 0 then None
+          else differ count (Gpusim.Buf.max_abs_diff rb gb) first
+      | Some (Scalar c1), Some (Scalar c2) ->
+          let x = to_float c1.v and y = to_float c2.v in
+          if Gpusim.Buf.matches ~margin ~reference:x y then None
+          else differ 1 (Float.abs (x -. y)) []
+      | _ -> differ 1 Float.nan [])
+    reference

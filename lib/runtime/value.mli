@@ -100,6 +100,28 @@ val shape_of : slot -> int array
     environments of kernel verification and recovery validation). *)
 val map_bindings : (string -> binding -> binding) -> t -> t
 
-(** Deep snapshot of named array contents (kernel verification
-    checkpoints). *)
-val snapshot_arrays : t -> string list -> (string * Gpusim.Buf.t) list
+(** {1 Result comparison} *)
+
+(** One output that differs from its reference. *)
+type mismatch = {
+  m_what : string;  (** array or scalar name *)
+  m_count : int;  (** elements that do not match (1 for a scalar) *)
+  m_max_diff : float;  (** nan when the two cannot be compared *)
+  m_first_indices : int list;  (** up to five; empty for a scalar *)
+}
+
+(** Named results of a finished run: each name with its binding, [None]
+    when unbound. *)
+type outputs = (string * binding option) list
+
+(** [outputs env names]: the bindings of [names] in [env], all a result
+    comparison keeps of a run. *)
+val outputs : t -> string list -> outputs
+
+(** [compare_outputs ~margin ~reference got]: every output of [reference]
+    whose namesake in [got] does not match it under
+    {!Gpusim.Buf.matches} at [margin], in [reference]'s order.  A name
+    unbound on either side, an unmaterialized array, arrays of different
+    lengths, or an array against a scalar is a mismatch of one element. *)
+val compare_outputs :
+  margin:float -> reference:outputs -> outputs -> mismatch list

@@ -21,8 +21,9 @@
     + §III-A kernel verification with the symbolic tier first
       ({!Openarc_core.Kernel_verify.verify_tprog} [~symbolic:true]), so proved
       kernels cost zero device launches;
-    + bit-identical designated host outputs against the *original*
-      program under both execution engines and 1/2/4-device sets;
+    + identical designated host outputs (the result comparator at
+      margin 0) against the *original* program under both execution
+      engines and 1/2/4-device sets;
     + measured corroboration: the diff-profile Mem-Transfer delta of the
       patched program must land within 0.25–4x of the ledger's predicted
       [saved_s] (the memtrace confirmation band).  The profile comes from
@@ -95,12 +96,13 @@ type config = {
   max_steps : int;  (** candidate attempts (accepted or rejected) *)
   check_devices : int list;  (** device-set sizes of the output check *)
   seed : int;
-  materiality : float;  (** min predicted share of modeled transfer time *)
 }
 
-let default_config =
-  { max_steps = 16; check_devices = [ 1; 2; 4 ]; seed = 42;
-    materiality = 0.005 }
+let default_config = { max_steps = 16; check_devices = [ 1; 2; 4 ]; seed = 42 }
+
+(* A candidate is material when it predicts at least this share of the
+   modeled transfer time. *)
+let materiality = 0.005
 
 (* ------------------------------------------------------------------ *)
 (* Shared runners                                                      *)
@@ -149,28 +151,6 @@ let mem_saving before after =
   with
   | Some c -> -.c.Obs.Diff.cd_delta
   | None -> 0.0
-
-(* The designated outputs a run left in the host environment — all the
-   search keeps of a run (the outcome itself holds the run's device set,
-   and through its devices' observers the whole trace). *)
-let outputs_of ~outputs (o : Accrt.Interp.outcome) =
-  List.map (Accrt.Value.lookup o.Accrt.Interp.ctx.Accrt.Eval.env) outputs
-
-(* Designated outputs of two runs, compared bit-identically: directive
-   edits move data, they must never change what the host computes. *)
-let outputs_identical r1 r2 =
-  List.for_all2
-    (fun b1 b2 ->
-      match (b1, b2) with
-      | Some (Accrt.Value.Array { buf = Some b1; _ }),
-        Some (Accrt.Value.Array { buf = Some b2; _ }) ->
-          let _, bad = Gpusim.Buf.compare ~margin:0.0 ~reference:b1 b2 in
-          bad = 0
-      | Some (Accrt.Value.Scalar c1), Some (Accrt.Value.Scalar c2) ->
-          Accrt.Value.to_float c1.Accrt.Value.v
-          = Accrt.Value.to_float c2.Accrt.Value.v
-      | _ -> false)
-    r1 r2
 
 (* ------------------------------------------------------------------ *)
 (* Candidate generation                                                *)
@@ -645,7 +625,9 @@ let run ?(config = default_config) ~name ~outputs prog0 =
       | Accrt.Engine.Tree, devices -> (tree_run ~devices tp, None)
       | Accrt.Engine.Compiled, devices -> (compiled_run ~devices tp, None)
     in
-    (outputs_of ~outputs o, m)
+    (* All the search keeps of a run: the outcome itself holds the run's
+       device set, and through its devices' observers the whole trace. *)
+    (Accrt.Value.outputs o.Accrt.Interp.ctx.Accrt.Eval.env outputs, m)
   in
   (* Reference outputs of the *original* program, one per checked
      configuration — computed once, compared against every candidate. *)
@@ -701,9 +683,10 @@ let run ?(config = default_config) ~name ~outputs prog0 =
           (Rejected
              (Fmt.str "kernel verification failed (%d kernel(s))"
                 (List.length errs))));
-    (* 4. bit-identical outputs, both engines x every device-set size.
-       A candidate whose run *crashes* (e.g. a rewrite that breaks an
-       allocation invariant) is rejected the same way. *)
+    (* 4. identical outputs (margin 0), both engines x every device-set
+       size: directive edits move data, they must never change what the
+       host computes.  A candidate whose run *crashes* (e.g. a rewrite
+       that breaks an allocation invariant) is rejected the same way. *)
     let measurement =
       List.fold_left
         (fun measurement (((engine, devices) as cfg), (ref_outputs, _)) ->
@@ -720,7 +703,11 @@ let run ?(config = default_config) ~name ~outputs prog0 =
                    (Fmt.str "run failed (%s engine, %d device(s)): %s" ename
                       devices (Printexc.to_string e)))
           in
-          if not (outputs_identical ref_outputs outs) then
+          if
+            Accrt.Value.compare_outputs ~margin:0.0 ~reference:ref_outputs
+              outs
+            <> []
+          then
             raise
               (Rejected
                  (Fmt.str "outputs diverged (%s engine, %d device(s))" ename
@@ -751,7 +738,7 @@ let run ?(config = default_config) ~name ~outputs prog0 =
       ledger_analysis ~name ~seed ~devices:1 !prog_tp
     in
     let tp = outcome.Accrt.Interp.tprog in
-    let floor = config.materiality *. analysis.Obs.Ledger.a_transfer_s in
+    let floor = materiality *. analysis.Obs.Ledger.a_transfer_s in
     let cands =
       candidates !prog tp analysis outcome
       |> List.filter (fun c ->

@@ -9,7 +9,7 @@
     apply the top-ranked candidate, validate it (print/reparse round
     trip → static validity, the reparse's one compilation through
     [Openarc_core.Compiler] → §III-A kernel verification with the
-    symbolic tier first → bit-identical designated outputs under both
+    symbolic tier first → identical designated outputs under both
     engines and 1/2/4-device sets → measured diff-profile corroboration
     within 0.25–4x of the prediction), re-run the ledger, repeat until no
     material candidate remains.
@@ -71,7 +71,6 @@ type config = {
   max_steps : int;
   check_devices : int list;
   seed : int;
-  materiality : float;
 }
 
 val default_config : config
@@ -84,7 +83,8 @@ val candidates :
   Accrt.Interp.outcome -> candidate list
 
 (** Run the search.  [outputs] are the designated host-visible outputs
-    whose bit-identity every accepted rewrite must preserve.  The search
+    every accepted rewrite must preserve exactly (the result comparator,
+    {!Accrt.Value.compare_outputs}, at margin 0).  The search
     edits [prog]'s translated source (callees inlined), which is also
     what [r_program] holds.
     @raise Minic.Loc.Error or Acc.Validate.Invalid when [prog] does not

@@ -42,6 +42,14 @@ let read_file path =
   close_in ic;
   s
 
+let with_source src f =
+  let path = Filename.temp_file "openarc_cli" ".c" in
+  let oc = open_out path in
+  output_string oc src;
+  close_out oc;
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () ->
+      f (Filename.quote path))
+
 let check_cmd name args ~expect =
   if not available then ()
   else begin
@@ -82,7 +90,23 @@ let test_verify () =
     ~expect:[ "[OK]   main_kernel0" ];
   check_cmd "verify demotion" "verify bench:jacobi --show-transformed \
                                main_kernel0"
-    ~expect:[ "async(1)"; "#pragma acc wait(1)" ]
+    ~expect:[ "async(1)"; "#pragma acc wait(1)" ];
+  (* The sequential sum overflows to +inf; the raced kernel's does not.
+     A finite result never matches an infinite reference. *)
+  with_source
+    "int main() { int n = 3; float a[n]; float s = 0.0;\n\
+     a[0] = 1e308; a[1] = 1e308; a[2] = 1.0;\n\
+     #pragma acc kernels loop gang worker reduction(+:s)\n\
+     for (int i = 0; i < n; i++) { s = s + a[i]; }\n\
+     return 0; }\n"
+    (fun path ->
+      check_cmd "verify overflowing sum" ("verify " ^ path)
+        ~expect:[ "[OK]   main_kernel0"; "0 kernel(s) with detected errors" ];
+      check_cmd "verify overflowing sum, raced"
+        ("verify --fault-injection " ^ path)
+        ~expect:
+          [ "[FAIL] main_kernel0";
+            "s: 1 element(s) differ, max |diff| = inf" ])
 
 let test_verify_symbolic () =
   check_cmd "verify --symbolic" "verify bench:jacobi --symbolic"
@@ -554,14 +578,6 @@ let test_session () =
       (read_file json2);
     Sys.remove json2
   end
-
-let with_source src f =
-  let path = Filename.temp_file "openarc_cli" ".c" in
-  let oc = open_out path in
-  output_string oc src;
-  close_out oc;
-  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () ->
-      f (Filename.quote path))
 
 (* An output the program never binds is malformed input; a session that
    never converges reports the transfers of a program whose outputs

@@ -46,7 +46,55 @@ let test_buf_compare () =
     Gpusim.Buf.compare ~min_value:1e-32 ~margin:1e-9 ~reference:tiny_ref
       tiny_off
   in
-  Alcotest.(check int) "minValueToCheck skips" 0 n3
+  Alcotest.(check int) "minValueToCheck skips" 0 n3;
+  (* non-finite values: equal values match, any other pair holding a NaN
+     or an infinity does not, at every margin *)
+  let rows =
+    [ ("NaN with NaN", 1e-6, Float.nan, Float.nan, 0);
+      ("NaN result against a finite reference", 1e-6, 1.0, Float.nan, 1);
+      ("finite result against a NaN reference", 1e-6, Float.nan, 1.0, 1);
+      ("+inf with +inf", 0.0, Float.infinity, Float.infinity, 0);
+      ("-inf against +inf", 1e-6, Float.infinity, Float.neg_infinity, 1);
+      ("finite result against +inf, margin 0", 0.0, Float.infinity, 1.0, 1);
+      ("finite result against +inf, margin 1e-6", 1e-6, Float.infinity, 1.0,
+       1);
+      ("+inf result against a finite reference, margin 0", 0.0, 1.0,
+       Float.infinity, 1);
+      ("+inf result against a finite reference, margin 1e-6", 1e-6, 1.0,
+       Float.infinity, 1);
+      ("+0.0 with -0.0", 0.0, 0.0, -0.0, 0) ]
+  in
+  List.iter
+    (fun (what, margin, r, v, expected) ->
+      let _, n =
+        Gpusim.Buf.compare ~margin ~reference:(Gpusim.Buf.Fbuf [| r |])
+          (Gpusim.Buf.Fbuf [| v |])
+      in
+      Alcotest.(check int) what expected n)
+    rows;
+  (* minValueToCheck skips only a finite reference below it *)
+  let below ?(min_value = 1e-32) r v =
+    snd
+      (Gpusim.Buf.compare ~min_value ~margin:1e-9
+         ~reference:(Gpusim.Buf.Fbuf [| r |]) (Gpusim.Buf.Fbuf [| v |]))
+  in
+  Alcotest.(check int) "reference below min_value" 0 (below 1e-40 7.0);
+  Alcotest.(check int) "NaN against a reference below min_value" 1
+    (below 1e-40 Float.nan);
+  Alcotest.(check int) "finite reference below an infinite min_value" 0
+    (below ~min_value:Float.infinity 1e300 0.0);
+  Alcotest.(check int) "+inf reference is never skipped" 1
+    (below ~min_value:Float.infinity Float.infinity 1.0);
+  (* the §III-C bound accepts a value inside it, whatever its reference *)
+  let _, inside =
+    Gpusim.Buf.compare ~bound:(0.0, 3.0) ~margin:1e-9 ~reference off
+  in
+  Alcotest.(check int) "value inside the bound" 0 inside;
+  let idx, outside =
+    Gpusim.Buf.compare ~bound:(0.0, 2.0) ~margin:1e-9 ~reference off
+  in
+  Alcotest.(check int) "value outside the bound" 1 outside;
+  Alcotest.(check (list int)) "outside index" [ 1 ] idx
 
 let buf_compare_reflexive =
   QCheck.Test.make ~count:200 ~name:"Buf.compare x x = 0"

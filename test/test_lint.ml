@@ -144,7 +144,8 @@ int main() {
 |}
 
 (* Apply the first fix-it for [code] and re-lint: the diagnostic must be
-   gone and no new >=warning diagnostic may appear. *)
+   gone and no new >=warning race diagnostic may appear.  Returns the
+   re-linted diagnostics. *)
 let check_fixit_resolves ~opts ~code src =
   let prog = Minic.Parser.parse_string ~file:"t.c" src in
   let ds = Lint.run_program ~opts prog in
@@ -165,7 +166,8 @@ let check_fixit_resolves ~opts ~code src =
   (* the clause edit must not introduce any other race finding (transfer
      diagnostics may shift: a privatized scalar is no longer copied) *)
   Alcotest.(check (list string)) ("no new race findings after fixing " ^ code)
-    [] (race_codes (Diag.filter ~threshold:Diag.Warning ds'))
+    [] (race_codes (Diag.filter ~threshold:Diag.Warning ds'));
+  ds'
 
 let test_missing_private () =
   let opts = Codegen.Options.fault_injection in
@@ -173,7 +175,7 @@ let test_missing_private () =
   Alcotest.(check int) "one RACE-001" 1 (List.length (with_code "ACC-RACE-001" ds));
   let d = List.hd (with_code "ACC-RACE-001" ds) in
   Alcotest.(check (option string)) "on t" (Some "t") d.Diag.var;
-  check_fixit_resolves ~opts ~code:"ACC-RACE-001" racy_private;
+  ignore (check_fixit_resolves ~opts ~code:"ACC-RACE-001" racy_private);
   (* with automatic recognition the same scalar is only an info note *)
   Alcotest.(check (list string)) "auto-privatized: info note only"
     [ "ACC-RACE-010" ] (race_codes (lint racy_private))
@@ -183,7 +185,7 @@ let test_missing_reduction () =
   let ds = lint ~opts racy_reduction in
   Alcotest.(check int) "one RACE-002" 1
     (List.length (with_code "ACC-RACE-002" ds));
-  check_fixit_resolves ~opts ~code:"ACC-RACE-002" racy_reduction;
+  ignore (check_fixit_resolves ~opts ~code:"ACC-RACE-002" racy_reduction);
   Alcotest.(check (list string)) "auto-recognized: info note only"
     [ "ACC-RACE-011" ] (race_codes (lint racy_reduction))
 
@@ -242,6 +244,29 @@ int main() {
 }
 |}
 
+(* The host needs [a] once, inside the region: the second update is
+   redundant, and the region's copyout is not (a later kernel writes [a]). *)
+let repeated_update = {|
+int main() {
+  int n = 8;
+  float a[n];
+  float s = 0.0;
+  for (int i = 0; i < n; i++) { a[i] = float(i); }
+  #pragma acc data copy(a)
+  {
+    #pragma acc kernels loop gang worker
+    for (int i = 0; i < n; i++) { a[i] = a[i] * 2.0; }
+    #pragma acc update host(a)
+    #pragma acc update host(a)
+    for (int i = 0; i < n; i++) { s = s + a[i]; }
+    #pragma acc kernels loop gang worker
+    for (int i = 0; i < n; i++) { a[i] = a[i] + 1.0; }
+  }
+  for (int i = 0; i < n; i++) { s = s + a[i]; }
+  return 0;
+}
+|}
+
 let incorrect_update = {|
 int main() {
   int n = 8;
@@ -285,7 +310,15 @@ let test_redundant_update () =
          | Some (Diag.Fix_remove_update_var { host = true; var = "a"; _ }) ->
              true
          | _ -> false)
-       on_update)
+       on_update);
+  (* removing the only variable of an update removes the directive: the
+     fixed program validates and lints clean *)
+  let ds' =
+    check_fixit_resolves ~opts:Codegen.Options.default ~code:"ACC-XFER-004"
+      repeated_update
+  in
+  Alcotest.(check (list string)) "repeated update: clean after its fix-it" []
+    (codes (Diag.filter ~threshold:Diag.Warning ds'))
 
 let test_incorrect_update () =
   let ds = lint incorrect_update in

@@ -348,6 +348,38 @@ let test_unconverged_final_matches () =
     (Openarc_core.Session.transfer_stats prog)
     (Openarc_core.Session.transfer_stats final)
 
+(* [create(b)] never copies [b] back, so the host computes [c[i] = b[i] /
+   b[i]] from zeros: every [c[i]] is NaN where the sequential reference
+   has 1.0.  A NaN never passes for a finite value, but matches a NaN. *)
+let nan_outputs =
+  "int main() { int n = 4; float a[n]; float b[n]; float c[n];\nfor (int i \
+   = 0; i < n; i++) { a[i] = float(i + 1); b[i] = 0.0; }\n#pragma acc data \
+   copyin(a) create(b)\n{\n#pragma acc kernels loop gang worker\nfor (int \
+   i = 0; i < n; i++) { b[i] = a[i]; }\n}\nfor (int i = 0; i < n; i++) { \
+   c[i] = b[i] / b[i]; }\nreturn 0; }"
+
+let test_nan_outputs_diverge () =
+  let prog = Parser.parse_string nan_outputs in
+  let reference = (Accrt.Eval.run_reference prog).Accrt.Eval.env in
+  let o =
+    Accrt.Interp.run ~coherence:false
+      (Openarc_core.Compiler.compile_program prog)
+  in
+  let env = o.Accrt.Interp.ctx.Accrt.Eval.env in
+  let c = Accrt.Value.array_buf env "c" in
+  Alcotest.(check bool) "every c[i] is NaN" true
+    (List.for_all
+       (fun i -> Float.is_nan (Gpusim.Buf.get_float c i))
+       (List.init (Gpusim.Buf.length c) Fun.id));
+  Alcotest.(check bool) "NaN outputs diverge from the reference" false
+    (Openarc_core.Session.outputs_match ~outputs:[ "c" ] ~reference o);
+  Alcotest.(check bool) "NaN outputs match themselves" true
+    (Openarc_core.Session.outputs_match ~outputs:[ "c" ] ~reference:env o);
+  let r = Openarc_core.Session.optimize ~outputs:[ "c" ] prog in
+  Alcotest.(check bool) "iteration 1 diverged" false
+    (List.hd r.Openarc_core.Session.telemetry).Openarc_core.Session
+      .it_outputs_ok
+
 (* An output the program never binds would make every iteration diverge:
    the session rejects it up front, naming it. *)
 let test_unknown_output () =
@@ -381,4 +413,5 @@ let tests =
       test_session_kernel_store;
     Alcotest.test_case "unconverged session keeps matching program" `Quick
       test_unconverged_final_matches;
-    Alcotest.test_case "unknown output rejected" `Quick test_unknown_output ]
+    Alcotest.test_case "unknown output rejected" `Quick test_unknown_output;
+    Alcotest.test_case "NaN outputs diverge" `Quick test_nan_outputs_diverge ]
