@@ -102,6 +102,24 @@ let find_data_kind clauses v =
       | _ -> None)
     clauses
 
+(** Number the statements of [prog] that have no id yet (built by
+    {!Minic.Ast.mk_stmt}) above the program's largest sid, in the order
+    the parser numbers statements.  Every edit that places statements
+    ends with this, so ids stay a function of the program. *)
+let number prog =
+  let top = ref 0 in
+  List.iter
+    (fun f -> iter_stmts (fun s -> top := max !top s.sid) f.f_body)
+    (functions prog);
+  map_program
+    (fun s ->
+      if s.sid <> 0 then s
+      else begin
+        incr top;
+        { s with sid = !top }
+      end)
+    prog
+
 (** Rewrite the directive carried by statement [sid].  Returns the rewritten
     program; [f] is applied exactly to the matching directive. *)
 let map_directive prog ~sid ~f =
@@ -134,12 +152,13 @@ and as_single = function
   | stmts -> mk_stmt (Sblock stmts)
 
 let expand_program f prog =
-  { globals =
-      List.map
-        (function
-          | Gfunc fn -> Gfunc { fn with f_body = expand_block f fn.f_body }
-          | g -> g)
-        prog.globals }
+  number
+    { globals =
+        List.map
+          (function
+            | Gfunc fn -> Gfunc { fn with f_body = expand_block f fn.f_body }
+            | g -> g)
+          prog.globals }
 
 (** Insert [stmts] immediately after the statement with id [sid]. *)
 let insert_after prog ~sid stmts =
@@ -257,11 +276,11 @@ let wrap_span prog ~first_sid ~last_sid ~directive =
         | g -> g)
       prog.globals
   in
-  { globals }
+  number { globals }
 
 (** Wrap the single statement [sid] — at any nesting depth — in a directive
     (typically [data]).  The wrapped statement keeps its sid; the new
-    carrying [Sacc] statement gets a fresh one. *)
+    carrying [Sacc] statement is numbered above the program's largest. *)
 let wrap_stmt prog ~sid ~directive =
   expand_program
     (fun s ->

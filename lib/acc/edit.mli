@@ -31,6 +31,12 @@ val set_data_kind : clause list -> string -> data_kind -> clause list
 
 val find_data_kind : clause list -> string -> data_kind option
 
+(** Number the statements that have no id yet (sid 0, built by
+    {!Minic.Ast.mk_stmt}) above the program's largest sid, children
+    before their parent in source order, as the parser does.  Every edit
+    below that places statements ends with it. *)
+val number : program -> program
+
 (** Rewrite the directive carried by statement [sid]. *)
 val map_directive :
   program -> sid:int -> f:(directive -> directive) -> program
@@ -77,7 +83,8 @@ val wrap_span :
   program -> first_sid:int -> last_sid:int -> directive:directive -> program
 
 (** Wrap the single statement [sid] — at any nesting depth — in a
-    directive (typically [data]); the new carrier gets a fresh sid. *)
+    directive (typically [data]); the new carrier is numbered above the
+    program's largest sid. *)
 val wrap_stmt : program -> sid:int -> directive:directive -> program
 
 (** A [data] directive from (var, kind) clauses. *)

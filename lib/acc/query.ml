@@ -75,8 +75,6 @@ let is_compute = function
   | Acc_data | Acc_host_data | Acc_loop | Acc_update | Acc_declare
   | Acc_wait _ | Acc_cache _ -> false
 
-let is_data_region = function Acc_data -> true | _ -> false
-
 (** Directives of a whole program, in pre-order, with the [sid] of the
     carrying [Sacc] statement. *)
 let directives_of prog =
@@ -91,9 +89,3 @@ let directives_of prog =
         f.f_body)
     (functions prog);
   List.rev !acc
-
-(** Count compute regions in a program (an upper bound on kernels; [kernels]
-    regions may outline several). *)
-let count_compute_regions prog =
-  List.length
-    (List.filter (fun (_, _, d) -> is_compute d.dir) (directives_of prog))

@@ -36,11 +36,6 @@ val kind_allocates : data_kind -> bool
 (** Is this a compute construct (introduces GPU kernels)? *)
 val is_compute : construct -> bool
 
-val is_data_region : construct -> bool
-
 (** Directives of a whole program, pre-order, with the [sid] of the carrying
     statement and the enclosing function name. *)
 val directives_of : program -> (int * string * directive) list
-
-(** Compute regions in a program (an upper bound on kernels). *)
-val count_compute_regions : program -> int

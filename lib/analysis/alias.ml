@@ -88,14 +88,3 @@ let resolve t v =
 (** A pointer is ambiguous when it may denote several distinct arrays; the
     compiler then cannot prove deadness facts about accesses through it. *)
 let is_ambiguous t v = Varset.cardinal (resolve t v) > 1
-
-(** All variables that may denote the same storage as [v] (including [v]). *)
-let may_alias_set t v =
-  let roots = resolve t v in
-  if Varset.is_empty roots then Varset.singleton v
-  else
-    Smap.fold
-      (fun p s acc ->
-        if Varset.is_empty (Varset.inter s roots) then acc else Varset.add p acc)
-      t.points_to
-      (Varset.union roots (Varset.singleton v))

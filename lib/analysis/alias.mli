@@ -18,6 +18,3 @@ val resolve : t -> string -> Varset.t
 
 (** May the name denote several distinct arrays? *)
 val is_ambiguous : t -> string -> bool
-
-(** All names that may denote the same storage as [v] (including [v]). *)
-val may_alias_set : t -> string -> Varset.t

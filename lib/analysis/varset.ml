@@ -5,8 +5,6 @@
 
 include Set.Make (String)
 
-let of_seq_list l = of_list l
-
 let pp ppf s =
   Fmt.pf ppf "{%a}" (Fmt.list ~sep:(Fmt.any ", ") Fmt.string) (elements s)
 

@@ -4,6 +4,5 @@
 
 include Set.S with type elt = string
 
-val of_seq_list : string list -> t
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

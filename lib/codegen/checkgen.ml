@@ -216,12 +216,18 @@ let instrument ?(mode = Optimized) (tp : Tprog.t) =
     end
   done;
 
+  (* Checks are numbered above the translation's largest tid. *)
+  let last_tid = ref 0 in
+  Tprog.iter tp (fun s -> last_tid := max !last_tid s.tid);
   let body =
     Tprog.expand_tstmts
       (fun s ->
         let mk_checks cs =
           List.map
-            (fun c -> Tprog.mk ~loc:s.tloc ~sid:s.tsid (Tcheck c))
+            (fun c ->
+              incr last_tid;
+              { tid = !last_tid; tkind = Tcheck c; tloc = s.tloc;
+                tsid = s.tsid })
             cs
         in
         let pre_cs =

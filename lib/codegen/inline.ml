@@ -112,13 +112,12 @@ let declared_names f =
     f.f_body;
   !acc
 
-let counter = ref 0
-
 (* Build the inlined statement list for a call [f(args)], optionally
-   assigning the return value to [result]. *)
-let expand_call ~(callee : func) ~args ~result ~loc =
-  incr counter;
-  let fresh v = Fmt.str "%s__%d_%s" callee.f_name !counter v in
+   assigning the return value to [result].  [calls] counts the calls
+   inlined so far; this one's names carry its number. *)
+let expand_call ~calls ~(callee : func) ~args ~result ~loc =
+  incr calls;
+  let fresh v = Fmt.str "%s__%d_%s" callee.f_name !calls v in
   (* Only the trailing statement may be a return. *)
   let body, ret_expr =
     match List.rev callee.f_body with
@@ -191,7 +190,7 @@ let rec check_expr ~targets ~loc e =
 
 (** Inline every statement-position call to a directive-containing function.
     Returns the rewritten program and whether anything changed. *)
-let expand_once prog =
+let expand_once ~calls prog =
   let targets =
     List.filter_map
       (fun f ->
@@ -206,12 +205,12 @@ let expand_once prog =
       match s.skind with
       | Sexpr (Ecall (f, args)) when List.mem_assoc f targets ->
           changed := true;
-          expand_call ~callee:(List.assoc f targets) ~args ~result:None
-            ~loc:s.sloc
+          expand_call ~calls ~callee:(List.assoc f targets) ~args
+            ~result:None ~loc:s.sloc
       | Sassign (lv, Ecall (f, args)) when List.mem_assoc f targets ->
           changed := true;
-          expand_call ~callee:(List.assoc f targets) ~args ~result:(Some lv)
-            ~loc:s.sloc
+          expand_call ~calls ~callee:(List.assoc f targets) ~args
+            ~result:(Some lv) ~loc:s.sloc
       | Sexpr e | Sassign (_, e) ->
           check_expr ~targets ~loc:s.sloc e;
           [ s ]
@@ -241,22 +240,26 @@ let expand_once prog =
 
 (** Fully inline directive-containing callees (fixpoint; depth capped to
     reject recursion among them), then drop their now-uncalled definitions
-    so program-level directive queries see only the inlined copies. *)
+    so program-level directive queries see only the inlined copies.  The
+    inlined calls are numbered from 1 in the names they introduce, and
+    their statements above the program's largest sid. *)
 let expand prog =
+  let calls = ref 0 in
   let rec go prog depth =
     if depth > 16 then
       fail Loc.dummy
         "directive-containing functions recurse; cannot inline";
-    let prog', changed = expand_once prog in
+    let prog', changed = expand_once ~calls prog in
     if changed then go prog' (depth + 1) else prog'
   in
   let prog = go prog 0 in
-  { globals =
-      List.filter
-        (function
-          | Gfunc f -> f.f_name = "main" || not (has_directives f)
-          | Gvar _ -> true)
-        prog.globals }
+  Acc.Edit.number
+    { globals =
+        List.filter
+          (function
+            | Gfunc f -> f.f_name = "main" || not (has_directives f)
+            | Gvar _ -> true)
+          prog.globals }
 
 (** Did inlining change the program (so callers know to re-typecheck)? *)
 let needs_expansion prog =

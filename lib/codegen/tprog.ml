@@ -28,6 +28,8 @@ type xdir = H2D | D2H
 type site = {
   site_id : int;
   site_label : string;
+  site_var : string;
+      (** the name its clause gives: the array root, or a pointer to it *)
   site_sid : int;  (** [sid] of the originating source statement *)
   site_loc : Loc.t;
 }
@@ -93,7 +95,7 @@ type kernel = {
 }
 
 type tstmt = {
-  tid : int;
+  tid : int;  (** numbered from 1 per translation *)
   tkind : tkind;
   tloc : Loc.t;
   tsid : int;  (** sid of the source statement this op was generated from *)
@@ -121,20 +123,6 @@ type t = {
   tracked : Varset.t;  (** arrays under coherence tracking *)
 }
 
-(** {1 Construction helpers} *)
-
-let tid_counter = ref 0
-let site_counter = ref 0
-
-let mk ?(loc = Loc.dummy) ?(sid = -1) tkind =
-  incr tid_counter;
-  { tid = !tid_counter; tkind; tloc = loc; tsid = sid }
-
-let mk_site ?(loc = Loc.dummy) ?(sid = -1) label =
-  incr site_counter;
-  { site_id = !site_counter; site_label = label; site_sid = sid;
-    site_loc = loc }
-
 let kernel t id = t.kernels.(id)
 
 let find_kernel t name =
@@ -146,11 +134,6 @@ let find_kernel t name =
 let raced_scalars k =
   List.filter_map
     (function (v, Sc_raced kind) -> Some (v, kind) | _ -> None)
-    k.k_scalars
-
-let reduction_scalars k =
-  List.filter_map
-    (function (v, Sc_reduction op) -> Some (v, op) | _ -> None)
     k.k_scalars
 
 (** All arrays a kernel touches. *)

@@ -23,8 +23,11 @@ type xdir = H2D | D2H
 (** A static program point performing a device operation; reports refer to
     sites so the user can trace a message back to the input directive. *)
 type site = {
-  site_id : int;
-  site_label : string;  (** e.g. ["update0.host(b)"] *)
+  site_id : int;  (** numbered from 1 per translation *)
+  site_label : string;  (** e.g. ["update0.host(b)"], naming the root *)
+  site_var : string;
+      (** the name its clause gives: the array root, or a pointer to it;
+          clause edits address this name *)
   site_sid : int;  (** [sid] of the originating source statement *)
   site_loc : Loc.t;
 }
@@ -90,6 +93,8 @@ type kernel = {
 
 type tstmt = {
   tid : int;
+      (** numbered from 1 per translation; instrumentation numbers its
+          checks above the translation's largest *)
   tkind : tkind;
   tloc : Loc.t;
   tsid : int;  (** sid of the source statement this op was generated from *)
@@ -117,17 +122,11 @@ type t = {
   tracked : Varset.t;  (** arrays under coherence tracking *)
 }
 
-(** {1 Construction} *)
-
-val mk : ?loc:Loc.t -> ?sid:int -> tkind -> tstmt
-val mk_site : ?loc:Loc.t -> ?sid:int -> string -> site
-
 (** {1 Access} *)
 
 val kernel : t -> int -> kernel
 val find_kernel : t -> string -> kernel option
 val raced_scalars : kernel -> (string * raced_kind) list
-val reduction_scalars : kernel -> (string * Ast.redop) list
 
 (** All arrays a kernel touches. *)
 val kernel_arrays : kernel -> Varset.t

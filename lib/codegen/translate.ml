@@ -22,7 +22,18 @@ type state = {
   mutable tracked : Varset.t;
   mutable denv : (string * data_kind) list list;  (** data-region stack *)
   mutable update_count : int;
+  mutable last_tid : int;  (** statements are numbered from 1 *)
+  mutable last_site : int;  (** and so are sites *)
 }
+
+let mk st ~loc ~sid tkind =
+  st.last_tid <- st.last_tid + 1;
+  { tid = st.last_tid; tkind; tloc = loc; tsid = sid }
+
+let mk_site st ~loc ~sid ~var label =
+  st.last_site <- st.last_site + 1;
+  { site_id = st.last_site; site_label = label; site_var = var;
+    site_sid = sid; site_loc = loc }
 
 let fresh_kernel st () =
   let id = st.next_kernel in
@@ -61,8 +72,8 @@ let is_array st v =
 (* Array roots denoted by a data-clause variable. *)
 let clause_roots st v = Varset.elements (Alias.resolve st.alias v)
 
-let mk_xfer ?lo ?len ?async ~site ~dir var =
-  mk ~loc:site.site_loc ~sid:site.site_sid
+let mk_xfer st ?lo ?len ?async ~site ~dir var =
+  mk st ~loc:site.site_loc ~sid:site.site_sid
     (Txfer { x_var = var; x_dir = dir; x_lo = lo; x_len = len;
              x_async = async; x_site = site })
 
@@ -80,29 +91,36 @@ let data_region_ops st ~label ~sid ~loc clauses =
             let already = present st root in
             let allocates = Acc.Query.kind_allocates kind && not already in
             if allocates then begin
-              let site = mk_site ~loc ~sid (Fmt.str "%s.alloc(%s)" label root) in
-              entry := mk ~loc ~sid (Talloc (root, site)) :: !entry
+              let site =
+                mk_site st ~loc ~sid ~var:sub.sub_var
+                  (Fmt.str "%s.alloc(%s)" label root)
+              in
+              entry := mk st ~loc ~sid (Talloc (root, site)) :: !entry
             end;
             if Acc.Query.kind_copies_in kind && not already then begin
               let site =
-                mk_site ~loc ~sid
+                mk_site st ~loc ~sid ~var:sub.sub_var
                   (Fmt.str "%s.%s(%s)" label (Pretty.data_kind_str kind) root)
               in
               entry :=
-                mk_xfer ?lo:sub.sub_lo ?len:sub.sub_len ~site ~dir:H2D root
+                mk_xfer st ?lo:sub.sub_lo ?len:sub.sub_len ~site ~dir:H2D root
                 :: !entry
             end;
             if Acc.Query.kind_copies_out kind && not already then begin
               let site =
-                mk_site ~loc ~sid (Fmt.str "%s.copyout(%s)" label root)
+                mk_site st ~loc ~sid ~var:sub.sub_var
+                  (Fmt.str "%s.copyout(%s)" label root)
               in
               exit_ :=
-                mk_xfer ?lo:sub.sub_lo ?len:sub.sub_len ~site ~dir:D2H root
+                mk_xfer st ?lo:sub.sub_lo ?len:sub.sub_len ~site ~dir:D2H root
                 :: !exit_
             end;
             if allocates then begin
-              let site = mk_site ~loc ~sid (Fmt.str "%s.free(%s)" label root) in
-              exit_ := mk ~loc ~sid (Tfree (root, site)) :: !exit_
+              let site =
+                mk_site st ~loc ~sid ~var:sub.sub_var
+                  (Fmt.str "%s.free(%s)" label root)
+              in
+              exit_ := mk st ~loc ~sid (Tfree (root, site)) :: !exit_
             end;
             if not already then add_to_frame st root kind)
           (clause_roots st sub.sub_var))
@@ -125,14 +143,14 @@ let rec tr_stmt st s : tstmt list =
   match s.skind with
   | Sacc (d, body) -> tr_directive st s d body
   | Sif (c, b1, b2) when List.exists contains_acc (b1 @ b2) ->
-      [ mk ~loc ~sid:s.sid (Tif (c, tr_block st b1, tr_block st b2)) ]
+      [ mk st ~loc ~sid:s.sid (Tif (c, tr_block st b1, tr_block st b2)) ]
   | Swhile (c, b) when List.exists contains_acc b ->
-      [ mk ~loc ~sid:s.sid (Twhile (c, tr_block st b)) ]
+      [ mk st ~loc ~sid:s.sid (Twhile (c, tr_block st b)) ]
   | Sfor (init, cond, step, b) when List.exists contains_acc b ->
-      [ mk ~loc ~sid:s.sid (Tfor (init, cond, step, tr_block st b)) ]
+      [ mk st ~loc ~sid:s.sid (Tfor (init, cond, step, tr_block st b)) ]
   | Sblock b when List.exists contains_acc b ->
-      [ mk ~loc ~sid:s.sid (Tblock (tr_block st b)) ]
-  | _ -> [ mk ~loc ~sid:s.sid (Thost s) ]
+      [ mk st ~loc ~sid:s.sid (Tblock (tr_block st b)) ]
+  | _ -> [ mk st ~loc ~sid:s.sid (Thost s) ]
 
 and tr_block st b = List.concat_map (tr_stmt st) b
 
@@ -164,9 +182,9 @@ and tr_directive st s d body =
           push_frame st;
           let inner = match body with Some b -> tr_stmt st b | None -> [] in
           pop_frame st;
-          [ mk ~loc ~sid:s.sid (Tif (cond, entry, [])) ]
+          [ mk st ~loc ~sid:s.sid (Tif (cond, entry, [])) ]
           @ inner
-          @ [ mk ~loc ~sid:s.sid (Tif (cond, exit_, [])) ])
+          @ [ mk st ~loc ~sid:s.sid (Tif (cond, exit_, [])) ])
   | Acc_host_data -> (
       match body with Some b -> tr_stmt st b | None -> [])
   | Acc_update ->
@@ -181,7 +199,7 @@ and tr_directive st s d body =
            holds at run time. *)
         match Acc.Query.if_clause d with
         | None | Some (Eint 1) -> ops
-        | Some cond -> [ mk ~loc ~sid:s.sid (Tif (cond, ops, [])) ]
+        | Some cond -> [ mk st ~loc ~sid:s.sid (Tif (cond, ops, [])) ]
       in
       let xfers dir subs =
         List.concat_map
@@ -192,12 +210,12 @@ and tr_directive st s d body =
                 (fun root ->
                   track st root;
                   let site =
-                    mk_site ~loc ~sid:s.sid
+                    mk_site st ~loc ~sid:s.sid ~var:sub.sub_var
                       (Fmt.str "%s.%s(%s)" label
                          (match dir with H2D -> "device" | D2H -> "host")
                          root)
                   in
-                  mk_xfer ?lo:sub.sub_lo ?len:sub.sub_len ?async ~site ~dir
+                  mk_xfer st ?lo:sub.sub_lo ?len:sub.sub_len ?async ~site ~dir
                     root)
                 (clause_roots st sub.sub_var))
           subs
@@ -205,7 +223,7 @@ and tr_directive st s d body =
       guard
         (xfers D2H (Acc.Query.update_host_subs d)
         @ xfers H2D (Acc.Query.update_device_subs d))
-  | Acc_wait e -> [ mk ~loc ~sid:s.sid (Twait e) ]
+  | Acc_wait e -> [ mk st ~loc ~sid:s.sid (Twait e) ]
   | Acc_declare ->
       (* Device-resident for the remainder of the function: allocate and
          copy in here; the runtime frees at program end. *)
@@ -249,8 +267,8 @@ and tr_directive st s d body =
           | Some cond ->
               (* if clause: fall back to sequential host execution when the
                  condition is false at run time. *)
-              [ mk ~loc ~sid:s.sid
-                  (Tif (cond, device_ops, [ mk ~loc ~sid:s.sid
+              [ mk st ~loc ~sid:s.sid
+                  (Tif (cond, device_ops, [ mk st ~loc ~sid:s.sid
                                               (Thost body_stmt) ])) ])
 
 (* Default-scheme transfers around one kernel launch: every accessed array
@@ -269,22 +287,28 @@ and kernel_ops st ~sid k =
   let pre =
     List.concat_map
       (fun v ->
-        [ mk ~loc ~sid
-            (Talloc (v, mk_site ~loc ~sid (Fmt.str "%s.alloc(%s)" k.k_name v)));
-          mk_xfer ~dir:H2D
-            ~site:(mk_site ~loc ~sid (Fmt.str "%s.pcopyin(%s)" k.k_name v))
+        [ mk st ~loc ~sid
+            (Talloc
+               (v, mk_site st ~loc ~sid ~var:v
+                     (Fmt.str "%s.alloc(%s)" k.k_name v)));
+          mk_xfer st ~dir:H2D
+            ~site:
+              (mk_site st ~loc ~sid ~var:v
+                 (Fmt.str "%s.pcopyin(%s)" k.k_name v))
             v ])
       implicit
   in
   let post =
     List.map
       (fun v ->
-        mk_xfer ~dir:D2H
-          ~site:(mk_site ~loc ~sid (Fmt.str "%s.pcopyout(%s)" k.k_name v))
+        mk_xfer st ~dir:D2H
+          ~site:
+            (mk_site st ~loc ~sid ~var:v
+               (Fmt.str "%s.pcopyout(%s)" k.k_name v))
           v)
       implicit
   in
-  pre @ [ mk ~loc ~sid (Tlaunch (k.k_id, k.k_async)) ] @ post
+  pre @ [ mk st ~loc ~sid (Tlaunch (k.k_id, k.k_async)) ] @ post
 
 (** Translate [prog] (its [main]); validation and type checking must have
     succeeded first.  Directive-containing callees are inlined into [main]
@@ -301,7 +325,8 @@ let translate ?(opts = Options.default) env prog =
   let alias = Alias.compute env prog fname in
   let st =
     { opts; env; alias; fname; kernels = []; next_kernel = 0;
-      tracked = Varset.empty; denv = [ [] ]; update_count = 0 }
+      tracked = Varset.empty; denv = [ [] ]; update_count = 0; last_tid = 0;
+      last_site = 0 }
   in
   let main = Ast.main_function prog in
   let body = tr_block st main.f_body in

@@ -8,7 +8,8 @@
 (** Translate a validated, type-checked program (its [main]).  This is the
     one place callees are inlined: when [prog] needs it, the inlined
     program is re-typechecked, and the result's [source] and [env] are the
-    inlined program and its types.  Tools reach it through
-    [Openarc_core.Compiler]. *)
+    inlined program and its types.  Ids belong to the translation: its
+    statements, its sites and the names of its inlined calls are numbered
+    from 1.  Tools reach it through [Openarc_core.Compiler]. *)
 val translate :
   ?opts:Options.t -> Minic.Typecheck.env -> Minic.Ast.program -> Tprog.t

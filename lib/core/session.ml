@@ -95,14 +95,14 @@ let rec apply_action prog (a : Suggest.action) =
           if s = sid && d.dir = Acc_update && d.clauses = [] then empty := true)
         (Acc.Query.directives_of prog);
       if !empty then Acc.Edit.remove_stmt prog ~sid else prog
-  | Suggest.Defer_update { sid; var; host } ->
+  | Suggest.Defer_update { sid; var; root; host } ->
       let loop = Acc.Edit.enclosing_loop prog ~sid in
       let prog' =
         apply_action prog (Suggest.Remove_update_var { sid; var; host })
       in
       (match loop with
       | Some l ->
-          let upd = Acc.Edit.mk_update ~host [ var ] in
+          let upd = Acc.Edit.mk_update ~host [ root ] in
           if host then Acc.Edit.insert_after prog' ~sid:l.sid [ upd ]
           else Acc.Edit.insert_before prog' ~sid:l.sid [ upd ]
       | None -> prog')
@@ -210,11 +210,14 @@ let optimize ?(policy = Follow_all) ?(max_iterations = 12) ?(devices = 1)
         Accrt.Coherence.May_redundant ]
   in
 
+  (* Wrong-suggestion tracking is per array root: the suggestion's
+     [s_var], which missing-transfer reports name too. *)
   let removal_of (s : Suggest.suggestion) =
     match s.Suggest.s_action with
-    | Suggest.Remove_update_var { var; host; _ }
-    | Suggest.Defer_update { var; host; _ } -> Some (var, host)
-    | Suggest.Weaken_clause { var; side; _ } -> Some (var, side = `Out)
+    | Suggest.Remove_update_var { host; _ } | Suggest.Defer_update { host; _ }
+      ->
+        Some (s.Suggest.s_var, host)
+    | Suggest.Weaken_clause { side; _ } -> Some (s.Suggest.s_var, side = `Out)
     | Suggest.Add_data_region _ | Suggest.Add_update _
     | Suggest.Report_incorrect _ -> None
   in
@@ -239,6 +242,8 @@ let optimize ?(policy = Follow_all) ?(max_iterations = 12) ?(devices = 1)
   (* A loop that stops without converging hands back the latest program
      whose outputs matched the reference, or the input if none did. *)
   let last_good = ref prog in
+  (* Programs the loop reverted from. *)
+  let reverted = ref [] in
   let stop iterations incorrect =
     { final = !last_good; iterations; incorrect_iterations = incorrect;
       converged = false; telemetry = List.rev !telemetry }
@@ -270,6 +275,7 @@ let optimize ?(policy = Follow_all) ?(max_iterations = 12) ?(devices = 1)
           match history with
           | (prev, applied) :: rest ->
               say "iteration %d: reverting previous edits" iterations;
+              reverted := prog :: !reverted;
               List.iter
                 (fun sg ->
                   match removal_of sg with
@@ -353,6 +359,12 @@ let optimize ?(policy = Follow_all) ?(max_iterations = 12) ?(devices = 1)
               (incorrect, []) readds
           in
           let base = { base with it_wrong_restored = List.rev restored } in
+          let prog' =
+            List.fold_left
+              (fun p (sg : Suggest.suggestion) ->
+                apply_action p sg.Suggest.s_action)
+              prog suggestions
+          in
           if suggestions = [] then begin
             if not correct then begin
               (* Broken with nothing left to apply: fall back to revert. *)
@@ -362,6 +374,7 @@ let optimize ?(policy = Follow_all) ?(max_iterations = 12) ?(devices = 1)
                     "iteration %d: outputs diverge from the reference; \
                      reverting previous edits"
                     iterations;
+                  reverted := prog :: !reverted;
                   push { base with it_reverted = true; it_note = "reverted" };
                   loop prev rest iterations (incorrect + 1)
               | [] ->
@@ -375,6 +388,25 @@ let optimize ?(policy = Follow_all) ?(max_iterations = 12) ?(devices = 1)
               { final = prog; iterations; incorrect_iterations = incorrect;
                 converged = true; telemetry = List.rev !telemetry }
             end
+          end
+          else if
+            equal_program prog' prog
+            || List.exists (equal_program prog') !reverted
+          then begin
+            (* The edits change nothing, or rebuild a reverted program:
+               applying them again would only repeat this iteration. *)
+            say "iteration %d: the suggested edits change nothing new; \
+                 stopping"
+              iterations;
+            push
+              { base with
+                it_note =
+                  "not converged: could not apply "
+                  ^ String.concat "; "
+                      (List.map
+                         (fun (sg : Suggest.suggestion) -> sg.Suggest.s_text)
+                         suggestions) };
+            stop iterations incorrect
           end
           else begin
             List.iter
@@ -390,12 +422,6 @@ let optimize ?(policy = Follow_all) ?(max_iterations = 12) ?(devices = 1)
                   (fun key -> Hashtbl.replace removed key ())
                   (region_removals sg))
               suggestions;
-            let prog' =
-              List.fold_left
-                (fun p (sg : Suggest.suggestion) ->
-                  apply_action p sg.Suggest.s_action)
-                prog suggestions
-            in
             push
               { base with
                 it_suggestions =

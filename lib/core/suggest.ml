@@ -9,11 +9,15 @@
 open Minic.Ast
 open Codegen.Tprog
 
+(* A clause edit addresses [var], the name the clause gives (the array
+   root or a pointer to it); the suggestion's text and [s_var] name the
+   root. *)
 type action =
   | Remove_update_var of { sid : int; var : string; host : bool }
       (** delete [var] from the [update] directive at [sid] *)
-  | Defer_update of { sid : int; var : string; host : bool }
-      (** move the [update] of [var] at [sid] after its enclosing loop *)
+  | Defer_update of { sid : int; var : string; root : string; host : bool }
+      (** delete [var] from the [update] directive at [sid] and update
+          [root] after (host) or before (device) its enclosing loop *)
   | Weaken_clause of { sid : int; var : string; side : [ `In | `Out ] }
       (** drop the redundant [side] of [var]'s data clause on the directive
           at [sid] (e.g. a redundant entry copy turns [copy] into [copyout]
@@ -58,37 +62,22 @@ let site_kind label =
     `Data
   else `Implicit
 
-let contains_sub ~sub s =
-  let n = String.length sub and m = String.length s in
-  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
-  go 0
-
 (** Derive suggestions from a finished instrumented run. *)
 let analyze (o : Accrt.Interp.outcome) =
   let reports = Accrt.Interp.reports o in
   let stats : (int, site_stats) Hashtbl.t = Hashtbl.create 32 in
-  let stat_of site var dir =
-    match Hashtbl.find_opt stats site.site_id with
-    | Some s -> s
-    | None ->
-        let execs =
-          Option.value ~default:0
-            (Hashtbl.find_opt o.Accrt.Interp.site_execs site.site_id)
-        in
-        let s =
-          { st_site = site; st_var = var; st_dir = dir; st_execs = execs;
-            st_redundant = 0; st_may_redundant = 0; st_incorrect = 0;
-            st_first_iter_flagged = false }
-        in
-        Hashtbl.add stats site.site_id s;
-        s
-  in
-  (* Seed the aggregation with every executed transfer site so that sites
-     with no reports still contribute their execution counts. *)
+  (* One record per executed transfer site, with its direction, so that
+     sites with no reports still contribute their execution counts. *)
   Hashtbl.iter
-    (fun _ ((site : site), var, dir) ->
-      let dir = match dir with H2D -> `In | D2H -> `Out in
-      ignore (stat_of site var dir))
+    (fun id ((site : site), var, dir) ->
+      Hashtbl.add stats id
+        { st_site = site; st_var = var;
+          st_dir = (match dir with H2D -> `In | D2H -> `Out);
+          st_execs =
+            Option.value ~default:0
+              (Hashtbl.find_opt o.Accrt.Interp.site_execs id);
+          st_redundant = 0; st_may_redundant = 0; st_incorrect = 0;
+          st_first_iter_flagged = false })
     o.Accrt.Interp.sites;
   let missing = ref [] in
   List.iter
@@ -96,14 +85,8 @@ let analyze (o : Accrt.Interp.outcome) =
       match (r.r_kind, r.r_site) with
       | (Accrt.Coherence.Redundant | Accrt.Coherence.May_redundant
         | Accrt.Coherence.Incorrect), Some site ->
-          let dir =
-            if contains_sub ~sub:"copyout" site.site_label
-               || contains_sub ~sub:".host" site.site_label
-               || contains_sub ~sub:"pcopyout" site.site_label
-            then `Out
-            else `In
-          in
-          let st = stat_of site r.r_var dir in
+          (* A report names a site only from the transfer it executed. *)
+          let st = Hashtbl.find stats site.site_id in
           let first_iter =
             List.for_all (fun (_, i) -> i <= 1) r.r_loops
           in
@@ -151,7 +134,8 @@ let analyze (o : Accrt.Interp.outcome) =
             push
               { s_action =
                   Remove_update_var
-                    { sid = st.st_site.site_sid; var = st.st_var; host };
+                    { sid = st.st_site.site_sid; var = st.st_site.site_var;
+                      host };
                 s_var = st.st_var;
                 s_certain = st.st_may_redundant = 0;
                 s_text =
@@ -167,7 +151,8 @@ let analyze (o : Accrt.Interp.outcome) =
             push
               { s_action =
                   Defer_update
-                    { sid = st.st_site.site_sid; var = st.st_var; host };
+                    { sid = st.st_site.site_sid; var = st.st_site.site_var;
+                      root = st.st_var; host };
                 s_var = st.st_var;
                 s_certain = st.st_may_redundant = 0;
                 s_text =
@@ -180,7 +165,8 @@ let analyze (o : Accrt.Interp.outcome) =
             push
               { s_action =
                   Defer_update
-                    { sid = st.st_site.site_sid; var = st.st_var; host };
+                    { sid = st.st_site.site_sid; var = st.st_site.site_var;
+                      root = st.st_var; host };
                 s_var = st.st_var;
                 s_certain = st.st_may_redundant = 0;
                 s_text =
@@ -193,7 +179,7 @@ let analyze (o : Accrt.Interp.outcome) =
           push
             { s_action =
                 Weaken_clause
-                  { sid = st.st_site.site_sid; var = st.st_var;
+                  { sid = st.st_site.site_sid; var = st.st_site.site_var;
                     side = st.st_dir };
               s_var = st.st_var;
               s_certain = st.st_may_redundant = 0;

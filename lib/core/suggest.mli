@@ -3,11 +3,15 @@
     user (§III-B, §IV-C): redundant-transfer information, missing/incorrect
     errors, and may-redundant warnings the programmer must verify. *)
 
+(** Clause edits address [var], the name the clause gives: the array
+    root or a pointer to it.  A suggestion's text and [s_var] name the
+    root. *)
 type action =
   | Remove_update_var of { sid : int; var : string; host : bool }
       (** delete [var] from the [update] directive at [sid] *)
-  | Defer_update of { sid : int; var : string; host : bool }
-      (** move the [update] of [var] at [sid] past its enclosing loop *)
+  | Defer_update of { sid : int; var : string; root : string; host : bool }
+      (** delete [var] from the [update] directive at [sid] and update
+          [root] past its enclosing loop *)
   | Weaken_clause of { sid : int; var : string; side : [ `In | `Out ] }
       (** drop the redundant side of [var]'s data clause at [sid] *)
   | Add_data_region of

@@ -83,7 +83,7 @@ type directive = { dir : construct; clauses : clause list; dloc : Loc.t }
 
 type lvalue = Lvar of string | Lindex of lvalue * expr
 
-type stmt = { sid : int;  (** unique id within a parsed program *)
+type stmt = { sid : int;  (** unique id within its program; 0 until placed *)
               sloc : Loc.t;
               skind : skind }
 
@@ -124,26 +124,10 @@ type program = { globals : global list }
 
 (** {1 Constructors and accessors} *)
 
-let stmt_counter = ref 0
-
-(** Fresh statement with a program-unique id. *)
-let mk_stmt ?(loc = Loc.dummy) skind =
-  incr stmt_counter;
-  { sid = !stmt_counter; sloc = loc; skind }
-
-(** Run [f] with the statement-id allocator rebased to zero, so programs
-    built inside [f] carry process-history-independent sids (the saturate
-    search depends on this: sids leak into directive-site labels, and its
-    canonical reports must not vary with whatever was parsed earlier in
-    the process).  The allocator is restored on exit to whichever of the
-    outer and inner high-water marks is larger, so sids stay unique
-    across the boundary. *)
-let with_sid_base f =
-  let saved = !stmt_counter in
-  stmt_counter := 0;
-  Fun.protect
-    ~finally:(fun () -> stmt_counter := max saved !stmt_counter)
-    f
+(** A statement built outside the parser: it has no id (sid [0]) until an
+    edit places it into a program, which numbers it above that program's
+    largest sid.  The parser numbers the statements of each parse from 1. *)
+let mk_stmt ?(loc = Loc.dummy) skind = { sid = 0; sloc = loc; skind }
 
 let functions prog =
   List.filter_map (function Gfunc f -> Some f | Gvar _ -> None) prog.globals
@@ -208,17 +192,22 @@ and iter_stmt f s =
   | Sacc (_, body) -> Option.iter (iter_stmt f) body
 
 (** Rebuild a statement tree bottom-up. [f] receives each statement with
-    already-rewritten children and returns its replacement. *)
+    already-rewritten children and returns its replacement; it is applied
+    in the order the parser completes statements (children before their
+    parent, in source order). *)
 let rec map_stmt f s =
   let skind =
     match s.skind with
     | (Sskip | Sexpr _ | Sassign _ | Sdecl _ | Sreturn _ | Sbreak | Scontinue)
       as k -> k
-    | Sif (c, b1, b2) -> Sif (c, map_block f b1, map_block f b2)
+    | Sif (c, b1, b2) ->
+        let b1 = map_block f b1 in
+        Sif (c, b1, map_block f b2)
     | Swhile (c, b) -> Swhile (c, map_block f b)
     | Sfor (init, cond, step, b) ->
-        Sfor (Option.map (map_stmt f) init, cond,
-              Option.map (map_stmt f) step, map_block f b)
+        let init = Option.map (map_stmt f) init in
+        let step = Option.map (map_stmt f) step in
+        Sfor (init, cond, step, map_block f b)
     | Sblock b -> Sblock (map_block f b)
     | Sacc (dir, body) -> Sacc (dir, Option.map (map_stmt f) body)
   in

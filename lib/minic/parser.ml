@@ -2,9 +2,11 @@
 
 open Ast
 
-type cursor = { toks : Lexer.lexed array; mutable idx : int }
+(* [sid] is the id of the last statement built: each parse numbers its
+   statements 1, 2, ... as it completes them. *)
+type cursor = { toks : Lexer.lexed array; mutable idx : int; mutable sid : int }
 
-let cursor_of_tokens toks = { toks = Array.of_list toks; idx = 0 }
+let cursor_of_tokens toks = { toks = Array.of_list toks; idx = 0; sid = 0 }
 
 let cur c = c.toks.(c.idx)
 let cur_tok c = (cur c).tok
@@ -16,6 +18,10 @@ let next_tok c =
   if c.idx < Array.length c.toks - 1 then c.toks.(c.idx + 1).tok else Token.EOF
 
 let fail c fmt = Loc.error (cur_loc c) fmt
+
+let mk_stmt c ~loc skind =
+  c.sid <- c.sid + 1;
+  { sid = c.sid; sloc = loc; skind }
 
 let expect c tok =
   if cur_tok c = tok then bump c
@@ -418,24 +424,24 @@ and parse_simple_stmt c =
         desugar_binop Sub (parse_lvalue_from_expr c e) (Eint 1)
     | _ -> Sexpr e
   in
-  mk_stmt ~loc k
+  mk_stmt c ~loc k
 
 and parse_decl_stmt c =
   let loc = cur_loc c in
   let typ, name = parse_declarator c in
   let init = if accept c Token.ASSIGN then Some (parse_expr c) else None in
   expect c Token.SEMI;
-  mk_stmt ~loc (Sdecl (typ, name, init))
+  mk_stmt c ~loc (Sdecl (typ, name, init))
 
 and parse_stmt c =
   let loc = cur_loc c in
   match cur_tok c with
-  | Token.SEMI -> bump c; mk_stmt ~loc Sskip
+  | Token.SEMI -> bump c; mk_stmt c ~loc Sskip
   | Token.LBRACE ->
       bump c;
       let b = parse_block_items c in
       expect c Token.RBRACE;
-      mk_stmt ~loc (Sblock b)
+      mk_stmt c ~loc (Sblock b)
   | Token.KW_IF ->
       bump c;
       expect c Token.LPAREN;
@@ -445,14 +451,14 @@ and parse_stmt c =
       let else_b =
         if accept c Token.KW_ELSE then parse_stmt_as_block c else []
       in
-      mk_stmt ~loc (Sif (cond, then_b, else_b))
+      mk_stmt c ~loc (Sif (cond, then_b, else_b))
   | Token.KW_WHILE ->
       bump c;
       expect c Token.LPAREN;
       let cond = parse_expr c in
       expect c Token.RPAREN;
       let body = parse_stmt_as_block c in
-      mk_stmt ~loc (Swhile (cond, body))
+      mk_stmt c ~loc (Swhile (cond, body))
   | Token.KW_FOR ->
       bump c;
       expect c Token.LPAREN;
@@ -474,28 +480,28 @@ and parse_stmt c =
       in
       expect c Token.RPAREN;
       let body = parse_stmt_as_block c in
-      mk_stmt ~loc (Sfor (init, cond, step, body))
+      mk_stmt c ~loc (Sfor (init, cond, step, body))
   | Token.KW_RETURN ->
       bump c;
       let e = if cur_tok c = Token.SEMI then None else Some (parse_expr c) in
       expect c Token.SEMI;
-      mk_stmt ~loc (Sreturn e)
+      mk_stmt c ~loc (Sreturn e)
   | Token.KW_BREAK ->
       bump c;
       expect c Token.SEMI;
-      mk_stmt ~loc Sbreak
+      mk_stmt c ~loc Sbreak
   | Token.KW_CONTINUE ->
       bump c;
       expect c Token.SEMI;
-      mk_stmt ~loc Scontinue
+      mk_stmt c ~loc Scontinue
   | Token.PRAGMA text ->
       bump c;
       let dir = parse_directive ~loc text in
       if directive_has_body dir then
         let body = parse_stmt c in
-        mk_stmt ~loc (Sacc (dir, Some body))
+        mk_stmt c ~loc (Sacc (dir, Some body))
       else
-        mk_stmt ~loc (Sacc (dir, None))
+        mk_stmt c ~loc (Sacc (dir, None))
   | _ when is_type_start c -> parse_decl_stmt c
   | _ ->
       let s = parse_simple_stmt c in
@@ -575,13 +581,6 @@ let parse_string ?(file = "<string>") src =
     else loop (parse_global c :: acc)
   in
   { globals = loop [] }
-
-let parse_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let src = really_input_string ic n in
-  close_in ic;
-  parse_string ~file:path src
 
 (** Parse a single expression (used by tests and the CLI). *)
 let expr_of_string src =

@@ -10,7 +10,5 @@ val directive_has_body : Ast.directive -> bool
 (** Parse a full Mini-C translation unit. *)
 val parse_string : ?file:string -> string -> Ast.program
 
-val parse_file : string -> Ast.program
-
 (** Parse a single expression (tests and the CLI). *)
 val expr_of_string : string -> Ast.expr

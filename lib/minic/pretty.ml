@@ -250,5 +250,4 @@ let pp_program ppf prog =
 
 let program_to_string prog = Fmt.str "%a" pp_program prog
 let expr_to_string e = Fmt.str "%a" pp_expr e
-let directive_to_string d = Fmt.str "%a" pp_directive d
 let stmt_to_string s = Fmt.str "%a" (pp_stmt 0) s

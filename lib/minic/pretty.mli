@@ -18,5 +18,4 @@ val pp_block : int -> Format.formatter -> Ast.block -> unit
 val pp_program : Format.formatter -> Ast.program -> unit
 val program_to_string : Ast.program -> string
 val expr_to_string : Ast.expr -> string
-val directive_to_string : Ast.directive -> string
 val stmt_to_string : Ast.stmt -> string

@@ -43,8 +43,6 @@ let builtins =
     ("acc_shutdown", (1, Tint, Tint));
     ("acc_on_device", (1, Tint, Tint)) ]
 
-let is_builtin name = List.mem_assoc name builtins
-
 let rec base_scalar = function
   | Tarr (t, _) -> base_scalar t
   | Tptr t -> base_scalar t

@@ -20,8 +20,6 @@ type env = {
     [Tvoid] argument type means "numeric, either int or float". *)
 val builtins : (string * (int * Ast.typ * Ast.typ)) list
 
-val is_builtin : string -> bool
-
 (** Check a program.  @raise Loc.Error on the first problem. *)
 val check : Ast.program -> env
 

@@ -18,9 +18,9 @@
     are noise-free, so the verdict depends only on the recorded weights —
     the same inputs under both schedules.
 
-    Everything here is plain data (ints, floats, strings): the module
-    deliberately knows nothing about [Gpusim], it reimplements the
-    block/cyclic owner arithmetic over recorded iteration weights. *)
+    The records are plain data (ints, floats, strings); re-costing splits
+    the recorded iteration weights with the device set's own
+    {!Gpusim.Device_set.owner}. *)
 
 type shard = {
   sh_part : int;  (** shard index within the launch *)
@@ -66,15 +66,6 @@ let note_gather t ~bytes ~time =
 
 let launches t = List.rev t.launches_rev
 
-(* The device set's split arithmetic, over plain ints. *)
-let owner ~schedule ~parts ~total i =
-  if parts <= 1 then 0
-  else if schedule = "cyclic" then i mod parts
-  else begin
-    let chunk = (total + parts - 1) / parts in
-    Int.min (i / chunk) (parts - 1)
-  end
-
 (* The most loaded member's share of the measured work under [schedule] —
    the schedule-sensitive part of a launch's completion time. *)
 let predict_work l ~schedule =
@@ -82,7 +73,7 @@ let predict_work l ~schedule =
   let per = Array.make (Int.max 1 parts) 0 in
   Array.iteri
     (fun i w ->
-      let p = owner ~schedule ~parts ~total:l.l_total i in
+      let p = Gpusim.Device_set.owner schedule ~parts ~total:l.l_total i in
       per.(p) <- per.(p) + w)
     l.l_weights;
   let heaviest = Array.fold_left Int.max 0 per in
@@ -155,10 +146,10 @@ let kernel_report t (kernel, loc) ls =
       (Array.to_list
          (Array.map (fun l -> Array.map (fun s -> s.sh_time) l.l_shards) ls))
   in
-  let pred_block = sum (predict ~schedule:"block") in
-  let pred_cyclic = sum (predict ~schedule:"cyclic") in
-  let work_block = sum (predict_work ~schedule:"block") in
-  let work_cyclic = sum (predict_work ~schedule:"cyclic") in
+  let pred_block = sum (predict ~schedule:Gpusim.Device_set.Block) in
+  let pred_cyclic = sum (predict ~schedule:Gpusim.Device_set.Cyclic) in
+  let work_block = sum (predict_work ~schedule:Gpusim.Device_set.Block) in
+  let work_cyclic = sum (predict_work ~schedule:Gpusim.Device_set.Cyclic) in
   let current =
     if t.i_schedule = "cyclic" then work_cyclic else work_block
   in
@@ -215,7 +206,8 @@ let analyze t =
       (fun acc l -> acc +. predict_work l ~schedule)
       0.0 (launches t)
   in
-  let work_block = work "block" and work_cyclic = work "cyclic" in
+  let work_block = work Gpusim.Device_set.Block
+  and work_cyclic = work Gpusim.Device_set.Cyclic in
   let current =
     if t.i_schedule = "cyclic" then work_cyclic else work_block
   in

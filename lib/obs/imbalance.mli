@@ -2,10 +2,10 @@
     schedule analyzer that re-costs the recorded iteration-space weights
     under the alternative block/cyclic split.
 
-    Plain data only — the module knows nothing about [Gpusim]; the
-    runtime records measured weights and charged durations here, and
-    {!analyze} answers "would the other schedule beat this one?" from
-    those records alone (noise-free, deterministic). *)
+    The records are plain data: the runtime records measured weights and
+    charged durations here, and {!analyze} answers "would the other
+    schedule beat this one?" from those records alone (noise-free,
+    deterministic), splitting them with {!Gpusim.Device_set.owner}. *)
 
 type shard = {
   sh_part : int;  (** shard index within the launch *)
@@ -46,21 +46,16 @@ val note_gather : t -> bytes:int -> time:float -> unit
 (** Launches in record order. *)
 val launches : t -> launch list
 
-(** The device set's split arithmetic over plain ints: which shard owns
-    iteration [i] of [total] under [schedule] ("cyclic" round-robins,
-    anything else is contiguous block). *)
-val owner : schedule:string -> parts:int -> total:int -> int -> int
-
 (** The most loaded member's share of the measured work under
     [schedule] — the schedule-sensitive component of a launch's
     completion time (verdicts compare exactly this; the fixed launch
     overhead cannot be moved by a schedule change). *)
-val predict_work : launch -> schedule:string -> float
+val predict_work : launch -> schedule:Gpusim.Device_set.schedule -> float
 
 (** Noise-free completion time of a launch re-costed under [schedule]:
     fixed overhead plus the most loaded member's share of the measured
     work. *)
-val predict : launch -> schedule:string -> float
+val predict : launch -> schedule:Gpusim.Device_set.schedule -> float
 
 type report = {
   r_kernel : string;

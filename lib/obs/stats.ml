@@ -1,63 +1,7 @@
-(** Deterministic streaming statistics over simulated durations.
-
-    Two tools, both free of wall-clock input so every result is a pure
-    function of the recorded samples:
-
-    - a sparse power-of-two histogram: each sample lands in the bucket
-      [[2^(e-1), 2^e)] given by its binary exponent, so merge is a plain
-      per-bucket count addition (associative and commutative) and the
-      memory footprint is bounded by the dynamic range, not the sample
-      count;
-    - exact nearest-rank percentiles over a concrete sample array, for
-      the small populations (shard durations of one run) where exactness
-      is affordable and reproducible. *)
-
-type t = {
-  mutable n : int;
-  mutable sum : float;
-  buckets : (int, int) Hashtbl.t;  (** binary exponent -> sample count *)
-}
-
-let create () = { n = 0; sum = 0.0; buckets = Hashtbl.create 8 }
-
-(* Bucket index of a sample: the binary exponent [e] with
-   [2^(e-1) <= x < 2^e] for positive [x]; non-positive samples (a shard
-   that never ran) share the sentinel bucket [min_int]. *)
-let bucket_of x = if x > 0.0 then snd (Float.frexp x) else min_int
-
-let add t x =
-  t.n <- t.n + 1;
-  t.sum <- t.sum +. x;
-  let b = bucket_of x in
-  Hashtbl.replace t.buckets b
-    (1 + Option.value ~default:0 (Hashtbl.find_opt t.buckets b))
-
-let count t = t.n
-let total t = t.sum
-let mean t = if t.n = 0 then 0.0 else t.sum /. float_of_int t.n
-
-let merge a b =
-  let m = create () in
-  m.n <- a.n + b.n;
-  m.sum <- a.sum +. b.sum;
-  let fold src =
-    Hashtbl.iter
-      (fun k v ->
-        Hashtbl.replace m.buckets k
-          (v + Option.value ~default:0 (Hashtbl.find_opt m.buckets k)))
-      src.buckets
-  in
-  fold a;
-  fold b;
-  m
-
-let buckets t =
-  Hashtbl.fold (fun e c acc -> (e, c) :: acc) t.buckets []
-  |> List.filter (fun (_, c) -> c > 0)
-  |> List.sort compare
-  |> List.map (fun (e, c) ->
-         if e = min_int then (0.0, 0.0, c)
-         else (Float.ldexp 1.0 (e - 1), Float.ldexp 1.0 e, c))
+(** Exact nearest-rank percentiles over a concrete sample array, for the
+    small populations (shard durations of one run) where exactness is
+    affordable and reproducible.  No wall-clock input: every result is a
+    pure function of the recorded samples. *)
 
 (* Nearest-rank percentile (exact, inclusive): the ceil(q*n)-th smallest
    sample.  q clamps to [0,1]; the empty population has no percentile. *)
@@ -71,9 +15,3 @@ let percentile samples q =
     let rank = int_of_float (Float.ceil (q *. float_of_int n)) in
     sorted.(Int.max 0 (Int.min (n - 1) (rank - 1)))
   end
-
-let pp ppf t =
-  Fmt.pf ppf "%d sample(s), mean %.9f" t.n (mean t);
-  List.iter
-    (fun (lo, hi, c) -> Fmt.pf ppf "@.  [%.3e, %.3e): %d" lo hi c)
-    (buckets t)

@@ -1,33 +1,8 @@
-(** Deterministic streaming statistics over simulated durations: a sparse
-    power-of-two histogram with an associative merge, and exact
-    nearest-rank percentiles.  No wall-clock input — every result is a
-    pure function of the recorded samples. *)
-
-type t
-
-val create : unit -> t
-
-(** Record one sample (a simulated duration in seconds). *)
-val add : t -> float -> unit
-
-val count : t -> int
-val total : t -> float
-
-(** Arithmetic mean; [0.] of the empty histogram. *)
-val mean : t -> float
-
-(** Pointwise bucket-count sum — associative and commutative, so
-    partial histograms built per shard/device merge in any order. *)
-val merge : t -> t -> t
-
-(** Non-empty buckets as [(lo, hi, count)] with [lo <= x < hi], sorted
-    ascending.  Non-positive samples share the [(0., 0.)] bucket. *)
-val buckets : t -> (float * float * int) list
+(** Exact nearest-rank percentiles over simulated durations.  No
+    wall-clock input — every result is a pure function of the samples. *)
 
 (** [percentile samples q] is the exact nearest-rank percentile (the
     ceil(q*n)-th smallest sample) for [q] in [0,1], computed over a copy
     of [samples].  One sample is every percentile of itself; the empty
     array yields [nan]. *)
 val percentile : float array -> float -> float
-
-val pp : Format.formatter -> t -> unit

@@ -136,8 +136,6 @@ let with_span t kind name ?loc ?directive ?dev ?attrs f =
   let sp = start_span t kind name ?loc ?directive ?dev ?attrs () in
   Fun.protect ~finally:(fun () -> end_span t sp) f
 
-let add_attr sp k v = sp.sp_attrs <- sp.sp_attrs @ [ (k, v) ]
-
 let leaf t kind name ?loc ?directive ?dev ?attrs ~start ~duration () =
   let sp =
     fresh_span t kind name ?loc ?directive ?dev ?attrs ~start

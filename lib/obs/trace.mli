@@ -80,8 +80,6 @@ val with_span :
   t -> kind -> string -> ?loc:string -> ?directive:string -> ?dev:int ->
   ?attrs:(string * string) list -> (unit -> 'a) -> 'a
 
-val add_attr : span -> string -> string -> unit
-
 (** A pre-timed leaf span (e.g. a device timeline event), parented under
     the innermost open span. *)
 val leaf :

@@ -468,8 +468,6 @@ let on_device_lost t d =
 
 let reports t = List.rev t.reports
 
-let reports_of_kind t k = List.filter (fun r -> r.r_kind = k) (reports t)
-
 (** Group a run's reports per (site/statement, kind, variable) with
     execution counts and the iteration ranges they occurred in — the
     digest the CLI prints instead of one line per dynamic occurrence. *)

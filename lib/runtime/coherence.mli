@@ -122,7 +122,6 @@ val on_transfer :
 val on_free : t -> string -> unit
 
 val reports : t -> report list
-val reports_of_kind : t -> kind -> report list
 
 (** Group reports per (site, kind, variable) with occurrence counts — the
     digest form for interactive display. *)

@@ -32,8 +32,6 @@ let full =
   { p_name = "full"; max_retries = 3; backoff = 1e-4; checksum = true;
     reexec = true; cpu_fallback = true; validate = true }
 
-let all_policies = [ none; retry; full ]
-
 let of_string s =
   match String.lowercase_ascii (String.trim s) with
   | "none" -> Ok none

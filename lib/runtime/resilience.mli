@@ -29,7 +29,6 @@ val retry : policy
     loss: no fault is fatal. *)
 val full : policy
 
-val all_policies : policy list
 val of_string : string -> (policy, string) result
 
 (** One recovery decision taken by the runtime. *)

@@ -236,7 +236,6 @@ let array_buf env name =
 let root_of env name = (array_slot env name).root
 
 let get_scalar env name = (scalar_cell env name).v
-let set_scalar env name v = (scalar_cell env name).v <- v
 
 (** Shape of an array binding ([[|len|]] when it was never given one). *)
 let shape_of slot =

@@ -90,7 +90,6 @@ val array_buf : t -> string -> Gpusim.Buf.t
 val root_of : t -> string -> string
 
 val get_scalar : t -> string -> scalar
-val set_scalar : t -> string -> scalar -> unit
 
 (** Shape of an array binding ([[|len|]] when it was never given one). *)
 val shape_of : slot -> int array

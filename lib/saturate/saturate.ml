@@ -384,62 +384,36 @@ let merge_candidates (tp : Codegen.Tprog.t) analysis sidtbl =
       :: acc)
     groups []
 
-(* Replace the adjacent pair (sid1, sid2) of compute-loop statements with
-   one directive carrying the fused loop (clause union, bodies
-   concatenated under the first header). *)
-let fuse_edit prog ~sid1 ~sid2 =
-  let fuse s1 s2 =
-    match (s1.Ast.skind, s2.Ast.skind) with
-    | Ast.Sacc (d1, Some b1), Ast.Sacc (d2, Some b2) -> (
-        match (b1.Ast.skind, b2.Ast.skind) with
-        | Ast.Sfor (i, c, st, body1), Ast.Sfor (_, _, _, body2) ->
-            let clauses =
-              d1.Ast.clauses
-              @ List.filter
-                  (fun cl -> not (List.mem cl d1.Ast.clauses))
-                  d2.Ast.clauses
-            in
-            let fused_loop =
-              Ast.mk_stmt ~loc:b1.Ast.sloc
-                (Ast.Sfor (i, c, st, body1 @ body2))
-            in
-            Some
-              (Ast.mk_stmt ~loc:s1.Ast.sloc
-                 (Ast.Sacc ({ d1 with Ast.clauses }, Some fused_loop)))
-        | _ -> None)
-    | _ -> None
-  in
-  let rec fix_block b =
-    let b = List.map fix_stmt b in
-    let rec go = function
-      | s1 :: s2 :: rest when s1.Ast.sid = sid1 && s2.Ast.sid = sid2 -> (
-          match fuse s1 s2 with
-          | Some fused -> fused :: go rest
-          | None -> s1 :: go (s2 :: rest))
-      | s :: rest -> s :: go rest
-      | [] -> []
-    in
-    go b
-  and fix_stmt (s : Ast.stmt) =
-    let skind =
-      match s.Ast.skind with
-      | (Ast.Sskip | Ast.Sexpr _ | Ast.Sassign _ | Ast.Sdecl _
-        | Ast.Sreturn _ | Ast.Sbreak | Ast.Scontinue) as k -> k
-      | Ast.Sif (c, b1, b2) -> Ast.Sif (c, fix_block b1, fix_block b2)
-      | Ast.Swhile (c, b) -> Ast.Swhile (c, fix_block b)
-      | Ast.Sfor (i, c, st, b) -> Ast.Sfor (i, c, st, fix_block b)
-      | Ast.Sblock b -> Ast.Sblock (fix_block b)
-      | Ast.Sacc (d, body) -> Ast.Sacc (d, Option.map fix_stmt body)
-    in
-    { s with Ast.skind }
-  in
-  { Ast.globals =
-      List.map
-        (function
-          | Ast.Gfunc fn ->
-              Ast.Gfunc { fn with Ast.f_body = fix_block fn.Ast.f_body }
-          | g -> g)
-        prog.Ast.globals }
+(* Replace the adjacent pair [s1; s2] of compute-loop statements with one
+   directive carrying the fused loop (clause union, bodies concatenated
+   under the first header). *)
+let fuse_edit prog (s1 : Ast.stmt) (s2 : Ast.stmt) =
+  match (s1.Ast.skind, s2.Ast.skind) with
+  | Ast.Sacc (d1, Some b1), Ast.Sacc (d2, Some b2) -> (
+      match (b1.Ast.skind, b2.Ast.skind) with
+      | Ast.Sfor (i, c, st, body1), Ast.Sfor (_, _, _, body2) ->
+          let clauses =
+            d1.Ast.clauses
+            @ List.filter
+                (fun cl -> not (List.mem cl d1.Ast.clauses))
+                d2.Ast.clauses
+          in
+          let fused =
+            Ast.mk_stmt ~loc:s1.Ast.sloc
+              (Ast.Sacc
+                 ( { d1 with Ast.clauses },
+                   Some
+                     (Ast.mk_stmt ~loc:b1.Ast.sloc
+                        (Ast.Sfor (i, c, st, body1 @ body2))) ))
+          in
+          Acc.Edit.expand_program
+            (fun s ->
+              if s.Ast.sid = s1.Ast.sid then [ fused ]
+              else if s.Ast.sid = s2.Ast.sid then []
+              else [ s ])
+            prog
+      | _ -> prog)
+  | _ -> prog
 
 (* Fuse: purely structural — two adjacent compute-loop directives whose
    loops have structurally equal headers, no reductions, and disjoint
@@ -518,14 +492,13 @@ let fuse_candidates prog (tp : Codegen.Tprog.t) analysis ~pcie_latency
                   (0.0, []) analysis.Obs.Ledger.a_sites
               in
               if saved > 0.0 then
-                let sid1 = s1.Ast.sid and sid2 = s2.Ast.sid in
                 cands :=
                   { c_kind = Fuse;
                     c_label =
                       Fmt.str "fuse %s into %s" k2.k_name k1.k_name;
                     c_sites = List.rev labels;
                     c_predicted_s = saved;
-                    c_edit = (fun p -> fuse_edit p ~sid1 ~sid2) }
+                    c_edit = (fun p -> fuse_edit p s1 s2) }
                   :: !cands
             end
         | _ -> ())
@@ -568,12 +541,10 @@ let candidates prog tp analysis outcome =
 exception Rejected of string
 
 let run ?(config = default_config) ~name ~outputs prog0 =
-  Ast.with_sid_base @@ fun () ->
-  (* Rebase the program onto canonical sids (a print/reparse round trip
-     under the rebased allocator): sids leak into directive-site labels
+  (* Start from canonical sids (a print/reparse round trip numbers the
+     statements from 1): sids leak into directive-site labels
      (`data<sid>.copyin(v)`) and from there into the report, so the
-     search must not observe how many statements the process parsed
-     before it. *)
+     search must not observe how its input was built. *)
   let tp0 =
     Openarc_core.Compiler.compile_program
       (Parser.parse_string ~file:"<saturate>" (Pretty.program_to_string prog0))
@@ -648,16 +619,12 @@ let run ?(config = default_config) ~name ~outputs prog0 =
      every later rung, and once accepted the next step, runs on it — and
      its measurement. *)
   let validate cand_prog =
-    (* 1. print -> reparse round trip.  The reparse runs under a rebased
-       sid allocator, so the statements an edit created get the sids
-       their position in the printed program gives them, not whatever the
-       search's own translations and runs had allocated by then. *)
+    (* 1. print -> reparse round trip.  The reparse numbers statements
+       from 1, so the statements an edit created get the sids their
+       position in the printed program gives them. *)
     let printed = Pretty.program_to_string cand_prog in
     let cand_prog =
-      match
-        Ast.with_sid_base (fun () ->
-            Parser.parse_string ~file:"<saturate>" printed)
-      with
+      match Parser.parse_string ~file:"<saturate>" printed with
       | reparsed when Ast.equal_program reparsed cand_prog -> reparsed
       | _ -> raise (Rejected "print/reparse round trip diverged")
       | exception e ->

@@ -19,11 +19,6 @@ let write path contents =
   output_string oc contents;
   close_out oc
 
-(* Keep in sync with test_lint.ml: data/declare labels embed parse-time
-   statement ids that vary with parse order. *)
-let normalize_sites s =
-  Str.global_replace (Str.regexp "\\(data\\|declare\\)[0-9]+") "\\1N" s
-
 let () =
   List.iter
     (fun (b : Suite.Bench_def.t) ->
@@ -32,10 +27,9 @@ let () =
           let ds =
             Lint.run_tprog (Openarc_core.Compiler.compile ~file:b.name src)
           in
+          (* Rendered as test_lint renders the goldens it compares. *)
           let text =
-            normalize_sites
-              (Lint.Diag.to_text
-                 (Lint.Diag.filter ~threshold:Lint.Diag.Info ds))
+            Lint.Diag.to_text (Lint.Diag.filter ~threshold:Lint.Diag.Info ds)
           in
           let path =
             Filename.concat out_dir

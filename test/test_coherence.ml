@@ -4,7 +4,9 @@
 
 open Codegen.Tprog
 
-let site label = Codegen.Tprog.mk_site label
+let site label =
+  { Codegen.Tprog.site_id = 1; site_label = label; site_var = "v";
+    site_sid = -1; site_loc = Minic.Loc.dummy }
 
 let kinds t = List.map (fun r -> r.Accrt.Coherence.r_kind) (Accrt.Coherence.reports t)
 

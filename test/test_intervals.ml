@@ -74,7 +74,9 @@ let intervals_model =
 
 (* ------------- fine-grained coherence ------------- *)
 
-let site label = Codegen.Tprog.mk_site label
+let site label =
+  { Codegen.Tprog.site_id = 1; site_label = label; site_var = "v";
+    site_sid = -1; site_loc = Minic.Loc.dummy }
 
 let test_fine_partial_update_detected () =
   (* Kernel writes all of v; only v[0:4) is downloaded; the host then reads

@@ -184,52 +184,6 @@ let test_header_reads () =
         [ Accrt.Engine.Tree; Accrt.Engine.Compiled ])
     header_read_programs
 
-(* Statement ids number the sites a session inserts, so running a
-   program must allocate none: a launch walks its kernel's loop header in
-   place.  [Kernel_verify.verify] translates the program it is given, so
-   it may take exactly the ids that translation takes, and no more. *)
-let test_runs_allocate_no_sids () =
-  let taken f =
-    let before = !Minic.Ast.stmt_counter in
-    f ();
-    !Minic.Ast.stmt_counter - before
-  in
-  List.iter
-    (fun (b : Suite.Bench_def.t) ->
-      let prog = Minic.Parser.parse_string ~file:b.name b.source in
-      let translate prog =
-        Codegen.Translate.translate (Minic.Typecheck.check prog) prog
-      in
-      let tp = translate prog in
-      Alcotest.(check int) (b.name ^ ": reference run") 0
-        (taken (fun () -> ignore (Accrt.Eval.run_reference prog)));
-      let translation =
-        taken (fun () ->
-            ignore
-              (translate
-                 (if Codegen.Inline.needs_expansion prog then
-                    Codegen.Inline.expand prog
-                  else prog)))
-      in
-      List.iter
-        (fun engine ->
-          let what = Fmt.str "%s/%s" b.name (Accrt.Engine.to_string engine) in
-          List.iter
-            (fun devices ->
-              Alcotest.(check int)
-                (Fmt.str "%s --devices %d: run" what devices)
-                0
-                (taken (fun () ->
-                     ignore (Accrt.Interp.run ~engine ~seed:42 ~devices tp))))
-            [ 1; 4 ];
-          Alcotest.(check int)
-            (what ^ ": verify takes only its translation's ids")
-            translation
-            (taken (fun () ->
-                 ignore (Openarc_core.Kernel_verify.verify ~engine prog))))
-        [ Accrt.Engine.Tree; Accrt.Engine.Compiled ])
-    Suite.Registry.all
-
 let tests =
   [ Alcotest.test_case "reduction identities" `Quick test_identities;
     Alcotest.test_case "combine" `Quick test_combine;
@@ -240,7 +194,5 @@ let tests =
     Alcotest.test_case "int reduction" `Quick test_reduction_on_int;
     Alcotest.test_case "single-thread kernel" `Quick
       test_single_thread_kernel;
-    Alcotest.test_case "runs allocate no statement ids" `Quick
-      test_runs_allocate_no_sids;
     Alcotest.test_case "header reads are kernel inputs" `Quick
       test_header_reads ]

@@ -427,13 +427,8 @@ let test_runtime_agreement () =
 
 (* Expected diagnostics (all severities) for every suite variant, kept
    under test/golden/.  Regenerate with [dune exec test/gen_golden.exe]
-   from the repository root after an intentional behavior change.
-
-   Data/declare site labels embed parse-time statement ids, which depend
-   on how many programs the process parsed before; normalize them so the
-   text is reproducible (keep in sync with gen_golden.ml). *)
-let normalize_sites s =
-  Str.global_replace (Str.regexp "\\(data\\|declare\\)[0-9]+") "\\1N" s
+   from the repository root after an intentional behavior change; it
+   renders them as [golden_text] does. *)
 
 (* ------------------------- multi-word facts ------------------------- *)
 
@@ -479,8 +474,7 @@ let test_multi_word () =
     (histogram (lint many))
 
 let golden_text ~file src =
-  normalize_sites
-    (Diag.to_text (Diag.filter ~threshold:Diag.Info (lint ~file src)))
+  Diag.to_text (Diag.filter ~threshold:Diag.Info (lint ~file src))
 
 let read_file path =
   let ic = open_in_bin path in

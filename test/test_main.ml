@@ -20,6 +20,7 @@ let () =
       ("edit", Test_edit.tests);
       ("multidim", Test_multidim.tests);
       ("inline", Test_inline.tests);
+      ("ids", Test_ids.tests);
       ("features", Test_features.tests);
       ("suite", Test_suite.tests);
       ("engine_diff", Test_engine_diff.tests);

@@ -256,34 +256,6 @@ let test_device_spans_and_counters () =
 
 (* ------------------------------ stats ------------------------------ *)
 
-(* The histogram merge is a pointwise bucket-count sum: associative and
-   commutative, so per-shard partials can fold in any order. *)
-let test_stats_merge_associative () =
-  let mk samples =
-    let s = Obs.Stats.create () in
-    List.iter (Obs.Stats.add s) samples;
-    s
-  in
-  let a = mk [ 1e-6; 2e-6; 3e-6; 0.0; -1.0 ] in
-  let b = mk [ 4e-6; 1e-3; 1e-3 ] in
-  let c = mk [ 7e-9; 0.5; 1e-6 ] in
-  let left = Obs.Stats.merge (Obs.Stats.merge a b) c in
-  let right = Obs.Stats.merge a (Obs.Stats.merge b c) in
-  Alcotest.(check bool)
-    "associative bucket-for-bucket" true
-    (Obs.Stats.buckets left = Obs.Stats.buckets right);
-  Alcotest.(check int) "count sums" 11 (Obs.Stats.count left);
-  Alcotest.(check bool)
-    "commutative" true
-    (Obs.Stats.buckets (Obs.Stats.merge a b)
-    = Obs.Stats.buckets (Obs.Stats.merge b a));
-  Alcotest.(check (float 1e-15))
-    "mean of merged = global mean"
-    ((1e-6 +. 2e-6 +. 3e-6 +. 0.0 -. 1.0 +. 4e-6 +. 1e-3 +. 1e-3 +. 7e-9
-     +. 0.5 +. 1e-6)
-    /. 11.0)
-    (Obs.Stats.mean left)
-
 (* Exact nearest-rank percentiles at the edges: empty (nan), a single
    sample (every percentile of itself), and an N-sample ladder where the
    ranks are computable by hand. *)
@@ -453,7 +425,7 @@ let test_imbalance_recost () =
     let acc = ref 0 in
     Array.iteri
       (fun i w ->
-        if Obs.Imbalance.owner ~schedule:"block" ~parts ~total i = p then
+        if Gpusim.Device_set.(owner Block) ~parts ~total i = p then
           acc := !acc + w)
       weights;
     !acc
@@ -479,8 +451,8 @@ let test_imbalance_recost () =
       l_merge = 0.0;
       l_merge_bytes = 0 }
   in
-  let wb = Obs.Imbalance.predict_work l ~schedule:"block" in
-  let wc = Obs.Imbalance.predict_work l ~schedule:"cyclic" in
+  let wb = Obs.Imbalance.predict_work l ~schedule:Gpusim.Device_set.Block in
+  let wc = Obs.Imbalance.predict_work l ~schedule:Gpusim.Device_set.Cyclic in
   (* Block's heaviest shard owns iterations 48..63: 888 ops.  Cyclic's
      owns {3,7,...,63}: 528 ops. *)
   Alcotest.(check (float 1e-15)) "block heaviest share" (888. *. unit) wb;
@@ -488,7 +460,7 @@ let test_imbalance_recost () =
   Alcotest.(check (float 1e-15))
     "predict = overhead + work"
     (overhead +. wb)
-    (Obs.Imbalance.predict l ~schedule:"block");
+    (Obs.Imbalance.predict l ~schedule:Gpusim.Device_set.Block);
   let t = Obs.Imbalance.create ~devices:parts ~schedule:"block" in
   Obs.Imbalance.record t l;
   let a = Obs.Imbalance.analyze t in
@@ -519,8 +491,6 @@ let tests =
     Alcotest.test_case "recovery spans" `Quick test_recovery_spans;
     Alcotest.test_case "device spans & counters" `Quick
       test_device_spans_and_counters;
-    Alcotest.test_case "stats merge associativity" `Quick
-      test_stats_merge_associative;
     Alcotest.test_case "stats percentile edges" `Quick
       test_stats_percentiles;
     Alcotest.test_case "chrome device lanes" `Quick test_trace_lanes;

@@ -271,21 +271,17 @@ let test_session_to_json () =
         (Obs.Pjson.member "schema" dv
         = Some (Obs.Pjson.Str "openarc.obs.profile-diff")))
     deltas;
-  (* deterministic export: same program, same seed, same bytes — modulo
-     the statement ids baked into directive labels (the sid counter is
-     process-global, so a second in-process session numbers its inserted
-     data region differently; across processes the export is
-     byte-identical, which the CLI test checks) *)
+  (* deterministic export: same program, same seed, same bytes, the
+     labels of inserted data regions included (ids belong to the
+     program, so a second session in the same process numbers them
+     alike) *)
   let r2 =
     Openarc_core.Session.optimize ~outputs:[ "a"; "cs" ]
       (Parser.parse_string jacobi)
   in
-  let normalize s =
-    Str.global_replace (Str.regexp "data[0-9]+") "dataN" s
-  in
-  Alcotest.(check string) "reproducible modulo statement ids"
-    (normalize (Openarc_core.Session.to_json ~name:"jacobi" r))
-    (normalize (Openarc_core.Session.to_json ~name:"jacobi" r2))
+  Alcotest.(check string) "reproducible byte for byte"
+    (Openarc_core.Session.to_json ~name:"jacobi" r)
+    (Openarc_core.Session.to_json ~name:"jacobi" r2)
 
 (* One kernel store serves a whole session: its edits touch data clauses
    only, so on every suite program the first iteration's run compiles the
@@ -390,6 +386,86 @@ let test_unknown_output () =
       Alcotest.(check string) "names the output"
         "output 'nosuch' is not a variable of the program" m
 
+(* An update whose clause names a pointer ([p] aliases [a]) reports its
+   site by the root [a]; removing it must address [p], the name the clause
+   gives, or the edit matches nothing and the session repeats it. *)
+let pointer_update clause =
+  Fmt.str
+    "int main() { int n = 64; float a[n]; float b[n]; float *p = a;\nfor \
+     (int i = 0; i < n; i++) { a[i] = float(i); b[i] = 0.0; }\n#pragma acc \
+     data copyin(a) copy(b)\n{\nfor (int t = 0; t < 3; t++) {\n#pragma acc \
+     update device(%s[0:n])\n#pragma acc kernels loop\nfor (int i = 0; i < \
+     n; i++) { b[i] = b[i] + a[i]; }\n}\n}\nfloat s = 0.0;\nfor (int i = \
+     0; i < n; i++) { s = s + b[i]; }\nreturn 0; }"
+    clause
+
+let test_pointer_clause () =
+  List.iter
+    (fun clause ->
+      let prog = Parser.parse_string (pointer_update clause) in
+      let r = Openarc_core.Session.optimize ~outputs:[ "s" ] prog in
+      Alcotest.(check bool) (clause ^ ": converged") true
+        r.Openarc_core.Session.converged;
+      Alcotest.(check int) (clause ^ ": two iterations") 2
+        r.Openarc_core.Session.iterations;
+      Alcotest.(check (pair int int))
+        (clause ^ ": the update is gone")
+        (3, 1536)
+        (Openarc_core.Session.transfer_stats r.Openarc_core.Session.final);
+      match r.Openarc_core.Session.telemetry with
+      | it :: _ ->
+          Alcotest.(check (list string))
+            (clause ^ ": the suggestion names the root")
+            [ "all 3 executions of update0.device(a) are redundant: remove \
+               a from the update directive" ]
+            (List.map fst it.Openarc_core.Session.it_suggestions)
+      | [] -> Alcotest.fail "no iterations")
+    [ "p"; "a" ]
+
+(* A batch of edits that changes nothing, or that rebuilds a program the
+   session already reverted, would repeat until [max_iterations]: the
+   session stops there, not converged, naming what it could not apply. *)
+let stuck_region =
+  "int main() { int n = 64; float a[n]; float b[n];\nfor (int i = 0; i < \
+   n; i++) { a[i] = float(i); b[i] = 1.0; }\n#pragma acc data copy(a)\n{\n\
+   #pragma acc kernels loop\nfor (int i = 0; i < n; i++) { a[i] = a[i] * \
+   2.0; }\n}\nfor (int t = 0; t < 4; t++) {\n#pragma acc kernels loop\nfor \
+   (int i = 0; i < n; i++) { b[i] = b[i] + 1.0; }\n}\nfloat s = 0.0;\nfor \
+   (int i = 0; i < n; i++) { s = s + b[i] + a[i]; }\nreturn 0; }"
+
+let unread_outputs =
+  "int main() { int n = 64; float y[n]; float z[n];\nfor (int i = 0; i < \
+   n; i++) { y[i] = float(i); z[i] = 1.0; }\n#pragma acc kernels loop \
+   copy(y)\nfor (int i = 0; i < n; i++) { y[i] = y[i] * 2.0; }\n#pragma acc \
+   kernels loop copy(z)\nfor (int i = 0; i < n; i++) { z[i] = z[i] + 1.0; \
+   }\nreturn 0; }"
+
+let test_stuck_sessions () =
+  List.iter
+    (fun (what, src, outputs, iterations, incorrect, texts) ->
+      let r =
+        Openarc_core.Session.optimize ~outputs (Parser.parse_string src)
+      in
+      Alcotest.(check bool) (what ^ ": not converged") false
+        r.Openarc_core.Session.converged;
+      Alcotest.(check (pair int int))
+        (what ^ ": iterations, incorrect")
+        (iterations, incorrect)
+        ( r.Openarc_core.Session.iterations,
+          r.Openarc_core.Session.incorrect_iterations );
+      let last = List.hd (List.rev r.Openarc_core.Session.telemetry) in
+      Alcotest.(check string) (what ^ ": the note names the suggestions")
+        ("not converged: could not apply " ^ String.concat "; " texts)
+        last.Openarc_core.Session.it_note)
+    [ ( "an existing data region", stuck_region, [ "s" ], 1, 0,
+        [ "the default per-kernel copies of {b} are largely redundant: \
+           manage them with an enclosing data region (copy(b))" ] );
+      ( "outputs the host never reads", unread_outputs, [ "y"; "z" ], 3, 1,
+        [ "the exit copy of z at region boundary is redundant: weaken its \
+           data clause";
+          "the exit copy of y at region boundary is redundant: weaken its \
+           data clause" ] ) ]
+
 let tests =
   [ Alcotest.test_case "suggestions from naive run" `Quick
       test_suggestions_from_naive_run;
@@ -414,4 +490,6 @@ let tests =
     Alcotest.test_case "unconverged session keeps matching program" `Quick
       test_unconverged_final_matches;
     Alcotest.test_case "unknown output rejected" `Quick test_unknown_output;
-    Alcotest.test_case "NaN outputs diverge" `Quick test_nan_outputs_diverge ]
+    Alcotest.test_case "NaN outputs diverge" `Quick test_nan_outputs_diverge;
+    Alcotest.test_case "clause names a pointer" `Quick test_pointer_clause;
+    Alcotest.test_case "stuck sessions stop" `Quick test_stuck_sessions ]
