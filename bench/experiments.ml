@@ -716,7 +716,7 @@ let scale_failover ppf =
   in
   let o =
     Accrt.Interp.run ~coherence:false ~seed:42 ~devices:2 ~plan
-      ~resilience:Accrt.Resilience.retry tp
+      ~resilience:Accrt.Resilience.Retry tp
   in
   let st = o.Accrt.Interp.resilience in
   let correct =

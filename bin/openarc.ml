@@ -33,7 +33,9 @@
 
 open Cmdliner
 
-let load_source path =
+(* The bundled benchmark and variant a [bench:NAME[:VARIANT]] argument
+   names, or [None] for a file path. *)
+let bench_of_path path =
   if String.length path > 6 && String.sub path 0 6 = "bench:" then begin
     let rest = String.sub path 6 (String.length path - 6) in
     let name, variant =
@@ -45,18 +47,22 @@ let load_source path =
     in
     match Suite.Registry.find name with
     | None -> Fmt.failwith "unknown benchmark '%s'" name
-    | Some b ->
-        if variant = "opt" || variant = "optimized" then
-          b.Suite.Bench_def.optimized
-        else b.Suite.Bench_def.source
+    | Some b -> Some (b, variant)
   end
-  else begin
-    let ic = open_in_bin path in
-    let n = in_channel_length ic in
-    let src = really_input_string ic n in
-    close_in ic;
-    src
-  end
+  else None
+
+let load_source path =
+  match bench_of_path path with
+  | Some (b, variant) ->
+      if variant = "opt" || variant = "optimized" then
+        b.Suite.Bench_def.optimized
+      else b.Suite.Bench_def.source
+  | None ->
+      let ic = open_in_bin path in
+      let n = in_channel_length ic in
+      let src = really_input_string ic n in
+      close_in ic;
+      src
 
 let file_arg =
   Arg.(required
@@ -343,7 +349,7 @@ let run_cmd =
               path
         | None -> ());
         Fmt.pr "%a@." Gpusim.Metrics.pp (Accrt.Interp.metrics o);
-        (if plan <> None || policy.Accrt.Resilience.p_name <> "none" then
+        (if plan <> None || Accrt.Resilience.recovers policy then
            let plan =
              Option.value plan ~default:(Gpusim.Fault_plan.none ())
            in
@@ -682,21 +688,8 @@ let saturate_cmd =
         (* Designated outputs: the benchmark's declared ones, else every
            array a kernel writes (the host-visible footprint). *)
         let outputs =
-          let from_bench =
-            if String.length file > 6 && String.sub file 0 6 = "bench:" then
-              let rest = String.sub file 6 (String.length file - 6) in
-              let name =
-                match String.index_opt rest ':' with
-                | Some i -> String.sub rest 0 i
-                | None -> rest
-              in
-              Option.map
-                (fun b -> b.Suite.Bench_def.outputs)
-                (Suite.Registry.find name)
-            else None
-          in
-          match from_bench with
-          | Some outs -> outs
+          match bench_of_path file with
+          | Some (b, _) -> b.Suite.Bench_def.outputs
           | None ->
               Array.fold_left
                 (fun acc k ->

@@ -50,8 +50,8 @@ let all_ok t = List.for_all cell_ok t.cells
     fallback of [full]. *)
 let policies_for kind =
   if Gpusim.Fault_plan.transient kind then
-    [ Accrt.Resilience.retry; Accrt.Resilience.full ]
-  else [ Accrt.Resilience.full ]
+    [ Accrt.Resilience.Retry; Accrt.Resilience.Full ]
+  else [ Accrt.Resilience.Full ]
 
 let run ?(seed = 42) ?(kinds = Gpusim.Fault_plan.all_kinds)
     ?(device_counts = []) ?(trace = false) subjects =
@@ -85,7 +85,7 @@ let run ?(seed = 42) ?(kinds = Gpusim.Fault_plan.all_kinds)
                 Gpusim.Metrics.total_time (Accrt.Interp.metrics o)
               in
               { c_bench = s.s_name; c_kind = kind;
-                c_policy = policy.Accrt.Resilience.p_name;
+                c_policy = Accrt.Resilience.name policy;
                 c_devices = devices;
                 c_injected = Gpusim.Fault_plan.injected plan;
                 c_retries =
@@ -106,7 +106,7 @@ let run ?(seed = 42) ?(kinds = Gpusim.Fault_plan.all_kinds)
               ( Accrt.Resilience.Unrecovered _
               | Gpusim.Device.Device_fault _ ) ->
               { c_bench = s.s_name; c_kind = kind;
-                c_policy = policy.Accrt.Resilience.p_name;
+                c_policy = Accrt.Resilience.name policy;
                 c_devices = devices;
                 c_injected = Gpusim.Fault_plan.injected plan;
                 c_retries = 0; c_reexecs = 0; c_fallbacks = 0;
@@ -128,7 +128,7 @@ let run ?(seed = 42) ?(kinds = Gpusim.Fault_plan.all_kinds)
               let label =
                 Fmt.str "%s/%s/%s" s.s_name
                   (Gpusim.Fault_plan.kind_name kind)
-                  policy.Accrt.Resilience.p_name
+                  (Accrt.Resilience.name policy)
               in
               run_cell ~kind ~policy ~devices:1 ~plan ~label ~base_time)
             (policies_for kind))
@@ -157,11 +157,11 @@ let run ?(seed = 42) ?(kinds = Gpusim.Fault_plan.all_kinds)
                   in
                   let label =
                     Fmt.str "%s/device-lost#%d@%ddev/%s" s.s_name lost_dev
-                      devices policy.Accrt.Resilience.p_name
+                      devices (Accrt.Resilience.name policy)
                   in
                   run_cell ~kind:Gpusim.Fault_plan.Device_lost ~policy
                     ~devices ~plan ~label ~base_time)
-                [ Accrt.Resilience.retry; Accrt.Resilience.full ])
+                [ Accrt.Resilience.Retry; Accrt.Resilience.Full ])
             [ 0; devices - 1 ])
         (List.filter (fun n -> n > 1) device_counts))
     subjects;

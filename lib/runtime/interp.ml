@@ -3,7 +3,9 @@
     the {!Coherence} runtime for the paper's memory-transfer verification.
 
     When the device carries an armed {!Gpusim.Fault_plan}, the interpreter
-    becomes a resilient runtime governed by a {!Resilience.policy}:
+    becomes a resilient runtime governed by a {!Resilience.policy}.  Four
+    gates catch device faults — allocation, transfer, the CPU fallback's
+    re-upload and launch — and each asks {!Resilience.decide} what to do:
 
     - transient transfer/allocation faults are retried with exponential
       backoff (charged to the [Fault_recovery] metrics category);
@@ -13,9 +15,14 @@
       so launch faults and ECC-detected bit flips re-execute from a clean
       state — and each re-execution is validated against the sequential
       reference (§III-A's comparator), reusing the demotion-snapshot idea;
-    - exhausted retries and device loss degrade to CPU fallback: the
-      original sequential region runs on the host (host mode after loss),
-      so a [full]-policy run never produces a silently wrong answer. *)
+    - under [full], exhausted retries and device loss degrade to CPU
+      fallback: the original sequential region runs on the host (host mode
+      once no member is alive), so a [full]-policy run never produces a
+      silently wrong answer.
+
+    After any recovery the host holds the freshest verified value: a
+    download reaches the host array only once its checksum matches, and
+    a kernel's CPU results belong to the host before they are re-uploaded. *)
 
 open Minic.Ast
 open Codegen.Tprog
@@ -44,8 +51,6 @@ let host_array o name = Value.array_buf o.ctx.Eval.env name
 
 let host_scalar o name = Value.get_scalar o.ctx.Eval.env name
 
-exception Stop
-
 let trace_event tr ?dev = function
   | Gpusim.Device.Charge (cat, dt) ->
       Obs.Trace.charge tr ?dev ~category:(Gpusim.Metrics.category_name cat) dt
@@ -71,7 +76,7 @@ type attribution = {
 
 let run ?(coherence = true) ?(engine = Engine.Compiled) ?granularity
     ?(seed = 42) ?(trace = false) ?plan
-    ?(resilience = Resilience.none) ?(devices = 1) ?schedule ?obs ?ledger
+    ?(resilience = Resilience.Off) ?(devices = 1) ?schedule ?obs ?ledger
     ?audit ?kcache (tp : Codegen.Tprog.t) =
   if devices < 1 then invalid_arg "Interp.run: devices must be >= 1";
   let devset =
@@ -254,25 +259,30 @@ let run ?(coherence = true) ?(engine = Engine.Compiled) ?granularity
               ("ok", string_of_bool ok) ]
           ~start:metrics.Gpusim.Metrics.host_clock ~duration:0.0 ()
   in
-  let host_mode = ref false in  (* device lost: everything runs on the CPU *)
   (* Arrays demoted to host residence (OOM / unrecoverable transfers). *)
   let host_only : (string, unit) Hashtbl.t = Hashtbl.create 4 in
   (* Roots whose freshest copy lives only on the device, and their
-     host-side resilience mirrors (kept under [cpu_fallback] so a lost
-     device does not take the data with it). *)
+     host-side resilience mirrors (kept under [full] so a lost device does
+     not take the data with it). *)
   let device_fresh : (string, unit) Hashtbl.t = Hashtbl.create 8 in
   let mirrors : (string, Gpusim.Buf.t) Hashtbl.t = Hashtbl.create 8 in
 
   let charge_recovery dt =
     Gpusim.Device.charge device Gpusim.Metrics.Fault_recovery dt
   in
-  let backoff_delay attempt =
-    policy.Resilience.backoff *. float_of_int (1 lsl attempt)
-  in
   let unrecovered fault =
     stats.Resilience.unrecovered <- stats.Resilience.unrecovered + 1;
     record ~fault ~action:"abort" ~ok:false;
     raise (Resilience.Unrecovered fault)
+  in
+  (* A spent retry budget: [fall_back] (recording [action]) under [full],
+     else the run ends. *)
+  let on_exhausted fault ~action fall_back =
+    if Resilience.falls_back policy then begin
+      record ~fault ~action ~ok:true;
+      fall_back ()
+    end
+    else unrecovered fault
   in
   (* Restore a mirrored buffer into the host array it shadows. *)
   let restore_mirror v =
@@ -287,17 +297,17 @@ let run ?(coherence = true) ?(engine = Engine.Compiled) ?granularity
           (Gpusim.Costmodel.cpu_time cmodel ~ops:(Gpusim.Buf.length m))
     | _ -> ()
   in
-  (* The device dropped off the bus: recover the data only it held from
-     the resilience mirrors, then continue in host mode. *)
-  let enter_host_mode fault =
-    host_mode := true;
-    stats.Resilience.device_lost <- true;
-    Hashtbl.iter (fun v () -> restore_mirror v) device_fresh;
-    Hashtbl.reset device_fresh;
-    record ~fault ~action:"host-mode" ~ok:true
-  in
+  (* No member is left: under [full] recover the data only the devices
+     held from the resilience mirrors and continue in host mode (every
+     kernel runs as its sequential region while
+     [Device_set.all_lost devset]), else give up. *)
   let on_lost fault =
-    if policy.Resilience.cpu_fallback then enter_host_mode fault
+    if Resilience.falls_back policy then begin
+      stats.Resilience.device_lost <- true;
+      Hashtbl.iter (fun v () -> restore_mirror v) device_fresh;
+      Hashtbl.reset device_fresh;
+      record ~fault ~action:"host-mode" ~ok:true
+    end
     else unrecovered fault
   in
   (* -------------------------- device-set state -------------------------- *)
@@ -344,33 +354,35 @@ let run ?(coherence = true) ?(engine = Engine.Compiled) ?granularity
     Hashtbl.remove fresh_on v;
     Hashtbl.replace host_only v ()
   in
-  (* A transfer or allocation of [v] failed with [fault] on attempt [n]:
-     [retry] after a backoff while the budget lasts, then keep [v] on the
-     host under a fallback-capable policy, else give up. *)
-  let retry_or_demote ~fault ~action v n retry =
-    if n < policy.Resilience.max_retries then begin
-      if action = "re-transfer" then
-        stats.Resilience.retransfers <- stats.Resilience.retransfers + 1
-      else stats.Resilience.retries <- stats.Resilience.retries + 1;
-      record ~fault ~action ~ok:true;
-      charge_recovery (backoff_delay n);
-      retry (n + 1)
-    end
-    else if policy.Resilience.cpu_fallback then begin
-      record ~fault ~action:"host-demote" ~ok:true;
-      demote_to_host v
-    end
-    else unrecovered fault
+  (* The data gate: an allocation, transfer or fallback re-upload of [v] on
+     member [dev] caught [fault] on attempt [n].  {!Resilience.decide}
+     picks the outcome; a spent budget keeps [v] on the host.  A lost
+     member's operation is not replayed here: the caller replays a
+     download on a survivor, and in host mode the host copy is
+     authoritative. *)
+  let on_data_fault ?(action = "retry") dev v n fault ~retry =
+    match Resilience.decide policy fault.Gpusim.Device.f_kind ~attempt:n with
+    | Resilience.Member_lost -> on_member_lost dev.Gpusim.Device.id fault
+    | Resilience.Reattempt ->
+        if action = "re-transfer" then
+          stats.Resilience.retransfers <- stats.Resilience.retransfers + 1
+        else stats.Resilience.retries <- stats.Resilience.retries + 1;
+        record ~fault ~action ~ok:true;
+        charge_recovery (Resilience.backoff n);
+        retry (n + 1)
+    | Resilience.Exhausted ->
+        on_exhausted fault ~action:"host-demote" (fun () -> demote_to_host v)
+    | Resilience.Propagate -> raise (Gpusim.Device.Device_fault fault)
   in
   (* After a successful launch the written roots are freshest on the
-     device; under a fallback-capable policy, mirror them so device loss
-     cannot destroy data (the checkpoint upkeep the report accounts for). *)
+     device; under [full], mirror them so device loss cannot destroy data
+     (the checkpoint upkeep the report accounts for). *)
   let refresh_mirrors dev written =
     Analysis.Varset.iter
       (fun v ->
         if Gpusim.Device.is_allocated dev v then begin
           Hashtbl.replace device_fresh v ();
-          if policy.Resilience.cpu_fallback then begin
+          if Resilience.falls_back policy then begin
             let b = Gpusim.Device.buffer dev v in
             (match Hashtbl.find_opt mirrors v with
             | Some m when Gpusim.Buf.length m = Gpusim.Buf.length b ->
@@ -385,69 +397,59 @@ let run ?(coherence = true) ?(engine = Engine.Compiled) ?granularity
   in
 
   (* ----------------------- resilient transfers ---------------------- *)
-  let checksum_range ~range buf = Gpusim.Buf.checksum ?range buf in
-  let do_transfer dev x ~host ~range ~async =
-    let var = x.x_var in
-    let label = x.x_site.site_label in
-    let op = match x.x_dir with H2D -> "upload" | D2H -> "download" in
-    let dev_op () =
-      match x.x_dir with
-      | H2D -> Gpusim.Device.upload dev var ~host ?range ?async ~label ()
-      | D2H -> Gpusim.Device.download dev var ~host ?range ?async ~label ()
-    in
-    (* End-to-end verification: source and destination checksums must
-       agree, or the copy is redone ([Xfer_corrupt]'s only detector). *)
+  (* One DMA copy of [v] between [host] and member [dev], through the data
+     gate.  Under a recovering policy the source and destination checksums
+     must agree or the copy is redone ([Xfer_corrupt]'s only detector), and
+     a download lands in a staging copy that reaches [host] only once its
+     checksum matches. *)
+  let do_transfer dev v ~dir ~label ~host ~range ~async =
+    let verify = Resilience.recovers policy in
+    let hbuf = if verify && dir = D2H then Gpusim.Buf.copy host else host in
     let checksum_ok () =
-      (not policy.Resilience.checksum)
-      ||
-      (let dbuf = Gpusim.Device.buffer dev var in
-       let elems =
-         match range with
-         | Some (_, len) -> len
-         | None -> Gpusim.Buf.length host
-       in
-       charge_recovery (Gpusim.Costmodel.compare_time cmodel ~elems);
-       checksum_range ~range host = checksum_range ~range dbuf)
+      let elems =
+        match range with
+        | Some (_, len) -> len
+        | None -> Gpusim.Buf.length host
+      in
+      charge_recovery (Gpusim.Costmodel.compare_time cmodel ~elems);
+      Gpusim.Buf.checksum ?range hbuf
+      = Gpusim.Buf.checksum ?range (Gpusim.Device.buffer dev v)
     in
     let rec attempt n =
       (* Re-transfers (transient retry, checksum repair) are their own
          ledger cause: recovery traffic, not the data clause's. *)
       if n > 0 then attr := { !attr with cause = Obs.Ledger.Retry };
-      match dev_op () with
+      match
+        match dir with
+        | H2D -> Gpusim.Device.upload dev v ~host ?range ?async ~label ()
+        | D2H ->
+            Gpusim.Device.download dev v ~host:hbuf ?range ?async ~label ()
+      with
       | () ->
-          if not (checksum_ok ()) then
-            retry_or_demote ~action:"re-transfer" var n attempt
-              ~fault:
-                { Gpusim.Device.f_kind = Gpusim.Fault_plan.Xfer_corrupt;
-                  f_target = var; f_op = op }
-      | exception Gpusim.Device.Device_fault fault
-        when fault.Gpusim.Device.f_kind = Gpusim.Fault_plan.Device_lost
-             && (policy.Resilience.cpu_fallback
-                || policy.Resilience.max_retries > 0) ->
-          (* Host mode makes the host copy authoritative, so the transfer
-             itself needs no replay; a member loss is replayed by the
-             caller on a surviving member. *)
-          on_member_lost dev.Gpusim.Device.id fault
-      | exception Gpusim.Device.Device_fault fault
-        when Gpusim.Fault_plan.transient fault.Gpusim.Device.f_kind
-             && policy.Resilience.max_retries > 0 ->
-          retry_or_demote ~fault ~action:"retry" var n attempt
+          if verify && not (checksum_ok ()) then
+            on_data_fault ~action:"re-transfer" dev v n ~retry:attempt
+              { Gpusim.Device.f_kind = Gpusim.Fault_plan.Xfer_corrupt;
+                f_target = v;
+                f_op = (match dir with H2D -> "upload" | D2H -> "download") }
+          else if hbuf != host then (
+            match range with
+            | Some (lo, len) ->
+                Gpusim.Buf.blit_range ~src:hbuf ~dst:host ~lo ~len
+            | None -> Gpusim.Buf.blit ~src:hbuf ~dst:host)
+      | exception Gpusim.Device.Device_fault fault ->
+          on_data_fault dev v n fault ~retry:attempt
     in
     attempt 0
   in
 
   (* ------------------------ resilient launches ----------------------- *)
-  (* Sequential execution of the kernel's original source region on the
-     live host state — the CPU fallback (and the whole of host mode). *)
-  let cpu_exec k =
-    Value.scoped env (fun () -> Eval.exec ctx k.k_source);
-    charge_host ();
-    stats.Resilience.fallbacks <- stats.Resilience.fallbacks + 1
-  in
-  (* Fall back for one kernel: restore its host inputs from the
-     pre-launch checkpoint of the device buffers, run the sequential
-     region, then push the written arrays back to the (still alive)
-     device so later device kernels see the results. *)
+  (* The CPU fallback of one kernel, and the whole of host mode: restore
+     its host inputs from the pre-launch checkpoint of the device buffers,
+     run the original sequential region on the live host state, then push
+     the kernel's arrays back through the transfer gate to the alive
+     members so later device kernels see the results.  The host holds the
+     freshest copy of those arrays before the re-upload starts, so a
+     demotion or device loss during it keeps the CPU's results. *)
   let cpu_fallback_exec k ~ckpt ~scalars =
     List.iter (fun (c, v0) -> c.Value.v <- v0) scalars;
     List.iter
@@ -464,42 +466,23 @@ let run ?(coherence = true) ?(engine = Engine.Compiled) ?granularity
               (Gpusim.Costmodel.cpu_time cmodel ~ops:(Gpusim.Buf.length b))
         | _ -> ())
       ckpt;
-    cpu_exec k;
-    if (not !host_mode) && Gpusim.Device_set.first_alive devset <> None
-    then begin
-      attr :=
-        { cause = Obs.Ledger.Failover; site = k.k_name ^ ".recover";
-          loc = Minic.Loc.to_string k.k_loc; exec = 0;
-          redundant = (fun _ -> false); hoist = false };
+    Value.scoped env (fun () -> Eval.exec ctx k.k_source);
+    charge_host ();
+    stats.Resilience.fallbacks <- stats.Resilience.fallbacks + 1;
+    if not (Gpusim.Device_set.all_lost devset) then begin
+      Analysis.Varset.iter (Hashtbl.remove device_fresh) (kernel_arrays k);
+      let label = k.k_name ^ ".recover" in
       Analysis.Varset.iter
         (fun v ->
+          attr :=
+            { cause = Obs.Ledger.Failover; site = label;
+              loc = Minic.Loc.to_string k.k_loc; exec = 0;
+              redundant = (fun _ -> false); hoist = false };
           List.iter
             (fun dev ->
-              if Gpusim.Device.is_allocated dev v then begin
-                let host = Value.array_buf env v in
-                let rec push n =
-                  try
-                    Gpusim.Device.upload dev v ~host
-                      ~label:(k.k_name ^ ".recover") ()
-                  with
-                  | Gpusim.Device.Device_fault fault
-                    when fault.Gpusim.Device.f_kind
-                         = Gpusim.Fault_plan.Device_lost ->
-                      on_member_lost dev.Gpusim.Device.id fault
-                  | Gpusim.Device.Device_fault fault
-                    when Gpusim.Fault_plan.transient
-                           fault.Gpusim.Device.f_kind ->
-                      if n < policy.Resilience.max_retries then begin
-                        stats.Resilience.retries <-
-                          stats.Resilience.retries + 1;
-                        charge_recovery (backoff_delay n);
-                        push (n + 1)
-                      end
-                      else demote_to_host v
-                in
-                push 0;
-                Hashtbl.remove device_fresh v
-              end)
+              if Gpusim.Device.is_allocated dev v then
+                do_transfer dev v ~dir:H2D ~label ~host:(Value.array_buf env v)
+                  ~range:None ~async:None)
             (alive_members ());
           if not (Hashtbl.mem host_only v) then
             Hashtbl.replace fresh_on v (Gpusim.Device_set.alive_ids devset))
@@ -578,13 +561,12 @@ let run ?(coherence = true) ?(engine = Engine.Compiled) ?granularity
     List.sort_uniq compare (base @ ind @ lv)
   in
   (* Escalation out of a failed launch: degrade the whole kernel to the
-     sequential region (or propagate, per policy). *)
+     sequential region under [full], else end the run. *)
   let exception Degrade of Gpusim.Device.fault_info in
-  (* Under a validating policy, check a recovered launch with the §III-A
-     comparator: a confirmed recovery is counted, a refuted one degrades
-     the kernel. *)
+  (* Check a recovered launch with the §III-A comparator: a confirmed
+     recovery is counted, a refuted one degrades the kernel. *)
   let validated ~recovered k ~ckpt ~scalar_values dev =
-    if recovered && policy.Resilience.validate then
+    if recovered then
       if validate_recovery dev k ~ckpt ~scalar_values then
         stats.Resilience.verified <- stats.Resilience.verified + 1
       else begin
@@ -596,41 +578,31 @@ let run ?(coherence = true) ?(engine = Engine.Compiled) ?granularity
         raise (Degrade fault)
       end
   in
-  (* The launch-fault decision of whole launches and shards alike: a lost
-     [member] fails over to [survivor ()] (or takes [on_host_mode ()] once
-     the run is in host mode); a transient fault re-executes in place while
-     the retry budget lasts; any other transient fault under a recovering
-     policy degrades the kernel; everything else propagates.  [failover]
-     (same attempt count) and [reexec] (the next) restore state and re-run
-     once the backoff is charged. *)
+  (* The launch gate, for whole launches and shards alike: a lost [member]
+     fails over to [survivor ()], or takes [on_host_mode ()] when none is
+     left; a transient fault re-executes in place while the budget lasts,
+     then degrades the kernel.  [failover] (same attempt count) and
+     [reexec] (the next) restore state and re-run once the backoff is
+     charged. *)
   let on_launch_fault ~member ~on_host_mode ~survivor ~failover ~reexec n
       fault =
-    match fault.Gpusim.Device.f_kind with
-    | Gpusim.Fault_plan.Device_lost
-      when policy.Resilience.reexec || policy.Resilience.cpu_fallback -> (
+    match Resilience.decide policy fault.Gpusim.Device.f_kind ~attempt:n with
+    | Resilience.Member_lost -> (
         on_member_lost member fault;
-        if !host_mode then on_host_mode ()
-        else
-          match survivor () with
-          | None -> raise (Degrade fault)
-          | Some s ->
-              stats.Resilience.failovers <- stats.Resilience.failovers + 1;
-              record ~fault ~action:"failover" ~ok:true;
-              charge_recovery (backoff_delay n);
-              failover s n)
-    | kind
-      when Gpusim.Fault_plan.transient kind && policy.Resilience.reexec
-           && n < policy.Resilience.max_retries ->
+        match survivor () with
+        | None -> on_host_mode ()
+        | Some s ->
+            stats.Resilience.failovers <- stats.Resilience.failovers + 1;
+            record ~fault ~action:"failover" ~ok:true;
+            charge_recovery (Resilience.backoff n);
+            failover s n)
+    | Resilience.Reattempt ->
         stats.Resilience.reexecs <- stats.Resilience.reexecs + 1;
         record ~fault ~action:"re-execute" ~ok:true;
-        charge_recovery (backoff_delay n);
+        charge_recovery (Resilience.backoff n);
         reexec (n + 1)
-    | kind
-      when Gpusim.Fault_plan.transient kind
-           && (policy.Resilience.reexec || policy.Resilience.cpu_fallback
-              || policy.Resilience.max_retries > 0) ->
-        raise (Degrade fault)
-    | _ -> raise (Gpusim.Device.Device_fault fault)
+    | Resilience.Exhausted -> raise (Degrade fault)
+    | Resilience.Propagate -> raise (Gpusim.Device.Device_fault fault)
   in
   let kernel_width k =
     let g, w, v = k.k_dims in
@@ -923,10 +895,7 @@ let run ?(coherence = true) ?(engine = Engine.Compiled) ?granularity
       written;
     let merge_cost =
       if !merge_bytes = 0 then 0.0
-      else
-        cmodel.Gpusim.Costmodel.pcie_latency
-        +. float_of_int !merge_bytes
-           /. cmodel.Gpusim.Costmodel.pcie_bandwidth
+      else Gpusim.Costmodel.transfer_time cmodel ~bytes:!merge_bytes ~noise:0.0
     in
     (match obs with
     | Some tr when merge_cost > 0.0 ->
@@ -973,12 +942,13 @@ let run ?(coherence = true) ?(engine = Engine.Compiled) ?granularity
     | None -> ()
   in
   let launch_resilient k async =
-    if !host_mode then cpu_exec k
-    else if Analysis.Varset.exists (Hashtbl.mem host_only) (kernel_arrays k)
+    if
+      Gpusim.Device_set.all_lost devset
+      || Analysis.Varset.exists (Hashtbl.mem host_only) (kernel_arrays k)
     then
-      (* Some of the kernel's data could not be kept on the device: run the
-         whole region on the host, bridging from/to the arrays that do live
-         on the device. *)
+      (* Host mode, or some of the kernel's data could not be kept on the
+         device: run the whole region on the host, bridging from/to the
+         arrays that do live on the device. *)
       cpu_fallback_exec k ~ckpt:(snapshot_inputs k ~charge:false) ~scalars:[]
     else begin
       sync_inputs k;
@@ -988,9 +958,7 @@ let run ?(coherence = true) ?(engine = Engine.Compiled) ?granularity
         | _ :: _ :: _ -> Kernel_exec.shardable k
         | _ -> false
       in
-      let checkpointing =
-        policy.Resilience.reexec || policy.Resilience.cpu_fallback
-      in
+      let checkpointing = Resilience.recovers policy in
       (* Only recovery and the shard merge read the snapshot. *)
       let ckpt =
         if checkpointing || sharded then
@@ -1017,16 +985,12 @@ let run ?(coherence = true) ?(engine = Engine.Compiled) ?granularity
       in
       try
         match members with
-        | [] -> cpu_exec k
         | dev :: _ when not sharded ->
             launch_one_member dev k async ~ckpt ~scalars ~scalar_values
         | _ -> launch_sharded k async ~ckpt ~scalar_values
       with Degrade fault ->
-        if policy.Resilience.cpu_fallback then begin
-          record ~fault ~action:"cpu-fallback" ~ok:true;
-          cpu_fallback_exec k ~ckpt ~scalars
-        end
-        else unrecovered fault
+        on_exhausted fault ~action:"cpu-fallback" (fun () ->
+            cpu_fallback_exec k ~ckpt ~scalars)
     end
   in
 
@@ -1092,8 +1056,7 @@ let run ?(coherence = true) ?(engine = Engine.Compiled) ?granularity
         (* present-or-create: keep an existing buffer resident.  A device
            set broadcasts the allocation to every alive member. *)
         let need_alloc =
-          (not !host_mode)
-          && (not (Hashtbl.mem host_only v))
+          (not (Hashtbl.mem host_only v))
           && List.exists
                (fun dev -> not (Gpusim.Device.is_allocated dev v))
                (alive_members ())
@@ -1105,21 +1068,13 @@ let run ?(coherence = true) ?(engine = Engine.Compiled) ?granularity
             ~directive:site.site_label
           @@ fun () ->
           let host = Value.array_buf env v in
+          (* A demoted array stays host-resident; kernels touching it take
+             the CPU-fallback path. *)
           let alloc_on dev =
             let rec attempt n =
-              try Gpusim.Device.alloc dev v ~like:host with
-              | Gpusim.Device.Device_fault fault
-                when fault.Gpusim.Device.f_kind
-                     = Gpusim.Fault_plan.Device_lost
-                     && (policy.Resilience.cpu_fallback
-                        || policy.Resilience.max_retries > 0) ->
-                  on_member_lost dev.Gpusim.Device.id fault
-              | Gpusim.Device.Device_fault fault
-                when fault.Gpusim.Device.f_kind = Gpusim.Fault_plan.Oom
-                     && policy.Resilience.max_retries > 0 ->
-                  (* A demoted array stays host-resident; kernels touching
-                     it take the CPU-fallback path. *)
-                  retry_or_demote ~fault ~action:"retry" v n attempt
+              try Gpusim.Device.alloc dev v ~like:host
+              with Gpusim.Device.Device_fault fault ->
+                on_data_fault dev v n fault ~retry:attempt
             in
             attempt 0
           in
@@ -1223,7 +1178,7 @@ let run ?(coherence = true) ?(engine = Engine.Compiled) ?granularity
           Coherence.register_len coh x.x_var (Gpusim.Buf.length host);
           Coherence.on_transfer ?range coh x.x_var x.x_dir ~site:x.x_site
         end;
-        if (not !host_mode) && not (Hashtbl.mem host_only x.x_var) then begin
+        if not (Hashtbl.mem host_only x.x_var) then begin
           let h2d0 = metrics.Gpusim.Metrics.bytes_h2d
           and d2h0 = metrics.Gpusim.Metrics.bytes_d2h in
           (* Per-member child spans: in a multi-member run each member's
@@ -1232,7 +1187,8 @@ let run ?(coherence = true) ?(engine = Engine.Compiled) ?granularity
           let member_xfer dev =
             let m = dev.Gpusim.Device.metrics in
             let t0 = m.Gpusim.Metrics.host_clock in
-            do_transfer dev x ~host ~range ~async;
+            do_transfer dev x.x_var ~dir:x.x_dir ~label:x.x_site.site_label
+              ~host ~range ~async;
             match obs with
             | Some tr when multi ->
                 Obs.Trace.leaf tr Obs.Trace.Transfer x.x_site.site_label
@@ -1254,7 +1210,7 @@ let run ?(coherence = true) ?(engine = Engine.Compiled) ?granularity
                     && not (Hashtbl.mem host_only x.x_var)
                   then member_xfer dev)
                 (alive_members ());
-              if (not !host_mode) && not (Hashtbl.mem host_only x.x_var) then
+              if not (Hashtbl.mem host_only x.x_var) then
                 Hashtbl.replace fresh_on x.x_var
                   (Gpusim.Device_set.alive_ids devset)
           | D2H ->
@@ -1296,12 +1252,10 @@ let run ?(coherence = true) ?(engine = Engine.Compiled) ?granularity
                         let bytes = elems * per_elem in
                         Obs.Imbalance.note_gather il ~bytes
                           ~time:
-                            (cmodel.Gpusim.Costmodel.pcie_latency
-                            +. float_of_int bytes
-                               /. cmodel.Gpusim.Costmodel.pcie_bandwidth));
+                            (Gpusim.Costmodel.transfer_time cmodel ~bytes
+                               ~noise:0.0));
                     if
                       (not (Gpusim.Device.alive dev))
-                      && (not !host_mode)
                       && not (Hashtbl.mem host_only x.x_var)
                     then pull ()
               in
@@ -1383,7 +1337,7 @@ let run ?(coherence = true) ?(engine = Engine.Compiled) ?granularity
 
   in_span Obs.Trace.Phase "run" (fun () ->
       (try exec_ts tp.body with
-      | Eval.Return_exc _ | Stop -> ());
+      | Eval.Return_exc _ -> ());
       charge_host ();
       (* Drain outstanding async work and release device memory (both are
          no-ops on a lost device). *)

@@ -35,8 +35,6 @@ val host_array : outcome -> string -> Gpusim.Buf.t
 
 val host_scalar : outcome -> string -> Value.scalar
 
-exception Stop
-
 (** Forward one device event to a trace: a [Charge] becomes a trace
     charge, a [Timeline] event a [Device] leaf span, both tagged with
     [dev] when given; [Xfer] and [Mem] are the ledger's and ignored.  The
@@ -57,7 +55,7 @@ val trace_event : Obs.Trace.t -> ?dev:int -> Gpusim.Device.event -> unit
     picks whole-array (default, as the paper) or interval tracking;
     [trace] records the execution timeline; [seed] drives the
     deterministic jitter and fault streams; [plan] arms device faults;
-    [resilience] picks the recovery policy (default {!Resilience.none}:
+    [resilience] picks the recovery policy (default {!Resilience.Off}:
     faults propagate as {!Gpusim.Device.Device_fault}).
 
     [devices] sizes the simulated device set (default 1); [schedule] picks

@@ -1,46 +1,42 @@
 (** Recovery policies for injected device faults.
 
-    The resilient runtime (in {!Interp}) consults a policy whenever the
-    simulated device raises a typed fault: bounded retry with exponential
-    backoff for transient transfer/allocation errors, checksum-verified
-    re-transfer for silent corruption, kernel re-execution from a
-    checkpoint for launch faults and detected ECC bit flips, and graceful
-    CPU fallback — executing the original sequential region — when the
-    device is exhausted or lost.  Every successful recovery can be
-    validated against the §III-A sequential reference, so a policy never
-    converts a detected fault into a silently wrong answer. *)
+    The resilient runtime (in {!Interp}) hands every device fault it
+    catches to {!decide}: bounded retry with exponential backoff for
+    transient transfer/allocation errors, checksum-verified re-transfer
+    for silent corruption, kernel re-execution from a checkpoint for launch
+    faults and detected ECC bit flips, failover of a lost member's work,
+    and graceful CPU fallback — executing the original sequential region —
+    when a retry budget runs out or no device is left.  Every recovered
+    launch is validated against the §III-A sequential reference, so a
+    policy never converts a detected fault into a silently wrong answer. *)
 
-type policy = {
-  p_name : string;
-  max_retries : int;  (** per-operation retry budget *)
-  backoff : float;  (** base backoff delay (simulated s), doubled per retry *)
-  checksum : bool;  (** end-to-end checksum verification of transfers *)
-  reexec : bool;  (** checkpoint kernels and re-execute on fault *)
-  cpu_fallback : bool;  (** degrade to the sequential region / host mode *)
-  validate : bool;  (** compare recoveries against the sequential reference *)
-}
+type policy = Off | Retry | Full
 
-let none =
-  { p_name = "none"; max_retries = 0; backoff = 0.0; checksum = false;
-    reexec = false; cpu_fallback = false; validate = false }
-
-let retry =
-  { p_name = "retry"; max_retries = 3; backoff = 1e-4; checksum = true;
-    reexec = true; cpu_fallback = false; validate = true }
-
-let full =
-  { p_name = "full"; max_retries = 3; backoff = 1e-4; checksum = true;
-    reexec = true; cpu_fallback = true; validate = true }
+let name = function Off -> "none" | Retry -> "retry" | Full -> "full"
 
 let of_string s =
   match String.lowercase_ascii (String.trim s) with
-  | "none" -> Ok none
-  | "retry" -> Ok retry
-  | "full" | "fallback" -> Ok full
+  | "none" -> Ok Off
+  | "retry" -> Ok Retry
+  | "full" | "fallback" -> Ok Full
   | other ->
       Error
         (Fmt.str "unknown resilience policy '%s' (expected none|retry|full)"
            other)
+
+let recovers = function Off -> false | Retry | Full -> true
+let falls_back = function Full -> true | Off | Retry -> false
+let max_retries = 3
+let backoff attempt = 1e-4 *. float_of_int (1 lsl attempt)
+
+type decision = Member_lost | Reattempt | Exhausted | Propagate
+
+let decide policy kind ~attempt =
+  match (policy, kind) with
+  | Off, _ -> Propagate
+  | (Retry | Full), Gpusim.Fault_plan.Device_lost -> Member_lost
+  | (Retry | Full), _ when attempt < max_retries -> Reattempt
+  | (Retry | Full), _ -> Exhausted
 
 (** One recovery decision taken by the runtime. *)
 type entry = {
@@ -107,7 +103,7 @@ let pp_entry ppf e =
     complete reproduction recipe. *)
 let pp_report ~seed ~plan ~policy ~metrics ppf s =
   Fmt.pf ppf "@[<v>fault/recovery report (seed %d, policy %s)" seed
-    policy.p_name;
+    (name policy);
   let spec = Gpusim.Fault_plan.to_spec plan in
   Fmt.pf ppf "@,plan: %s" (if spec = "" then "(none)" else spec);
   let events = Gpusim.Fault_plan.events plan in
@@ -153,7 +149,7 @@ let report_json ~seed ~plan ~policy ~metrics s =
   let events = Gpusim.Fault_plan.events plan in
   P.to_string
     (P.Obj
-       [ ("seed", P.int seed); ("policy", P.Str policy.p_name);
+       [ ("seed", P.int seed); ("policy", P.Str (name policy));
          ("plan", P.Str (Gpusim.Fault_plan.to_spec plan));
          ("injected", P.int (List.length events));
          ("events", P.Arr (List.map event events));

@@ -4,32 +4,64 @@
     A policy bounds how hard the runtime fights a device fault before
     giving up: transient-fault retries with exponential backoff,
     checksum-verified re-transfers, checkpointed kernel re-execution, and
-    CPU fallback to the original sequential region.  [validate] runs the
-    §III-A comparator over every recovery, so recovered runs are verified
+    CPU fallback to the original sequential region.  Every recovered launch
+    is checked by the §III-A comparator, so recovered runs are verified
     correct, never assumed correct. *)
 
-type policy = {
-  p_name : string;
-  max_retries : int;  (** per-operation retry budget *)
-  backoff : float;  (** base backoff delay (simulated s), doubled per retry *)
-  checksum : bool;  (** end-to-end checksum verification of transfers *)
-  reexec : bool;  (** checkpoint kernels and re-execute on fault *)
-  cpu_fallback : bool;  (** degrade to the sequential region / host mode *)
-  validate : bool;  (** compare recoveries against the sequential reference *)
-}
+(** [Off] propagates every fault (the baseline).  [Retry] retries,
+    re-transfers, re-executes and fails over, validating every recovered
+    launch against the sequential reference; a device loss with no member
+    left or an exhausted retry budget raises {!Unrecovered}.  [Full] does
+    everything [Retry] does, and instead keeps the data on the host: CPU
+    fallback of the kernel, demotion of the array, host mode once no member
+    is alive — no fault is fatal. *)
+type policy = Off | Retry | Full
 
-(** Propagate every fault (the baseline). *)
-val none : policy
+(** ["none"], ["retry"] or ["full"]. *)
+val name : policy -> string
 
-(** Retry + re-transfer + re-execute, but no CPU fallback: a device loss
-    or an exhausted retry budget raises {!Unrecovered}. *)
-val retry : policy
-
-(** Everything [retry] does, plus CPU fallback and host mode after device
-    loss: no fault is fatal. *)
-val full : policy
-
+(** Parses {!name}'s names and the alias ["fallback"] for [Full]. *)
 val of_string : string -> (policy, string) result
+
+(** [Retry] or [Full]: faults are caught, transfers checksummed, launches
+    checkpointed. *)
+val recovers : policy -> bool
+
+(** [Full]: an exhausted budget or a lost set degrades to the host. *)
+val falls_back : policy -> bool
+
+(** Per-operation retry budget (3) of a recovering policy. *)
+val max_retries : int
+
+(** Simulated delay before retry [attempt + 1]: 1e-4 s, doubled per
+    attempt. *)
+val backoff : int -> float
+
+(** What the runtime does with one caught device fault. *)
+type decision =
+  | Member_lost
+      (** drop the member and continue on the survivors; with none left,
+          host mode under [Full], {!Unrecovered} under [Retry] *)
+  | Reattempt
+      (** retry the data operation or re-execute the launch, after
+          {!backoff} *)
+  | Exhausted
+      (** the budget is spent: under [Full] demote the array (data) or run
+          the kernel's sequential region (launch); under [Retry]
+          {!Unrecovered} *)
+  | Propagate  (** re-raise the fault *)
+
+(** The one recovery rule, asked by every gate that catches a device fault
+    (allocation, transfer including a checksum mismatch, the CPU
+    fallback's re-upload, launch) on its [attempt]-th retry (0 first):
+
+    {v
+    caught fault              Off        Retry, Full
+    device-lost               Propagate  Member_lost
+    transient, attempt < 3    Propagate  Reattempt
+    transient, attempt >= 3   Propagate  Exhausted
+    v} *)
+val decide : policy -> Gpusim.Fault_plan.kind -> attempt:int -> decision
 
 (** One recovery decision taken by the runtime. *)
 type entry = {

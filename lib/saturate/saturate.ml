@@ -156,18 +156,6 @@ let mem_saving before after =
 (* Candidate generation                                                *)
 (* ------------------------------------------------------------------ *)
 
-let dk_name = function
-  | Ast.Dk_copy -> "copy"
-  | Ast.Dk_copyin -> "copyin"
-  | Ast.Dk_copyout -> "copyout"
-  | Ast.Dk_create -> "create"
-  | Ast.Dk_present -> "present"
-  | Ast.Dk_pcopy -> "pcopy"
-  | Ast.Dk_pcopyin -> "pcopyin"
-  | Ast.Dk_pcopyout -> "pcopyout"
-  | Ast.Dk_pcreate -> "pcreate"
-  | Ast.Dk_deviceptr -> "deviceptr"
-
 (* (site label, loc string) -> source sid, from the executed sites of the
    scoring run — the bridge from ledger site reports back to the AST. *)
 let site_sid_table (o : Accrt.Interp.outcome) =
@@ -243,7 +231,9 @@ let hoist_candidates prog (tp : Codegen.Tprog.t) analysis sidtbl =
         c_label =
           Fmt.str "hoist data(%s) around loop at %s"
             (String.concat ", "
-               (List.map (fun (v, k) -> dk_name k ^ " " ^ v) clauses))
+               (List.map
+                  (fun (v, k) -> Pretty.data_kind_str k ^ " " ^ v)
+                  clauses))
             (Minic.Loc.to_string loop.Ast.sloc);
         c_sites = List.map (fun s -> s.Obs.Ledger.s_site) sites;
         c_predicted_s =
@@ -317,7 +307,7 @@ let present_candidates prog (tp : Codegen.Tprog.t) analysis sidtbl =
       in
       { c_kind = Present;
         c_label =
-          Fmt.str "pin %s to %s on %s" var (dk_name kind)
+          Fmt.str "pin %s to %s on %s" var (Pretty.data_kind_str kind)
             (match sites with
             | s :: _ -> s.Obs.Ledger.s_site ^ " at " ^ s.Obs.Ledger.s_loc
             | [] -> Fmt.str "sid %d" sid);
@@ -374,8 +364,8 @@ let merge_candidates (tp : Codegen.Tprog.t) analysis sidtbl =
       let directive = Acc.Edit.mk_data_directive [ (var, kind) ] in
       { c_kind = Merge;
         c_label =
-          Fmt.str "merge data(%s %s) across sids %d-%d" (dk_name kind) var
-            first_sid last_sid;
+          Fmt.str "merge data(%s %s) across sids %d-%d"
+            (Pretty.data_kind_str kind) var first_sid last_sid;
         c_sites = List.map (fun s -> s.Obs.Ledger.s_site) sites;
         c_predicted_s =
           List.fold_left (fun a s -> a +. s.Obs.Ledger.s_saved_s) 0.0 sites;

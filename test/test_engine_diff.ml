@@ -378,7 +378,7 @@ let test_failover_diff () =
             Gpusim.Fault_plan.Device_lost ]
     in
     Accrt.Interp.run ~coherence:false ~engine ~seed:42 ~devices:2 ~plan
-      ~resilience:Accrt.Resilience.retry tp
+      ~resilience:Accrt.Resilience.Retry tp
   in
   let ot = run tree in
   let oc = run compiled in
@@ -820,7 +820,7 @@ let test_fault_diff () =
             [ Gpusim.Fault_plan.mk_rule ~prob:0.5 kind ]
         in
         Accrt.Interp.run ~coherence:false ~engine ~seed:42 ~plan
-          ~resilience:Accrt.Resilience.full tp
+          ~resilience:Accrt.Resilience.Full tp
       in
       let ot = run tree in
       let oc = run compiled in

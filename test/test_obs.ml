@@ -214,7 +214,7 @@ let test_recovery_spans () =
   let tr = Obs.Trace.create () in
   let o =
     Accrt.Interp.run ~coherence:false ~seed:42 ~plan
-      ~resilience:Accrt.Resilience.retry ~obs:tr tp
+      ~resilience:Accrt.Resilience.Retry ~obs:tr tp
   in
   ignore o;
   let recoveries =
@@ -296,7 +296,7 @@ let test_trace_lanes () =
     let tr = Obs.Trace.create () in
     let o =
       Accrt.Interp.run ~coherence:false ~seed:42 ~trace:true ~devices
-        ?plan ~resilience:Accrt.Resilience.full ~obs:tr tp
+        ?plan ~resilience:Accrt.Resilience.Full ~obs:tr tp
     in
     Obs.Pjson.parse
       (Obs.Pjson.to_string

@@ -207,7 +207,7 @@ let exporters_canonical (b : Suite.Bench_def.t) () =
         in
         let o =
           Accrt.Interp.run ~coherence:true ~seed:42 ~trace:true ~devices
-            ~plan ~resilience:Accrt.Resilience.retry ~obs:tr ~ledger:lg
+            ~plan ~resilience:Accrt.Resilience.Retry ~obs:tr ~ledger:lg
             ~audit tp
         in
         let what = Fmt.str "%s x%d" name devices in
@@ -227,7 +227,7 @@ let exporters_canonical (b : Suite.Bench_def.t) () =
                 ~pcie_bandwidth:cm.Gpusim.Costmodel.pcie_bandwidth));
         canonical (what ^ " faults")
           (Accrt.Resilience.report_json ~seed:42 ~plan
-             ~policy:Accrt.Resilience.retry ~metrics:(Accrt.Interp.metrics o)
+             ~policy:Accrt.Resilience.Retry ~metrics:(Accrt.Interp.metrics o)
              o.Accrt.Interp.resilience);
         (match o.Accrt.Interp.imbalance with
         | Some il ->

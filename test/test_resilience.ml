@@ -71,6 +71,58 @@ let check_chained o =
       (arr o "c" i)
   done
 
+(* ------------------------- the recovery rule ------------------------ *)
+
+(* Every gate that catches a device fault asks [Resilience.decide]; this
+   pins its table for each policy x {device-lost, each transient kind} x
+   attempt 0-3, and the budget and backoff constants it counts with. *)
+let test_decision_table () =
+  let name = function
+    | Resilience.Member_lost -> "member-lost"
+    | Resilience.Reattempt -> "reattempt"
+    | Resilience.Exhausted -> "exhausted"
+    | Resilience.Propagate -> "propagate"
+  in
+  let p = Resilience.Propagate
+  and m = Resilience.Member_lost
+  and r = Resilience.Reattempt
+  and e = Resilience.Exhausted in
+  let transient =
+    List.filter Gpusim.Fault_plan.transient Gpusim.Fault_plan.all_kinds
+  in
+  Alcotest.(check int) "seven transient kinds" 7 (List.length transient);
+  List.iter
+    (fun (policy, kinds, row) ->
+      List.iter
+        (fun kind ->
+          List.iteri
+            (fun attempt want ->
+              Alcotest.(check string)
+                (Fmt.str "%s, %s, attempt %d" (Resilience.name policy)
+                   (Gpusim.Fault_plan.kind_name kind) attempt)
+                (name want)
+                (name (Resilience.decide policy kind ~attempt)))
+            row)
+        kinds)
+    [ (Resilience.Off, [ Gpusim.Fault_plan.Device_lost ], [ p; p; p; p ]);
+      (Resilience.Off, transient, [ p; p; p; p ]);
+      (Resilience.Retry, [ Gpusim.Fault_plan.Device_lost ], [ m; m; m; m ]);
+      (Resilience.Retry, transient, [ r; r; r; e ]);
+      (Resilience.Full, [ Gpusim.Fault_plan.Device_lost ], [ m; m; m; m ]);
+      (Resilience.Full, transient, [ r; r; r; e ]) ];
+  Alcotest.(check int) "retry budget" 3 Resilience.max_retries;
+  Alcotest.(check (list (float 0.0))) "backoff doubles from 1e-4 s"
+    [ 1e-4; 2e-4; 4e-4 ]
+    (List.map Resilience.backoff [ 0; 1; 2 ]);
+  List.iter
+    (fun (text, policy) ->
+      Alcotest.(check string) ("--resilience " ^ text) (Resilience.name policy)
+        (match Resilience.of_string text with
+        | Ok p -> Resilience.name p
+        | Error e -> e))
+    [ ("none", Resilience.Off); ("retry", Resilience.Retry);
+      ("full", Resilience.Full); ("fallback", Resilience.Full) ]
+
 (* -------------------------- typed errors --------------------------- *)
 
 let test_none_policy_propagates () =
@@ -92,7 +144,7 @@ let test_none_policy_propagates () =
 
 let test_fault_free_run_unchanged () =
   (* An armed policy without faults must not change results. *)
-  let o = run ~resilience:Resilience.retry simple_src in
+  let o = run ~resilience:Resilience.Retry simple_src in
   check_simple o;
   Alcotest.(check int) "no recoveries" 0 (Resilience.recoveries (stats o));
   Alcotest.(check int) "no faults" 0
@@ -101,7 +153,7 @@ let test_fault_free_run_unchanged () =
 (* ------------------------- retry recovery -------------------------- *)
 
 let test_retry_transfer () =
-  let o = run ~resilience:Resilience.retry ~spec:"xfer-fail" simple_src in
+  let o = run ~resilience:Resilience.Retry ~spec:"xfer-fail" simple_src in
   check_simple o;
   let st = stats o in
   Alcotest.(check bool) "retried" true (st.Resilience.retries >= 1);
@@ -111,13 +163,13 @@ let test_retry_transfer () =
      > 0.0)
 
 let test_retry_partial_transfer () =
-  let o = run ~resilience:Resilience.retry ~spec:"xfer-partial:a" simple_src in
+  let o = run ~resilience:Resilience.Retry ~spec:"xfer-partial:a" simple_src in
   check_simple o;
   Alcotest.(check bool) "retried" true ((stats o).Resilience.retries >= 1)
 
 let test_checksum_retransfer () =
   (* Silent corruption: only the end-to-end checksum can see it. *)
-  let o = run ~resilience:Resilience.retry ~spec:"xfer-corrupt:a" simple_src in
+  let o = run ~resilience:Resilience.Retry ~spec:"xfer-corrupt:a" simple_src in
   check_simple o;
   Alcotest.(check bool) "re-transferred" true
     ((stats o).Resilience.retransfers >= 1)
@@ -134,7 +186,7 @@ let reduction_src =
    set the re-executed shard's reduction partials, published before the
    scrub ran, must count once. *)
 let test_bitflip_reexecution () =
-  let o = run ~resilience:Resilience.retry ~spec:"bitflip:b" simple_src in
+  let o = run ~resilience:Resilience.Retry ~spec:"bitflip:b" simple_src in
   check_simple o;
   let st = stats o in
   Alcotest.(check bool) "re-executed" true (st.Resilience.reexecs >= 1);
@@ -144,7 +196,7 @@ let test_bitflip_reexecution () =
       let what = Fmt.str "reduction --devices %d" devices in
       let clean = run ~devices reduction_src in
       let o =
-        run ~resilience:Resilience.retry ~spec:"bitflip:b" ~devices
+        run ~resilience:Resilience.Retry ~spec:"bitflip:b" ~devices
           reduction_src
       in
       let st = stats o in
@@ -161,7 +213,7 @@ let test_bitflip_reexecution () =
 let test_launch_reexecution () =
   List.iter
     (fun spec ->
-      let o = run ~resilience:Resilience.retry ~spec simple_src in
+      let o = run ~resilience:Resilience.Retry ~spec simple_src in
       check_simple o;
       let st = stats o in
       Alcotest.(check bool) (spec ^ ": re-executed") true
@@ -171,20 +223,20 @@ let test_launch_reexecution () =
     [ "launch-fail"; "launch-timeout" ]
 
 let test_oom_retry () =
-  let o = run ~resilience:Resilience.retry ~spec:"oom" simple_src in
+  let o = run ~resilience:Resilience.Retry ~spec:"oom" simple_src in
   check_simple o;
   Alcotest.(check bool) "alloc retried" true ((stats o).Resilience.retries >= 1)
 
 let test_retry_exhaustion_is_loud () =
   (* A persistent fault exhausts the budget and raises — never returns a
      wrong answer silently. *)
-  match run ~resilience:Resilience.retry ~spec:"xfer-fail:ax*" simple_src with
+  match run ~resilience:Resilience.Retry ~spec:"xfer-fail:ax*" simple_src with
   | _ -> Alcotest.fail "expected Unrecovered"
   | exception Resilience.Unrecovered f ->
       Alcotest.(check string) "target" "a" f.Gpusim.Device.f_target
 
 let test_device_lost_without_fallback () =
-  match run ~resilience:Resilience.retry ~spec:"device-lost" simple_src with
+  match run ~resilience:Resilience.Retry ~spec:"device-lost" simple_src with
   | _ -> Alcotest.fail "expected Unrecovered"
   | exception Resilience.Unrecovered f ->
       Alcotest.(check string) "kind" "device-lost"
@@ -195,14 +247,14 @@ let test_device_lost_without_fallback () =
 let test_full_oom_demotes_to_host () =
   (* Allocation never succeeds: the arrays stay host-resident and every
      kernel runs as its sequential region. *)
-  let o = run ~resilience:Resilience.full ~spec:"oomx*" simple_src in
+  let o = run ~resilience:Resilience.Full ~spec:"oomx*" simple_src in
   check_simple o;
   let st = stats o in
   Alcotest.(check bool) "fell back" true (st.Resilience.fallbacks >= 1);
   Alcotest.(check int) "no unrecovered" 0 st.Resilience.unrecovered
 
 let test_full_persistent_transfer_demotes () =
-  let o = run ~resilience:Resilience.full ~spec:"xfer-fail:ax*" simple_src in
+  let o = run ~resilience:Resilience.Full ~spec:"xfer-fail:ax*" simple_src in
   check_simple o;
   Alcotest.(check int) "no unrecovered" 0 (stats o).Resilience.unrecovered
 
@@ -219,7 +271,7 @@ let check_no_member_drop ~plan o =
        (Resilience.log_entries st));
   let report =
     Fmt.str "%a"
-      (Resilience.pp_report ~seed:42 ~plan ~policy:Resilience.full
+      (Resilience.pp_report ~seed:42 ~plan ~policy:Resilience.Full
          ~metrics:(Interp.metrics o))
       st
   in
@@ -232,7 +284,7 @@ let test_device_lost_host_mode () =
   (* Lost at the very first opportunity: the whole program runs in host
      mode and still produces correct outputs. *)
   let plan = plan "device-lost" in
-  let o = run_src ~plan ~resilience:Resilience.full simple_src in
+  let o = run_src ~plan ~resilience:Resilience.Full simple_src in
   check_simple o;
   let st = stats o in
   Alcotest.(check bool) "device lost" true st.Resilience.device_lost;
@@ -245,7 +297,7 @@ let test_device_lost_mid_run_restores_mirrors () =
      lives only in device memory and must be recovered from the
      resilience mirror for the CPU fallback to see it. *)
   let plan = plan "device-lost:main_kernel1" in
-  let o = run_src ~plan ~resilience:Resilience.full chained_src in
+  let o = run_src ~plan ~resilience:Resilience.Full chained_src in
   check_chained o;
   let st = stats o in
   Alcotest.(check bool) "device lost" true st.Resilience.device_lost;
@@ -288,15 +340,15 @@ let test_failover_reexecutes_shard () =
       Alcotest.(check bool) "failover time charged" true
         (Gpusim.Metrics.time_of (Interp.metrics o) Gpusim.Metrics.Fault_recovery
          > 0.0))
-    [ (Gpusim.Device_set.Block, Resilience.retry);
-      (Gpusim.Device_set.Cyclic, Resilience.retry);
-      (Gpusim.Device_set.Block, Resilience.full) ]
+    [ (Gpusim.Device_set.Block, Resilience.Retry);
+      (Gpusim.Device_set.Cyclic, Resilience.Retry);
+      (Gpusim.Device_set.Block, Resilience.Full) ]
 
 (* A secondary member dying does not break later kernels: the survivors
    keep the coherent copy and the chained program still checks out. *)
 let test_failover_chained_kernels () =
   let o =
-    run ~resilience:Resilience.retry ~spec:"device-lost:main_kernel0#1"
+    run ~resilience:Resilience.Retry ~spec:"device-lost:main_kernel0#1"
       ~devices:2 chained_src
   in
   check_chained o;
@@ -307,7 +359,7 @@ let test_failover_chained_kernels () =
    must fail loudly. *)
 let test_all_members_lost () =
   let o =
-    run ~resilience:Resilience.full ~spec:"device-lost#0,device-lost#1"
+    run ~resilience:Resilience.Full ~spec:"device-lost#0,device-lost#1"
       ~devices:2 simple_src
   in
   check_simple o;
@@ -317,7 +369,7 @@ let test_all_members_lost () =
   Alcotest.(check bool) "fell back to host" true (st.Resilience.fallbacks >= 1);
   Alcotest.(check int) "no unrecovered" 0 st.Resilience.unrecovered;
   match
-    run ~resilience:Resilience.retry ~spec:"device-lost#0,device-lost#1"
+    run ~resilience:Resilience.Retry ~spec:"device-lost#0,device-lost#1"
       ~devices:2 simple_src
   with
   | _ -> Alcotest.fail "expected Unrecovered"
@@ -366,8 +418,8 @@ let test_acc_api_device_set_corners () =
 let test_reports_reproducible () =
   let report src spec =
     let p = plan spec in
-    let o = run_src ~plan:p ~resilience:Resilience.full ~seed:42 src in
-    Resilience.report_json ~seed:42 ~plan:p ~policy:Resilience.full
+    let o = run_src ~plan:p ~resilience:Resilience.Full ~seed:42 src in
+    Resilience.report_json ~seed:42 ~plan:p ~policy:Resilience.Full
       ~metrics:(Interp.metrics o) (stats o)
   in
   List.iter
@@ -413,7 +465,7 @@ let test_coherence_equivalence () =
         (fun spec ->
           let faulty =
             run_src ~instrument:true ~seed:42 ~plan:(plan spec)
-              ~resilience:Resilience.retry b.Suite.Bench_def.source
+              ~resilience:Resilience.Retry b.Suite.Bench_def.source
           in
           let got = coherence_fingerprint faulty in
           Alcotest.(check bool)
@@ -422,6 +474,97 @@ let test_coherence_equivalence () =
             true (want = got))
         specs)
     (List.filter_map Suite.Registry.find [ "jacobi"; "hotspot"; "nw" ])
+
+(* ------------------------ multi-shot faults ------------------------ *)
+
+(* Two kernels over a [copyin] input and a [copy] output; [copy_input_src]
+   copies the input back out too. *)
+let two_kernel_src =
+  "int main() {\n\
+  \  int n = 64; float a[n]; float b[n]; float s = 0.0;\n\
+  \  for (int i = 0; i < n; i++) { a[i] = float(i); b[i] = 0.0; }\n\
+  \  #pragma acc data copyin(a) copy(b)\n\
+  \  {\n\
+  \    #pragma acc kernels loop\n\
+  \    for (int i = 0; i < n; i++) { b[i] = a[i] * 2.0; }\n\
+  \    #pragma acc kernels loop\n\
+  \    for (int i = 0; i < n; i++) { b[i] = b[i] + 1.0; }\n\
+  \  }\n\
+  \  for (int i = 0; i < n; i++) { s = s + b[i]; }\n\
+  \  return 0;\n\
+   }\n"
+
+let copy_input_src =
+  Str.global_replace (Str.regexp_string "copyin(a)") "copy(a)" two_kernel_src
+
+(* Under [full] on one device, a run with faults that fire again and again
+   either ends with the sequential reference's outputs or raises
+   [Unrecovered], and its report counts exactly the retries and
+   re-transfers its log lists. *)
+let test_multi_shot_faults () =
+  let kcache = Compile.create_store () in
+  let check_program ~name ~outputs src cases =
+    let prog = Minic.Parser.parse_string ~file:name src in
+    let tp = Openarc_core.Compiler.compile_program prog in
+    let reference = (Eval.run_reference prog).Eval.env in
+    List.iter
+      (fun (spec, seed) ->
+        let what = Fmt.str "%s, %s, seed %d" name spec seed in
+        let plan =
+          match Gpusim.Fault_plan.of_spec ~seed spec with
+          | Ok p -> p
+          | Error e -> Alcotest.failf "%s: %s" what e
+        in
+        match
+          Interp.run ~coherence:false ~seed ~plan ~resilience:Resilience.Full
+            ~kcache tp
+        with
+        | exception Resilience.Unrecovered _ -> ()
+        | o ->
+            let st = stats o in
+            let logged action =
+              List.length
+                (List.filter
+                   (fun e -> e.Resilience.l_action = action)
+                   (Resilience.log_entries st))
+            in
+            Alcotest.(check int) (what ^ ": retries logged") st.Resilience.retries
+              (logged "retry");
+            Alcotest.(check int)
+              (what ^ ": re-transfers logged")
+              st.Resilience.retransfers (logged "re-transfer");
+            Alcotest.(check bool) (what ^ ": outputs match the reference") true
+              (Openarc_core.Session.outputs_match ~outputs ~reference o))
+      cases
+  in
+  let outputs = [ "a"; "b"; "s" ] in
+  (* A: the fallback's re-upload retries count in the report and show in
+     the log.  B: a demotion during that re-upload keeps the CPU's
+     results.  C: the re-upload is checksummed.  D: an exhausted download
+     leaves no corrupted copy in the host array. *)
+  check_program ~name:"two kernels" ~outputs two_kernel_src
+    [ ("launch-fail:main_kernel0x4,xfer-fail:b@0.5x*", 3);
+      ("launch-fail:main_kernel1x4,xfer-fail:b@0.5x*", 36);
+      ("launch-fail:main_kernel0x4,xfer-corrupt:b@0.5x*", 5) ];
+  check_program ~name:"copy input" ~outputs copy_input_src
+    [ ("xfer-corrupt:a@0.7x*", 11) ];
+  let kinds =
+    [ "xfer-fail"; "xfer-partial"; "xfer-corrupt"; "launch-fail";
+      "launch-timeout"; "bitflip"; "oom" ]
+  in
+  let cases =
+    List.concat_map
+      (fun k ->
+        List.concat_map
+          (fun spec -> List.map (fun seed -> (spec, seed)) [ 1; 2; 3 ])
+          [ k ^ "@0.3x*"; k ^ "@0.6x*"; "launch-failx4," ^ k ^ "@0.5x*" ])
+      kinds
+  in
+  List.iter
+    (fun (b : Suite.Bench_def.t) ->
+      check_program ~name:b.Suite.Bench_def.name
+        ~outputs:b.Suite.Bench_def.outputs b.Suite.Bench_def.source cases)
+    (List.filter_map Suite.Registry.find [ "jacobi"; "srad" ])
 
 (* ------------------------- fault matrix ---------------------------- *)
 
@@ -472,7 +615,8 @@ let test_fault_matrix_small () =
     failover_cells
 
 let tests =
-  [ Alcotest.test_case "none policy propagates" `Quick
+  [ Alcotest.test_case "decision table" `Quick test_decision_table;
+    Alcotest.test_case "none policy propagates" `Quick
       test_none_policy_propagates;
     Alcotest.test_case "fault-free unchanged" `Quick
       test_fault_free_run_unchanged;
@@ -508,4 +652,5 @@ let tests =
       test_reports_reproducible;
     Alcotest.test_case "coherence equivalence" `Quick
       test_coherence_equivalence;
+    Alcotest.test_case "multi-shot faults" `Quick test_multi_shot_faults;
     Alcotest.test_case "fault matrix (small)" `Quick test_fault_matrix_small ]
