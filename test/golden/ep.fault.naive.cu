@@ -1,0 +1,42 @@
+/* OpenARC output (CUDA rendering) */
+
+__global__ void main_kernel0(int *seeds)
+{
+  int s; /* unsynchronized shared (latent race) */
+  int i = (blockIdx.x * blockDim.x + threadIdx.x) /* from 0 */;
+  if (i < n) {
+    s = (i * 2531011 + 331) % 65536;
+    s = (s * 1103 + 12345) % 65536;
+    seeds[i] = s;
+  }
+}
+
+__global__ void main_kernel1(int *seeds)
+{
+  double acc1; /* UNSYNCHRONIZED SHARED (active race) */
+  int i = (blockIdx.x * blockDim.x + threadIdx.x) /* from 0 */;
+  if (i < n) {
+    acc1 = acc1 + float((seeds[i] * 214013 + 2531011) % 10007) * 0.0001;
+  }
+}
+
+int main()
+{
+  int n = 4096;
+  int seeds[n];
+  int s;
+  float acc1 = 0.0;
+  cudaMalloc(&d_seeds, sizeof(seeds)); /* main_kernel0.alloc(seeds) */
+  memcpyin(seeds, cudaMemcpyHostToDevice); /* main_kernel0.pcopyin(seeds) */
+  HI_check_write(seeds, GPU);
+  kernel0<<<gangs, workers>>>(...);
+  HI_reset_status(seeds, CPU, notstale);
+  memcpyout(seeds, cudaMemcpyDeviceToHost); /* main_kernel0.pcopyout(seeds) */
+  cudaMalloc(&d_seeds, sizeof(seeds)); /* main_kernel1.alloc(seeds) */
+  memcpyin(seeds, cudaMemcpyHostToDevice); /* main_kernel1.pcopyin(seeds) */
+  HI_check_read(seeds, GPU);
+  kernel1<<<gangs, workers>>>(...);
+  memcpyout(seeds, cudaMemcpyDeviceToHost); /* main_kernel1.pcopyout(seeds) */
+  float result = acc1 / float(n);
+  return 0;
+}

@@ -270,4 +270,19 @@ let property_tests =
   [ QCheck_alcotest.to_alcotest instrumentation_transparent;
     QCheck_alcotest.to_alcotest no_false_errors ]
 
-let tests = base_tests @ property_tests
+(* The instrumented program of every suite build (source, hand-optimized,
+   Table II fault) under both placements, kept under test/golden/ and
+   rendered by [Goldens]: check placement changes no byte without a
+   regenerated golden. *)
+let placement_golden (b : Suite.Bench_def.t) =
+  Alcotest.test_case ("placement golden " ^ b.name) `Quick (fun () ->
+      List.iter
+        (fun (name, render) ->
+          Alcotest.(check string)
+            (Fmt.str "%s matches its golden placement" name)
+            (Goldens.read name) (render ()))
+        (Goldens.placement_files b))
+
+let tests =
+  base_tests @ property_tests
+  @ List.map placement_golden Suite.Registry.all

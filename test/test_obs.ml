@@ -479,6 +479,13 @@ let test_imbalance_recost () =
   Alcotest.(check string) "cyclic keeps cyclic" "cyclic"
     (Obs.Imbalance.analyze t').Obs.Imbalance.a_recommended
 
+(* An instrumented JACOBI run with the timeline, a trace and an audit
+   attached: the timeline labels, span locations and audit points it
+   records are pinned in test/golden/jacobi.observers (see [Goldens]). *)
+let test_observer_labels () =
+  Alcotest.(check string) "jacobi.observers matches its golden"
+    (Goldens.read "jacobi.observers") (Goldens.observers ())
+
 let tests =
   [ Alcotest.test_case "span tree" `Quick test_span_tree;
     Alcotest.test_case "counters" `Quick test_counters;
@@ -496,4 +503,6 @@ let tests =
     Alcotest.test_case "chrome device lanes" `Quick test_trace_lanes;
     Alcotest.test_case "chrome memory counter lanes" `Quick
       test_memory_counter_lanes;
-    Alcotest.test_case "imbalance re-costing" `Quick test_imbalance_recost ]
+    Alcotest.test_case "imbalance re-costing" `Quick test_imbalance_recost;
+    Alcotest.test_case "attached observers' labels golden" `Quick
+      test_observer_labels ]
