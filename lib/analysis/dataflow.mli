@@ -17,16 +17,22 @@ type spec = {
   kill : Bitset.t array;  (** per node: [output = gen ∪ (input − kill)] *)
 }
 
-type result = {
-  input : Bitset.t array;
-      (** per node, the fact the transfer consumed: the meet over
-          predecessors (forward) or successors (backward), empty at nodes
-          with none — for a backward problem this is the paper's OUT set *)
-  output : Bitset.t array;  (** the fact the transfer produced *)
-}
+(** The solved facts: one row of words per node, holding the fact its
+    transfer produced. *)
+type result
 
-(** Round-robin sweeps in reverse postorder from node 0 (its reverse for
-    [Backward]; unreachable nodes last) until a sweep changes no output.
-    Each sweep costs O((nodes + edges) × ⌈width / Sys.int_size⌉) word
+(** Sweeps in reverse postorder from node 0 (its reverse for [Backward];
+    unreachable nodes last) until a sweep changes no output, each sweep
+    visiting only the nodes a source of which changed since their last
+    visit.  A visit costs O((1 + sources) × ⌈width / Sys.int_size⌉) word
     operations. *)
 val solve : Graph.t -> spec -> result
+
+(** Is bit [i] in the fact node [v]'s transfer consumed: the meet over its
+    predecessors (forward) or successors (backward), empty at nodes with
+    none?  For a backward problem this is the paper's OUT set.  Met from
+    the sources' outputs on each query. *)
+val mem_input : result -> int -> int -> bool
+
+(** Is bit [i] in the fact node [v]'s transfer produced? *)
+val mem_output : result -> int -> int -> bool

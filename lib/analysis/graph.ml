@@ -45,17 +45,26 @@ let nodes g = Array.init g.n (fun i -> i)
     at the end in id order. *)
 let reverse_postorder g ~entry =
   let visited = Array.make g.n false in
-  let order = ref [] in
+  let finished = Array.make g.n 0 and k = ref 0 in
   let rec dfs i =
     if not visited.(i) then begin
       visited.(i) <- true;
       List.iter dfs g.succs.(i);
-      order := i :: !order
+      finished.(!k) <- i;
+      incr k
     end
   in
   if g.n > 0 then dfs entry;
-  let reachable = !order in
-  let unreachable =
-    List.filter (fun i -> not visited.(i)) (Array.to_list (nodes g))
-  in
-  reachable @ unreachable
+  let reachable = !k in
+  let order = Array.make g.n 0 in
+  for i = 0 to reachable - 1 do
+    order.(i) <- finished.(reachable - 1 - i)
+  done;
+  let next = ref reachable in
+  for i = 0 to g.n - 1 do
+    if not visited.(i) then begin
+      order.(!next) <- i;
+      incr next
+    end
+  done;
+  order

@@ -27,72 +27,34 @@ type loop_info = {
   li_h2d : Varset.t;  (** arrays uploaded inside the loop *)
 }
 
-let empty_li = { li_launch = false; li_host = Varset.empty; li_h2d = Varset.empty }
-
-let union_li a b =
-  { li_launch = a.li_launch || b.li_launch;
-    li_host = Varset.union a.li_host b.li_host;
-    li_h2d = Varset.union a.li_h2d b.li_h2d }
-
-(* Per-loop summaries, keyed by the loop tstmt's tid. *)
-let loop_infos (tp : Tprog.t) =
+(* Per-loop summaries of the tracked arrays, keyed by the loop tstmt's tid.
+   A node counts toward every loop enclosing it, and a loop's header nodes
+   (condition, init and step) toward the loop they belong to, which every
+   loop thereby has an entry for. *)
+let loop_infos (cfg : Tcfg.t) (sets : Tcfg.sets) =
   let tbl = Hashtbl.create 32 in
-  let alias = tp.alias in
-  let rec summarize stmts =
-    List.fold_left (fun acc s -> union_li acc (of_stmt s)) empty_li stmts
-  and of_stmt s =
-    match s.tkind with
-    | Thost st ->
-        let r, w = Tcfg.stmt_arrays ~alias ~through_aliases:true st in
-        { empty_li with li_host = Varset.union r w }
-    | Tlaunch _ -> { empty_li with li_launch = true }
-    | Txfer x when x.x_dir = H2D ->
-        { empty_li with li_h2d = Varset.singleton x.x_var }
-    | Txfer _ | Talloc _ | Tfree _ | Twait _ | Tcheck _ -> empty_li
-    | Tif (c, b1, b2) ->
-        let r, w =
-          Tcfg.stmt_arrays ~alias ~through_aliases:true
-            (Minic.Ast.mk_stmt (Minic.Ast.Sexpr c))
-        in
-        union_li
-          { empty_li with li_host = Varset.union r w }
-          (union_li (summarize b1) (summarize b2))
-    | Tblock b -> summarize b
-    | Twhile (c, b) ->
-        let r, w =
-          Tcfg.stmt_arrays ~alias ~through_aliases:true
-            (Minic.Ast.mk_stmt (Minic.Ast.Sexpr c))
-        in
-        let li = union_li { empty_li with li_host = Varset.union r w }
-                   (summarize b) in
-        Hashtbl.replace tbl s.tid li;
-        li
-    | Tfor (init, cond, step, b) ->
-        let frag st_opt =
-          match st_opt with
-          | None -> empty_li
-          | Some st ->
-              let r, w = Tcfg.stmt_arrays ~alias ~through_aliases:true st in
-              { empty_li with li_host = Varset.union r w }
-        in
-        let cond_li =
-          match cond with
-          | None -> empty_li
-          | Some c ->
-              let r, w =
-                Tcfg.stmt_arrays ~alias ~through_aliases:true
-                  (Minic.Ast.mk_stmt (Minic.Ast.Sexpr c))
-              in
-              { empty_li with li_host = Varset.union r w }
-        in
-        let li =
-          union_li (frag init)
-            (union_li cond_li (union_li (frag step) (summarize b)))
-        in
-        Hashtbl.replace tbl s.tid li;
-        li
+  let add li l =
+    match Hashtbl.find_opt tbl l with
+    | None -> Hashtbl.replace tbl l li
+    | Some cur ->
+        Hashtbl.replace tbl l
+          { li_launch = cur.li_launch || li.li_launch;
+            li_host = Varset.union cur.li_host li.li_host;
+            li_h2d = Varset.union cur.li_h2d li.li_h2d }
   in
-  ignore (summarize tp.body);
+  for i = 0 to Graph.size cfg.Tcfg.graph - 1 do
+    let li =
+      { li_launch = sets.Tcfg.is_kernel.(i);
+        li_host =
+          Varset.union sets.Tcfg.host_read.(i) sets.Tcfg.host_write.(i);
+        li_h2d = sets.Tcfg.h2d.(i) }
+    in
+    (match Tcfg.payload cfg i with
+    | Tcfg.Ncond _ | Tcfg.Nhost_frag _ -> add li cfg.Tcfg.owner.(i)
+    | Tcfg.Nentry | Tcfg.Nexit | Tcfg.Nstmt _ -> ());
+    List.iter (add li)
+      (Option.value ~default:[] (Hashtbl.find_opt cfg.Tcfg.loops_of i))
+  done;
   tbl
 
 let status_of_deadness = function
@@ -105,13 +67,13 @@ let instrument ?(mode = Optimized) (tp : Tprog.t) =
   let cfg = Tcfg.build tp in
   (* Placement uses the full (alias-aware) access sets; deadness uses the
      compiler's imperfect view that cannot see through ambiguous pointers. *)
-  let sets = Tcfg.access_sets tp cfg ~through_aliases:true in
-  let sets_blind = Tcfg.access_sets tp cfg ~through_aliases:false in
+  let sets = Tcfg.access_sets tp cfg in
+  let sets_blind = Tcfg.alias_blind sets in
   let dead_gpu = Deadness.compute tp cfg sets_blind Gpu in
   let dead_cpu = Deadness.compute tp cfg sets_blind Cpu in
   let last_cpu = Lastwrite.compute tp cfg sets Cpu in
   let first = Firstaccess.compute tp cfg sets in
-  let infos = loop_infos tp in
+  let infos = loop_infos cfg sets in
 
   let pre : (int, check list) Hashtbl.t = Hashtbl.create 64 in
   let post : (int, check list) Hashtbl.t = Hashtbl.create 64 in
@@ -149,8 +111,7 @@ let instrument ?(mode = Optimized) (tp : Tprog.t) =
         Option.value ~default:[] (Hashtbl.find_opt cfg.Tcfg.loops_of i)
       in
       (match Tcfg.payload cfg i with
-      | Tcfg.Nstmt { tkind = Tlaunch (k, _); tid; _ } ->
-          let kern = tp.kernels.(k) in
+      | Tcfg.Nstmt { tkind = Tlaunch _; tid; _ } ->
           (* GPU checks at the kernel boundary, hoisted when legal. *)
           Varset.iter
             (fun v ->
@@ -160,7 +121,7 @@ let instrument ?(mode = Optimized) (tp : Tprog.t) =
                 | Naive -> tid
               in
               add pre anchor (Check_read (v, Gpu)))
-            (Varset.inter kern.k_arrays_read tp.tracked);
+            sets.Tcfg.kern_read.(i);
           Varset.iter
             (fun v ->
               let anchor =
@@ -169,14 +130,14 @@ let instrument ?(mode = Optimized) (tp : Tprog.t) =
                 | Naive -> tid
               in
               add pre anchor (Check_write (v, Gpu)))
-            (Varset.inter kern.k_arrays_written tp.tracked);
+            sets.Tcfg.kern_write.(i);
           (* CPU copies of kernel-written arrays that are dead afterwards. *)
           Varset.iter
             (fun v ->
               match status_of_deadness (Deadness.status_after dead_cpu i v) with
               | Some st -> add post tid (Reset_status (v, Cpu, st))
               | None -> ())
-            (Varset.inter kern.k_arrays_written tp.tracked)
+            sets.Tcfg.kern_write.(i)
       | _ ->
           (* Host accesses. *)
           let reads, writes =

@@ -29,8 +29,8 @@ type dstatus = Live | May_dead | Must_dead
 
 type t = {
   index : Bitset.index;  (** the tracked arrays *)
-  live_out : Bitset.t array;  (** paper's OUT_Live per node *)
-  dead_out : Bitset.t array;  (** paper's OUT_Dead per node *)
+  live : Dataflow.result;  (** its input is the paper's OUT_Live per node *)
+  dead : Dataflow.result;  (** its input is the paper's OUT_Dead per node *)
   weakened : Varset.t;  (** arrays whose must-dead facts are unreliable *)
 }
 
@@ -64,18 +64,16 @@ let compute (tp : Tprog.t) (cfg : Tcfg.t) (sets : Tcfg.sets) device =
                (Minic.Typecheck.function_vars tp.env "main") [])))
       Varset.empty
   in
-  (* For a Backward solve, [input.(n)] is the meet over successors: the
-     paper's OUT(n). *)
-  { index; live_out = live.Dataflow.input; dead_out = dead.Dataflow.input;
-    weakened }
+  { index; live; dead; weakened }
 
 (** Deadness status of device copy [v] at the program point {e after} node
-    [n]. *)
+    [n].  For a Backward solve a node's input is the meet over its
+    successors: the paper's OUT(n). *)
 let status_after t n v =
-  if Bitset.mem_name t.index t.live_out.(n) v then Live
-  else if Bitset.mem_name t.index t.dead_out.(n) v then May_dead
-  else if Varset.mem v t.weakened then May_dead
-  else Must_dead
+  match Bitset.find t.index v with
+  | Some i when Dataflow.mem_input t.live n i -> Live
+  | Some i when Dataflow.mem_input t.dead n i -> May_dead
+  | Some _ | None -> if Varset.mem v t.weakened then May_dead else Must_dead
 
 let status_name = function
   | Live -> "live"

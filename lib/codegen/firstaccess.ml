@@ -46,10 +46,15 @@ let compute (tp : Tprog.t) (cfg : Tcfg.t) (sets : Tcfg.sets) =
   in
   (* An access is first where it is not seen on entry to its node. *)
   let first access =
-    let seen = (solve_seen access).Dataflow.input in
+    let seen = solve_seen access in
     Array.mapi
       (fun i a ->
-        Varset.filter (fun v -> not (Bitset.mem_name index seen.(i) v)) a)
+        Varset.filter
+          (fun v ->
+            match Bitset.find index v with
+            | Some b -> not (Dataflow.mem_input seen i b)
+            | None -> true)
+          a)
       access
   in
   (* Placement is computed over accessed *names* (pointers included): the

@@ -35,16 +35,19 @@ let compute (tp : Tprog.t) (cfg : Tcfg.t) (sets : Tcfg.sets) device =
             (Bitset.of_varsets index kill) }
   in
   (* LAST_Write(n) = IN_Write(n) - OUT_Write(n), restricted to DEF(n).
-     input.(i) is the meet over successors (paper's OUT), empty after a
-     kernel node. *)
+     A node's input is the meet over its successors (paper's OUT), empty
+     after a kernel node. *)
   let last =
     Array.mapi
       (fun i d ->
         Varset.filter
           (fun v ->
-            Bitset.mem_name index res.Dataflow.output.(i) v
-            && (sets.Tcfg.is_kernel.(i)
-               || not (Bitset.mem_name index res.Dataflow.input.(i) v)))
+            match Bitset.find index v with
+            | Some b ->
+                Dataflow.mem_output res i b
+                && (sets.Tcfg.is_kernel.(i)
+                   || not (Dataflow.mem_input res i b))
+            | None -> false)
           d)
       def
   in

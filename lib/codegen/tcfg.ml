@@ -120,118 +120,85 @@ let build (tp : Tprog.t) =
 (** {1 Per-node, per-device access sets} *)
 
 type sets = {
-  cpu_use : Varset.t array;
-  cpu_def : Varset.t array;
-  gpu_use : Varset.t array;
-  gpu_def : Varset.t array;
   host_read : Varset.t array;
-      (** cpu_use by genuine host statements (transfers excluded) *)
+      (** tracked arrays read by genuine host statements (transfers
+          excluded) *)
   host_write : Varset.t array;
-      (** cpu_def by genuine host statements (transfers excluded): the
-          events that make the GPU copy stale *)
-  kern_read : Varset.t array;
-      (** gpu_use by kernels (transfers excluded) *)
+      (** tracked arrays written by genuine host statements (transfers
+          excluded): the events that make the GPU copy stale *)
+  kern_read : Varset.t array;  (** tracked arrays a kernel reads *)
   kern_write : Varset.t array;
-      (** gpu_def by kernels (transfers excluded): the events that make the
-          CPU copy stale *)
+      (** tracked arrays a kernel writes: the events that make the CPU copy
+          stale *)
+  h2d : Varset.t array;  (** the tracked array an upload copies *)
   name_read : Varset.t array;
       (** host-accessed array/pointer *names* (unresolved); runtime checks
           placed on names resolve to the dynamic root, which is what lets the
           tool stay precise where static alias analysis cannot *)
   name_write : Varset.t array;
+  hidden : Varset.t array;
+      (** tracked roots of the ambiguous pointers a host node uses: what a
+          compiler that cannot see through unresolved aliases misses *)
   is_kernel : bool array;  (** node is a kernel launch *)
 }
 
-(* Arrays touched by a host expression / statement, resolved through
-   [alias]. With [through_aliases = false], accesses made via ambiguous
-   pointers are dropped — modelling the compiler that cannot see through
-   unresolved aliases (the source of Table III's incorrect suggestions). *)
-let stmt_accesses ~alias ~through_aliases s =
-  let acc = Regions.of_stmt ~alias s in
-  let strip set =
-    if through_aliases then set
-    else
-      (* Remove roots whose only access may come via an ambiguous pointer:
-         conservatively drop roots reachable from ambiguous pointers. *)
-      Varset.fold
-        (fun amb set ->
-          Varset.diff set (Alias.resolve alias amb))
-        acc.Regions.ambiguous set
-  in
-  (strip acc.Regions.arrays_read, strip acc.Regions.arrays_written,
-   acc.Regions.raw_read, acc.Regions.raw_written)
-
-let stmt_arrays ~alias ~through_aliases s =
-  let r, w, _, _ = stmt_accesses ~alias ~through_aliases s in
-  (r, w)
-
-let expr_arrays ~alias ~through_aliases e =
-  stmt_arrays ~alias ~through_aliases (Ast.mk_stmt (Ast.Sexpr e))
-
-(** Compute access sets for every CFG node.  [tracked] limits the domain. *)
-let access_sets (tp : Tprog.t) (cfg : t) ~through_aliases =
+(** Compute access sets for every CFG node, restricted to the tracked
+    arrays: one {!Regions} scan per host node, resolving pointers through
+    the program's alias analysis. *)
+let access_sets (tp : Tprog.t) (cfg : t) =
   let n = Graph.size cfg.graph in
+  let none () = Array.make n Varset.empty in
   let s =
-    { cpu_use = Array.make n Varset.empty;
-      cpu_def = Array.make n Varset.empty;
-      gpu_use = Array.make n Varset.empty;
-      gpu_def = Array.make n Varset.empty;
-      host_read = Array.make n Varset.empty;
-      host_write = Array.make n Varset.empty;
-      kern_read = Array.make n Varset.empty;
-      kern_write = Array.make n Varset.empty;
-      name_read = Array.make n Varset.empty;
-      name_write = Array.make n Varset.empty;
-      is_kernel = Array.make n false }
+    { host_read = none (); host_write = none (); kern_read = none ();
+      kern_write = none (); h2d = none (); name_read = none ();
+      name_write = none (); hidden = none (); is_kernel = Array.make n false }
   in
-  let restrict set = Varset.inter set tp.tracked in
+  let tracked v = Varset.mem v tp.tracked in
+  let restrict = Varset.filter tracked in
   let alias = tp.alias in
   (* A name is relevant when it may denote a tracked root. *)
-  let restrict_names set =
-    Varset.filter
-      (fun v ->
-        not (Varset.is_empty
-               (Varset.inter (Alias.resolve alias v) tp.tracked)))
-      set
+  let restrict_names =
+    Varset.filter (fun v -> Varset.exists tracked (Alias.resolve alias v))
   in
-  let host i (r, w, rr, rw) =
-    s.cpu_use.(i) <- restrict r;
-    s.cpu_def.(i) <- restrict w;
-    s.host_read.(i) <- restrict r;
-    s.host_write.(i) <- restrict w;
-    s.name_read.(i) <- restrict_names rr;
-    s.name_write.(i) <- restrict_names rw
+  let host i st =
+    let acc = Regions.of_stmt ~alias st in
+    s.host_read.(i) <- restrict acc.Regions.arrays_read;
+    s.host_write.(i) <- restrict acc.Regions.arrays_written;
+    s.name_read.(i) <- restrict_names acc.Regions.raw_read;
+    s.name_write.(i) <- restrict_names acc.Regions.raw_written;
+    s.hidden.(i) <-
+      Varset.fold
+        (fun amb set -> Varset.union (restrict (Alias.resolve alias amb)) set)
+        acc.Regions.ambiguous Varset.empty
   in
   for i = 0 to n - 1 do
     match cfg.payload.(i) with
     | Nentry | Nexit -> ()
-    | Ncond e ->
-        host i
-          (stmt_accesses ~alias ~through_aliases
-             (Ast.mk_stmt (Ast.Sexpr e)))
-    | Nhost_frag st -> host i (stmt_accesses ~alias ~through_aliases st)
+    | Ncond e -> host i (Ast.mk_stmt (Ast.Sexpr e))
+    | Nhost_frag st -> host i st
     | Nstmt ts -> (
         match ts.tkind with
-        | Thost st -> host i (stmt_accesses ~alias ~through_aliases st)
+        | Thost st -> host i st
         | Tlaunch (k, _) ->
             let kern = tp.kernels.(k) in
-            s.gpu_use.(i) <- restrict kern.k_arrays_read;
-            s.gpu_def.(i) <- restrict kern.k_arrays_written;
-            s.kern_read.(i) <- s.gpu_use.(i);
-            s.kern_write.(i) <- s.gpu_def.(i);
+            s.kern_read.(i) <- restrict kern.k_arrays_read;
+            s.kern_write.(i) <- restrict kern.k_arrays_written;
             s.is_kernel.(i) <- true
-        | Txfer x -> (
-            match x.x_dir with
-            | H2D ->
-                s.cpu_use.(i) <- restrict (Varset.singleton x.x_var);
-                s.gpu_def.(i) <- restrict (Varset.singleton x.x_var)
-            | D2H ->
-                s.gpu_use.(i) <- restrict (Varset.singleton x.x_var);
-                s.cpu_def.(i) <- restrict (Varset.singleton x.x_var))
-        | Talloc _ | Tfree _ | Twait _ | Tcheck _ | Tif _ | Twhile _
-        | Tfor _ | Tblock _ -> ())
+        | Txfer { x_dir = H2D; x_var; _ } when tracked x_var ->
+            s.h2d.(i) <- Varset.singleton x_var
+        | Txfer _ | Talloc _ | Tfree _ | Twait _ | Tcheck _ | Tif _
+        | Twhile _ | Tfor _ | Tblock _ -> ())
   done;
   s
+
+(** The view of a compiler that cannot see through ambiguous pointers
+    (the source of Table III's incorrect suggestions): each host node's
+    reads and writes without the roots its ambiguous pointers may
+    denote. *)
+let alias_blind s =
+  { s with
+    host_read = Array.map2 Varset.diff s.host_read s.hidden;
+    host_write = Array.map2 Varset.diff s.host_write s.hidden }
 
 (** Kernel-launch (Tlaunch) nodes. *)
 let kernel_nodes cfg sets =

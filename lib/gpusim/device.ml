@@ -62,7 +62,9 @@ let create ?(id = 0) ?(seed = 42) ?(trace = false) ?plan () =
 let observe dev f = dev.observer <- Some f
 
 (* The reports below build their event only under an attached observer,
-   so a detached device allocates nothing for observation. *)
+   and a timeline event's label is formatted only when the timeline
+   records it, so a detached device formats and allocates nothing for
+   observation. *)
 let charge dev cat dt =
   Metrics.charge dev.metrics cat dt;
   match dev.observer with None -> () | Some f -> f (Charge (cat, dt))
@@ -124,7 +126,8 @@ let fault_event dev kind ~target ~op =
   dev.metrics.Metrics.faults_injected <-
     dev.metrics.Metrics.faults_injected + 1;
   record dev ~kind:(Timeline.Ev_fault (Fault_plan.kind_name kind))
-    ~label:(Fmt.str "%s(%s) during %s" (Fault_plan.kind_name kind) target op)
+    ~label:(fun () ->
+      Fmt.str "%s(%s) during %s" (Fault_plan.kind_name kind) target op)
     ~start:dev.metrics.Metrics.host_clock ~duration:0.0 ();
   { f_kind = kind; f_target = target; f_op = op }
 
@@ -180,7 +183,7 @@ let alloc dev name ~like =
   report_mem dev name bytes;
   let duration = Costmodel.alloc_time dev.cm ~bytes in
   record dev ~kind:(Timeline.Ev_alloc name)
-    ~label:(Fmt.str "cudaMalloc(%s, %dB)" name bytes)
+    ~label:(fun () -> Fmt.str "cudaMalloc(%s, %dB)" name bytes)
     ~start:dev.metrics.Metrics.host_clock ~duration ();
   charge dev Metrics.Gpu_alloc duration
 
@@ -197,7 +200,7 @@ let free dev name =
       if alive dev then begin
         let duration = Costmodel.free_time dev.cm ~bytes in
         record dev ~kind:(Timeline.Ev_free name)
-          ~label:(Fmt.str "cudaFree(%s)" name)
+          ~label:(fun () -> Fmt.str "cudaFree(%s)" name)
           ~start:dev.metrics.Metrics.host_clock ~duration ();
         charge dev Metrics.Gpu_free duration
       end
@@ -278,9 +281,10 @@ let transfer dev name ~h2d ~host ?range ?async ?label () =
   let start = charge_async dev ~async ~category:Metrics.Mem_transfer ~duration in
   record dev ?stream:async
     ~kind:(Timeline.Ev_transfer { var = name; h2d; bytes })
-    ~label:
-      (Option.value label
-         ~default:(Fmt.str "memcpy%s(%s)" (if h2d then "in" else "out") name))
+    ~label:(fun () ->
+      match label with
+      | Some l -> l
+      | None -> Fmt.str "memcpy%s(%s)" (if h2d then "in" else "out") name)
     ~start ~duration ();
   match dev.observer with
   | None -> ()
@@ -373,7 +377,7 @@ let launch_timed dev ~iterations ~ops_per_iter ?width ?time ?(jitter = true)
   in
   record dev ?stream:async
     ~kind:(Timeline.Ev_kernel { name = label; iterations })
-    ~label:(Fmt.str "%s<<<%d>>>" label iterations)
+    ~label:(fun () -> Fmt.str "%s<<<%d>>>" label iterations)
     ~start ~duration ();
   duration
 
@@ -410,7 +414,7 @@ let wait dev q =
   in
   let dt = target -. dev.metrics.Metrics.host_clock in
   if dt > 0.0 then begin
-    record dev ~kind:Timeline.Ev_wait ~label:"wait"
+    record dev ~kind:Timeline.Ev_wait ~label:(fun () -> "wait")
       ~start:dev.metrics.Metrics.host_clock ~duration:dt ();
     charge dev Metrics.Async_wait dt
   end

@@ -32,11 +32,12 @@ type t = {
 let create ?(enabled = true) () = { events = []; enabled }
 
 (* The recorded event is returned so the device can report it to its
-   observer; a disabled timeline records nothing and returns [None]. *)
+   observer; a disabled timeline records nothing, formats no label and
+   returns [None]. *)
 let record t ?stream ~kind ~label ~start ~duration () =
   if t.enabled then begin
     let e =
-      { ev_kind = kind; ev_label = label; ev_start = start;
+      { ev_kind = kind; ev_label = label (); ev_start = start;
         ev_duration = duration; ev_stream = stream }
     in
     t.events <- e :: t.events;

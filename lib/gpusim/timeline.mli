@@ -25,11 +25,12 @@ type t
 
 val create : ?enabled:bool -> unit -> t
 
-(** Append an event and return it; a timeline created with
-    [~enabled:false] records nothing and returns [None].  Observers see
-    recorded events through {!Device.observe}, not here. *)
+(** Append an event and return it; [label] formats its label.  A timeline
+    created with [~enabled:false] records nothing, never calls [label] and
+    returns [None].  Observers see recorded events through
+    {!Device.observe}, not here. *)
 val record :
-  t -> ?stream:int -> kind:kind -> label:string -> start:float ->
+  t -> ?stream:int -> kind:kind -> label:(unit -> string) -> start:float ->
   duration:float -> unit -> event option
 
 val events : t -> event list

@@ -41,10 +41,10 @@ let analyze (tp : Tprog.t) =
   let tp = Checkgen.instrument tp in
   let cfg = Tcfg.build tp in
   let n = Analysis.Graph.size cfg.Tcfg.graph in
+  let tracked v = Varset.mem v tp.tracked in
   let resolve v =
-    let r = Varset.inter (Analysis.Alias.resolve tp.alias v) tp.tracked in
-    if Varset.is_empty r && Varset.mem v tp.tracked then Varset.singleton v
-    else r
+    let r = Varset.filter tracked (Analysis.Alias.resolve tp.alias v) in
+    if Varset.is_empty r && tracked v then Varset.singleton v else r
   in
   (* Stale bits: the CPU copies of the tracked arrays in index order, then
      the GPU copies. *)
@@ -132,18 +132,14 @@ let analyze (tp : Tprog.t) =
   let must = solve Dataflow.Intersect gen_must kill_must in
   (* Classify every event against the facts flowing into its node. *)
   let diag_of ev =
-    let may_in = may.Dataflow.input.(ev.ev_node) in
-    let must_in = must.Dataflow.input.(ev.ev_node) in
-    let all_stale dev set = (* definitely stale, whichever root it is *)
-      Varset.for_all (fun r -> Bitset.mem set (bit dev r)) ev.ev_roots
-    in
-    let any_stale dev set =
-      Varset.exists (fun r -> Bitset.mem set (bit dev r)) ev.ev_roots
-    in
+    let stale facts dev r = Dataflow.mem_input facts ev.ev_node (bit dev r) in
+    (* definitely stale, whichever root it is *)
+    let all_stale dev facts = Varset.for_all (stale facts dev) ev.ev_roots in
+    let any_stale dev facts = Varset.exists (stale facts dev) ev.ev_roots in
     let var = Varset.min_elt ev.ev_roots in
     match ev.ev_kind with
     | `Read (v, dev) ->
-        if all_stale dev must_in then
+        if all_stale dev must then
           Some
             (Diag.mk ~var
                ~fixit:
@@ -155,7 +151,7 @@ let analyze (tp : Tprog.t) =
                    read; a transfer from the %s is required first"
                   (device_name dev) v
                   (device_name (other dev))))
-        else if any_stale dev may_in then
+        else if any_stale dev may then
           Some
             (Diag.mk ~var ~code:"ACC-XFER-002" ~severity:Diag.Info
                ~loc:ev.ev_loc
@@ -165,7 +161,7 @@ let analyze (tp : Tprog.t) =
                   (device_name dev) v))
         else None
     | `Write (v, dev) ->
-        if any_stale dev may_in then
+        if any_stale dev may then
           Some
             (Diag.mk ~var ~code:"ACC-XFER-002" ~severity:Diag.Info
                ~loc:ev.ev_loc
@@ -183,7 +179,7 @@ let analyze (tp : Tprog.t) =
           | H2D -> "from host to device"
           | D2H -> "from device to host"
         in
-        if all_stale src must_in then
+        if all_stale src must then
           Some
             (Diag.mk ~var ~site ~code:"ACC-XFER-003" ~severity:Diag.Error
                ~loc:x.x_site.site_loc
@@ -191,7 +187,7 @@ let analyze (tp : Tprog.t) =
                   "incorrect transfer: copying '%s' %s in %s ships an \
                    outdated value (the %s copy is stale here)"
                   var dir_desc site (device_name src)))
-        else if not (any_stale tgt may_in) then
+        else if not (any_stale tgt may) then
           let fixit =
             match Openarc_core.Suggest.site_kind site with
             | `Update ->
@@ -212,7 +208,7 @@ let analyze (tp : Tprog.t) =
                   "redundant transfer: the %s copy of '%s' is already \
                    up to date whenever %s copies it %s"
                   (device_name tgt) var site dir_desc))
-        else if not (all_stale tgt must_in) then
+        else if not (all_stale tgt must) then
           Some
             (Diag.mk ~var ~site ~code:"ACC-XFER-005" ~severity:Diag.Info
                ~loc:x.x_site.site_loc

@@ -191,7 +191,10 @@ let set_ctx t op point =
   t.cur_op <- op;
   t.cur_point <- point
 
-let point_of_sid = function None -> "" | Some s -> Fmt.str "stmt%d" s
+(* The program point of a check, formatted only for an attached audit. *)
+let point_of_sid t = function
+  | Some s when Option.is_some t.audit -> Fmt.str "stmt%d" s
+  | Some _ | None -> ""
 
 let other = function Cpu -> Gpu | Gpu -> Cpu
 
@@ -249,7 +252,7 @@ let exit_loop t =
 (* --- runtime calls --- *)
 
 let check_read ?sid ?range t v dev =
-  set_ctx t "check-read" (point_of_sid sid);
+  set_ctx t "check-read" (point_of_sid t sid);
   t.checks_executed <- t.checks_executed + 1;
   match t.granularity with
   | Coarse ->
@@ -284,7 +287,7 @@ let check_read ?sid ?range t v dev =
       mark_fresh t v dev ~lo ~hi
 
 let check_write ?sid ?range t v dev =
-  set_ctx t "check-write" (point_of_sid sid);
+  set_ctx t "check-write" (point_of_sid t sid);
   t.checks_executed <- t.checks_executed + 1;
   match t.granularity with
   | Coarse ->

@@ -178,10 +178,14 @@ let run ?(coherence = true) ?(engine = Engine.Compiled) ?granularity
           ~time:metrics.Gpusim.Metrics.host_clock ~duration:0.0
           ~counted:false ~redundant:false ~hoist:false
   in
+  (* A span's location is formatted only under an attached trace. *)
   let in_span kind name ?loc ?directive f =
     match obs with
     | None -> f ()
-    | Some tr -> Obs.Trace.with_span tr kind name ?loc ?directive f
+    | Some tr ->
+        Obs.Trace.with_span tr kind name
+          ?loc:(Option.map Minic.Loc.to_string loc)
+          ?directive f
   in
   let bump name =
     match obs with None -> () | Some tr -> Obs.Trace.incr tr name
@@ -209,7 +213,7 @@ let run ?(coherence = true) ?(engine = Engine.Compiled) ?granularity
     else begin
       bump "engine_compiles";
       in_span Obs.Trace.Phase "compile-kernel"
-        ~loc:(Minic.Loc.to_string k.k_loc) ~directive:k.k_name
+        ~loc:k.k_loc ~directive:k.k_name
         (fun () -> Compile.prepare cache k)
     end;
     cache
@@ -1064,7 +1068,7 @@ let run ?(coherence = true) ?(engine = Engine.Compiled) ?granularity
         if need_alloc then begin
           charge_host ();
           in_span Obs.Trace.Alloc site.site_label
-            ~loc:(Minic.Loc.to_string site.site_loc)
+            ~loc:site.site_loc
             ~directive:site.site_label
           @@ fun () ->
           let host = Value.array_buf env v in
@@ -1090,7 +1094,7 @@ let run ?(coherence = true) ?(engine = Engine.Compiled) ?granularity
     | Tfree (v, site) ->
         charge_host ();
         in_span Obs.Trace.Free site.site_label
-          ~loc:(Minic.Loc.to_string site.site_loc)
+          ~loc:site.site_loc
           ~directive:site.site_label
         @@ fun () ->
         List.iter
@@ -1128,7 +1132,7 @@ let run ?(coherence = true) ?(engine = Engine.Compiled) ?granularity
         Hashtbl.replace sites x.x_site.site_id (x.x_site, x.x_var, x.x_dir);
         bump "transfers";
         in_span Obs.Trace.Transfer x.x_site.site_label
-          ~loc:(Minic.Loc.to_string x.x_site.site_loc)
+          ~loc:x.x_site.site_loc
           ~directive:x.x_site.site_label
         @@ fun () ->
         let host = Value.array_buf env x.x_var in
@@ -1287,7 +1291,7 @@ let run ?(coherence = true) ?(engine = Engine.Compiled) ?granularity
         charge_host ();
         bump "launches";
         in_span Obs.Trace.Kernel k.k_name
-          ~loc:(Minic.Loc.to_string k.k_loc) ~directive:k.k_name
+          ~loc:k.k_loc ~directive:k.k_name
         @@ fun () -> launch_resilient k async
     | Twait e ->
         let q = eval_async e in

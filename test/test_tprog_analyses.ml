@@ -18,7 +18,7 @@ let src =
 let setup () =
   let tp = Openarc_core.Compiler.compile src in
   let cfg = Tcfg.build tp in
-  let sets = Tcfg.access_sets tp cfg ~through_aliases:true in
+  let sets = Tcfg.access_sets tp cfg in
   (tp, cfg, sets)
 
 let launch_node cfg sets =
@@ -32,7 +32,7 @@ let test_cfg_structure () =
   Alcotest.(check bool) "has nodes" true (Graph.size g > 8);
   (* entry reaches exit *)
   let rpo = Graph.reverse_postorder g ~entry:cfg.Tcfg.entry in
-  Alcotest.(check bool) "exit reachable" true (List.mem cfg.Tcfg.exit_ rpo);
+  Alcotest.(check bool) "exit reachable" true (Array.mem cfg.Tcfg.exit_ rpo);
   (* exactly one kernel node with the right DEF/USE *)
   let k = launch_node cfg sets in
   Alcotest.(check bool) "kernel reads s" true
@@ -111,8 +111,8 @@ let test_blind_sets_drop_alias_reads () =
   in
   let tp = Openarc_core.Compiler.compile src in
   let cfg = Tcfg.build tp in
-  let full = Tcfg.access_sets tp cfg ~through_aliases:true in
-  let blind = Tcfg.access_sets tp cfg ~through_aliases:false in
+  let full = Tcfg.access_sets tp cfg in
+  let blind = Tcfg.alias_blind full in
   let total sets =
     Array.fold_left (fun acc s -> acc + Varset.cardinal s) 0 sets
   in
