@@ -5,15 +5,13 @@
     (reference semantics); scalars are copied; bodies and their directive
     clauses are alpha-renamed. *)
 
-exception Not_inlinable of Minic.Loc.t * string
-
 (** Does the function body contain any OpenACC directive? *)
 val has_directives : Minic.Ast.func -> bool
 
 (** Fully inline directive-containing callees (fixpoint, recursion
     rejected), then drop their now-uncalled definitions.
-    @raise Not_inlinable for expression-position calls, non-variable array
-    arguments, or non-trailing returns. *)
+    @raise Minic.Loc.Error for recursion among them, expression-position
+    calls, non-variable array arguments, or non-trailing returns. *)
 val expand : Minic.Ast.program -> Minic.Ast.program
 
 (** Would {!expand} change the program (callers then re-typecheck)? *)

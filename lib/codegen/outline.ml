@@ -12,11 +12,6 @@ open Minic.Ast
 open Analysis
 open Tprog
 
-exception Unsupported of Loc.t * string
-
-let unsupported loc fmt =
-  Fmt.kstr (fun m -> raise (Unsupported (loc, m))) fmt
-
 (* Loop induction variables: the outer loop variable plus every variable
    assigned by the init/step of any nested for. These are predetermined
    private, independent of privatization settings. *)
@@ -59,7 +54,7 @@ let loop_header ~loc init =
   | Some { skind = Sdecl (_, v, Some e); _ } -> (v, e)
   | Some { skind = Sassign (Lvar v, e); _ } -> (v, e)
   | Some _ | None ->
-      unsupported loc "parallel loop requires an initialized loop variable"
+      Loc.error loc "parallel loop requires an initialized loop variable"
 
 (* Classify the scalars of a kernel body. *)
 let classify_scalars ~(opts : Options.t) ~induction ~declared ~clauses
@@ -206,7 +201,7 @@ let outline_region ~opts ~alias ~fname ~fresh ~region_sid (d : directive)
         let cond =
           match cond with
           | Some c -> c
-          | None -> unsupported s.sloc "parallel loop requires a condition"
+          | None -> Loc.error s.sloc "parallel loop requires a condition"
         in
         let clauses =
           base_clauses @ extra_dirs @ inner_loop_clauses body
@@ -218,7 +213,7 @@ let outline_region ~opts ~alias ~fname ~fresh ~region_sid (d : directive)
           ~loc:s.sloc ~clauses ~async ~seq ~source:s
           (Some (v, init_e, cond, step))
           body
-    | _ -> unsupported s.sloc "loop directive must annotate a for loop"
+    | _ -> Loc.error s.sloc "loop directive must annotate a for loop"
   in
   let mk_scalar_kernel stmts loc =
     mk_kernel ~opts ~alias ~fname ~id:(fresh ()) ~sid:region_sid ~loc

@@ -5,9 +5,9 @@
     inside a [kernels] region become single-thread kernels.  Outlining also
     classifies every scalar of the body — private, firstprivate, reduction,
     or (when clauses are missing and automatic recognition is off) *raced*,
-    with the race kind the simulator manifests (§IV-B). *)
-
-exception Unsupported of Minic.Loc.t * string
+    with the race kind the simulator manifests (§IV-B).  A loop directive
+    it cannot outline is a {!Minic.Loc.Error} at the directive's
+    statement. *)
 
 (** Loop induction variables of a body (predetermined private). *)
 val induction_vars : string -> Minic.Ast.block -> Analysis.Varset.t

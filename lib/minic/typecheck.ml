@@ -315,7 +315,9 @@ let check (prog : Ast.program) =
 
   List.iter check_function (functions prog);
   if not (Smap.mem "main" funcs) then
-    Loc.error Loc.dummy "program has no 'main' function";
+    Loc.error
+      (match functions prog with f :: _ -> f.f_loc | [] -> Loc.dummy)
+      "program has no 'main' function";
   { funcs; globals; vars = !all_vars }
 
 (** Types of all names in scope in [fname] ([main] included globals). *)

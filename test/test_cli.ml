@@ -812,6 +812,33 @@ let test_exit_code_table () =
          "expected ';'");
         ("type error", Some "int main() { float a[4]; a[0] = b; return 0; }\n",
          "undeclared variable 'b'");
+        ("recursive inlining",
+         Some
+           "void f(float a[4], int d) {\n\
+            #pragma acc kernels loop\n\
+            for (int i = 0; i < 4; i++) { a[i] = a[i] + 1.0; }\n\
+            if (d > 0) { f(a, d - 1); }\n\
+            }\n\
+            int main() { float a[4]; f(a, 2); return 0; }\n",
+         "directive-containing function 'f' calls itself");
+        ("inlinable call in a declaration",
+         Some
+           "float f(float a[4]) {\n\
+            #pragma acc kernels loop\n\
+            for (int i = 0; i < 4; i++) { a[i] = a[i] + 1.0; }\n\
+            return a[0];\n\
+            }\n\
+            int main() { float a[4]; float x = f(a); return 0; }\n",
+         "call to directive-containing function 'f' must be a statement");
+        ("no main", Some "int g() { return 0; }\n",
+         "program has no 'main' function");
+        ("parallel loop without a condition",
+         Some
+           "int main() { float a[4];\n\
+            #pragma acc kernels loop\n\
+            for (int i = 0; ; i++) { a[i] = 1.0; }\n\
+            return 0; }\n",
+         "parallel loop requires a condition");
         ("bench:nope", None, "unknown benchmark 'nope'") ]
     in
     List.iter

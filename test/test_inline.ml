@@ -97,26 +97,29 @@ let test_scalar_arg_by_value () =
   Alcotest.(check (float 0.)) "caller var untouched" 1.0 (out_f o "leak");
   Alcotest.(check (float 0.)) "callee saw its copy" 101.0 (out_f o "got")
 
+(* Each shape the inliner cannot expand is a located front-end error. *)
 let test_rejects_expression_calls () =
-  let src =
+  let rejected what ~at src =
+    match Openarc_core.Compiler.compile ~file:"t.c" src with
+    | _ -> Alcotest.failf "%s: expected a located error" what
+    | exception Minic.Loc.Error (loc, _) ->
+        Alcotest.(check string) (what ^ ": location") at
+          (Minic.Loc.to_string loc)
+  in
+  rejected "expression-position call" ~at:"t.c:6:26"
     "float f(float a[], int n) {\n#pragma acc kernels loop\nfor (int i = \
      0; i < n; i++) { a[i] = 1.0; }\nreturn a[0];\n}\n\
-     int main() { float a[4]; float x = f(a, 4) + 1.0; return 0; }"
-  in
-  (try
-     ignore (Openarc_core.Compiler.compile src);
-     Alcotest.fail "expected Not_inlinable"
-   with Codegen.Inline.Not_inlinable _ -> ());
-  let src_early_return =
+     int main() { float a[4]; float x = f(a, 4) + 1.0; return 0; }";
+  rejected "early return" ~at:"t.c:7:41"
     "float g(float a[], int n) {\nif (n == 0) { return 0.0; }\n#pragma acc \
      kernels loop\nfor (int i = 0; i < n; i++) { a[i] = 1.0; }\nreturn \
      a[0];\n}\nint main() { float a[4]; float x = 0.0; x = g(a, 4); return \
-     0; }"
-  in
-  try
-    ignore (Openarc_core.Compiler.compile src_early_return);
-    Alcotest.fail "expected Not_inlinable (early return)"
-  with Codegen.Inline.Not_inlinable _ -> ()
+     0; }";
+  (* recursion is reported at the function that calls itself *)
+  rejected "recursion" ~at:"t.c:2:1"
+    "int n = 4;\nvoid r(float a[4], int d) {\n#pragma acc kernels loop\nfor \
+     (int i = 0; i < 4; i++) { a[i] = a[i] + 1.0; }\nif (d > 0) { r(a, d \
+     - 1); }\n}\nint main() { float a[4]; r(a, 2); return 0; }"
 
 let test_plain_functions_untouched () =
   (* functions without directives keep normal call semantics *)

@@ -205,9 +205,7 @@ let fuzz_pipeline =
         ignore (Codegen.Translate.translate env prog)
       with
       | () -> true
-      | exception (Loc.Error _ | Acc.Validate.Invalid _
-                  | Codegen.Outline.Unsupported _
-                  | Codegen.Inline.Not_inlinable _) -> true
+      | exception (Loc.Error _ | Acc.Validate.Invalid _) -> true
       | exception _ -> false)
 
 let fuzz_tests =
