@@ -42,8 +42,8 @@ wall-smoke: build
 	  wall --benches jacobi,ep,srad --repeats 3 --min-speedup 2.0 \
 	  --json wall-report.json
 
-# Every byte golden: regenerate each BENCH_<tier>.json (profile, faults,
-# symeq, scale, imbalance, memtrace, saturate) in memory, run its gate,
+# Every byte golden: regenerate each BENCH_<tier>.json (paper, profile,
+# faults, symeq, scale, imbalance, memtrace, saturate) in memory, run its gate,
 # and require it to match the committed file byte for byte; a mismatch
 # prints the first differing line of both versions.  BENCH_wall.json
 # holds real wall-clock times, so it is not a byte golden.

@@ -12,7 +12,8 @@ type tier = {
 
 let tiers =
   Experiments.
-    [ { name = "profile"; document = profile };
+    [ { name = "paper"; document = paper };
+      { name = "profile"; document = profile };
       { name = "faults"; document = faults };
       { name = "symeq"; document = symeq };
       { name = "scale"; document = scale };

@@ -4,9 +4,10 @@
     - a paper experiment ([table1 fig1 table2 fig3 table3 fig4 ablation
       granularity sweep]), or [all] (the default) for all of them in
       turn: Tables I-III, Figures 1, 3 and 4, and the design ablations;
-    - a golden tier ([profile faults symeq scale imbalance memtrace
+    - a golden tier ([paper profile faults symeq scale imbalance memtrace
       saturate]): runs the tier's sweep and gate and writes
-      BENCH_<tier>.json;
+      BENCH_<tier>.json ([paper] holds Tables II and III and Figures 1,
+      3 and 4);
     - [check [TIER...]]: regenerates each named tier (every tier by
       default) in memory and compares it byte for byte with the committed
       BENCH_<tier>.json, printing the first differing line on a mismatch;
