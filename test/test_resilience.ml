@@ -614,6 +614,31 @@ let test_fault_matrix_small () =
         (c.Openarc_core.Fault_matrix.c_verified >= 1))
     failover_cells
 
+(* ------------------------ recovery bookkeeping ----------------------- *)
+
+(* The ledger entries, reports and outputs of runs through every recovery
+   path are pinned in test/golden/recovery.ledger (see [Goldens]); the
+   checks below keep the cases reaching what the golden is there for. *)
+let test_recovery_golden () =
+  Alcotest.(check string) "recovery.ledger matches its golden"
+    (Goldens.read "recovery.ledger") (Goldens.recovery ());
+  let runs = List.map Goldens.recovery_run Goldens.recovery_cases in
+  let entries (_, _, lg) = Obs.Ledger.entries lg in
+  let count p l = List.length (List.filter p l) in
+  let host_mode_restores ((o, _, _) as r) =
+    let log = Resilience.log_entries o.Interp.resilience in
+    if count (fun e -> e.Resilience.l_action = "host-mode") log = 1 then
+      count (fun e -> e.Obs.Ledger.e_site = "mirror-restore") (entries r)
+    else 0
+  in
+  Alcotest.(check bool) "one host-mode switch restores two or more mirrors"
+    true
+    (List.exists (fun r -> host_mode_restores r >= 2) runs);
+  Alcotest.(check bool) "some transfer is hoistable" true
+    (List.exists
+       (fun r -> List.exists (fun e -> e.Obs.Ledger.e_hoistable) (entries r))
+       runs)
+
 let tests =
   [ Alcotest.test_case "decision table" `Quick test_decision_table;
     Alcotest.test_case "none policy propagates" `Quick
@@ -653,4 +678,6 @@ let tests =
     Alcotest.test_case "coherence equivalence" `Quick
       test_coherence_equivalence;
     Alcotest.test_case "multi-shot faults" `Quick test_multi_shot_faults;
-    Alcotest.test_case "fault matrix (small)" `Quick test_fault_matrix_small ]
+    Alcotest.test_case "fault matrix (small)" `Quick test_fault_matrix_small;
+    Alcotest.test_case "recovery bookkeeping golden" `Quick
+      test_recovery_golden ]
