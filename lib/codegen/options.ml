@@ -1,23 +1,14 @@
-(** Compiler configuration switches.
+(** Compiler configuration.
 
-    [auto_privatize] / [auto_reduction] model OpenARC's automatic
-    privatization and reduction-variable recognition; the paper's Table II
-    experiment disables both (and strips the explicit clauses) to inject the
-    race conditions that kernel verification must catch.
-    [register_promote] models the backend caching a thread's intermediate
-    scalar values in registers — the mechanism that makes missing
-    privatization a *latent* rather than active error (§IV-B). *)
+    [auto_recognize] models OpenARC's automatic privatization and
+    reduction-variable recognition; the paper's Table II experiment
+    disables it (and strips the explicit clauses) to inject the race
+    conditions that kernel verification must catch. *)
 
-type t = {
-  auto_privatize : bool;
-  auto_reduction : bool;
-  register_promote : bool;
-}
+type t = { auto_recognize : bool }
 
-let default =
-  { auto_privatize = true; auto_reduction = true; register_promote = true }
+let default = { auto_recognize = true }
 
 (** Table II fault-injection configuration: no automatic recovery of the
     stripped private/reduction clauses. *)
-let fault_injection =
-  { default with auto_privatize = false; auto_reduction = false }
+let fault_injection = { auto_recognize = false }

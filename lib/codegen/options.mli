@@ -1,13 +1,7 @@
-(** Compiler configuration switches: automatic privatization and reduction
-    recognition (disabled together for Table II's fault injection) and the
-    backend register-promotion model that turns missing privatization into a
-    latent rather than active error (§IV-B). *)
+(** Compiler configuration: automatic privatization and reduction
+    recognition, disabled for Table II's fault injection. *)
 
-type t = {
-  auto_privatize : bool;
-  auto_reduction : bool;
-  register_promote : bool;
-}
+type t = { auto_recognize : bool }
 
 val default : t
 

@@ -66,8 +66,9 @@ let classify_scalars ~(opts : Options.t) ~induction ~declared ~clauses
     Varset.of_list (List.concat_map Acc.Query.firstprivate_vars clauses)
   in
   let reduction_clause = List.concat_map Acc.Query.reductions clauses in
-  let auto_private = if opts.auto_privatize then Regions.privatizable acc
-                     else Varset.empty in
+  let auto_private =
+    if opts.auto_recognize then Regions.privatizable acc else Varset.empty
+  in
   let interesting =
     Varset.diff (Varset.diff acc.Regions.scalars_written declared) induction
   in
@@ -82,7 +83,7 @@ let classify_scalars ~(opts : Options.t) ~induction ~declared ~clauses
           else
             let accum = List.assoc_opt v acc.Regions.accumulators in
             match accum with
-            | Some op when opts.auto_reduction -> Some (v, Sc_reduction op)
+            | Some op when opts.auto_recognize -> Some (v, Sc_reduction op)
             | Some _ ->
                 (* Unrecognized accumulator: loop-carried read-modify-write,
                    an active race on real hardware. *)
@@ -90,10 +91,10 @@ let classify_scalars ~(opts : Options.t) ~induction ~declared ~clauses
             | None -> (
                 match Hashtbl.find_opt acc.Regions.first_access v with
                 | Some Regions.First_write ->
-                    (* Privatizable but not privatized: register promotion
-                       hides the race unless disabled. *)
-                    if opts.register_promote then Some (v, Sc_raced Race_latent)
-                    else Some (v, Sc_raced Race_active)
+                    (* Privatizable but not privatized: the backend caches
+                       the thread's value in a register, which hides the
+                       race (§IV-B). *)
+                    Some (v, Sc_raced Race_latent)
                 | Some Regions.First_read | None ->
                     Some (v, Sc_raced Race_active))
   in
