@@ -52,8 +52,7 @@ let loop_infos (cfg : Tcfg.t) (sets : Tcfg.sets) =
     (match Tcfg.payload cfg i with
     | Tcfg.Ncond _ | Tcfg.Nhost_frag _ -> add li cfg.Tcfg.owner.(i)
     | Tcfg.Nentry | Tcfg.Nexit | Tcfg.Nstmt _ -> ());
-    List.iter (add li)
-      (Option.value ~default:[] (Hashtbl.find_opt cfg.Tcfg.loops_of i))
+    List.iter (add li) cfg.Tcfg.loops_of.(i)
   done;
   tbl
 
@@ -107,9 +106,7 @@ let instrument ?(mode = Optimized) (tp : Tprog.t) =
   for i = 0 to n - 1 do
     let owner = cfg.Tcfg.owner.(i) in
     if owner >= 0 then begin
-      let loops =
-        Option.value ~default:[] (Hashtbl.find_opt cfg.Tcfg.loops_of i)
-      in
+      let loops = cfg.Tcfg.loops_of.(i) in
       (match Tcfg.payload cfg i with
       | Tcfg.Nstmt { tkind = Tlaunch _; tid; _ } ->
           (* GPU checks at the kernel boundary, hoisted when legal. *)

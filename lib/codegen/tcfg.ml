@@ -22,11 +22,10 @@ type t = {
   mutable owner : int array;
       (** tid of the tstmt a node belongs to (the anchor for inserting
           checks); -1 for entry/exit *)
+  mutable loops_of : int list array;
+      (** tids of the loop tstmts enclosing a node, innermost first *)
   entry : int;
   exit_ : int;
-  of_tid : (int, int) Hashtbl.t;  (** tstmt tid -> node id *)
-  (* enclosing loop tstmt-tid chains, innermost first, per node *)
-  loops_of : (int, int list) Hashtbl.t;
 }
 
 let payload t n = t.payload.(n)
@@ -34,19 +33,18 @@ let payload t n = t.payload.(n)
 let node t kind ~owner ~loops =
   let id = Graph.add_node t.graph in
   if id >= Array.length t.payload then begin
-    let p = Array.make (max 16 (2 * Array.length t.payload)) Nentry in
-    Array.blit t.payload 0 p 0 (Array.length t.payload);
-    t.payload <- p;
-    let o = Array.make (Array.length p) (-1) in
-    Array.blit t.owner 0 o 0 (Array.length t.owner);
-    t.owner <- o
+    let grow a fill =
+      let b = Array.make (2 * Array.length a) fill in
+      Array.blit a 0 b 0 (Array.length a);
+      b
+    in
+    t.payload <- grow t.payload Nentry;
+    t.owner <- grow t.owner (-1);
+    t.loops_of <- grow t.loops_of []
   end;
   t.payload.(id) <- kind;
   t.owner.(id) <- owner;
-  Hashtbl.replace t.loops_of id loops;
-  (match kind with
-  | Nstmt s -> Hashtbl.replace t.of_tid s.tid id
-  | Nentry | Nexit | Ncond _ | Nhost_frag _ -> ());
+  t.loops_of.(id) <- loops;
   id
 
 let connect t preds n = List.iter (fun p -> Graph.add_edge t.graph p n) preds
@@ -107,8 +105,7 @@ let build (tp : Tprog.t) =
   let graph = Graph.create () in
   let t =
     { graph; payload = Array.make 16 Nentry; owner = Array.make 16 (-1);
-      entry = 0; exit_ = 0; of_tid = Hashtbl.create 64;
-      loops_of = Hashtbl.create 64 }
+      loops_of = Array.make 16 []; entry = 0; exit_ = 0 }
   in
   let entry = node t Nentry ~owner:(-1) ~loops:[] in
   assert (entry = 0);
