@@ -7,7 +7,8 @@ val parse_directive : loc:Loc.t -> string -> Ast.directive
 (** Does this directive introduce a structured statement body? *)
 val directive_has_body : Ast.directive -> bool
 
-(** Parse a full Mini-C translation unit. *)
+(** Parse a full Mini-C translation unit.  A unit that defines no
+    function is an error located at its end of input. *)
 val parse_string : ?file:string -> string -> Ast.program
 
 (** Parse a single expression (tests and the CLI). *)

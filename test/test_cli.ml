@@ -832,6 +832,9 @@ let test_exit_code_table () =
          "call to directive-containing function 'f' must be a statement");
         ("no main", Some "int g() { return 0; }\n",
          "program has no 'main' function");
+        ("empty file", Some "", "program has no 'main' function");
+        ("globals only", Some "float g0 = 1.0;\n",
+         "program has no 'main' function");
         ("parallel loop without a condition",
          Some
            "int main() { float a[4];\n\

@@ -142,7 +142,18 @@ let test_errors () =
   expect_error "int main() { for (;;) }";
   expect_error "int main() { #pragma acc bogus\n }";
   expect_error "int main() { #pragma acc kernels loop frobnicate(x)\n ; }";
-  expect_error "int main() { 1 + 2 }" (* missing semicolon *)
+  expect_error "int main() { 1 + 2 }" (* missing semicolon *);
+  (* a unit with no function has no main: located at its end of input *)
+  List.iter
+    (fun (src, line) ->
+      match Parser.parse_string ~file:"u.c" src with
+      | _ -> Alcotest.fail ("expected no-main error for: " ^ String.escaped src)
+      | exception Loc.Error (loc, msg) ->
+          Alcotest.(check string) "no-main message"
+            "program has no 'main' function" msg;
+          Alcotest.(check string) "at the end of input"
+            (Fmt.str "u.c:%d:1" line) (Loc.to_string loc))
+    [ ("", 1); ("float g0 = 1.0;\n", 2) ]
 
 let base_tests =
   [ Alcotest.test_case "expression precedence" `Quick test_precedence;
