@@ -22,8 +22,6 @@ let word_bits = Sys.int_size
 let words width = (width + word_bits - 1) / word_bits
 let word i = i / word_bits
 let mask i = 1 lsl (i mod word_bits)
-let create width = Array.make (words width) 0
-let add t i = t.(word i) <- t.(word i) lor mask i
 
 let full width =
   let t = Array.make (words width) (-1) in
@@ -31,13 +29,17 @@ let full width =
   if r > 0 then t.(Array.length t - 1) <- (1 lsl r) - 1;
   t
 
+let mem t i = t.(word i) land mask i <> 0
+
 let of_varset ix set =
-  let t = create (width ix) in
-  Varset.iter (fun v -> add t (Hashtbl.find ix.bits v)) set;
+  let t = Array.make (words (width ix)) 0 in
+  Varset.iter
+    (fun v ->
+      let i = Hashtbl.find ix.bits v in
+      t.(word i) <- t.(word i) lor mask i)
+    set;
   t
 
-let of_varsets ix sets =
-  let zero = create (width ix) in
-  Array.map
-    (fun s -> if Varset.is_empty s then zero else of_varset ix s)
-    sets
+let bits ix set =
+  if Varset.is_empty set then []
+  else List.rev (Varset.fold (fun v l -> Hashtbl.find ix.bits v :: l) set [])

@@ -30,19 +30,16 @@ val word : int -> int
 (** Bit [i]'s mask within its {!word}. *)
 val mask : int -> int
 
-(** All-zero vector of [width] bits. *)
-val create : int -> t
-
 (** All-one vector of [width] bits. *)
 val full : int -> t
-
-(** Set a bit in place. *)
-val add : t -> int -> unit
 
 (** The bits of a set's names.  @raise Not_found on a name outside the
     index. *)
 val of_varset : index -> Varset.t -> t
 
-(** {!of_varset} per element; the empty sets share one zero vector, which
-    must not be updated. *)
-val of_varsets : index -> Varset.t array -> t array
+(** Is bit [i] set? *)
+val mem : t -> int -> bool
+
+(** The bits of a set's names, ascending — the sparse form {!Dataflow}'s
+    gen/kill lists take.  @raise Not_found on a name outside the index. *)
+val bits : index -> Varset.t -> int list

@@ -39,32 +39,3 @@ let succs g i = g.succs.(i)
 let preds g i = g.preds.(i)
 
 let nodes g = Array.init g.n (fun i -> i)
-
-(** Nodes in reverse postorder from [entry] (good sweep order for forward
-    analyses; reverse it for backward ones). Unreachable nodes are appended
-    at the end in id order. *)
-let reverse_postorder g ~entry =
-  let visited = Array.make g.n false in
-  let finished = Array.make g.n 0 and k = ref 0 in
-  let rec dfs i =
-    if not visited.(i) then begin
-      visited.(i) <- true;
-      List.iter dfs g.succs.(i);
-      finished.(!k) <- i;
-      incr k
-    end
-  in
-  if g.n > 0 then dfs entry;
-  let reachable = !k in
-  let order = Array.make g.n 0 in
-  for i = 0 to reachable - 1 do
-    order.(i) <- finished.(reachable - 1 - i)
-  done;
-  let next = ref reachable in
-  for i = 0 to g.n - 1 do
-    if not visited.(i) then begin
-      order.(!next) <- i;
-      incr next
-    end
-  done;
-  order

@@ -15,7 +15,3 @@ val size : t -> int
 val succs : t -> int -> int list
 val preds : t -> int -> int list
 val nodes : t -> int array
-
-(** Nodes in reverse postorder from [entry] (unreachable nodes appended in
-    id order). *)
-val reverse_postorder : t -> entry:int -> int array

@@ -61,17 +61,36 @@ let status_of_deadness = function
   | Deadness.May_dead -> Some May_stale
   | Deadness.Live -> None
 
-(** Instrument [tp] with coherence checks. *)
-let instrument ?(mode = Optimized) (tp : Tprog.t) =
+(* The dataflow facts placement reads.  Placement uses the full
+   (alias-aware) access sets; deadness uses the compiler's imperfect view
+   that cannot see through ambiguous pointers. *)
+type facts = {
+  cfg : Tcfg.t;
+  sets : Tcfg.sets;
+  dead_gpu : Deadness.t;
+  dead_cpu : Deadness.t;
+  last_cpu : Lastwrite.t;
+  first : Firstaccess.t;
+}
+
+let facts tp =
   let cfg = Tcfg.build tp in
-  (* Placement uses the full (alias-aware) access sets; deadness uses the
-     compiler's imperfect view that cannot see through ambiguous pointers. *)
   let sets = Tcfg.access_sets tp cfg in
   let sets_blind = Tcfg.alias_blind sets in
-  let dead_gpu = Deadness.compute tp cfg sets_blind Gpu in
-  let dead_cpu = Deadness.compute tp cfg sets_blind Cpu in
-  let last_cpu = Lastwrite.compute tp cfg sets Cpu in
-  let first = Firstaccess.compute tp cfg sets in
+  { cfg; sets;
+    dead_gpu = Deadness.compute tp cfg sets_blind Gpu;
+    dead_cpu = Deadness.compute tp cfg sets_blind Cpu;
+    last_cpu = Lastwrite.compute tp cfg sets Cpu;
+    first = Firstaccess.compute tp cfg sets }
+
+let solve_words tp =
+  let f = facts tp in
+  Deadness.stored_words f.dead_gpu + Deadness.stored_words f.dead_cpu
+  + f.last_cpu.Lastwrite.words + f.first.Firstaccess.words
+
+(** Instrument [tp] with coherence checks. *)
+let instrument ?(mode = Optimized) (tp : Tprog.t) =
+  let { cfg; sets; dead_gpu; dead_cpu; last_cpu; first } = facts tp in
   let infos = loop_infos cfg sets in
 
   let pre : (int, check list) Hashtbl.t = Hashtbl.create 64 in

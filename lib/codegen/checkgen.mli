@@ -9,3 +9,9 @@ type mode =
   | Naive  (** per-access insertion — the ablation baseline *)
 
 val instrument : ?mode:mode -> Tprog.t -> Tprog.t
+
+(** Words of facts the seven dataflow solves [instrument] places checks
+    from keep: Algorithm 1's live and dead solves on both devices,
+    Algorithm 2 on the host and both first-access solves
+    ({!Analysis.Dataflow.stored_words}). *)
+val solve_words : Tprog.t -> int

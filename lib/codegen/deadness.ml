@@ -45,16 +45,20 @@ let compute (tp : Tprog.t) (cfg : Tcfg.t) (sets : Tcfg.sets) device =
   in
   let index = Bitset.index tp.tracked in
   let width = Bitset.width index in
+  let bits = Array.map (Bitset.bits index) in
+  let reset = Array.make (Graph.size cfg.Tcfg.graph) false in
   let solve meet gen kill =
-    Dataflow.solve cfg.Tcfg.graph
+    Dataflow.solve cfg.Tcfg.plan
       { direction = Dataflow.Backward; meet; width; top = Bitset.full width;
-        gen = Bitset.of_varsets index gen;
-        kill = Bitset.of_varsets index kill }
+        gen; kill; reset }
   in
+  let use_bits = bits use in
   (* With KILL empty: IN_Live(n) = OUT_Live(n) - DEF(n) + USE(n) *)
-  let live = solve Dataflow.Union use def in
+  let live = solve Dataflow.Union use_bits (bits def) in
   (* IN_Dead(n) = OUT_Dead(n) + DEF(n) - USE(n) *)
-  let dead = solve Dataflow.Intersect (Array.map2 Varset.diff def use) use in
+  let dead =
+    solve Dataflow.Intersect (bits (Array.map2 Varset.diff def use)) use_bits
+  in
   let weakened =
     Varset.fold
       (fun ptr acc -> Varset.union acc (Alias.resolve tp.alias ptr))
@@ -65,6 +69,8 @@ let compute (tp : Tprog.t) (cfg : Tcfg.t) (sets : Tcfg.sets) device =
       Varset.empty
   in
   { index; live; dead; weakened }
+
+let stored_words t = Dataflow.stored_words t.live + Dataflow.stored_words t.dead
 
 (** Deadness status of device copy [v] at the program point {e after} node
     [n].  For a Backward solve a node's input is the meet over its

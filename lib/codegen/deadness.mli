@@ -13,3 +13,6 @@ val compute : Tprog.t -> Tcfg.t -> Tcfg.sets -> Tprog.device -> t
 val status_after : t -> int -> string -> dstatus
 
 val status_name : dstatus -> string
+
+(** Words of facts its two solves keep ({!Analysis.Dataflow.stored_words}). *)
+val stored_words : t -> int

@@ -9,6 +9,7 @@ open Analysis
 type t = {
   first_read : Varset.t array;
   first_write : Varset.t array;
+  words : int;  (** words of facts its two solves keep *)
 }
 
 val compute : Tprog.t -> Tcfg.t -> Tcfg.sets -> t

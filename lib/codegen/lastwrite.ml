@@ -11,6 +11,7 @@ open Tprog
 
 type t = {
   last : Varset.t array;  (** per node: arrays whose write here is last *)
+  words : int;  (** words of facts its solve keeps *)
 }
 
 let compute (tp : Tprog.t) (cfg : Tcfg.t) (sets : Tcfg.sets) device =
@@ -21,18 +22,19 @@ let compute (tp : Tprog.t) (cfg : Tcfg.t) (sets : Tcfg.sets) device =
   in
   let index = Bitset.index tp.tracked in
   let width = Bitset.width index in
-  let all = Bitset.full width in
+  let bits = Bitset.bits index in
   (* IN_Write(n) = OUT_Write(n) + DEF(n) - KILL(n); kernel nodes start a new
-     segment, so they kill every bit. *)
+     segment, so they reset the fact. *)
   let res =
-    Dataflow.solve cfg.Tcfg.graph
+    Dataflow.solve cfg.Tcfg.plan
       { direction = Dataflow.Backward; meet = Dataflow.Intersect; width;
-        top = all;
-        gen = Bitset.of_varsets index (Array.map2 Varset.diff def kill);
+        top = Bitset.full width;
+        gen = Array.map bits (Array.map2 Varset.diff def kill);
         kill =
           Array.mapi
-            (fun i k -> if sets.Tcfg.is_kernel.(i) then all else k)
-            (Bitset.of_varsets index kill) }
+            (fun i k -> if sets.Tcfg.is_kernel.(i) then [] else bits k)
+            kill;
+        reset = sets.Tcfg.is_kernel }
   in
   (* LAST_Write(n) = IN_Write(n) - OUT_Write(n), restricted to DEF(n).
      A node's input is the meet over its successors (paper's OUT), empty
@@ -51,6 +53,6 @@ let compute (tp : Tprog.t) (cfg : Tcfg.t) (sets : Tcfg.sets) device =
           d)
       def
   in
-  { last }
+  { last; words = Dataflow.stored_words res }
 
 let is_last_write t n v = Varset.mem v t.last.(n)

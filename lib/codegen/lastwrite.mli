@@ -4,7 +4,10 @@
 
 open Analysis
 
-type t = { last : Varset.t array }
+type t = {
+  last : Varset.t array;  (** per node: arrays whose write here is last *)
+  words : int;  (** words of facts its solve keeps *)
+}
 
 val compute : Tprog.t -> Tcfg.t -> Tcfg.sets -> Tprog.device -> t
 val is_last_write : t -> int -> string -> bool

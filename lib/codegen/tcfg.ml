@@ -18,11 +18,14 @@ type node_kind =
 
 type t = {
   graph : Graph.t;
-  mutable payload : node_kind array;
-  mutable owner : int array;
+  plan : Dataflow.plan;
+      (** the regions of [graph]: each top-level statement of [main] is
+          one, because nodes are numbered in program order *)
+  payload : node_kind array;
+  owner : int array;
       (** tid of the tstmt a node belongs to (the anchor for inserting
           checks); -1 for entry/exit *)
-  mutable loops_of : int list array;
+  loops_of : int list array;
       (** tids of the loop tstmts enclosing a node, innermost first *)
   entry : int;
   exit_ : int;
@@ -30,24 +33,33 @@ type t = {
 
 let payload t n = t.payload.(n)
 
+(* The graph under construction, with its per-node arrays grown by
+   doubling. *)
+type builder = {
+  g : Graph.t;
+  mutable kinds : node_kind array;
+  mutable owners : int array;
+  mutable loops : int list array;
+}
+
 let node t kind ~owner ~loops =
-  let id = Graph.add_node t.graph in
-  if id >= Array.length t.payload then begin
+  let id = Graph.add_node t.g in
+  if id >= Array.length t.kinds then begin
     let grow a fill =
       let b = Array.make (2 * Array.length a) fill in
       Array.blit a 0 b 0 (Array.length a);
       b
     in
-    t.payload <- grow t.payload Nentry;
-    t.owner <- grow t.owner (-1);
-    t.loops_of <- grow t.loops_of []
+    t.kinds <- grow t.kinds Nentry;
+    t.owners <- grow t.owners (-1);
+    t.loops <- grow t.loops []
   end;
-  t.payload.(id) <- kind;
-  t.owner.(id) <- owner;
-  t.loops_of.(id) <- loops;
+  t.kinds.(id) <- kind;
+  t.owners.(id) <- owner;
+  t.loops.(id) <- loops;
   id
 
-let connect t preds n = List.iter (fun p -> Graph.add_edge t.graph p n) preds
+let connect t preds n = List.iter (fun p -> Graph.add_edge t.g p n) preds
 
 (* Returns the set of exit predecessors after the statement. [loops] is the
    chain of enclosing loop header nodes. *)
@@ -102,17 +114,17 @@ and build_seq t ~loops preds stmts =
   List.fold_left (fun preds s -> build_stmt t ~loops preds s) preds stmts
 
 let build (tp : Tprog.t) =
-  let graph = Graph.create () in
   let t =
-    { graph; payload = Array.make 16 Nentry; owner = Array.make 16 (-1);
-      loops_of = Array.make 16 []; entry = 0; exit_ = 0 }
+    { g = Graph.create (); kinds = Array.make 16 Nentry;
+      owners = Array.make 16 (-1); loops = Array.make 16 [] }
   in
   let entry = node t Nentry ~owner:(-1) ~loops:[] in
   assert (entry = 0);
   let body_exit = build_seq t ~loops:[] [ entry ] tp.body in
   let exit_ = node t Nexit ~owner:(-1) ~loops:[] in
   connect t body_exit exit_;
-  { t with entry; exit_ }
+  { graph = t.g; plan = Dataflow.plan t.g; payload = t.kinds;
+    owner = t.owners; loops_of = t.loops; entry; exit_ }
 
 (** {1 Per-node, per-device access sets} *)
 

@@ -37,7 +37,17 @@ type event = {
   ev_sid : int;
 }
 
-let analyze (tp : Tprog.t) =
+(* The instrumented program's coherence events in program order, the bit
+   of each device copy of a tracked array, and the may- and must-stale
+   facts. *)
+type facts = {
+  events : event list;
+  bit : device -> string -> int;
+  may : Dataflow.result;
+  must : Dataflow.result;
+}
+
+let facts (tp : Tprog.t) =
   let tp = Checkgen.instrument tp in
   let cfg = Tcfg.build tp in
   let n = Analysis.Graph.size cfg.Tcfg.graph in
@@ -54,12 +64,10 @@ let analyze (tp : Tprog.t) =
   let bit dev r =
     (match dev with Cpu -> 0 | Gpu -> m) + Option.get (Bitset.find roots r)
   in
-  let zero = Bitset.create width in
-  let gen_may = Array.make n zero and kill_may = Array.make n zero in
-  let gen_must = Array.make n zero and kill_must = Array.make n zero in
+  let gen_may = Array.make n [] and kill_may = Array.make n [] in
+  let gen_must = Array.make n [] and kill_must = Array.make n [] in
   let set facts i dev roots =
-    if facts.(i) == zero then facts.(i) <- Bitset.create width;
-    Varset.iter (fun r -> Bitset.add facts.(i) (bit dev r)) roots
+    Varset.iter (fun r -> facts.(i) <- bit dev r :: facts.(i)) roots
   in
   let events = ref [] in
   (* An event on possibly-aliased roots is not definite: it must not gen
@@ -123,13 +131,18 @@ let analyze (tp : Tprog.t) =
         | _ -> ())
     | _ -> ()
   done;
+  let reset = Array.make n false in
   let solve meet gen kill =
-    Dataflow.solve cfg.Tcfg.graph
+    Dataflow.solve cfg.Tcfg.plan
       { Dataflow.direction = Dataflow.Forward; meet; width;
-        top = Bitset.full width; gen; kill }
+        top = Bitset.full width; gen; kill; reset }
   in
-  let may = solve Dataflow.Union gen_may kill_may in
-  let must = solve Dataflow.Intersect gen_must kill_must in
+  { events = List.rev !events; bit;
+    may = solve Dataflow.Union gen_may kill_may;
+    must = solve Dataflow.Intersect gen_must kill_must }
+
+let analyze tp =
+  let { events; bit; may; must } = facts tp in
   (* Classify every event against the facts flowing into its node. *)
   let diag_of ev =
     let stale facts dev r = Dataflow.mem_input facts ev.ev_node (bit dev r) in
@@ -218,4 +231,8 @@ let analyze (tp : Tprog.t) =
                   var dir_desc site (device_name tgt)))
         else None
   in
-  List.filter_map diag_of (List.rev !events)
+  List.filter_map diag_of events
+
+let solve_words tp =
+  let f = facts tp in
+  Dataflow.stored_words f.may + Dataflow.stored_words f.must

@@ -21,3 +21,7 @@
 (** Diagnostics for one (uninstrumented) translated program, over the
     {!Codegen.Checkgen.Optimized} check placement. *)
 val analyze : Codegen.Tprog.t -> Diag.t list
+
+(** Words of facts the may- and must-solves of {!analyze} keep
+    ({!Analysis.Dataflow.stored_words}). *)
+val solve_words : Codegen.Tprog.t -> int

@@ -30,9 +30,12 @@ let test_cfg_structure () =
   let _, cfg, sets = setup () in
   let g = cfg.Tcfg.graph in
   Alcotest.(check bool) "has nodes" true (Graph.size g > 8);
-  (* entry reaches exit *)
-  let rpo = Graph.reverse_postorder g ~entry:cfg.Tcfg.entry in
-  Alcotest.(check bool) "exit reachable" true (Array.mem cfg.Tcfg.exit_ rpo);
+  (* entry 0 and exit last, every node on a path between them, and nodes
+     in program order: the plan cuts the graph into regions *)
+  Alcotest.(check (pair int int)) "entry first, exit last" (0, Graph.size g - 1)
+    (cfg.Tcfg.entry, cfg.Tcfg.exit_);
+  Alcotest.(check bool) "cut into regions" true
+    (Dataflow.regions cfg.Tcfg.plan > 2);
   (* exactly one kernel node with the right DEF/USE *)
   let k = launch_node cfg sets in
   Alcotest.(check bool) "kernel reads s" true
