@@ -1278,14 +1278,56 @@ let wall_timers =
 let suite_speedups timer entries =
   List.filter_map (fun (_, t) -> wall_speedup timer t) entries
 
-let wall_doc ~repeats ~engines entries =
+(* Growth of the static passes with program size: [Checkgen.instrument]
+   and [Lint.run_program] on [Blocks.three] at 17 and 100 copies (5.9x
+   the code), timed in interleaved pairs after a full major collection
+   each.  A pair times one call on the large program and the mean of 5
+   back-to-back calls (100 / 17, rounded down) on the small one, so both
+   sides time about the same work; a pass's growth is the median over the
+   pairs of the large time over the small.  Linear cost grows about 5.9x;
+   dense dataflow rows of every array at every node grow faster. *)
+let growth_copies = (17, 100)
+
+let growth_passes =
+  [ ("instrument", fun (_, tp) -> ignore (Codegen.Checkgen.instrument tp));
+    ("lint", fun (prog, _) -> ignore (Lint.run_program prog)) ]
+
+let wall_growth ~pairs =
+  let side k =
+    let prog = Minic.Parser.parse_string (Blocks.three k) in
+    (prog, compile prog)
+  in
+  let small = side (fst growth_copies) and large = side (snd growth_copies) in
+  (* Mean time of [calls] back-to-back calls. *)
+  let timed ~calls f x =
+    Gc.full_major ();
+    let t0 = Unix.gettimeofday () in
+    for _ = 1 to calls do
+      f x
+    done;
+    (Unix.gettimeofday () -. t0) /. float_of_int calls
+  in
+  let calls = snd growth_copies / fst growth_copies in
+  let ratios =
+    List.init pairs (fun _ ->
+        List.map
+          (fun (_, f) -> timed ~calls:1 f large /. timed ~calls f small)
+          growth_passes)
+  in
+  List.mapi
+    (fun i (name, _) ->
+      (name, median_float (List.map (fun r -> List.nth r i) ratios)))
+    growth_passes
+
+let wall_doc ~repeats ~engines ~growth entries =
   envelope "wall"
     ~header:
       [ ("repeats", P.int repeats);
         ( "engines",
           P.Arr
-            (List.map (fun e -> P.Str (Accrt.Engine.to_string e)) engines) )
-      ]
+            (List.map (fun e -> P.Str (Accrt.Engine.to_string e)) engines) );
+        ( "growth_copies",
+          P.Arr [ P.int (fst growth_copies); P.int (snd growth_copies) ] ) ]
     ~footer:
       (List.map
          (fun (prefix, _, timer) ->
@@ -1293,7 +1335,8 @@ let wall_doc ~repeats ~engines entries =
              match suite_speedups timer entries with
              | [] -> P.Null
              | speedups -> P.fixed 2 (median_float speedups) ))
-         wall_timers)
+         wall_timers
+      @ List.map (fun (name, g) -> (name ^ "_growth", P.fixed 2 g)) growth)
     (List.map
        (fun (name, times) ->
          P.Obj
@@ -1313,13 +1356,14 @@ let wall_doc ~repeats ~engines entries =
        entries)
 
 (* The wall tier: per-benchmark wall-clock medians of a run and of a
-   symbolic verification for the selected engines, the bench-wall JSON
-   report, and (when both engines ran and [min_speedup] is set) a gate
-   on both suite median speedups — the wall-smoke CI check.  Returns the
-   exit code. *)
+   symbolic verification for the selected engines, the static passes'
+   growth over [4 * repeats + 1] pairs, the bench-wall JSON report, and
+   the wall-smoke CI gates: both suite median speedups at least
+   [min_speedup] (when both engines ran), both growths at most
+   [max_growth].  Returns the exit code. *)
 let run_wall ?(json = wall_path) ?names
     ?(engines = [ Accrt.Engine.Tree; Accrt.Engine.Compiled ])
-    ?(repeats = 5) ?min_speedup ppf =
+    ?(repeats = 5) ?min_speedup ?max_growth ppf =
   let benches = select names in
   Fmt.pf ppf
     "Interpreter wall-clock (median of %d, seed 42, source variant)@."
@@ -1343,28 +1387,55 @@ let run_wall ?(json = wall_path) ?names
           Fmt.pf ppf "@.")
         wall_timers)
     entries;
+  let pairs = (4 * repeats) + 1 in
+  let growth = wall_growth ~pairs in
+  Fmt.pf ppf
+    "Static pass growth, %d -> %d copies of three blocks (median of %d \
+     pairs)@."
+    (fst growth_copies) (snd growth_copies) pairs;
+  List.iter (fun (name, g) -> Fmt.pf ppf "  %-12s %6.2fx@." name g) growth;
   Out_channel.with_open_bin json (fun oc ->
-      output_string oc (P.to_string (wall_doc ~repeats ~engines entries)));
+      output_string oc
+        (P.to_string (wall_doc ~repeats ~engines ~growth entries)));
   hr ppf;
   Fmt.pf ppf "wall report written to %s@." json;
-  match min_speedup with
-  | None -> 0
-  | Some need ->
+  let speedup_code =
+    match min_speedup with
+    | None -> 0
+    | Some need ->
+        List.fold_left
+          (fun code (_, label, timer) ->
+            match suite_speedups timer entries with
+            | [] -> code
+            | speedups ->
+                let got = median_float speedups in
+                if got >= need then begin
+                  Fmt.pf ppf "wall: median %s %.2fx (>= %.2fx required)@."
+                    label got need;
+                  code
+                end
+                else begin
+                  Fmt.pf ppf
+                    "WALL REGRESSION: median %s %.2fx below required %.2fx@."
+                    label got need;
+                  1
+                end)
+          0 wall_timers
+  in
+  match max_growth with
+  | None -> speedup_code
+  | Some bound ->
       List.fold_left
-        (fun code (_, label, timer) ->
-          match suite_speedups timer entries with
-          | [] -> code
-          | speedups ->
-              let got = median_float speedups in
-              if got >= need then begin
-                Fmt.pf ppf "wall: median %s %.2fx (>= %.2fx required)@."
-                  label got need;
-                code
-              end
-              else begin
-                Fmt.pf ppf
-                  "WALL REGRESSION: median %s %.2fx below required %.2fx@."
-                  label got need;
-                1
-              end)
-        0 wall_timers
+        (fun code (name, got) ->
+          if got <= bound then begin
+            Fmt.pf ppf "wall: median %s growth %.2fx (<= %.2fx allowed)@."
+              name got bound;
+            code
+          end
+          else begin
+            Fmt.pf ppf
+              "WALL REGRESSION: median %s growth %.2fx above allowed %.2fx@."
+              name got bound;
+            1
+          end)
+        speedup_code growth

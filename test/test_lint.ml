@@ -468,38 +468,6 @@ let test_multi_word () =
 
 (* --------------------------- blocks add up -------------------------- *)
 
-(* [k] renamed copies of three blocks over five arrays of their own:
-   JACOBI's sweep with an in-loop [update host] and a host residual, EP's
-   private + reduction pair, and an accumulate loop in a data region with
-   a redundant [update device].  The copies share nothing, so every count
-   is [k] times one copy's (read/write/reset checks 6/8/3 optimized and
-   7/8/3 naive; 9 ACC-XFER-004 and 2 ACC-XFER-005).  At [k = 40] the 200
-   tracked arrays span 4 words and the transfer lint's stale bits 7, so a
-   row or word offset shows. *)
-let three_blocks k =
-  let block i =
-    String.concat (string_of_int i)
-      (String.split_on_char '@'
-         "float a@[n];\nfloat b@[n];\nfor (int i = 0; i < n; i++) { a@[i] = \
-          float(i % 13) * 0.25 + 1.0; b@[i] = 0.0; }\nfor (int t = 0; t < \
-          3; t++) {\n#pragma acc kernels loop\nfor (int i = 1; i < n - 1; \
-          i++) { b@[i] = 0.5 * (a@[i - 1] + a@[i + 1]); }\n#pragma acc \
-          kernels loop\nfor (int i = 1; i < n - 1; i++) { a@[i] = b@[i]; \
-          }\n#pragma acc update host(b@)\n}\nfloat r@ = 0.0;\nfor (int i \
-          = 0; i < n; i++) { r@ = r@ + b@[i]; }\nr@ = r@ + b@[0];\nfloat \
-          x@[n];\nfloat s@ = \
-          0.0;\nfloat q@ = 0.0;\nfor (int i = 0; i < n; i++) { x@[i] = \
-          float(i % 7); }\n#pragma acc kernels loop private(q@) \
-          reduction(+:s@)\nfor (int i = 0; i < n; i++) { q@ = x@[i] * \
-          2.0; s@ = s@ + q@; }\nfloat c@[n];\nfloat d@[n];\nfor (int i = \
-          0; i < n; i++) { c@[i] = 1.0; d@[i] = 0.0; }\n#pragma acc data \
-          copyin(c@) copy(d@)\n{\nfor (int t = 0; t < 2; t++) {\n#pragma \
-          acc kernels loop\nfor (int i = 0; i < n; i++) { d@[i] = d@[i] + \
-          c@[i]; }\n#pragma acc update device(c@)\n}\n}\n")
-  in
-  "int main() { int n = 16;\n" ^ String.concat "" (List.init k block)
-  ^ "return 0; }"
-
 (* Checks of each kind: read, write, reset. *)
 let check_kinds tp =
   let r = ref 0 and w = ref 0 and z = ref 0 in
@@ -511,12 +479,40 @@ let check_kinds tp =
       | _ -> ());
   (!r, !w, !z)
 
+(* The words of facts [instrument]'s seven solves and the transfer lint's
+   two keep: each copy's arrays stay within its own regions, so they grow
+   by one copy's words per copy (plus the shared entry and exit), where
+   dense rows of every array at every node grow as [k]². *)
+let solve_words tp =
+  (Codegen.Checkgen.solve_words tp, Lint.Xfer.solve_words tp)
+
+(* Slack for the words of the nodes every copy shares. *)
+let shared_words = 16
+
+(* [Suite.Blocks.three k]: the copies share nothing, so every count is [k]
+   times one copy's (read/write/reset checks 6/8/3 optimized and 7/8/3
+   naive; 9 ACC-XFER-004 and 2 ACC-XFER-005).  At [k = 40] the 200
+   tracked arrays span 4 words and the transfer lint's stale bits 7, so a
+   row or word offset shows. *)
 let test_blocks_add_up () =
   let triple = Alcotest.(triple int int int) in
+  let one_instrument, one_lint =
+    solve_words (Openarc_core.Compiler.compile (Suite.Blocks.three 1))
+  in
+  let linear what k one got =
+    Alcotest.(check bool)
+      (Fmt.str "k=%d: %s's solves keep %d words, at most %d x %d + %d" k
+         what got k one shared_words)
+      true
+      (got <= (k * one) + shared_words)
+  in
   List.iter
     (fun k ->
-      let src = three_blocks k in
+      let src = Suite.Blocks.three k in
       let tp = Openarc_core.Compiler.compile src in
+      let instrument_words, lint_words = solve_words tp in
+      linear "instrument" k one_instrument instrument_words;
+      linear "the transfer lint" k one_lint lint_words;
       Alcotest.(check int) (Fmt.str "k=%d: tracked arrays" k) (5 * k)
         (Analysis.Varset.cardinal tp.Codegen.Tprog.tracked);
       let kinds mode = check_kinds (Codegen.Checkgen.instrument ~mode tp) in

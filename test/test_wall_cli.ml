@@ -1,8 +1,9 @@
 (* Integration tests of the bench driver's [wall] tier: the exit-2 usage
    convention for malformed flags, the bench-wall JSON report shape (run
-   and verify timers), the single-engine mode, and the --min-speedup gate
+   and verify timers), the single-engine mode, the --min-speedup gate
    on both suite medians (both directions — impossible bounds must fail,
-   a sub-1.0 sanity bound must pass). *)
+   a sub-1.0 sanity bound must pass), and the --max-growth gate on the
+   static passes' growth. *)
 
 let exe = "../bench/main.exe"
 
@@ -166,8 +167,49 @@ let test_min_speedup_gate () =
       [ "speedup"; "verify speedup" ]
   end
 
+(* The growth gate: the report carries both static passes' growth from
+   17 to 100 copies, a bound below linear growth trips it on both, a
+   generous one passes, and a malformed one is usage. *)
+let test_max_growth_gate () =
+  if available then begin
+    let json = Filename.temp_file "wall_growth" ".json" in
+    let args extra =
+      Fmt.str "wall --benches jacobi --repeats 1 --engine compiled --json %s %s"
+        (Filename.quote json) extra
+    in
+    let code, out, _ = run_cmd (args "--max-growth 1.0") in
+    Alcotest.(check int) "sub-linear bound: exit 1" 1 code;
+    List.iter
+      (fun pass ->
+        Alcotest.(check bool) (pass ^ " flagged") true
+          (contains
+             ~needle:("WALL REGRESSION: median " ^ pass ^ " growth ")
+             out))
+      [ "instrument"; "lint" ];
+    let code, out, _ = run_cmd (args "--max-growth 1000") in
+    Alcotest.(check int) "generous bound: exit 0" 0 code;
+    List.iter
+      (fun pass ->
+        Alcotest.(check bool) (pass ^ " gate reported") true
+          (contains ~needle:("wall: median " ^ pass ^ " growth ") out))
+      [ "instrument"; "lint" ];
+    let v = read_json json in
+    List.iter
+      (fun field ->
+        Alcotest.(check bool) (field ^ " above 1") true
+          (match Obs.Pjson.member field v with
+          | Some (Obs.Pjson.Num x) -> float_of_string x > 1.0
+          | _ -> false))
+      [ "instrument_growth"; "lint_growth" ];
+    let code, _, err = run_cmd "wall --max-growth fast" in
+    Alcotest.(check int) "bad growth bound: exit 2" 2 code;
+    Alcotest.(check bool) "growth bound named" true
+      (contains ~needle:"invalid growth bound 'fast'" err)
+  end
+
 let tests =
   [ Alcotest.test_case "bad flags" `Quick test_bad_flags;
     Alcotest.test_case "wall report" `Quick test_wall_report;
     Alcotest.test_case "single engine" `Quick test_single_engine;
-    Alcotest.test_case "min-speedup gate" `Quick test_min_speedup_gate ]
+    Alcotest.test_case "min-speedup gate" `Quick test_min_speedup_gate;
+    Alcotest.test_case "max-growth gate" `Quick test_max_growth_gate ]
