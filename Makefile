@@ -34,16 +34,16 @@ fault-matrix: build
 # 3-benchmark subset under both execution engines (median of 3) and
 # require the compiled engine to be at least twice as fast as the tree
 # walker on both suite medians — so verification losing its compiled
-# sequential regions fails CI.  Also time instrumentation and lint on 17
-# and 100 copies of a three-block program (median of 13 pairs) and
-# require neither to grow more than 7.1x for the 5.9x larger program — so
-# check placement or the transfer lint turning quadratic again fails CI.
-# wall-report.json carries the measurements (the full sweep is
+# sequential regions fails CI.  The same gate times instrumentation and
+# lint on 17 and 100 copies of a three-block program (median of 13 pairs)
+# and requires neither to grow more than 7.3x for the 5.9x larger program
+# — so check placement or the transfer lint turning quadratic again fails
+# CI.  wall-report.json carries the measurements (the full sweep is
 # `bench/main.exe wall`, which regenerates BENCH_wall.json).
 wall-smoke: build
 	$(DUNE) exec --no-build bench/main.exe -- \
 	  wall --benches jacobi,ep,srad --repeats 3 --min-speedup 2.0 \
-	  --max-growth 7.1 --json wall-report.json
+	  --json wall-report.json
 
 # Every byte golden: regenerate each BENCH_<tier>.json (paper, profile,
 # faults, symeq, scale, imbalance, memtrace, saturate) in memory, run its gate,

@@ -13,9 +13,9 @@
       BENCH_<tier>.json, printing the first differing line on a mismatch;
     - [wall]: measures real wall-clock of a run and of a symbolic kernel
       verification per benchmark and engine (median-of-N) and the growth
-      of instrumentation and lint from 17 to 100 copies of a program, and
-      can gate on both tree-vs-compiled suite median speedups and both
-      growths.
+      of instrumentation and lint from 17 to 100 copies of a program;
+      given [--min-speedup], it gates on both tree-vs-compiled suite
+      median speedups and on both growths.
 
     Exit codes: 0 ok; 1 a failed gate, a mismatching or missing golden;
     2 malformed input (unknown command, flag, value or name). *)
@@ -35,8 +35,7 @@ let usage =
     \       main.exe %s\n\
     \       main.exe check [TIER ...]\n\
     \       main.exe wall [--benches A,B,..] [--repeats N] [--json FILE]\n\
-    \                     [--engine tree|compiled|both] [--min-speedup X]\n\
-    \                     [--max-growth X]"
+    \                     [--engine tree|compiled|both] [--min-speedup X]"
     (String.concat "|" (List.map fst paper))
     (String.concat "|" (List.map (fun t -> t.Golden.name) Golden.tiers))
 
@@ -68,7 +67,7 @@ let wall argv =
   let json = ref Experiments.wall_path in
   let repeats = ref 5 in
   let engines = ref [ Accrt.Engine.Tree; Accrt.Engine.Compiled ] in
-  let min_speedup = ref None and max_growth = ref None in
+  let min_speedup = ref None in
   parse_flags
     [ ( "--benches",
         fun v ->
@@ -91,16 +90,11 @@ let wall argv =
         fun v ->
           match float_of_string_opt v with
           | Some x when x > 0.0 -> min_speedup := Some x
-          | _ -> malformed "invalid speedup bound '%s'" v );
-      ( "--max-growth",
-        fun v ->
-          match float_of_string_opt v with
-          | Some x when x > 0.0 -> max_growth := Some x
-          | _ -> malformed "invalid growth bound '%s'" v ) ]
+          | _ -> malformed "invalid speedup bound '%s'" v ) ]
     argv;
   match
     Experiments.run_wall ~json:!json ?names:!benches ~engines:!engines
-      ~repeats:!repeats ?min_speedup:!min_speedup ?max_growth:!max_growth ppf
+      ~repeats:!repeats ?min_speedup:!min_speedup ppf
   with
   | 0 -> ()
   | code -> exit code

@@ -29,8 +29,6 @@ let full width =
   if r > 0 then t.(Array.length t - 1) <- (1 lsl r) - 1;
   t
 
-let mem t i = t.(word i) land mask i <> 0
-
 let of_varset ix set =
   let t = Array.make (words (width ix)) 0 in
   Varset.iter

@@ -37,9 +37,6 @@ val full : int -> t
     index. *)
 val of_varset : index -> Varset.t -> t
 
-(** Is bit [i] set? *)
-val mem : t -> int -> bool
-
 (** The bits of a set's names, ascending — the sparse form {!Dataflow}'s
     gen/kill lists take.  @raise Not_found on a name outside the index. *)
 val bits : index -> Varset.t -> int list

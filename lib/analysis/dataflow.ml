@@ -353,11 +353,12 @@ let group_bits plan spec =
 let solve plan spec =
   let nreg = regions plan in
   let group_of, local, runs, sizes = group_bits plan spec in
+  let top = (spec.top :> int array) in
   let inits = Array.map (fun size -> Array.make (Bitset.words size) 0) sizes in
   if spec.meet = Intersect then
     Array.iteri
       (fun i g ->
-        if g >= 0 && Bitset.mem spec.top i then begin
+        if g >= 0 && has top i then begin
           let init = inits.(g) and l = local.(i) in
           init.(Bitset.word l) <- init.(Bitset.word l) lor Bitset.mask l
         end)
@@ -391,7 +392,7 @@ let solve plan spec =
     &&
     let rec clear i =
       i < spec.width
-      && ((group_of.(i) >= 0 && not (Bitset.mem spec.top i)) || clear (i + 1))
+      && ((group_of.(i) >= 0 && not (has top i)) || clear (i + 1))
     in
     clear 0
   in
@@ -453,7 +454,7 @@ let solve plan spec =
 let beyond r grp i v k =
   let var =
     match r.spec.meet with
-    | Intersect when not (Bitset.mem r.spec.top i) -> 1
+    | Intersect when not (has (r.spec.top :> int array) i) -> 1
     | Union | Intersect -> 0
   in
   let open_between x y =

@@ -2,8 +2,8 @@
    convention for malformed flags, the bench-wall JSON report shape (run
    and verify timers), the single-engine mode, the --min-speedup gate
    on both suite medians (both directions — impossible bounds must fail,
-   a sub-1.0 sanity bound must pass), and the --max-growth gate on the
-   static passes' growth. *)
+   a sub-1.0 sanity bound must pass), and the growth bound that gate
+   also holds the static passes to. *)
 
 let exe = "../bench/main.exe"
 
@@ -109,7 +109,8 @@ let test_wall_report () =
           (match Obs.Pjson.member field v with
           | Some (Obs.Pjson.Num x) -> float_of_string x > 0.0
           | _ -> false))
-      [ "median_speedup"; "median_verify_speedup" ]
+      [ "median_speedup"; "median_verify_speedup"; "instrument_growth";
+        "lint_growth" ]
   end
 
 let test_single_engine () =
@@ -141,6 +142,21 @@ let test_single_engine () =
       rows
   end
 
+(* Given --min-speedup, the gate also holds both static passes' growth
+   to a fixed bound and prints one verdict per pass; returns which are
+   over it.  The growths are wall-clock ratios, so a loaded machine may
+   put one over the bound, and the exit code must then say so. *)
+let growth_verdicts out =
+  List.map
+    (fun pass ->
+      let within = contains ~needle:("wall: median " ^ pass ^ " growth ") out
+      and over =
+        contains ~needle:("WALL REGRESSION: median " ^ pass ^ " growth ") out
+      in
+      Alcotest.(check bool) (pass ^ " growth verdict") true (within <> over);
+      over)
+    [ "instrument"; "lint" ]
+
 let test_min_speedup_gate () =
   if available then begin
     let json = Filename.temp_file "wall_gate" ".json" in
@@ -156,60 +172,23 @@ let test_min_speedup_gate () =
         Alcotest.(check bool) (label ^ " flagged") true
           (contains ~needle:("WALL REGRESSION: median " ^ label ^ " ") out))
       [ "speedup"; "verify speedup" ];
+    ignore (growth_verdicts out);
     (* ...and a trivial one must pass (any positive speedup clears 0.01). *)
     let code, out, _ = run_cmd (args "--min-speedup 0.01") in
     Sys.remove json;
-    Alcotest.(check int) "trivial bound: exit 0" 0 code;
     List.iter
       (fun label ->
         Alcotest.(check bool) (label ^ " gate reported") true
           (contains ~needle:("wall: median " ^ label ^ " ") out))
-      [ "speedup"; "verify speedup" ]
-  end
-
-(* The growth gate: the report carries both static passes' growth from
-   17 to 100 copies, a bound below linear growth trips it on both, a
-   generous one passes, and a malformed one is usage. *)
-let test_max_growth_gate () =
-  if available then begin
-    let json = Filename.temp_file "wall_growth" ".json" in
-    let args extra =
-      Fmt.str "wall --benches jacobi --repeats 1 --engine compiled --json %s %s"
-        (Filename.quote json) extra
-    in
-    let code, out, _ = run_cmd (args "--max-growth 1.0") in
-    Alcotest.(check int) "sub-linear bound: exit 1" 1 code;
-    List.iter
-      (fun pass ->
-        Alcotest.(check bool) (pass ^ " flagged") true
-          (contains
-             ~needle:("WALL REGRESSION: median " ^ pass ^ " growth ")
-             out))
-      [ "instrument"; "lint" ];
-    let code, out, _ = run_cmd (args "--max-growth 1000") in
-    Alcotest.(check int) "generous bound: exit 0" 0 code;
-    List.iter
-      (fun pass ->
-        Alcotest.(check bool) (pass ^ " gate reported") true
-          (contains ~needle:("wall: median " ^ pass ^ " growth ") out))
-      [ "instrument"; "lint" ];
-    let v = read_json json in
-    List.iter
-      (fun field ->
-        Alcotest.(check bool) (field ^ " above 1") true
-          (match Obs.Pjson.member field v with
-          | Some (Obs.Pjson.Num x) -> float_of_string x > 1.0
-          | _ -> false))
-      [ "instrument_growth"; "lint_growth" ];
-    let code, _, err = run_cmd "wall --max-growth fast" in
-    Alcotest.(check int) "bad growth bound: exit 2" 2 code;
-    Alcotest.(check bool) "growth bound named" true
-      (contains ~needle:"invalid growth bound 'fast'" err)
+      [ "speedup"; "verify speedup" ];
+    let over = List.exists Fun.id (growth_verdicts out) in
+    Alcotest.(check int) "trivial bound: exit 0 unless a growth is over"
+      (if over then 1 else 0)
+      code
   end
 
 let tests =
   [ Alcotest.test_case "bad flags" `Quick test_bad_flags;
     Alcotest.test_case "wall report" `Quick test_wall_report;
     Alcotest.test_case "single engine" `Quick test_single_engine;
-    Alcotest.test_case "min-speedup gate" `Quick test_min_speedup_gate;
-    Alcotest.test_case "max-growth gate" `Quick test_max_growth_gate ]
+    Alcotest.test_case "min-speedup gate" `Quick test_min_speedup_gate ]
