@@ -1,5 +1,5 @@
-(** Iterative gen/kill dataflow solver over {!Graph} CFGs with {!Bitset}
-    facts, solved per region.
+(** Iterative gen/kill dataflow solver over CFGs given as a node count and
+    an edge list, with {!Bitset} facts, solved per region.
 
     The paper's Algorithm 1 (may-dead / must-dead / may-live) and Algorithm 2
     (last-write), as well as the first-read/first-write placement analyses,
@@ -36,21 +36,20 @@ type plan = {
   succs : adjacency;
 }
 
-let adjacency n neighbours =
+(* Each edge [e] lists [neighbour e] among the neighbours of [node e]. *)
+let adjacency n edges ~node ~neighbour =
   let off = Array.make (n + 1) 0 in
-  for v = 0 to n - 1 do
-    off.(v + 1) <- off.(v) + List.length (neighbours v)
+  List.iter (fun e -> off.(node e + 1) <- off.(node e + 1) + 1) edges;
+  for v = 1 to n do
+    off.(v) <- off.(v) + off.(v - 1)
   done;
-  let src = Array.make off.(n) 0 in
-  let rec fill k = function
-    | [] -> ()
-    | s :: rest ->
-        src.(k) <- s;
-        fill (k + 1) rest
-  in
-  for v = 0 to n - 1 do
-    fill off.(v) (neighbours v)
-  done;
+  let src = Array.make off.(n) 0 and next = Array.sub off 0 n in
+  List.iter
+    (fun e ->
+      let v = node e in
+      src.(next.(v)) <- neighbour e;
+      next.(v) <- next.(v) + 1)
+    edges;
   { off; src }
 
 (* Does every node lie on a path from [root] along [adj]?  [stack] has a
@@ -79,10 +78,9 @@ let spans n adj root stack =
    edge crossing it enters [c].  [cover.(c)] counts the other crossing
    edges, as a running sum of +1 at each edge's first covered boundary and
    -1 past its last. *)
-let plan g =
-  let n = Graph.size g in
-  let preds = adjacency n (Graph.preds g)
-  and succs = adjacency n (Graph.succs g) in
+let plan n edges =
+  let preds = adjacency n edges ~node:snd ~neighbour:fst
+  and succs = adjacency n edges ~node:fst ~neighbour:snd in
   let cover = Array.make (n + 1) 0 in
   for u = 0 to n - 1 do
     for k = succs.off.(u) to succs.off.(u + 1) - 1 do

@@ -1,5 +1,5 @@
-(** Iterative gen/kill dataflow solver over {!Graph} CFGs with {!Bitset}
-    facts, solved per region.  The paper's Algorithm 1 (may/must-dead),
+(** Iterative gen/kill dataflow solver over CFGs with {!Bitset} facts,
+    solved per region.  The paper's Algorithm 1 (may/must-dead),
     Algorithm 2 (last-write) and the first-access placement analyses are
     instances with different directions, meets and gen/kill sets. *)
 
@@ -11,11 +11,14 @@ type meet = Union | Intersect
     graph. *)
 type plan
 
-(** Cut [g] at each boundary between nodes [c - 1] and [c] that no edge
-    crosses except into [c].  A graph whose node 0 has predecessors, whose
-    last node has successors, or some node of which is off a path from
-    node 0 to the last node is one region. *)
-val plan : Graph.t -> plan
+(** [plan n edges]: the graph of the nodes [0 .. n - 1] and the edges
+    [(a, b)] from [a] to [b], cut at each boundary between nodes [c - 1]
+    and [c] that no edge crosses except into [c].  A graph whose node 0
+    has predecessors, whose last node has successors, or some node of
+    which is off a path from node 0 to the last node is one region.  A
+    repeated edge changes neither the cuts nor any solve.
+    @raise Invalid_argument on an edge outside [0 .. n - 1]. *)
+val plan : int -> (int * int) list -> plan
 
 (** Number of regions. *)
 val regions : plan -> int

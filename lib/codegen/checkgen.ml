@@ -42,7 +42,7 @@ let loop_infos (cfg : Tcfg.t) (sets : Tcfg.sets) =
             li_host = Varset.union cur.li_host li.li_host;
             li_h2d = Varset.union cur.li_h2d li.li_h2d }
   in
-  for i = 0 to Graph.size cfg.Tcfg.graph - 1 do
+  for i = 0 to Tcfg.size cfg - 1 do
     let li =
       { li_launch = sets.Tcfg.is_kernel.(i);
         li_host =
@@ -67,9 +67,8 @@ let status_of_deadness = function
 type facts = {
   cfg : Tcfg.t;
   sets : Tcfg.sets;
-  dead_gpu : Deadness.t;
-  dead_cpu : Deadness.t;
-  last_cpu : Lastwrite.t;
+  dead : Deadness.t;
+  last : Lastwrite.t;
   first : Firstaccess.t;
 }
 
@@ -78,19 +77,18 @@ let facts tp =
   let sets = Tcfg.access_sets tp cfg in
   let sets_blind = Tcfg.alias_blind sets in
   { cfg; sets;
-    dead_gpu = Deadness.compute tp cfg sets_blind Gpu;
-    dead_cpu = Deadness.compute tp cfg sets_blind Cpu;
-    last_cpu = Lastwrite.compute tp cfg sets Cpu;
+    dead = Deadness.compute tp cfg sets_blind;
+    last = Lastwrite.compute tp cfg sets;
     first = Firstaccess.compute tp cfg sets }
 
 let solve_words tp =
   let f = facts tp in
-  Deadness.stored_words f.dead_gpu + Deadness.stored_words f.dead_cpu
-  + f.last_cpu.Lastwrite.words + f.first.Firstaccess.words
+  Deadness.stored_words f.dead + f.last.Lastwrite.words
+  + f.first.Firstaccess.words
 
 (** Instrument [tp] with coherence checks. *)
 let instrument ?(mode = Optimized) (tp : Tprog.t) =
-  let { cfg; sets; dead_gpu; dead_cpu; last_cpu; first } = facts tp in
+  let { cfg; sets; dead; last; first } = facts tp in
   let infos = loop_infos cfg sets in
 
   let pre : (int, check list) Hashtbl.t = Hashtbl.create 64 in
@@ -121,8 +119,7 @@ let instrument ?(mode = Optimized) (tp : Tprog.t) =
     | None -> false
   in
 
-  let n = Graph.size cfg.Tcfg.graph in
-  for i = 0 to n - 1 do
+  for i = 0 to Tcfg.size cfg - 1 do
     let owner = cfg.Tcfg.owner.(i) in
     if owner >= 0 then begin
       let loops = cfg.Tcfg.loops_of.(i) in
@@ -150,7 +147,7 @@ let instrument ?(mode = Optimized) (tp : Tprog.t) =
           (* CPU copies of kernel-written arrays that are dead afterwards. *)
           Varset.iter
             (fun v ->
-              match status_of_deadness (Deadness.status_after dead_cpu i v) with
+              match status_of_deadness (Deadness.status_after dead.cpu i v) with
               | Some st -> add post tid (Reset_status (v, Cpu, st))
               | None -> ())
             sets.Tcfg.kern_write.(i)
@@ -183,9 +180,9 @@ let instrument ?(mode = Optimized) (tp : Tprog.t) =
           (* reset_status after a last host write whose GPU copy is dead. *)
           Varset.iter
             (fun v ->
-              if Lastwrite.is_last_write last_cpu i v then
+              if Lastwrite.is_last_write last i v then
                 match
-                  status_of_deadness (Deadness.status_after dead_gpu i v)
+                  status_of_deadness (Deadness.status_after dead.gpu i v)
                 with
                 | Some st -> add post owner (Reset_status (v, Gpu, st))
                 | None -> ())

@@ -27,37 +27,24 @@ open Tprog
 
 type dstatus = Live | May_dead | Must_dead
 
-type t = {
+type facts = {
   index : Bitset.index;  (** the tracked arrays *)
   live : Dataflow.result;  (** its input is the paper's OUT_Live per node *)
   dead : Dataflow.result;  (** its input is the paper's OUT_Dead per node *)
   weakened : Varset.t;  (** arrays whose must-dead facts are unreliable *)
 }
 
-let compute (tp : Tprog.t) (cfg : Tcfg.t) (sets : Tcfg.sets) device =
-  (* Transfers are excluded from DEF/USE: the copies they perform are the
-     objects of the optimization, not evidence of the value being used. Only
-     genuine computation accesses (host statements; kernels) count. *)
-  let use, def =
-    match device with
-    | Cpu -> (sets.Tcfg.host_read, sets.Tcfg.host_write)
-    | Gpu -> (sets.Tcfg.kern_read, sets.Tcfg.kern_write)
-  in
+type t = { cpu : facts; gpu : facts }
+
+let compute (tp : Tprog.t) (cfg : Tcfg.t) (sets : Tcfg.sets) =
   let index = Bitset.index tp.tracked in
   let width = Bitset.width index in
   let bits = Array.map (Bitset.bits index) in
-  let reset = Array.make (Graph.size cfg.Tcfg.graph) false in
+  let reset = Array.make (Tcfg.size cfg) false in
   let solve meet gen kill =
     Dataflow.solve cfg.Tcfg.plan
       { direction = Dataflow.Backward; meet; width; top = Bitset.full width;
         gen; kill; reset }
-  in
-  let use_bits = bits use in
-  (* With KILL empty: IN_Live(n) = OUT_Live(n) - DEF(n) + USE(n) *)
-  let live = solve Dataflow.Union use_bits (bits def) in
-  (* IN_Dead(n) = OUT_Dead(n) + DEF(n) - USE(n) *)
-  let dead =
-    solve Dataflow.Intersect (bits (Array.map2 Varset.diff def use)) use_bits
   in
   let weakened =
     Varset.fold
@@ -68,18 +55,34 @@ let compute (tp : Tprog.t) (cfg : Tcfg.t) (sets : Tcfg.sets) device =
                (Minic.Typecheck.function_vars tp.env "main") [])))
       Varset.empty
   in
-  { index; live; dead; weakened }
+  (* Transfers are excluded from DEF/USE: the copies they perform are the
+     objects of the optimization, not evidence of the value being used. Only
+     genuine computation accesses (host statements; kernels) count. *)
+  let device use def =
+    let use_bits = bits use in
+    (* With KILL empty: IN_Live(n) = OUT_Live(n) - DEF(n) + USE(n) *)
+    let live = solve Dataflow.Union use_bits (bits def) in
+    (* IN_Dead(n) = OUT_Dead(n) + DEF(n) - USE(n) *)
+    let dead =
+      solve Dataflow.Intersect (bits (Array.map2 Varset.diff def use)) use_bits
+    in
+    { index; live; dead; weakened }
+  in
+  { cpu = device sets.Tcfg.host_read sets.Tcfg.host_write;
+    gpu = device sets.Tcfg.kern_read sets.Tcfg.kern_write }
 
-let stored_words t = Dataflow.stored_words t.live + Dataflow.stored_words t.dead
+let stored_words { cpu; gpu } =
+  let words f = Dataflow.stored_words f.live + Dataflow.stored_words f.dead in
+  words cpu + words gpu
 
 (** Deadness status of device copy [v] at the program point {e after} node
     [n].  For a Backward solve a node's input is the meet over its
     successors: the paper's OUT(n). *)
-let status_after t n v =
-  match Bitset.find t.index v with
-  | Some i when Dataflow.mem_input t.live n i -> Live
-  | Some i when Dataflow.mem_input t.dead n i -> May_dead
-  | Some _ | None -> if Varset.mem v t.weakened then May_dead else Must_dead
+let status_after f n v =
+  match Bitset.find f.index v with
+  | Some i when Dataflow.mem_input f.live n i -> Live
+  | Some i when Dataflow.mem_input f.dead n i -> May_dead
+  | Some _ | None -> if Varset.mem v f.weakened then May_dead else Must_dead
 
 let status_name = function
   | Live -> "live"

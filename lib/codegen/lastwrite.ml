@@ -14,12 +14,8 @@ type t = {
   words : int;  (** words of facts its solve keeps *)
 }
 
-let compute (tp : Tprog.t) (cfg : Tcfg.t) (sets : Tcfg.sets) device =
-  let def, kill =
-    match device with
-    | Cpu -> (sets.Tcfg.host_write, sets.Tcfg.kern_write)
-    | Gpu -> (sets.Tcfg.kern_write, sets.Tcfg.host_write)
-  in
+let compute (tp : Tprog.t) (cfg : Tcfg.t) (sets : Tcfg.sets) =
+  let def = sets.Tcfg.host_write and kill = sets.Tcfg.kern_write in
   let index = Bitset.index tp.tracked in
   let width = Bitset.width index in
   let bits = Bitset.bits index in

@@ -9,5 +9,5 @@ type t = {
   words : int;  (** words of facts its solve keeps *)
 }
 
-val compute : Tprog.t -> Tcfg.t -> Tcfg.sets -> Tprog.device -> t
+val compute : Tprog.t -> Tcfg.t -> Tcfg.sets -> t
 val is_last_write : t -> int -> string -> bool

@@ -17,10 +17,10 @@ type node_kind =
   | Nhost_frag of Ast.stmt  (** loop init/step fragment *)
 
 type t = {
-  graph : Graph.t;
   plan : Dataflow.plan;
-      (** the regions of [graph]: each top-level statement of [main] is
-          one, because nodes are numbered in program order *)
+      (** the graph's only adjacency, cut into regions: each top-level
+          statement of [main] is one, because nodes are numbered in
+          program order *)
   payload : node_kind array;
   owner : int array;
       (** tid of the tstmt a node belongs to (the anchor for inserting
@@ -33,17 +33,22 @@ type t = {
 
 let payload t n = t.payload.(n)
 
-(* The graph under construction, with its per-node arrays grown by
-   doubling. *)
+(** Number of nodes; their ids are [0 .. size t - 1]. *)
+let size t = Array.length t.payload
+
+(* The graph under construction: its edges so far, and its per-node
+   arrays grown by doubling. *)
 type builder = {
-  g : Graph.t;
+  mutable n : int;
+  mutable edges : (int * int) list;
   mutable kinds : node_kind array;
   mutable owners : int array;
   mutable loops : int list array;
 }
 
 let node t kind ~owner ~loops =
-  let id = Graph.add_node t.g in
+  let id = t.n in
+  t.n <- id + 1;
   if id >= Array.length t.kinds then begin
     let grow a fill =
       let b = Array.make (2 * Array.length a) fill in
@@ -59,7 +64,8 @@ let node t kind ~owner ~loops =
   t.loops.(id) <- loops;
   id
 
-let connect t preds n = List.iter (fun p -> Graph.add_edge t.g p n) preds
+let connect t preds n =
+  List.iter (fun p -> t.edges <- (p, n) :: t.edges) preds
 
 (* Returns the set of exit predecessors after the statement. [loops] is the
    chain of enclosing loop header nodes. *)
@@ -115,7 +121,7 @@ and build_seq t ~loops preds stmts =
 
 let build (tp : Tprog.t) =
   let t =
-    { g = Graph.create (); kinds = Array.make 16 Nentry;
+    { n = 0; edges = []; kinds = Array.make 16 Nentry;
       owners = Array.make 16 (-1); loops = Array.make 16 [] }
   in
   let entry = node t Nentry ~owner:(-1) ~loops:[] in
@@ -123,8 +129,9 @@ let build (tp : Tprog.t) =
   let body_exit = build_seq t ~loops:[] [ entry ] tp.body in
   let exit_ = node t Nexit ~owner:(-1) ~loops:[] in
   connect t body_exit exit_;
-  { graph = t.g; plan = Dataflow.plan t.g; payload = t.kinds;
-    owner = t.owners; loops_of = t.loops; entry; exit_ }
+  let cut a = Array.sub a 0 t.n in
+  { plan = Dataflow.plan t.n t.edges; payload = cut t.kinds;
+    owner = cut t.owners; loops_of = cut t.loops; entry; exit_ }
 
 (** {1 Per-node, per-device access sets} *)
 
@@ -155,7 +162,7 @@ type sets = {
     arrays: one {!Regions} scan per host node, resolving pointers through
     the program's alias analysis. *)
 let access_sets (tp : Tprog.t) (cfg : t) =
-  let n = Graph.size cfg.graph in
+  let n = size cfg in
   let none () = Array.make n Varset.empty in
   let s =
     { host_read = none (); host_write = none (); kern_read = none ();
@@ -208,8 +215,3 @@ let alias_blind s =
   { s with
     host_read = Array.map2 Varset.diff s.host_read s.hidden;
     host_write = Array.map2 Varset.diff s.host_write s.hidden }
-
-(** Kernel-launch (Tlaunch) nodes. *)
-let kernel_nodes cfg sets =
-  List.filter (fun i -> sets.is_kernel.(i))
-    (Array.to_list (Graph.nodes cfg.graph))

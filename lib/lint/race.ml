@@ -46,8 +46,7 @@ let explicit_facts by_sid k =
 
 (* ----------------------------- scalars ------------------------------ *)
 
-let scalar_diags tp (explicit_private, explicit_reduction) (k : kernel) =
-  let region = Analysis.Regions.analyze ~alias:tp.alias k.k_body in
+let scalar_diags (explicit_private, explicit_reduction) region (k : kernel) =
   let diag_of_scalar (v, cls) =
     match cls with
     | Sc_raced kind -> (
@@ -126,12 +125,11 @@ let varying_names (k : kernel) region =
     (Varset.union region.Analysis.Regions.scalars_written
        region.Analysis.Regions.declared)
 
-let array_diags tp (explicit_private, _) (k : kernel) =
+let array_diags (explicit_private, _) region (k : kernel) =
   match k.k_loop with
   | None -> []
   | Some _ when k.k_seq -> []
   | Some loop ->
-      let region = Analysis.Regions.analyze ~alias:tp.alias k.k_body in
       let iv = loop.kl_var in
       let varying = varying_names k region in
       let accesses =
@@ -227,4 +225,5 @@ let analyze (tp : Codegen.Tprog.t) =
   Array.to_list tp.kernels
   |> List.concat_map (fun k ->
          let facts = explicit_facts by_sid k in
-         scalar_diags tp facts k @ array_diags tp facts k)
+         let region = Analysis.Regions.analyze ~alias:tp.alias k.k_body in
+         scalar_diags facts region k @ array_diags facts region k)

@@ -50,7 +50,7 @@ type facts = {
 let facts (tp : Tprog.t) =
   let tp = Checkgen.instrument tp in
   let cfg = Tcfg.build tp in
-  let n = Analysis.Graph.size cfg.Tcfg.graph in
+  let n = Tcfg.size cfg in
   let tracked v = Varset.mem v tp.tracked in
   let resolve v =
     let r = Varset.filter tracked (Analysis.Alias.resolve tp.alias v) in

@@ -1,7 +1,7 @@
-(* Analysis-library tests: points-to, region access analysis, the CFG
-   carrier graph, and the gen/kill dataflow solver (with QCheck fixpoint
-   and reference-solver properties, on arbitrary and on structured,
-   region-cut graphs). *)
+(* Analysis-library tests: points-to, region access analysis and the
+   gen/kill dataflow solver (with QCheck fixpoint and reference-solver
+   properties, on arbitrary and on structured, region-cut graphs).  A graph
+   is its node count and its edge list, as [Dataflow.plan] takes it. *)
 
 open Minic
 open Analysis
@@ -122,40 +122,18 @@ let test_regions_pointer_rebinding () =
   Alcotest.(check bool) "write through pointer hits root" true
     (Varset.mem "a" acc2.Regions.arrays_written)
 
-(* ------------------------------ graph ------------------------------ *)
-
-let test_graph () =
-  let g = Graph.create () in
-  let a = Graph.add_node g in
-  let b = Graph.add_node g in
-  let c = Graph.add_node g in
-  Graph.add_edge g a b;
-  Graph.add_edge g b c;
-  Graph.add_edge g c b;
-  (* duplicate edges are not added twice *)
-  Graph.add_edge g a b;
-  Alcotest.(check int) "size" 3 (Graph.size g);
-  Alcotest.(check (list int)) "succs a" [ b ] (Graph.succs g a);
-  Alcotest.(check (list int)) "preds b" [ a; c ]
-    (List.sort compare (Graph.preds g b))
-
 (* ----------------------------- dataflow ---------------------------- *)
 
-(* Diamond CFG: 0 -> 1 -> 3, 0 -> 2 -> 3. *)
-let diamond () =
-  let g = Graph.create () in
-  let n0 = Graph.add_node g and n1 = Graph.add_node g in
-  let n2 = Graph.add_node g and n3 = Graph.add_node g in
-  Graph.add_edge g n0 n1;
-  Graph.add_edge g n0 n2;
-  Graph.add_edge g n1 n3;
-  Graph.add_edge g n2 n3;
-  g
+let plan (n, edges) = Dataflow.plan n edges
+
+(* Diamond CFG: 0 -> 1 -> 3, 0 -> 2 -> 3, with the edge 2 -> 3 given
+   twice, as [Codegen.Tcfg.build] repeats the edge out of an [if] whose
+   arms are both empty. *)
+let diamond = (4, [ (0, 1); (0, 2); (1, 3); (2, 3); (2, 3) ])
 
 let test_dataflow_union_vs_intersect () =
-  let g = diamond () in
   let solve meet =
-    Dataflow.solve (Dataflow.plan g)
+    Dataflow.solve (plan diamond)
       { direction = Dataflow.Forward; meet; width = 1;
         top = Bitset.full 1; gen = [| []; [ 0 ]; []; [] |];
         kill = Array.make 4 []; reset = Array.make 4 false }
@@ -171,21 +149,14 @@ let test_dataflow_union_vs_intersect () =
 
 let test_dataflow_backward_loop () =
   (* 0 -> 1 -> 2, 1 -> 1 (self loop); liveness-style: node 2 uses "v". *)
-  let g = Graph.create () in
-  let n0 = Graph.add_node g and n1 = Graph.add_node g in
-  let n2 = Graph.add_node g in
-  Graph.add_edge g n0 n1;
-  Graph.add_edge g n1 n1;
-  Graph.add_edge g n1 n2;
   let r =
-    Dataflow.solve (Dataflow.plan g)
+    Dataflow.solve (plan (3, [ (0, 1); (1, 1); (1, 2) ]))
       { direction = Dataflow.Backward; meet = Dataflow.Union; width = 1;
         top = Bitset.full 1; gen = [| []; []; [ 0 ] |];
         kill = Array.make 3 []; reset = Array.make 3 false }
   in
-  ignore n0;
   Alcotest.(check bool) "live through loop" true
-    (Dataflow.mem_output r n1 0)
+    (Dataflow.mem_output r 1 0)
 
 (* Solve a problem given as per-node name sets over [names] (bit [i] is
    the [i]-th name), and read every node's input and output back as name
@@ -194,7 +165,7 @@ let solve_sets g ~direction ~meet ~names ~top ~gen ~kill ~reset =
   let ix = Bitset.index (Varset.of_list names) in
   let width = Bitset.width ix in
   let r =
-    Dataflow.solve (Dataflow.plan g)
+    Dataflow.solve (plan g)
       { direction; meet; width;
         top =
           (* the all-names top as the callers build it *)
@@ -206,22 +177,29 @@ let solve_sets g ~direction ~meet ~names ~top ~gen ~kill ~reset =
   let names_of mem v =
     Varset.of_list (List.filteri (fun i _ -> mem r v i) names)
   in
-  let nodes = Graph.nodes g in
+  let nodes = Array.init (fst g) Fun.id in
   ( Array.map (names_of Dataflow.mem_input) nodes,
     Array.map (names_of Dataflow.mem_output) nodes )
 
-let sources direction g =
-  match direction with
-  | Dataflow.Forward -> Graph.preds g
-  | Dataflow.Backward -> Graph.succs g
+(* Each node's sources: its predecessors (forward) or successors
+   (backward), a repeated edge listing one twice. *)
+let sources direction (n, edges) =
+  let adj = Array.make n [] in
+  List.iter
+    (fun (a, b) ->
+      match direction with
+      | Dataflow.Forward -> adj.(b) <- a :: adj.(b)
+      | Dataflow.Backward -> adj.(a) <- b :: adj.(a))
+    edges;
+  Array.get adj
 
 let meet_sets meet =
   match meet with
   | Dataflow.Union -> Varset.union
   | Dataflow.Intersect -> Varset.inter
 
-let meet_of direction meet g outputs n =
-  match sources direction g n with
+let meet_of sources meet outputs n =
+  match sources n with
   | [] -> Varset.empty
   | s :: rest ->
       List.fold_left
@@ -236,7 +214,7 @@ let transfer ~gen ~kill ~reset n inp =
    Facts start at top (intersect) or empty (union); nodes without sources
    consume the empty fact. *)
 let reference g ~direction ~meet ~top ~gen ~kill ~reset =
-  let n = Graph.size g in
+  let n = fst g and sources = sources direction g in
   let init =
     match meet with Dataflow.Union -> Varset.empty | Intersect -> top
   in
@@ -246,7 +224,7 @@ let reference g ~direction ~meet ~top ~gen ~kill ~reset =
   while !changed do
     changed := false;
     for v = 0 to n - 1 do
-      let inp = meet_of direction meet g output v in
+      let inp = meet_of sources meet output v in
       let out = transfer ~gen ~kill ~reset v inp in
       if not (Varset.equal inp input.(v) && Varset.equal out output.(v))
       then begin
@@ -312,14 +290,8 @@ let print_problem p =
 
 let arb_problem = QCheck.make ~print:print_problem gen_problem
 
-let graph_of p =
-  let g = Graph.create () in
-  for _ = 1 to problem_nodes do ignore (Graph.add_node g) done;
-  List.iter (fun (a, b) -> Graph.add_edge g a b) p.p_edges;
-  g
-
 let solve_problem p =
-  let g = graph_of p in
+  let g = (problem_nodes, p.p_edges) in
   let reset = Array.make problem_nodes false in
   let input, output =
     solve_sets g ~direction:p.p_direction ~meet:p.p_meet ~names:p.p_names
@@ -332,13 +304,14 @@ let dataflow_fixpoint =
   QCheck.Test.make ~count:200 ~name:"dataflow solution is a fixpoint"
     arb_problem (fun p ->
       let g, reset, input, output = solve_problem p in
-      Array.for_all
+      let sources = sources p.p_direction g in
+      List.for_all
         (fun n ->
-          let expected_in = meet_of p.p_direction p.p_meet g output n in
+          let expected_in = meet_of sources p.p_meet output n in
           Varset.equal input.(n) expected_in
           && Varset.equal output.(n)
                (transfer ~gen:p.p_gen ~kill:p.p_kill ~reset n expected_in))
-        (Graph.nodes g))
+        (List.init problem_nodes Fun.id))
 
 (* Property: it is the same fixpoint the naive name-set solver reaches. *)
 let dataflow_reference =
@@ -384,10 +357,12 @@ and gen_shape depth =
 (* Entry node 0, the statements, the exit node last — the numbering and
    edges of [Tcfg.build]. *)
 let structured body =
-  let g = Graph.create () in
+  let count = ref 0 and edges = ref [] in
+  let connect preds n = List.iter (fun p -> edges := (p, n) :: !edges) preds in
   let node preds =
-    let n = Graph.add_node g in
-    List.iter (fun p -> Graph.add_edge g p n) preds;
+    let n = !count in
+    incr count;
+    connect preds n;
     n
   in
   let rec stmt preds = function
@@ -398,16 +373,15 @@ let structured body =
         pa @ if b = [] then [ c ] else pb
     | While b ->
         let c = node preds in
-        List.iter (fun p -> Graph.add_edge g p c) (seq [ c ] b);
+        connect (seq [ c ] b) c;
         [ c ]
     | For b ->
         let c = node [ node preds ] in
-        let step = node (seq [ c ] b) in
-        Graph.add_edge g step c;
+        connect [ node (seq [ c ] b) ] c;
         [ c ]
   and seq preds body = List.fold_left stmt preds body in
   ignore (node (seq [ node [] ] body));
-  g
+  (!count, !edges)
 
 let rec pp_shape ppf = function
   | Leaf -> Fmt.string ppf "s"
@@ -435,7 +409,7 @@ type sproblem = {
 let gen_sproblem =
   QCheck.Gen.(
     let* s_body = gen_body 0 in
-    let n = Graph.size (structured s_body) in
+    let n = fst (structured s_body) in
     let* width = oneofl [ 3; 40; 64; 130 ] in
     let names = List.init width (Printf.sprintf "v%03d") in
     let* s_direction = oneofl [ Dataflow.Forward; Dataflow.Backward ] in
@@ -503,7 +477,7 @@ let dataflow_structured =
 
 (* One bit "x" with gen/kill at the given nodes, no resets unless given. *)
 let one_bit ?(reset = []) g ~direction ~meet ~top ~gen ~kill =
-  let n = Graph.size g in
+  let n = fst g in
   let at nodes =
     Array.init n (fun v ->
         if List.mem v nodes then Varset.singleton "x" else Varset.empty)
@@ -532,7 +506,7 @@ let test_dataflow_backward_before_group () =
   (* 0 entry, 1 leaf, 2 while, 3 body leaf, 4 leaf, 5 leaf, 6 exit *)
   let g = structured [ Leaf; While [ Leaf ]; Leaf; Leaf ] in
   Alcotest.(check bool) "several regions" true
-    (Dataflow.regions (Dataflow.plan g) > 3);
+    (Dataflow.regions (plan g) > 3);
   let live =
     one_bit g ~direction:Dataflow.Backward ~meet:Dataflow.Union ~top:true
       ~gen:[ 5 ] ~kill:[]
@@ -555,7 +529,7 @@ let test_dataflow_top_clear_loop () =
   (* 0 entry, 1 leaf (gen), 2 leaf, 3 while, 4 body leaf, 5 leaf, 6 exit *)
   let g = structured [ Leaf; Leaf; While [ Leaf ]; Leaf ] in
   Alcotest.(check bool) "several regions" true
-    (Dataflow.regions (Dataflow.plan g) > 3);
+    (Dataflow.regions (plan g) > 3);
   let solve top =
     List.map fst
       (one_bit g ~direction:Dataflow.Forward ~meet:Dataflow.Intersect ~top
@@ -577,7 +551,6 @@ let tests =
       test_regions_accumulator;
     Alcotest.test_case "regions: pointer rebinding" `Quick
       test_regions_pointer_rebinding;
-    Alcotest.test_case "graph basics" `Quick test_graph;
     Alcotest.test_case "dataflow: union vs intersect" `Quick
       test_dataflow_union_vs_intersect;
     Alcotest.test_case "dataflow: backward with loop" `Quick

@@ -3,7 +3,6 @@
    check-insertion pass that consumes them. *)
 
 open Codegen
-open Codegen.Tprog
 open Analysis
 
 (* q is written by the kernel and never read by the host; x is read by the
@@ -21,18 +20,20 @@ let setup () =
   let sets = Tcfg.access_sets tp cfg in
   (tp, cfg, sets)
 
+let nodes cfg = List.init (Tcfg.size cfg) Fun.id
+
 let launch_node cfg sets =
-  match Tcfg.kernel_nodes cfg sets with
+  match List.filter (fun i -> sets.Tcfg.is_kernel.(i)) (nodes cfg) with
   | [ n ] -> n
   | l -> Alcotest.failf "expected one kernel node, got %d" (List.length l)
 
 let test_cfg_structure () =
   let _, cfg, sets = setup () in
-  let g = cfg.Tcfg.graph in
-  Alcotest.(check bool) "has nodes" true (Graph.size g > 8);
+  Alcotest.(check bool) "has nodes" true (Tcfg.size cfg > 8);
   (* entry 0 and exit last, every node on a path between them, and nodes
      in program order: the plan cuts the graph into regions *)
-  Alcotest.(check (pair int int)) "entry first, exit last" (0, Graph.size g - 1)
+  Alcotest.(check (pair int int)) "entry first, exit last"
+    (0, Tcfg.size cfg - 1)
     (cfg.Tcfg.entry, cfg.Tcfg.exit_);
   Alcotest.(check bool) "cut into regions" true
     (Dataflow.regions cfg.Tcfg.plan > 2);
@@ -52,14 +53,33 @@ let test_cfg_structure () =
        (int i = 0; i < 4; i++) { a[i] = a[i] + 1.0; }\n}\nreturn 0; }"
   in
   let cfg2 = Tcfg.build tp2 in
+  let k2 = launch_node cfg2 (Tcfg.access_sets tp2 cfg2) in
+  let loop = List.hd cfg2.Tcfg.loops_of.(k2) in
+  let header =
+    List.find
+      (fun i ->
+        match Tcfg.payload cfg2 i with
+        | Tcfg.Ncond _ -> cfg2.Tcfg.owner.(i) = loop
+        | _ -> false)
+      (nodes cfg2)
+  in
+  (* a bit generated at the launch reaches the header it follows only
+     along the loop's back edge, joined there with the entry edge *)
+  let n2 = Tcfg.size cfg2 in
+  let seen =
+    Dataflow.solve cfg2.Tcfg.plan
+      { direction = Dataflow.Forward; meet = Dataflow.Union; width = 1;
+        top = Bitset.full 1;
+        gen = Array.init n2 (fun i -> if i = k2 then [ 0 ] else []);
+        kill = Array.make n2 []; reset = Array.make n2 false }
+  in
   Alcotest.(check bool) "loop header is a join" true
-    (Array.exists
-       (fun n -> List.length (Graph.preds cfg2.Tcfg.graph n) > 1)
-       (Graph.nodes cfg2.Tcfg.graph))
+    (header < k2 && Dataflow.mem_input seen header 0)
 
 let test_deadness () =
   let tp, cfg, sets = setup () in
-  let dead_cpu = Deadness.compute tp cfg sets Cpu in
+  let dead = Deadness.compute tp cfg sets in
+  let dead_cpu = dead.Deadness.cpu and dead_gpu = dead.Deadness.gpu in
   let k = launch_node cfg sets in
   (* after the kernel: the host never touches q again -> must-dead; x is
      read by the checksum loop -> live *)
@@ -69,7 +89,6 @@ let test_deadness () =
     (Deadness.status_name (Deadness.status_after dead_cpu k "x"));
   (* on the GPU side, after entry nothing reads q before the kernel writes
      it -> (may-)dead at the entry node *)
-  let dead_gpu = Deadness.compute tp cfg sets Gpu in
   Alcotest.(check bool) "q not live on GPU at entry" true
     (Deadness.status_after dead_gpu cfg.Tcfg.entry "q" <> Deadness.Live);
   Alcotest.(check string) "s live on GPU at entry (kernel reads it)" "live"
@@ -78,12 +97,12 @@ let test_deadness () =
 
 let test_lastwrite () =
   let tp, cfg, sets = setup () in
-  let last = Lastwrite.compute tp cfg sets Cpu in
+  let last = Lastwrite.compute tp cfg sets in
   (* the init loop's writes of s are the last host writes before the kernel *)
   let writers_of v =
     List.filter
       (fun n -> Varset.mem v sets.Tcfg.host_write.(n))
-      (Array.to_list (Graph.nodes cfg.Tcfg.graph))
+      (nodes cfg)
   in
   Alcotest.(check bool) "s's init write is last" true
     (List.exists (fun n -> Lastwrite.is_last_write last n "s")
@@ -92,11 +111,10 @@ let test_lastwrite () =
 let test_firstaccess () =
   let tp, cfg, sets = setup () in
   let first = Firstaccess.compute tp cfg sets in
-  let g = cfg.Tcfg.graph in
   let first_reads_of v =
     List.filter
       (fun n -> Varset.mem v first.Firstaccess.first_read.(n))
-      (Array.to_list (Graph.nodes g))
+      (nodes cfg)
   in
   (* x's host read after the kernel is a first read (the kernel resets) *)
   Alcotest.(check bool) "x has a first-read point" true
