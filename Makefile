@@ -2,7 +2,8 @@ DUNE ?= dune
 
 BENCHES = jacobi spmul ep cg backprop bfs cfd srad hotspot kmeans lud nw
 
-.PHONY: all build test lint fault-matrix wall-smoke goldens check bench clean
+.PHONY: all build test lint fault-matrix wall-smoke perf-smoke goldens check \
+	bench clean
 
 all: build
 
@@ -44,6 +45,24 @@ wall-smoke: build
 	$(DUNE) exec --no-build bench/main.exe -- \
 	  wall --benches jacobi,ep,srad --repeats 3 --min-speedup 2.0 \
 	  --json wall-report.json
+
+# Benchmark oracle smoke: one short pass of each perfbench workload, whose
+# independent oracles (saturate results re-run outside the search, the
+# measurement reproducing the final simulated time, ledger conservation,
+# Table II's 4 active / 0 latent detections) must all hold, printing
+# "correct": true.  The benchmark alone still calls the labelled
+# Interp.run, so this is also where its ~coherence agreement guard runs.
+# It builds perfbench from scratch, so it stays out of `make check`.
+perf-smoke: build
+	@for w in debug-suite saturate-suite compile-large; do \
+	  line=$$(bash perfbench/run.sh --workload "$$w" \
+	    --seed 1 --seconds 1 --trace 0 | tail -n 1); \
+	  echo "$$w: $$line"; \
+	  case "$$line" in \
+	    *'"correct": true'*) ;; \
+	    *) echo "perfbench $$w: an oracle failed"; exit 1 ;; \
+	  esac; \
+	done
 
 # Every byte golden: regenerate each BENCH_<tier>.json (paper, profile,
 # faults, symeq, scale, imbalance, memtrace, saturate) in memory, run its gate,

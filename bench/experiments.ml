@@ -17,7 +17,8 @@ let compile = Openarc_core.Compiler.compile_program
 
 module P = Obs.Pjson
 
-let run_program prog = Accrt.Interp.run ~coherence:false (compile prog)
+let run_program prog =
+  Accrt.Interp.exec Accrt.Interp.default Accrt.Interp.detached (compile prog)
 
 let hr ppf = Fmt.pf ppf "%s@." (String.make 78 '-')
 
@@ -296,10 +297,13 @@ let fig4_rows () =
       let tp = compile (parse_opt b) in
       (* Separate measurements get separate PCIe-jitter streams, as two
          wall-clock runs would on real hardware. *)
-      let base = Accrt.Interp.run ~coherence:false ~seed:11 tp in
+      let base =
+        Accrt.Interp.exec { Accrt.Interp.default with seed = 11 }
+          Accrt.Interp.detached tp
+      in
       let inst =
-        Accrt.Interp.run ~coherence:true ~seed:77
-          (Codegen.Checkgen.instrument tp)
+        Accrt.Interp.exec { Accrt.Interp.default with seed = 77 }
+          Accrt.Interp.detached (Codegen.Checkgen.instrument tp)
       in
       let t0 = Gpusim.Metrics.total_time (Accrt.Interp.metrics base) in
       let t1 = Gpusim.Metrics.total_time (Accrt.Interp.metrics inst) in
@@ -346,11 +350,15 @@ let run_ablation ppf =
       let tp = compile (parse_opt b) in
       let t0 =
         Gpusim.Metrics.total_time
-          (Accrt.Interp.metrics (Accrt.Interp.run ~coherence:false tp))
+          (Accrt.Interp.metrics
+             (Accrt.Interp.exec Accrt.Interp.default Accrt.Interp.detached
+                tp))
       in
       let measure mode =
         let tp' = Codegen.Checkgen.instrument ~mode tp in
-        let o = Accrt.Interp.run ~coherence:true tp' in
+        let o =
+          Accrt.Interp.exec Accrt.Interp.default Accrt.Interp.detached tp'
+        in
         let t = Gpusim.Metrics.total_time (Accrt.Interp.metrics o) in
         (Codegen.Tprog.count_checks tp',
          o.Accrt.Interp.coherence.Accrt.Coherence.checks_executed,
@@ -377,7 +385,10 @@ let run_granularity ppf =
     (fun (b : Bench_def.t) ->
       let measure granularity =
         let tp = Codegen.Checkgen.instrument (compile (parse b)) in
-        let o = Accrt.Interp.run ~coherence:true ~granularity tp in
+        let o =
+          Accrt.Interp.exec { Accrt.Interp.default with granularity }
+            Accrt.Interp.detached tp
+        in
         (List.length (Accrt.Interp.reports o),
          o.Accrt.Interp.coherence.Accrt.Coherence.interval_ops)
       in
@@ -403,7 +414,10 @@ let run_granularity ppf =
       Codegen.Checkgen.instrument
         (compile (Minic.Parser.parse_string partial_bug))
     in
-    let o = Accrt.Interp.run ~coherence:true ~granularity tp in
+    let o =
+      Accrt.Interp.exec { Accrt.Interp.default with granularity }
+        Accrt.Interp.detached tp
+    in
     (List.length
        (List.filter
           (fun (r : Accrt.Coherence.report) ->
@@ -603,7 +617,11 @@ let profile_categories =
 let profile_entry (b : Bench_def.t) =
   let tp = compile (parse b) in
   let tr = Obs.Trace.create () in
-  let o = Accrt.Interp.run ~coherence:false ~seed:42 ~obs:tr tp in
+  let o =
+    Accrt.Interp.exec { Accrt.Interp.default with seed = 42 }
+      { Accrt.Interp.detached with trace = Some tr }
+      tp
+  in
   let total = Gpusim.Metrics.total_time (Accrt.Interp.metrics o) in
   let p = Obs.Profile.of_trace ~categories:profile_categories tr in
   if not (Obs.Profile.conserves p ~total) then
@@ -747,7 +765,11 @@ let scale_entry (b : Bench_def.t) =
   let times =
     List.map
       (fun n ->
-        let o = Accrt.Interp.run ~coherence:false ~seed:42 ~devices:n tp in
+        let o =
+          Accrt.Interp.exec
+            { Accrt.Interp.default with seed = 42; devices = n }
+            Accrt.Interp.detached tp
+        in
         if n = scale_breakdown_devices then breakdown := scale_breakdown o;
         (n, Gpusim.Metrics.total_time (Accrt.Interp.metrics o)))
       scale_counts
@@ -802,8 +824,11 @@ let scale_failover ppf =
           Gpusim.Fault_plan.Device_lost ]
   in
   let o =
-    Accrt.Interp.run ~coherence:false ~seed:42 ~devices:2 ~plan
-      ~resilience:Accrt.Resilience.Retry tp
+    Accrt.Interp.exec
+      { Accrt.Interp.default with
+        seed = 42; devices = 2; plan = Some plan;
+        resilience = Accrt.Resilience.Retry }
+      Accrt.Interp.detached tp
   in
   let st = o.Accrt.Interp.resilience in
   let correct =
@@ -888,8 +913,10 @@ let imbalance_entry (b : Bench_def.t) =
   let tp = compile (parse b) in
   let run schedule =
     let o =
-      Accrt.Interp.run ~coherence:false ~seed:42
-        ~devices:imbalance_devices ~schedule tp
+      Accrt.Interp.exec
+        { Accrt.Interp.default with
+          seed = 42; devices = imbalance_devices; schedule }
+        Accrt.Interp.detached tp
     in
     ( Gpusim.Metrics.total_time (Accrt.Interp.metrics o),
       o.Accrt.Interp.imbalance )
@@ -986,7 +1013,11 @@ let imbalance ppf =
 let memtrace_entry (b : Bench_def.t) =
   let tp = Codegen.Checkgen.instrument (compile (parse b)) in
   let lg = Obs.Ledger.create ~devices:1 ~schedule:"block" in
-  let o = Accrt.Interp.run ~coherence:true ~seed:42 ~ledger:lg tp in
+  let o =
+    Accrt.Interp.exec { Accrt.Interp.default with seed = 42 }
+      { Accrt.Interp.detached with ledger = Some lg }
+      tp
+  in
   let m = Accrt.Interp.metrics o in
   let lh, ld = Obs.Ledger.totals lg in
   if lh <> m.Gpusim.Metrics.bytes_h2d || ld <> m.Gpusim.Metrics.bytes_d2h then
@@ -1005,7 +1036,10 @@ let memtrace_entry (b : Bench_def.t) =
 let memtrace_measured_saving (b : Bench_def.t) =
   let profile_of prog =
     let tr = Obs.Trace.create () in
-    ignore (Accrt.Interp.run ~coherence:false ~seed:42 ~obs:tr (compile prog));
+    ignore
+      (Accrt.Interp.exec { Accrt.Interp.default with seed = 42 }
+         { Accrt.Interp.detached with trace = Some tr }
+         (compile prog));
     Obs.Profile.of_trace ~categories:profile_categories tr
   in
   let d =
@@ -1235,7 +1269,7 @@ let median_wall ~repeats f =
          Unix.gettimeofday () -. t0))
 
 (* Per engine, the medians of two timers.  [run_s] times one translated
-   run: only [Interp.run] is inside the timer, because parse/translate
+   run: only [Interp.exec] is inside the timer, because parse/translate
    cost is a separate pipeline stage and the compiled engine pays its
    kernel compilation inside the run — so the comparison charges the
    engine, not the front end.  [verify_s] times the symbolic kernel
@@ -1253,7 +1287,9 @@ let wall_entry ~repeats ~engines (b : Bench_def.t) =
           { run_s =
               median_wall ~repeats (fun () ->
                   ignore
-                    (Accrt.Interp.run ~coherence:false ~engine ~seed:42 tp));
+                    (Accrt.Interp.exec
+                       { Accrt.Interp.default with engine; seed = 42 }
+                       Accrt.Interp.detached tp));
             verify_s =
               median_wall ~repeats (fun () ->
                   ignore

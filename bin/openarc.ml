@@ -106,12 +106,28 @@ let write_file path contents =
 let write_json path v = write_file path (Obs.Pjson.to_string v)
 
 (* The Chrome trace of a run over its whole device set (see
-   [Obs.Chrome.of_run]). *)
-let chrome_of_run ~trace ~ledger (o : Accrt.Interp.outcome) =
-  Obs.Chrome.of_run ~trace ~ledger
+   [Obs.Chrome.of_run]), with the host lane and allocation lanes its
+   observers recorded. *)
+let chrome_of_run (obs : Accrt.Interp.observers) (o : Accrt.Interp.outcome) =
+  Obs.Chrome.of_run ~trace:obs.trace ~ledger:obs.ledger
     (Array.map
        (fun d -> d.Gpusim.Device.timeline)
        o.Accrt.Interp.devset.Gpusim.Device_set.devices)
+
+(* The observers a Chrome trace written to [path] needs: on a device set,
+   a span trace for the host lane ([trace], else a fresh one) and a ledger
+   for each member's allocated-bytes lane; a one-device trace reads the
+   timelines alone. *)
+let chrome_observers ?trace (c : Accrt.Interp.config) path =
+  if c.devices > 1 && path <> None then
+    { Accrt.Interp.trace =
+        Some (Option.value trace ~default:(Obs.Trace.create ()));
+      ledger =
+        Some
+          (Obs.Ledger.create ~devices:c.devices
+             ~schedule:(Gpusim.Device_set.schedule_name c.schedule));
+      audit = None }
+  else { Accrt.Interp.detached with trace }
 
 (* Exit codes: 0 success, 1 runtime/simulation failure (or lint findings),
    2 malformed input (lexical/syntax/type errors, invalid OpenACC). *)
@@ -217,6 +233,56 @@ let engine_arg =
                  'tree' walks the AST (observably identical, several times \
                  slower in wall-clock)")
 
+(* --seed, --devices and --schedule: the device set a run simulates. *)
+let device_set_term =
+  let make seed devices schedule =
+    { Accrt.Interp.default with seed; devices; schedule }
+  in
+  Term.(const make $ seed_arg $ devices_arg $ schedule_arg)
+
+let fine_arg =
+  Arg.(value & flag
+       & info [ "fine-grained" ]
+           ~doc:"Track coherence per element range instead of per whole \
+                 array (the granularity alternative of the paper's \
+                 SIII-B discussion)")
+
+let device_faults_arg =
+  Arg.(value
+       & opt (some string) None
+       & info [ "device-faults" ] ~docv:"SPEC"
+           ~doc:"Inject device faults: comma-separated \
+                 KIND[:TARGET][@PROB][xCOUNT] rules with KIND in bitflip, \
+                 xfer-fail, xfer-partial, xfer-corrupt, launch-fail, \
+                 launch-timeout, oom, device-lost; an optional #DEV suffix \
+                 pins a rule to one device-set member (e.g. \
+                 'bitflip:a@0.5x3,device-lost#1')")
+
+let resilience_arg =
+  Arg.(value & opt string "none"
+       & info [ "resilience" ] ~docv:"POLICY"
+           ~doc:"Recovery policy for injected faults: none (propagate), \
+                 retry (bounded retry + checksum re-transfer + verified \
+                 re-execution), or full (retry plus CPU fallback)")
+
+(* [device_set_term] plus --fine-grained, --device-faults and
+   --resilience.  The command's handler calls the result, so a malformed
+   value exits 2 through [handle_code]: the fault spec is parsed with the
+   run's seed and its device ordinals checked against the set, then the
+   policy name. *)
+let faults_term =
+  let make fine spec policy (c : Accrt.Interp.config) () =
+    let plan = plan_of_spec ~seed:c.seed spec in
+    check_devices ~devices:c.devices plan;
+    { c with
+      granularity =
+        (if fine then Accrt.Coherence.Fine else Accrt.Coherence.Coarse);
+      plan;
+      resilience = policy_of_name policy }
+  in
+  Term.(const make $ fine_arg $ device_faults_arg $ resilience_arg
+        $ device_set_term)
+
 let handle f = handle_code (fun () -> f (); 0)
 
 (* ----------------------------- compile ----------------------------- *)
@@ -275,83 +341,36 @@ let run_cmd =
                    --devices N the file has one lane per member plus a \
                    host lane")
   in
-  let fine =
-    Arg.(value & flag
-         & info [ "fine-grained" ]
-             ~doc:"Track coherence per element range instead of per whole \
-                   array (the granularity alternative of the paper's \
-                   SIII-B discussion)")
-  in
-  let device_faults =
-    Arg.(value
-         & opt (some string) None
-         & info [ "device-faults" ] ~docv:"SPEC"
-             ~doc:"Inject device faults: comma-separated \
-                   KIND[:TARGET][@PROB][xCOUNT] rules with KIND in bitflip, \
-                   xfer-fail, xfer-partial, xfer-corrupt, launch-fail, \
-                   launch-timeout, oom, device-lost; an optional #DEV \
-                   suffix pins a rule to one device-set member (e.g. \
-                   'bitflip:a@0.5x3,device-lost#1')")
-  in
-  let resilience =
-    Arg.(value & opt string "none"
-         & info [ "resilience" ] ~docv:"POLICY"
-             ~doc:"Recovery policy for injected faults: none (propagate), \
-                   retry (bounded retry + checksum re-transfer + verified \
-                   re-execution), or full (retry plus CPU fallback)")
-  in
   let faults_json =
     Arg.(value
          & opt (some string) None
          & info [ "faults-json" ] ~docv:"FILE"
              ~doc:"Write the fault/recovery report as JSON to FILE")
   in
-  let run file fault instrument trace fine device_faults resilience seed
-      engine devices schedule faults_json =
+  let run file fault instrument trace config engine faults_json =
     handle (fun () ->
-        let plan = plan_of_spec ~seed device_faults in
-        check_devices ~devices plan;
-        let policy = policy_of_name resilience in
+        let config =
+          { (config ()) with Accrt.Interp.engine; timeline = trace <> None }
+        in
         let tp = load ~fault file in
         let tp =
           if instrument then Codegen.Checkgen.instrument tp else tp
         in
-        let granularity =
-          if fine then Accrt.Coherence.Fine else Accrt.Coherence.Coarse
-        in
-        (* A multi-device trace gets the per-device lane exporter, which
-           needs an observability trace for the host lane; single-device
-           runs keep the exact legacy output. *)
-        let obs =
-          if devices > 1 && trace <> None then Some (Obs.Trace.create ())
-          else None
-        in
-        (* The ledger feeds the per-device allocated-bytes counter lanes
-           of the multi-device Chrome export. *)
-        let ledger =
-          if devices > 1 && trace <> None then
-            Some
-              (Obs.Ledger.create ~devices
-                 ~schedule:(Gpusim.Device_set.schedule_name schedule))
-          else None
-        in
-        let o =
-          Accrt.Interp.run ~coherence:instrument ~engine ~granularity ~seed
-            ~trace:(trace <> None) ?plan ~resilience:policy ~devices
-            ~schedule ?obs ?ledger tp
-        in
+        let obs = chrome_observers config trace in
+        let o = Accrt.Interp.exec config obs tp in
         (match trace with
         | Some path ->
-            let doc = chrome_of_run ~trace:obs ~ledger o in
+            let doc = chrome_of_run obs o in
             write_json path doc;
             Fmt.pr "timeline (%d events) written to %s@."
               (List.length (Obs.Pjson.arr_exn doc))
               path
         | None -> ());
         Fmt.pr "%a@." Gpusim.Metrics.pp (Accrt.Interp.metrics o);
-        (if plan <> None || Accrt.Resilience.recovers policy then
+        let seed = config.seed and policy = config.resilience in
+        (if config.plan <> None || Accrt.Resilience.recovers policy then
            let plan =
-             Option.value plan ~default:(Gpusim.Fault_plan.none ())
+             Option.value config.plan ~default:(Gpusim.Fault_plan.none ())
            in
            Fmt.pr "@.%a@."
              (Accrt.Resilience.pp_report ~seed ~plan ~policy
@@ -377,9 +396,8 @@ let run_cmd =
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Execute a program on the simulated accelerator")
-    Term.(const run $ file_arg $ fault_arg $ instrument $ trace $ fine
-          $ device_faults $ resilience $ seed_arg $ engine_arg
-          $ devices_arg $ schedule_arg $ faults_json)
+    Term.(const run $ file_arg $ fault_arg $ instrument $ trace
+          $ faults_term $ engine_arg $ faults_json)
 
 (* ------------------------------ profile ---------------------------- *)
 
@@ -413,24 +431,6 @@ let profile_cmd =
              ~doc:"Profile with the coherence runtime enabled (populates \
                    the audit log and the Check-Overhead category)")
   in
-  let fine =
-    Arg.(value & flag
-         & info [ "fine-grained" ]
-             ~doc:"Track coherence per element range instead of per whole \
-                   array")
-  in
-  let device_faults =
-    Arg.(value
-         & opt (some string) None
-         & info [ "device-faults" ] ~docv:"SPEC"
-             ~doc:"Inject device faults while profiling (recovery work \
-                   shows up as Recovery spans and Fault-Recovery time)")
-  in
-  let resilience =
-    Arg.(value & opt string "none"
-         & info [ "resilience" ] ~docv:"POLICY"
-             ~doc:"Recovery policy: none, retry or full")
-  in
   let json =
     Arg.(value
          & opt (some string) None
@@ -459,12 +459,10 @@ let profile_cmd =
                    events; with --devices N the file has one lane per \
                    member plus a host lane of directive spans")
   in
-  let run file fault instrument fine device_faults resilience seed devices
-      schedule json flame events trace =
+  let run file fault instrument config json flame events trace =
     handle_code (fun () ->
-        let plan = plan_of_spec ~seed device_faults in
-        check_devices ~devices plan;
-        let policy = policy_of_name resilience in
+        let config = { (config ()) with Accrt.Interp.timeline = true } in
+        let seed = config.seed in
         let tr = Obs.Trace.create () in
         let audit = Obs.Audit.create () in
         let session =
@@ -474,21 +472,11 @@ let profile_cmd =
         let tp =
           if instrument then Codegen.Checkgen.instrument tp else tp
         in
-        let granularity =
-          if fine then Accrt.Coherence.Fine else Accrt.Coherence.Coarse
+        let obs =
+          { (chrome_observers ~trace:tr config trace) with
+            audit = Some audit }
         in
-        let ledger =
-          if devices > 1 && trace <> None then
-            Some
-              (Obs.Ledger.create ~devices
-                 ~schedule:(Gpusim.Device_set.schedule_name schedule))
-          else None
-        in
-        let o =
-          Accrt.Interp.run ~coherence:instrument ~granularity ~seed
-            ~trace:true ?plan ~resilience:policy ~devices ~schedule ~obs:tr
-            ?ledger ~audit tp
-        in
+        let o = Accrt.Interp.exec config obs tp in
         Obs.Trace.end_span tr session;
         let metrics = Accrt.Interp.metrics o in
         let p = Obs.Profile.of_trace ~categories:category_names tr in
@@ -520,7 +508,7 @@ let profile_cmd =
         | None -> ());
         (match trace with
         | Some path ->
-            write_json path (chrome_of_run ~trace:(Some tr) ~ledger o);
+            write_json path (chrome_of_run obs o);
             Fmt.pr "timeline written to %s@." path
         | None -> ());
         if conserved && replayed then 0 else 1)
@@ -530,9 +518,8 @@ let profile_cmd =
        ~doc:"Profile a program: span-based trace, per-directive cost \
              attribution (the paper's Figure 3/4 breakdown), coherence \
              audit log, and flamegraph export")
-    Term.(const run $ file_arg $ fault_arg $ instrument $ fine
-          $ device_faults $ resilience $ seed_arg $ devices_arg
-          $ schedule_arg $ json $ flame $ events $ trace)
+    Term.(const run $ file_arg $ fault_arg $ instrument $ faults_term
+          $ json $ flame $ events $ trace)
 
 (* ------------------------------ analyze ---------------------------- *)
 
@@ -551,18 +538,20 @@ let analyze_cmd =
              ~doc:"Write the JSON analysis to FILE (implies --json \
                    formatting for the file; the text report still prints)")
   in
-  let run file fault seed engine devices schedule json out =
+  let run file fault (config : Accrt.Interp.config) engine json out =
     handle_code (fun () ->
         (* The analyzer compares schedules across a device set; a single
            device has nothing to rebalance. *)
-        if devices < 2 then
+        if config.devices < 2 then
           Fmt.failwith
             "invalid --devices: %d (analyze needs a device set; use \
              --devices >= 2)"
-            devices;
-        check_devices ~devices None;
+            config.devices;
+        let seed = config.seed in
         let tp = load ~fault file in
-        let o = Accrt.Interp.run ~engine ~seed ~devices ~schedule tp in
+        let o =
+          Accrt.Interp.exec { config with engine } Accrt.Interp.detached tp
+        in
         match o.Accrt.Interp.imbalance with
         | None -> Fmt.failwith "no shard log recorded (internal error)"
         | Some il ->
@@ -584,8 +573,8 @@ let analyze_cmd =
              idle-at-barrier, merge overhead — plus a block/cyclic \
              schedule verdict from re-costing the recorded \
              iteration-space weights under the alternative split")
-    Term.(const run $ file_arg $ fault_arg $ seed_arg $ engine_arg
-          $ devices_arg $ schedule_arg $ json $ out)
+    Term.(const run $ file_arg $ fault_arg $ device_set_term $ engine_arg
+          $ json $ out)
 
 (* ----------------------------- memtrace ---------------------------- *)
 
@@ -604,19 +593,21 @@ let memtrace_cmd =
              ~doc:"Write the JSON analysis to FILE (implies --json \
                    formatting for the file; the text report still prints)")
   in
-  let run file fault seed engine devices schedule json out =
+  let run file fault (config : Accrt.Interp.config) engine json out =
     handle_code (fun () ->
-        check_devices ~devices None;
+        check_devices ~devices:config.devices None;
+        let config = { config with engine } and seed = config.seed in
         (* The redundancy attribution reads the §III-B coherence lattice,
-           so the program runs instrumented with the runtime enabled. *)
+           so the program runs instrumented. *)
         let tp = Codegen.Checkgen.instrument (load ~fault file) in
         let lg =
-          Obs.Ledger.create ~devices
-            ~schedule:(Gpusim.Device_set.schedule_name schedule)
+          Obs.Ledger.create ~devices:config.devices
+            ~schedule:(Gpusim.Device_set.schedule_name config.schedule)
         in
         let o =
-          Accrt.Interp.run ~coherence:true ~engine ~seed ~devices ~schedule
-            ~ledger:lg tp
+          Accrt.Interp.exec config
+            { Accrt.Interp.detached with ledger = Some lg }
+            tp
         in
         let cm = o.Accrt.Interp.device.Gpusim.Device.cm in
         let a =
@@ -640,8 +631,8 @@ let memtrace_cmd =
              ordinals, source directives), live allocation watermarks, \
              and counterfactual hoist/present/merge savings re-costed \
              under the gpusim transfer model")
-    Term.(const run $ file_arg $ fault_arg $ seed_arg $ engine_arg
-          $ devices_arg $ schedule_arg $ json $ out)
+    Term.(const run $ file_arg $ fault_arg $ device_set_term $ engine_arg
+          $ json $ out)
 
 (* ----------------------------- saturate ---------------------------- *)
 

@@ -9,7 +9,7 @@
 
 let run_program prog =
   Accrt.Interp.metrics
-    (Accrt.Interp.run ~coherence:false
+    (Accrt.Interp.exec Accrt.Interp.default Accrt.Interp.detached
        (Openarc_core.Compiler.compile_program prog))
 
 let run src = run_program (Minic.Parser.parse_string src)

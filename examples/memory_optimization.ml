@@ -16,7 +16,9 @@ let () =
 
   (* Step 1: profile the unoptimized program with coherence checking. *)
   let tp = Codegen.Checkgen.instrument (Openarc_core.Compiler.compile source) in
-  let outcome = Accrt.Interp.run ~coherence:true tp in
+  let outcome =
+    Accrt.Interp.exec Accrt.Interp.default Accrt.Interp.detached tp
+  in
   let reports = Accrt.Interp.reports outcome in
   Fmt.pr "Profiled run produced %d transfer reports; first five:@."
     (List.length reports);

@@ -58,7 +58,10 @@ let () =
     tp.Codegen.Tprog.kernels;
 
   (* Run with the timeline recorder on. *)
-  let outcome = Accrt.Interp.run ~coherence:false ~trace:true tp in
+  let outcome =
+    Accrt.Interp.exec { Accrt.Interp.default with timeline = true }
+      Accrt.Interp.detached tp
+  in
   Fmt.pr "@.checksum = %g   (async test before/after wait: %g)@."
     (Accrt.Value.to_float (Accrt.Interp.host_scalar outcome "checksum"))
     (Accrt.Value.to_float (Accrt.Interp.host_scalar outcome "total"));

@@ -45,7 +45,9 @@ let () =
     tp.Codegen.Tprog.kernels;
 
   (* 2. Execute on the simulated accelerator. *)
-  let outcome = Accrt.Interp.run ~coherence:false tp in
+  let outcome =
+    Accrt.Interp.exec Accrt.Interp.default Accrt.Interp.detached tp
+  in
   Fmt.pr "@.Simulated execution:@.%a@." Gpusim.Metrics.pp
     (Accrt.Interp.metrics outcome);
   Fmt.pr "@.dot = %g@."

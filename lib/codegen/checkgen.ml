@@ -75,11 +75,11 @@ type facts = {
 let facts tp =
   let cfg = Tcfg.build tp in
   let sets = Tcfg.access_sets tp cfg in
-  let sets_blind = Tcfg.alias_blind sets in
+  let main = Tcfg.main_vars tp in
   { cfg; sets;
-    dead = Deadness.compute tp cfg sets_blind;
+    dead = Deadness.compute tp cfg (Tcfg.alias_blind sets) ~main;
     last = Lastwrite.compute tp cfg sets;
-    first = Firstaccess.compute tp cfg sets }
+    first = Firstaccess.compute tp cfg sets ~main }
 
 let solve_words tp =
   let f = facts tp in
@@ -213,4 +213,4 @@ let instrument ?(mode = Optimized) (tp : Tprog.t) =
         pre_cs @ [ s ] @ post_cs)
       tp.body
   in
-  { tp with body }
+  { tp with body; instrumented = true }

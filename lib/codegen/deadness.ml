@@ -36,7 +36,7 @@ type facts = {
 
 type t = { cpu : facts; gpu : facts }
 
-let compute (tp : Tprog.t) (cfg : Tcfg.t) (sets : Tcfg.sets) =
+let compute (tp : Tprog.t) (cfg : Tcfg.t) (sets : Tcfg.sets) ~main =
   let index = Bitset.index tp.tracked in
   let width = Bitset.width index in
   let bits = Array.map (Bitset.bits index) in
@@ -49,10 +49,7 @@ let compute (tp : Tprog.t) (cfg : Tcfg.t) (sets : Tcfg.sets) =
   let weakened =
     Varset.fold
       (fun ptr acc -> Varset.union acc (Alias.resolve tp.alias ptr))
-      (Varset.filter (Alias.is_ambiguous tp.alias)
-         (Varset.of_list
-            (Minic.Typecheck.Smap.fold (fun v _ l -> v :: l)
-               (Minic.Typecheck.function_vars tp.env "main") [])))
+      (Varset.filter (Alias.is_ambiguous tp.alias) main)
       Varset.empty
   in
   (* Transfers are excluded from DEF/USE: the copies they perform are the

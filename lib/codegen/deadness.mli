@@ -10,8 +10,10 @@ type facts
 type t = { cpu : facts; gpu : facts }
 
 (** Both devices' facts, from one tracked-array index and one set of
-    arrays whose must-dead facts an ambiguous pointer weakens. *)
-val compute : Tprog.t -> Tcfg.t -> Tcfg.sets -> t
+    arrays whose must-dead facts an ambiguous pointer weakens: the
+    targets of the ambiguous pointers among [main]'s variables
+    ({!Tcfg.main_vars}). *)
+val compute : Tprog.t -> Tcfg.t -> Tcfg.sets -> main:Analysis.Varset.t -> t
 
 (** Status of device copy [v] at the point {e after} node [n]. *)
 val status_after : facts -> int -> string -> dstatus

@@ -16,20 +16,14 @@ type t = {
   words : int;  (** words of facts its two solves keep *)
 }
 
-let compute (tp : Tprog.t) (cfg : Tcfg.t) (sets : Tcfg.sets) =
+let compute (tp : Tprog.t) (cfg : Tcfg.t) (sets : Tcfg.sets) ~main =
   let names =
     Array.fold_left Varset.union Varset.empty
       (Array.append sets.Tcfg.name_read sets.Tcfg.name_write)
   in
   let index = Bitset.index names in
   let width = Bitset.width index in
-  let universe =
-    Varset.union tp.tracked
-      (Varset.of_list
-         (Minic.Typecheck.Smap.fold
-            (fun v _ l -> v :: l)
-            (Minic.Typecheck.function_vars tp.env "main") []))
-  in
+  let universe = Varset.union tp.tracked main in
   (* Facts start at every accessed name in [main]'s scope or tracked. *)
   let top = Bitset.of_varset index (Varset.inter names universe) in
   (* Seen so far: gen the node's accesses; kernel nodes reset the fact. *)

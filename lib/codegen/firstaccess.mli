@@ -12,4 +12,7 @@ type t = {
   words : int;  (** words of facts its two solves keep *)
 }
 
-val compute : Tprog.t -> Tcfg.t -> Tcfg.sets -> t
+(** [main] holds the variables in the scope of function [main]
+    ({!Tcfg.main_vars}); with the tracked arrays they bound the names a
+    fact may hold. *)
+val compute : Tprog.t -> Tcfg.t -> Tcfg.sets -> main:Varset.t -> t

@@ -215,3 +215,11 @@ let alias_blind s =
   { s with
     host_read = Array.map2 Varset.diff s.host_read s.hidden;
     host_write = Array.map2 Varset.diff s.host_write s.hidden }
+
+(** The variables in [main]'s scope.  The placement facts share one copy:
+    it bounds the names first-access placement tracks, and its ambiguous
+    pointers weaken must-dead facts. *)
+let main_vars (tp : Tprog.t) =
+  Varset.of_list
+    (Typecheck.Smap.fold (fun v _ l -> v :: l)
+       (Typecheck.function_vars tp.env "main") [])

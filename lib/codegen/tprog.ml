@@ -121,6 +121,7 @@ type t = {
   kernels : kernel array;
   body : tstmt list;  (** translated body of [main] *)
   tracked : Varset.t;  (** arrays under coherence tracking *)
+  instrumented : bool;
 }
 
 let kernel t id = t.kernels.(id)

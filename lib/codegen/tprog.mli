@@ -120,6 +120,10 @@ type t = {
   kernels : kernel array;
   body : tstmt list;  (** translated body of [main] *)
   tracked : Varset.t;  (** arrays under coherence tracking *)
+  instrumented : bool;
+      (** the body carries the §III-B checks: false after translation,
+          true after {!Checkgen.instrument}; the runtime drives the
+          coherence lattice exactly when it is set *)
 }
 
 (** {1 Access} *)

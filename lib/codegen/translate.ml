@@ -331,4 +331,5 @@ let translate ?(opts = Options.default) env prog =
   let main = Ast.main_function prog in
   let body = tr_block st main.f_body in
   let kernels = Array.of_list (List.rev st.kernels) in
-  { source = prog; env; alias; kernels; body; tracked = st.tracked }
+  { source = prog; env; alias; kernels; body; tracked = st.tracked;
+    instrumented = false }

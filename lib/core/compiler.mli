@@ -9,7 +9,7 @@
     ({!Codegen.Inline}) — and its [env] holds that program's types, so a
     tool that executes or edits the source reads [source], never the
     program it passed in.  Instrument it with {!Codegen.Checkgen.instrument}
-    and run it with {!Accrt.Interp.run}. *)
+    and run it with {!Accrt.Interp.exec}. *)
 
 (** Compile a source string.  [obs] records one phase span per stage
     (parse, validate, typecheck, translate) plus a ["kernels"] counter.

@@ -64,7 +64,9 @@ let run ?(seed = 42) ?(kinds = Gpusim.Fault_plan.all_kinds)
       let reference = (Accrt.Eval.run_reference prog).Accrt.Eval.env in
       let base_time_for devices =
         let baseline =
-          Accrt.Interp.run ~coherence:false ~seed ~devices tp
+          Accrt.Interp.exec
+            { Accrt.Interp.default with seed; devices }
+            Accrt.Interp.detached tp
         in
         Gpusim.Metrics.total_time (Accrt.Interp.metrics baseline)
       in
@@ -72,8 +74,11 @@ let run ?(seed = 42) ?(kinds = Gpusim.Fault_plan.all_kinds)
       let run_cell ~kind ~policy ~devices ~plan ~label ~base_time =
         let cell =
           match
-            Accrt.Interp.run ~coherence:false ~seed ~trace ~plan ~devices
-              ~resilience:policy tp
+            Accrt.Interp.exec
+              { Accrt.Interp.default with
+                seed; timeline = trace; plan = Some plan; devices;
+                resilience = policy }
+              Accrt.Interp.detached tp
           with
           | o ->
               if trace then

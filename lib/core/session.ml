@@ -152,7 +152,7 @@ let rec apply_action prog (a : Suggest.action) =
     the transfer, freezes further removal suggestions for that variable, and
     the detour is recorded as an incorrect iteration. *)
 let optimize ?(policy = Follow_all) ?(max_iterations = 12) ?(devices = 1)
-    ?schedule ~outputs prog =
+    ?(schedule = Gpusim.Device_set.Block) ~outputs prog =
   (* Work on the translated (inlined) source so report sites and
      directive edits refer to the same statements.  The first iteration
      runs this translation; every later one compiles its edited program. *)
@@ -257,16 +257,18 @@ let optimize ?(policy = Follow_all) ?(max_iterations = 12) ?(devices = 1)
          summary rides along in the telemetry record. *)
       let lg =
         Obs.Ledger.create ~devices
-          ~schedule:
-            (Gpusim.Device_set.schedule_name
-               (Option.value ~default:Gpusim.Device_set.Block schedule))
+          ~schedule:(Gpusim.Device_set.schedule_name schedule)
       in
       let outcome_or_err =
         try
           let tp = Codegen.Checkgen.instrument (compile prog) in
           Ok
-            (Accrt.Interp.run ~coherence:true ~devices ?schedule ~obs:tr
-               ~ledger:lg ~kcache tp)
+            (Accrt.Interp.exec
+               { Accrt.Interp.default with
+                 devices; schedule; kcache = Some kcache }
+               { Accrt.Interp.detached with
+                 trace = Some tr; ledger = Some lg }
+               tp)
         with e -> Error (Printexc.to_string e)
       in
       match outcome_or_err with
@@ -585,7 +587,10 @@ let to_json ~name r =
     Used to quantify leftover (uncaught) redundancy against the manually
     optimized version. *)
 let transfer_stats prog =
-  let o = Accrt.Interp.run ~coherence:false (Compiler.compile_program prog) in
+  let o =
+    Accrt.Interp.exec Accrt.Interp.default Accrt.Interp.detached
+      (Compiler.compile_program prog)
+  in
   let m = Accrt.Interp.metrics o in
   (m.Gpusim.Metrics.transfers_h2d + m.Gpusim.Metrics.transfers_d2h,
    Gpusim.Metrics.total_bytes m)

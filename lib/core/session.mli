@@ -73,7 +73,7 @@ val apply_action : Minic.Ast.program -> Suggest.action -> Minic.Ast.program
 (** Run the loop on [prog]; [outputs] are the names checked against the
     sequential reference after each edit round (the §IV-C safety net).
     [devices]/[schedule] size the simulated device set for every profiled
-    run (see {!Accrt.Interp.run}), so the coherence reports driving the
+    run (see {!Accrt.Interp.exec}), so the coherence reports driving the
     loop include per-device staleness — e.g. cross-device redundant
     transfers.  A session that stops without converging returns, as
     [final], the latest program whose outputs matched the reference (the

@@ -1,6 +1,7 @@
 (** Interpreter for translated programs: executes host code natively, drives
-    the {!Gpusim} device for data movement and kernels, and (when enabled)
-    the {!Coherence} runtime for the paper's memory-transfer verification.
+    the {!Gpusim} device for data movement and kernels, and (on an
+    instrumented program) the {!Coherence} runtime for the paper's
+    memory-transfer verification.
 
     When the device carries an armed {!Gpusim.Fault_plan}, the interpreter
     becomes a resilient runtime governed by a {!Resilience.policy}.  Four
@@ -26,6 +27,31 @@
 
 open Minic.Ast
 open Codegen.Tprog
+
+type config = {
+  engine : Engine.t;
+  granularity : Coherence.granularity;
+  seed : int;
+  timeline : bool;
+  plan : Gpusim.Fault_plan.t option;
+  resilience : Resilience.policy;
+  devices : int;
+  schedule : Gpusim.Device_set.schedule;
+  kcache : Compile.store option;
+}
+
+let default =
+  { engine = Engine.Compiled; granularity = Coherence.Coarse; seed = 42;
+    timeline = false; plan = None; resilience = Resilience.Off; devices = 1;
+    schedule = Gpusim.Device_set.Block; kcache = None }
+
+type observers = {
+  trace : Obs.Trace.t option;
+  ledger : Obs.Ledger.t option;
+  audit : Obs.Audit.t option;
+}
+
+let detached = { trace = None; ledger = None; audit = None }
 
 type outcome = {
   ctx : Eval.ctx;  (** final host state *)
@@ -74,13 +100,17 @@ type attribution = {
   hoist : bool;
 }
 
-let run ?(coherence = true) ?(engine = Engine.Compiled) ?granularity
-    ?(seed = 42) ?(trace = false) ?plan
-    ?(resilience = Resilience.Off) ?(devices = 1) ?schedule ?obs ?ledger
-    ?audit ?kcache (tp : Codegen.Tprog.t) =
-  if devices < 1 then invalid_arg "Interp.run: devices must be >= 1";
+let exec (cfg : config) (observers : observers) (tp : Codegen.Tprog.t) =
+  let { engine; granularity; seed; timeline; plan; resilience = policy;
+        devices; schedule; kcache } =
+    cfg
+  in
+  let { trace = obs; ledger; audit } = observers in
+  (* The §III-B runtime runs exactly when the program carries its checks. *)
+  let coherence = tp.instrumented in
+  if devices < 1 then invalid_arg "Interp.exec: devices must be >= 1";
   let devset =
-    Gpusim.Device_set.create ~seed ~trace ?plan ?schedule devices
+    Gpusim.Device_set.create ~seed ~trace:timeline ?plan ~schedule devices
   in
   let device = Gpusim.Device_set.primary devset in
   (* One runtime path serves every set size; a one-member run is the
@@ -96,7 +126,7 @@ let run ?(coherence = true) ?(engine = Engine.Compiled) ?granularity
   @@ fun () ->
   let metrics = device.Gpusim.Device.metrics in
   let coh =
-    Coherence.create ?granularity ?audit
+    Coherence.create ~granularity ?audit
       ~now:(fun () -> metrics.Gpusim.Metrics.host_clock)
       ~devices ()
   in
@@ -252,7 +282,6 @@ let run ?(coherence = true) ?(engine = Engine.Compiled) ?granularity
   let eval_async = Option.map eval_int in
 
   (* ------------------------- fault recovery ------------------------- *)
-  let policy = resilience in
   let stats = Resilience.fresh_stats () in
   (* Every resilience action also becomes a [Recovery] leaf span carrying
      its cause, so traces explain *why* time was spent recovering. *)
@@ -1329,3 +1358,10 @@ let run ?(coherence = true) ?(engine = Engine.Compiled) ?granularity
         devset.Gpusim.Device_set.devices);
   { ctx; device; devset; coherence = coh; tprog = tp; site_execs; sites;
     resilience = stats; imbalance = ilog }
+
+let run ?coherence ?(engine = default.engine) ?(seed = default.seed)
+    ?(devices = default.devices) ?obs ?ledger ?kcache tp =
+  if Option.fold ~none:false ~some:(( <> ) tp.instrumented) coherence then
+    invalid_arg "Interp.run: ~coherence disagrees with the program";
+  exec { default with engine; seed; devices; kcache }
+    { detached with trace = obs; ledger } tp

@@ -1,7 +1,7 @@
 (** Interpreter for translated programs: executes host code natively,
-    drives the {!Gpusim} device for data movement and kernels, and (when
-    enabled) the {!Coherence} runtime for the paper's memory-transfer
-    verification.
+    drives the {!Gpusim} device for data movement and kernels, and (on an
+    instrumented program) the {!Coherence} runtime for the paper's
+    memory-transfer verification.
 
     With an armed {!Gpusim.Fault_plan} the interpreter is a resilient
     runtime: injected device faults surface as typed errors and are
@@ -9,6 +9,60 @@
     re-transfer, checkpointed kernel re-execution validated against the
     sequential reference, and CPU fallback of the original sequential
     region. *)
+
+(** How a run executes; {!default} holds the defaults. *)
+type config = {
+  engine : Engine.t;
+      (** {!Engine.Compiled} runs closure-compiled kernel bodies (cached per
+          kernel content) and host statements in mirror mode; {!Engine.Tree}
+          walks the AST.  Results are bit-identical, and recovery
+          validation and CPU fallback stay on the tree walker under either
+          engine. *)
+  granularity : Coherence.granularity;
+      (** whole-array ([Coarse], as the paper) or interval tracking *)
+  seed : int;  (** drives the deterministic jitter and fault streams *)
+  timeline : bool;  (** record each member's execution timeline *)
+  plan : Gpusim.Fault_plan.t option;  (** arms device faults *)
+  resilience : Resilience.policy;
+      (** the recovery policy; under {!Resilience.Off} faults propagate as
+          {!Gpusim.Device.Device_fault} *)
+  devices : int;  (** size of the simulated device set *)
+  schedule : Gpusim.Device_set.schedule;
+      (** how [parallel loop] iteration spaces split across members *)
+  kcache : Compile.store option;
+      (** a content-keyed kernel-closure store shared by compiled-engine
+          runs of *different translations* (the saturate search loop's
+          edited variants, a session's iterations): an unchanged kernel
+          body is compiled once, visible as [engine_compile_hits] in the
+          trace's counters *)
+}
+
+(** Compiled engine, coarse tracking, seed 42, no timeline, no faults,
+    policy [Off], one device, block schedule, no shared kernel store. *)
+val default : config
+
+(** What watches a run.  Each observer is pure: attaching any of them
+    changes no output, [ops] count or simulated time. *)
+type observers = {
+  trace : Obs.Trace.t option;
+      (** receives the run as a span tree stamped by the simulated clock:
+          a "run" phase span with one child span per kernel launch /
+          transfer / alloc / free / wait / check, [Recovery] leaves for
+          every resilience action, [Device] leaves for timeline events
+          (with [timeline]), and one charge event per
+          {!Gpusim.Device.charge} (so {!Obs.Profile} totals conserve
+          exactly) *)
+  ledger : Obs.Ledger.t option;
+      (** records every DMA transfer (cause-attributed per
+          {!Obs.Ledger.cause}, with per-member redundancy read from the
+          coherence lattice on an instrumented program) and every device
+          alloc/free, byte-conserving against the metrics accumulators *)
+  audit : Obs.Audit.t option;
+      (** records every coherence status transition (a direct call from
+          the coherence runtime, not a device event) *)
+}
+
+val detached : observers
 
 type outcome = {
   ctx : Eval.ctx;  (** final host state *)
@@ -38,68 +92,43 @@ val host_scalar : outcome -> string -> Value.scalar
 (** Forward one device event to a trace: a [Charge] becomes a trace
     charge, a [Timeline] event a [Device] leaf span, both tagged with
     [dev] when given; [Xfer] and [Mem] are the ledger's and ignored.  The
-    trace observer of {!run} and of kernel verification. *)
+    trace observer of {!exec} and of kernel verification. *)
 val trace_event : Obs.Trace.t -> ?dev:int -> Gpusim.Device.event -> unit
 
-(** Execute a translated program.  [coherence] enables the §III-B runtime
-    (meaningful on instrumented programs); [engine] selects the
-    execution engine — {!Engine.Compiled} (default) runs closure-compiled
-    kernel bodies (cached per kernel content) and host statements in
-    mirror mode, {!Engine.Tree} walks the AST; results are bit-identical,
-    and recovery validation and CPU fallback stay on the tree walker under
-    either engine.  Every kernel launch is one {!Kernel_exec} session: its
-    start, the engine's one runner called once owning every ordinal (a
-    whole launch, priced by {!Gpusim.Device.launch}) or once per shard (a
+(** Execute a translated program under [config], watched by [observers].
+    The §III-B coherence runtime runs exactly when the program carries its
+    checks (its [instrumented] flag, which {!Codegen.Checkgen.instrument}
+    sets).  Every kernel launch is one {!Kernel_exec} session: its start,
+    the engine's one runner called once owning every ordinal (a whole
+    launch, priced by {!Gpusim.Device.launch}) or once per shard (a
     sharded launch, each shard priced by its measured work), then its
-    commit; [granularity]
-    picks whole-array (default, as the paper) or interval tracking;
-    [trace] records the execution timeline; [seed] drives the
-    deterministic jitter and fault streams; [plan] arms device faults;
-    [resilience] picks the recovery policy (default {!Resilience.Off}:
-    faults propagate as {!Gpusim.Device.Device_fault}).
+    commit.
 
-    [devices] sizes the simulated device set (default 1); [schedule] picks
-    how [parallel loop] iteration spaces split across members (default
-    {!Gpusim.Device_set.Block}).  Every size runs one runtime path: it
-    broadcasts allocations and uploads to the alive members, shards
-    parallel kernels across them when there are two or more, lazily
-    peer-syncs kernel inputs, and — under a recovering policy — fails a
-    dying member's shards over to survivors, validating every recovery
-    against the sequential reference.  A one-member run differs only in
-    what it emits: untagged charges and timeline leaves, no per-member
-    transfer leaves, no [imbalance] log, [copyout] (not [gather]) ledger
-    causes, and losing its device degrades to host mode without counting
-    a dropped member.
+    Every device-set size runs one runtime path: it broadcasts allocations
+    and uploads to the alive members, shards parallel kernels across them
+    when there are two or more, lazily peer-syncs kernel inputs, and —
+    under a recovering policy — fails a dying member's shards over to
+    survivors, validating every recovery against the sequential
+    reference.  A one-member run differs only in what it emits: untagged
+    charges and timeline leaves, no per-member transfer leaves, no
+    [imbalance] log, [copyout] (not [gather]) ledger causes, and losing
+    its device degrades to host mode without counting a dropped member.
 
-    [obs] and [ledger] observe the run through one {!Gpusim.Device.observe}
-    subscription per member: its charges and timeline events go to [obs]
-    (via {!trace_event}; tagged with the member ordinal on a multi-member
-    set), its transfers and allocations to [ledger].  [obs], when given,
-    receives the run as a span tree stamped by the simulated clock — a
-    "run" phase span with one child span per kernel launch / transfer /
-    alloc / free / wait / check, [Recovery] leaves for every resilience
-    action, [Device] leaves for timeline events (with [trace]), and one
-    charge event per {!Gpusim.Device.charge} (so {!Obs.Profile} totals
-    conserve exactly).  [ledger], when given, records every DMA transfer
-    (cause-attributed per {!Obs.Ledger.cause}, with per-member redundancy
-    read from the coherence lattice when [coherence] is on) and every
-    device alloc/free, byte-conserving against the metrics accumulators.
-    Both are pure observation: attaching either changes no output, [ops]
-    count or simulated time.  [audit], when given, records every
-    coherence status transition (a direct call from the coherence
-    runtime, not a device event).
+    [trace] and [ledger] observe the run through one
+    {!Gpusim.Device.observe} subscription per member: its charges and
+    timeline events go to [trace] (via {!trace_event}; tagged with the
+    member ordinal on a multi-member set), its transfers and allocations
+    to [ledger].
+    @raise Resilience.Unrecovered when the policy's budget is exhausted.
+    @raise Invalid_argument when [config.devices < 1]. *)
+val exec : config -> observers -> Codegen.Tprog.t -> outcome
 
-    [kcache], when given, is a shared content-keyed kernel-closure store
-    ({!Compile.store}): compiled-engine runs of *different translations*
-    (the saturate search loop's edited program variants, a session's
-    iterations) reuse each other's compiled kernels whenever the kernel body is unchanged —
-    visible as [engine_compile_hits] in the [obs] counters.
-    @raise Resilience.Unrecovered when the policy's budget is exhausted. *)
+(** {!exec} with labels, for the benchmark harness in [perfbench/], which
+    only a change to the benchmark may edit; the next such change moves
+    it to {!exec} and deletes this wrapper.  [coherence], when given, must
+    agree with the program's [instrumented] flag.
+    @raise Invalid_argument when it does not. *)
 val run :
-  ?coherence:bool -> ?engine:Engine.t ->
-  ?granularity:Coherence.granularity -> ?seed:int ->
-  ?trace:bool -> ?plan:Gpusim.Fault_plan.t ->
-  ?resilience:Resilience.policy -> ?devices:int ->
-  ?schedule:Gpusim.Device_set.schedule -> ?obs:Obs.Trace.t ->
-  ?ledger:Obs.Ledger.t -> ?audit:Obs.Audit.t -> ?kcache:Compile.store ->
+  ?coherence:bool -> ?engine:Engine.t -> ?seed:int -> ?devices:int ->
+  ?obs:Obs.Trace.t -> ?ledger:Obs.Ledger.t -> ?kcache:Compile.store ->
   Codegen.Tprog.t -> outcome

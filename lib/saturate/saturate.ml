@@ -122,7 +122,12 @@ let ledger_analysis ~name ~seed ~devices tp =
     Obs.Ledger.create ~devices
       ~schedule:(Gpusim.Device_set.schedule_name Gpusim.Device_set.Block)
   in
-  let o = Accrt.Interp.run ~coherence:true ~seed ~devices ~ledger:lg tp in
+  let o =
+    Accrt.Interp.exec
+      { Accrt.Interp.default with seed; devices }
+      { Accrt.Interp.detached with ledger = Some lg }
+      tp
+  in
   let mh, md =
     Array.fold_left
       (fun (h, d) dev ->
@@ -550,8 +555,12 @@ let run ?(config = default_config) ~name ~outputs prog0 =
   let compiled_run ~devices tp =
     let tr = Obs.Trace.create () in
     let o =
-      Accrt.Interp.run ~coherence:false ~engine:Accrt.Engine.Compiled ~seed
-        ~devices ~obs:tr ~kcache:store tp
+      Accrt.Interp.exec
+        { Accrt.Interp.default with
+          engine = Accrt.Engine.Compiled; seed; devices;
+          kcache = Some store }
+        { Accrt.Interp.detached with trace = Some tr }
+        tp
     in
     List.iter
       (fun (n, v) ->
@@ -560,16 +569,18 @@ let run ?(config = default_config) ~name ~outputs prog0 =
       (Obs.Trace.counters tr);
     o
   in
-  let tree_run ?obs ~devices tp =
-    Accrt.Interp.run ~coherence:false ~engine:Accrt.Engine.Tree ~seed
-      ~devices ?obs tp
+  let tree_run ?trace ~devices tp =
+    Accrt.Interp.exec
+      { Accrt.Interp.default with engine = Accrt.Engine.Tree; seed; devices }
+      { Accrt.Interp.detached with trace }
+      tp
   in
   (* The measured side of every prediction: a traced tree-engine run on
      one device (the committed profile baseline's configuration) — its
      outcome, profile and simulated total. *)
   let measured_run tp =
     let tr = Obs.Trace.create () in
-    let o = tree_run ~obs:tr ~devices:1 tp in
+    let o = tree_run ~trace:tr ~devices:1 tp in
     ( o,
       (Obs.Profile.of_trace ~categories:profile_categories tr,
        Gpusim.Metrics.total_time (Accrt.Interp.metrics o)) )

@@ -80,7 +80,11 @@ let observers () =
       (Openarc_core.Compiler.compile ~file:b.name b.source)
   in
   let tr = Obs.Trace.create () and audit = Obs.Audit.create () in
-  let o = Accrt.Interp.run ~trace:true ~obs:tr ~audit tp in
+  let o =
+    Accrt.Interp.exec { Accrt.Interp.default with timeline = true }
+      { Accrt.Interp.detached with trace = Some tr; audit = Some audit }
+      tp
+  in
   let buf = Buffer.create 4096 in
   let section title keys =
     Buffer.add_string buf (title ^ "\n");
@@ -214,8 +218,12 @@ let recovery_run c =
   in
   let ledger = Obs.Ledger.create ~devices:c.rc_devices ~schedule:"block" in
   let o =
-    Accrt.Interp.run ~seed:recovery_seed ~plan ~resilience:c.rc_policy
-      ~devices:c.rc_devices ~ledger tp
+    Accrt.Interp.exec
+      { Accrt.Interp.default with
+        seed = recovery_seed; plan = Some plan; resilience = c.rc_policy;
+        devices = c.rc_devices }
+      { Accrt.Interp.detached with ledger = Some ledger }
+      tp
   in
   (o, plan, ledger)
 

@@ -68,7 +68,7 @@ let test_hoisting_enables_detection () =
   (* With hoisting, the deferred-copy redundancy is reported for every
      iteration after the first (Listing 4). *)
   let tp = instrument jacobi_listing3 in
-  let o = Accrt.Interp.run ~coherence:true tp in
+  let o = Accrt.Interp.exec Accrt.Interp.default Accrt.Interp.detached tp in
   let redundant_updates =
     List.filter
       (fun r ->
@@ -82,7 +82,7 @@ let test_hoisting_enables_detection () =
     (List.length redundant_updates);
   (* Naive placement re-marks the state each iteration and misses them. *)
   let tpn = instrument ~mode:Checkgen.Naive jacobi_listing3 in
-  let on = Accrt.Interp.run ~coherence:true tpn in
+  let on = Accrt.Interp.exec Accrt.Interp.default Accrt.Interp.detached tpn in
   let naive_flags =
     List.filter
       (fun r ->
@@ -161,7 +161,7 @@ let test_reset_after_kernel () =
       | _ -> ());
   Alcotest.(check bool) "reset for q's dead CPU copy" true
     (List.mem ("q", Not_stale) !resets || List.mem ("q", May_stale) !resets);
-  let o = Accrt.Interp.run ~coherence:true tp in
+  let o = Accrt.Interp.exec Accrt.Interp.default Accrt.Interp.detached tp in
   let q_redundant =
     List.exists
       (fun r ->
@@ -174,7 +174,7 @@ let test_reset_after_kernel () =
 
 let test_check_overhead_charged () =
   let tp = instrument jacobi_listing3 in
-  let o = Accrt.Interp.run ~coherence:true tp in
+  let o = Accrt.Interp.exec Accrt.Interp.default Accrt.Interp.detached tp in
   let m = Accrt.Interp.metrics o in
   Alcotest.(check bool) "overhead accounted" true
     (Gpusim.Metrics.time_of m Gpusim.Metrics.Check_overhead > 0.0);
@@ -219,7 +219,8 @@ let instrumentation_transparent =
           (iters + 1) rhs
       in
       let tp = Openarc_core.Compiler.compile src in
-      let base = Accrt.Interp.run ~coherence:false tp in
+      let run config tp = Accrt.Interp.exec config Accrt.Interp.detached tp in
+      let base = run Accrt.Interp.default tp in
       let buf_of o = Accrt.Interp.host_array o "b" in
       let same o =
         snd
@@ -227,16 +228,14 @@ let instrumentation_transparent =
              (buf_of o))
         = 0
       in
-      let opt =
-        Accrt.Interp.run ~coherence:true (Checkgen.instrument tp)
-      in
+      let opt = run Accrt.Interp.default (Checkgen.instrument tp) in
       let naive =
-        Accrt.Interp.run ~coherence:true
-          (Checkgen.instrument ~mode:Checkgen.Naive tp)
+        run Accrt.Interp.default (Checkgen.instrument ~mode:Checkgen.Naive tp)
       in
       let fine =
-        Accrt.Interp.run ~coherence:true
-          ~granularity:Accrt.Coherence.Fine (Checkgen.instrument tp)
+        run
+          { Accrt.Interp.default with granularity = Accrt.Coherence.Fine }
+          (Checkgen.instrument tp)
       in
       same opt && same naive && same fine)
 
@@ -258,7 +257,7 @@ let no_false_errors =
           iters
       in
       let tp = Checkgen.instrument (Openarc_core.Compiler.compile src) in
-      let o = Accrt.Interp.run ~coherence:true tp in
+      let o = Accrt.Interp.exec Accrt.Interp.default Accrt.Interp.detached tp in
       not
         (List.exists
            (fun (r : Accrt.Coherence.report) ->

@@ -293,7 +293,8 @@ let test_one_device_commit_unaudited () =
   let commits devices =
     let audit = Obs.Audit.create () in
     ignore
-      (Accrt.Interp.run ~coherence:true ~devices ~audit
+      (Accrt.Interp.exec { Accrt.Interp.default with devices }
+         { Accrt.Interp.detached with audit = Some audit }
          (Codegen.Checkgen.instrument (Openarc_core.Compiler.compile src))
         : Accrt.Interp.outcome);
     List.length

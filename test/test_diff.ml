@@ -10,7 +10,11 @@ let categories =
 let profile_of_source ?file src =
   let tp = Openarc_core.Compiler.compile ?file src in
   let tr = Obs.Trace.create () in
-  let _o = Accrt.Interp.run ~coherence:false ~seed:42 ~obs:tr tp in
+  let _o =
+    Accrt.Interp.exec { Accrt.Interp.default with seed = 42 }
+      { Accrt.Interp.detached with trace = Some tr }
+      tp
+  in
   Obs.Profile.of_trace ~categories tr
 
 let profile_bench ?(opt = false) name =

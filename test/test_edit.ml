@@ -97,7 +97,7 @@ let test_wrap_span () =
   Acc.Validate.check_program wrapped;
   let env = Typecheck.check wrapped in
   let tp = Codegen.Translate.translate env wrapped in
-  let o = Accrt.Interp.run ~coherence:false tp in
+  let o = Accrt.Interp.exec Accrt.Interp.default Accrt.Interp.detached tp in
   Alcotest.(check (float 0.)) "still correct" 2.0
     (Accrt.Value.to_float (Accrt.Interp.host_scalar o "cs"))
 

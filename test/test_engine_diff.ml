@@ -76,7 +76,12 @@ let diff_variant (b : Suite.Bench_def.t) variant src =
   let tp = Codegen.Translate.translate tenv prog in
   let run engine =
     let tr = Obs.Trace.create () in
-    let o = Accrt.Interp.run ~coherence:false ~engine ~seed:42 ~obs:tr tp in
+    let o =
+      Accrt.Interp.exec
+        { Accrt.Interp.default with engine; seed = 42 }
+        { Accrt.Interp.detached with trace = Some tr }
+        tp
+    in
     (o, tr)
   in
   let ot, trt = run tree in
@@ -92,8 +97,13 @@ let diff_variant (b : Suite.Bench_def.t) variant src =
     (counters trt = counters trc);
   (* 3. Instrumented run: the coherence verdicts must agree exactly. *)
   let ti = Codegen.Checkgen.instrument tp in
-  let oi_t = Accrt.Interp.run ~coherence:true ~engine:tree ~seed:42 ti in
-  let oi_c = Accrt.Interp.run ~coherence:true ~engine:compiled ~seed:42 ti in
+  let run_instrumented engine =
+    Accrt.Interp.exec
+      { Accrt.Interp.default with engine; seed = 42 }
+      Accrt.Interp.detached ti
+  in
+  let oi_t = run_instrumented tree in
+  let oi_c = run_instrumented compiled in
   check_outputs (what ^ " instrumented")
     oi_t.Accrt.Interp.ctx.Accrt.Eval.env oi_c.Accrt.Interp.ctx.Accrt.Eval.env
     b.outputs;
@@ -107,10 +117,10 @@ let bench_case (b : Suite.Bench_def.t) =
       diff_variant b "unopt" b.source;
       diff_variant b "opt" b.optimized)
 
-(* [Interp.run]'s [devices] defaults to 1, and every set size takes the
-   same runtime path, so this checks the default argument: an explicit
-   [~devices:1] under either schedule (which one member ignores) must be
-   bit-identical to passing nothing — outputs, [ops] accounting, trace
+(* [Interp.default] runs one device under the block schedule, and every
+   set size takes the same runtime path, so this checks the default: a
+   one-member set under either schedule (which one member ignores) must be
+   bit-identical to [Interp.default] — outputs, [ops] accounting, trace
    counters, the simulated clock, the per-directive profile document, and
    the Chrome trace — under both engines.  Identity with the
    pre-device-set runtime is held by the committed goldens. *)
@@ -123,11 +133,13 @@ let diff_devices1 (b : Suite.Bench_def.t) =
   let tp = Codegen.Translate.translate tenv prog in
   List.iter
     (fun engine ->
-      let run ?devices ?schedule () =
+      let run (config : Accrt.Interp.config) =
         let tr = Obs.Trace.create () in
         let o =
-          Accrt.Interp.run ~coherence:false ~engine ~seed:42 ~trace:true
-            ?devices ?schedule ~obs:tr tp
+          Accrt.Interp.exec
+            { config with engine; seed = 42; timeline = true }
+            { Accrt.Interp.detached with trace = Some tr }
+            tp
         in
         (o, tr)
       in
@@ -140,10 +152,12 @@ let diff_devices1 (b : Suite.Bench_def.t) =
           (Obs.Chrome.of_timeline
              o.Accrt.Interp.device.Gpusim.Device.timeline)
       in
-      let o0, tr0 = run () in
+      let o0, tr0 = run Accrt.Interp.default in
       List.iter
         (fun schedule ->
-          let o1, tr1 = run ~devices:1 ~schedule () in
+          let o1, tr1 =
+            run { Accrt.Interp.default with devices = 1; schedule }
+          in
           let what =
             Fmt.str "%s/%s/%s --devices 1" b.name (Accrt.Engine.to_string engine)
               (Gpusim.Device_set.schedule_name schedule)
@@ -179,8 +193,11 @@ let diff_devices1 (b : Suite.Bench_def.t) =
       let lg = Obs.Ledger.create ~devices:1 ~schedule:"block" in
       let trl = Obs.Trace.create () in
       let ol =
-        Accrt.Interp.run ~coherence:false ~engine ~seed:42 ~trace:true
-          ~devices:1 ~schedule:Gpusim.Device_set.Block ~ledger:lg ~obs:trl
+        Accrt.Interp.exec
+          { Accrt.Interp.default with
+            engine; seed = 42; timeline = true; devices = 1;
+            schedule = Gpusim.Device_set.Block }
+          { Accrt.Interp.detached with trace = Some trl; ledger = Some lg }
           tp
       in
       let what =
@@ -252,8 +269,10 @@ let diff_multi_device (b : Suite.Bench_def.t) =
       let run engine =
         let tr = Obs.Trace.create () in
         let o =
-          Accrt.Interp.run ~coherence:false ~engine ~seed:42 ~devices
-            ~schedule ~obs:tr tp
+          Accrt.Interp.exec
+            { Accrt.Interp.default with engine; seed = 42; devices; schedule }
+            { Accrt.Interp.detached with trace = Some tr }
+            tp
         in
         let p = Obs.Profile.of_trace ~categories:profile_categories tr in
         ( o,
@@ -319,24 +338,34 @@ let trace_purity (b : Suite.Bench_def.t) =
   in
   List.iter
     (fun (engine, devices) ->
-      let run ?obs () =
-        Accrt.Interp.run ~coherence:false ~engine ~seed:42 ~devices ?obs tp
+      let run observers =
+        Accrt.Interp.exec
+          { Accrt.Interp.default with engine; seed = 42; devices }
+          observers tp
       in
       same
         (Fmt.str "%s/%s --devices %d +trace" b.name
            (Accrt.Engine.to_string engine) devices)
-        (run ()) (run ~obs:(Obs.Trace.create ()) ()))
+        (run Accrt.Interp.detached)
+        (run
+           { Accrt.Interp.detached with trace = Some (Obs.Trace.create ()) }))
     (List.concat_map
        (fun d -> [ (tree, d); (compiled, d) ])
        [ 1; 2; 4 ]);
   let itp = Codegen.Checkgen.instrument tp in
   List.iter
     (fun devices ->
-      let plain = Accrt.Interp.run ~coherence:true ~seed:42 ~devices itp in
+      let plain =
+        Accrt.Interp.exec
+          { Accrt.Interp.default with seed = 42; devices }
+          Accrt.Interp.detached itp
+      in
       let lg = Obs.Ledger.create ~devices ~schedule:"block" in
       let observed =
-        Accrt.Interp.run ~coherence:true ~seed:42 ~devices ~trace:true
-          ~obs:(Obs.Trace.create ()) ~ledger:lg ~audit:(Obs.Audit.create ())
+        Accrt.Interp.exec
+          { Accrt.Interp.default with seed = 42; devices; timeline = true }
+          { Accrt.Interp.trace = Some (Obs.Trace.create ()); ledger = Some lg;
+            audit = Some (Obs.Audit.create ()) }
           itp
       in
       let what =
@@ -377,8 +406,11 @@ let test_failover_diff () =
         [ Gpusim.Fault_plan.mk_rule ~target ~count:1 ~dev:1
             Gpusim.Fault_plan.Device_lost ]
     in
-    Accrt.Interp.run ~coherence:false ~engine ~seed:42 ~devices:2 ~plan
-      ~resilience:Accrt.Resilience.Retry tp
+    Accrt.Interp.exec
+      { Accrt.Interp.default with
+        engine; seed = 42; devices = 2; plan = Some plan;
+        resilience = Accrt.Resilience.Retry }
+      Accrt.Interp.detached tp
   in
   let ot = run tree in
   let oc = run compiled in
@@ -644,8 +676,9 @@ let test_subscript_errors () =
           let launch engine =
             raised (fun () ->
                 ignore
-                  (Accrt.Interp.run ~coherence:false ~engine ~seed:42 ~devices
-                     tp))
+                  (Accrt.Interp.exec
+                     { Accrt.Interp.default with engine; seed = 42; devices }
+                     Accrt.Interp.detached tp))
           in
           Alcotest.(check string)
             (Fmt.str "%s (kernel, --devices %d): same message" what devices)
@@ -767,8 +800,9 @@ let test_kernel_shapes () =
     (fun (what, opts, race_free, prog) ->
       let tp = Codegen.Translate.translate ~opts (Typecheck.check prog) prog in
       let run engine devices schedule =
-        (Accrt.Interp.run ~coherence:false ~engine ~seed:42 ~devices ~schedule
-           tp)
+        (Accrt.Interp.exec
+           { Accrt.Interp.default with engine; seed = 42; devices; schedule }
+           Accrt.Interp.detached tp)
           .Accrt.Interp.ctx.Accrt.Eval.env
       in
       let oracle = run tree 1 Gpusim.Device_set.Block in
@@ -819,8 +853,11 @@ let test_fault_diff () =
           Gpusim.Fault_plan.create ~seed:7
             [ Gpusim.Fault_plan.mk_rule ~prob:0.5 kind ]
         in
-        Accrt.Interp.run ~coherence:false ~engine ~seed:42 ~plan
-          ~resilience:Accrt.Resilience.Full tp
+        Accrt.Interp.exec
+          { Accrt.Interp.default with
+            engine; seed = 42; plan = Some plan;
+            resilience = Accrt.Resilience.Full }
+          Accrt.Interp.detached tp
       in
       let ot = run tree in
       let oc = run compiled in

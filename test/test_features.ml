@@ -2,13 +2,11 @@
    dimensions, declare, timeline tracing, environment configuration. *)
 
 
-let run ?instrument ?trace src =
-  let tp = Openarc_core.Compiler.compile src in
-  let tp =
-    if instrument = Some true then Codegen.Checkgen.instrument tp else tp
-  in
-  Accrt.Interp.run ~coherence:(instrument = Some true)
-    ?trace tp
+let run ?(trace = false) src =
+  Accrt.Interp.exec
+    { Accrt.Interp.default with timeline = trace }
+    Accrt.Interp.detached
+    (Openarc_core.Compiler.compile src)
 
 let out_f o name = Accrt.Value.to_float (Accrt.Interp.host_scalar o name)
 

@@ -88,7 +88,10 @@ let test_ids_per_program () =
         Codegen.Checkgen.instrument (Openarc_core.Compiler.compile src)
       in
       List.iter
-        (fun devices -> ignore (Accrt.Interp.run ~coherence:true ~devices tp))
+        (fun devices ->
+          ignore
+            (Accrt.Interp.exec { Accrt.Interp.default with devices }
+               Accrt.Interp.detached tp))
         [ 1; 2; 4 ];
       let prog () = Parser.parse_string ~file:name src in
       ignore (Openarc_core.Kernel_verify.verify (prog ()));

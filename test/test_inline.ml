@@ -6,7 +6,8 @@
 open Minic
 
 let run src =
-  Accrt.Interp.run ~coherence:false (Openarc_core.Compiler.compile src)
+  Accrt.Interp.exec Accrt.Interp.default Accrt.Interp.detached
+    (Openarc_core.Compiler.compile src)
 let reference src = Accrt.Eval.run_reference (Parser.parse_string src)
 
 let out_f o name = Accrt.Value.to_float (Accrt.Interp.host_scalar o name)
@@ -69,7 +70,7 @@ let test_session_through_calls () =
   (* the optimized program still computes the right value *)
   let env = Typecheck.check r.Openarc_core.Session.final in
   let tp = Codegen.Translate.translate env r.Openarc_core.Session.final in
-  let o = Accrt.Interp.run ~coherence:false tp in
+  let o = Accrt.Interp.exec Accrt.Interp.default Accrt.Interp.detached tp in
   let ref_ctx = reference saxpy_prog in
   Alcotest.(check (float 1e-6)) "value preserved" (ref_f ref_ctx "d")
     (out_f o "d")

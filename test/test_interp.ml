@@ -8,9 +8,8 @@ open Minic
 
 let run ?opts ?(instrument = false) src =
   let tp = Openarc_core.Compiler.compile ?opts src in
-  if instrument then
-    Accrt.Interp.run ~coherence:true (Codegen.Checkgen.instrument tp)
-  else Accrt.Interp.run ~coherence:false tp
+  let tp = if instrument then Codegen.Checkgen.instrument tp else tp in
+  Accrt.Interp.exec Accrt.Interp.default Accrt.Interp.detached tp
 
 let reference src = Accrt.Eval.run_reference (Parser.parse_string src)
 
@@ -116,7 +115,9 @@ let test_present_error () =
   List.iter
     (fun (engine, devices) ->
       match
-        Accrt.Interp.run ~coherence:false ~engine ~devices
+        Accrt.Interp.exec
+          { Accrt.Interp.default with engine; devices }
+          Accrt.Interp.detached
           (Openarc_core.Compiler.compile src)
       with
       | _ -> Alcotest.fail "expected presence failure"
@@ -150,7 +151,9 @@ let test_subarray_overrun () =
         (fun (engine, devices) ->
           let lg = Obs.Ledger.create ~devices ~schedule:"block" in
           match
-            Accrt.Interp.run ~coherence:false ~engine ~devices ~ledger:lg
+            Accrt.Interp.exec
+              { Accrt.Interp.default with engine; devices }
+              { Accrt.Interp.detached with ledger = Some lg }
               (Openarc_core.Compiler.compile src)
           with
           | _ -> Alcotest.fail "expected a subarray overrun"
@@ -239,6 +242,48 @@ let translated_equals_reference =
       in
       bad = 0)
 
+(* The program says whether it is checked: translation leaves
+   [instrumented] false and instrumentation sets it, the coherence runtime
+   runs exactly on an instrumented program, and the labelled wrapper
+   refuses a [~coherence] that disagrees with the program. *)
+let test_instrumented_rule () =
+  let tp = Openarc_core.Compiler.compile Suite.Jacobi.bench.source in
+  let itp = Codegen.Checkgen.instrument tp in
+  Alcotest.(check bool) "compiled: not instrumented" false
+    tp.Codegen.Tprog.instrumented;
+  Alcotest.(check bool) "instrumented: instrumented" true
+    itp.Codegen.Tprog.instrumented;
+  let run tp =
+    let audit = Obs.Audit.create () in
+    let o =
+      Accrt.Interp.exec Accrt.Interp.default
+        { Accrt.Interp.detached with audit = Some audit }
+        tp
+    in
+    (o, Obs.Audit.length audit)
+  in
+  let o, transitions = run tp in
+  Alcotest.(check int) "plain run: no reports" 0
+    (List.length (Accrt.Interp.reports o));
+  Alcotest.(check int) "plain run: no executed checks" 0
+    o.Accrt.Interp.coherence.Accrt.Coherence.checks_executed;
+  Alcotest.(check int) "plain run: no audit transitions" 0 transitions;
+  let oi, transitions = run itp in
+  Alcotest.(check bool) "instrumented run: reports" true
+    (Accrt.Interp.reports oi <> []);
+  Alcotest.(check bool) "instrumented run: audit transitions" true
+    (transitions > 0);
+  let refused what coherence tp =
+    match Accrt.Interp.run ~coherence tp with
+    | _ -> Alcotest.failf "%s: expected Invalid_argument" what
+    | exception Invalid_argument _ -> ()
+  in
+  refused "~coherence:true on a plain program" true tp;
+  refused "~coherence:false on an instrumented program" false itp;
+  Alcotest.(check int) "an agreeing ~coherence runs"
+    (List.length (Accrt.Interp.reports oi))
+    (List.length (Accrt.Interp.reports (Accrt.Interp.run ~coherence:true itp)))
+
 let tests =
   [ Alcotest.test_case "matches reference" `Quick test_matches_reference;
     Alcotest.test_case "subarray overrun" `Quick test_subarray_overrun;
@@ -253,4 +298,5 @@ let tests =
     Alcotest.test_case "async timing" `Quick test_async_timing;
     Alcotest.test_case "pointer kernel" `Quick test_pointer_kernel;
     Alcotest.test_case "host loop with break" `Quick test_host_loop_with_break;
+    Alcotest.test_case "instrumented rule" `Quick test_instrumented_rule;
     QCheck_alcotest.to_alcotest translated_equals_reference ]

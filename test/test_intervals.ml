@@ -152,7 +152,8 @@ let test_fine_end_to_end () =
   in
   let run granularity =
     let o =
-      Accrt.Interp.run ~coherence:true ~granularity
+      Accrt.Interp.exec { Accrt.Interp.default with granularity }
+        Accrt.Interp.detached
         (Codegen.Checkgen.instrument (Openarc_core.Compiler.compile src))
     in
     List.length

@@ -69,8 +69,11 @@ let tree_vs_sequential =
           <= 1e-9 *. Float.max 1.0 (Float.abs seq)
       | None -> false)
 
-let run ?engine ?devices src =
-  Accrt.Interp.run ~coherence:false ?engine ?devices
+let run ?(engine = Accrt.Interp.default.engine)
+    ?(devices = Accrt.Interp.default.devices) src =
+  Accrt.Interp.exec
+    { Accrt.Interp.default with engine; devices }
+    Accrt.Interp.detached
     (Openarc_core.Compiler.compile src)
 
 let test_zero_trip_kernel () =

@@ -18,8 +18,10 @@ let run_ledgered ?(instrument = false) ~engine ~devices ~schedule
       ~schedule:(Gpusim.Device_set.schedule_name schedule)
   in
   let o =
-    Accrt.Interp.run ~coherence:instrument ~engine ~seed:42 ~devices
-      ~schedule ~ledger:lg tp
+    Accrt.Interp.exec
+      { Accrt.Interp.default with engine; seed = 42; devices; schedule }
+      { Accrt.Interp.detached with ledger = Some lg }
+      tp
   in
   (lg, o)
 

@@ -397,7 +397,8 @@ let test_runtime_agreement () =
           let tp = Openarc_core.Compiler.compile ~file:b.name src in
           let ds = Lint.Xfer.analyze tp in
           let o =
-            Accrt.Interp.run ~coherence:true (Codegen.Checkgen.instrument tp)
+            Accrt.Interp.exec Accrt.Interp.default Accrt.Interp.detached
+              (Codegen.Checkgen.instrument tp)
           in
           let reports = Accrt.Interp.reports o in
           let confirmed d =

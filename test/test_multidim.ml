@@ -5,7 +5,8 @@
 open Minic
 
 let run src =
-  Accrt.Interp.run ~coherence:false (Openarc_core.Compiler.compile src)
+  Accrt.Interp.exec Accrt.Interp.default Accrt.Interp.detached
+    (Openarc_core.Compiler.compile src)
 let reference src = Accrt.Eval.run_reference (Parser.parse_string src)
 
 let out_f o name = Accrt.Value.to_float (Accrt.Interp.host_scalar o name)
@@ -116,7 +117,7 @@ let test_coherence_on_2d () =
      cs = a[0][0];\nreturn 0; }"
   in
   let o =
-    Accrt.Interp.run ~coherence:true
+    Accrt.Interp.exec Accrt.Interp.default Accrt.Interp.detached
       (Codegen.Checkgen.instrument (Openarc_core.Compiler.compile src))
   in
   Alcotest.(check (float 0.)) "value" 4.0 (out_f o "cs");

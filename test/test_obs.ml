@@ -95,7 +95,11 @@ let test_jsonl () =
 let test_conservation () =
   let tp = tprog_of "JACOBI" in
   let tr = Obs.Trace.create () in
-  let o = Accrt.Interp.run ~coherence:false ~seed:42 ~obs:tr tp in
+  let o =
+    Accrt.Interp.exec { Accrt.Interp.default with seed = 42 }
+      { Accrt.Interp.detached with trace = Some tr }
+      tp
+  in
   let total = Gpusim.Metrics.total_time (Accrt.Interp.metrics o) in
   let p = Obs.Profile.of_trace ~categories tr in
   Alcotest.(check bool) "total is positive" true (total > 0.0);
@@ -131,7 +135,11 @@ let test_audit_replay () =
       (Openarc_core.Compiler.compile b.Suite.Bench_def.source)
   in
   let audit = Obs.Audit.create () in
-  let o = Accrt.Interp.run ~coherence:true ~seed:42 ~audit tp in
+  let o =
+    Accrt.Interp.exec { Accrt.Interp.default with seed = 42 }
+      { Accrt.Interp.detached with audit = Some audit }
+      tp
+  in
   Alcotest.(check bool) "transitions recorded" true
     (Obs.Audit.length audit > 0);
   (* Replaying the log from the all-fresh initial state must land on the
@@ -163,7 +171,11 @@ let test_audit_replay () =
 let run_traced name =
   let tp = tprog_of name in
   let tr = Obs.Trace.create () in
-  let o = Accrt.Interp.run ~coherence:false ~seed:42 ~obs:tr tp in
+  let o =
+    Accrt.Interp.exec { Accrt.Interp.default with seed = 42 }
+      { Accrt.Interp.detached with trace = Some tr }
+      tp
+  in
   (tr, o)
 
 let test_flame_deterministic () =
@@ -213,8 +225,11 @@ let test_recovery_spans () =
   in
   let tr = Obs.Trace.create () in
   let o =
-    Accrt.Interp.run ~coherence:false ~seed:42 ~plan
-      ~resilience:Accrt.Resilience.Retry ~obs:tr tp
+    Accrt.Interp.exec
+      { Accrt.Interp.default with
+        seed = 42; plan = Some plan; resilience = Accrt.Resilience.Retry }
+      { Accrt.Interp.detached with trace = Some tr }
+      tp
   in
   ignore o;
   let recoveries =
@@ -237,7 +252,12 @@ let test_recovery_spans () =
 let test_device_spans_and_counters () =
   let tp = tprog_of "JACOBI" in
   let tr = Obs.Trace.create () in
-  let o = Accrt.Interp.run ~coherence:false ~seed:42 ~trace:true ~obs:tr tp in
+  let o =
+    Accrt.Interp.exec
+      { Accrt.Interp.default with seed = 42; timeline = true }
+      { Accrt.Interp.detached with trace = Some tr }
+      tp
+  in
   let m = Accrt.Interp.metrics o in
   let device_leaves =
     List.filter
@@ -295,8 +315,12 @@ let test_trace_lanes () =
   let run plan =
     let tr = Obs.Trace.create () in
     let o =
-      Accrt.Interp.run ~coherence:false ~seed:42 ~trace:true ~devices
-        ?plan ~resilience:Accrt.Resilience.Full ~obs:tr tp
+      Accrt.Interp.exec
+        { Accrt.Interp.default with
+          seed = 42; timeline = true; devices; plan;
+          resilience = Accrt.Resilience.Full }
+        { Accrt.Interp.detached with trace = Some tr }
+        tp
     in
     Obs.Pjson.parse
       (Obs.Pjson.to_string
@@ -362,8 +386,10 @@ let test_memory_counter_lanes () =
   let tr = Obs.Trace.create () in
   let lg = Obs.Ledger.create ~devices ~schedule:"block" in
   let o =
-    Accrt.Interp.run ~coherence:false ~seed:42 ~trace:true ~devices
-      ~ledger:lg ~obs:tr tp
+    Accrt.Interp.exec
+      { Accrt.Interp.default with seed = 42; timeline = true; devices }
+      { Accrt.Interp.detached with trace = Some tr; ledger = Some lg }
+      tp
   in
   let v =
     Obs.Pjson.parse

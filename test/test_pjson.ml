@@ -187,11 +187,14 @@ let canonical_lines what jsonl =
 let categories =
   List.map Gpusim.Metrics.category_name Gpusim.Metrics.all_categories
 
-(* Every exporter's document on one benchmark. *)
+(* Every exporter's document on one benchmark.  The program is
+   instrumented, so the audit exporter sees real coherence transitions. *)
 let exporters_canonical (b : Suite.Bench_def.t) () =
   let name = b.name in
   let prog = Minic.Parser.parse_string ~file:name b.source in
-  let tp = Openarc_core.Compiler.compile_program prog in
+  let tp =
+    Codegen.Checkgen.instrument (Openarc_core.Compiler.compile_program prog)
+  in
   let timelines (o : Accrt.Interp.outcome) =
     Array.map
       (fun d -> d.Gpusim.Device.timeline)
@@ -206,11 +209,17 @@ let exporters_canonical (b : Suite.Bench_def.t) () =
           Result.get_ok (Gpusim.Fault_plan.of_spec ~seed:42 "xfer-fail")
         in
         let o =
-          Accrt.Interp.run ~coherence:true ~seed:42 ~trace:true ~devices
-            ~plan ~resilience:Accrt.Resilience.Retry ~obs:tr ~ledger:lg
-            ~audit tp
+          Accrt.Interp.exec
+            { Accrt.Interp.default with
+              seed = 42; timeline = true; devices; plan = Some plan;
+              resilience = Accrt.Resilience.Retry }
+            { Accrt.Interp.trace = Some tr; ledger = Some lg;
+              audit = Some audit }
+            tp
         in
         let what = Fmt.str "%s x%d" name devices in
+        Alcotest.(check bool) (what ^ " audit has transitions") true
+          (Obs.Audit.length audit > 0);
         let p = Obs.Profile.of_trace ~categories tr in
         canonical (what ^ " profile") (Obs.Profile.to_json ~name ~seed:42 p);
         canonical_lines (what ^ " events") (Obs.Trace.to_jsonl tr);

@@ -13,14 +13,17 @@ let plan spec =
   | Ok p -> p
   | Error e -> Alcotest.failf "bad spec %S: %s" spec e
 
-(* Compile [src] and run it; [instrument] adds the coherence checks and
-   turns the coherence runtime on. *)
-let run_src ?(instrument = false) ?seed ?plan ?resilience ?devices ?schedule
+(* Compile [src] and run it; [instrument] adds the coherence checks, which
+   turn the coherence runtime on. *)
+let run_src ?(instrument = false) ?(seed = Interp.default.seed) ?plan
+    ?(resilience = Interp.default.resilience)
+    ?(devices = Interp.default.devices) ?(schedule = Interp.default.schedule)
     src =
   let tp = Openarc_core.Compiler.compile src in
   let tp = if instrument then Codegen.Checkgen.instrument tp else tp in
-  Interp.run ~coherence:instrument ?seed ?plan ?resilience ?devices
-    ?schedule tp
+  Interp.exec
+    { Interp.default with seed; plan; resilience; devices; schedule }
+    Interp.detached tp
 
 let run ?instrument ?resilience ?spec ?devices ?schedule src =
   let plan = Option.map plan spec in
@@ -516,8 +519,11 @@ let test_multi_shot_faults () =
           | Error e -> Alcotest.failf "%s: %s" what e
         in
         match
-          Interp.run ~coherence:false ~seed ~plan ~resilience:Resilience.Full
-            ~kcache tp
+          Interp.exec
+            { Interp.default with
+              seed; plan = Some plan; resilience = Resilience.Full;
+              kcache = Some kcache }
+            Interp.detached tp
         with
         | exception Resilience.Unrecovered _ -> ()
         | o ->

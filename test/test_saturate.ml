@@ -31,8 +31,11 @@ let test_shared_store_hits () =
   let run tp =
     let tr = Obs.Trace.create () in
     ignore
-      (Accrt.Interp.run ~coherence:false ~seed:42
-         ~engine:Accrt.Engine.Compiled ~kcache:store ~obs:tr tp);
+      (Accrt.Interp.exec
+         { Accrt.Interp.default with
+           seed = 42; engine = Accrt.Engine.Compiled; kcache = Some store }
+         { Accrt.Interp.detached with trace = Some tr }
+         tp);
     (counter tr "engine_compiles", counter tr "engine_compile_hits")
   in
   let compiles1, hits1 = run tp in

@@ -12,7 +12,7 @@ let jacobi =
 
 let test_suggestions_from_naive_run () =
   let o =
-    Accrt.Interp.run ~coherence:true
+    Accrt.Interp.exec Accrt.Interp.default Accrt.Interp.detached
       (Codegen.Checkgen.instrument (Openarc_core.Compiler.compile jacobi))
   in
   let suggestions = Openarc_core.Suggest.analyze o in
@@ -46,7 +46,7 @@ let test_session_preserves_outputs () =
   let r = Openarc_core.Session.optimize ~outputs:[ "a"; "cs" ] prog in
   let env = Typecheck.check r.Openarc_core.Session.final in
   let tp = Codegen.Translate.translate env r.Openarc_core.Session.final in
-  let o = Accrt.Interp.run ~coherence:false tp in
+  let o = Accrt.Interp.exec Accrt.Interp.default Accrt.Interp.detached tp in
   Alcotest.(check bool) "outputs preserved" true
     (Openarc_core.Session.outputs_match ~outputs:[ "a"; "cs" ] ~reference o)
 
@@ -71,7 +71,7 @@ let test_wrong_suggestion_detected () =
   let reference = (Accrt.Eval.run_reference prog).Accrt.Eval.env in
   let env = Typecheck.check r.Openarc_core.Session.final in
   let tp = Codegen.Translate.translate env r.Openarc_core.Session.final in
-  let o = Accrt.Interp.run ~coherence:false tp in
+  let o = Accrt.Interp.exec Accrt.Interp.default Accrt.Interp.detached tp in
   Alcotest.(check bool) "correct after repair" true
     (Openarc_core.Session.outputs_match ~outputs:[ "cs" ] ~reference o)
 
@@ -146,7 +146,10 @@ let test_session_multi_device () =
   let reference = (Accrt.Eval.run_reference prog).Accrt.Eval.env in
   let env = Typecheck.check multi.Openarc_core.Session.final in
   let tp = Codegen.Translate.translate env multi.Openarc_core.Session.final in
-  let o = Accrt.Interp.run ~coherence:false ~devices:2 tp in
+  let o =
+    Accrt.Interp.exec { Accrt.Interp.default with devices = 2 }
+      Accrt.Interp.detached tp
+  in
   Alcotest.(check bool) "optimized outputs verify on two devices" true
     (Openarc_core.Session.outputs_match ~outputs:[ "a"; "cs" ] ~reference o)
 
@@ -339,7 +342,7 @@ let test_unconverged_final_matches () =
   let tp = Codegen.Translate.translate (Typecheck.check final) final in
   Alcotest.(check bool) "final program's outputs match" true
     (Openarc_core.Session.outputs_match ~outputs ~reference
-       (Accrt.Interp.run ~coherence:false tp));
+       (Accrt.Interp.exec Accrt.Interp.default Accrt.Interp.detached tp));
   Alcotest.(check (pair int int)) "final keeps the input's transfers"
     (Openarc_core.Session.transfer_stats prog)
     (Openarc_core.Session.transfer_stats final)
@@ -358,7 +361,7 @@ let test_nan_outputs_diverge () =
   let prog = Parser.parse_string nan_outputs in
   let reference = (Accrt.Eval.run_reference prog).Accrt.Eval.env in
   let o =
-    Accrt.Interp.run ~coherence:false
+    Accrt.Interp.exec Accrt.Interp.default Accrt.Interp.detached
       (Openarc_core.Compiler.compile_program prog)
   in
   let env = o.Accrt.Interp.ctx.Accrt.Eval.env in

@@ -31,12 +31,15 @@ let check_variant (b : Suite.Bench_def.t) src =
   let env = Typecheck.check prog in
   let renv = (Accrt.Eval.run_reference prog).Accrt.Eval.env in
   let tp = Codegen.Translate.translate env prog in
-  let o = Accrt.Interp.run ~coherence:false tp in
+  let o = Accrt.Interp.exec Accrt.Interp.default Accrt.Interp.detached tp in
   Alcotest.(check bool)
     (b.name ^ ": translated run matches the sequential reference") true
     (outputs_equal renv o b.outputs);
   (* instrumented execution must not change results either *)
-  let oi = Accrt.Interp.run ~coherence:true (Codegen.Checkgen.instrument tp) in
+  let oi =
+    Accrt.Interp.exec Accrt.Interp.default Accrt.Interp.detached
+      (Codegen.Checkgen.instrument tp)
+  in
   Alcotest.(check bool) (b.name ^ ": instrumentation is transparent") true
     (outputs_equal renv oi b.outputs);
   tp

@@ -78,7 +78,7 @@ let test_cfg_structure () =
 
 let test_deadness () =
   let tp, cfg, sets = setup () in
-  let dead = Deadness.compute tp cfg sets in
+  let dead = Deadness.compute tp cfg sets ~main:(Tcfg.main_vars tp) in
   let dead_cpu = dead.Deadness.cpu and dead_gpu = dead.Deadness.gpu in
   let k = launch_node cfg sets in
   (* after the kernel: the host never touches q again -> must-dead; x is
@@ -110,7 +110,7 @@ let test_lastwrite () =
 
 let test_firstaccess () =
   let tp, cfg, sets = setup () in
-  let first = Firstaccess.compute tp cfg sets in
+  let first = Firstaccess.compute tp cfg sets ~main:(Tcfg.main_vars tp) in
   let first_reads_of v =
     List.filter
       (fun n -> Varset.mem v first.Firstaccess.first_read.(n))
