@@ -361,7 +361,7 @@ let run_ablation ppf =
         in
         let t = Gpusim.Metrics.total_time (Accrt.Interp.metrics o) in
         (Codegen.Tprog.count_checks tp',
-         o.Accrt.Interp.coherence.Accrt.Coherence.checks_executed,
+         (Accrt.Interp.metrics o).Gpusim.Metrics.checks,
          100. *. ((t -. t0) /. Float.max t0 1e-12))
       in
       let oi, oe, oo = measure Codegen.Checkgen.Optimized in
@@ -1169,7 +1169,7 @@ let saturate ppf =
     (fun (name, r) ->
       Fmt.pf ppf
         "  %-12s %2d step(s) %2d accepted  %12.9f s -> %12.9f s  \
-         (%5.1f%%)  %d store hit(s)@."
+         (%5.1f%%)  %d compiled-kernel reuse(s)@."
         name
         (List.length r.Saturate.r_steps)
         r.Saturate.r_accepted r.Saturate.r_total_before
@@ -1277,6 +1277,13 @@ let median_wall ~repeats f =
    hooked sequential run. *)
 type wall_times = { run_s : float; verify_s : float }
 
+(* A plain run of [tp] under [engine], discarding its outcome. *)
+let plain_run engine tp =
+  ignore
+    (Accrt.Interp.exec
+       { Accrt.Interp.default with engine; seed = 42 }
+       Accrt.Interp.detached tp)
+
 let wall_entry ~repeats ~engines (b : Bench_def.t) =
   let prog = parse b in
   let tp = compile prog in
@@ -1284,12 +1291,7 @@ let wall_entry ~repeats ~engines (b : Bench_def.t) =
     List.map
       (fun engine ->
         ( engine,
-          { run_s =
-              median_wall ~repeats (fun () ->
-                  ignore
-                    (Accrt.Interp.exec
-                       { Accrt.Interp.default with engine; seed = 42 }
-                       Accrt.Interp.detached tp));
+          { run_s = median_wall ~repeats (fun () -> plain_run engine tp);
             verify_s =
               median_wall ~repeats (fun () ->
                   ignore
@@ -1326,6 +1328,47 @@ let suite_speedups timer entries =
 let growth_copies = (17, 100)
 let growth_bound = 7.3
 
+(* The many-kernel row: a plain run of [Blocks.three] at [many_copies]
+   copies (400 kernels, each launched one to three times) per engine,
+   timed in interleaved rounds after a full major collection each, like
+   the growth pairs: this machine's speed drifts between consecutive
+   runs by more than the engines differ here.  An engine's time is its
+   median over the rounds and the speedup the median of the rounds' tree
+   over compiled.  Work the compiled engine does per kernel per run
+   (compiling it, and any identity work on top) weighs most on this row,
+   so the wall-smoke gate requires a speedup of at least [many_bound]. *)
+let many_copies = 100
+let many_bound = 1.0
+
+(* Mean time of [calls] back-to-back calls of [f x], after a full major
+   collection. *)
+let timed ~calls f x =
+  Gc.full_major ();
+  let t0 = Unix.gettimeofday () in
+  for _ = 1 to calls do
+    f x
+  done;
+  (Unix.gettimeofday () -. t0) /. float_of_int calls
+
+let wall_many ~rounds ~engines =
+  let tp = compile (Minic.Parser.parse_string (Blocks.three many_copies)) in
+  let rounds =
+    List.init rounds (fun _ ->
+        List.map (fun e -> (e, timed ~calls:1 (plain_run e) tp)) engines)
+  in
+  ( List.map
+      (fun e -> (e, median_float (List.map (List.assoc e) rounds)))
+      engines,
+    if List.length engines = 2 then
+      Some
+        (median_float
+           (List.map
+              (fun r ->
+                List.assoc Accrt.Engine.Tree r
+                /. List.assoc Accrt.Engine.Compiled r)
+              rounds))
+    else None )
+
 let growth_passes =
   [ ("instrument", fun (_, tp) -> ignore (Codegen.Checkgen.instrument tp));
     ("lint", fun (prog, _) -> ignore (Lint.run_program prog)) ]
@@ -1336,15 +1379,6 @@ let wall_growth ~pairs =
     (prog, compile prog)
   in
   let small = side (fst growth_copies) and large = side (snd growth_copies) in
-  (* Mean time of [calls] back-to-back calls. *)
-  let timed ~calls f x =
-    Gc.full_major ();
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to calls do
-      f x
-    done;
-    (Unix.gettimeofday () -. t0) /. float_of_int calls
-  in
   let calls = snd growth_copies / fst growth_copies in
   let ratios =
     List.init pairs (fun _ ->
@@ -1357,7 +1391,7 @@ let wall_growth ~pairs =
       (name, median_float (List.map (fun r -> List.nth r i) ratios)))
     growth_passes
 
-let wall_doc ~repeats ~engines ~growth entries =
+let wall_doc ~repeats ~engines ~growth ~many entries =
   envelope "wall"
     ~header:
       [ ("repeats", P.int repeats);
@@ -1374,7 +1408,18 @@ let wall_doc ~repeats ~engines ~growth entries =
              | [] -> P.Null
              | speedups -> P.fixed 2 (median_float speedups) ))
          wall_timers
-      @ List.map (fun (name, g) -> (name ^ "_growth", P.fixed 2 g)) growth)
+      @ List.map (fun (name, g) -> (name ^ "_growth", P.fixed 2 g)) growth
+      @ [ ( "many_kernels",
+            P.Obj
+              (("copies", P.int many_copies)
+               :: List.map
+                    (fun (e, t) ->
+                      (Accrt.Engine.to_string e ^ "_s", P.fixed 6 t))
+                    (fst many)
+              @
+              match snd many with
+              | Some s -> [ ("speedup", P.fixed 2 s) ]
+              | None -> []) ) ])
     (List.map
        (fun (name, times) ->
          P.Obj
@@ -1393,12 +1438,36 @@ let wall_doc ~repeats ~engines ~growth entries =
                 wall_timers))
        entries)
 
+(* One gate's verdict line; 1 when it fails. *)
+let at_least ppf what got need =
+  if got >= need then begin
+    Fmt.pf ppf "wall: %s %.2fx (>= %.2fx required)@." what got need;
+    0
+  end
+  else begin
+    Fmt.pf ppf "WALL REGRESSION: %s %.2fx below required %.2fx@." what got
+      need;
+    1
+  end
+
+let at_most ppf what got bound =
+  if got <= bound then begin
+    Fmt.pf ppf "wall: %s %.2fx (<= %.2fx allowed)@." what got bound;
+    0
+  end
+  else begin
+    Fmt.pf ppf "WALL REGRESSION: %s %.2fx above allowed %.2fx@." what got
+      bound;
+    1
+  end
+
 (* The wall tier: per-benchmark wall-clock medians of a run and of a
-   symbolic verification for the selected engines, the static passes'
-   growth over [4 * repeats + 1] pairs, the bench-wall JSON report, and,
-   given [min_speedup], the wall-smoke CI gates: both suite median
-   speedups at least [min_speedup] (when both engines ran), both growths
-   at most [growth_bound].  Returns the exit code. *)
+   symbolic verification for the selected engines, the many-kernel row
+   over [4 * repeats + 1] rounds, the static passes' growth over as many
+   pairs, the bench-wall JSON report, and, given [min_speedup], the
+   wall-smoke CI gates: both suite median speedups at least [min_speedup]
+   and the many-kernel speedup at least [many_bound] (when both engines
+   ran), both growths at most [growth_bound].  Returns the exit code. *)
 let run_wall ?(json = wall_path) ?names
     ?(engines = [ Accrt.Engine.Tree; Accrt.Engine.Compiled ])
     ?(repeats = 5) ?min_speedup ppf =
@@ -1408,24 +1477,31 @@ let run_wall ?(json = wall_path) ?names
     repeats;
   hr ppf;
   let entries = List.map (wall_entry ~repeats ~engines) benches in
+  let row name kind times timer speedup =
+    Fmt.pf ppf "  %-12s %-6s" name kind;
+    List.iter
+      (fun (e, w) ->
+        Fmt.pf ppf "  %s %9.6f s" (Accrt.Engine.to_string e) (timer w))
+      times;
+    Option.iter (Fmt.pf ppf "  %6.2fx") speedup;
+    Fmt.pf ppf "@."
+  in
   List.iter
     (fun (name, times) ->
       List.iteri
         (fun i (prefix, _, timer) ->
-          Fmt.pf ppf "  %-12s %-6s"
+          row
             (if i = 0 then name else "")
-            (if prefix = "" then "run" else "verify");
-          List.iter
-            (fun (e, w) ->
-              Fmt.pf ppf "  %s %9.6f s" (Accrt.Engine.to_string e) (timer w))
-            times;
-          (match wall_speedup timer times with
-          | Some s -> Fmt.pf ppf "  %6.2fx" s
-          | None -> ());
-          Fmt.pf ppf "@.")
+            (if prefix = "" then "run" else "verify")
+            times timer
+            (wall_speedup timer times))
         wall_timers)
     entries;
   let pairs = (4 * repeats) + 1 in
+  let many = wall_many ~rounds:pairs ~engines in
+  Fmt.pf ppf "Many kernels, %d copies of three blocks (median of %d rounds)@."
+    many_copies pairs;
+  row "" "run" (fst many) Fun.id (snd many);
   let growth = wall_growth ~pairs in
   Fmt.pf ppf
     "Static pass growth, %d -> %d copies of three blocks (median of %d \
@@ -1434,43 +1510,33 @@ let run_wall ?(json = wall_path) ?names
   List.iter (fun (name, g) -> Fmt.pf ppf "  %-12s %6.2fx@." name g) growth;
   Out_channel.with_open_bin json (fun oc ->
       output_string oc
-        (P.to_string (wall_doc ~repeats ~engines ~growth entries)));
+        (P.to_string (wall_doc ~repeats ~engines ~growth ~many entries)));
   hr ppf;
   Fmt.pf ppf "wall report written to %s@." json;
   match min_speedup with
   | None -> 0
   | Some need ->
-      let speedup_code =
-        List.fold_left
-          (fun code (_, label, timer) ->
+      (* Verdicts print in order: suite medians, many kernels, growths. *)
+      let speedups =
+        List.filter_map
+          (fun (_, label, timer) ->
             match suite_speedups timer entries with
-            | [] -> code
+            | [] -> None
             | speedups ->
-                let got = median_float speedups in
-                if got >= need then begin
-                  Fmt.pf ppf "wall: median %s %.2fx (>= %.2fx required)@."
-                    label got need;
-                  code
-                end
-                else begin
-                  Fmt.pf ppf
-                    "WALL REGRESSION: median %s %.2fx below required %.2fx@."
-                    label got need;
-                  1
-                end)
-          0 wall_timers
+                Some
+                  (at_least ppf ("median " ^ label) (median_float speedups)
+                     need))
+          wall_timers
       in
-      List.fold_left
-        (fun code (name, got) ->
-          if got <= growth_bound then begin
-            Fmt.pf ppf "wall: median %s growth %.2fx (<= %.2fx allowed)@."
-              name got growth_bound;
-            code
-          end
-          else begin
-            Fmt.pf ppf
-              "WALL REGRESSION: median %s growth %.2fx above allowed %.2fx@."
-              name got growth_bound;
-            1
-          end)
-        speedup_code growth
+      let many_code =
+        Option.fold ~none:0
+          ~some:(fun got -> at_least ppf "many-kernel speedup" got many_bound)
+          (snd many)
+      in
+      let growths =
+        List.map
+          (fun (name, got) ->
+            at_most ppf ("median " ^ name ^ " growth") got growth_bound)
+          growth
+      in
+      List.fold_left max many_code (speedups @ growths)

@@ -12,10 +12,11 @@
       default) in memory and compares it byte for byte with the committed
       BENCH_<tier>.json, printing the first differing line on a mismatch;
     - [wall]: measures real wall-clock of a run and of a symbolic kernel
-      verification per benchmark and engine (median-of-N) and the growth
-      of instrumentation and lint from 17 to 100 copies of a program;
-      given [--min-speedup], it gates on both tree-vs-compiled suite
-      median speedups and on both growths.
+      verification per benchmark and engine (median-of-N), of a run of a
+      400-kernel program per engine, and the growth of instrumentation
+      and lint from 17 to 100 copies of a program; given
+      [--min-speedup], it gates on both tree-vs-compiled suite median
+      speedups, on the 400-kernel speedup and on both growths.
 
     Exit codes: 0 ok; 1 a failed gate, a mismatching or missing golden;
     2 malformed input (unknown command, flag, value or name). *)

@@ -172,9 +172,6 @@ let optimize ?(policy = Follow_all) ?(max_iterations = 12) ?(devices = 1)
       if Option.is_none (Accrt.Value.lookup reference name) then
         Fmt.failwith "output '%s' is not a variable of the program" name)
     outputs;
-  (* One kernel store for every iteration's run: edits touch data clauses
-     only, so later iterations reuse the kernels the first one compiled. *)
-  let kcache = Accrt.Compile.create_store () in
   (* vars whose (uncertain) transfer removal was applied, per direction *)
   let removed : (string * bool, unit) Hashtbl.t = Hashtbl.create 8 in
   let frozen_vars : (string, unit) Hashtbl.t = Hashtbl.create 8 in
@@ -264,8 +261,7 @@ let optimize ?(policy = Follow_all) ?(max_iterations = 12) ?(devices = 1)
           let tp = Codegen.Checkgen.instrument (compile prog) in
           Ok
             (Accrt.Interp.exec
-               { Accrt.Interp.default with
-                 devices; schedule; kcache = Some kcache }
+               { Accrt.Interp.default with devices; schedule }
                { Accrt.Interp.detached with
                  trace = Some tr; ledger = Some lg }
                tp)

@@ -75,7 +75,6 @@ type t = {
   states : (string, var_state) Hashtbl.t;
   mutable reports : report list;  (** reversed *)
   mutable loop_stack : (string * int) list;  (** innermost first *)
-  mutable checks_executed : int;
   mutable interval_ops : int;
       (** fine-mode tracking work: interval pieces touched (the cost the
           paper's granularity discussion worries about) *)
@@ -90,8 +89,7 @@ let create ?(granularity = Coarse) ?audit ?(now = fun () -> 0.0)
   let devices = max 1 devices in
   { granularity; ndevices = devices; alive_gpus = Array.make devices true;
     states = Hashtbl.create 32; reports = []; loop_stack = [];
-    checks_executed = 0; interval_ops = 0; audit; now; cur_op = "";
-    cur_point = "" }
+    interval_ops = 0; audit; now; cur_op = ""; cur_point = "" }
 
 let fresh_dev () =
   { status = Not_stale; stale_iv = Intervals.empty; may_iv = Intervals.empty }
@@ -253,7 +251,6 @@ let exit_loop t =
 
 let check_read ?sid ?range t v dev =
   set_ctx t "check-read" (point_of_sid t sid);
-  t.checks_executed <- t.checks_executed + 1;
   match t.granularity with
   | Coarse ->
       (match get t v dev with
@@ -288,7 +285,6 @@ let check_read ?sid ?range t v dev =
 
 let check_write ?sid ?range t v dev =
   set_ctx t "check-write" (point_of_sid t sid);
-  t.checks_executed <- t.checks_executed + 1;
   match t.granularity with
   | Coarse ->
       (match get t v dev with
@@ -316,7 +312,6 @@ let check_write ?sid ?range t v dev =
 
 let reset_status t v dev st =
   set_ctx t "reset" "";
-  t.checks_executed <- t.checks_executed + 1;
   (match t.granularity with
   | Coarse -> ()
   | Fine ->

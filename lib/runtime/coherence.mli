@@ -49,7 +49,6 @@ type t = {
   states : (string, var_state) Hashtbl.t;
   mutable reports : report list;
   mutable loop_stack : (string * int) list;
-  mutable checks_executed : int;
   mutable interval_ops : int;  (** fine-mode tracking work *)
   audit : Obs.Audit.t option;  (** records every status transition *)
   now : unit -> float;  (** simulated clock for audit timestamps *)

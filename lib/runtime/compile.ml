@@ -31,8 +31,8 @@
       two views can never diverge.
     - {e register} mode (kernel bodies): no name mirror at all — every name
       of the kernel body is register-resolved, which is what makes compiled
-      kernels fast.  Kernels compile once and are cached by content, so
-      repeated launches (JACOBI sweeps) reuse the closure.  Entry names
+      kernels fast.  Kernels compile once per cache, keyed by kernel id,
+      so repeated launches (JACOBI sweeps) reuse the closure.  Entry names
       are bound to device buffers and private scalar copies per runner
       call.  Every launch is one {!Kernel_exec} session, and {!run_shard}
       is this engine's one runner for it: called once owning every
@@ -776,72 +776,25 @@ let compile_kernel u (k : kernel) : ckernel =
     ck_nregs = max 1 (Resolve.frame_size res);
     ck_body = body }
 
-(** Content-keyed kernel store.  The key renders everything
-    {!compile_kernel} reads — the kernel-entry name order, scalar classes,
-    induction set, loop header and body — plus every non-[main] global
-    (compiled bodies resolve user-function calls through their unit), all
-    sid- and location-free.  Two kernels with equal keys therefore compile
-    to interchangeable closures, so a store shared across translations of
-    *edited* variants of one program (the saturate search loop) turns
-    recompiles of untouched kernels into cache hits. *)
-type store = (string, ckernel) Hashtbl.t
+(** Kept only so the benchmark harness in [perfbench/] still builds: it
+    passes a store to {!Interp.run}, which ignores it.  The next change to
+    the benchmark drops both. *)
+type store = unit
 
-let create_store () : store = Hashtbl.create 64
-let store_size (s : store) = Hashtbl.length s
+let create_store () : store = ()
 
-let kernel_key prog (k : kernel) =
-  let b = Buffer.create 1024 in
-  let add s = Buffer.add_string b s; Buffer.add_char b '\x00' in
-  let shared =
-    { Minic.Ast.globals =
-        List.filter
-          (function
-            | Minic.Ast.Gfunc f -> f.Minic.Ast.f_name <> "main"
-            | Minic.Ast.Gvar _ -> true)
-          prog.Minic.Ast.globals }
-  in
-  add (Minic.Pretty.program_to_string shared);
-  List.iter add (Kernel_exec.kernel_names k);
-  List.iter
-    (fun (v, cls) ->
-      add v;
-      add
-        (match cls with
-        | Sc_private -> "private"
-        | Sc_firstprivate -> "firstprivate"
-        | Sc_reduction op -> "red:" ^ Minic.Pretty.redop_str op
-        | Sc_raced Race_active -> "raced:active"
-        | Sc_raced Race_latent -> "raced:latent"))
-    k.k_scalars;
-  List.iter add (Analysis.Varset.elements k.k_induction);
-  add (if k.k_seq then "seq" else "par");
-  (match k.k_loop with
-  | None -> add "noloop"
-  | Some l ->
-      add l.kl_var;
-      add (Minic.Pretty.expr_to_string l.kl_init);
-      add (Minic.Pretty.expr_to_string l.kl_cond);
-      (match l.kl_step with
-      | None -> add "nostep"
-      | Some s -> add (Minic.Pretty.stmt_to_string s));
-      List.iter (fun s -> add (Minic.Pretty.stmt_to_string s)) l.kl_body);
-  List.iter (fun s -> add (Minic.Pretty.stmt_to_string s)) k.k_body;
-  Digest.to_hex (Digest.string (Buffer.contents b))
-
-(** Per-program compile cache: kernels compile once into the (optionally
-    shared) content-keyed {!store}, and repeated launches reuse the
-    closure.  [ckeys] memoizes each kernel's content key per kernel id so
-    the per-launch lookup stays O(1).  Host statement leaves compile once
-    in mirror mode (keyed by translated-statement id, which is only
-    meaningful within one translation — so [chost] is never shared), so
-    names they declare stay visible — with the same cells — to the
-    interpreter's environment and to every other compiled or tree-walked
-    fragment.  Kernels' sequential sources compile once each in register
-    mode (keyed by kernel id, so [csources] is never shared either). *)
+(** Per-translation compile cache: each kernel compiles once, keyed by
+    kernel id, and repeated launches — and every shard of a sharded
+    launch — reuse the closure.  Host statement leaves compile once in
+    mirror mode, keyed by translated-statement id, so names they declare
+    stay visible — with the same cells — to the interpreter's environment
+    and to every other compiled or tree-walked fragment.  Kernels'
+    sequential sources compile once each in register mode, keyed by kernel
+    id.  Ids are only meaningful within one translation, so a cache serves
+    one translation. *)
 type cache = {
   cunit : cu;  (** register mode, for kernel bodies and sources *)
-  ckernels : store;  (** content-keyed; may be shared across programs *)
-  ckeys : (int, string) Hashtbl.t;  (** k_id -> content key memo *)
+  ckernels : (int, ckernel) Hashtbl.t;  (** k_id -> compiled kernel *)
   cmunit : cu;  (** mirror mode, for host statements *)
   chost : (int, int * cstm) Hashtbl.t;  (** tid -> (nregs, closure) *)
   csources : (int, csource) Hashtbl.t;  (** k_id -> compiled source *)
@@ -851,21 +804,12 @@ type cache = {
     registers, bound afresh at every occurrence. *)
 and csource = { cs_names : (string * int) list; cs_nregs : int; cs_body : cstm }
 
-let create_cache ?store prog =
+let create_cache prog =
   { cunit = unit_of ~mirror:false prog;
-    ckernels = (match store with Some s -> s | None -> create_store ());
-    ckeys = Hashtbl.create 8;
+    ckernels = Hashtbl.create 8;
     cmunit = unit_of ~mirror:true prog;
     chost = Hashtbl.create 32;
     csources = Hashtbl.create 8 }
-
-let key_of cache (k : kernel) =
-  match Hashtbl.find_opt cache.ckeys k.k_id with
-  | Some key -> key
-  | None ->
-      let key = kernel_key cache.cunit.uprog k in
-      Hashtbl.replace cache.ckeys k.k_id key;
-      key
 
 (** Execute one host statement leaf through the compiled engine.  Free
     names fall back to environment lookups, so fragments compiled in
@@ -921,12 +865,11 @@ let run_source cache (ctx : Eval.ctx) (k : kernel) =
     cs.cs_names;
   cs.cs_body { ctx; regs }
 
-let cached cache (k : kernel) = Hashtbl.mem cache.ckernels (key_of cache k)
+let cached cache (k : kernel) = Hashtbl.mem cache.ckernels k.k_id
 
 let prepare cache (k : kernel) =
   if not (cached cache k) then
-    Hashtbl.replace cache.ckernels (key_of cache k)
-      (compile_kernel cache.cunit k)
+    Hashtbl.replace cache.ckernels k.k_id (compile_kernel cache.cunit k)
 
 (** The compiled engine's runner for a launch session, with
     {!Kernel_exec.run_shard}'s contract: every kernel shape, the ordinals
@@ -937,7 +880,7 @@ let prepare cache (k : kernel) =
 let run_shard cache session ?weights device ~owns =
   let k = Kernel_exec.kernel session in
   prepare cache k;
-  let ck = Hashtbl.find cache.ckernels (key_of cache k) in
+  let ck = Hashtbl.find cache.ckernels k.k_id in
   let host_ctx = Kernel_exec.host session in
   let regs = Array.make ck.ck_nregs Unbound in
   let kenv : Value.t = { Value.globals = Frame.create 1; frames = [] } in

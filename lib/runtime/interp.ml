@@ -37,13 +37,12 @@ type config = {
   resilience : Resilience.policy;
   devices : int;
   schedule : Gpusim.Device_set.schedule;
-  kcache : Compile.store option;
 }
 
 let default =
   { engine = Engine.Compiled; granularity = Coherence.Coarse; seed = 42;
     timeline = false; plan = None; resilience = Resilience.Off; devices = 1;
-    schedule = Gpusim.Device_set.Block; kcache = None }
+    schedule = Gpusim.Device_set.Block }
 
 type observers = {
   trace : Obs.Trace.t option;
@@ -102,7 +101,7 @@ type attribution = {
 
 let exec (cfg : config) (observers : observers) (tp : Codegen.Tprog.t) =
   let { engine; granularity; seed; timeline; plan; resilience = policy;
-        devices; schedule; kcache } =
+        devices; schedule } =
     cfg
   in
   let { trace = obs; ledger; audit } = observers in
@@ -237,14 +236,14 @@ let exec (cfg : config) (observers : observers) (tp : Codegen.Tprog.t) =
   ctx.Eval.call_hook <- Some (Acc_api.hook api);
   Eval.init_globals ctx;
 
-  (* Closure-compilation engine: kernel bodies compile once (cached by
-     kernel content) and run over register frames; host statement leaves
-     compile in mirror mode (cached by translated-statement id), keeping
-     the environment name-addressable for everything around them.  The
-     recovery paths (CPU fallback, recovery validation) stay on the tree
-     walker under either engine: recovery deliberately re-executes
+  (* Closure-compilation engine: kernel bodies compile once per run
+     (cached by kernel id) and run over register frames; host statement
+     leaves compile in mirror mode (cached by translated-statement id),
+     keeping the environment name-addressable for everything around them.
+     The recovery paths (CPU fallback, recovery validation) stay on the
+     tree walker under either engine: recovery deliberately re-executes
      through the independent engine. *)
-  let ecache = lazy (Compile.create_cache ?store:kcache tp.source) in
+  let ecache = lazy (Compile.create_cache tp.source) in
   let compiled k =
     let cache = Lazy.force ecache in
     if Compile.cached cache k then bump "engine_compile_hits"
@@ -1360,8 +1359,8 @@ let exec (cfg : config) (observers : observers) (tp : Codegen.Tprog.t) =
     resilience = stats; imbalance = ilog }
 
 let run ?coherence ?(engine = default.engine) ?(seed = default.seed)
-    ?(devices = default.devices) ?obs ?ledger ?kcache tp =
+    ?(devices = default.devices) ?obs ?ledger ?kcache:_ tp =
   if Option.fold ~none:false ~some:(( <> ) tp.instrumented) coherence then
     invalid_arg "Interp.run: ~coherence disagrees with the program";
-  exec { default with engine; seed; devices; kcache }
+  exec { default with engine; seed; devices }
     { detached with trace = obs; ledger } tp

@@ -13,11 +13,11 @@
 (** How a run executes; {!default} holds the defaults. *)
 type config = {
   engine : Engine.t;
-      (** {!Engine.Compiled} runs closure-compiled kernel bodies (cached per
-          kernel content) and host statements in mirror mode; {!Engine.Tree}
-          walks the AST.  Results are bit-identical, and recovery
-          validation and CPU fallback stay on the tree walker under either
-          engine. *)
+      (** {!Engine.Compiled} runs closure-compiled kernel bodies (each
+          compiled once per run) and host statements in mirror mode;
+          {!Engine.Tree} walks the AST.  Results are bit-identical, and
+          recovery validation and CPU fallback stay on the tree walker
+          under either engine. *)
   granularity : Coherence.granularity;
       (** whole-array ([Coarse], as the paper) or interval tracking *)
   seed : int;  (** drives the deterministic jitter and fault streams *)
@@ -29,16 +29,10 @@ type config = {
   devices : int;  (** size of the simulated device set *)
   schedule : Gpusim.Device_set.schedule;
       (** how [parallel loop] iteration spaces split across members *)
-  kcache : Compile.store option;
-      (** a content-keyed kernel-closure store shared by compiled-engine
-          runs of *different translations* (the saturate search loop's
-          edited variants, a session's iterations): an unchanged kernel
-          body is compiled once, visible as [engine_compile_hits] in the
-          trace's counters *)
 }
 
 (** Compiled engine, coarse tracking, seed 42, no timeline, no faults,
-    policy [Off], one device, block schedule, no shared kernel store. *)
+    policy [Off], one device, block schedule. *)
 val default : config
 
 (** What watches a run.  Each observer is pure: attaching any of them
@@ -125,8 +119,10 @@ val exec : config -> observers -> Codegen.Tprog.t -> outcome
 
 (** {!exec} with labels, for the benchmark harness in [perfbench/], which
     only a change to the benchmark may edit; the next such change moves
-    it to {!exec} and deletes this wrapper.  [coherence], when given, must
-    agree with the program's [instrumented] flag.
+    it to {!exec} and deletes this wrapper, [kcache] and
+    {!Compile.create_store}.  [kcache] is ignored: every run compiles its
+    own kernels once.  [coherence], when given, must agree with the
+    program's [instrumented] flag.
     @raise Invalid_argument when it does not. *)
 val run :
   ?coherence:bool -> ?engine:Engine.t -> ?seed:int -> ?devices:int ->

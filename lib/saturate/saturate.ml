@@ -36,11 +36,10 @@
     stops when no material candidate is left (0.5% of the modeled
     transfer time) or the step budget is exhausted.
 
-    Compiled-engine validation runs share one content-keyed kernel store
-    ({!Accrt.Compile.store}) across all iterations: directive-only edits
-    leave kernel bodies unchanged, so recompiles become
-    [engine_compile_hits] instead of fresh compiles — one per compiled
-    launch, and one per shard on multi-device sets. *)
+    Each compiled-engine validation run compiles the kernels it launches
+    once, and the search sums those runs' [engine_compiles] and
+    [engine_compile_hits] counters (a hit is any later runner call of a
+    compiled kernel: a launch, or one shard of a multi-device launch). *)
 
 open Minic
 
@@ -88,8 +87,9 @@ type t = {
   r_total_after : float;
   r_before : Obs.Profile.t;
   r_after : Obs.Profile.t;
-  r_compile_hits : int;  (** kernel-store hits across all search runs *)
-  r_compiles : int;
+  r_compile_hits : int;
+      (** compiled-kernel reuses, summed over the compiled runs *)
+  r_compiles : int;  (** kernel compiles, summed over the compiled runs *)
 }
 
 type config = {
@@ -548,17 +548,15 @@ let run ?(config = default_config) ~name ~outputs prog0 =
      sites name. *)
   let prog0 = tp0.Codegen.Tprog.source in
   let seed = config.seed in
-  let store = Accrt.Compile.create_store () in
   let hits = ref 0 and compiles = ref 0 in
-  (* Compiled-engine run sharing the cross-iteration kernel store; its
-     counters accumulate into the search-wide hit/compile totals. *)
+  (* Compiled-engine run; its counters accumulate into the search-wide
+     reuse/compile totals. *)
   let compiled_run ~devices tp =
     let tr = Obs.Trace.create () in
     let o =
       Accrt.Interp.exec
         { Accrt.Interp.default with
-          engine = Accrt.Engine.Compiled; seed; devices;
-          kcache = Some store }
+          engine = Accrt.Engine.Compiled; seed; devices }
         { Accrt.Interp.detached with trace = Some tr }
         tp
     in
@@ -832,7 +830,7 @@ let pp ppf (r : t) =
     r.r_steps;
   Fmt.pf ppf
     "  simulated time %.9f s -> %.9f s (%.1f%% reduction); accepted \
-     predicted %.9f s, measured %.9f s; %d kernel-store hit(s)@."
+     predicted %.9f s, measured %.9f s; %d compiled-kernel reuse(s)@."
     r.r_total_before r.r_total_after
     (if r.r_total_before > 0.0 then
        (r.r_total_before -. r.r_total_after) /. r.r_total_before *. 100.0

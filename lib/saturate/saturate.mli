@@ -63,8 +63,9 @@ type t = {
   r_total_after : float;
   r_before : Obs.Profile.t;
   r_after : Obs.Profile.t;
-  r_compile_hits : int;  (** shared kernel-store hits across the search *)
-  r_compiles : int;
+  r_compile_hits : int;
+      (** compiled-kernel reuses, summed over the search's compiled runs *)
+  r_compiles : int;  (** kernel compiles, summed over the same runs *)
 }
 
 type config = {

@@ -179,7 +179,7 @@ let test_check_overhead_charged () =
   Alcotest.(check bool) "overhead accounted" true
     (Gpusim.Metrics.time_of m Gpusim.Metrics.Check_overhead > 0.0);
   Alcotest.(check bool) "checks executed" true
-    (o.Accrt.Interp.coherence.Accrt.Coherence.checks_executed > 0)
+    (m.Gpusim.Metrics.checks > 0)
 
 let base_tests =
   [ Alcotest.test_case "GPU checks hoisted" `Quick test_gpu_checks_hoisted;

@@ -245,7 +245,8 @@ let translated_equals_reference =
 (* The program says whether it is checked: translation leaves
    [instrumented] false and instrumentation sets it, the coherence runtime
    runs exactly on an instrumented program, and the labelled wrapper
-   refuses a [~coherence] that disagrees with the program. *)
+   refuses a [~coherence] that disagrees with the program and ignores a
+   [~kcache]. *)
 let test_instrumented_rule () =
   let tp = Openarc_core.Compiler.compile Suite.Jacobi.bench.source in
   let itp = Codegen.Checkgen.instrument tp in
@@ -266,7 +267,7 @@ let test_instrumented_rule () =
   Alcotest.(check int) "plain run: no reports" 0
     (List.length (Accrt.Interp.reports o));
   Alcotest.(check int) "plain run: no executed checks" 0
-    o.Accrt.Interp.coherence.Accrt.Coherence.checks_executed;
+    (Accrt.Interp.metrics o).Gpusim.Metrics.checks;
   Alcotest.(check int) "plain run: no audit transitions" 0 transitions;
   let oi, transitions = run itp in
   Alcotest.(check bool) "instrumented run: reports" true
@@ -282,7 +283,72 @@ let test_instrumented_rule () =
   refused "~coherence:false on an instrumented program" false itp;
   Alcotest.(check int) "an agreeing ~coherence runs"
     (List.length (Accrt.Interp.reports oi))
-    (List.length (Accrt.Interp.reports (Accrt.Interp.run ~coherence:true itp)))
+    (List.length (Accrt.Interp.reports (Accrt.Interp.run ~coherence:true itp)));
+  let labelled ?kcache () =
+    let tr = Obs.Trace.create () in
+    let o = Accrt.Interp.run ~coherence:true ~obs:tr ?kcache itp in
+    ( Accrt.Value.outputs o.Accrt.Interp.ctx.Accrt.Eval.env
+        Suite.Jacobi.bench.outputs,
+      o.Accrt.Interp.ctx.Accrt.Eval.ops,
+      Obs.Trace.counters tr )
+  in
+  let outputs, ops, counters = labelled () in
+  let outputs', ops', counters' =
+    labelled ~kcache:(Accrt.Compile.create_store ()) ()
+  in
+  Alcotest.(check int) "~kcache: same outputs" 0
+    (List.length
+       (Accrt.Value.compare_outputs ~margin:0.0 ~reference:outputs outputs'));
+  Alcotest.(check int) "~kcache: same ops" ops ops';
+  Alcotest.(check (list (pair string int))) "~kcache: same counters" counters
+    counters'
+
+(* The compiled engine compiles each kernel a run launches exactly once,
+   and nothing outlives the run: on every suite build at 1, 2 and 4
+   devices, [engine_compiles] counts the distinct kernels named by the
+   run's [Kernel] spans (a launch and its shards name one kernel), and a
+   second run of the same translation compiles them all again. *)
+let test_one_compile_per_kernel_per_run () =
+  List.iter
+    (fun (b : Suite.Bench_def.t) ->
+      List.iter
+        (fun (build, src) ->
+          let tp = Openarc_core.Compiler.compile src in
+          List.iter
+            (fun devices ->
+              let what = Fmt.str "%s %s, %d device(s)" b.name build devices in
+              let run () =
+                let tr = Obs.Trace.create () in
+                ignore
+                  (Accrt.Interp.exec
+                     { Accrt.Interp.default with devices }
+                     { Accrt.Interp.detached with trace = Some tr }
+                     tp);
+                tr
+              in
+              let compiles tr =
+                Option.value ~default:0
+                  (List.assoc_opt "engine_compiles" (Obs.Trace.counters tr))
+              in
+              let tr = run () in
+              let kernels =
+                List.sort_uniq String.compare
+                  (List.filter_map
+                     (fun (sp : Obs.Trace.span) ->
+                       if sp.sp_kind = Obs.Trace.Kernel then sp.sp_directive
+                       else None)
+                     (Obs.Trace.spans tr))
+              in
+              Alcotest.(check int)
+                (what ^ ": one compile per launched kernel")
+                (List.length kernels) (compiles tr);
+              Alcotest.(check int)
+                (what ^ ": a second run compiles them again")
+                (compiles tr)
+                (compiles (run ())))
+            [ 1; 2; 4 ])
+        [ ("source", b.source); ("optimized", b.optimized) ])
+    Suite.Registry.all
 
 let tests =
   [ Alcotest.test_case "matches reference" `Quick test_matches_reference;
@@ -299,4 +365,6 @@ let tests =
     Alcotest.test_case "pointer kernel" `Quick test_pointer_kernel;
     Alcotest.test_case "host loop with break" `Quick test_host_loop_with_break;
     Alcotest.test_case "instrumented rule" `Quick test_instrumented_rule;
+    Alcotest.test_case "one compile per kernel per run" `Quick
+      test_one_compile_per_kernel_per_run;
     QCheck_alcotest.to_alcotest translated_equals_reference ]

@@ -505,7 +505,6 @@ let copy_input_src =
    [Unrecovered], and its report counts exactly the retries and
    re-transfers its log lists. *)
 let test_multi_shot_faults () =
-  let kcache = Compile.create_store () in
   let check_program ~name ~outputs src cases =
     let prog = Minic.Parser.parse_string ~file:name src in
     let tp = Openarc_core.Compiler.compile_program prog in
@@ -521,8 +520,7 @@ let test_multi_shot_faults () =
         match
           Interp.exec
             { Interp.default with
-              seed; plan = Some plan; resilience = Resilience.Full;
-              kcache = Some kcache }
+              seed; plan = Some plan; resilience = Resilience.Full }
             Interp.detached tp
         with
         | exception Resilience.Unrecovered _ -> ()

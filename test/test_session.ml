@@ -286,36 +286,6 @@ let test_session_to_json () =
     (Openarc_core.Session.to_json ~name:"jacobi" r)
     (Openarc_core.Session.to_json ~name:"jacobi" r2)
 
-(* One kernel store serves a whole session: its edits touch data clauses
-   only, so on every suite program the first iteration's run compiles the
-   kernels and every later iteration's profile records cache hits only. *)
-let test_session_kernel_store () =
-  List.iter
-    (fun (b : Suite.Bench_def.t) ->
-      let r =
-        Openarc_core.Session.optimize ~outputs:b.outputs
-          (Parser.parse_string ~file:b.name b.source)
-      in
-      List.iter
-        (fun (it : Openarc_core.Session.iteration) ->
-          match it.it_profile with
-          | None -> ()
-          | Some p ->
-              let compiles =
-                List.assoc_opt "engine_compiles" p.Obs.Profile.p_counters
-              in
-              if it.it_index = 1 then
-                Alcotest.(check bool)
-                  (Fmt.str "%s iteration 1 compiles its kernels" b.name)
-                  true (compiles <> None)
-              else
-                Alcotest.(check (option int))
-                  (Fmt.str "%s iteration %d compiles nothing" b.name
-                     it.it_index)
-                  None compiles)
-        r.Openarc_core.Session.telemetry)
-    Suite.Registry.all
-
 (* A kernel rewrites a copied-in array that a later kernel reads: the
    first profiled run matches the reference, then the removal the loop
    applies breaks the outputs and no later edit repairs them.  The loop
@@ -488,8 +458,6 @@ let tests =
       test_telemetry_wrong_suggestion;
     Alcotest.test_case "session report" `Quick test_session_report;
     Alcotest.test_case "session to_json" `Quick test_session_to_json;
-    Alcotest.test_case "one kernel store per session" `Quick
-      test_session_kernel_store;
     Alcotest.test_case "unconverged session keeps matching program" `Quick
       test_unconverged_final_matches;
     Alcotest.test_case "unknown output rejected" `Quick test_unknown_output;

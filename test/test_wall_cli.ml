@@ -1,9 +1,10 @@
 (* Integration tests of the bench driver's [wall] tier: the exit-2 usage
    convention for malformed flags, the bench-wall JSON report shape (run
-   and verify timers), the single-engine mode, the --min-speedup gate
-   on both suite medians (both directions — impossible bounds must fail,
-   a sub-1.0 sanity bound must pass), and the growth bound that gate
-   also holds the static passes to. *)
+   and verify timers, the many-kernel row), the single-engine mode, the
+   --min-speedup gate on both suite medians (both directions — impossible
+   bounds must fail, a sub-1.0 sanity bound must pass), and the fixed
+   bounds that gate also holds the many-kernel row and the static passes
+   to. *)
 
 let exe = "../bench/main.exe"
 
@@ -110,7 +111,19 @@ let test_wall_report () =
           | Some (Obs.Pjson.Num x) -> float_of_string x > 0.0
           | _ -> false))
       [ "median_speedup"; "median_verify_speedup"; "instrument_growth";
-        "lint_growth" ]
+        "lint_growth" ];
+    let many = Option.get (Obs.Pjson.member "many_kernels" v) in
+    Alcotest.(check (option string)) "many-kernel copies" (Some "100")
+      (match Obs.Pjson.member "copies" many with
+      | Some (Obs.Pjson.Num x) -> Some x
+      | _ -> None);
+    List.iter
+      (fun field ->
+        Alcotest.(check bool) ("many-kernel " ^ field ^ " positive") true
+          (match Obs.Pjson.member field many with
+          | Some (Obs.Pjson.Num x) -> float_of_string x > 0.0
+          | _ -> false))
+      [ "tree_s"; "compiled_s"; "speedup" ]
   end
 
 let test_single_engine () =
@@ -139,23 +152,28 @@ let test_single_engine () =
             Alcotest.(check bool) (field ^ " absent") true
               (Obs.Pjson.member field rv = None))
           [ "tree_s"; "verify_tree_s"; "speedup"; "verify_speedup" ])
-      rows
+      rows;
+    let many = Option.get (Obs.Pjson.member "many_kernels" v) in
+    Alcotest.(check bool) "many-kernel compiled_s present" true
+      (Obs.Pjson.member "compiled_s" many <> None);
+    Alcotest.(check bool) "many-kernel tree_s and speedup absent" true
+      (Obs.Pjson.member "tree_s" many = None
+      && Obs.Pjson.member "speedup" many = None)
   end
 
-(* Given --min-speedup, the gate also holds both static passes' growth
-   to a fixed bound and prints one verdict per pass; returns which are
-   over it.  The growths are wall-clock ratios, so a loaded machine may
-   put one over the bound, and the exit code must then say so. *)
-let growth_verdicts out =
+(* Given --min-speedup, the gate also holds the many-kernel speedup and
+   both static passes' growth to fixed bounds and prints one verdict each;
+   returns which fail.  These are wall-clock ratios, so a loaded machine
+   may put one past its bound, and the exit code must then say so. *)
+let fixed_verdicts out =
   List.map
-    (fun pass ->
-      let within = contains ~needle:("wall: median " ^ pass ^ " growth ") out
-      and over =
-        contains ~needle:("WALL REGRESSION: median " ^ pass ^ " growth ") out
-      in
-      Alcotest.(check bool) (pass ^ " growth verdict") true (within <> over);
+    (fun what ->
+      let within = contains ~needle:("wall: " ^ what ^ " ") out
+      and over = contains ~needle:("WALL REGRESSION: " ^ what ^ " ") out in
+      Alcotest.(check bool) (what ^ " verdict") true (within <> over);
       over)
-    [ "instrument"; "lint" ]
+    [ "many-kernel speedup"; "median instrument growth";
+      "median lint growth" ]
 
 let test_min_speedup_gate () =
   if available then begin
@@ -172,7 +190,7 @@ let test_min_speedup_gate () =
         Alcotest.(check bool) (label ^ " flagged") true
           (contains ~needle:("WALL REGRESSION: median " ^ label ^ " ") out))
       [ "speedup"; "verify speedup" ];
-    ignore (growth_verdicts out);
+    ignore (fixed_verdicts out);
     (* ...and a trivial one must pass (any positive speedup clears 0.01). *)
     let code, out, _ = run_cmd (args "--min-speedup 0.01") in
     Sys.remove json;
@@ -181,8 +199,8 @@ let test_min_speedup_gate () =
         Alcotest.(check bool) (label ^ " gate reported") true
           (contains ~needle:("wall: median " ^ label ^ " ") out))
       [ "speedup"; "verify speedup" ];
-    let over = List.exists Fun.id (growth_verdicts out) in
-    Alcotest.(check int) "trivial bound: exit 0 unless a growth is over"
+    let over = List.exists Fun.id (fixed_verdicts out) in
+    Alcotest.(check int) "trivial bound: exit 0 unless a fixed bound fails"
       (if over then 1 else 0)
       code
   end
