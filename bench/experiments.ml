@@ -1249,33 +1249,85 @@ let select = function
   | Some names ->
       List.map
         (fun n ->
-          let n = String.uppercase_ascii n in
-          match
-            List.find_opt (fun (b : Bench_def.t) -> b.name = n) benchmarks
-          with
+          match Registry.find n with
           | Some b -> b
           | None ->
-              Fmt.failwith "unknown benchmark '%s' (expected one of %s)" n
-                (String.concat ","
-                   (List.map (fun (b : Bench_def.t) -> b.name) benchmarks)))
+              Fmt.failwith "unknown benchmark '%s' (expected one of %s)"
+                (String.uppercase_ascii n)
+                (String.concat "," Registry.names))
         names
 
-(* Median-of-[repeats] wall-clock of [f ()]. *)
-let median_wall ~repeats f =
-  median_float
-    (List.init repeats (fun _ ->
-         let t0 = Unix.gettimeofday () in
-         f ();
-         Unix.gettimeofday () -. t0))
+(* Mean time of [calls] back-to-back calls of [f ()], after a full major
+   collection. *)
+let timed (calls, f) =
+  Gc.full_major ();
+  let t0 = Unix.gettimeofday () in
+  for _ = 1 to calls do
+    f ()
+  done;
+  (Unix.gettimeofday () -. t0) /. float_of_int calls
 
-(* Per engine, the medians of two timers.  [run_s] times one translated
-   run: only [Interp.exec] is inside the timer, because parse/translate
-   cost is a separate pipeline stage and the compiled engine pays its
-   kernel compilation inside the run — so the comparison charges the
-   engine, not the front end.  [verify_s] times the symbolic kernel
+(* What a row times.  [Run] is a benchmark's translated run: only
+   [Interp.exec] is inside the timer, because the front end is a separate
+   stage and the compiled engine pays its kernel compiles inside the run,
+   so the comparison charges the engine.  [Verify] is the symbolic kernel
    verification the debugging loop repeats per edit, whose cost is its
-   hooked sequential run. *)
-type wall_times = { run_s : float; verify_s : float }
+   hooked sequential run.  The suite gates read the median of each kind's
+   ratios.  [Many] is a plain run of the many-kernel program and [Growth]
+   a static pass on the large and the small growth program; each of those
+   rows is a gate of its own. *)
+type kind = Run | Verify | Many | Growth
+
+(* A timed row: each side's median seconds over the rounds and, for two
+   sides, the median over the rounds of the first side's time over the
+   second's (tree over compiled, or large over small). *)
+type row = {
+  name : string;
+  kind : kind;
+  times : (string * float) list;
+  ratio : float option;
+}
+
+(* The one timing protocol: each of [rounds] rounds times every side in
+   turn ([timed] with the side's call count).  This machine's speed
+   drifts between consecutive runs by more than many of these ratios,
+   so a ratio is only ever taken between the sides of one round. *)
+let time_row ~rounds name kind sides =
+  let rounds =
+    List.init rounds (fun _ -> List.map (fun (_, side) -> timed side) sides)
+  in
+  let column i = List.map (fun r -> List.nth r i) rounds in
+  { name;
+    kind;
+    times =
+      List.mapi (fun i (label, _) -> (label, median_float (column i))) sides;
+    ratio =
+      (match sides with
+      | [ _; _ ] ->
+          Some (median_float (List.map2 ( /. ) (column 0) (column 1)))
+      | _ -> None) }
+
+(* Growth of the static passes with program size: [Checkgen.instrument]
+   and [Lint.run_program] on [Blocks.three] at 17 and 100 copies (5.9x
+   the code).  The small side times the mean of 5 back-to-back calls
+   (100 / 17, rounded down), so both sides time about the same work.
+   Linear cost grows about 5.9x; dense dataflow rows of every array at
+   every node grow faster, and past [growth_bound] the wall-smoke gate
+   fails. *)
+let growth_copies = (17, 100)
+let growth_bound = 7.3
+
+let growth_passes =
+  [ ("instrument", fun (_, tp) -> ignore (Codegen.Checkgen.instrument tp));
+    ("lint", fun (prog, _) -> ignore (Lint.run_program prog)) ]
+
+(* The many-kernel row: a plain run of [Blocks.three] at [many_copies]
+   copies (400 kernels, each launched one to three times) per engine.
+   Work the compiled engine does per kernel per run (compiling it, and
+   any identity work on top) weighs most on this row, so the wall-smoke
+   gate requires a speedup of at least [many_bound]. *)
+let many_copies = 100
+let many_bound = 1.0
 
 (* A plain run of [tp] under [engine], discarding its outcome. *)
 let plain_run engine tp =
@@ -1284,114 +1336,78 @@ let plain_run engine tp =
        { Accrt.Interp.default with engine; seed = 42 }
        Accrt.Interp.detached tp)
 
-let wall_entry ~repeats ~engines (b : Bench_def.t) =
-  let prog = parse b in
-  let tp = compile prog in
-  ( b.name,
-    List.map
-      (fun engine ->
-        ( engine,
-          { run_s = median_wall ~repeats (fun () -> plain_run engine tp);
-            verify_s =
-              median_wall ~repeats (fun () ->
-                  ignore
-                    (Openarc_core.Kernel_verify.verify ~symbolic:true ~engine
-                       prog)) } ))
-      engines )
-
-(* Tree time over compiled time of one timer, when both engines ran. *)
-let wall_speedup timer times =
-  match
-    ( List.assoc_opt Accrt.Engine.Tree times,
-      List.assoc_opt Accrt.Engine.Compiled times )
-  with
-  | Some t, Some c when timer c > 0.0 -> Some (timer t /. timer c)
-  | _ -> None
-
-(* The two timers: (row-field prefix, gate label, timer). *)
-let wall_timers =
-  [ ("", "speedup", fun w -> w.run_s);
-    ("verify_", "verify speedup", fun w -> w.verify_s) ]
-
-let suite_speedups timer entries =
-  List.filter_map (fun (_, t) -> wall_speedup timer t) entries
-
-(* Growth of the static passes with program size: [Checkgen.instrument]
-   and [Lint.run_program] on [Blocks.three] at 17 and 100 copies (5.9x
-   the code), timed in interleaved pairs after a full major collection
-   each.  A pair times one call on the large program and the mean of 5
-   back-to-back calls (100 / 17, rounded down) on the small one, so both
-   sides time about the same work; a pass's growth is the median over the
-   pairs of the large time over the small.  Linear cost grows about 5.9x;
-   dense dataflow rows of every array at every node grow faster, and past
-   [growth_bound] the wall-smoke gate fails. *)
-let growth_copies = (17, 100)
-let growth_bound = 7.3
-
-(* The many-kernel row: a plain run of [Blocks.three] at [many_copies]
-   copies (400 kernels, each launched one to three times) per engine,
-   timed in interleaved rounds after a full major collection each, like
-   the growth pairs: this machine's speed drifts between consecutive
-   runs by more than the engines differ here.  An engine's time is its
-   median over the rounds and the speedup the median of the rounds' tree
-   over compiled.  Work the compiled engine does per kernel per run
-   (compiling it, and any identity work on top) weighs most on this row,
-   so the wall-smoke gate requires a speedup of at least [many_bound]. *)
-let many_copies = 100
-let many_bound = 1.0
-
-(* Mean time of [calls] back-to-back calls of [f x], after a full major
-   collection. *)
-let timed ~calls f x =
-  Gc.full_major ();
-  let t0 = Unix.gettimeofday () in
-  for _ = 1 to calls do
-    f x
-  done;
-  (Unix.gettimeofday () -. t0) /. float_of_int calls
-
-let wall_many ~rounds ~engines =
-  let tp = compile (Minic.Parser.parse_string (Blocks.three many_copies)) in
-  let rounds =
-    List.init rounds (fun _ ->
-        List.map (fun e -> (e, timed ~calls:1 (plain_run e) tp)) engines)
+(* Every row, in order: each benchmark's run and verify rows over
+   [repeats] rounds, then the many-kernel row and the growth rows over
+   [rounds]. *)
+let wall_rows ~repeats ~rounds ~engines benches =
+  let per_engine f =
+    List.map (fun e -> (Accrt.Engine.to_string e, (1, fun () -> f e))) engines
   in
-  ( List.map
-      (fun e -> (e, median_float (List.map (List.assoc e) rounds)))
-      engines,
-    if List.length engines = 2 then
-      Some
-        (median_float
-           (List.map
-              (fun r ->
-                List.assoc Accrt.Engine.Tree r
-                /. List.assoc Accrt.Engine.Compiled r)
-              rounds))
-    else None )
-
-let growth_passes =
-  [ ("instrument", fun (_, tp) -> ignore (Codegen.Checkgen.instrument tp));
-    ("lint", fun (prog, _) -> ignore (Lint.run_program prog)) ]
-
-let wall_growth ~pairs =
-  let side k =
+  let blocks k =
     let prog = Minic.Parser.parse_string (Blocks.three k) in
     (prog, compile prog)
   in
-  let small = side (fst growth_copies) and large = side (snd growth_copies) in
-  let calls = snd growth_copies / fst growth_copies in
-  let ratios =
-    List.init pairs (fun _ ->
-        List.map
-          (fun (_, f) -> timed ~calls:1 f large /. timed ~calls f small)
-          growth_passes)
+  let suite =
+    List.concat_map
+      (fun (b : Bench_def.t) ->
+        let prog = parse b in
+        let tp = compile prog in
+        [ time_row ~rounds:repeats b.name Run
+            (per_engine (fun e -> plain_run e tp));
+          time_row ~rounds:repeats b.name Verify
+            (per_engine (fun engine ->
+                 ignore
+                   (Openarc_core.Kernel_verify.verify ~symbolic:true ~engine
+                      prog))) ])
+      benches
   in
-  List.mapi
-    (fun i (name, _) ->
-      (name, median_float (List.map (fun r -> List.nth r i) ratios)))
-    growth_passes
+  let many =
+    let _, tp = blocks many_copies in
+    time_row ~rounds "many-kernel" Many (per_engine (fun e -> plain_run e tp))
+  in
+  let small, large = growth_copies in
+  let small_side = blocks small and large_side = blocks large in
+  let growth =
+    List.map
+      (fun (name, pass) ->
+        time_row ~rounds name Growth
+          [ (Fmt.str "x%d" large, (1, fun () -> pass large_side));
+            (Fmt.str "x%d" small, (large / small, fun () -> pass small_side))
+          ])
+      growth_passes
+  in
+  suite @ (many :: growth)
 
-let wall_doc ~repeats ~engines ~growth ~many entries =
+let of_kind kind rows = List.filter (fun r -> r.kind = kind) rows
+
+(* A suite gate's reading: the median ratio of the rows of [kind]. *)
+let median_ratio kind rows =
+  match List.filter_map (fun r -> r.ratio) (of_kind kind rows) with
+  | [] -> None
+  | ratios -> Some (median_float ratios)
+
+let pp_row ppf r =
+  Fmt.pf ppf "  %-12s %-6s" r.name
+    (match r.kind with
+    | Run | Many -> "run"
+    | Verify -> "verify"
+    | Growth -> "growth");
+  List.iter (fun (label, t) -> Fmt.pf ppf "  %s %9.6f s" label t) r.times;
+  Option.iter (Fmt.pf ppf "  %6.2fx") r.ratio;
+  Fmt.pf ppf "@."
+
+(* A row's report members: [prefix]<side>_s per side, then
+   [prefix]speedup. *)
+let row_members prefix r =
+  List.map
+    (fun (label, t) -> (Fmt.str "%s%s_s" prefix label, P.fixed 6 t))
+    r.times
+  @ Option.fold ~none:[]
+      ~some:(fun s -> [ (prefix ^ "speedup", P.fixed 2 s) ])
+      r.ratio
+
+let wall_doc ~repeats ~engines rows =
+  let ratio = Option.fold ~none:P.Null ~some:(P.fixed 2) in
   envelope "wall"
     ~header:
       [ ("repeats", P.int repeats);
@@ -1401,142 +1417,76 @@ let wall_doc ~repeats ~engines ~growth ~many entries =
         ( "growth_copies",
           P.Arr [ P.int (fst growth_copies); P.int (snd growth_copies) ] ) ]
     ~footer:
-      (List.map
-         (fun (prefix, _, timer) ->
-           ( Fmt.str "median_%sspeedup" prefix,
-             match suite_speedups timer entries with
-             | [] -> P.Null
-             | speedups -> P.fixed 2 (median_float speedups) ))
-         wall_timers
-      @ List.map (fun (name, g) -> (name ^ "_growth", P.fixed 2 g)) growth
-      @ [ ( "many_kernels",
-            P.Obj
-              (("copies", P.int many_copies)
-               :: List.map
-                    (fun (e, t) ->
-                      (Accrt.Engine.to_string e ^ "_s", P.fixed 6 t))
-                    (fst many)
-              @
-              match snd many with
-              | Some s -> [ ("speedup", P.fixed 2 s) ]
-              | None -> []) ) ])
-    (List.map
-       (fun (name, times) ->
+      ([ ("median_speedup", ratio (median_ratio Run rows));
+         ("median_verify_speedup", ratio (median_ratio Verify rows)) ]
+      @ List.map
+          (fun r -> (r.name ^ "_growth", ratio r.ratio))
+          (of_kind Growth rows)
+      @ List.map
+          (fun r ->
+            ( "many_kernels",
+              P.Obj (("copies", P.int many_copies) :: row_members "" r) ))
+          (of_kind Many rows))
+    (List.map2
+       (fun run verify ->
          P.Obj
-           (("name", P.Str name)
-           :: List.concat_map
-                (fun (prefix, _, timer) ->
-                  List.map
-                    (fun (e, w) ->
-                      ( Fmt.str "%s%s_s" prefix (Accrt.Engine.to_string e),
-                        P.fixed 6 (timer w) ))
-                    times
-                  @
-                  match wall_speedup timer times with
-                  | Some s -> [ (Fmt.str "%sspeedup" prefix, P.fixed 2 s) ]
-                  | None -> [])
-                wall_timers))
-       entries)
+           ((("name", P.Str run.name) :: row_members "" run)
+           @ row_members "verify_" verify))
+       (of_kind Run rows) (of_kind Verify rows))
+
+(* The wall-smoke gates in verdict order: label, reading (None when a
+   single engine ran), and the bound it must be at least or at most. *)
+let wall_gates ~need rows =
+  let each kind label bound =
+    List.map (fun r -> (label r.name, r.ratio, bound)) (of_kind kind rows)
+  in
+  [ ("median speedup", median_ratio Run rows, `At_least need);
+    ("median verify speedup", median_ratio Verify rows, `At_least need) ]
+  @ each Many (fun n -> n ^ " speedup") (`At_least many_bound)
+  @ each Growth (fun n -> "median " ^ n ^ " growth") (`At_most growth_bound)
 
 (* One gate's verdict line; 1 when it fails. *)
-let at_least ppf what got need =
-  if got >= need then begin
-    Fmt.pf ppf "wall: %s %.2fx (>= %.2fx required)@." what got need;
-    0
-  end
-  else begin
-    Fmt.pf ppf "WALL REGRESSION: %s %.2fx below required %.2fx@." what got
-      need;
-    1
-  end
+let verdict ppf what got bound =
+  let ok, (rel, word, beyond), b =
+    match bound with
+    | `At_least b -> (got >= b, (">=", "required", "below"), b)
+    | `At_most b -> (got <= b, ("<=", "allowed", "above"), b)
+  in
+  if ok then Fmt.pf ppf "wall: %s %.2fx (%s %.2fx %s)@." what got rel b word
+  else
+    Fmt.pf ppf "WALL REGRESSION: %s %.2fx %s %s %.2fx@." what got beyond word
+      b;
+  Bool.to_int (not ok)
 
-let at_most ppf what got bound =
-  if got <= bound then begin
-    Fmt.pf ppf "wall: %s %.2fx (<= %.2fx allowed)@." what got bound;
-    0
-  end
-  else begin
-    Fmt.pf ppf "WALL REGRESSION: %s %.2fx above allowed %.2fx@." what got
-      bound;
-    1
-  end
-
-(* The wall tier: per-benchmark wall-clock medians of a run and of a
-   symbolic verification for the selected engines, the many-kernel row
-   over [4 * repeats + 1] rounds, the static passes' growth over as many
-   pairs, the bench-wall JSON report, and, given [min_speedup], the
-   wall-smoke CI gates: both suite median speedups at least [min_speedup]
-   and the many-kernel speedup at least [many_bound] (when both engines
-   ran), both growths at most [growth_bound].  Returns the exit code. *)
+(* The wall tier: every row timed in interleaved rounds ([4 * repeats + 1]
+   for the many-kernel and growth rows), printed, written to the
+   bench-wall JSON report and, given [min_speedup], gated: both
+   suite median speedups at least [min_speedup], the many-kernel speedup
+   at least [many_bound] (when both engines ran), both growths at most
+   [growth_bound].  Returns the exit code. *)
 let run_wall ?(json = wall_path) ?names
     ?(engines = [ Accrt.Engine.Tree; Accrt.Engine.Compiled ])
     ?(repeats = 5) ?min_speedup ppf =
   let benches = select names in
+  let rounds = (4 * repeats) + 1 in
   Fmt.pf ppf
-    "Interpreter wall-clock (median of %d, seed 42, source variant)@."
-    repeats;
+    "Interpreter wall-clock (seed 42, source variant), medians of \
+     interleaved rounds:@.%d per benchmark row, %d per many-kernel row (%d \
+     copies of three blocks) and growth row (%d -> %d copies)@."
+    repeats rounds many_copies (fst growth_copies) (snd growth_copies);
   hr ppf;
-  let entries = List.map (wall_entry ~repeats ~engines) benches in
-  let row name kind times timer speedup =
-    Fmt.pf ppf "  %-12s %-6s" name kind;
-    List.iter
-      (fun (e, w) ->
-        Fmt.pf ppf "  %s %9.6f s" (Accrt.Engine.to_string e) (timer w))
-      times;
-    Option.iter (Fmt.pf ppf "  %6.2fx") speedup;
-    Fmt.pf ppf "@."
-  in
-  List.iter
-    (fun (name, times) ->
-      List.iteri
-        (fun i (prefix, _, timer) ->
-          row
-            (if i = 0 then name else "")
-            (if prefix = "" then "run" else "verify")
-            times timer
-            (wall_speedup timer times))
-        wall_timers)
-    entries;
-  let pairs = (4 * repeats) + 1 in
-  let many = wall_many ~rounds:pairs ~engines in
-  Fmt.pf ppf "Many kernels, %d copies of three blocks (median of %d rounds)@."
-    many_copies pairs;
-  row "" "run" (fst many) Fun.id (snd many);
-  let growth = wall_growth ~pairs in
-  Fmt.pf ppf
-    "Static pass growth, %d -> %d copies of three blocks (median of %d \
-     pairs)@."
-    (fst growth_copies) (snd growth_copies) pairs;
-  List.iter (fun (name, g) -> Fmt.pf ppf "  %-12s %6.2fx@." name g) growth;
+  let rows = wall_rows ~repeats ~rounds ~engines benches in
+  List.iter (pp_row ppf) rows;
   Out_channel.with_open_bin json (fun oc ->
-      output_string oc
-        (P.to_string (wall_doc ~repeats ~engines ~growth ~many entries)));
+      output_string oc (P.to_string (wall_doc ~repeats ~engines rows)));
   hr ppf;
   Fmt.pf ppf "wall report written to %s@." json;
   match min_speedup with
   | None -> 0
   | Some need ->
-      (* Verdicts print in order: suite medians, many kernels, growths. *)
-      let speedups =
-        List.filter_map
-          (fun (_, label, timer) ->
-            match suite_speedups timer entries with
-            | [] -> None
-            | speedups ->
-                Some
-                  (at_least ppf ("median " ^ label) (median_float speedups)
-                     need))
-          wall_timers
-      in
-      let many_code =
-        Option.fold ~none:0
-          ~some:(fun got -> at_least ppf "many-kernel speedup" got many_bound)
-          (snd many)
-      in
-      let growths =
-        List.map
-          (fun (name, got) ->
-            at_most ppf ("median " ^ name ^ " growth") got growth_bound)
-          growth
-      in
-      List.fold_left max many_code (speedups @ growths)
+      List.fold_left
+        (fun code (what, got, bound) ->
+          Option.fold ~none:code
+            ~some:(fun got -> max code (verdict ppf what got bound))
+            got)
+        0 (wall_gates ~need rows)

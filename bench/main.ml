@@ -11,12 +11,14 @@
     - [check [TIER...]]: regenerates each named tier (every tier by
       default) in memory and compares it byte for byte with the committed
       BENCH_<tier>.json, printing the first differing line on a mismatch;
-    - [wall]: measures real wall-clock of a run and of a symbolic kernel
-      verification per benchmark and engine (median-of-N), of a run of a
-      400-kernel program per engine, and the growth of instrumentation
-      and lint from 17 to 100 copies of a program; given
-      [--min-speedup], it gates on both tree-vs-compiled suite median
-      speedups, on the 400-kernel speedup and on both growths.
+    - [wall]: measures real wall-clock, every row in interleaved rounds
+      (the median of each side and of the per-round ratio): a run and a
+      symbolic kernel verification per benchmark, tree vs compiled
+      ([--repeats] rounds); a run of a 400-kernel program per engine, and
+      instrumentation and lint on 100 vs 17 copies of a program
+      ([4 x repeats + 1] rounds); given [--min-speedup], it gates on both
+      tree-vs-compiled suite median speedups, on the 400-kernel speedup
+      and on both growths.
 
     Exit codes: 0 ok; 1 a failed gate, a mismatching or missing golden;
     2 malformed input (unknown command, flag, value or name). *)

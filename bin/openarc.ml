@@ -404,24 +404,12 @@ let run_cmd =
 let category_names =
   List.map Gpusim.Metrics.category_name Gpusim.Metrics.all_categories
 
-let audit_status_of = function
-  | Codegen.Tprog.Not_stale -> Obs.Audit.Notstale
-  | Codegen.Tprog.May_stale -> Obs.Audit.Maystale
-  | Codegen.Tprog.Stale -> Obs.Audit.Stale
-
-let tprog_device_of = function
-  | Obs.Audit.Cpu -> Codegen.Tprog.Cpu
-  | Obs.Audit.Gpu -> Codegen.Tprog.Gpu
-
 (* The audit log must replay, from the all-fresh initial state, to exactly
    the final per-copy statuses the runtime reports. *)
 let audit_replays audit (o : Accrt.Interp.outcome) =
   List.for_all
     (fun ((var, dev), st) ->
-      audit_status_of
-        (Accrt.Coherence.get o.Accrt.Interp.coherence var
-           (tprog_device_of dev))
-      = st)
+      Accrt.Coherence.get o.Accrt.Interp.coherence var dev = st)
     (Obs.Audit.final_states audit)
 
 let profile_cmd =

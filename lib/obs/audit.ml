@@ -9,24 +9,16 @@
     is replayable: folding the entries from the all-fresh initial state
     must reach exactly the final statuses the runtime reports (tested). *)
 
-type device = Cpu | Gpu
-
-let device_name = function Cpu -> "cpu" | Gpu -> "gpu"
-
-type status = Notstale | Maystale | Stale
-
-let status_name = function
-  | Notstale -> "notstale"
-  | Maystale -> "maystale"
-  | Stale -> "stale"
+(* The log names devices in lower case ([Tprog.device_name] is upper). *)
+let device_name = function Codegen.Tprog.Cpu -> "cpu" | Gpu -> "gpu"
 
 type entry = {
   a_seq : int;
   a_time : float;  (** simulated seconds *)
   a_var : string;
-  a_dev : device;
-  a_from : status;
-  a_to : status;
+  a_dev : Codegen.Tprog.device;
+  a_from : Codegen.Tprog.status;
+  a_to : Codegen.Tprog.status;
   a_op : string;  (** triggering runtime call, e.g. ["check-write"] *)
   a_point : string;  (** program point: transfer-site label or ["stmtN"] *)
   a_loops : (string * int) list;  (** enclosing host loops, outermost first *)
@@ -50,7 +42,7 @@ let length t = t.seq
 (** Replay the log from the all-fresh initial state: the final status of
     every (variable, device) copy that ever transitioned, sorted. *)
 let final_states t =
-  let tbl : (string * device, status) Hashtbl.t = Hashtbl.create 16 in
+  let tbl = Hashtbl.create 16 in
   List.iter (fun e -> Hashtbl.replace tbl (e.a_var, e.a_dev) e.a_to)
     (entries t);
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
@@ -58,8 +50,10 @@ let final_states t =
 
 let pp_entry ppf e =
   Fmt.pf ppf "#%-4d %.6f s  %-4s copy of %-10s %s -> %s  (%s%s%s)" e.a_seq
-    e.a_time (device_name e.a_dev) e.a_var (status_name e.a_from)
-    (status_name e.a_to) e.a_op
+    e.a_time (device_name e.a_dev) e.a_var
+    (Codegen.Tprog.status_name e.a_from)
+    (Codegen.Tprog.status_name e.a_to)
+    e.a_op
     (if e.a_point = "" then "" else " at " ^ e.a_point)
     (match e.a_loops with
     | [] -> ""
@@ -76,8 +70,9 @@ let entry_json e =
   Pjson.Obj
     [ ("type", str "audit"); ("seq", Pjson.int e.a_seq);
       ("t", Pjson.fixed 9 e.a_time); ("var", str e.a_var);
-      ("dev", str (device_name e.a_dev)); ("from", str (status_name e.a_from));
-      ("to", str (status_name e.a_to)); ("op", str e.a_op);
+      ("dev", str (device_name e.a_dev));
+      ("from", str (Codegen.Tprog.status_name e.a_from));
+      ("to", str (Codegen.Tprog.status_name e.a_to)); ("op", str e.a_op);
       ("point", str e.a_point);
       ( "loops",
         Pjson.Arr

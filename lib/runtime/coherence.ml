@@ -148,13 +148,6 @@ let best_gpu t v =
 let get t v dev =
   match dev with Cpu -> (state t v).cpu.status | Gpu -> join_gpu t v
 
-let audit_dev = function Cpu -> Obs.Audit.Cpu | Gpu -> Obs.Audit.Gpu
-
-let audit_status = function
-  | Not_stale -> Obs.Audit.Notstale
-  | May_stale -> Obs.Audit.Maystale
-  | Stale -> Obs.Audit.Stale
-
 (* Every observable status transition flows through here, so the audit log
    captures all of them with the op/point context set by the entry point.
    The audit records the primary (device 0) lattice; secondary members of a
@@ -163,9 +156,9 @@ let set_state t v dev ~audited ds st =
   if ds.status <> st then begin
     (match t.audit with
     | Some a when audited ->
-        Obs.Audit.record a ~time:(t.now ()) ~var:v ~dev:(audit_dev dev)
-          ~from_:(audit_status ds.status) ~to_:(audit_status st)
-          ~op:t.cur_op ~point:t.cur_point ~loops:(List.rev t.loop_stack)
+        Obs.Audit.record a ~time:(t.now ()) ~var:v ~dev ~from_:ds.status
+          ~to_:st ~op:t.cur_op ~point:t.cur_point
+          ~loops:(List.rev t.loop_stack)
     | Some _ | None -> ());
     ds.status <- st
   end

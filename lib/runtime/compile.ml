@@ -25,7 +25,7 @@
       host statements): every declaration is also published into the
       name-addressable {!Value} environment and scopes push/pop real
       (pooled) frames, so [stmt_hook]s — which execute code against the
-      environment by name (kernel verification, coherence instrumentation)
+      environment by name (kernel verification is the one that sets one)
       — observe exactly the state the tree walker would produce.
       Registers hold the {e same} cells/slots as the environment, so the
       two views can never diverge.

@@ -364,6 +364,15 @@ let exec (cfg : config) (observers : observers) (tp : Codegen.Tprog.t) =
     List.map (Gpusim.Device_set.device devset)
       (Gpusim.Device_set.alive_ids devset)
   in
+  (* The members a download of [v] may be served from: those holding a
+     fresh copy, else the first alive member. *)
+  let download_sources v =
+    match Hashtbl.find_opt fresh_on v with
+    | Some (_ :: _ as ids) ->
+        List.filter Gpusim.Device.alive
+          (List.map (Gpusim.Device_set.device devset) ids)
+    | Some [] | None -> Option.to_list (Gpusim.Device_set.first_alive devset)
+  in
   (* One member dropped off the bus: its copies are gone; survivors carry
      on.  Losing the last member degrades the whole run ({!on_lost}); the
      only member of a one-member set is not a dropped member. *)
@@ -1143,6 +1152,19 @@ let exec (cfg : config) (observers : observers) (tp : Codegen.Tprog.t) =
                 x.x_var lo len x.x_site.site_label Minic.Loc.pp
                 x.x_site.site_loc n x.x_var
         | None -> ());
+        (* So must the array be present on every member about to copy it:
+           an update of data no region allocated names its site. *)
+        if not (Hashtbl.mem host_only x.x_var) then
+          List.iter
+            (fun dev ->
+              if not (Gpusim.Device.is_allocated dev x.x_var) then
+                Value.error
+                  "%s (%a) transfers '%s', which is not present on device %d"
+                  x.x_site.site_label Minic.Loc.pp x.x_site.site_loc x.x_var
+                  dev.Gpusim.Device.id)
+            (match x.x_dir with
+            | H2D -> alive_members ()
+            | D2H -> download_sources x.x_var);
         charge_host ();
         let async = eval_async x.x_async in
         Hashtbl.replace site_execs x.x_site.site_id
@@ -1236,14 +1258,7 @@ let exec (cfg : config) (observers : observers) (tp : Codegen.Tprog.t) =
                  engines); a member dying mid-download is replayed on the
                  next candidate. *)
               let rec pull () =
-                let candidates =
-                  match Hashtbl.find_opt fresh_on x.x_var with
-                  | Some (_ :: _ as ids) ->
-                      List.filter Gpusim.Device.alive
-                        (List.map (Gpusim.Device_set.device devset) ids)
-                  | Some [] | None ->
-                      Option.to_list (Gpusim.Device_set.first_alive devset)
-                in
+                let candidates = download_sources x.x_var in
                 match candidates with
                 | [] -> ()
                 | _ :: _ ->

@@ -174,11 +174,37 @@ let site_sid_table (o : Accrt.Interp.outcome) =
     o.Accrt.Interp.sites;
   tbl
 
-let apply_sites ~rewrite (a : Obs.Ledger.analysis) =
-  List.filter
+(* The apply-verdict [rewrite] sites the scoring run executed, grouped by
+   [key sid site] (None drops the site): one (key, sites) pair per group,
+   each group's (sid, site) pairs in ledger order. *)
+let group_sites ~rewrite (a : Obs.Ledger.analysis) sidtbl key =
+  let groups = Hashtbl.create 8 in
+  List.iter
     (fun (s : Obs.Ledger.site_report) ->
-      s.Obs.Ledger.s_verdict = "apply" && s.Obs.Ledger.s_rewrite = rewrite)
-    a.Obs.Ledger.a_sites
+      if s.Obs.Ledger.s_verdict = "apply" && s.Obs.Ledger.s_rewrite = rewrite
+      then
+        match Hashtbl.find_opt sidtbl (s.Obs.Ledger.s_site, s.Obs.Ledger.s_loc)
+        with
+        | None -> ()
+        | Some sid -> (
+            match key sid s with
+            | None -> ()
+            | Some k -> (
+                match Hashtbl.find_opt groups k with
+                | Some sites -> sites := (sid, s) :: !sites
+                | None -> Hashtbl.add groups k (ref [ (sid, s) ]))))
+    a.Obs.Ledger.a_sites;
+  Hashtbl.fold (fun k sites acc -> (k, List.rev !sites) :: acc) groups []
+
+(* A candidate grown from ledger [sites]: it names them and predicts the
+   sum of their savings. *)
+let of_sites c_kind c_label sites c_edit =
+  { c_kind;
+    c_label;
+    c_sites = List.map (fun s -> s.Obs.Ledger.s_site) sites;
+    c_predicted_s =
+      List.fold_left (fun a s -> a +. s.Obs.Ledger.s_saved_s) 0.0 sites;
+    c_edit }
 
 (* Is [v] written by any translated kernel whose source statement lies in
    [sids]?  Decides copy vs copyin when a data region is introduced. *)
@@ -195,29 +221,12 @@ let written_within (tp : Codegen.Tprog.t) sids v =
    it, copyin otherwise).  The static presence check then elides every
    per-iteration transfer the ledger priced. *)
 let hoist_candidates prog (tp : Codegen.Tprog.t) analysis sidtbl =
-  let groups = Hashtbl.create 8 in
-  List.iter
-    (fun (s : Obs.Ledger.site_report) ->
-      match Hashtbl.find_opt sidtbl (s.Obs.Ledger.s_site, s.Obs.Ledger.s_loc)
-      with
-      | None -> ()
-      | Some sid -> (
-          match Acc.Edit.enclosing_loop prog ~sid with
-          | None -> ()
-          | Some loop ->
-              let sites =
-                match Hashtbl.find_opt groups loop.Ast.sid with
-                | Some (_, sites) -> sites
-                | None ->
-                    let sites = ref [] in
-                    Hashtbl.add groups loop.Ast.sid (loop, sites);
-                    sites
-              in
-              sites := s :: !sites))
-    (apply_sites ~rewrite:"hoist" analysis);
-  Hashtbl.fold
-    (fun loop_sid ((loop : Ast.stmt), sites) acc ->
-      let sites = List.rev !sites in
+  let loop_of sid = Acc.Edit.enclosing_loop prog ~sid in
+  List.map
+    (fun (loop_sid, entries) ->
+      (* every site of the group has this innermost enclosing loop *)
+      let loop = Option.get (loop_of (fst (List.hd entries))) in
+      let sites = List.map snd entries in
       let loop_sids = Acc.Edit.sids_of_stmt loop in
       let vars =
         List.sort_uniq compare
@@ -232,21 +241,17 @@ let hoist_candidates prog (tp : Codegen.Tprog.t) analysis sidtbl =
           vars
       in
       let directive = Acc.Edit.mk_data_directive ~loc:loop.Ast.sloc clauses in
-      { c_kind = Hoist;
-        c_label =
-          Fmt.str "hoist data(%s) around loop at %s"
-            (String.concat ", "
-               (List.map
-                  (fun (v, k) -> Pretty.data_kind_str k ^ " " ^ v)
-                  clauses))
-            (Minic.Loc.to_string loop.Ast.sloc);
-        c_sites = List.map (fun s -> s.Obs.Ledger.s_site) sites;
-        c_predicted_s =
-          List.fold_left (fun a s -> a +. s.Obs.Ledger.s_saved_s) 0.0 sites;
-        c_edit =
-          (fun p -> Acc.Edit.wrap_stmt p ~sid:loop_sid ~directive) }
-      :: acc)
-    groups []
+      of_sites Hoist
+        (Fmt.str "hoist data(%s) around loop at %s"
+           (String.concat ", "
+              (List.map
+                 (fun (v, k) -> Pretty.data_kind_str k ^ " " ^ v)
+                 clauses))
+           (Minic.Loc.to_string loop.Ast.sloc))
+        sites
+        (fun p -> Acc.Edit.wrap_stmt p ~sid:loop_sid ~directive))
+    (group_sites ~rewrite:"hoist" analysis sidtbl (fun sid _ ->
+         Option.map (fun (loop : Ast.stmt) -> loop.Ast.sid) (loop_of sid)))
 
 (* Present: an apply-verdict "present" site proved every transfer in its
    direction redundant (the destination was already fresh).  The edit
@@ -255,24 +260,6 @@ let hoist_candidates prog (tp : Codegen.Tprog.t) analysis sidtbl =
    present; uploads redundant → copyout (or present when nothing under
    the directive writes it); downloads redundant → copyin. *)
 let present_candidates prog (tp : Codegen.Tprog.t) analysis sidtbl =
-  let groups = Hashtbl.create 8 in
-  List.iter
-    (fun (s : Obs.Ledger.site_report) ->
-      match Hashtbl.find_opt sidtbl (s.Obs.Ledger.s_site, s.Obs.Ledger.s_loc)
-      with
-      | None -> ()
-      | Some sid ->
-          let key = (sid, s.Obs.Ledger.s_array) in
-          let entry =
-            match Hashtbl.find_opt groups key with
-            | Some e -> e
-            | None ->
-                let e = ref [] in
-                Hashtbl.add groups key e;
-                e
-          in
-          entry := s :: !entry)
-    (apply_sites ~rewrite:"present" analysis);
   (* Subtree sids of every statement, resolved lazily per directive. *)
   let subtree_sids sid =
     let result = ref [] in
@@ -285,9 +272,9 @@ let present_candidates prog (tp : Codegen.Tprog.t) analysis sidtbl =
       (Ast.functions prog);
     !result
   in
-  Hashtbl.fold
-    (fun (sid, var) sites acc ->
-      let sites = List.rev !sites in
+  List.map
+    (fun ((sid, var), entries) ->
+      let sites = List.map snd entries in
       let has dir =
         List.exists (fun s -> s.Obs.Ledger.s_dir = dir) sites
       in
@@ -310,51 +297,27 @@ let present_candidates prog (tp : Codegen.Tprog.t) analysis sidtbl =
         | false, true -> Ast.Dk_copyin
         | false, false -> if covered then Ast.Dk_present else Ast.Dk_create
       in
-      { c_kind = Present;
-        c_label =
-          Fmt.str "pin %s to %s on %s" var (Pretty.data_kind_str kind)
-            (match sites with
-            | s :: _ -> s.Obs.Ledger.s_site ^ " at " ^ s.Obs.Ledger.s_loc
-            | [] -> Fmt.str "sid %d" sid);
-        c_sites = List.map (fun s -> s.Obs.Ledger.s_site) sites;
-        c_predicted_s =
-          List.fold_left (fun a s -> a +. s.Obs.Ledger.s_saved_s) 0.0 sites;
-        c_edit =
-          (fun p ->
-            Acc.Edit.map_directive p ~sid ~f:(fun d ->
-                { d with
-                  Ast.clauses =
-                    Acc.Edit.set_data_kind d.Ast.clauses var kind })) }
-      :: acc)
-    groups []
+      of_sites Present
+        (Fmt.str "pin %s to %s on %s" var (Pretty.data_kind_str kind)
+           (match sites with
+           | s :: _ -> s.Obs.Ledger.s_site ^ " at " ^ s.Obs.Ledger.s_loc
+           | [] -> Fmt.str "sid %d" sid))
+        sites
+        (fun p ->
+          Acc.Edit.map_directive p ~sid ~f:(fun d ->
+              { d with
+                Ast.clauses = Acc.Edit.set_data_kind d.Ast.clauses var kind })))
+    (group_sites ~rewrite:"present" analysis sidtbl (fun sid s ->
+         Some (sid, s.Obs.Ledger.s_array)))
 
 (* Merge: apply-verdict "merge" sites are D2H→H2D round trips between
    adjacent kernels on the same array.  The edit wraps the top-level span
    of main covering every such site for that array in one data region, so
    the intermediate round trip stays on the device. *)
 let merge_candidates (tp : Codegen.Tprog.t) analysis sidtbl =
-  let groups = Hashtbl.create 8 in
-  List.iter
-    (fun (s : Obs.Ledger.site_report) ->
-      match Hashtbl.find_opt sidtbl (s.Obs.Ledger.s_site, s.Obs.Ledger.s_loc)
-      with
-      | None -> ()
-      | Some sid ->
-          let entry =
-            match Hashtbl.find_opt groups s.Obs.Ledger.s_array with
-            | Some e -> e
-            | None ->
-                let e = ref [] in
-                Hashtbl.add groups s.Obs.Ledger.s_array e;
-                e
-          in
-          entry := (sid, s) :: !entry)
-    (apply_sites ~rewrite:"merge" analysis);
-  Hashtbl.fold
-    (fun var entries acc ->
-      let entries = List.rev !entries in
+  List.map
+    (fun (var, entries) ->
       let sids = List.map fst entries in
-      let sites = List.map snd entries in
       (* sids are assigned in parse order, so min/max bound the source
          span the new region must cover. *)
       let first_sid = List.fold_left min (List.hd sids) sids in
@@ -367,17 +330,13 @@ let merge_candidates (tp : Codegen.Tprog.t) analysis sidtbl =
       in
       let kind = if written then Ast.Dk_copy else Ast.Dk_copyin in
       let directive = Acc.Edit.mk_data_directive [ (var, kind) ] in
-      { c_kind = Merge;
-        c_label =
-          Fmt.str "merge data(%s %s) across sids %d-%d"
-            (Pretty.data_kind_str kind) var first_sid last_sid;
-        c_sites = List.map (fun s -> s.Obs.Ledger.s_site) sites;
-        c_predicted_s =
-          List.fold_left (fun a s -> a +. s.Obs.Ledger.s_saved_s) 0.0 sites;
-        c_edit =
-          (fun p -> Acc.Edit.wrap_span p ~first_sid ~last_sid ~directive) }
-      :: acc)
-    groups []
+      of_sites Merge
+        (Fmt.str "merge data(%s %s) across sids %d-%d"
+           (Pretty.data_kind_str kind) var first_sid last_sid)
+        (List.map snd entries)
+        (fun p -> Acc.Edit.wrap_span p ~first_sid ~last_sid ~directive))
+    (group_sites ~rewrite:"merge" analysis sidtbl (fun _ s ->
+         Some s.Obs.Ledger.s_array))
 
 (* Replace the adjacent pair [s1; s2] of compute-loop statements with one
    directive carrying the fused loop (clause union, bodies concatenated
@@ -536,6 +495,8 @@ let candidates prog tp analysis outcome =
 exception Rejected of string
 
 let run ?(config = default_config) ~name ~outputs prog0 =
+  if not (List.mem 1 config.check_devices) then
+    invalid_arg "Saturate.run: check_devices must contain 1";
   (* Start from canonical sids (a print/reparse round trip numbers the
      statements from 1): sids leak into directive-site labels
      (`data<sid>.copyin(v)`) and from there into the report, so the
@@ -585,7 +546,8 @@ let run ?(config = default_config) ~name ~outputs prog0 =
   in
   (* The designated outputs of one run of a checked configuration, and
      its measurement when it is the tree-engine single-device run: that
-     output check is the measurement run itself, so no rung repeats it. *)
+     output check is the measurement run itself, so no rung repeats it.
+     Every ladder checks that configuration ([check_devices] holds 1). *)
   let run_config tp cfg =
     let o, m =
       match cfg with
@@ -609,11 +571,9 @@ let run ?(config = default_config) ~name ~outputs prog0 =
           [ (Accrt.Engine.Tree, devices); (Accrt.Engine.Compiled, devices) ])
       config.check_devices
   in
-  let before =
-    match List.find_map (fun (_, (_, m)) -> m) reference with
-    | Some m -> m
-    | None -> snd (measured_run tp0)
-  in
+  (* A ladder's measurement: its tree-engine single-device run's. *)
+  let measurement runs = Option.get (List.find_map snd runs) in
+  let before = measurement (List.map snd reference) in
   (* Returns the canonical patched program with its one translation —
      every later rung, and once accepted the next step, runs on it — and
      its measurement. *)
@@ -653,15 +613,11 @@ let run ?(config = default_config) ~name ~outputs prog0 =
        size: directive edits move data, they must never change what the
        host computes.  A candidate whose run *crashes* (e.g. a rewrite
        that breaks an allocation invariant) is rejected the same way. *)
-    let measurement =
-      List.fold_left
-        (fun measurement (((engine, devices) as cfg), (ref_outputs, _)) ->
-          let ename =
-            match engine with
-            | Accrt.Engine.Tree -> "tree"
-            | Accrt.Engine.Compiled -> "compiled"
-          in
-          let outs, m =
+    let runs =
+      List.map
+        (fun (((engine, devices) as cfg), (ref_outputs, _)) ->
+          let ename = Accrt.Engine.to_string engine in
+          let ((outs, _) as run) =
             try run_config tp cfg
             with e ->
               raise
@@ -678,19 +634,11 @@ let run ?(config = default_config) ~name ~outputs prog0 =
               (Rejected
                  (Fmt.str "outputs diverged (%s engine, %d device(s))" ename
                     devices));
-          match m with Some _ -> m | None -> measurement)
-        None reference
+          run)
+        reference
     in
-    (* 5. the measurement: rung 4's tree x1 run, unless the ladder skipped
-       that configuration *)
-    match measurement with
-    | Some m -> (cand_prog, tp, m)
-    | None -> (
-        match measured_run tp with
-        | _, m -> (cand_prog, tp, m)
-        | exception e ->
-            raise
-              (Rejected ("measurement run failed: " ^ Printexc.to_string e)))
+    (* 5. the measurement: rung 4's tree x1 run *)
+    (cand_prog, tp, measurement runs)
   in
   let prog = ref prog0 in
   let prog_tp = ref tp0 in  (* translation of [!prog] *)

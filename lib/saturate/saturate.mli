@@ -71,6 +71,8 @@ type t = {
 type config = {
   max_steps : int;
   check_devices : int list;
+      (** device-set sizes of the output check; must contain 1, since the
+          tree-engine single-device check is also the measurement run *)
   seed : int;
 }
 
@@ -89,7 +91,8 @@ val candidates :
     edits [prog]'s translated source (callees inlined), which is also
     what [r_program] holds.
     @raise Minic.Loc.Error or Acc.Validate.Invalid when [prog] does not
-    compile through [Openarc_core.Compiler] *)
+    compile through [Openarc_core.Compiler]
+    @raise Invalid_argument when [config.check_devices] lacks 1 *)
 val run :
   ?config:config -> name:string -> outputs:string list ->
   Minic.Ast.program -> t

@@ -889,6 +889,29 @@ let test_exit_code_table () =
             && contains ~needle:"outside the 4 element(s) of 'a'" line)
         end)
       commands;
+    (* an update of data no region allocated fails the run at its site *)
+    let absent =
+      source
+        "int main() { int n = 8; float a[n];\n\
+         for (int i = 0; i < n; i++) { a[i] = 1.0; }\n\
+         #pragma acc update device(a)\n\
+         #pragma acc kernels loop\n\
+         for (int i = 0; i < n; i++) { a[i] = a[i] * 2.0; }\n\
+         return 0; }\n"
+    in
+    List.iter
+      (fun (cmd, at) ->
+        let code, err = run_lines (cmd ^ " " ^ Filename.quote absent) in
+        Alcotest.(check int) (cmd ^ ": absent update exits 1") 1 code;
+        Alcotest.(check (list string))
+          (cmd ^ ": names the site, its location and the array")
+          [ Fmt.str
+              "Mini-C runtime error: update0.device(a) (%s) transfers 'a', \
+               which is not present on device 0"
+              at ]
+          err)
+      [ ("run", "<input>:3:1"); ("run --instrument", "<input>:3:1");
+        ("saturate", "<saturate>:7:3") ];
     (* session reports the failed iteration and carries on to its summary *)
     let code, out =
       run_cmd (Fmt.str "session %s --outputs a" (Filename.quote runtime))

@@ -877,6 +877,47 @@ let test_fault_diff () =
     [ Gpusim.Fault_plan.Xfer_fail; Gpusim.Fault_plan.Launch_fail;
       Gpusim.Fault_plan.Bit_flip; Gpusim.Fault_plan.Device_lost ]
 
+(* Sharded reductions combine in the one-device tree order whatever the
+   split, so a device set reproduces the one-device outputs exactly:
+   every suite build (source and optimized) under the compiled engine on
+   one device, both engines at 2 and 4 devices (block), and the compiled
+   engine at 2 and 4 devices (cyclic) matches the tree walker's
+   one-device designated outputs at margin 0.  Saturate's output rung
+   relies on it. *)
+let test_device_sets_match_one_device () =
+  let block = Gpusim.Device_set.Block and cyclic = Gpusim.Device_set.Cyclic in
+  List.iter
+    (fun (b : Suite.Bench_def.t) ->
+      List.iter
+        (fun (build, source) ->
+          let tp = Openarc_core.Compiler.compile source in
+          let outputs (engine, devices, schedule) =
+            let o =
+              Accrt.Interp.exec
+                { Accrt.Interp.default with
+                  engine; seed = 42; devices; schedule }
+                Accrt.Interp.detached tp
+            in
+            Accrt.Value.outputs o.Accrt.Interp.ctx.Accrt.Eval.env b.outputs
+          in
+          let reference = outputs (tree, 1, block) in
+          List.iter
+            (fun ((engine, devices, schedule) as cfg) ->
+              Alcotest.(check (list string))
+                (Fmt.str "%s %s: %s x%d %s matches tree x1" b.name build
+                   (Accrt.Engine.to_string engine) devices
+                   (Gpusim.Device_set.schedule_name schedule))
+                []
+                (List.map
+                   (fun m -> m.Accrt.Value.m_what)
+                   (Accrt.Value.compare_outputs ~margin:0.0 ~reference
+                      (outputs cfg))))
+            [ (compiled, 1, block); (tree, 2, block); (compiled, 2, block);
+              (tree, 4, block); (compiled, 4, block); (compiled, 2, cyclic);
+              (compiled, 4, cyclic) ])
+        [ ("source", b.source); ("optimized", b.optimized) ])
+    Suite.Registry.all
+
 let tests =
   List.map bench_case Suite.Registry.all
   @ List.map devices1_case Suite.Registry.all
@@ -887,4 +928,6 @@ let tests =
       Alcotest.test_case "subscript errors" `Quick test_subscript_errors;
       Alcotest.test_case "kernel shapes" `Quick test_kernel_shapes;
       Alcotest.test_case "fault matrix" `Quick test_fault_diff;
-      Alcotest.test_case "device-loss failover" `Quick test_failover_diff ]
+      Alcotest.test_case "device-loss failover" `Quick test_failover_diff;
+      Alcotest.test_case "device sets match one-device outputs" `Quick
+        test_device_sets_match_one_device ]

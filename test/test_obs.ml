@@ -124,10 +124,6 @@ let test_conservation () =
 
 (* -------------------------- audit replay --------------------------- *)
 
-let tprog_device_of = function
-  | Obs.Audit.Cpu -> Codegen.Tprog.Cpu
-  | Obs.Audit.Gpu -> Codegen.Tprog.Gpu
-
 let test_audit_replay () =
   let b = bench "JACOBI" in
   let tp =
@@ -146,13 +142,11 @@ let test_audit_replay () =
      same final statuses the runtime reports. *)
   List.iter
     (fun ((var, dev), st) ->
-      let live =
-        Accrt.Coherence.get o.Accrt.Interp.coherence var (tprog_device_of dev)
-      in
+      let live = Accrt.Coherence.get o.Accrt.Interp.coherence var dev in
       Alcotest.(check string)
         (Fmt.str "replayed state of %s/%s" var (Obs.Audit.device_name dev))
         (Codegen.Tprog.status_name live)
-        (Obs.Audit.status_name st))
+        (Codegen.Tprog.status_name st))
     (Obs.Audit.final_states audit);
   (* Sequence numbers are dense and ordered. *)
   List.iteri

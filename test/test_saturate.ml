@@ -123,6 +123,23 @@ let test_report_independent_of_ladder () =
         (report [ 1 ] b) (report [ 1; 2; 4 ] b))
     [ "BACKPROP"; "SPMUL"; "CG"; "KMEANS" ]
 
+(* The tree-engine single-device output check is also the measurement
+   run, so a ladder without it is refused before any run. *)
+let test_requires_one_device () =
+  let prog = Minic.Parser.parse_string hoistable_src in
+  List.iter
+    (fun check_devices ->
+      Alcotest.check_raises
+        (Fmt.str "check_devices [%s] refused"
+           (String.concat "; " (List.map string_of_int check_devices)))
+        (Invalid_argument "Saturate.run: check_devices must contain 1")
+        (fun () ->
+          ignore
+            (Saturate.run
+               ~config:{ Saturate.default_config with Saturate.check_devices }
+               ~name:"unit" ~outputs:[ "b" ] prog)))
+    [ []; [ 2 ]; [ 2; 4 ] ]
+
 let tests =
   [ Alcotest.test_case "search accepts the hoist" `Slow
       test_search_accepts_hoist;
@@ -130,4 +147,6 @@ let tests =
     Alcotest.test_case "measurements run on the tree walker" `Quick
       test_measured_on_tree;
     Alcotest.test_case "report independent of the ladder's work" `Slow
-      test_report_independent_of_ladder ]
+      test_report_independent_of_ladder;
+    Alcotest.test_case "ladder requires the one-device run" `Quick
+      test_requires_one_device ]
