@@ -31,17 +31,17 @@ fault-matrix: build
 	$(DUNE) exec --no-build bin/openarc.exe -- \
 	  fault-matrix --benches jacobi,ep,srad --seed 42 --devices 2,4
 
-# Wall-clock smoke: time a run and a symbolic kernel verification of a
-# 3-benchmark subset under both execution engines (median of 3) and
-# require the compiled engine to be at least twice as fast as the tree
-# walker on both suite medians — so verification losing its compiled
-# sequential regions fails CI.  It also requires the compiled engine to
-# be no slower than the tree walker on a plain run of 100 copies of a
-# three-block program (400 kernels, median of 13 interleaved rounds) —
-# so costly per-kernel work on every run fails CI.  The same gate times
-# instrumentation and lint on 17 and 100 copies of that program (median
-# of 13 pairs) and requires neither to grow more than 7.3x for the 5.9x
-# larger program — so check placement or the transfer lint turning
+# Wall-clock smoke.  Every row is timed in interleaved rounds (each side
+# once per round, after a full major collection) and reads the median of
+# its per-round ratios.  A run and a symbolic kernel verification of a
+# 3-benchmark subset, tree vs compiled (3 rounds each): the compiled
+# engine must be at least twice as fast on both suite medians, so
+# verification losing its compiled sequential regions fails CI.  A plain
+# run of 100 copies of a three-block program (400 kernels, 13 rounds):
+# the compiled engine must be no slower, so costly per-kernel work on
+# every run fails CI.  Instrumentation and lint on 100 vs 17 copies of
+# that program (13 rounds): neither may grow more than 7.3x for the 5.9x
+# larger program, so check placement or the transfer lint turning
 # quadratic again fails CI.  wall-report.json carries the measurements
 # (the full sweep is `bench/main.exe wall`, which regenerates
 # BENCH_wall.json).
