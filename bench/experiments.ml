@@ -1273,10 +1273,11 @@ let timed (calls, f) =
    so the comparison charges the engine.  [Verify] is the symbolic kernel
    verification the debugging loop repeats per edit, whose cost is its
    hooked sequential run.  The suite gates read the median of each kind's
-   ratios.  [Many] is a plain run of the many-kernel program and [Growth]
-   a static pass on the large and the small growth program; each of those
-   rows is a gate of its own. *)
-type kind = Run | Verify | Many | Growth
+   ratios.  [Many] is a plain run of the many-kernel program, [Growth]
+   a static pass on the large and the small growth program, and [Depth]
+   the sequential reference run of one loop under many and under few
+   enclosing scopes; each of those rows is a gate of its own. *)
+type kind = Run | Verify | Many | Growth | Depth
 
 (* A timed row: each side's median seconds over the rounds and, for two
    sides, the median over the rounds of the first side's time over the
@@ -1329,6 +1330,31 @@ let growth_passes =
 let many_copies = 100
 let many_bound = 1.0
 
+(* The lookup-depth row: [Eval.run_reference] of one loop, whose body
+   reads three names of [main]'s scope, under [depth_scopes] enclosing
+   blocks, each binding a name of its own.  A lookup that probes every
+   enclosing scope grows with the depth; the wall-smoke gate allows the
+   deep run at most [depth_bound] times the shallow one's time. *)
+let depth_scopes = (1, 16)
+let depth_bound = 1.3
+
+let depth_program scopes =
+  let opens =
+    String.concat ""
+      (List.init scopes (fun d -> Fmt.str "  { int d%d = %d;\n" d d))
+  in
+  Fmt.str
+    "int main() {\n\
+    \  int n = 20000;\n\
+    \  float s = 0.0;\n\
+    \  float x = 0.5;\n\
+     %s\
+    \  for (int i = 0; i < n; i++) { s = s + x * float(i %% 7); }\n\
+     %s\n\
+    \  return 0;\n\
+     }\n"
+    opens (String.make scopes '}')
+
 (* A plain run of [tp] under [engine], discarding its outcome. *)
 let plain_run engine tp =
   ignore
@@ -1376,7 +1402,16 @@ let wall_rows ~repeats ~rounds ~engines benches =
           ])
       growth_passes
   in
-  suite @ (many :: growth)
+  let depth =
+    let side scopes =
+      let prog = Minic.Parser.parse_string (depth_program scopes) in
+      ( Fmt.str "x%d" scopes,
+        (1, fun () -> ignore (Accrt.Eval.run_reference prog)) )
+    in
+    let shallow, deep = depth_scopes in
+    time_row ~rounds "lookup-depth" Depth [ side deep; side shallow ]
+  in
+  suite @ (many :: growth) @ [ depth ]
 
 let of_kind kind rows = List.filter (fun r -> r.kind = kind) rows
 
@@ -1391,19 +1426,19 @@ let pp_row ppf r =
     (match r.kind with
     | Run | Many -> "run"
     | Verify -> "verify"
-    | Growth -> "growth");
+    | Growth | Depth -> "growth");
   List.iter (fun (label, t) -> Fmt.pf ppf "  %s %9.6f s" label t) r.times;
   Option.iter (Fmt.pf ppf "  %6.2fx") r.ratio;
   Fmt.pf ppf "@."
 
-(* A row's report members: [prefix]<side>_s per side, then
-   [prefix]speedup. *)
-let row_members prefix r =
+(* A row's report members: [prefix]<side>_s per side, then the ratio as
+   [prefix][ratio]. *)
+let row_members ?(ratio = "speedup") prefix r =
   List.map
     (fun (label, t) -> (Fmt.str "%s%s_s" prefix label, P.fixed 6 t))
     r.times
   @ Option.fold ~none:[]
-      ~some:(fun s -> [ (prefix ^ "speedup", P.fixed 2 s) ])
+      ~some:(fun s -> [ (prefix ^ ratio, P.fixed 2 s) ])
       r.ratio
 
 let wall_doc ~repeats ~engines rows =
@@ -1426,7 +1461,16 @@ let wall_doc ~repeats ~engines rows =
           (fun r ->
             ( "many_kernels",
               P.Obj (("copies", P.int many_copies) :: row_members "" r) ))
-          (of_kind Many rows))
+          (of_kind Many rows)
+      @ List.map
+          (fun r ->
+            ( "lookup_depth",
+              P.Obj
+                (( "scopes",
+                   P.Arr
+                     [ P.int (fst depth_scopes); P.int (snd depth_scopes) ] )
+                :: row_members ~ratio:"growth" "" r) ))
+          (of_kind Depth rows))
     (List.map2
        (fun run verify ->
          P.Obj
@@ -1444,6 +1488,7 @@ let wall_gates ~need rows =
     ("median verify speedup", median_ratio Verify rows, `At_least need) ]
   @ each Many (fun n -> n ^ " speedup") (`At_least many_bound)
   @ each Growth (fun n -> "median " ^ n ^ " growth") (`At_most growth_bound)
+  @ each Depth (fun n -> n ^ " growth") (`At_most depth_bound)
 
 (* One gate's verdict line; 1 when it fails. *)
 let verdict ppf what got bound =
@@ -1463,7 +1508,8 @@ let verdict ppf what got bound =
    bench-wall JSON report and, given [min_speedup], gated: both
    suite median speedups at least [min_speedup], the many-kernel speedup
    at least [many_bound] (when both engines ran), both growths at most
-   [growth_bound].  Returns the exit code. *)
+   [growth_bound], and the lookup-depth growth at most [depth_bound].
+   Returns the exit code. *)
 let run_wall ?(json = wall_path) ?names
     ?(engines = [ Accrt.Engine.Tree; Accrt.Engine.Compiled ])
     ?(repeats = 5) ?min_speedup ppf =
@@ -1472,8 +1518,10 @@ let run_wall ?(json = wall_path) ?names
   Fmt.pf ppf
     "Interpreter wall-clock (seed 42, source variant), medians of \
      interleaved rounds:@.%d per benchmark row, %d per many-kernel row (%d \
-     copies of three blocks) and growth row (%d -> %d copies)@."
-    repeats rounds many_copies (fst growth_copies) (snd growth_copies);
+     copies of three blocks), growth row (%d -> %d copies) and \
+     lookup-depth row (%d -> %d scopes)@."
+    repeats rounds many_copies (fst growth_copies) (snd growth_copies)
+    (fst depth_scopes) (snd depth_scopes);
   hr ppf;
   let rows = wall_rows ~repeats ~rounds ~engines benches in
   List.iter (pp_row ppf) rows;

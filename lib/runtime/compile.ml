@@ -3,7 +3,7 @@
     Compiles expressions and statements into nested OCaml closures over an
     array-backed register frame: a {!Resolve} pass assigns every declared
     variable a register slot at compile time, so variable access is an array
-    index instead of string hashing over a frame stack, and all AST-tag
+    index instead of a name lookup in the {!Value} environment, and all AST-tag
     dispatch happens once, at compile time.  A subscript chain rooted at a
     variable ([a\[i\]\[j\]], read or assigned) compiles to one closure
     that computes the row-major offset in place, where the tree walker
@@ -23,8 +23,8 @@
 
     - {e mirror} mode (the sequential reference path and the interpreter's
       host statements): every declaration is also published into the
-      name-addressable {!Value} environment and scopes push/pop real
-      (pooled) frames, so [stmt_hook]s — which execute code against the
+      name-addressable {!Value} environment and every scope is also an
+      environment scope, so [stmt_hook]s — which execute code against the
       environment by name (kernel verification is the one that sets one)
       — observe exactly the state the tree walker would produce.
       Registers hold the {e same} cells/slots as the environment, so the
@@ -51,7 +51,7 @@ open Codegen.Tprog
 open Value
 open Eval
 
-(** A register: what a frame-stack lookup of the name would find. *)
+(** A register: what an environment lookup of the name would find. *)
 type reg = Unbound | Rscalar of Value.cell | Rarray of Value.slot
 
 (** Execution state of one activation: the shared evaluator context (ops
@@ -83,7 +83,7 @@ let fun_ref u f =
       r
 
 (* Register accessors: the same dispatch (and the same error messages) a
-   frame-stack lookup would produce. *)
+   environment lookup would produce. *)
 
 let reg_cell st i name =
   match st.regs.(i) with
@@ -101,7 +101,7 @@ let reg_of_binding = function
   | Scalar c -> Rscalar c
   | Array s -> Rarray s
 
-(* The slot an array name designates: its register, or a frame-stack
+(* The slot an array name designates: its register, or an environment
    lookup when the name is free. *)
 let croot res name : st -> Value.slot =
   match Resolve.slot_of res name with
@@ -375,60 +375,28 @@ and cuser u res f args : cexp =
               r := Some cf;
               cf
         in
-        if u.umirror then
-          fun st ->
-            st.ctx.ops <- st.ctx.ops + 1;
-            let cf = force () in
-            let bindings = List.map (fun b -> b st) binders in
-            let regs = Array.make cf.cf_nregs Unbound in
-            List.iteri
-              (fun i (_, b) -> regs.(i) <- reg_of_binding b)
-              bindings;
-            let saved = st.ctx.env.frames in
-            let frame = Frame.create 8 in
-            List.iter (fun (name, b) -> Frame.replace frame name b) bindings;
-            st.ctx.env.frames <- [ frame ];
-            let restore () = st.ctx.env.frames <- saved in
-            (try
-               cf.cf_body { ctx = st.ctx; regs };
-               restore ();
-               Int 0
-             with
-            | Return_exc r ->
-                restore ();
-                (match r with Some v -> v | None -> Int 0)
-            | e ->
-                restore ();
-                raise e)
-        else
-          fun st ->
-            st.ctx.ops <- st.ctx.ops + 1;
-            let cf = force () in
-            let bindings = List.map (fun b -> b st) binders in
-            let regs = Array.make cf.cf_nregs Unbound in
-            List.iteri
-              (fun i (_, b) -> regs.(i) <- reg_of_binding b)
-              bindings;
-            let saved = st.ctx.env.frames in
-            st.ctx.env.frames <- [];
-            let restore () = st.ctx.env.frames <- saved in
-            (try
-               cf.cf_body { ctx = st.ctx; regs };
-               restore ();
-               Int 0
-             with
-            | Return_exc r ->
-                restore ();
-                (match r with Some v -> v | None -> Int 0)
-            | e ->
-                restore ();
-                raise e)
+        (* Mirror mode also publishes the parameters by name; register
+           mode keeps them in registers only.  Either way the callee sees
+           no name of its caller's scopes. *)
+        let mirror = u.umirror in
+        fun st ->
+          st.ctx.ops <- st.ctx.ops + 1;
+          let cf = force () in
+          let bindings = List.map (fun b -> b st) binders in
+          let regs = Array.make cf.cf_nregs Unbound in
+          List.iteri (fun i (_, b) -> regs.(i) <- reg_of_binding b) bindings;
+          Value.call st.ctx.env
+            (if mirror then bindings else [])
+            (fun () ->
+              match cf.cf_body { ctx = st.ctx; regs } with
+              | () -> Int 0
+              | exception Return_exc r -> Option.value r ~default:(Int 0))
       end
 
 and compile_fun u fn =
   let res = Resolve.create () in
   List.iter (fun p -> ignore (Resolve.declare res p.p_name)) fn.f_params;
-  (* The callee body runs directly in the parameter frame (no extra
+  (* The callee body runs directly in the parameters' scope (no extra
      scope), exactly like [Eval.call_user]. *)
   let body = cblock u res fn.f_body in
   { cf_nregs = Resolve.frame_size res; cf_body = body }
@@ -658,7 +626,7 @@ and cblock u res b : cstm =
 (** Compiled counterpart of {!Eval.run_reference}: same environment setup
     (globals initialized by the tree walker — a one-time cold path), main
     body compiled in mirror mode, declarations landing in the initial
-    frame exactly like the tree walker (no extra scope). *)
+    scope exactly like the tree walker (no extra scope). *)
 let run_reference ?hook prog =
   let env = Value.create () in
   let ctx = Eval.make ~hook prog env in
@@ -684,7 +652,7 @@ let reference ~engine ?hook prog =
 (** Loop header of a compiled kernel.  In the parallel mode the driver
     cell replaces the loop variable's {e base} register (header
     expressions are compiled against the base scope, so — like the tree
-    walker, which evaluates them without the thread frame — they never see
+    walker, which evaluates them outside the thread scope — they never see
     per-thread cells). *)
 type cmode =
   | Cnone
@@ -741,7 +709,7 @@ let compile_kernel u (k : kernel) : ckernel =
     | Some l when k.k_seq ->
         Resolve.enter res;
         let cls, cands = declare_thread () in
-        (* The driver is placed in the thread frame after the loop init is
+        (* The driver is placed in the thread scope after the loop init is
            evaluated, so the init resolves [kl_var] to whatever a thread
            cell or base copy held before. *)
         let init = cexpr u res l.kl_init in
@@ -831,10 +799,10 @@ let host_stmt cache (ctx : Eval.ctx) tid s =
 (** Compiled counterpart of [Value.scoped env (fun () -> Eval.exec ctx
     k.k_source)]: run kernel [k]'s sequential source against [ctx] — its
     [ops], hooks and environment.  Every name the source mentions is bound
-    once, before the run, to the binding a frame-stack lookup finds (a name
+    once, before the run, to the binding an environment lookup finds (a name
     with none stays unbound and raises the tree walker's error if read);
     declarations inside the source shadow it in fresh registers, as they
-    would in the tree walker's scope frame. *)
+    would in the tree walker's scope. *)
 let run_source cache (ctx : Eval.ctx) (k : kernel) =
   let cs =
     match Hashtbl.find_opt cache.csources k.k_id with
@@ -883,8 +851,7 @@ let run_shard cache session ?weights device ~owns =
   let ck = Hashtbl.find cache.ckernels k.k_id in
   let host_ctx = Kernel_exec.host session in
   let regs = Array.make ck.ck_nregs Unbound in
-  let kenv : Value.t = { Value.globals = Frame.create 1; frames = [] } in
-  let kctx = Eval.make host_ctx.prog kenv in
+  let kctx = Eval.make host_ctx.prog (Value.create ()) in
   let st = { ctx = kctx; regs } in
   (* Base registers: device-array bindings and copies of the host
      scalars, bound in [kernel_names] order (device-buffer resolution can

@@ -238,31 +238,10 @@ and call_user ctx f args =
                 (p.p_name, Scalar { v = eval ctx arg }))
           fn.f_params args
       in
-      let saved = ctx.env.frames in
-      let frame = Frame.create 8 in
-      List.iter (fun (name, b) -> Frame.replace frame name b) bindings;
-      ctx.env.frames <- [ frame ];
-      let restore () = ctx.env.frames <- saved in
-      let result =
-        try
-          exec_block ctx fn.f_body;
-          None
-        with
-        | Return_exc r ->
-            restore ();
-            r
-        | e ->
-            restore ();
-            raise e
-      in
-      (match result with
-      | Some r ->
-          r
-      | None ->
-          (* fell through without return (void function) *)
-          (match fn.f_body with _ -> ());
-          restore () |> ignore;
-          Int 0)
+      Value.call ctx.env bindings (fun () ->
+          match exec_block ctx fn.f_body with
+          | () -> Int 0 (* fell through without return (void function) *)
+          | exception Return_exc r -> Option.value r ~default:(Int 0))
 
 and zero_of_typ = function
   | Tint -> Int 0
@@ -275,12 +254,16 @@ and base_is_float = function
   | Tint | Tvoid -> false
 
 and exec_decl ctx typ name init =
+  declare ctx.env name (decl_binding ctx typ name init)
+
+(* The binding a declaration makes, its initializer and extents
+   evaluated. *)
+and decl_binding ctx typ name init =
   match typ with
   | Tint | Tfloat | Tvoid ->
       let v = match init with Some e -> eval ctx e | None -> zero_of_typ typ in
-      declare ctx.env name (Scalar { v })
-  | Tarr (_, None) ->
-      declare ctx.env name (Array { buf = None; root = name; shape = [||] })
+      Scalar { v }
+  | Tarr (_, None) -> Array { buf = None; root = name; shape = [||] }
   | Tarr _ ->
       (* Unroll the (possibly multi-dimensional) extents, outermost first,
          and allocate one flattened row-major buffer. *)
@@ -300,18 +283,14 @@ and exec_decl ctx typ name init =
         if base_is_float base then Gpusim.Buf.create_float total
         else Gpusim.Buf.create_int total
       in
-      declare ctx.env name
-        (Array { buf = Some buf; root = name; shape = Array.of_list dims })
+      Array { buf = Some buf; root = name; shape = Array.of_list dims }
   | Tptr _ -> (
       match init with
       | Some (Evar src) ->
           let slot = array_slot ctx.env src in
-          declare ctx.env name
-            (Array { buf = slot.buf; root = slot.root;
-                     shape = slot.shape })
+          Array { buf = slot.buf; root = slot.root; shape = slot.shape }
       | Some _ -> error "pointer '%s' may only be initialized from an array" name
-      | None ->
-          declare ctx.env name (Array { buf = None; root = name; shape = [||] }))
+      | None -> Array { buf = None; root = name; shape = [||] })
 
 and assign ctx lv rhs =
   match lv with
@@ -389,16 +368,14 @@ and exec_scope ctx b = scoped ctx.env (fun () -> exec_block ctx b)
 
 and exec_block ctx b = List.iter (exec ctx) b
 
-(** Initialize global variables into [env]'s global frame. *)
+(** Initialize global variables as the environment's globals, before
+    [main] runs (their initializers see the globals declared before
+    them). *)
 let init_globals ctx =
   List.iter
     (function
       | Gvar (typ, name, init) ->
-          (* Declare into the global frame. *)
-          let saved = ctx.env.frames in
-          ctx.env.frames <- [ ctx.env.globals ];
-          exec_decl ctx typ name init;
-          ctx.env.frames <- saved
+          declare_global ctx.env name (decl_binding ctx typ name init)
       | Gfunc _ -> ())
     ctx.prog.globals
 

@@ -53,7 +53,8 @@ val eval : ctx -> Minic.Ast.expr -> Value.scalar
 val exec : ctx -> Minic.Ast.stmt -> unit
 val exec_block : ctx -> Minic.Ast.block -> unit
 
-(** Initialize global variables into the environment's global frame. *)
+(** Bind the program's global variables as the environment's globals;
+    run it on a fresh environment, before [main]. *)
 val init_globals : ctx -> unit
 
 (** Run the whole program sequentially (the reference execution of

@@ -66,6 +66,12 @@ type outcome = {
   imbalance : Obs.Imbalance.t option;
       (** shard-level cost attribution of every sharded launch
           (multi-device runs only) *)
+  compiles : int;
+      (** kernels the compiled engine compiled (0 under the tree walker):
+          a trace's [engine_compiles] counter *)
+  compile_hits : int;
+      (** runner calls that found their kernel compiled: a trace's
+          [engine_compile_hits] counter *)
 }
 
 let reports o = Coherence.reports o.coherence
@@ -244,10 +250,15 @@ let exec (cfg : config) (observers : observers) (tp : Codegen.Tprog.t) =
      tree walker under either engine: recovery deliberately re-executes
      through the independent engine. *)
   let ecache = lazy (Compile.create_cache tp.source) in
+  let compiles = ref 0 and compile_hits = ref 0 in
   let compiled k =
     let cache = Lazy.force ecache in
-    if Compile.cached cache k then bump "engine_compile_hits"
+    if Compile.cached cache k then begin
+      incr compile_hits;
+      bump "engine_compile_hits"
+    end
     else begin
+      incr compiles;
       bump "engine_compiles";
       in_span Obs.Trace.Phase "compile-kernel"
         ~loc:k.k_loc ~directive:k.k_name
@@ -1371,7 +1382,8 @@ let exec (cfg : config) (observers : observers) (tp : Codegen.Tprog.t) =
           Gpusim.Device.free_all dev)
         devset.Gpusim.Device_set.devices);
   { ctx; device; devset; coherence = coh; tprog = tp; site_execs; sites;
-    resilience = stats; imbalance = ilog }
+    resilience = stats; imbalance = ilog; compiles = !compiles;
+    compile_hits = !compile_hits }
 
 let run ?coherence ?(engine = default.engine) ?(seed = default.seed)
     ?(devices = default.devices) ?obs ?ledger ?kcache:_ tp =

@@ -72,6 +72,12 @@ type outcome = {
   imbalance : Obs.Imbalance.t option;
       (** shard-level cost attribution of every sharded launch
           (multi-device runs only) *)
+  compiles : int;
+      (** kernels the compiled engine compiled (0 under the tree walker):
+          a trace's [engine_compiles] counter *)
+  compile_hits : int;
+      (** runner calls that found their kernel compiled: a trace's
+          [engine_compile_hits] counter *)
 }
 
 val reports : outcome -> Coherence.report list

@@ -230,28 +230,28 @@ let device_array s device (a : Value.slot) =
   in
   Array { buf = Some buf; root = a.root; shape = Value.shape_of a }
 
-(* A kernel-side context whose base frame binds [names] as a launch on
-   [device] sees them: host arrays to the device's buffers, host scalars
-   to private copies.  Names bound nowhere are declared in the kernel. *)
+(* A kernel-side environment whose base scope binds [names] as a launch
+   on [device] sees them: host arrays to the device's buffers, host
+   scalars to private copies.  Names bound nowhere are declared in the
+   kernel. *)
 let kernel_ctx s device names =
-  let base = Frame.create 16 in
+  let kenv = Value.create () in
   List.iter
     (fun n ->
       match Value.lookup s.s_host.Eval.env n with
-      | Some (Array a) -> Frame.replace base n (device_array s device a)
-      | Some (Scalar c) -> Frame.replace base n (Scalar { v = c.v })
+      | Some (Array a) -> Value.declare kenv n (device_array s device a)
+      | Some (Scalar c) -> Value.declare kenv n (Scalar { v = c.v })
       | None -> ())
     names;
-  let kenv : Value.t = { Value.globals = Frame.create 1; frames = [ base ] } in
-  (base, kenv, Eval.make s.s_host.Eval.prog kenv)
+  (kenv, Eval.make s.s_host.Eval.prog kenv)
 
 let total_iterations s device =
   match s.s_k.k_loop with
   | Some l when not s.s_k.k_seq ->
       let ns = { seen = Hashtbl.create 8; rev = [] } in
       add_header ns l;
-      let base, _, kctx = kernel_ctx s device ns.rev in
-      Frame.replace base l.kl_var (Scalar { v = Eval.eval kctx l.kl_init });
+      let kenv, kctx = kernel_ctx s device ns.rev in
+      Value.declare kenv l.kl_var (Scalar { v = Eval.eval kctx l.kl_init });
       let n = ref 0 in
       while truthy (Eval.eval kctx l.kl_cond) do
         incr n;
@@ -350,22 +350,23 @@ let commit s =
    over persistent cells. *)
 let run_shard s ?weights device ~owns =
   let k = s.s_k in
-  let base, kenv, kctx = kernel_ctx s device (kernel_names k) in
-  (* The thread frame binds the committed names to the staging's cells;
+  let kenv, kctx = kernel_ctx s device (kernel_names k) in
+  (* A thread's scope binds the committed names to the staging's cells;
      declarations land in the body's own scope above it. *)
   let sg = staging s in
-  let frame = Frame.create 8 in
-  Array.iteri
-    (fun i c -> Frame.replace frame s.s_slots.(i).sl_name (Scalar c))
-    sg.cells;
-  let push () = kenv.frames <- frame :: kenv.frames in
-  let pop () = kenv.frames <- List.tl kenv.frames in
+  let cells = Array.map (fun c -> Scalar c) sg.cells in
+  let in_thread_scope run =
+    let body () =
+      for i = 0 to Array.length cells - 1 do
+        Value.declare kenv s.s_slots.(i).sl_name cells.(i)
+      done;
+      run ()
+    in
+    fun () -> Value.scoped kenv body
+  in
   let in_thread b =
     let exec () = Eval.exec_block kctx b in
-    fun () ->
-      push ();
-      Value.scoped kenv exec;
-      pop ()
+    in_thread_scope (fun () -> Value.scoped kenv exec)
   in
   let executed =
     match k.k_loop with
@@ -379,23 +380,24 @@ let run_shard s ?weights device ~owns =
         if owns 0 then begin
           let trips = ref 0 in
           let exec () = Eval.exec_block kctx l.kl_body in
-          thread s sg ?weights kctx ~ordinal:0 (fun () ->
-              push ();
-              let driver = { v = Eval.eval kctx l.kl_init } in
-              Frame.replace frame l.kl_var (Scalar driver);
-              while truthy (Eval.eval kctx l.kl_cond) do
-                incr trips;
-                Value.scoped kenv exec;
-                match l.kl_step with Some st -> Eval.exec kctx st | None -> ()
-              done;
-              pop ();
-              stage_exit sg driver.v);
+          thread s sg ?weights kctx ~ordinal:0
+            (in_thread_scope (fun () ->
+                 let driver = { v = Eval.eval kctx l.kl_init } in
+                 Value.declare kenv l.kl_var (Scalar driver);
+                 while truthy (Eval.eval kctx l.kl_cond) do
+                   incr trips;
+                   Value.scoped kenv exec;
+                   match l.kl_step with
+                   | Some st -> Eval.exec kctx st
+                   | None -> ()
+                 done;
+                 stage_exit sg driver.v));
           !trips
         end
         else 0
     | Some l ->
         let driver = { v = Eval.eval kctx l.kl_init } in
-        Frame.replace base l.kl_var (Scalar driver);
+        Value.declare kenv l.kl_var (Scalar driver);
         let body = in_thread l.kl_body in
         let executed = ref 0 and ordinal = ref 0 in
         while truthy (Eval.eval kctx l.kl_cond) do

@@ -38,7 +38,8 @@ let scoped t f =
 
 (** Declare [name] in the innermost scope; returns its register slot.
     Redeclaring a name in the same scope shadows it with a fresh slot,
-    matching [Hashtbl.replace] semantics of the tree-walker's frames. *)
+    matching the tree walker, where it replaces the name's binding in
+    that scope. *)
 let declare t name =
   match t.scopes with
   | scope :: _ ->

@@ -33,189 +33,179 @@ let () =
     | Runtime_error m -> Some ("Mini-C runtime error: " ^ m)
     | _ -> None)
 
-(** {1 Environments}: a stack of frames over a global frame. *)
+(** {1 Environments}: one binding table per environment. *)
 
-(* A frame is a chained hash table from names to bindings whose entries
-   keep their key's hash, so a lookup hashes the name once for the whole
-   frame stack, probes each frame with that hash, and compares keys with
-   [String.equal] only on a hash match; a resize re-buckets entries by
-   their stored hash. *)
-module Frame = struct
-  type bucket =
-    | Empty
-    | Cons of {
-        key : string;
-        hash : int;  (** [hash key] *)
-        mutable data : binding;
-        next : bucket;
-      }
+(* Every name the environment has seen owns one entry in one chained hash
+   table: its global binding and the stack of its scoped bindings,
+   innermost first, each tagged with the depth of the scope that made it.
+   A lookup hashes the name once, probes one bucket chain and reads the
+   top of the stack, at any scope depth.  The bindings of the open scopes
+   also form one log, newest first, through which a closing scope unbinds
+   exactly what it bound.  The caller's scopes lie below the [floor]
+   while a function runs, so a callee sees its own scopes and the
+   globals. *)
 
-  type t = {
-    mutable size : int;  (** number of bindings *)
-    mutable buckets : bucket array;  (** a power of two of them *)
-    initial : int;  (** the bucket count [reset] restores *)
-  }
+(* Physically unique stand-in for "no binding", so a hit allocates no
+   option. *)
+let absent = Scalar { v = Int 0 }
 
-  let hash name =
-    let h = ref 0 in
-    for i = 0 to String.length name - 1 do
-      h := (!h * 31) + Char.code (String.unsafe_get name i)
-    done;
-    !h land max_int
+type stack =
+  | Nil
+  | Bind of {
+      depth : int;
+      mutable b : binding;
+      below : stack;  (** the name's next-outer binding *)
+      owner : entry;  (** the name this binds *)
+      older : stack;  (** the binding logged before this one *)
+    }
 
-  let create n =
-    let rec pow2 k = if k >= n then k else pow2 (2 * k) in
-    let initial = pow2 1 in
-    { size = 0; buckets = Array.make initial Empty; initial }
+and entry = {
+  key : string;
+  hash : int;  (** [hash key] *)
+  mutable global : binding;  (** [absent] when the name has none *)
+  mutable locals : stack;
+  mutable next : chain;
+}
 
-  let length fr = fr.size
+and chain = End | Next of entry
 
-  let reset fr =
-    if fr.size > 0 then begin
-      fr.size <- 0;
-      if Array.length fr.buckets = fr.initial then
-        Array.fill fr.buckets 0 fr.initial Empty
-      else fr.buckets <- Array.make fr.initial Empty
-    end
+type t = {
+  mutable buckets : chain array;  (** a power of two of them *)
+  mutable size : int;  (** number of entries *)
+  mutable depth : int;  (** of the innermost open scope; globals are 0 *)
+  mutable floor : int;  (** scopes below it (a caller's) are hidden *)
+  mutable log : stack;  (** the open scopes' bindings, newest first *)
+}
 
-  (* Physically unique stand-in for "no binding", so a hit allocates no
-     option. *)
-  let absent = Scalar { v = Int 0 }
+let hash name =
+  let h = ref 0 in
+  for i = 0 to String.length name - 1 do
+    h := (!h * 31) + Char.code (String.unsafe_get name i)
+  done;
+  !h land max_int
 
-  let rec find_bucket name h = function
-    | Empty -> absent
-    | Cons c ->
-        if c.hash = h && String.equal c.key name then c.data
-        else find_bucket name h c.next
+let create_sized n =
+  { buckets = Array.make n End; size = 0; depth = 1; floor = 1; log = Nil }
 
-  let find_hashed fr name h =
-    if fr.size = 0 then absent
-    else
-      find_bucket name h
-        (Array.unsafe_get fr.buckets (h land (Array.length fr.buckets - 1)))
+(* Depth 1 is the outermost scope ([main]'s body, a kernel's base). *)
+let create () = create_sized 8
 
-  let find_opt fr name =
-    let b = find_hashed fr name (hash name) in
-    if b == absent then None else Some b
+let resize env =
+  let n = 2 * Array.length env.buckets in
+  let buckets = Array.make n End in
+  let rec move = function
+    | End -> ()
+    | Next e as link ->
+        let rest = e.next in
+        let i = e.hash land (n - 1) in
+        e.next <- buckets.(i);
+        buckets.(i) <- link;
+        move rest
+  in
+  Array.iter move env.buckets;
+  env.buckets <- buckets
 
-  let resize fr =
-    let old = fr.buckets in
-    let n = 2 * Array.length old in
-    let buckets = Array.make n Empty in
-    let rec move = function
-      | Empty -> ()
-      | Cons c ->
-          let i = c.hash land (n - 1) in
-          buckets.(i) <-
-            Cons { key = c.key; hash = c.hash; data = c.data;
-                   next = buckets.(i) };
-          move c.next
-    in
-    Array.iter move old;
-    fr.buckets <- buckets
+let add env name h =
+  let i = h land (Array.length env.buckets - 1) in
+  let e =
+    { key = name; hash = h; global = absent; locals = Nil;
+      next = env.buckets.(i) }
+  in
+  env.buckets.(i) <- Next e;
+  env.size <- env.size + 1;
+  if env.size > Array.length env.buckets then resize env;
+  e
 
-  let rec set_bucket name h binding = function
-    | Empty -> false
-    | Cons c ->
-        if c.hash = h && String.equal c.key name then begin
-          c.data <- binding;
-          true
-        end
-        else set_bucket name h binding c.next
+(* The entry of [name], made on first use. *)
+let rec intern_in env name h = function
+  | End -> add env name h
+  | Next e ->
+      if e.hash = h && String.equal e.key name then e
+      else intern_in env name h e.next
 
-  let replace fr name binding =
-    let h = hash name in
-    let i = h land (Array.length fr.buckets - 1) in
-    if not (set_bucket name h binding fr.buckets.(i)) then begin
-      fr.buckets.(i) <-
-        Cons { key = name; hash = h; data = binding; next = fr.buckets.(i) };
-      fr.size <- fr.size + 1;
-      if fr.size > 2 * Array.length fr.buckets then resize fr
-    end
+let intern env name =
+  let h = hash name in
+  intern_in env name h env.buckets.(h land (Array.length env.buckets - 1))
 
-  let iter f fr =
-    let rec go = function
-      | Empty -> ()
-      | Cons c ->
-          f c.key c.data;
-          go c.next
-    in
-    Array.iter go fr.buckets
-end
-
-type frame = Frame.t
-
-type t = { globals : frame; mutable frames : frame list }
-
-let create () = { globals = Frame.create 16; frames = [ Frame.create 16 ] }
-
-(* A small pool of recycled scope frames.  [push]/[pop] pairs run once per
-   executed scope — loop iterations included — so they sit on the
-   interpreter's hottest path; reusing the frames avoids an allocation per
-   scope.  A pooled frame is [Frame.reset] before reuse, which empties it
-   and restores its initial geometry, so it is observably identical to a
-   fresh [Frame.create 8].  Frames popped by [pop] are never retained by
-   callers (scopes hand values out through shared cells), which is what
-   makes recycling safe. *)
-let frame_pool : frame list ref = ref []
-let frame_pool_len = ref 0
-let frame_pool_max = 64
-
-let acquire_frame () =
-  match !frame_pool with
-  | f :: rest ->
-      frame_pool := rest;
-      decr frame_pool_len;
-      f
-  | [] -> Frame.create 8
-
-let release_frame f =
-  if !frame_pool_len < frame_pool_max then begin
-    Frame.reset f;
-    frame_pool := f :: !frame_pool;
-    incr frame_pool_len
-  end
-
-let push env = env.frames <- acquire_frame () :: env.frames
-
-let pop env =
-  match env.frames with
-  | f :: rest ->
-      env.frames <- rest;
-      release_frame f
-  | [] -> invalid_arg "Value.pop: empty frame stack"
+(* Unbind every binding the innermost scope logged, then close it. *)
+let close env =
+  let d = env.depth in
+  let rec unwind = function
+    | Bind l when l.depth = d ->
+        l.owner.locals <- l.below;
+        unwind l.older
+    | rest -> env.log <- rest
+  in
+  unwind env.log;
+  env.depth <- d - 1
 
 (** Run [f] in a fresh scope. *)
 let scoped env f =
-  push env;
-  Fun.protect ~finally:(fun () -> pop env) f
+  env.depth <- env.depth + 1;
+  match f () with
+  | v ->
+      close env;
+      v
+  | exception e ->
+      close env;
+      raise e
 
 let declare env name binding =
-  match env.frames with
-  | frame :: _ -> Frame.replace frame name binding
-  | [] -> invalid_arg "Value.declare"
+  let e = intern env name in
+  match e.locals with
+  | Bind l when l.depth = env.depth -> l.b <- binding
+  | below ->
+      let s =
+        Bind { depth = env.depth; b = binding; below; owner = e;
+               older = env.log }
+      in
+      e.locals <- s;
+      env.log <- s
 
-let declare_global env name binding = Frame.replace env.globals name binding
+let declare_global env name binding = (intern env name).global <- binding
 
-(* The innermost binding of [name], or [Frame.absent]: the name is hashed
-   once for the whole stack. *)
-let find env name =
-  let h = Frame.hash name in
-  let rec go = function
-    | [] -> Frame.find_hashed env.globals name h
-    | frame :: rest ->
-        let b = Frame.find_hashed frame name h in
-        if b == Frame.absent then go rest else b
+(* A function body's scope, with the floor raised to it. *)
+let call env params f =
+  let floor = env.floor in
+  env.floor <- env.depth + 1;
+  let body () =
+    List.iter (fun (name, b) -> declare env name b) params;
+    f ()
   in
-  go env.frames
+  match scoped env body with
+  | v ->
+      env.floor <- floor;
+      v
+  | exception e ->
+      env.floor <- floor;
+      raise e
+
+(* The visible binding of an entry: its innermost scoped binding unless
+   that lies below the floor, else its global. *)
+let visible env e =
+  match e.locals with
+  | Bind l when l.depth >= env.floor -> l.b
+  | Bind _ | Nil -> e.global
+
+let rec find_chain env name h = function
+  | End -> absent
+  | Next e ->
+      if e.hash = h && String.equal e.key name then visible env e
+      else find_chain env name h e.next
+
+(* The visible binding of [name], or [absent]. *)
+let find env name =
+  let h = hash name in
+  find_chain env name h
+    (Array.unsafe_get env.buckets (h land (Array.length env.buckets - 1)))
 
 let lookup env name =
   let b = find env name in
-  if b == Frame.absent then None else Some b
+  if b == absent then None else Some b
 
 let lookup_exn env name =
   let b = find env name in
-  if b == Frame.absent then error "unbound variable '%s'" name else b
+  if b == absent then error "unbound variable '%s'" name else b
 
 let scalar_cell env name =
   match lookup_exn env name with
@@ -243,14 +233,35 @@ let shape_of slot =
   | [||], Some b -> [| Gpusim.Buf.length b |]
   | shape, _ -> shape
 
-(* A frame-by-frame copy of [env] with every binding passed through [f]. *)
+(* A copy of what [env] shows: each name's global and visible scoped
+   binding, passed through [f], the scoped one in the copy's outermost
+   scope.  The copy has its own table, so neither side sees the other's
+   later declarations. *)
 let map_bindings f env =
-  let map_frame fr =
-    let fr' = Frame.create (Frame.length fr) in
-    Frame.iter (fun name b -> Frame.replace fr' name (f name b)) fr;
-    fr'
+  let env' = create_sized (Array.length env.buckets) in
+  let copy e =
+    let global = if e.global == absent then absent else f e.key e.global in
+    let local =
+      match e.locals with
+      | Bind l when l.depth >= env.floor -> f e.key l.b
+      | Bind _ | Nil -> absent
+    in
+    if global != absent || local != absent then begin
+      let e' = add env' e.key e.hash in
+      e'.global <- global;
+      if local != absent then
+        e'.locals <-
+          Bind { depth = 1; b = local; below = Nil; owner = e'; older = Nil }
+    end
   in
-  { globals = map_frame env.globals; frames = List.map map_frame env.frames }
+  let rec each = function
+    | End -> ()
+    | Next e ->
+        copy e;
+        each e.next
+  in
+  Array.iter each env.buckets;
+  env'
 
 (** {1 Result comparison} *)
 

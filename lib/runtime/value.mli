@@ -27,52 +27,38 @@ exception Runtime_error of string
 
 val error : ('a, Format.formatter, unit, 'b) format4 -> 'a
 
-(** {1 Environments}: a stack of frames over a global frame. *)
+(** {1 Environments}: one binding table per environment.
 
-(** A frame: a table from names to bindings, one binding per name.  Each
-    entry stores its key's hash (any deterministic string hash), so
-    {!lookup} hashes a name once for the whole frame stack, probes every
-    frame with that hash and compares keys with [String.equal] only on a
-    hash match.  Iteration order is unspecified and must never be
-    observed: only name-keyed code iterates frames ({!map_bindings}, the
-    kernel runners' per-thread commits). *)
-module Frame : sig
-  type t
+    Every name maps to its global binding and the stack of its scoped
+    bindings, each tagged with the depth of the scope that made it
+    (globals sit at depth 0, the outermost scope — [main]'s body, a
+    kernel's base — at 1).  A lookup is one probe of the table at any
+    scope depth.  A scope unbinds the names it bound when it closes, by
+    return or by exception; a function call hides the caller's scopes,
+    so a callee sees its parameters, its own scopes and the globals. *)
 
-  (** An empty frame sized for about [n] names; it grows as needed. *)
-  val create : int -> t
+type t
 
-  (** Bind a name, replacing any binding it had in this frame. *)
-  val replace : t -> string -> binding -> unit
-
-  val find_opt : t -> string -> binding option
-
-  (** Visit every binding once, in unspecified order. *)
-  val iter : (string -> binding -> unit) -> t -> unit
-
-  val length : t -> int
-
-  (** Empty the frame and restore its initial size. *)
-  val reset : t -> unit
-end
-
-type frame = Frame.t
-
-type t = { globals : frame; mutable frames : frame list }
-
+(** An empty environment, its outermost scope open. *)
 val create : unit -> t
-val push : t -> unit
-val pop : t -> unit
 
-(** Run [f] in a fresh scope: a pooled frame, empty on entry, popped on
-    exit whether [f] returns or raises. *)
+(** Run [f] in a fresh scope, closed when [f] returns or raises. *)
 val scoped : t -> (unit -> 'a) -> 'a
 
+(** [call env params f]: run [f] as a function body — in a fresh scope
+    binding [params], in order, with every scope open at the call hidden
+    until [f] returns or raises. *)
+val call : t -> (string * binding) list -> (unit -> 'a) -> 'a
+
+(** Bind a name in the innermost scope, replacing any binding the name
+    has in that scope. *)
 val declare : t -> string -> binding -> unit
+
+(** Bind a global, replacing any global binding of the name. *)
 val declare_global : t -> string -> binding -> unit
 
-(** The innermost binding of a name: the frames from the top of the stack
-    down, then the globals. *)
+(** The visible binding of a name: its innermost scoped binding, unless a
+    call hides it, else its global. *)
 val lookup : t -> string -> binding option
 
 (** {!lookup} without the option: a hit allocates nothing.
@@ -94,9 +80,11 @@ val get_scalar : t -> string -> scalar
 (** Shape of an array binding ([[|len|]] when it was never given one). *)
 val shape_of : slot -> int array
 
-(** [map_bindings f env] is a fresh environment with [env]'s frame
-    structure, each binding replaced by [f name binding] (the shadow
-    environments of kernel verification and recovery validation). *)
+(** [map_bindings f env] is a fresh environment that shows what [env]
+    shows — each visible scoped binding and each global, replaced by
+    [f name binding] — with its own table, so neither sees the other's
+    later declarations (the shadow environments of kernel verification
+    and recovery validation).  [f] is applied in unspecified order. *)
 val map_bindings : (string -> binding -> binding) -> t -> t
 
 (** {1 Result comparison} *)

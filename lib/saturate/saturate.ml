@@ -37,9 +37,11 @@
     transfer time) or the step budget is exhausted.
 
     Each compiled-engine validation run compiles the kernels it launches
-    once, and the search sums those runs' [engine_compiles] and
-    [engine_compile_hits] counters (a hit is any later runner call of a
-    compiled kernel: a launch, or one shard of a multi-device launch). *)
+    once, and the search sums those runs' untraced compile counts
+    ([Interp.outcome]'s [compiles] and [compile_hits], reported as
+    [engine_compiles] and [engine_compile_hits]; a hit is any later
+    runner call of a compiled kernel: a launch, or one shard of a
+    multi-device launch). *)
 
 open Minic
 
@@ -510,22 +512,17 @@ let run ?(config = default_config) ~name ~outputs prog0 =
   let prog0 = tp0.Codegen.Tprog.source in
   let seed = config.seed in
   let hits = ref 0 and compiles = ref 0 in
-  (* Compiled-engine run; its counters accumulate into the search-wide
-     reuse/compile totals. *)
+  (* Compiled-engine run, untraced; its compile counts accumulate into
+     the search-wide reuse/compile totals. *)
   let compiled_run ~devices tp =
-    let tr = Obs.Trace.create () in
     let o =
       Accrt.Interp.exec
         { Accrt.Interp.default with
           engine = Accrt.Engine.Compiled; seed; devices }
-        { Accrt.Interp.detached with trace = Some tr }
-        tp
+        Accrt.Interp.detached tp
     in
-    List.iter
-      (fun (n, v) ->
-        if n = "engine_compile_hits" then hits := !hits + v
-        else if n = "engine_compiles" then compiles := !compiles + v)
-      (Obs.Trace.counters tr);
+    hits := !hits + o.Accrt.Interp.compile_hits;
+    compiles := !compiles + o.Accrt.Interp.compiles;
     o
   in
   let tree_run ?trace ~devices tp =

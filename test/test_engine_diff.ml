@@ -918,6 +918,130 @@ let test_device_sets_match_one_device () =
         [ ("source", b.source); ("optimized", b.optimized) ])
     Suite.Registry.all
 
+(* Name resolution against hand-computed outputs: each program's named
+   scalars must read these values after the sequential reference run and
+   after a run of its translation under both engines at 1 and 2 devices
+   (a kernel's scalars commit to the binding its launch sees). *)
+let resolution_programs =
+  [ ( "recursion with locals",
+      {|int fact(int n) {
+  int r = 1;
+  if (n > 1) { int m = n - 1; r = n * fact(m); }
+  return r;
+}
+int down(int n) {
+  int acc = n;
+  if (n > 0) { int n2 = n - 1; acc = acc + down(n2); }
+  return acc;
+}
+int main() {
+  int r = 3;
+  int f5 = fact(5);
+  int s4 = down(4);
+  r = r + f5 + s4;
+  return 0;
+}
+|},
+      [ ("f5", 120.); ("s4", 10.); ("r", 133.) ] );
+    ( "a global shadowed in main, read in a function",
+      {|int g = 7;
+float h = 1.5;
+int readg() { return g; }
+float twice() { return h * 2.0; }
+void bump() { g = g + 1; }
+int main() {
+  int g = 100;
+  float h = 0.25;
+  int r = readg();
+  float t = twice();
+  bump();
+  int r2 = readg();
+  int s = g;
+  return 0;
+}
+|},
+      [ ("r", 7.); ("t", 3.); ("r2", 8.); ("s", 100.); ("g", 100.);
+        ("h", 0.25) ] );
+    ( "one name redeclared in blocks and for headers",
+      {|int main() {
+  int x = 1;
+  int a = 0;
+  int b = 0;
+  int c = 0;
+  int t = 0;
+  {
+    int x = 2;
+    a = x;
+    { int x = 3; b = x; }
+    c = x;
+  }
+  for (int x = 10; x < 13; x++) { t = t + x; }
+  for (int x = 0; x < 2; x++) {
+    for (int x = 5; x < 7; x++) { t = t + x; }
+    t = t + 100 * x;
+  }
+  int k = 0;
+  while (k < 2) { int x = 4 * k; t = t + x; k = k + 1; }
+  int d = x;
+  return 0;
+}
+|},
+      [ ("a", 2.); ("b", 3.); ("c", 2.); ("t", 159.); ("d", 1.); ("x", 1.) ]
+    );
+    ( "a kernel reading a host scalar a host block shadows",
+      {|int main() {
+  int n = 8;
+  float a[n];
+  float k = 1.0;
+  float total = 0.0;
+  float s = 0.0;
+  for (int i = 0; i < n; i++) { a[i] = 0.0; }
+  {
+    float k = 2.5;
+    #pragma acc kernels loop
+    for (int i = 0; i < n; i++) { a[i] = k * float(i); }
+    float total = 0.0;
+    #pragma acc kernels loop reduction(+:total)
+    for (int i = 0; i < n; i++) { total = total + a[i]; }
+    s = total;
+  }
+  float kk = k;
+  return 0;
+}
+|},
+      [ ("s", 70.); ("total", 0.); ("kk", 1.); ("k", 1.) ] ) ]
+
+let test_name_resolution () =
+  List.iter
+    (fun (what, src, expected) ->
+      let prog = Parser.parse_string ~file:what src in
+      let check how env =
+        List.iter
+          (fun (name, v) ->
+            Alcotest.(check (option (float 0.0)))
+              (Fmt.str "%s, %s: %s" what how name)
+              (Some v)
+              (match Accrt.Value.lookup env name with
+              | Some (Accrt.Value.Scalar c) ->
+                  Some (Accrt.Value.to_float c.Accrt.Value.v)
+              | Some (Accrt.Value.Array _) | None -> None))
+          expected
+      in
+      check "reference" (Accrt.Eval.run_reference prog).Accrt.Eval.env;
+      let tp = Openarc_core.Compiler.compile_program prog in
+      List.iter
+        (fun (engine, devices) ->
+          let o =
+            Accrt.Interp.exec
+              { Accrt.Interp.default with engine; devices }
+              Accrt.Interp.detached tp
+          in
+          check
+            (Fmt.str "%s x%d" (Accrt.Engine.to_string engine) devices)
+            o.Accrt.Interp.ctx.Accrt.Eval.env)
+        [ (tree, 1); (compiled, 1); (tree, 2); (compiled, 2) ])
+    resolution_programs
+
 let tests =
   List.map bench_case Suite.Registry.all
   @ List.map devices1_case Suite.Registry.all
@@ -930,4 +1054,5 @@ let tests =
       Alcotest.test_case "fault matrix" `Quick test_fault_diff;
       Alcotest.test_case "device-loss failover" `Quick test_failover_diff;
       Alcotest.test_case "device sets match one-device outputs" `Quick
-        test_device_sets_match_one_device ]
+        test_device_sets_match_one_device;
+      Alcotest.test_case "name resolution" `Quick test_name_resolution ]

@@ -162,8 +162,9 @@ let test_promotion_rules () =
     (a Lt (Accrt.Value.Int 4) (Accrt.Value.Int 3)
     == a Ge (Accrt.Value.Flt 3.0) (Accrt.Value.Flt 4.0))
 
-(* Environment frames: one binding per name and frame, the innermost
-   frame wins, globals come last, and a pooled scope frame is empty. *)
+(* Environments: one binding table, the innermost scope wins, globals
+   come last, scopes unbind what they bound, and a call hides the
+   caller's scopes. *)
 let int_binding n = Accrt.Value.Scalar { v = Accrt.Value.Int n }
 
 let bound_int env name =
@@ -171,62 +172,67 @@ let bound_int env name =
   | Some (Accrt.Value.Scalar c) -> Some (Accrt.Value.to_int c.v)
   | Some (Accrt.Value.Array _) | None -> None
 
+let check_bound env what name expected =
+  Alcotest.(check (option int)) what expected (bound_int env name)
+
 let test_frame_lookup () =
   let env = Accrt.Value.create () in
   Accrt.Value.declare_global env "g" (int_binding 1);
   Accrt.Value.declare_global env "x" (int_binding 2);
   Accrt.Value.declare env "x" (int_binding 3);
-  Accrt.Value.push env;
-  Accrt.Value.declare env "x" (int_binding 4);
-  let check what name expected =
-    Alcotest.(check (option int)) what expected (bound_int env name)
-  in
-  check "innermost frame shadows" "x" (Some 4);
-  check "globals are the fallback" "g" (Some 1);
-  Accrt.Value.pop env;
-  check "the shadow goes with its frame" "x" (Some 3);
-  Alcotest.(check (option int)) "absent name" None (bound_int env "y");
+  Accrt.Value.scoped env (fun () ->
+      Accrt.Value.declare env "x" (int_binding 4);
+      check_bound env "innermost scope shadows" "x" (Some 4);
+      check_bound env "globals are the fallback" "g" (Some 1));
+  check_bound env "the shadow goes with its scope" "x" (Some 3);
+  check_bound env "absent name" "y" None;
   Alcotest.check_raises "unbound name"
     (Accrt.Value.Runtime_error "unbound variable 'y'") (fun () ->
       ignore (Accrt.Value.lookup_exn env "y"))
 
-let test_frame_table () =
-  let module F = Accrt.Value.Frame in
-  let fr = F.create 8 in
-  F.replace fr "v" (int_binding 1);
-  F.replace fr "v" (int_binding 2);
-  Alcotest.(check int) "replace keeps one binding per name" 1 (F.length fr);
-  (match F.find_opt fr "v" with
-  | Some (Accrt.Value.Scalar c) ->
-      Alcotest.(check int) "the later binding wins" 2 (Accrt.Value.to_int c.v)
-  | _ -> Alcotest.fail "v unbound");
-  (* the frame of a large generated [main]: several resizes *)
-  let fr = F.create 8 in
-  let names = List.init 1000 (fun i -> Fmt.str "v%d" i) in
-  List.iteri (fun i n -> F.replace fr n (int_binding i)) names;
-  Alcotest.(check int) "1,000 names" 1000 (F.length fr);
-  List.iteri
-    (fun i n ->
-      match F.find_opt fr n with
-      | Some (Accrt.Value.Scalar c) when Accrt.Value.to_int c.v = i -> ()
-      | _ -> Alcotest.failf "%s lost after resizing" n)
-    names;
-  let seen = Hashtbl.create 1000 in
-  F.iter
-    (fun n _ ->
-      Hashtbl.replace seen n
-        (1 + Option.value ~default:0 (Hashtbl.find_opt seen n)))
-    fr;
-  Alcotest.(check int) "iter visits every name" 1000 (Hashtbl.length seen);
-  Alcotest.(check bool) "iter visits each name once" true
-    (Hashtbl.fold (fun _ k ok -> ok && k = 1) seen true);
-  F.reset fr;
-  Alcotest.(check int) "reset empties" 0 (F.length fr);
-  Alcotest.(check bool) "reset forgets" true (F.find_opt fr "v1" = None)
+(* How many bindings [f] of [map_bindings] is given for [name]. *)
+let bindings_of env name =
+  let n = ref 0 in
+  ignore
+    (Accrt.Value.map_bindings
+       (fun m b ->
+         if String.equal m name then incr n;
+         b)
+       env);
+  !n
 
-let test_frame_pool () =
+let test_binding_table () =
   let env = Accrt.Value.create () in
-  (* fill pooled frames, then take them back out of the pool *)
+  Accrt.Value.declare env "v" (int_binding 0);
+  Accrt.Value.scoped env (fun () ->
+      List.iter
+        (fun n -> Accrt.Value.declare env "v" (int_binding n))
+        [ 1; 2; 3 ];
+      check_bound env "the latest redeclaration wins" "v" (Some 3);
+      Alcotest.(check int) "redeclaring in one scope keeps one binding" 1
+        (bindings_of env "v"));
+  check_bound env "closing the scope drops every redeclaration" "v"
+    (Some 0);
+  (* the scope of a large generated [main]: the table grows many times *)
+  let names = List.init 1000 (fun i -> Fmt.str "v%d" i) in
+  Accrt.Value.scoped env (fun () ->
+      List.iteri (fun i n -> Accrt.Value.declare env n (int_binding i)) names;
+      List.iteri
+        (fun i n ->
+          match bound_int env n with
+          | Some k when k = i -> ()
+          | _ -> Alcotest.failf "%s lost after the table grew" n)
+        names;
+      check_bound env "the outer v survives growth" "v" (Some 0));
+  List.iter
+    (fun n ->
+      if bound_int env n <> None then
+        Alcotest.failf "%s still bound after its scope closed" n)
+    names
+
+let test_scopes_unbind () =
+  let env = Accrt.Value.create () in
+  Accrt.Value.declare env "i" (int_binding 0);
   for round = 1 to 3 do
     Accrt.Value.scoped env (fun () ->
         List.iter
@@ -238,17 +244,82 @@ let test_frame_pool () =
   (try
      Accrt.Value.scoped env (fun () ->
          Accrt.Value.declare env "i" (int_binding 9);
-         failwith "leave by an exception")
+         Accrt.Value.scoped env (fun () ->
+             Accrt.Value.declare env "inner" (int_binding 9);
+             failwith "leave by an exception"))
    with Failure _ -> ());
-  Alcotest.(check int) "scopes pop, also on an exception" 1
-    (List.length env.Accrt.Value.frames);
+  check_bound env "scopes unbind, also on an exception" "i" (Some 0);
+  List.iter
+    (fun n -> check_bound env (n ^ ": no stale binding") n None)
+    [ "j"; "tmp"; "inner" ];
   Accrt.Value.scoped env (fun () ->
       Accrt.Value.scoped env (fun () ->
+          Accrt.Value.declare env "j" (int_binding 7);
+          check_bound env "a new scope binds afresh" "j" (Some 7);
           List.iter
-            (fun n ->
-              Alcotest.(check (option int)) (n ^ ": no stale binding") None
-                (bound_int env n))
-            [ "i"; "j"; "tmp"; "inner" ]))
+            (fun n -> check_bound env (n ^ ": still unbound") n None)
+            [ "tmp"; "inner" ]));
+  check_bound env "and unbinds again" "j" None
+
+let test_call_visibility () =
+  let env = Accrt.Value.create () in
+  Accrt.Value.declare_global env "g" (int_binding 1);
+  Accrt.Value.declare_global env "h" (int_binding 5);
+  Accrt.Value.declare env "g" (int_binding 2);
+  Accrt.Value.declare env "c" (int_binding 3);
+  Accrt.Value.scoped env (fun () ->
+      Accrt.Value.declare env "d" (int_binding 4);
+      Accrt.Value.call env [ ("p", int_binding 7) ] (fun () ->
+          check_bound env "the callee sees its parameter" "p" (Some 7);
+          check_bound env "and the globals" "h" (Some 5);
+          check_bound env "a caller local shadowing a global is hidden" "g"
+            (Some 1);
+          check_bound env "caller locals are hidden" "c" None;
+          check_bound env "so are the caller's inner scopes" "d" None;
+          Accrt.Value.scoped env (fun () ->
+              Accrt.Value.declare env "c" (int_binding 8);
+              check_bound env "the callee's own scopes are visible" "c"
+                (Some 8);
+              Accrt.Value.call env [ ("p", int_binding 9) ] (fun () ->
+                  check_bound env "a recursive call sees its own parameter"
+                    "p" (Some 9);
+                  check_bound env "but not its caller's locals" "c" None));
+          check_bound env "the parameter is back after the inner call" "p"
+            (Some 7));
+      check_bound env "the caller's locals are back" "d" (Some 4);
+      check_bound env "the parameter is gone" "p" None;
+      (try
+         Accrt.Value.call env [] (fun () -> failwith "leave by an exception")
+       with Failure _ -> ());
+      check_bound env "a call left by an exception restores visibility" "c"
+        (Some 3));
+  check_bound env "the shadowing local is visible again" "g" (Some 2)
+
+let test_map_bindings () =
+  let env = Accrt.Value.create () in
+  Accrt.Value.declare_global env "g" (int_binding 1);
+  Accrt.Value.declare env "x" (int_binding 2);
+  let copy =
+    Accrt.Value.map_bindings
+      (fun _ b ->
+        match b with
+        | Accrt.Value.Scalar c -> Accrt.Value.Scalar { v = c.v }
+        | Accrt.Value.Array _ -> b)
+      env
+  in
+  check_bound copy "the copy shows the locals" "x" (Some 2);
+  check_bound copy "and the globals" "g" (Some 1);
+  Accrt.Value.declare copy "y" (int_binding 3);
+  Accrt.Value.declare env "z" (int_binding 4);
+  check_bound env "the source misses the copy's declaration" "y" None;
+  check_bound copy "the copy misses the source's declaration" "z" None;
+  (Accrt.Value.scalar_cell copy "x").v <- Accrt.Value.Int 10;
+  (Accrt.Value.scalar_cell env "g").v <- Accrt.Value.Int 20;
+  check_bound env "the source misses the copy's write" "x" (Some 2);
+  check_bound copy "the copy misses the source's write" "g" (Some 1);
+  Accrt.Value.call copy [] (fun () ->
+      check_bound copy "a call in the copy sees its globals" "g" (Some 1);
+      check_bound copy "and not its locals" "x" None)
 
 let tests =
   [ Alcotest.test_case "arithmetic" `Quick test_arithmetic;
@@ -264,5 +335,8 @@ let tests =
     Alcotest.test_case "runtime errors" `Quick test_runtime_errors;
     Alcotest.test_case "op counting" `Quick test_op_counting;
     Alcotest.test_case "frame lookup" `Quick test_frame_lookup;
-    Alcotest.test_case "frame table" `Quick test_frame_table;
-    Alcotest.test_case "frame pool" `Quick test_frame_pool ]
+    Alcotest.test_case "binding table" `Quick test_binding_table;
+    Alcotest.test_case "scopes unbind" `Quick test_scopes_unbind;
+    Alcotest.test_case "calls hide the caller's scopes" `Quick
+      test_call_visibility;
+    Alcotest.test_case "map_bindings copies" `Quick test_map_bindings ]

@@ -307,7 +307,8 @@ let test_instrumented_rule () =
    and nothing outlives the run: on every suite build at 1, 2 and 4
    devices, [engine_compiles] counts the distinct kernels named by the
    run's [Kernel] spans (a launch and its shards name one kernel), and a
-   second run of the same translation compiles them all again. *)
+   second run of the same translation compiles them all again.  The
+   outcome's [compiles] and [compile_hits] equal the trace's counters. *)
 let test_one_compile_per_kernel_per_run () =
   List.iter
     (fun (b : Suite.Bench_def.t) ->
@@ -319,11 +320,20 @@ let test_one_compile_per_kernel_per_run () =
               let what = Fmt.str "%s %s, %d device(s)" b.name build devices in
               let run () =
                 let tr = Obs.Trace.create () in
-                ignore
-                  (Accrt.Interp.exec
-                     { Accrt.Interp.default with devices }
-                     { Accrt.Interp.detached with trace = Some tr }
-                     tp);
+                let o =
+                  Accrt.Interp.exec
+                    { Accrt.Interp.default with devices }
+                    { Accrt.Interp.detached with trace = Some tr }
+                    tp
+                in
+                let counter name =
+                  Option.value ~default:0
+                    (List.assoc_opt name (Obs.Trace.counters tr))
+                in
+                Alcotest.(check (pair int int))
+                  (what ^ ": the outcome's counts are the trace's")
+                  (counter "engine_compiles", counter "engine_compile_hits")
+                  (o.Accrt.Interp.compiles, o.Accrt.Interp.compile_hits);
                 tr
               in
               let compiles tr =

@@ -1,10 +1,10 @@
 (* Integration tests of the bench driver's [wall] tier: the exit-2 usage
    convention for malformed flags, the bench-wall JSON report shape (run
-   and verify timers, the many-kernel row), the single-engine mode, the
-   --min-speedup gate on both suite medians (both directions — impossible
-   bounds must fail, a sub-1.0 sanity bound must pass), and the fixed
-   bounds that gate also holds the many-kernel row and the static passes
-   to. *)
+   and verify timers, the many-kernel row, the lookup-depth row), the
+   single-engine mode, the --min-speedup gate on both suite medians (both
+   directions — impossible bounds must fail, a sub-1.0 sanity bound must
+   pass), and the fixed bounds that gate also holds the many-kernel row,
+   the static passes and the lookup depth to. *)
 
 let exe = "../bench/main.exe"
 
@@ -71,6 +71,27 @@ let test_bad_flags () =
       (contains ~needle:"unknown benchmark" err)
   end
 
+(* The lookup-depth row: the reference run under 1 and 16 scopes, timed
+   whichever engines the tier compares (it runs the tree walker only). *)
+let check_lookup_depth v =
+  let depth = Option.get (Obs.Pjson.member "lookup_depth" v) in
+  Alcotest.(check (option (list string))) "lookup-depth scopes"
+    (Some [ "1"; "16" ])
+    (match Obs.Pjson.member "scopes" depth with
+    | Some (Obs.Pjson.Arr xs) ->
+        Some
+          (List.map
+             (function Obs.Pjson.Num x -> x | _ -> "not a number")
+             xs)
+    | _ -> None);
+  List.iter
+    (fun field ->
+      Alcotest.(check bool) ("lookup-depth " ^ field ^ " positive") true
+        (match Obs.Pjson.member field depth with
+        | Some (Obs.Pjson.Num x) -> float_of_string x > 0.0
+        | _ -> false))
+    [ "x16_s"; "x1_s"; "growth" ]
+
 let test_wall_report () =
   if available then begin
     let json = Filename.temp_file "wall_report" ".json" in
@@ -123,7 +144,8 @@ let test_wall_report () =
           (match Obs.Pjson.member field many with
           | Some (Obs.Pjson.Num x) -> float_of_string x > 0.0
           | _ -> false))
-      [ "tree_s"; "compiled_s"; "speedup" ]
+      [ "tree_s"; "compiled_s"; "speedup" ];
+    check_lookup_depth v
   end
 
 let test_single_engine () =
@@ -158,12 +180,13 @@ let test_single_engine () =
       (Obs.Pjson.member "compiled_s" many <> None);
     Alcotest.(check bool) "many-kernel tree_s and speedup absent" true
       (Obs.Pjson.member "tree_s" many = None
-      && Obs.Pjson.member "speedup" many = None)
+      && Obs.Pjson.member "speedup" many = None);
+    check_lookup_depth v
   end
 
-(* Given --min-speedup, the gate also holds the many-kernel speedup and
-   both static passes' growth to fixed bounds and prints one verdict each;
-   returns which fail.  These are wall-clock ratios, so a loaded machine
+(* Given --min-speedup, the gate also holds the many-kernel speedup, both
+   static passes' growth and the lookup-depth growth to fixed bounds and
+   prints one verdict each; returns which fail.  These are wall-clock ratios, so a loaded machine
    may put one past its bound, and the exit code must then say so. *)
 let fixed_verdicts out =
   List.map
@@ -173,7 +196,7 @@ let fixed_verdicts out =
       Alcotest.(check bool) (what ^ " verdict") true (within <> over);
       over)
     [ "many-kernel speedup"; "median instrument growth";
-      "median lint growth" ]
+      "median lint growth"; "lookup-depth growth" ]
 
 let test_min_speedup_gate () =
   if available then begin
