@@ -186,8 +186,9 @@ let test_single_engine () =
 
 (* Given --min-speedup, the gate also holds the many-kernel speedup, both
    static passes' growth and the lookup-depth growth to fixed bounds and
-   prints one verdict each; returns which fail.  These are wall-clock ratios, so a loaded machine
-   may put one past its bound, and the exit code must then say so. *)
+   prints one verdict each; returns which fail.  These are wall-clock
+   ratios, so a loaded machine may put one past its bound, and the exit
+   code must then say so. *)
 let fixed_verdicts out =
   List.map
     (fun what ->
