@@ -2,10 +2,11 @@
 
     Directive-based models have three components (§II-A of the paper):
     directives, library routines, and environment variables.  This module
-    provides the routines as Mini-C builtins — programs call
-    [acc_async_wait(1)], [acc_get_num_devices(acc_device_nvidia)], etc. —
-    backed by the simulated device, plus the [ACC_DEVICE_TYPE] /
-    [ACC_DEVICE_NUM] environment variables. *)
+    defines each routine once, as a Mini-C builtin — its meaning on the
+    host alone and its meaning on the simulated device set — plus the
+    [ACC_DEVICE_TYPE] / [ACC_DEVICE_NUM] environment variables.  Programs
+    pass device types as the OpenACC integer encodings:
+    [acc_get_num_devices(4)] counts the [acc_device_nvidia] devices. *)
 
 open Value
 
@@ -16,26 +17,37 @@ let acc_device_host = 2
 let acc_device_not_host = 3
 let acc_device_nvidia = 4
 
+(* Every routine takes and returns ints (void routines return 0), so it
+   is usable in both expression and statement position. *)
+let int0 f = Nullary (fun () -> Int (f ()))
+let int1 f = Unary (fun a -> Int (f (to_int a)))
+let int2 f = Binary (fun a b -> Int (f (to_int a) (to_int b)))
+
+(* Host code asking: only true for the host device type. *)
+let on_device t = if t = acc_device_host then 1 else 0
+
+(* With no device attached (reference execution) everything is
+   synchronous and there is one host device. *)
+let host =
+  [ ("acc_get_num_devices", int1 (fun _ -> 1));
+    ("acc_set_device_type", int1 (fun _ -> 0));
+    ("acc_get_device_type", int0 (fun () -> acc_device_host));
+    ("acc_set_device_num", int2 (fun _ _ -> 0));
+    ("acc_get_device_num", int1 (fun _ -> 0));
+    ("acc_async_test", int1 (fun _ -> 1));
+    ("acc_async_test_all", int0 (fun () -> 1));
+    ("acc_async_wait", int1 (fun _ -> 0));
+    ("acc_async_wait_all", int0 (fun () -> 0));
+    ("acc_init", int1 (fun _ -> 0));
+    ("acc_shutdown", int1 (fun _ -> 0));
+    ("acc_on_device", int1 on_device) ]
+
 type state = {
   set : Gpusim.Device_set.t;
   mutable device_type : int;
   mutable device_num : int;
-  mutable initialized : bool;
+  mutable routines : (string * builtin) list;  (** set once, by [create] *)
 }
-
-let create set =
-  let device_type =
-    match Sys.getenv_opt "ACC_DEVICE_TYPE" with
-    | Some "host" -> acc_device_host
-    | Some ("nvidia" | "NVIDIA") -> acc_device_nvidia
-    | _ -> acc_device_default
-  in
-  let device_num =
-    match Sys.getenv_opt "ACC_DEVICE_NUM" with
-    | Some s -> ( try int_of_string s with _ -> 0)
-    | None -> 0
-  in
-  { set; device_type; device_num; initialized = false }
 
 (** The member device [device_num] designates (primary out of range). *)
 let current st =
@@ -49,7 +61,7 @@ let host_clock st =
   (Gpusim.Device_set.primary st.set).Gpusim.Device.metrics
     .Gpusim.Metrics.host_clock
 
-(** Is a stream's queued work complete at the current simulated time? *)
+(* Is a stream's queued work complete at the current simulated time? *)
 let async_done st q =
   let device = current st in
   match Hashtbl.find_opt device.Gpusim.Device.streams q with
@@ -62,28 +74,21 @@ let all_async_done st =
     (fun _ s acc -> acc && s.Gpusim.Device.avail <= host_clock st)
     device.Gpusim.Device.streams true
 
-(** The routine table: name -> (arity, implementation).  Every routine
-    returns an [int] scalar (void routines return 0), so they are usable in
-    both expression and statement position. *)
-let routines st : (string * (int * (scalar list -> scalar))) list =
-  let int1 f = (1, fun args -> Int (f (to_int (List.nth args 0)))) in
-  let int0 f = (0, fun _ -> Int (f ())) in
+let device st =
   [ ("acc_get_num_devices",
      (* A lost device is no longer countable: programs can poll device
         health through the standard routine. *)
      int1 (fun t ->
          if t = acc_device_host then 1
          else Gpusim.Device_set.num_alive st.set));
-    ("acc_set_device_type",
-     int1 (fun t -> st.device_type <- t; 0));
+    ("acc_set_device_type", int1 (fun t -> st.device_type <- t; 0));
     ("acc_get_device_type", int0 (fun () -> st.device_type));
     ("acc_set_device_num",
-     (2, fun args ->
-        (* Honour only ordinals the device set actually has. *)
-        let n = to_int (List.nth args 0) in
-        if n >= 0 && n < Gpusim.Device_set.size st.set then
-          st.device_num <- n;
-        Int 0));
+     (* Honour only ordinals the device set actually has. *)
+     int2 (fun n _ ->
+         if n >= 0 && n < Gpusim.Device_set.size st.set then
+           st.device_num <- n;
+         0));
     ("acc_get_device_num", int1 (fun _ -> st.device_num));
     ("acc_async_test", int1 (fun q -> if async_done st q then 1 else 0));
     ("acc_async_test_all",
@@ -92,34 +97,24 @@ let routines st : (string * (int * (scalar list -> scalar))) list =
      int1 (fun q -> Gpusim.Device.wait (current st) (Some q); 0));
     ("acc_async_wait_all",
      int0 (fun () -> Gpusim.Device.wait (current st) None; 0));
-    ("acc_init", int1 (fun _ -> st.initialized <- true; 0));
-    ("acc_shutdown", int1 (fun _ -> st.initialized <- false; 0));
-    ("acc_on_device",
-     int1 (fun t ->
-         (* Host code asking: only true for the host device type. *)
-         if t = acc_device_host then 1 else 0)) ]
+    ("acc_init", int1 (fun _ -> 0));
+    ("acc_shutdown", int1 (fun _ -> 0));
+    ("acc_on_device", int1 on_device) ]
 
-(** Typechecker registrations: (name, arity) with int arguments/results. *)
-let signatures =
-  [ ("acc_get_num_devices", 1); ("acc_set_device_type", 1);
-    ("acc_get_device_type", 0); ("acc_set_device_num", 2);
-    ("acc_get_device_num", 1); ("acc_async_test", 1);
-    ("acc_async_test_all", 0); ("acc_async_wait", 1);
-    ("acc_async_wait_all", 0); ("acc_init", 1); ("acc_shutdown", 1);
-    ("acc_on_device", 1) ]
+let create set =
+  let device_type =
+    match Sys.getenv_opt "ACC_DEVICE_TYPE" with
+    | Some "host" -> acc_device_host
+    | Some ("nvidia" | "NVIDIA") -> acc_device_nvidia
+    | _ -> acc_device_default
+  in
+  let device_num =
+    match Sys.getenv_opt "ACC_DEVICE_NUM" with
+    | Some s -> ( try int_of_string s with _ -> 0)
+    | None -> 0
+  in
+  let st = { set; device_type; device_num; routines = [] } in
+  st.routines <- device st;
+  st
 
-(** Named device-type constants usable as Mini-C globals. *)
-let constants =
-  [ ("acc_device_none", acc_device_none);
-    ("acc_device_default", acc_device_default);
-    ("acc_device_host", acc_device_host);
-    ("acc_device_not_host", acc_device_not_host);
-    ("acc_device_nvidia", acc_device_nvidia) ]
-
-(** An evaluator hook serving the routine calls (see {!Eval.ctx}). *)
-let hook st name args =
-  match List.assoc_opt name (routines st) with
-  | Some (arity, f) when List.length args = arity -> Some (f args)
-  | Some (arity, _) ->
-      Value.error "%s expects %d argument(s)" name arity
-  | None -> None
+let routines st = st.routines

@@ -1,7 +1,10 @@
 (** The OpenACC V1.0 runtime library routines ([acc_init],
-    [acc_get_num_devices], [acc_async_test], ...), callable from Mini-C and
-    backed by the simulated device set; honours the [ACC_DEVICE_TYPE] and
-    [ACC_DEVICE_NUM] environment variables.
+    [acc_get_num_devices], [acc_async_test], ...), each defined once as a
+    Mini-C builtin: its meaning on the host alone and its meaning on the
+    simulated device set.  The device meanings honour the
+    [ACC_DEVICE_TYPE] and [ACC_DEVICE_NUM] environment variables.  Device
+    types are the OpenACC integer encodings below, which Mini-C programs
+    pass as literals ([acc_get_num_devices(4)]): no name is predeclared.
 
     Multi-device corners follow the device set: [acc_get_num_devices]
     counts only members still on the bus (a lost device is no longer
@@ -15,28 +18,18 @@ val acc_device_host : int
 val acc_device_not_host : int
 val acc_device_nvidia : int
 
-type state = {
-  set : Gpusim.Device_set.t;
-  mutable device_type : int;
-  mutable device_num : int;
-  mutable initialized : bool;
-}
+(** Every routine's meaning with no device attached (reference
+    execution): everything is synchronous and there is one host
+    device. *)
+val host : (string * Value.builtin) list
 
+type state
+
+(** The runtime of a device set; builds its routine table once. *)
 val create : Gpusim.Device_set.t -> state
 
-(** The member [device_num] designates (primary when out of range). *)
+(** The member the program selected (the primary when out of range). *)
 val current : state -> Gpusim.Device.t
 
-(** Is stream [q]'s queued work complete at the current simulated time? *)
-val async_done : state -> int -> bool
-
-val all_async_done : state -> bool
-
-(** (name, arity) of every routine, for registration purposes. *)
-val signatures : (string * int) list
-
-(** Named device-type constants. *)
-val constants : (string * int) list
-
-(** The evaluator hook serving routine calls (see {!Eval.ctx}). *)
-val hook : state -> string -> Value.scalar list -> Value.scalar option
+(** Every routine's meaning on the device set, named as in {!host}. *)
+val routines : state -> (string * Value.builtin) list

@@ -12,12 +12,15 @@
 
     The engine is observably {e bit-identical} to the tree walker in
     {!Eval} / {!Kernel_exec}: every compiled node bumps [ops] exactly like
-    its tree counterpart, [stmt_hook] / [call_hook] fire with the same
-    arguments in the same order, error messages are byte-equal, reduction
-    partials combine in the same pairwise tree order, and closures mirror
-    the tree walker's exact OCaml expression shapes so argument evaluation
-    order is identical.  The differential test suite enforces this over the
-    whole benchmark suite.
+    its tree counterpart, [stmt_hook] and the [acc_*] routines fire with
+    the same arguments in the same order, error messages are byte-equal,
+    reduction partials combine in the same pairwise tree order, and
+    closures mirror the tree walker's exact OCaml expression shapes so
+    argument evaluation order is identical.  The meanings of operators,
+    builtins and value constructors are the tree walker's own ({!Eval},
+    {!Value}, {!Acc_api}); this engine keeps only its evaluation.  The
+    differential test suite enforces this over the whole benchmark
+    suite.
 
     Two modes, three uses:
 
@@ -229,106 +232,33 @@ let rec cexpr u res e : cexp =
         st.ctx.ops <- st.ctx.ops + 1;
         if truthy (cc st) then ca st else cb st
 
+(* A builtin resolves here, once; its arguments evaluate left to right,
+   like the tree walker's. *)
 and ccall u res f args : cexp =
-  if is_acc_routine f then begin
+  if is_acc_routine f then
     let cargs = List.map (cexpr u res) args in
-    fun st -> (
+    fun st ->
       st.ctx.ops <- st.ctx.ops + 1;
-      let vargs = List.map (fun c -> c st) cargs in
-      match st.ctx.call_hook with
-      | Some h -> (
-          match h f vargs with
-          | Some v -> v
-          | None -> error "unknown OpenACC runtime routine '%s'" f)
-      | None -> host_acc_routine f vargs)
-  end
+      acc_call st.ctx f (List.map (fun c -> c st) cargs)
   else
-    let float1 g =
-      match args with
-      | [ a ] ->
-          let ca = cexpr u res a in
-          fun st ->
-            st.ctx.ops <- st.ctx.ops + 1;
-            Flt (g (to_float (ca st)))
-      | _ ->
-          fun st ->
-            st.ctx.ops <- st.ctx.ops + 1;
-            error "builtin '%s' expects 1 argument" f
-    in
-    match f with
-    | "sqrt" -> float1 sqrt
-    | "fabs" -> float1 Float.abs
-    | "exp" -> float1 exp
-    | "log" -> float1 log
-    | "sin" -> float1 sin
-    | "cos" -> float1 cos
-    | "floor" -> float1 Float.floor
-    | "ceil" -> float1 Float.ceil
-    | "float" -> float1 Fun.id
-    | "int" -> (
-        match args with
-        | [ a ] ->
-            let ca = cexpr u res a in
-            fun st ->
-              st.ctx.ops <- st.ctx.ops + 1;
-              Int (to_int (ca st))
-        | _ ->
-            fun st ->
-              st.ctx.ops <- st.ctx.ops + 1;
-              error "int() expects 1 argument")
-    | "abs" -> (
-        match args with
-        | [ a ] ->
-            let ca = cexpr u res a in
-            fun st -> (
-              st.ctx.ops <- st.ctx.ops + 1;
-              match ca st with
-              | Int n -> Int (abs n)
-              | Flt x -> Flt (Float.abs x))
-        | _ ->
-            fun st ->
-              st.ctx.ops <- st.ctx.ops + 1;
-              error "abs() expects 1 argument")
-    | "pow" -> (
-        match args with
-        | [ a; b ] ->
-            let ca = cexpr u res a in
-            let cb = cexpr u res b in
-            fun st ->
-              st.ctx.ops <- st.ctx.ops + 1;
-              Flt (Float.pow (to_float (ca st)) (to_float (cb st)))
-        | _ ->
-            fun st ->
-              st.ctx.ops <- st.ctx.ops + 1;
-              error "pow() expects 2 arguments")
-    | "min" | "max" -> (
-        match args with
-        | [ a; b ] ->
-            let ca = cexpr u res a in
-            let cb = cexpr u res b in
-            if f = "min" then
-              fun st -> (
-                st.ctx.ops <- st.ctx.ops + 1;
-                let x = ca st and y = cb st in
-                match (x, y) with
-                | Int i, Int j -> Int (min i j)
-                | _ ->
-                    let i = to_float x and j = to_float y in
-                    Flt (Float.min i j))
-            else
-              fun st -> (
-                st.ctx.ops <- st.ctx.ops + 1;
-                let x = ca st and y = cb st in
-                match (x, y) with
-                | Int i, Int j -> Int (max i j)
-                | _ ->
-                    let i = to_float x and j = to_float y in
-                    Flt (Float.max i j))
-        | _ ->
-            fun st ->
-              st.ctx.ops <- st.ctx.ops + 1;
-              error "%s() expects 2 arguments" f)
-    | _ -> cuser u res f args
+    match (List.assoc_opt f Eval.builtins, args) with
+    | Some (Unary g), [ a ] ->
+        let ca = cexpr u res a in
+        fun st ->
+          st.ctx.ops <- st.ctx.ops + 1;
+          g (ca st)
+    | Some (Binary g), [ a; b ] ->
+        let ca = cexpr u res a in
+        let cb = cexpr u res b in
+        fun st ->
+          st.ctx.ops <- st.ctx.ops + 1;
+          let x = ca st in
+          g x (cb st)
+    | Some b, _ ->
+        fun st ->
+          st.ctx.ops <- st.ctx.ops + 1;
+          arity_error f b
+    | None, _ -> cuser u res f args
 
 and cuser u res f args : cexp =
   match Minic.Ast.find_function u.uprog f with
@@ -354,11 +284,7 @@ and cuser u res f args : cexp =
                   match arg with
                   | Evar v ->
                       let csrc = croot res v in
-                      fun st ->
-                        let s = csrc st in
-                        ( p.p_name,
-                          Array { buf = s.buf; root = s.root; shape = s.shape }
-                        )
+                      fun st -> (p.p_name, Array (alias (csrc st)))
                   | _ ->
                       fun _ ->
                         error "array argument to '%s' must be a variable" f)
@@ -401,110 +327,61 @@ and compile_fun u fn =
   let body = cblock u res fn.f_body in
   { cf_nregs = Resolve.frame_size res; cf_body = body }
 
+(* One closure per declaration kind makes the binding; mirror mode also
+   declares it by name. *)
 and cdecl u res typ name init : cstm =
-  match typ with
-  | Tint | Tfloat | Tvoid ->
-      let cinit = Option.map (cexpr u res) init in
-      let z = zero_of_typ typ in
-      let slot = Resolve.declare res name in
-      if u.umirror then
+  let make : st -> binding =
+    match (typ, init) with
+    | (Tint | Tfloat | Tvoid), Some e ->
+        let c = cexpr u res e in
+        fun st -> Scalar { v = c st }
+    | (Tint | Tfloat | Tvoid), None ->
+        let z = zero_of_typ typ in
+        fun _ -> Scalar { v = z }
+    | Tarr (_, None), _ | Tptr _, None -> fun _ -> Array (unbound_array name)
+    | Tarr _, _ ->
+        (* Extents outermost first, each evaluated and checked in turn like
+           [Eval.exec_decl]'s unroll. *)
+        let rec plan = function
+          | Tarr (t, Some e) ->
+              let exts, float = plan t in
+              (cexpr u res e :: exts, float)
+          | Tarr (_, None) -> ([], None)
+          | t -> ([], Some (base_is_float t))
+        in
+        let exts, float = plan typ in
         fun st ->
-          let v = match cinit with Some c -> c st | None -> z in
-          let cell = { v } in
-          st.regs.(slot) <- Rscalar cell;
-          declare st.ctx.env name (Scalar cell)
-      else
-        fun st ->
-          let v = match cinit with Some c -> c st | None -> z in
-          st.regs.(slot) <- Rscalar { v }
-  | Tarr (_, None) ->
-      let slot = Resolve.declare res name in
-      if u.umirror then
-        fun st ->
-          let s = { buf = None; root = name; shape = [||] } in
-          st.regs.(slot) <- Rarray s;
-          declare st.ctx.env name (Array s)
-      else
-        fun st -> st.regs.(slot) <- Rarray { buf = None; root = name; shape = [||] }
-  | Tarr _ ->
-      (* Extent plan, outermost first; evaluation and the negative-extent
-         check interleave exactly like [Eval.exec_decl]'s unroll. *)
-      let rec plan = function
-        | Tarr (t, Some e) -> `Ext (cexpr u res e) :: plan t
-        | Tarr (_, None) -> [ `Bad ]
-        | t -> [ `Base (base_is_float t) ]
-      in
-      let plan = plan typ in
-      let slot = Resolve.declare res name in
-      let build st =
-        let rdims = ref [] in
-        let isf = ref false in
-        List.iter
-          (function
-            | `Ext c ->
+          let dims =
+            List.map
+              (fun c ->
                 let n = to_int (c st) in
                 if n < 0 then error "negative array extent for '%s'" name;
-                rdims := n :: !rdims
-            | `Bad ->
-                error "inner dimensions of '%s' need explicit extents" name
-            | `Base f -> isf := f)
-          plan;
-        let dims = List.rev !rdims in
-        let total = List.fold_left ( * ) 1 dims in
-        let buf =
-          if !isf then Gpusim.Buf.create_float total
-          else Gpusim.Buf.create_int total
-        in
-        { buf = Some buf; root = name; shape = Array.of_list dims }
-      in
-      if u.umirror then
-        fun st ->
-          let s = build st in
-          st.regs.(slot) <- Rarray s;
-          declare st.ctx.env name (Array s)
-      else fun st -> st.regs.(slot) <- Rarray (build st)
-  | Tptr _ -> (
-      match init with
-      | Some (Evar src) ->
-          let csrc = croot res src in
-          let slot = Resolve.declare res name in
-          if u.umirror then
-            fun st ->
-              let s0 = csrc st in
-              let s = { buf = s0.buf; root = s0.root; shape = s0.shape } in
-              st.regs.(slot) <- Rarray s;
-              declare st.ctx.env name (Array s)
-          else
-            fun st ->
-              let s0 = csrc st in
-              st.regs.(slot) <-
-                Rarray { buf = s0.buf; root = s0.root; shape = s0.shape }
-      | Some _ ->
-          let _slot = Resolve.declare res name in
-          fun _ ->
-            error "pointer '%s' may only be initialized from an array" name
-      | None ->
-          let slot = Resolve.declare res name in
-          if u.umirror then
-            fun st ->
-              let s = { buf = None; root = name; shape = [||] } in
-              st.regs.(slot) <- Rarray s;
-              declare st.ctx.env name (Array s)
-          else
-            fun st ->
-              st.regs.(slot) <-
-                Rarray { buf = None; root = name; shape = [||] })
+                n)
+              exts
+          in
+          (match float with
+          | Some float -> Array (fresh_array name ~float dims)
+          | None -> error "inner dimensions of '%s' need explicit extents" name)
+    | Tptr _, Some (Evar src) ->
+        let csrc = croot res src in
+        fun st -> Array (alias (csrc st))
+    | Tptr _, Some _ ->
+        fun _ -> error "pointer '%s' may only be initialized from an array" name
+  in
+  let slot = Resolve.declare res name in
+  if u.umirror then
+    fun st ->
+      let b = make st in
+      st.regs.(slot) <- reg_of_binding b;
+      declare st.ctx.env name b
+  else fun st -> st.regs.(slot) <- reg_of_binding (make st)
 
 (* Pointer rebinding [p = a] when the assignment target holds an array. *)
 and crebind res v rhs : st -> Value.slot -> unit =
   match rhs with
   | Evar src ->
       let csrc = croot res src in
-      fun st slot ->
-        let s = csrc st in
-        slot.buf <- s.buf;
-        slot.root <- s.root;
-        slot.shape <- s.shape
+      fun st slot -> rebind slot (csrc st)
   | _ -> fun _ _ -> error "'%s' holds an array; assign another array to it" v
 
 and cassign u res lv rhs : cstm =
@@ -629,7 +506,7 @@ and cblock u res b : cstm =
     scope exactly like the tree walker (no extra scope). *)
 let run_reference ?hook prog =
   let env = Value.create () in
-  let ctx = Eval.make ~hook prog env in
+  let ctx = Eval.make ?hook prog env in
   Eval.init_globals ctx;
   let u = unit_of ~mirror:true prog in
   let res = Resolve.create () in
@@ -674,6 +551,7 @@ type ckernel = {
   ck_mode : cmode;
   ck_nregs : int;
   ck_body : cstm;
+  ck_globals : string list;  (** {!Kernel_exec.callee_globals} *)
 }
 
 let compile_kernel u (k : kernel) : ckernel =
@@ -742,7 +620,8 @@ let compile_kernel u (k : kernel) : ckernel =
     ck_cands = cands;
     ck_mode = mode;
     ck_nregs = max 1 (Resolve.frame_size res);
-    ck_body = body }
+    ck_body = body;
+    ck_globals = Kernel_exec.callee_globals u.uprog k }
 
 (** Kept only so the benchmark harness in [perfbench/] still builds: it
     passes a store to {!Interp.run}, which ignores it.  The next change to
@@ -855,16 +734,17 @@ let run_shard cache session ?weights device ~owns =
   let st = { ctx = kctx; regs } in
   (* Base registers: device-array bindings and copies of the host
      scalars, bound in [kernel_names] order (device-buffer resolution can
-     raise, so order matters). *)
+     raise, so order matters), then the globals the kernel's callees
+     see. *)
   List.iter
     (fun (n, slot) ->
-      match Value.lookup host_ctx.env n with
-      | Some (Array a) ->
+      Option.iter
+        (fun b ->
           regs.(slot) <-
-            reg_of_binding (Kernel_exec.device_array session device a)
-      | Some (Scalar c) -> regs.(slot) <- Rscalar { v = c.v }
-      | None -> ())
+            reg_of_binding (Kernel_exec.device_binding session device b))
+        (Value.lookup host_ctx.env n))
     ck.ck_base;
+  Kernel_exec.bind_globals session device kctx.env ck.ck_globals;
   let sg = Kernel_exec.staging session in
   let cells = Kernel_exec.cells sg in
   List.iteri (fun i slot -> regs.(slot) <- Rscalar cells.(i)) ck.ck_class;

@@ -16,12 +16,12 @@ type ctx = {
   mutable ops : int;
   mutable stmt_hook : (ctx -> stmt -> bool) option;
       (** returns [true] when it fully handled the statement *)
-  mutable call_hook : (string -> scalar list -> scalar option) option;
-      (** serves [acc_*] runtime-library calls when a device is attached *)
+  mutable routines : (string * builtin) list;
+      (** the [acc_*] routines' meanings: the device set's once attached *)
 }
 
-let make ?(hook = None) prog env =
-  { env; prog; ops = 0; stmt_hook = hook; call_hook = None }
+let make ?hook prog env =
+  { env; prog; ops = 0; stmt_hook = hook; routines = Acc_api.host }
 
 (* Character-wise prefix test: this runs once per call expression on the
    interpreter hot path, and [String.sub] would allocate a fresh 4-byte
@@ -33,16 +33,48 @@ let is_acc_routine f =
   && String.unsafe_get f 2 = 'c'
   && String.unsafe_get f 3 = '_'
 
-(* Host-only (reference execution) semantics of the OpenACC runtime
-   routines: everything is synchronous and there is one host device. *)
-let host_acc_routine f args =
-  match f with
-  | "acc_async_test" | "acc_async_test_all" -> Int 1
-  | "acc_get_num_devices" -> Int 1
-  | "acc_get_device_type" -> Int 2 (* acc_device_host *)
-  | "acc_on_device" -> (
-      match args with Int 2 :: _ -> Int 1 | _ -> Int 0)
-  | _ -> Int 0
+let arity_error f b =
+  error "builtin '%s' expects %d argument(s)" f (arity b)
+
+(* The math builtins, one meaning per name of [Minic.Typecheck.builtins]
+   that is not an OpenACC routine, each calling its primitive directly. *)
+let builtins =
+  [ ("sqrt", Unary (fun x -> Flt (sqrt (to_float x))));
+    ("fabs", Unary (fun x -> Flt (Float.abs (to_float x))));
+    ("exp", Unary (fun x -> Flt (exp (to_float x))));
+    ("log", Unary (fun x -> Flt (log (to_float x))));
+    ("sin", Unary (fun x -> Flt (sin (to_float x))));
+    ("cos", Unary (fun x -> Flt (cos (to_float x))));
+    ("floor", Unary (fun x -> Flt (Float.floor (to_float x))));
+    ("ceil", Unary (fun x -> Flt (Float.ceil (to_float x))));
+    ("float", Unary (fun x -> Flt (to_float x)));
+    ("int", Unary (fun x -> Int (to_int x)));
+    ("abs", Unary (function Int n -> Int (abs n) | Flt x -> Flt (Float.abs x)));
+    ("pow", Binary (fun x y -> Flt (Float.pow (to_float x) (to_float y))));
+    ("min",
+     Binary
+       (fun x y ->
+         match (x, y) with
+         | Int i, Int j -> Int (Int.min i j)
+         | _ -> Flt (Float.min (to_float x) (to_float y))));
+    ("max",
+     Binary
+       (fun x y ->
+         match (x, y) with
+         | Int i, Int j -> Int (Int.max i j)
+         | _ -> Flt (Float.max (to_float x) (to_float y)))) ]
+
+(* The tree walker resolves a builtin at every call. *)
+let builtin_table = Hashtbl.of_seq (List.to_seq builtins)
+
+(* An [acc_*] routine call, its arguments evaluated. *)
+let acc_call ctx f args =
+  match (List.assoc_opt f ctx.routines, args) with
+  | Some (Nullary g), [] -> g ()
+  | Some (Unary g), [ x ] -> g x
+  | Some (Binary g), [ x; y ] -> g x y
+  | Some b, _ -> arity_error f b
+  | None, _ -> error "unknown OpenACC runtime routine '%s'" f
 
 exception Break_exc
 exception Continue_exc
@@ -161,57 +193,17 @@ and view_name = function
   | Eindex (a, _) -> view_name a
   | _ -> "<array expression>"
 
+(* Arguments evaluate left to right. *)
 and call ctx f args =
-  if is_acc_routine f then begin
-    let vargs = List.map (eval ctx) args in
-    match ctx.call_hook with
-    | Some h -> (
-        match h f vargs with
-        | Some v -> v
-        | None -> error "unknown OpenACC runtime routine '%s'" f)
-    | None -> host_acc_routine f vargs
-  end
+  if is_acc_routine f then acc_call ctx f (List.map (eval ctx) args)
   else
-  let float1 g =
-    match args with
-    | [ a ] -> Flt (g (to_float (eval ctx a)))
-    | _ -> error "builtin '%s' expects 1 argument" f
-  in
-  match f with
-  | "sqrt" -> float1 sqrt
-  | "fabs" -> float1 Float.abs
-  | "exp" -> float1 exp
-  | "log" -> float1 log
-  | "sin" -> float1 sin
-  | "cos" -> float1 cos
-  | "floor" -> float1 Float.floor
-  | "ceil" -> float1 Float.ceil
-  | "float" -> float1 Fun.id
-  | "int" -> (
-      match args with
-      | [ a ] -> Int (to_int (eval ctx a))
-      | _ -> error "int() expects 1 argument")
-  | "abs" -> (
-      match args with
-      | [ a ] -> (
-          match eval ctx a with Int n -> Int (abs n) | Flt x -> Flt (Float.abs x))
-      | _ -> error "abs() expects 1 argument")
-  | "pow" -> (
-      match args with
-      | [ a; b ] ->
-          Flt (Float.pow (to_float (eval ctx a)) (to_float (eval ctx b)))
-      | _ -> error "pow() expects 2 arguments")
-  | "min" | "max" -> (
-      match args with
-      | [ a; b ] -> (
-          let x = eval ctx a and y = eval ctx b in
-          match (x, y) with
-          | Int i, Int j -> Int (if f = "min" then min i j else max i j)
-          | _ ->
-              let i = to_float x and j = to_float y in
-              Flt (if f = "min" then Float.min i j else Float.max i j))
-      | _ -> error "%s() expects 2 arguments" f)
-  | _ -> call_user ctx f args
+    match (Hashtbl.find_opt builtin_table f, args) with
+    | Some (Unary g), [ a ] -> g (eval ctx a)
+    | Some (Binary g), [ a; b ] ->
+        let x = eval ctx a in
+        g x (eval ctx b)
+    | Some b, _ -> arity_error f b
+    | None, _ -> call_user ctx f args
 
 and call_user ctx f args =
   match Minic.Ast.find_function ctx.prog f with
@@ -230,10 +222,7 @@ and call_user ctx f args =
                   | Evar v -> v
                   | _ -> error "array argument to '%s' must be a variable" f
                 in
-                let slot = array_slot ctx.env name in
-                (p.p_name,
-                 Array { buf = slot.buf; root = slot.root;
-                         shape = slot.shape })
+                (p.p_name, Array (alias (array_slot ctx.env name)))
             | Tvoid | Tint | Tfloat ->
                 (p.p_name, Scalar { v = eval ctx arg }))
           fn.f_params args
@@ -263,34 +252,27 @@ and decl_binding ctx typ name init =
   | Tint | Tfloat | Tvoid ->
       let v = match init with Some e -> eval ctx e | None -> zero_of_typ typ in
       Scalar { v }
-  | Tarr (_, None) -> Array { buf = None; root = name; shape = [||] }
+  | Tarr (_, None) -> Array (unbound_array name)
   | Tarr _ ->
-      (* Unroll the (possibly multi-dimensional) extents, outermost first,
-         and allocate one flattened row-major buffer. *)
+      (* The (possibly multi-dimensional) extents, outermost first, each
+         checked as it is evaluated. *)
       let rec unroll = function
         | Tarr (t, Some e) ->
             let n = to_int (eval ctx e) in
             if n < 0 then error "negative array extent for '%s'" name;
-            let dims, base = unroll t in
-            (n :: dims, base)
+            let dims, float = unroll t in
+            (n :: dims, float)
         | Tarr (_, None) ->
             error "inner dimensions of '%s' need explicit extents" name
-        | t -> ([], t)
+        | t -> ([], base_is_float t)
       in
-      let dims, base = unroll typ in
-      let total = List.fold_left ( * ) 1 dims in
-      let buf =
-        if base_is_float base then Gpusim.Buf.create_float total
-        else Gpusim.Buf.create_int total
-      in
-      Array { buf = Some buf; root = name; shape = Array.of_list dims }
+      let dims, float = unroll typ in
+      Array (fresh_array name ~float dims)
   | Tptr _ -> (
       match init with
-      | Some (Evar src) ->
-          let slot = array_slot ctx.env src in
-          Array { buf = slot.buf; root = slot.root; shape = slot.shape }
+      | Some (Evar src) -> Array (alias (array_slot ctx.env src))
       | Some _ -> error "pointer '%s' may only be initialized from an array" name
-      | None -> Array { buf = None; root = name; shape = [||] })
+      | None -> Array (unbound_array name))
 
 and assign ctx lv rhs =
   match lv with
@@ -300,11 +282,7 @@ and assign ctx lv rhs =
       | Array slot -> (
           (* pointer rebinding: p = a *)
           match rhs with
-          | Evar src ->
-              let s = array_slot ctx.env src in
-              slot.buf <- s.buf;
-              slot.root <- s.root;
-              slot.shape <- s.shape
+          | Evar src -> rebind slot (array_slot ctx.env src)
           | _ -> error "'%s' holds an array; assign another array to it" v))
   | Lindex (base, idx) -> (
       let v = eval ctx rhs in
@@ -382,7 +360,7 @@ let init_globals ctx =
 (** Run the whole program sequentially (the reference execution). *)
 let run_reference ?hook prog =
   let env = Value.create () in
-  let ctx = make ~hook prog env in
+  let ctx = make ?hook prog env in
   init_globals ctx;
   let main = Minic.Ast.main_function prog in
   (try exec_block ctx main.f_body with Return_exc _ -> ());

@@ -3,9 +3,9 @@
     Serves the reference CPU interpreter (directives transparent), the host
     side of the translated-program interpreter, and the kernel-body
     executor.  Every visited node bumps [ops] — the unit of simulated CPU
-    and GPU cost accounting.  The OpenACC runtime routines ([acc_*]) are
-    served by [call_hook] when a device is attached, with host-only
-    semantics otherwise. *)
+    and GPU cost accounting.  The meanings of the builtins (the math
+    functions here, the OpenACC runtime routines [acc_*] in {!Acc_api}) are
+    shared with the compiled engine, which keeps only its evaluation. *)
 
 type ctx = {
   env : Value.t;
@@ -14,13 +14,14 @@ type ctx = {
   mutable stmt_hook : (ctx -> Minic.Ast.stmt -> bool) option;
       (** returns [true] when it fully handled the statement (kernel
           verification intercepts compute regions this way) *)
-  mutable call_hook :
-    (string -> Value.scalar list -> Value.scalar option) option;
+  mutable routines : (string * Value.builtin) list;
+      (** the [acc_*] routines' meanings: {!Acc_api.host} until a device
+          set is attached *)
 }
 
 val make :
-  ?hook:(ctx -> Minic.Ast.stmt -> bool) option -> Minic.Ast.program ->
-  Value.t -> ctx
+  ?hook:(ctx -> Minic.Ast.stmt -> bool) -> Minic.Ast.program -> Value.t ->
+  ctx
 
 exception Break_exc
 exception Continue_exc
@@ -30,8 +31,21 @@ exception Return_exc of Value.scalar option
     character-wise so the hot path allocates nothing. *)
 val is_acc_routine : string -> bool
 
-(** Host-only (reference execution) semantics of the [acc_*] routines. *)
-val host_acc_routine : string -> Value.scalar list -> Value.scalar
+(** The math builtins' meanings: one per name of
+    {!Minic.Typecheck.builtins} that is not an [acc_*] routine.  Both
+    engines evaluate a builtin's arguments left to right. *)
+val builtins : (string * Value.builtin) list
+
+(** [arity_error f b]: a call of builtin [f] with an argument count other
+    than [b]'s arity.
+    @raise Value.Runtime_error in the typechecker's wording. *)
+val arity_error : string -> Value.builtin -> 'a
+
+(** [acc_call ctx f args]: the [acc_*] routine [f] on its evaluated
+    arguments, as [ctx.routines] means it.
+    @raise Value.Runtime_error on an unknown routine or a wrong argument
+    count. *)
+val acc_call : ctx -> string -> Value.scalar list -> Value.scalar
 
 (** Shared comparison results: boolean-valued operators of both execution
     engines fold through [of_bool], so they never box a fresh scalar. *)

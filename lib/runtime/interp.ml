@@ -238,8 +238,7 @@ let exec (cfg : config) (observers : observers) (tp : Codegen.Tprog.t) =
   let env = Value.create () in
   let ctx = Eval.make tp.source env in
   (* Attach the OpenACC runtime-library routines to the device. *)
-  let api = Acc_api.create devset in
-  ctx.Eval.call_hook <- Some (Acc_api.hook api);
+  ctx.Eval.routines <- Acc_api.routines (Acc_api.create devset);
   Eval.init_globals ctx;
 
   (* Closure-compilation engine: kernel bodies compile once per run

@@ -69,8 +69,14 @@ let rec tree_reduce op = function
       tree_reduce op (pair l)
 
 (* Names appearing in statements, each once; [rev] lists them most recent
-   first occurrence first. *)
-type names = { seen : (string, unit) Hashtbl.t; mutable rev : string list }
+   first occurrence first.  [calls] collects the functions they call. *)
+type names = {
+  seen : (string, unit) Hashtbl.t;
+  mutable rev : string list;
+  mutable calls : string list;
+}
+
+let names () = { seen = Hashtbl.create 16; rev = []; calls = [] }
 
 let add ns v =
   if not (Hashtbl.mem ns.seen v) then begin
@@ -84,7 +90,9 @@ let rec add_expr ns = function
   | Eindex (a, i) -> add_expr ns a; add_expr ns i
   | Eunop (_, a) -> add_expr ns a
   | Ebinop (_, a, b) -> add_expr ns a; add_expr ns b
-  | Ecall (_, args) -> List.iter (add_expr ns) args
+  | Ecall (f, args) ->
+      ns.calls <- f :: ns.calls;
+      List.iter (add_expr ns) args
   | Econd (c, a, b) -> add_expr ns c; add_expr ns a; add_expr ns b
 
 let rec add_lvalue ns = function
@@ -108,7 +116,7 @@ let rec add_stmt ns s =
   | Sacc (_, b) -> Option.iter (add_stmt ns) b
 
 let names_of_block block =
-  let ns = { seen = Hashtbl.create 16; rev = [] } in
+  let ns = names () in
   List.iter (add_stmt ns) block;
   ns.rev
 
@@ -121,11 +129,41 @@ let add_header ns l =
   add_expr ns l.kl_cond;
   Option.iter (add_stmt ns) l.kl_step
 
-let kernel_names k =
-  let ns = { seen = Hashtbl.create 16; rev = [] } in
+let add_kernel ns k =
   Option.iter (add_header ns) k.k_loop;
-  List.iter (add_stmt ns) k.k_body;
+  List.iter (add_stmt ns) k.k_body
+
+let kernel_names k =
+  let ns = names () in
+  add_kernel ns k;
   ns.rev
+
+(* The functions a kernel calls, directly or through one another, see
+   only their own names and the globals: these are the program's global
+   variables they name. *)
+let callee_globals prog k =
+  match
+    List.filter_map
+      (function Gvar (_, g, _) -> Some g | Gfunc _ -> None)
+      prog.globals
+  with
+  | [] -> []
+  | globals ->
+      let kernel = names () and callees = names () in
+      let entered = Hashtbl.create 8 in
+      let rec enter f =
+        if not (Hashtbl.mem entered f) then begin
+          Hashtbl.replace entered f ();
+          callees.calls <- [];
+          Option.iter
+            (fun fn -> List.iter (add_stmt callees) fn.f_body)
+            (Minic.Ast.find_function prog f);
+          List.iter enter callees.calls
+        end
+      in
+      add_kernel kernel k;
+      List.iter enter kernel.calls;
+      List.filter (fun n -> List.mem n globals) callees.rev
 
 (* A parallel (non-seq) loop kernel can be split across a device set; seq
    and straight-line kernels are pinned to one member by the runtime. *)
@@ -219,36 +257,46 @@ let start (host_ctx : Eval.ctx) (k : kernel) : session =
 let kernel s = s.s_k
 let host s = s.s_host
 
-let device_array s device (a : Value.slot) =
-  let buf =
-    try Gpusim.Device.buffer device a.root
-    with Gpusim.Device.Device_error m ->
-      raise
-        (Gpusim.Device.Device_error
-           (Fmt.str "kernel %s at %s: %s" s.s_k.k_name
-              (Minic.Loc.to_string s.s_k.k_loc) m))
-  in
-  Array { buf = Some buf; root = a.root; shape = Value.shape_of a }
+let device_binding s device = function
+  | Scalar c -> Scalar { v = c.v }
+  | Array a ->
+      let buf =
+        try Gpusim.Device.buffer device a.root
+        with Gpusim.Device.Device_error m ->
+          raise
+            (Gpusim.Device.Device_error
+               (Fmt.str "kernel %s at %s: %s" s.s_k.k_name
+                  (Minic.Loc.to_string s.s_k.k_loc) m))
+      in
+      Array { buf = Some buf; root = a.root; shape = Value.shape_of a }
+
+let bind_globals s device kenv globals =
+  List.iter
+    (fun n ->
+      Option.iter
+        (fun b -> Value.declare_global kenv n (device_binding s device b))
+        (Value.global s.s_host.Eval.env n))
+    globals
 
 (* A kernel-side environment whose base scope binds [names] as a launch
-   on [device] sees them: host arrays to the device's buffers, host
-   scalars to private copies.  Names bound nowhere are declared in the
+   on [device] sees them, and whose globals are those its callees name,
+   bound the same way.  Names bound nowhere are declared in the
    kernel. *)
 let kernel_ctx s device names =
   let kenv = Value.create () in
   List.iter
     (fun n ->
-      match Value.lookup s.s_host.Eval.env n with
-      | Some (Array a) -> Value.declare kenv n (device_array s device a)
-      | Some (Scalar c) -> Value.declare kenv n (Scalar { v = c.v })
-      | None -> ())
+      Option.iter
+        (fun b -> Value.declare kenv n (device_binding s device b))
+        (Value.lookup s.s_host.Eval.env n))
     names;
+  bind_globals s device kenv (callee_globals s.s_host.Eval.prog s.s_k);
   (kenv, Eval.make s.s_host.Eval.prog kenv)
 
 let total_iterations s device =
   match s.s_k.k_loop with
   | Some l when not s.s_k.k_seq ->
-      let ns = { seen = Hashtbl.create 8; rev = [] } in
+      let ns = names () in
       add_header ns l;
       let kenv, kctx = kernel_ctx s device ns.rev in
       Value.declare kenv l.kl_var (Scalar { v = Eval.eval kctx l.kl_init });

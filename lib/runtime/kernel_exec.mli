@@ -65,10 +65,22 @@ val host : session -> Eval.ctx
     the shards step); 1 for the other shapes. *)
 val total_iterations : session -> Gpusim.Device.t -> int
 
-(** The device binding of a host array for a launch.
+(** What a launch on [device] binds a host binding to: an array to the
+    device's buffer, a scalar to a private copy of its value at launch.
     @raise Gpusim.Device.Device_error naming the kernel and its location
     when the array is not allocated on [device]. *)
-val device_array : session -> Gpusim.Device.t -> Value.slot -> Value.binding
+val device_binding :
+  session -> Gpusim.Device.t -> Value.binding -> Value.binding
+
+(** The program's global variables named by the functions a kernel calls,
+    directly or through one another; empty when the program has none. *)
+val callee_globals : Minic.Ast.program -> Codegen.Tprog.kernel -> string list
+
+(** [bind_globals s device env globals]: bind each of [globals] as a
+    global of the kernel environment [env], as {!device_binding} binds the
+    kernel's own names, so a function the kernel calls sees them. *)
+val bind_globals :
+  session -> Gpusim.Device.t -> Value.t -> string list -> unit
 
 (** {2 Runner support} *)
 

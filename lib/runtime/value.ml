@@ -24,6 +24,30 @@ type slot = {
 
 type binding = Scalar of cell | Array of slot
 
+let unbound_array name = { buf = None; root = name; shape = [||] }
+
+let fresh_array name ~float dims =
+  let total = List.fold_left ( * ) 1 dims in
+  let buf =
+    if float then Gpusim.Buf.create_float total
+    else Gpusim.Buf.create_int total
+  in
+  { buf = Some buf; root = name; shape = Array.of_list dims }
+
+let alias s = { buf = s.buf; root = s.root; shape = s.shape }
+
+let rebind p s =
+  p.buf <- s.buf;
+  p.root <- s.root;
+  p.shape <- s.shape
+
+type builtin =
+  | Nullary of (unit -> scalar)
+  | Unary of (scalar -> scalar)
+  | Binary of (scalar -> scalar -> scalar)
+
+let arity = function Nullary _ -> 0 | Unary _ -> 1 | Binary _ -> 2
+
 exception Runtime_error of string
 
 let error fmt = Fmt.kstr (fun m -> raise (Runtime_error m)) fmt
@@ -116,16 +140,26 @@ let add env name h =
   if env.size > Array.length env.buckets then resize env;
   e
 
-(* The entry of [name], made on first use. *)
-let rec intern_in env name h = function
-  | End -> add env name h
+(* Physically unique stand-in for "no entry": it binds nothing. *)
+let nowhere =
+  { key = ""; hash = -1; global = absent; locals = Nil; next = End }
+
+let rec entry_in name h = function
+  | End -> nowhere
   | Next e ->
       if e.hash = h && String.equal e.key name then e
-      else intern_in env name h e.next
+      else entry_in name h e.next
 
+(* The entry of [name], whose hash is [h], or [nowhere]. *)
+let entry env name h =
+  entry_in name h
+    (Array.unsafe_get env.buckets (h land (Array.length env.buckets - 1)))
+
+(* The entry of [name], made on first use. *)
 let intern env name =
   let h = hash name in
-  intern_in env name h env.buckets.(h land (Array.length env.buckets - 1))
+  let e = entry env name h in
+  if e == nowhere then add env name h else e
 
 (* Unbind every binding the innermost scope logged, then close it. *)
 let close env =
@@ -187,21 +221,16 @@ let visible env e =
   | Bind l when l.depth >= env.floor -> l.b
   | Bind _ | Nil -> e.global
 
-let rec find_chain env name h = function
-  | End -> absent
-  | Next e ->
-      if e.hash = h && String.equal e.key name then visible env e
-      else find_chain env name h e.next
-
 (* The visible binding of [name], or [absent]. *)
-let find env name =
-  let h = hash name in
-  find_chain env name h
-    (Array.unsafe_get env.buckets (h land (Array.length env.buckets - 1)))
+let find env name = visible env (entry env name (hash name))
 
 let lookup env name =
   let b = find env name in
   if b == absent then None else Some b
+
+let global env name =
+  let g = (entry env name (hash name)).global in
+  if g == absent then None else Some g
 
 let lookup_exn env name =
   let b = find env name in

@@ -23,6 +23,36 @@ type slot = {
 
 type binding = Scalar of cell | Array of slot
 
+(** {1 Array slots}: what a declaration, an array argument or a pointer
+    assignment makes a name designate. *)
+
+(** A slot for [name] designating no buffer yet: an array declared without
+    an extent, or a pointer without an initializer. *)
+val unbound_array : string -> slot
+
+(** [fresh_array name ~float dims]: a slot for [name] designating a new
+    zero-filled buffer of extents [dims], outermost first, flattened
+    row-major. *)
+val fresh_array : string -> float:bool -> int list -> slot
+
+(** A new slot designating what [s] designates: a pointer initialized
+    from [s], or an array argument bound to [s]. *)
+val alias : slot -> slot
+
+(** [rebind p s]: the pointer assignment [p = s]. *)
+val rebind : slot -> slot -> unit
+
+(** {1 Builtins} *)
+
+(** The meaning of a builtin function on evaluated arguments; its
+    constructor names its arity. *)
+type builtin =
+  | Nullary of (unit -> scalar)
+  | Unary of (scalar -> scalar)
+  | Binary of (scalar -> scalar -> scalar)
+
+val arity : builtin -> int
+
 exception Runtime_error of string
 
 val error : ('a, Format.formatter, unit, 'b) format4 -> 'a
@@ -60,6 +90,9 @@ val declare_global : t -> string -> binding -> unit
 (** The visible binding of a name: its innermost scoped binding, unless a
     call hides it, else its global. *)
 val lookup : t -> string -> binding option
+
+(** The global binding of a name, whatever scope shadows it. *)
+val global : t -> string -> binding option
 
 (** {!lookup} without the option: a hit allocates nothing.
     @raise Runtime_error ["unbound variable 'x'"] when unbound. *)

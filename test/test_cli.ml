@@ -912,6 +912,27 @@ let test_exit_code_table () =
           err)
       [ ("run", "<input>:3:1"); ("run --instrument", "<input>:3:1");
         ("saturate", "<saturate>:7:3") ];
+    (* a function a kernel calls reads the program's globals *)
+    let globals =
+      source
+        "float scale = 2.0;\n\
+         float f(float x) { return x * scale; }\n\
+         int main() { int n = 8; float a[n]; float b[n];\n\
+         for (int i = 0; i < n; i++) { a[i] = float(i); b[i] = 0.0; }\n\
+         #pragma acc kernels loop\n\
+         for (int i = 0; i < n; i++) { b[i] = f(a[i]); }\n\
+         return 0; }\n"
+    in
+    List.iter
+      (fun cmd ->
+        let code, _ = run_cmd (cmd ^ " " ^ Filename.quote globals) in
+        Alcotest.(check int) (cmd ^ ": a kernel's callee reads a global") 0
+          code)
+      [ "run"; "run --engine tree"; "run --devices 2" ];
+    let code, out = run_cmd ("verify " ^ Filename.quote globals) in
+    Alcotest.(check int) "verify: a kernel's callee reads a global" 0 code;
+    Alcotest.(check bool) "verify: [OK]" true
+      (contains ~needle:"[OK]   main_kernel0" out);
     (* session reports the failed iteration and carries on to its summary *)
     let code, out =
       run_cmd (Fmt.str "session %s --outputs a" (Filename.quote runtime))

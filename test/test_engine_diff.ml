@@ -1009,22 +1009,66 @@ int main() {
   return 0;
 }
 |},
-      [ ("s", 70.); ("total", 0.); ("kk", 1.); ("k", 1.) ] ) ]
+      [ ("s", 70.); ("total", 0.); ("kk", 1.); ("k", 1.) ] );
+    ( "a global a kernel's callee reads",
+      {|float scale = 2.0;
+float f(float x) { return x * scale; }
+int main() {
+  int n = 8; float a[n]; float b[n];
+  for (int i = 0; i < n; i++) { a[i] = float(i); b[i] = 0.0; }
+  #pragma acc kernels loop
+  for (int i = 0; i < n; i++) { b[i] = f(a[i]); }
+  return 0;
+}
+|},
+      List.init 8 (fun i -> (Fmt.str "b[%d]" i, 2. *. float_of_int i)) );
+    ( "a global main shadows, read by a kernel's callee's callee",
+      {|int bias = 1;
+float scale = 2.0;
+float g(float x) { return x * scale; }
+float f(float x) { return g(x) + float(bias); }
+int main() {
+  int n = 4; float a[n]; float b[n];
+  float scale = 10.0;
+  for (int i = 0; i < n; i++) { a[i] = float(i) * scale; b[i] = 0.0; }
+  #pragma acc kernels loop
+  for (int i = 0; i < n; i++) { b[i] = f(a[i]); }
+  return 0;
+}
+|},
+      ("scale", 10.)
+      :: List.init 4 (fun i -> (Fmt.str "b[%d]" i, (20. *. float_of_int i) +. 1.))
+    ) ]
 
 let test_name_resolution () =
   List.iter
     (fun (what, src, expected) ->
       let prog = Parser.parse_string ~file:what src in
+      (* a scalar, or an array element named "b[3]" *)
+      let value env name =
+        match String.index_opt name '[' with
+        | None -> (
+            match Accrt.Value.lookup env name with
+            | Some (Accrt.Value.Scalar c) ->
+                Some (Accrt.Value.to_float c.Accrt.Value.v)
+            | Some (Accrt.Value.Array _) | None -> None)
+        | Some k -> (
+            let i =
+              int_of_string
+                (String.sub name (k + 1) (String.length name - k - 2))
+            in
+            match Accrt.Value.lookup env (String.sub name 0 k) with
+            | Some (Accrt.Value.Array { buf = Some b; _ }) ->
+                Some (Gpusim.Buf.get_float b i)
+            | Some (Accrt.Value.Array { buf = None; _ })
+            | Some (Accrt.Value.Scalar _) | None -> None)
+      in
       let check how env =
         List.iter
           (fun (name, v) ->
             Alcotest.(check (option (float 0.0)))
               (Fmt.str "%s, %s: %s" what how name)
-              (Some v)
-              (match Accrt.Value.lookup env name with
-              | Some (Accrt.Value.Scalar c) ->
-                  Some (Accrt.Value.to_float c.Accrt.Value.v)
-              | Some (Accrt.Value.Array _) | None -> None))
+              (Some v) (value env name))
           expected
       in
       check "reference" (Accrt.Eval.run_reference prog).Accrt.Eval.env;
@@ -1042,6 +1086,172 @@ let test_name_resolution () =
         [ (tree, 1); (compiled, 1); (tree, 2); (compiled, 2) ])
     resolution_programs
 
+(* One definition per builtin: every name the typechecker knows has one
+   runtime meaning of its arity, and both engines give each math builtin
+   the same value and ops, on the host and in kernels, evaluating its
+   arguments left to right. *)
+let test_builtins () =
+  let one table name =
+    match List.filter (fun (n, _) -> n = name) table with
+    | [ (_, b) ] -> Some (Accrt.Value.arity b)
+    | _ -> None
+  in
+  let meanings = Accrt.Eval.builtins @ Accrt.Acc_api.host in
+  let device =
+    Accrt.Acc_api.routines
+      (Accrt.Acc_api.create (Gpusim.Device_set.create ~seed:1 2))
+  in
+  List.iter
+    (fun (name, (arity, _, _)) ->
+      Alcotest.(check (option int))
+        (name ^ ": one runtime meaning of its arity") (Some arity)
+        (one meanings name);
+      if Accrt.Eval.is_acc_routine name then
+        Alcotest.(check (option int))
+          (name ^ ": one device meaning of its arity") (Some arity)
+          (one device name))
+    Typecheck.builtins;
+  List.iter
+    (fun (name, _) ->
+      Alcotest.(check bool) (name ^ ": a typechecker builtin") true
+        (List.mem_assoc name Typecheck.builtins))
+    (meanings @ device);
+  (* Values and ops: each math builtin on int and float arguments, as a
+     host declaration and in a kernel. *)
+  let calls =
+    List.concat_map
+      (fun (name, b) ->
+        let args =
+          if Accrt.Value.arity b = 1 then [ "3"; "2.5"; "-2"; "-0.75" ]
+          else [ "3, -2"; "2.5, -0.75"; "3, 0.5"; "-0.75, 2" ]
+        in
+        List.map (fun a -> Fmt.str "%s(%s)" name a) args)
+      Accrt.Eval.builtins
+  in
+  let n = List.length calls in
+  let src =
+    Fmt.str
+      "int main() {\nfloat r[%d];\n%s\n#pragma acc kernels loop\n\
+       for (int t = 0; t < 1; t++) {\n%s }\nreturn 0; }"
+      n
+      (String.concat "\n"
+         (List.mapi (fun i c -> Fmt.str "float x%d = %s;" i c) calls))
+      (String.concat "\n" (List.mapi (fun i c -> Fmt.str "r[%d] = %s;" i c) calls))
+  in
+  let prog = Parser.parse_string ~file:"builtins" src in
+  let rt = Accrt.Eval.run_reference prog in
+  let rc = Accrt.Compile.reference ~engine:compiled prog in
+  Alcotest.(check int) "builtins: reference ops identical" rt.Accrt.Eval.ops
+    rc.Accrt.Eval.ops;
+  check_outputs "builtins reference" rt.Accrt.Eval.env rc.Accrt.Eval.env
+    (List.init n (Fmt.str "x%d"));
+  let tp = Openarc_core.Compiler.compile_program prog in
+  let run engine =
+    Accrt.Interp.exec
+      { Accrt.Interp.default with engine; seed = 42 }
+      Accrt.Interp.detached tp
+  in
+  let ot = run tree and oc = run compiled in
+  Alcotest.(check int) "builtins: interpreter ops identical"
+    ot.Accrt.Interp.ctx.Accrt.Eval.ops oc.Accrt.Interp.ctx.Accrt.Eval.ops;
+  Alcotest.(check int64) "builtins: kernel time (ops) identical"
+    (Int64.bits_of_float
+       (Gpusim.Metrics.total_time (Accrt.Interp.metrics ot)))
+    (Int64.bits_of_float
+       (Gpusim.Metrics.total_time (Accrt.Interp.metrics oc)));
+  (* bitwise, so a NaN result matches itself *)
+  let bits buf i = Int64.bits_of_float (Gpusim.Buf.get_float buf i) in
+  let reference = Accrt.Value.array_buf rt.Accrt.Eval.env "r" in
+  List.iteri
+    (fun i c ->
+      List.iter
+        (fun (how, buf) ->
+          Alcotest.(check int64)
+            (Fmt.str "%s: %s matches the tree reference" c how)
+            (bits reference i) (bits buf i))
+        [ ("compiled reference", Accrt.Value.array_buf rc.Accrt.Eval.env "r");
+          ("tree kernel", Accrt.Interp.host_array ot "r");
+          ("compiled kernel", Accrt.Interp.host_array oc "r") ])
+    calls;
+  (* A wrong argument count in an untypechecked program. *)
+  List.iter
+    (fun (call, expect) ->
+      let prog =
+        Parser.parse_string
+          (Fmt.str "int main() { int t = 1; float x = %s; return 0; }" call)
+      in
+      let host engine =
+        let ctx = ref None in
+        let hook c _ = ctx := Some c; false in
+        let m =
+          raised (fun () ->
+              ignore (Accrt.Compile.reference ~engine ~hook prog))
+        in
+        (m, (Option.get !ctx).Accrt.Eval.ops)
+      in
+      let t = host tree in
+      Alcotest.(check string) (call ^ ": message") expect (fst t);
+      Alcotest.(check (pair string int))
+        (call ^ ": same message, same ops") t (host compiled))
+    [ ("sqrt(t + 1.0, 2.0)", "builtin 'sqrt' expects 1 argument(s)");
+      ("pow(t * 2.0)", "builtin 'pow' expects 2 argument(s)");
+      ("min()", "builtin 'min' expects 2 argument(s)");
+      ("acc_init(t + 1, t)", "builtin 'acc_init' expects 1 argument(s)");
+      ("acc_get_device_type(t)",
+       "builtin 'acc_get_device_type' expects 0 argument(s)");
+      ("acc_nosuch(t)", "unknown OpenACC runtime routine 'acc_nosuch'") ];
+  (* Argument order: a global counter each call bumps. *)
+  let order =
+    Parser.parse_string ~file:"order"
+      "int k = 0;\n\
+       int mark(int d) { k = k * 10 + d; return d; }\n\
+       int next() { k = k + 1; return k; }\n\
+       int main() {\n\
+       int lo = min(mark(1), mark(2)); int klo = k; k = 0;\n\
+       int hi = max(mark(3), mark(4)); int khi = k; k = 0;\n\
+       float p = pow(mark(5), mark(6)); int kp = k; k = 0;\n\
+       float r[3];\n\
+       #pragma acc kernels loop\n\
+       for (int t = 0; t < 1; t++) {\n\
+       r[0] = pow(next(), next()); r[1] = min(next(), 0 - next());\n\
+       r[2] = max(next(), 0 - next()); }\n\
+       return 0; }"
+  in
+  let expect =
+    [ ("klo", 12.); ("khi", 34.); ("kp", 56.); ("lo", 1.); ("hi", 4.);
+      ("p", 15625.) ]
+  in
+  let r = [ 1.; -4.; 5. ] in
+  let check how env =
+    List.iter
+      (fun (name, v) ->
+        Alcotest.(check (float 0.)) (Fmt.str "order, %s: %s" how name) v
+          (Accrt.Value.to_float (Accrt.Value.get_scalar env name)))
+      expect
+  in
+  let check_r how buf =
+    List.iteri
+      (fun i v ->
+        Alcotest.(check (float 0.)) (Fmt.str "order, %s: r[%d]" how i) v
+          (Gpusim.Buf.get_float buf i))
+      r
+  in
+  List.iter
+    (fun engine ->
+      let how = Accrt.Engine.to_string engine in
+      let ctx = Accrt.Compile.reference ~engine order in
+      check (how ^ " reference") ctx.Accrt.Eval.env;
+      check_r (how ^ " reference") (Accrt.Value.array_buf ctx.Accrt.Eval.env "r");
+      let o =
+        Accrt.Interp.exec
+          { Accrt.Interp.default with engine }
+          Accrt.Interp.detached
+          (Openarc_core.Compiler.compile_program order)
+      in
+      check (how ^ " run") o.Accrt.Interp.ctx.Accrt.Eval.env;
+      check_r (how ^ " kernel") (Accrt.Interp.host_array o "r"))
+    [ tree; compiled ]
+
 let tests =
   List.map bench_case Suite.Registry.all
   @ List.map devices1_case Suite.Registry.all
@@ -1055,4 +1265,5 @@ let tests =
       Alcotest.test_case "device-loss failover" `Quick test_failover_diff;
       Alcotest.test_case "device sets match one-device outputs" `Quick
         test_device_sets_match_one_device;
-      Alcotest.test_case "name resolution" `Quick test_name_resolution ]
+      Alcotest.test_case "name resolution" `Quick test_name_resolution;
+      Alcotest.test_case "builtin meanings" `Quick test_builtins ]

@@ -385,11 +385,15 @@ let test_all_members_lost () =
 let test_acc_api_device_set_corners () =
   let set = Gpusim.Device_set.create ~seed:3 3 in
   let st = Acc_api.create set in
+  let ctx =
+    Eval.make (Minic.Parser.parse_string "int main() { return 0; }")
+      (Value.create ())
+  in
+  ctx.Eval.routines <- Acc_api.routines st;
   let call name args =
-    match Acc_api.hook st name args with
-    | Some (Value.Int n) -> n
-    | Some (Value.Flt _) -> Alcotest.failf "%s returned a float" name
-    | None -> Alcotest.failf "%s not handled" name
+    match Eval.acc_call ctx name args with
+    | Value.Int n -> n
+    | Value.Flt _ -> Alcotest.failf "%s returned a float" name
   in
   let nvidia = Acc_api.acc_device_nvidia in
   Alcotest.(check int) "three accelerators" 3
