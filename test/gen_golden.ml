@@ -1,7 +1,8 @@
 (* Regenerates the golden files under test/golden/ (see [Goldens]).  Run
    from the repository root: [dune exec test/gen_golden.exe].  Review the
    diff before committing — a changed golden file is a changed
-   user-visible diagnostic, check placement or observer label. *)
+   user-visible diagnostic, check placement, observer label or printed
+   program. *)
 
 let out_dir =
   if Array.length Sys.argv > 1 then Sys.argv.(1)

@@ -6,6 +6,7 @@
      source, hand-optimized and Table II fault-injection builds;
    - [<bench>.<variant>.<mode>.cu]: the instrumented program under the
      optimized and the naive check placement;
+   - [<bench>.<variant>.c]: the parsed build printed back as Mini-C;
    - [jacobi.observers]: the labels an attached timeline, trace and audit
      record on an instrumented JACOBI run;
    - [recovery.ledger]: the ledger entries, fault/recovery report and
@@ -14,18 +15,23 @@
 
 module Diag = Lint.Diag
 
-(* The three builds of a suite program.  The fault build is the Table II
-   experiment's: private/reduction clauses stripped, automatic recognition
-   off. *)
-let variants (b : Suite.Bench_def.t) =
-  let compile src () = Openarc_core.Compiler.compile ~file:b.name src in
-  [ ("source", compile b.source); ("opt", compile b.optimized);
+(* The three builds of a suite program, each parsed and with its compile
+   options.  The fault build is the Table II experiment's: private/reduction
+   clauses stripped, automatic recognition off. *)
+let builds (b : Suite.Bench_def.t) =
+  let parse src () = Minic.Parser.parse_string ~file:b.name src in
+  [ ("source", parse b.source, Codegen.Options.default);
+    ("opt", parse b.optimized, Codegen.Options.default);
     ( "fault",
-      fun () ->
-        Openarc_core.Compiler.compile_program
-          ~opts:Codegen.Options.fault_injection
-          (Openarc_core.Faults.strip_parallelism_clauses
-             (Minic.Parser.parse_string ~file:b.name b.source)) ) ]
+      (fun () ->
+        Openarc_core.Faults.strip_parallelism_clauses (parse b.source ())),
+      Codegen.Options.fault_injection ) ]
+
+let variants b =
+  List.map
+    (fun (vname, prog, opts) ->
+      (vname, fun () -> Openarc_core.Compiler.compile_program ~opts (prog ())))
+    (builds b)
 
 let lint_text tp =
   Diag.to_text (Diag.filter ~threshold:Diag.Info (Lint.run_tprog tp))
@@ -55,6 +61,12 @@ let placement_files b =
            fun () -> placement mode (tp ())))
         modes)
     (variants b)
+
+let printer_files b =
+  List.map
+    (fun (vname, prog, _) ->
+      (stem b vname ^ ".c", fun () -> Minic.Pretty.program_to_string (prog ())))
+    (builds b)
 
 (* Distinct values in first-occurrence order, each with its count. *)
 let tally keys =
@@ -269,7 +281,7 @@ let recovery_files = [ ("recovery.ledger", recovery) ]
 
 let all () =
   List.concat_map
-    (fun b -> lint_files b @ placement_files b)
+    (fun b -> lint_files b @ placement_files b @ printer_files b)
     Suite.Registry.all
   @ observer_files @ recovery_files
 

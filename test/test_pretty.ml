@@ -133,8 +133,22 @@ let stmt_roundtrip =
       let printed = Pretty.program_to_string prog in
       equal_program prog (Parser.parse_string printed))
 
+(* The printed source, hand-optimized and fault builds of every suite
+   program, kept under test/golden/ and rendered by [Goldens]. *)
+let test_golden () =
+  List.iter
+    (fun b ->
+      List.iter
+        (fun (name, render) ->
+          Alcotest.(check string)
+            (Fmt.str "%s matches its golden print" name)
+            (Goldens.read name) (render ()))
+        (Goldens.printer_files b))
+    Suite.Registry.all
+
 let tests =
   [ Alcotest.test_case "unit round-trips" `Quick test_units;
     Alcotest.test_case "directive round-trips" `Quick test_directive_roundtrip;
+    Alcotest.test_case "printer golden" `Quick test_golden;
     QCheck_alcotest.to_alcotest expr_roundtrip;
     QCheck_alcotest.to_alcotest stmt_roundtrip ]
