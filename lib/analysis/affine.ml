@@ -29,7 +29,7 @@ let rec split_offset = function
   | e -> (e, 0)
 
 (* Canonical fingerprint of a subscript base, for comparing accesses. *)
-let fingerprint e = Fmt.str "%a" Minic.Pretty.pp_expr e
+let fingerprint = Minic.Pretty.expr_to_string
 
 (* Coefficient of [iv] in [e] when [e] is linear in it; [None] when the
    dependence is not analyzably linear ([i * n], [(i + 1) % n], ...). *)

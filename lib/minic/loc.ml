@@ -6,9 +6,10 @@ let dummy = { file = "<none>"; line = 0; col = 0 }
 
 let make ~file ~line ~col = { file; line; col }
 
-let pp ppf { file; line; col } = Fmt.pf ppf "%s:%d:%d" file line col
+let to_string { file; line; col } =
+  file ^ ":" ^ string_of_int line ^ ":" ^ string_of_int col
 
-let to_string l = Fmt.str "%a" pp l
+let pp ppf l = Fmt.string ppf (to_string l)
 
 (** Raised by the lexer, parser and type checker on malformed input. *)
 exception Error of t * string

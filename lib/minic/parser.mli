@@ -1,9 +1,6 @@
 (** Recursive-descent parser for Mini-C and its OpenACC pragmas.
     All entry points raise {!Loc.Error} on malformed input. *)
 
-(** Parse the text following [#pragma] (e.g. ["acc kernels loop gang"]). *)
-val parse_directive : loc:Loc.t -> string -> Ast.directive
-
 (** Does this directive introduce a structured statement body? *)
 val directive_has_body : Ast.directive -> bool
 

@@ -17,87 +17,117 @@ let binop_prec = function
   | Land -> 3
   | Lor -> 2
 
-let rec pp_expr_prec prec ppf e =
+(* The printer appends to one buffer: the [*_to_string] functions return
+   its contents, and the [pp_*] printers write them to a formatter. *)
+let str = Buffer.add_string
+let chr = Buffer.add_char
+
+let sep_by b sep print xs =
+  List.iteri (fun i x -> if i > 0 then str b sep; print x) xs
+
+let rec expr b prec e =
   match e with
-  | Eint n -> if n < 0 then Fmt.pf ppf "(%d)" n else Fmt.int ppf n
+  | Eint n ->
+      if n < 0 then (chr b '('; str b (string_of_int n); chr b ')')
+      else str b (string_of_int n)
   | Efloat f ->
       (* Keep enough digits to round-trip through float_of_string; negative
          literals are parenthesized so "-x" never fuses with a preceding
          operator. *)
-      let s = Fmt.str "%.17g" f in
+      let s = Printf.sprintf "%.17g" f in
       let s =
         if String.contains s '.' || String.contains s 'e'
            || String.contains s 'n' (* nan/inf *)
         then s
         else s ^ ".0"
       in
-      if f < 0.0 then Fmt.pf ppf "(%s)" s else Fmt.string ppf s
-  | Evar v -> Fmt.string ppf v
-  | Eindex (a, i) -> Fmt.pf ppf "%a[%a]" (pp_expr_prec 10) a (pp_expr_prec 0) i
+      if f < 0.0 then (chr b '('; str b s; chr b ')') else str b s
+  | Evar v -> str b v
+  | Eindex (a, i) ->
+      expr b 10 a;
+      chr b '[';
+      expr b 0 i;
+      chr b ']'
   | Eunop (op, a) ->
-      let s = match op with Neg -> "-" | Not -> "!" in
+      if prec > 8 then chr b '(';
+      chr b (match op with Neg -> '-' | Not -> '!');
       (* A literal operand of unary minus must be parenthesized, or the
          parser would fold "-5" back into a negative literal. *)
-      let pp_operand ppf a =
-        match (op, a) with
-        | Neg, (Eint _ | Efloat _ | Eunop (Neg, _)) ->
-            Fmt.pf ppf "(%a)" (pp_expr_prec 0) a
-        | _ -> pp_expr_prec 8 ppf a
-      in
-      if prec > 8 then Fmt.pf ppf "(%s%a)" s pp_operand a
-      else Fmt.pf ppf "%s%a" s pp_operand a
-  | Ebinop (op, a, b) ->
+      (match (op, a) with
+      | Neg, (Eint _ | Efloat _ | Eunop (Neg, _)) ->
+          chr b '(';
+          expr b 0 a;
+          chr b ')'
+      | _ -> expr b 8 a);
+      if prec > 8 then chr b ')'
+  | Ebinop (op, x, y) ->
       let p = binop_prec op in
-      let body ppf () =
-        Fmt.pf ppf "%a %s %a" (pp_expr_prec p) a (binop_str op)
-          (pp_expr_prec (p + 1)) b
-      in
-      if prec > p then Fmt.pf ppf "(%a)" body () else body ppf ()
+      if prec > p then chr b '(';
+      expr b p x;
+      chr b ' ';
+      str b (binop_str op);
+      chr b ' ';
+      expr b (p + 1) y;
+      if prec > p then chr b ')'
   | Ecall (f, args) ->
-      Fmt.pf ppf "%s(%a)" f (Fmt.list ~sep:(Fmt.any ", ") (pp_expr_prec 0)) args
-  | Econd (cnd, a, b) ->
-      let body ppf () =
-        Fmt.pf ppf "%a ? %a : %a" (pp_expr_prec 2) cnd (pp_expr_prec 0) a
-          (pp_expr_prec 1) b
-      in
-      if prec > 1 then Fmt.pf ppf "(%a)" body () else body ppf ()
+      str b f;
+      chr b '(';
+      sep_by b ", " (expr b 0) args;
+      chr b ')'
+  | Econd (cnd, x, y) ->
+      if prec > 1 then chr b '(';
+      expr b 2 cnd;
+      str b " ? ";
+      expr b 0 x;
+      str b " : ";
+      expr b 1 y;
+      if prec > 1 then chr b ')'
 
-let pp_expr = pp_expr_prec 0
-
-let rec pp_lvalue ppf = function
-  | Lvar v -> Fmt.string ppf v
-  | Lindex (lv, e) -> Fmt.pf ppf "%a[%a]" pp_lvalue lv pp_expr e
+let rec lvalue b = function
+  | Lvar v -> str b v
+  | Lindex (lv, e) ->
+      lvalue b lv;
+      chr b '[';
+      expr b 0 e;
+      chr b ']'
 
 (* Base type + declarator suffix for a declaration of [typ] named [name]. *)
-let rec pp_decl ppf (typ, name) =
+let decl b (typ, name) =
+  let scalar = function
+    | Tint -> "int "
+    | Tfloat -> "float "
+    | Tvoid -> "void "
+    | Tptr _ | Tarr _ -> "/* unsupported */ void "
+  in
   match typ with
-  | Tvoid -> Fmt.pf ppf "void %s" name
-  | Tint -> Fmt.pf ppf "int %s" name
-  | Tfloat -> Fmt.pf ppf "float %s" name
-  | Tptr base -> (
-      match base with
-      | Tint -> Fmt.pf ppf "int *%s" name
-      | Tfloat -> Fmt.pf ppf "float *%s" name
-      | Tvoid -> Fmt.pf ppf "void *%s" name
-      | Tptr _ | Tarr _ -> Fmt.pf ppf "/* unsupported */ void *%s" name)
-  | Tarr _ -> (
+  | Tvoid | Tint | Tfloat ->
+      str b (scalar typ);
+      str b name
+  | Tptr base ->
+      str b (scalar base);
+      chr b '*';
+      str b name
+  | Tarr _ ->
       (* collect all dimensions down to the scalar base *)
       let rec unroll acc = function
         | Tarr (t, ext) -> unroll (ext :: acc) t
         | t -> (List.rev acc, t)
       in
       let dims, base = unroll [] typ in
-      let dim ppf = function
-        | None -> Fmt.pf ppf "[]"
-        | Some e -> Fmt.pf ppf "[%a]" pp_expr e
-      in
-      let pp_dims ppf () = List.iter (dim ppf) dims in
-      match base with
-      | Tint -> Fmt.pf ppf "int %s%a" name pp_dims ()
-      | Tfloat -> Fmt.pf ppf "float %s%a" name pp_dims ()
-      | Tvoid | Tptr _ | Tarr _ ->
-          ignore (pp_decl : _ -> _ -> _);
-          Fmt.pf ppf "/* unsupported array base */ float %s%a" name pp_dims ())
+      str b
+        (match base with
+        | Tint -> "int "
+        | Tfloat -> "float "
+        | Tvoid | Tptr _ | Tarr _ -> "/* unsupported array base */ float ");
+      str b name;
+      List.iter
+        (function
+          | None -> str b "[]"
+          | Some e ->
+              chr b '[';
+              expr b 0 e;
+              chr b ']')
+        dims
 
 (* ---------------- directives ---------------- *)
 
@@ -111,38 +141,55 @@ let redop_str = function
   | Rsum -> "+" | Rprod -> "*" | Rmax -> "max" | Rmin -> "min"
   | Rland -> "&&" | Rlor -> "||"
 
-let pp_subarray ppf { sub_var; sub_lo; sub_len } =
-  match (sub_lo, sub_len) with
-  | Some lo, Some len -> Fmt.pf ppf "%s[%a:%a]" sub_var pp_expr lo pp_expr len
-  | _ -> Fmt.string ppf sub_var
+let subarrays b subs =
+  sep_by b ", "
+    (fun { sub_var; sub_lo; sub_len } ->
+      str b sub_var;
+      match (sub_lo, sub_len) with
+      | Some lo, Some len ->
+          chr b '[';
+          expr b 0 lo;
+          chr b ':';
+          expr b 0 len;
+          chr b ']'
+      | _ -> ())
+    subs
 
-let pp_subarrays = Fmt.list ~sep:(Fmt.any ", ") pp_subarray
-let pp_idents = Fmt.list ~sep:(Fmt.any ", ") Fmt.string
+(* [name(...)], the parenthesized part printed by [args]. *)
+let call b name args =
+  str b name;
+  chr b '(';
+  args ();
+  chr b ')'
 
-let pp_clause ppf = function
-  | Cdata (k, subs) -> Fmt.pf ppf "%s(%a)" (data_kind_str k) pp_subarrays subs
-  | Cprivate vs -> Fmt.pf ppf "private(%a)" pp_idents vs
-  | Cfirstprivate vs -> Fmt.pf ppf "firstprivate(%a)" pp_idents vs
+let clause b = function
+  | Cdata (k, subs) -> call b (data_kind_str k) (fun () -> subarrays b subs)
+  | Cprivate vs -> call b "private" (fun () -> sep_by b ", " (str b) vs)
+  | Cfirstprivate vs ->
+      call b "firstprivate" (fun () -> sep_by b ", " (str b) vs)
   | Creduction (op, vs) ->
-      Fmt.pf ppf "reduction(%s:%a)" (redop_str op) pp_idents vs
-  | Cgang None -> Fmt.string ppf "gang"
-  | Cgang (Some e) -> Fmt.pf ppf "gang(%a)" pp_expr e
-  | Cworker None -> Fmt.string ppf "worker"
-  | Cworker (Some e) -> Fmt.pf ppf "worker(%a)" pp_expr e
-  | Cvector None -> Fmt.string ppf "vector"
-  | Cvector (Some e) -> Fmt.pf ppf "vector(%a)" pp_expr e
-  | Cnum_gangs e -> Fmt.pf ppf "num_gangs(%a)" pp_expr e
-  | Cnum_workers e -> Fmt.pf ppf "num_workers(%a)" pp_expr e
-  | Cvector_length e -> Fmt.pf ppf "vector_length(%a)" pp_expr e
-  | Casync None -> Fmt.string ppf "async"
-  | Casync (Some e) -> Fmt.pf ppf "async(%a)" pp_expr e
-  | Cif e -> Fmt.pf ppf "if(%a)" pp_expr e
-  | Ccollapse n -> Fmt.pf ppf "collapse(%d)" n
-  | Cseq -> Fmt.string ppf "seq"
-  | Cindependent -> Fmt.string ppf "independent"
-  | Chost subs -> Fmt.pf ppf "host(%a)" pp_subarrays subs
-  | Cdevice subs -> Fmt.pf ppf "device(%a)" pp_subarrays subs
-  | Cuse_device vs -> Fmt.pf ppf "use_device(%a)" pp_idents vs
+      call b "reduction" (fun () ->
+          str b (redop_str op);
+          chr b ':';
+          sep_by b ", " (str b) vs)
+  | Cgang None -> str b "gang"
+  | Cgang (Some e) -> call b "gang" (fun () -> expr b 0 e)
+  | Cworker None -> str b "worker"
+  | Cworker (Some e) -> call b "worker" (fun () -> expr b 0 e)
+  | Cvector None -> str b "vector"
+  | Cvector (Some e) -> call b "vector" (fun () -> expr b 0 e)
+  | Cnum_gangs e -> call b "num_gangs" (fun () -> expr b 0 e)
+  | Cnum_workers e -> call b "num_workers" (fun () -> expr b 0 e)
+  | Cvector_length e -> call b "vector_length" (fun () -> expr b 0 e)
+  | Casync None -> str b "async"
+  | Casync (Some e) -> call b "async" (fun () -> expr b 0 e)
+  | Cif e -> call b "if" (fun () -> expr b 0 e)
+  | Ccollapse n -> call b "collapse" (fun () -> str b (string_of_int n))
+  | Cseq -> str b "seq"
+  | Cindependent -> str b "independent"
+  | Chost subs -> call b "host" (fun () -> subarrays b subs)
+  | Cdevice subs -> call b "device" (fun () -> subarrays b subs)
+  | Cuse_device vs -> call b "use_device" (fun () -> sep_by b ", " (str b) vs)
 
 let construct_str = function
   | Acc_parallel -> "parallel"
@@ -157,97 +204,169 @@ let construct_str = function
   | Acc_wait _ -> "wait"
   | Acc_cache _ -> "cache"
 
-let pp_directive ppf d =
-  Fmt.pf ppf "#pragma acc %s" (construct_str d.dir);
+let directive b d =
+  str b "#pragma acc ";
+  str b (construct_str d.dir);
   (match d.dir with
-  | Acc_wait (Some e) -> Fmt.pf ppf "(%a)" pp_expr e
-  | Acc_cache subs -> Fmt.pf ppf "(%a)" pp_subarrays subs
+  | Acc_wait (Some e) ->
+      chr b '(';
+      expr b 0 e;
+      chr b ')'
+  | Acc_cache subs ->
+      chr b '(';
+      subarrays b subs;
+      chr b ')'
   | Acc_wait None | Acc_parallel | Acc_kernels | Acc_data | Acc_host_data
   | Acc_loop | Acc_parallel_loop | Acc_kernels_loop | Acc_update
   | Acc_declare -> ());
-  List.iter (fun cl -> Fmt.pf ppf " %a" pp_clause cl) d.clauses
+  List.iter
+    (fun cl ->
+      chr b ' ';
+      clause b cl)
+    d.clauses
 
 (* ---------------- statements ---------------- *)
 
-let rec pp_stmt ind ppf s =
-  let pad = String.make (ind * 2) ' ' in
+let indent b ind =
+  for _ = 1 to ind do
+    str b "  "
+  done
+
+let rec stmt b ind s =
+  indent b ind;
   match s.skind with
-  | Sskip -> Fmt.pf ppf "%s;@." pad
-  | Sexpr e -> Fmt.pf ppf "%s%a;@." pad pp_expr e
-  | Sassign (lv, e) -> Fmt.pf ppf "%s%a = %a;@." pad pp_lvalue lv pp_expr e
-  | Sdecl (typ, name, init) -> (
-      match init with
-      | None -> Fmt.pf ppf "%s%a;@." pad pp_decl (typ, name)
-      | Some e -> Fmt.pf ppf "%s%a = %a;@." pad pp_decl (typ, name) pp_expr e)
-  | Sif (c, b1, b2) ->
-      Fmt.pf ppf "%sif (%a) {@.%a%s}" pad pp_expr c (pp_block (ind + 1)) b1 pad;
-      if b2 = [] then Fmt.pf ppf "@."
-      else Fmt.pf ppf " else {@.%a%s}@." (pp_block (ind + 1)) b2 pad
-  | Swhile (c, b) ->
-      Fmt.pf ppf "%swhile (%a) {@.%a%s}@." pad pp_expr c (pp_block (ind + 1)) b
-        pad
-  | Sfor (init, cond, step, b) ->
-      let pp_init ppf () =
-        match init with
-        | None -> ()
-        | Some { skind = Sdecl (typ, name, Some e); _ } ->
-            Fmt.pf ppf "%a = %a" pp_decl (typ, name) pp_expr e
-        | Some { skind = Sdecl (typ, name, None); _ } ->
-            Fmt.pf ppf "%a" pp_decl (typ, name)
-        | Some { skind = Sassign (lv, e); _ } ->
-            Fmt.pf ppf "%a = %a" pp_lvalue lv pp_expr e
-        | Some { skind = Sexpr e; _ } -> pp_expr ppf e
-        | Some _ -> Fmt.string ppf "/* complex init */"
-      in
-      let pp_step ppf () =
-        match step with
-        | None -> ()
-        | Some { skind = Sassign (lv, e); _ } ->
-            Fmt.pf ppf "%a = %a" pp_lvalue lv pp_expr e
-        | Some { skind = Sexpr e; _ } -> pp_expr ppf e
-        | Some _ -> Fmt.string ppf "/* complex step */"
-      in
-      Fmt.pf ppf "%sfor (%a; %a; %a) {@.%a%s}@." pad pp_init ()
-        (Fmt.option pp_expr) cond pp_step () (pp_block (ind + 1)) b pad
-  | Sblock b -> Fmt.pf ppf "%s{@.%a%s}@." pad (pp_block (ind + 1)) b pad
-  | Sreturn None -> Fmt.pf ppf "%sreturn;@." pad
-  | Sreturn (Some e) -> Fmt.pf ppf "%sreturn %a;@." pad pp_expr e
-  | Sbreak -> Fmt.pf ppf "%sbreak;@." pad
-  | Scontinue -> Fmt.pf ppf "%scontinue;@." pad
-  | Sacc (d, body) -> (
-      Fmt.pf ppf "%s%a@." pad pp_directive d;
-      match body with
+  | Sskip -> str b ";\n"
+  | Sexpr e ->
+      expr b 0 e;
+      str b ";\n"
+  | Sassign (lv, e) ->
+      lvalue b lv;
+      str b " = ";
+      expr b 0 e;
+      str b ";\n"
+  | Sdecl (typ, name, init) ->
+      decl b (typ, name);
+      Option.iter
+        (fun e ->
+          str b " = ";
+          expr b 0 e)
+        init;
+      str b ";\n"
+  | Sif (c, b1, b2) -> (
+      str b "if (";
+      expr b 0 c;
+      str b ") {\n";
+      block b (ind + 1) b1;
+      indent b ind;
+      chr b '}';
+      match b2 with
+      | [] -> chr b '\n'
+      | _ ->
+          str b " else {\n";
+          block b (ind + 1) b2;
+          indent b ind;
+          str b "}\n")
+  | Swhile (c, body) ->
+      str b "while (";
+      expr b 0 c;
+      str b ") {\n";
+      block b (ind + 1) body;
+      indent b ind;
+      str b "}\n"
+  | Sfor (init, cond, step, body) ->
+      str b "for (";
+      (match init with
       | None -> ()
-      | Some b -> pp_stmt ind ppf b)
+      | Some { skind = Sdecl (typ, name, Some e); _ } ->
+          decl b (typ, name);
+          str b " = ";
+          expr b 0 e
+      | Some { skind = Sdecl (typ, name, None); _ } -> decl b (typ, name)
+      | Some { skind = Sassign (lv, e); _ } ->
+          lvalue b lv;
+          str b " = ";
+          expr b 0 e
+      | Some { skind = Sexpr e; _ } -> expr b 0 e
+      | Some _ -> str b "/* complex init */");
+      str b "; ";
+      Option.iter (expr b 0) cond;
+      str b "; ";
+      (match step with
+      | None -> ()
+      | Some { skind = Sassign (lv, e); _ } ->
+          lvalue b lv;
+          str b " = ";
+          expr b 0 e
+      | Some { skind = Sexpr e; _ } -> expr b 0 e
+      | Some _ -> str b "/* complex step */");
+      str b ") {\n";
+      block b (ind + 1) body;
+      indent b ind;
+      str b "}\n"
+  | Sblock body ->
+      str b "{\n";
+      block b (ind + 1) body;
+      indent b ind;
+      str b "}\n"
+  | Sreturn None -> str b "return;\n"
+  | Sreturn (Some e) ->
+      str b "return ";
+      expr b 0 e;
+      str b ";\n"
+  | Sbreak -> str b "break;\n"
+  | Scontinue -> str b "continue;\n"
+  | Sacc (d, body) ->
+      directive b d;
+      chr b '\n';
+      Option.iter (stmt b ind) body
 
-and pp_block ind ppf b = List.iter (pp_stmt ind ppf) b
+and block b ind stmts = List.iter (stmt b ind) stmts
 
-let pp_param ppf p =
-  match p.p_typ with
-  | Tarr (base, _) ->
-      pp_decl ppf (Tarr (base, None), p.p_name)
-  | t -> pp_decl ppf (t, p.p_name)
+let func b f =
+  str b
+    (match f.f_ret with
+    | Tvoid -> "void " | Tint -> "int " | Tfloat -> "float "
+    | Tarr _ | Tptr _ -> "void ");
+  call b f.f_name (fun () ->
+      sep_by b ", "
+        (fun p ->
+          match p.p_typ with
+          | Tarr (base, _) -> decl b (Tarr (base, None), p.p_name)
+          | t -> decl b (t, p.p_name))
+        f.f_params);
+  str b " {\n";
+  block b 1 f.f_body;
+  str b "}\n"
 
-let pp_func ppf f =
-  let ret =
-    match f.f_ret with
-    | Tvoid -> "void" | Tint -> "int" | Tfloat -> "float"
-    | Tarr _ | Tptr _ -> "void"
-  in
-  Fmt.pf ppf "%s %s(%a) {@.%a}@." ret f.f_name
-    (Fmt.list ~sep:(Fmt.any ", ") pp_param)
-    f.f_params (pp_block 1) f.f_body
+let global b = function
+  | Gfunc f -> func b f
+  | Gvar (typ, name, init) ->
+      decl b (typ, name);
+      Option.iter
+        (fun e ->
+          str b " = ";
+          expr b 0 e)
+        init;
+      str b ";\n"
 
-let pp_global ppf = function
-  | Gfunc f -> pp_func ppf f
-  | Gvar (typ, name, init) -> (
-      match init with
-      | None -> Fmt.pf ppf "%a;@." pp_decl (typ, name)
-      | Some e -> Fmt.pf ppf "%a = %a;@." pp_decl (typ, name) pp_expr e)
+let to_string print x =
+  let b = Buffer.create 256 in
+  print b x;
+  Buffer.contents b
 
-let pp_program ppf prog =
-  List.iter (fun g -> Fmt.pf ppf "%a@." pp_global g) prog.globals
+let program_to_string prog =
+  let b = Buffer.create 65536 in
+  List.iter
+    (fun g ->
+      global b g;
+      chr b '\n')
+    prog.globals;
+  Buffer.contents b
 
-let program_to_string prog = Fmt.str "%a" pp_program prog
-let expr_to_string e = Fmt.str "%a" pp_expr e
-let stmt_to_string s = Fmt.str "%a" (pp_stmt 0) s
+let expr_to_string e = to_string (fun b -> expr b 0) e
+let stmt_to_string s = to_string (fun b -> stmt b 0) s
+let pp_expr ppf e = Fmt.string ppf (expr_to_string e)
+let pp_lvalue ppf lv = Fmt.string ppf (to_string lvalue lv)
+let pp_stmt ind ppf s = Fmt.string ppf (to_string (fun b -> stmt b ind) s)
+let pp_block ind ppf stmts =
+  Fmt.string ppf (to_string (fun b -> block b ind) stmts)

@@ -13,7 +13,8 @@ type t =
   | PLUSPLUS | MINUSMINUS
   | LPAREN | RPAREN | LBRACE | RBRACE | LBRACKET | RBRACKET
   | COMMA | SEMI | QUESTION | COLON
-  | PRAGMA of string  (** raw text following [#pragma], continuations joined *)
+  | PRAGMA  (** [#pragma]: a directive's words follow *)
+  | PRAGMA_END  (** the end of a directive's line: its end of input *)
   | EOF
 
 let to_string = function
@@ -62,5 +63,5 @@ let to_string = function
   | SEMI -> ";"
   | QUESTION -> "?"
   | COLON -> ":"
-  | PRAGMA s -> "#pragma " ^ s
-  | EOF -> "<eof>"
+  | PRAGMA -> "#pragma"
+  | PRAGMA_END | EOF -> "<eof>"

@@ -38,19 +38,27 @@ let test_comments () =
     (Loc.Error (Loc.make ~file:"t" ~line:1 ~col:3, "unterminated comment"))
     (fun () -> ignore (toks "a /* never closed"))
 
+(* A directive lexes as PRAGMA, its words where they stand, and PRAGMA_END
+   at the end of its line. *)
 let test_pragma () =
   (match toks "#pragma acc kernels loop" with
-  | [ Token.PRAGMA text; Token.EOF ] ->
-      Alcotest.(check string) "pragma text" "acc kernels loop" text
-  | _ -> Alcotest.fail "expected a single PRAGMA token");
-  (* backslash continuation joins lines *)
-  (match toks "#pragma acc data \\\n copyin(a)" with
-  | [ Token.PRAGMA text; Token.EOF ] ->
-      Alcotest.(check string) "continued" "acc data   copyin(a)" text
-  | _ -> Alcotest.fail "expected continued PRAGMA");
+  | [ Token.PRAGMA; Token.IDENT "acc"; Token.IDENT "kernels";
+      Token.IDENT "loop"; Token.PRAGMA_END; Token.EOF ] -> ()
+  | _ -> Alcotest.fail "expected the directive's words");
+  (* backslash continuation joins lines: the clause keeps its own line *)
+  (match Lexer.tokenize ~file:"t" "#pragma acc data \\\n copyin(a)" with
+  | [ { tok = Token.PRAGMA; _ }; { tok = Token.IDENT "acc"; _ };
+      { tok = Token.IDENT "data"; _ };
+      { tok = Token.IDENT "copyin"; loc }; { tok = Token.LPAREN; _ };
+      { tok = Token.IDENT "a"; _ }; { tok = Token.RPAREN; _ };
+      { tok = Token.PRAGMA_END; _ }; { tok = Token.EOF; _ } ] ->
+      Alcotest.(check (pair int int)) "continued clause at 2:2" (2, 2)
+        (loc.Loc.line, loc.Loc.col)
+  | _ -> Alcotest.fail "expected one continued directive");
   (* code resumes on the next line *)
   match toks "#pragma acc wait\nx" with
-  | [ Token.PRAGMA _; Token.IDENT "x"; Token.EOF ] -> ()
+  | [ Token.PRAGMA; Token.IDENT "acc"; Token.IDENT "wait"; Token.PRAGMA_END;
+      Token.IDENT "x"; Token.EOF ] -> ()
   | _ -> Alcotest.fail "statement after pragma lost"
 
 let test_positions () =
@@ -69,12 +77,19 @@ let test_errors () =
    with Loc.Error (_, msg) ->
      Alcotest.(check bool) "mentions char" true
        (String.length msg > 0));
-  try
-    ignore (toks "#foo acc x");
-    Alcotest.fail "expected pragma error"
-  with Loc.Error (_, msg) ->
-    Alcotest.(check bool) "pragma msg" true
-      (String.length msg > 0)
+  (try
+     ignore (toks "#foo acc x");
+     Alcotest.fail "expected pragma error"
+   with Loc.Error (_, msg) ->
+     Alcotest.(check bool) "pragma msg" true
+       (String.length msg > 0));
+  (* an integer literal past max_int (2^62 - 1) is located at the literal *)
+  check_toks "max_int" "4611686018427387903" [ "4611686018427387903"; "<eof>" ];
+  Alcotest.check_raises "out-of-range integer"
+    (Loc.Error
+       ( Loc.make ~file:"t" ~line:2 ~col:9,
+         "integer literal 99999999999999999999 is out of range" ))
+    (fun () -> ignore (toks "int x;\nint y = 99999999999999999999;"))
 
 let tests =
   [ Alcotest.test_case "numbers" `Quick test_numbers;
