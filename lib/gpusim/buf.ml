@@ -124,7 +124,11 @@ let checksum ?range b =
 
 let equal b1 b2 =
   match (b1, b2) with
-  | Fbuf a, Fbuf b -> a = b
+  | Fbuf a, Fbuf b ->
+      let same x y =
+        Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+      in
+      Array.length a = Array.length b && Array.for_all2 same a b
   | Ibuf a, Ibuf b -> a = b
   | (Fbuf _ | Ibuf _), _ -> false
 

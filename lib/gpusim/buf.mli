@@ -57,6 +57,9 @@ val flip_bit : t -> idx:int -> bit:int -> unit
     (whole buffer by default); used for transfer verification. *)
 val checksum : ?range:int * int -> t -> int64
 
+(** Bitwise equality: the same kind and length, and every element the
+    same bits, as {!merge_diff} compares them.  A NaN equals a NaN of the
+    same bits, and [-0.0] differs from [0.0]. *)
 val equal : t -> t -> bool
 
 (** Last-writer merge for sharded kernels: every element of [src] that

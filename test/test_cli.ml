@@ -842,6 +842,25 @@ let test_exit_code_table () =
             for (int i = 0; ; i++) { a[i] = 1.0; }\n\
             return 0; }\n",
          "parallel loop requires a condition");
+        ("out-of-range integer literal",
+         Some "int main() { float a[4]; int x = 99999999999999999999; \
+               return 0; }\n",
+         ":1:34: integer literal 99999999999999999999 is out of range");
+        ("unknown clause",
+         Some
+           "int main() { float a[4];\n\n\
+           \  #pragma acc kernels loop frobnicate(x)\n\
+           \  for (int i = 0; i < 4; i++) { a[i] = 1.0; }\n\
+           \  return 0; }\n",
+         ":3:28: unknown OpenACC clause 'frobnicate'");
+        ("continued unknown clause",
+         Some
+           "int main() { float a[4];\n\n\
+           \  #pragma acc kernels loop gang \\\n\
+           \    frobnicate(x)\n\
+           \  for (int i = 0; i < 4; i++) { a[i] = 1.0; }\n\
+           \  return 0; }\n",
+         ":4:5: unknown OpenACC clause 'frobnicate'");
         ("bench:nope", None, "unknown benchmark 'nope'") ]
     in
     List.iter

@@ -1086,6 +1086,40 @@ let test_name_resolution () =
         [ (tree, 1); (compiled, 1); (tree, 2); (compiled, 2) ])
     resolution_programs
 
+(* A NaN output is bit-identical across the engines: [b] holds
+   sqrt(-2.0) from a kernel and [c] from the host. *)
+let test_nan_outputs () =
+  let prog =
+    Parser.parse_string ~file:"nan.c"
+      {|int main() {
+  int n = 4; float a[n]; float b[n]; float c[n];
+  for (int i = 0; i < n; i++) {
+    a[i] = 0.0 - 2.0; b[i] = 0.0; c[i] = sqrt(a[i]);
+  }
+  #pragma acc kernels loop
+  for (int i = 0; i < n; i++) { b[i] = sqrt(a[i]); }
+  return 0;
+}
+|}
+  in
+  let outputs = [ "a"; "b"; "c" ] in
+  let rt = Accrt.Eval.run_reference prog in
+  let rc = Accrt.Compile.reference ~engine:compiled prog in
+  check_outputs "NaN reference" rt.Accrt.Eval.env rc.Accrt.Eval.env outputs;
+  let tp = Openarc_core.Compiler.compile_program prog in
+  let env engine =
+    (Accrt.Interp.exec { Accrt.Interp.default with engine }
+       Accrt.Interp.detached tp)
+      .Accrt.Interp.ctx.Accrt.Eval.env
+  in
+  let et = env tree in
+  (match Accrt.Value.lookup et "b" with
+  | Some (Accrt.Value.Array { buf = Some b; _ }) ->
+      Alcotest.(check bool) "b[0] is NaN" true
+        (Float.is_nan (Gpusim.Buf.get_float b 0))
+  | _ -> Alcotest.fail "b unbound");
+  check_outputs "NaN run" et (env compiled) outputs
+
 (* One definition per builtin: every name the typechecker knows has one
    runtime meaning of its arity, and both engines give each math builtin
    the same value and ops, on the host and in kernels, evaluating its
@@ -1266,4 +1300,5 @@ let tests =
       Alcotest.test_case "device sets match one-device outputs" `Quick
         test_device_sets_match_one_device;
       Alcotest.test_case "name resolution" `Quick test_name_resolution;
-      Alcotest.test_case "builtin meanings" `Quick test_builtins ]
+      Alcotest.test_case "builtin meanings" `Quick test_builtins;
+      Alcotest.test_case "NaN outputs" `Quick test_nan_outputs ]

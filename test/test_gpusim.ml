@@ -30,6 +30,21 @@ let test_buf_blit () =
     (Invalid_argument "Buf.blit: shape mismatch")
     (fun () -> Gpusim.Buf.blit ~src ~dst:(Gpusim.Buf.create_float 3))
 
+(* [Buf.equal] compares bits: a NaN matches the same NaN, and -0.0 and 0.0
+   differ. *)
+let test_buf_equal () =
+  let f xs = Gpusim.Buf.Fbuf xs in
+  List.iter
+    (fun (what, a, b, expected) ->
+      Alcotest.(check bool) what expected (Gpusim.Buf.equal a b))
+    [ ("same floats", f [| 1.0; 2.5 |], f [| 1.0; 2.5 |], true);
+      ("NaN with the same NaN", f [| sqrt (-2.0) |], f [| sqrt (-2.0) |],
+       true);
+      ("-0.0 against 0.0", f [| -0.0 |], f [| 0.0 |], false);
+      ("different lengths", f [| 1.0 |], f [| 1.0; 1.0 |], false);
+      ("ints", Gpusim.Buf.Ibuf [| 1; 2 |], Gpusim.Buf.Ibuf [| 1; 2 |], true);
+      ("float against int", f [| 1.0 |], Gpusim.Buf.Ibuf [| 1 |], false) ]
+
 let test_buf_compare () =
   let reference = Gpusim.Buf.Fbuf [| 1.0; 2.0; 3.0 |] in
   let same = Gpusim.Buf.Fbuf [| 1.0; 2.0 +. 1e-12; 3.0 |] in
@@ -459,6 +474,7 @@ let test_device_set_of_one_keeps_plan () =
 let tests =
   [ Alcotest.test_case "buf basics" `Quick test_buf_basics;
     Alcotest.test_case "buf blit" `Quick test_buf_blit;
+    Alcotest.test_case "buf equal is bitwise" `Quick test_buf_equal;
     Alcotest.test_case "buf compare" `Quick test_buf_compare;
     QCheck_alcotest.to_alcotest buf_compare_reflexive;
     QCheck_alcotest.to_alcotest buf_max_diff_symmetric;
