@@ -15,11 +15,12 @@
       (the median of each side and of the per-round ratio): a run and a
       symbolic kernel verification per benchmark, tree vs compiled
       ([--repeats] rounds); a run of a 400-kernel program per engine,
-      instrumentation and lint on 100 vs 17 copies of a program, and the
-      sequential reference run of one loop under 16 vs 1 enclosing
-      scopes ([4 x repeats + 1] rounds); given [--min-speedup], it gates
-      on both tree-vs-compiled suite median speedups, on the 400-kernel
-      speedup, on both growths and on the lookup-depth growth.
+      parsing, printing, instrumentation and lint on 100 vs 17 copies of
+      a program, and the sequential reference run of one loop under 16 vs
+      1 enclosing scopes ([4 x repeats + 1] rounds); given
+      [--min-speedup], it gates on both tree-vs-compiled suite median
+      speedups, on the 400-kernel speedup, on each pass's growth and on
+      the lookup-depth growth.
 
     Exit codes: 0 ok; 1 a failed gate, a mismatching or missing golden;
     2 malformed input (unknown command, flag, value or name). *)

@@ -4,7 +4,7 @@
    single-engine mode, the --min-speedup gate on both suite medians (both
    directions — impossible bounds must fail, a sub-1.0 sanity bound must
    pass), and the fixed bounds that gate also holds the many-kernel row,
-   the static passes and the lookup depth to. *)
+   the front end, the static passes and the lookup depth to. *)
 
 let exe = "../bench/main.exe"
 
@@ -131,8 +131,8 @@ let test_wall_report () =
           (match Obs.Pjson.member field v with
           | Some (Obs.Pjson.Num x) -> float_of_string x > 0.0
           | _ -> false))
-      [ "median_speedup"; "median_verify_speedup"; "instrument_growth";
-        "lint_growth" ];
+      [ "median_speedup"; "median_verify_speedup"; "parse_growth";
+        "print_growth"; "instrument_growth"; "lint_growth" ];
     let many = Option.get (Obs.Pjson.member "many_kernels" v) in
     Alcotest.(check (option string)) "many-kernel copies" (Some "100")
       (match Obs.Pjson.member "copies" many with
@@ -184,11 +184,11 @@ let test_single_engine () =
     check_lookup_depth v
   end
 
-(* Given --min-speedup, the gate also holds the many-kernel speedup, both
-   static passes' growth and the lookup-depth growth to fixed bounds and
-   prints one verdict each; returns which fail.  These are wall-clock
-   ratios, so a loaded machine may put one past its bound, and the exit
-   code must then say so. *)
+(* Given --min-speedup, the gate also holds the many-kernel speedup, the
+   growth of the front end and both static passes and the lookup-depth
+   growth to fixed bounds and prints one verdict each; returns which fail.
+   These are wall-clock ratios, so a loaded machine may put one past its
+   bound, and the exit code must then say so. *)
 let fixed_verdicts out =
   List.map
     (fun what ->
@@ -196,8 +196,9 @@ let fixed_verdicts out =
       and over = contains ~needle:("WALL REGRESSION: " ^ what ^ " ") out in
       Alcotest.(check bool) (what ^ " verdict") true (within <> over);
       over)
-    [ "many-kernel speedup"; "median instrument growth";
-      "median lint growth"; "lookup-depth growth" ]
+    [ "many-kernel speedup"; "median parse growth"; "median print growth";
+      "median instrument growth"; "median lint growth"; "lookup-depth growth"
+    ]
 
 let test_min_speedup_gate () =
   if available then begin
