@@ -1274,10 +1274,12 @@ let timed (calls, f) =
    verification the debugging loop repeats per edit, whose cost is its
    hooked sequential run.  The suite gates read the median of each kind's
    ratios.  [Many] is a plain run of the many-kernel program, [Growth]
-   a front-end or static pass on the large and the small growth program, and [Depth]
+   a front-end or static pass on the large and the small growth program, [Depth]
    the sequential reference run of one loop under many and under few
-   enclosing scopes; each of those rows is a gate of its own. *)
-type kind = Run | Verify | Many | Growth | Depth
+   enclosing scopes, and [Shards] the compiled runs of the selected
+   benchmarks on four devices and on one; each of those rows is a gate
+   of its own. *)
+type kind = Run | Verify | Many | Growth | Depth | Shards
 
 (* A timed row: each side's median seconds over the rounds and, for two
    sides, the median over the rounds of the first side's time over the
@@ -1368,16 +1370,29 @@ let depth_program scopes =
      }\n"
     opens (String.make scopes '}')
 
-(* A plain run of [tp] under [engine], discarding its outcome. *)
-let plain_run engine tp =
+(* The shards row: the compiled engine's runs of every selected
+   benchmark on [shards_devices] block-split devices against the same
+   runs on one.  A sharded launch does its shards' work plus one space
+   pass, the written-array snapshot and the merge, so the ratio grows
+   with any per-shard overhead: on JACOBI, EP and SRAD it reads
+   1.24-1.32x, 1.97-1.98x with the header walked again per shard, and
+   2.41-2.57x with that walk per shard, every ordinal tested in every
+   shard and every kernel array copied for the merge.  Past
+   [shards_bound] the wall-smoke gate fails. *)
+let shards_devices = 4
+let shards_bound = 1.6
+
+(* A plain run of [tp] under [engine] on [devices] block-split devices,
+   discarding its outcome. *)
+let plain_run ~devices engine tp =
   ignore
     (Accrt.Interp.exec
-       { Accrt.Interp.default with engine; seed = 42 }
+       { Accrt.Interp.default with engine; seed = 42; devices }
        Accrt.Interp.detached tp)
 
 (* Every row, in order: each benchmark's run and verify rows over
-   [repeats] rounds, then the many-kernel row and the growth rows over
-   [rounds]. *)
+   [repeats] rounds, then the many-kernel, growth, lookup-depth and
+   shards rows over [rounds]. *)
 let wall_rows ~repeats ~rounds ~engines benches =
   let per_engine f =
     List.map (fun e -> (Accrt.Engine.to_string e, (1, fun () -> f e))) engines
@@ -1387,23 +1402,29 @@ let wall_rows ~repeats ~rounds ~engines benches =
     let prog = Minic.Parser.parse_string src in
     (src, prog, compile prog)
   in
-  let suite =
-    List.concat_map
+  let programs =
+    List.map
       (fun (b : Bench_def.t) ->
         let prog = parse b in
-        let tp = compile prog in
+        (b, prog, compile prog))
+      benches
+  in
+  let suite =
+    List.concat_map
+      (fun ((b : Bench_def.t), prog, tp) ->
         [ time_row ~rounds:repeats b.name Run
-            (per_engine (fun e -> plain_run e tp));
+            (per_engine (fun e -> plain_run ~devices:1 e tp));
           time_row ~rounds:repeats b.name Verify
             (per_engine (fun engine ->
                  ignore
                    (Openarc_core.Kernel_verify.verify ~symbolic:true ~engine
                       prog))) ])
-      benches
+      programs
   in
   let many =
     let _, _, tp = blocks many_copies in
-    time_row ~rounds "many-kernel" Many (per_engine (fun e -> plain_run e tp))
+    time_row ~rounds "many-kernel" Many
+      (per_engine (fun e -> plain_run ~devices:1 e tp))
   in
   let small, large = growth_copies in
   let small_side = blocks small and large_side = blocks large in
@@ -1425,7 +1446,17 @@ let wall_rows ~repeats ~rounds ~engines benches =
     let shallow, deep = depth_scopes in
     time_row ~rounds "lookup-depth" Depth [ side deep; side shallow ]
   in
-  suite @ (many :: growth) @ [ depth ]
+  let shards =
+    let tps = List.map (fun (_, _, tp) -> tp) programs in
+    let side devices =
+      ( Fmt.str "dev%d" devices,
+        ( 1,
+          fun () ->
+            List.iter (plain_run ~devices Accrt.Engine.Compiled) tps ) )
+    in
+    time_row ~rounds "shards" Shards [ side shards_devices; side 1 ]
+  in
+  suite @ (many :: growth) @ [ depth; shards ]
 
 let of_kind kind rows = List.filter (fun r -> r.kind = kind) rows
 
@@ -1438,7 +1469,7 @@ let median_ratio kind rows =
 let pp_row ppf r =
   Fmt.pf ppf "  %-12s %-6s" r.name
     (match r.kind with
-    | Run | Many -> "run"
+    | Run | Many | Shards -> "run"
     | Verify -> "verify"
     | Growth | Depth -> "growth");
   List.iter (fun (label, t) -> Fmt.pf ppf "  %s %9.6f s" label t) r.times;
@@ -1484,7 +1515,16 @@ let wall_doc ~repeats ~engines rows =
                    P.Arr
                      [ P.int (fst depth_scopes); P.int (snd depth_scopes) ] )
                 :: row_members ~ratio:"growth" "" r) ))
-          (of_kind Depth rows))
+          (of_kind Depth rows)
+      @ List.map
+          (fun r ->
+            ( "shards",
+              P.Obj
+                (( "devices",
+                   P.Arr [ P.int 1; P.int shards_devices ] )
+                :: ("schedule", P.Str "block")
+                :: row_members ~ratio:"ratio" "" r) ))
+          (of_kind Shards rows))
     (List.map2
        (fun run verify ->
          P.Obj
@@ -1503,6 +1543,7 @@ let wall_gates ~need rows =
   @ each Many (fun n -> n ^ " speedup") (`At_least many_bound)
   @ each Growth (fun n -> "median " ^ n ^ " growth") (`At_most growth_bound)
   @ each Depth (fun n -> n ^ " growth") (`At_most depth_bound)
+  @ each Shards (fun n -> n ^ " ratio") (`At_most shards_bound)
 
 (* One gate's verdict line; 1 when it fails. *)
 let verdict ppf what got bound =
@@ -1518,12 +1559,12 @@ let verdict ppf what got bound =
   Bool.to_int (not ok)
 
 (* The wall tier: every row timed in interleaved rounds ([4 * repeats + 1]
-   for the many-kernel and growth rows), printed, written to the
-   bench-wall JSON report and, given [min_speedup], gated: both
-   suite median speedups at least [min_speedup], the many-kernel speedup
-   at least [many_bound] (when both engines ran), every pass's growth at
-   most [growth_bound], and the lookup-depth growth at most
-   [depth_bound].
+   for the many-kernel, growth, lookup-depth and shards rows), printed,
+   written to the bench-wall JSON report and, given [min_speedup], gated:
+   both suite median speedups at least [min_speedup], the many-kernel
+   speedup at least [many_bound] (when both engines ran), every pass's
+   growth at most [growth_bound], the lookup-depth growth at most
+   [depth_bound], and the shards ratio at most [shards_bound].
    Returns the exit code. *)
 let run_wall ?(json = wall_path) ?names
     ?(engines = [ Accrt.Engine.Tree; Accrt.Engine.Compiled ])
@@ -1533,10 +1574,11 @@ let run_wall ?(json = wall_path) ?names
   Fmt.pf ppf
     "Interpreter wall-clock (seed 42, source variant), medians of \
      interleaved rounds:@.%d per benchmark row, %d per many-kernel row (%d \
-     copies of three blocks), growth row (%d -> %d copies) and \
-     lookup-depth row (%d -> %d scopes)@."
+     copies of three blocks), growth row (%d -> %d copies), \
+     lookup-depth row (%d -> %d scopes) and shards row (compiled, 1 -> %d \
+     block-split devices)@."
     repeats rounds many_copies (fst growth_copies) (snd growth_copies)
-    (fst depth_scopes) (snd depth_scopes);
+    (fst depth_scopes) (snd depth_scopes) shards_devices;
   hr ppf;
   let rows = wall_rows ~repeats ~rounds ~engines benches in
   List.iter (pp_row ppf) rows;

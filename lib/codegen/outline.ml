@@ -210,6 +210,11 @@ let outline_region ~opts ~alias ~fname ~fresh ~region_sid (d : directive)
         let seq =
           List.exists Acc.Query.has_seq (base_clauses @ extra_dirs)
         in
+        (* A parallel loop's iteration space is walked from its header
+           alone, before any thread runs, so the header must advance the
+           loop variable. *)
+        if Option.is_none step && not seq then
+          Loc.error s.sloc "parallel loop requires an increment";
         mk_kernel ~opts ~alias ~fname ~id:(fresh ()) ~sid:region_sid
           ~loc:s.sloc ~clauses ~async ~seq ~source:s
           (Some (v, init_e, cond, step))

@@ -144,16 +144,22 @@ let verify_tprog ?(config = Vconfig.default) ?(engine = Accrt.Engine.Compiled)
      occurrence, so its writes land where the comparison reads them.
      Under [Tree], all three are tree-walked. *)
   let ecache = lazy (Accrt.Compile.create_cache prog) in
-  (* A whole launch: the session's start, the engine's runner owning every
-     ordinal, the commit.  Returns the iteration count. *)
+  (* A whole launch: the session's start, the engine's space pass, its
+     runner with every ordinal, the commit.  Returns the iteration
+     count. *)
   let exec_kernel sctx k =
     let session = Accrt.Kernel_exec.start sctx k in
-    let owns _ = true in
     let iterations =
       match engine with
-      | Accrt.Engine.Tree -> Accrt.Kernel_exec.run_shard session device ~owns
+      | Accrt.Engine.Tree ->
+          let space = Accrt.Kernel_exec.space session device in
+          Accrt.Kernel_exec.run_shard session space device
+            ~shard:(Accrt.Kernel_exec.whole space)
       | Accrt.Engine.Compiled ->
-          Accrt.Compile.run_shard (Lazy.force ecache) session device ~owns
+          let cache = Lazy.force ecache in
+          let space = Accrt.Compile.space cache session device in
+          Accrt.Compile.run_shard cache session space device
+            ~shard:(Accrt.Kernel_exec.whole space)
     in
     Accrt.Kernel_exec.commit session;
     iterations

@@ -117,14 +117,25 @@ let owner schedule ~parts ~total i =
         let chunk = (total + parts - 1) / parts in
         min (i / chunk) (parts - 1)
 
-(** Number of ordinals of a [total]-iteration loop owned by participant
-    [part] (for per-shard cost accounting). *)
-let shard_size schedule ~parts ~total part =
-  if parts <= 1 then total
+(** A shard: [count] ascending ordinals from [first], [stride] apart. *)
+type shard = { first : int; stride : int; count : int }
+
+(** The shard of a [total]-iteration loop owned by participant [part]. *)
+let shard schedule ~parts ~total part =
+  if parts <= 1 then { first = 0; stride = 1; count = total }
   else
     match schedule with
-    | Cyclic -> ((total - part - 1) / parts) + if part < total then 1 else 0
+    | Cyclic ->
+        let count =
+          if part < total then ((total - part - 1) / parts) + 1 else 0
+        in
+        { first = part; stride = parts; count }
     | Block ->
         let chunk = (total + parts - 1) / parts in
-        let lo = part * chunk in
-        if lo >= total then 0 else min chunk (total - lo)
+        let first = part * chunk in
+        { first; stride = 1; count = max 0 (min chunk (total - first)) }
+
+let iter_shard f sh =
+  for j = 0 to sh.count - 1 do
+    f (sh.first + (j * sh.stride))
+  done

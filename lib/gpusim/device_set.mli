@@ -51,5 +51,14 @@ val member_times : t -> (float * float) array
     loop split across [parts] participants. *)
 val owner : schedule -> parts:int -> total:int -> int -> int
 
-(** Number of ordinals owned by participant [part]. *)
-val shard_size : schedule -> parts:int -> total:int -> int -> int
+(** A shard: [count] ascending ordinals from [first], [stride] apart —
+    a block split's contiguous chunk, a cyclic split's round-robin share,
+    or a whole space. *)
+type shard = { first : int; stride : int; count : int }
+
+(** The shard of participant [part]: exactly the ordinals {!owner} gives
+    it. *)
+val shard : schedule -> parts:int -> total:int -> int -> shard
+
+(** [iter_shard f sh] calls [f] on each ordinal of [sh], ascending. *)
+val iter_shard : (int -> unit) -> shard -> unit

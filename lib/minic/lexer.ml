@@ -152,7 +152,12 @@ let lex_pragma st =
   blanks ();
   let word = "pragma" in
   let n = String.length word in
-  if st.pos + n <= String.length st.src && String.sub st.src st.pos n = word
+  (* The word ends at a non-identifier character: [#pragmaacc] is no
+     pragma. *)
+  if
+    st.pos + n <= String.length st.src
+    && String.sub st.src st.pos n = word
+    && not (st.pos + n < String.length st.src && is_alnum st.src.[st.pos + n])
   then begin
     for _ = 1 to n do advance st done;
     Token.PRAGMA

@@ -37,11 +37,15 @@
       kernels fast.  Kernels compile once per cache, keyed by kernel id,
       so repeated launches (JACOBI sweeps) reuse the closure.  Entry names
       are bound to device buffers and private scalar copies per runner
-      call.  Every launch is one {!Kernel_exec} session, and {!run_shard}
-      is this engine's one runner for it: called once owning every
+      call.  Every launch is one {!Kernel_exec} session.  A parallel
+      loop's header compiles apart from its body, once per cache, and
+      {!space} walks it once per launch into the session's iteration
+      space; {!run_shard} is this engine's one runner: called with every
       ordinal for a whole launch, once per shard for a sharded one, for
-      every kernel shape.  The thread registers hold the session's cells,
-      so staging and commit are shared with the tree walker's runner.
+      every kernel shape, and a parallel loop's threads take the driver
+      from the space, never evaluating the header.  The thread registers
+      hold the session's cells, so staging and commit are shared with the
+      tree walker's runner.
     - {e register-bound regions} (kernel verification's sequential runs):
       a kernel's sequential source compiles once in register mode, and at
       each occurrence every name it mentions is bound to the environment's
@@ -526,20 +530,14 @@ let reference ~engine ?hook prog =
 (* Kernel compilation (register mode).                                 *)
 (* ------------------------------------------------------------------ *)
 
-(** Loop header of a compiled kernel.  In the parallel mode the driver
-    cell replaces the loop variable's {e base} register (header
-    expressions are compiled against the base scope, so — like the tree
-    walker, which evaluates them outside the thread scope — they never see
-    per-thread cells). *)
+(** Loop header of a compiled kernel: a [seq] loop's, which its one
+    thread runs, or a parallel loop's driver register — the loop
+    variable's base register, set per thread from the launch's iteration
+    space. *)
 type cmode =
   | Cnone
   | Cseq of { driver_slot : int; init : cexp; cond : cexp; step : cstm option }
-  | Cpar of {
-      driver_slot : int;  (** base-scope register of [kl_var] *)
-      init : cexp;
-      cond : cexp;
-      step : cstm option;
-    }
+  | Cpar of { driver_slot : int }
 
 type ckernel = {
   ck_base : (string * int) list;  (** kernel names, in {!Kernel_exec.kernel_names} order *)
@@ -553,6 +551,34 @@ type ckernel = {
   ck_body : cstm;
   ck_globals : string list;  (** {!Kernel_exec.callee_globals} *)
 }
+
+(** A parallel loop's header, compiled against registers for its own
+    names only, as {!Kernel_exec.space} evaluates it. *)
+type cheader = {
+  ch_base : (string * int) list;  (** {!Kernel_exec.header_names} *)
+  ch_driver : int;
+  ch_init : cexp;
+  ch_cond : cexp;
+  ch_step : cstm option;
+  ch_nregs : int;
+  ch_globals : string list;
+}
+
+let compile_header u k l =
+  let res = Resolve.create () in
+  let base =
+    List.map (fun n -> (n, Resolve.declare res n)) (Kernel_exec.header_names l)
+  in
+  let init = cexpr u res l.kl_init in
+  let cond = cexpr u res l.kl_cond in
+  let step = Option.map (cstmt u res) l.kl_step in
+  { ch_base = base;
+    ch_driver = List.assoc l.kl_var base;
+    ch_init = init;
+    ch_cond = cond;
+    ch_step = step;
+    ch_nregs = max 1 (Resolve.frame_size res);
+    ch_globals = Kernel_exec.callee_globals u.uprog k }
 
 let compile_kernel u (k : kernel) : ckernel =
   let names = Kernel_exec.kernel_names k in
@@ -601,19 +627,13 @@ let compile_kernel u (k : kernel) : ckernel =
           Cseq { driver_slot; init; cond; step },
           body )
     | Some l ->
-        (* Parallel: header compiled against the base scope only. *)
-        let init = cexpr u res l.kl_init in
+        (* Parallel: the header is compiled apart ({!compile_header}). *)
         let driver_slot = base_slot l.kl_var in
-        let cond = cexpr u res l.kl_cond in
-        let step = Option.map (cstmt u res) l.kl_step in
         Resolve.enter res;
         let cls, cands = declare_thread () in
         let body = Resolve.scoped res (fun () -> cblock u res l.kl_body) in
         Resolve.leave res;
-        ( cls,
-          cands,
-          Cpar { driver_slot; init; cond; step },
-          body )
+        (cls, cands, Cpar { driver_slot }, body)
   in
   { ck_base = base;
     ck_class = cls;
@@ -645,6 +665,7 @@ type cache = {
   cmunit : cu;  (** mirror mode, for host statements *)
   chost : (int, int * cstm) Hashtbl.t;  (** tid -> (nregs, closure) *)
   csources : (int, csource) Hashtbl.t;  (** k_id -> compiled source *)
+  cheaders : (int, cheader) Hashtbl.t;  (** k_id -> parallel loop header *)
 }
 
 (** A kernel's sequential source: the names it mentions with their
@@ -656,7 +677,8 @@ let create_cache prog =
     ckernels = Hashtbl.create 8;
     cmunit = unit_of ~mirror:true prog;
     chost = Hashtbl.create 32;
-    csources = Hashtbl.create 8 }
+    csources = Hashtbl.create 8;
+    cheaders = Hashtbl.create 8 }
 
 (** Execute one host statement leaf through the compiled engine.  Free
     names fall back to environment lookups, so fragments compiled in
@@ -718,24 +740,13 @@ let prepare cache (k : kernel) =
   if not (cached cache k) then
     Hashtbl.replace cache.ckernels k.k_id (compile_kernel cache.cunit k)
 
-(** The compiled engine's runner for a launch session, with
-    {!Kernel_exec.run_shard}'s contract: every kernel shape, the ordinals
-    [owns] selects on [device], the same returned iteration count,
-    per-ordinal [weights] and staged results, published when the call
-    completes — with the kernel's cached register-mode closure in place of
-    the tree walk.  A whole launch is one call owning every ordinal. *)
-let run_shard cache session ?weights device ~owns =
-  let k = Kernel_exec.kernel session in
-  prepare cache k;
-  let ck = Hashtbl.find cache.ckernels k.k_id in
+(* A launch's base registers: device-array bindings and copies of the
+   host scalars, bound in [base] order (device-buffer resolution can
+   raise, so order matters), then the globals the kernel's callees see. *)
+let bind_base session device base globals nregs =
   let host_ctx = Kernel_exec.host session in
-  let regs = Array.make ck.ck_nregs Unbound in
+  let regs = Array.make nregs Unbound in
   let kctx = Eval.make host_ctx.prog (Value.create ()) in
-  let st = { ctx = kctx; regs } in
-  (* Base registers: device-array bindings and copies of the host
-     scalars, bound in [kernel_names] order (device-buffer resolution can
-     raise, so order matters), then the globals the kernel's callees
-     see. *)
   List.iter
     (fun (n, slot) ->
       Option.iter
@@ -743,8 +754,46 @@ let run_shard cache session ?weights device ~owns =
           regs.(slot) <-
             reg_of_binding (Kernel_exec.device_binding session device b))
         (Value.lookup host_ctx.env n))
-    ck.ck_base;
-  Kernel_exec.bind_globals session device kctx.env ck.ck_globals;
+    base;
+  Kernel_exec.bind_globals session device kctx.env globals;
+  { ctx = kctx; regs }
+
+(** The compiled engine's space pass, with {!Kernel_exec.space}'s
+    contract: a parallel loop's header, compiled once per cache (apart
+    from the kernel, so compiling it is no runner call) and walked over
+    registers bound to [device]'s buffers. *)
+let space cache session device =
+  let k = Kernel_exec.kernel session in
+  match k.k_loop with
+  | Some l when not k.k_seq ->
+      let h =
+        match Hashtbl.find_opt cache.cheaders k.k_id with
+        | Some h -> h
+        | None ->
+            let h = compile_header cache.cunit k l in
+            Hashtbl.replace cache.cheaders k.k_id h;
+            h
+      in
+      let st = bind_base session device h.ch_base h.ch_globals h.ch_nregs in
+      let driver = { v = h.ch_init st } in
+      st.regs.(h.ch_driver) <- Rscalar driver;
+      Kernel_exec.walk_space driver
+        ~cond:(fun () -> truthy (h.ch_cond st))
+        ~step:(fun () -> match h.ch_step with Some c -> c st | None -> ())
+  | Some _ | None -> Kernel_exec.single
+
+(** The compiled engine's runner for a launch session, with
+    {!Kernel_exec.run_shard}'s contract: every kernel shape, the ordinals
+    of [shard] of [space] on [device], the same returned iteration count,
+    per-ordinal [weights] and staged results, published when the call
+    completes — with the kernel's cached register-mode closure in place of
+    the tree walk.  A whole launch is one call with every ordinal. *)
+let run_shard cache session space ?weights device ~shard =
+  let k = Kernel_exec.kernel session in
+  prepare cache k;
+  let ck = Hashtbl.find cache.ckernels k.k_id in
+  let st = bind_base session device ck.ck_base ck.ck_globals ck.ck_nregs in
+  let regs = st.regs and kctx = st.ctx in
   let sg = Kernel_exec.staging session in
   let cells = Kernel_exec.cells sg in
   List.iteri (fun i slot -> regs.(slot) <- Rscalar cells.(i)) ck.ck_class;
@@ -762,13 +811,11 @@ let run_shard cache session ?weights device ~owns =
   let executed =
     match ck.ck_mode with
     | Cnone ->
-        if owns 0 then begin
-          thread 0 run_body;
-          1
-        end
-        else 0
+        Gpusim.Device_set.iter_shard (fun o -> thread o run_body) shard;
+        shard.Gpusim.Device_set.count
     | Cseq { driver_slot; init; cond; step } ->
-        if owns 0 then begin
+        if shard.Gpusim.Device_set.count = 0 then 0
+        else begin
           let trips = ref 0 in
           thread 0 (fun () ->
               let driver = { v = init st } in
@@ -781,21 +828,11 @@ let run_shard cache session ?weights device ~owns =
               Kernel_exec.stage_exit sg driver.v);
           !trips
         end
-        else 0
-    | Cpar { driver_slot; init; cond; step } ->
-        let driver = { v = init st } in
+    | Cpar { driver_slot } ->
+        let driver = { v = Int 0 } in
         regs.(driver_slot) <- Rscalar driver;
-        let executed = ref 0 and ordinal = ref 0 in
-        while truthy (cond st) do
-          if owns !ordinal then begin
-            incr executed;
-            thread !ordinal run_body
-          end;
-          incr ordinal;
-          match step with Some c -> c st | None -> ()
-        done;
-        Kernel_exec.stage_exit sg driver.v;
-        !executed
+        Kernel_exec.run_threads session sg ?weights kctx space ~shard driver
+          run_body
   in
   Kernel_exec.publish session sg;
   executed

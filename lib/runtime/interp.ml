@@ -265,16 +265,24 @@ let exec (cfg : config) (observers : observers) (tp : Codegen.Tprog.t) =
     end;
     cache
   in
-  (* The engine's kernel runner, shared by both launch paths: a whole
-     launch calls it once owning every ordinal, a sharded launch once per
-     shard, each between the session's start and commit. *)
-  let run_shard session ?weights dev ~owns =
+  (* The engine's space pass and kernel runner, shared by both launch
+     paths: a launch's iteration space is walked once, then a whole
+     launch calls the runner once with every ordinal, a sharded launch
+     once per shard, each between the session's start and commit.  The
+     space pass is no runner call: it counts neither a compile nor a
+     hit. *)
+  let space session dev =
     match engine with
-    | Engine.Tree -> Kernel_exec.run_shard session ?weights dev ~owns
+    | Engine.Tree -> Kernel_exec.space session dev
+    | Engine.Compiled -> Compile.space (Lazy.force ecache) session dev
+  in
+  let run_shard session space ?weights dev ~shard =
+    match engine with
+    | Engine.Tree -> Kernel_exec.run_shard session space ?weights dev ~shard
     | Engine.Compiled ->
         Compile.run_shard
           (compiled (Kernel_exec.kernel session))
-          session ?weights dev ~owns
+          session space ?weights dev ~shard
   in
 
   let cmodel = device.Gpusim.Device.cm in
@@ -712,12 +720,13 @@ let exec (cfg : config) (observers : observers) (tp : Codegen.Tprog.t) =
                   Coherence.note_gpu_fresh coh v ~devs:refreshed))
       (kernel_arrays k)
   in
-  (* Snapshot the kernel's device inputs from a fresh member: the
-     checkpoint of a recovering launch (exactly the data the §III-A
-     demotion snapshot would upload), the merge reference that separates a
-     sharded launch's writes, and the bridge of a host-only fallback.  The
-     checkpoint cost is charged only when the policy actually checkpoints. *)
-  let snapshot_inputs k ~charge =
+  (* Snapshot [arrays] from a fresh member: a kernel's device inputs are
+     the checkpoint of a recovering launch (exactly the data the §III-A
+     demotion snapshot would upload) and the bridge of a host-only
+     fallback; its written arrays are the merge reference that separates
+     a sharded launch's writes.  The checkpoint cost is charged only when
+     the policy actually checkpoints. *)
+  let snapshot arrays ~charge =
     match Gpusim.Device_set.first_alive devset with
     | None -> []
     | Some dev ->
@@ -732,7 +741,7 @@ let exec (cfg : config) (observers : observers) (tp : Codegen.Tprog.t) =
               Some (v, Gpusim.Buf.copy b)
             end
             else None)
-          (Analysis.Varset.elements (kernel_arrays k))
+          (Analysis.Varset.elements arrays)
   in
   (* Execute an unsharded kernel (seq, straight-line, a one-member set's,
      or a lone survivor's) on one member, failing over to the next alive
@@ -752,7 +761,10 @@ let exec (cfg : config) (observers : observers) (tp : Codegen.Tprog.t) =
       match
         Gpusim.Device.begin_launch dev ~label:k.k_name;
         let session = Kernel_exec.start ctx k in
-        let iterations = run_shard session dev ~owns:(fun _ -> true) in
+        let space = space session dev in
+        let iterations =
+          run_shard session space dev ~shard:(Kernel_exec.whole space)
+        in
         Kernel_exec.commit session;
         (* Launch dimensions are host expressions, evaluated (and their
            ops counted) once per executed attempt. *)
@@ -789,22 +801,24 @@ let exec (cfg : config) (observers : observers) (tp : Codegen.Tprog.t) =
     in
     attempt dev0 0
   in
-  (* Split a parallel-loop kernel across the alive members.  Each member
-     runs its shard against its own buffers; a member dying mid-launch has
-     its in-flight shard discarded and re-executed on a survivor; written
-     arrays are merged against the pre-launch snapshot (last writer in
-     device order wins, but shards are disjoint by construction) and
-     broadcast back; recoveries are validated by the §III-A comparator. *)
+  (* Split a parallel-loop kernel across the alive members.  The launch's
+     iteration space is walked once, on the first member; each member
+     runs its shard of it against its own buffers; a member dying
+     mid-launch has its in-flight shard discarded and re-executed on a
+     survivor; written arrays are merged against the pre-launch snapshot
+     (last writer in device order wins, but shards are disjoint by
+     construction) and broadcast back; recoveries are validated by the
+     §III-A comparator. *)
   let launch_sharded k async ~ckpt ~entry =
     let session = Kernel_exec.start ctx k in
     let parts = Array.of_list (Gpusim.Device_set.alive_ids devset) in
-    let total =
-      Kernel_exec.total_iterations session
-        (Gpusim.Device_set.device devset parts.(0))
-    in
+    let space = space session (Gpusim.Device_set.device devset parts.(0)) in
+    let total = Kernel_exec.size space in
     let nparts = Array.length parts in
     let schedule = devset.Gpusim.Device_set.schedule in
-    let assign i = Gpusim.Device_set.owner schedule ~parts:nparts ~total i in
+    let shards =
+      Array.init nparts (Gpusim.Device_set.shard schedule ~parts:nparts ~total)
+    in
     let written = Analysis.Varset.elements k.k_arrays_written in
     let width = kernel_width k in
     let executor = Array.copy parts in
@@ -836,7 +850,7 @@ let exec (cfg : config) (observers : observers) (tp : Codegen.Tprog.t) =
       match
         Gpusim.Device.begin_launch dev ~label:k.k_name;
         shard_iters.(p) <-
-          run_shard session ~weights dev ~owns:(fun i -> assign i = p);
+          run_shard session space ~weights dev ~shard:shards.(p);
         Gpusim.Device.scrub dev written
       with
       | [] -> ()
@@ -876,11 +890,14 @@ let exec (cfg : config) (observers : observers) (tp : Codegen.Tprog.t) =
         Float.max 0.0 (full -. overhead) /. float_of_int w_total
       else 0.0
     in
-    let shard_ops = Array.make nparts 0 in
-    for i = 0 to total - 1 do
-      let p = assign i in
-      shard_ops.(p) <- shard_ops.(p) + weights.(i)
-    done;
+    let shard_ops =
+      Array.map
+        (fun sh ->
+          let ops = ref 0 in
+          Gpusim.Device_set.iter_shard (fun i -> ops := !ops + weights.(i)) sh;
+          !ops)
+        shards
+    in
     let shard_durs = Array.make nparts 0.0 in
     for p = 0 to nparts - 1 do
       let dev = Gpusim.Device_set.device devset executor.(p) in
@@ -920,7 +937,9 @@ let exec (cfg : config) (observers : observers) (tp : Codegen.Tprog.t) =
     (* Merge each member's disjoint shard writes against the pre-launch
        snapshot and broadcast the result (overlapped peer DMA: charged to
        no clock, but modeled as one PCIe round per launch for the
-       analyzer), so every survivor holds the full array. *)
+       analyzer), so every survivor holds the full array.  The first
+       holding member's buffer is the merge target: its own diff against
+       the snapshot would reproduce it exactly. *)
     let alive = Gpusim.Device_set.alive_ids devset in
     let merge_bytes = ref 0 in
     List.iter
@@ -928,25 +947,31 @@ let exec (cfg : config) (observers : observers) (tp : Codegen.Tprog.t) =
         match List.assoc_opt v ckpt with
         | None -> ()
         | Some reference ->
-            let merged = Gpusim.Buf.copy reference in
+            let holders =
+              List.filter_map
+                (fun d ->
+                  let dev = Gpusim.Device_set.device devset d in
+                  if Gpusim.Device.is_allocated dev v then
+                    Some (d, Gpusim.Device.buffer dev v)
+                  else None)
+                alive
+            in
+            (match holders with
+            | [] -> ()
+            | (_, merged) :: others ->
+                List.iter
+                  (fun (_, src) ->
+                    Gpusim.Buf.merge_diff ~reference ~src ~dst:merged)
+                  others;
+                List.iter
+                  (fun (_, dst) -> Gpusim.Buf.blit ~src:merged ~dst)
+                  others);
             List.iter
-              (fun d ->
-                let dev = Gpusim.Device_set.device devset d in
-                if Gpusim.Device.is_allocated dev v then
-                  Gpusim.Buf.merge_diff ~reference
-                    ~src:(Gpusim.Device.buffer dev v) ~dst:merged)
-              alive;
-            List.iter
-              (fun d ->
-                let dev = Gpusim.Device_set.device devset d in
-                if Gpusim.Device.is_allocated dev v then begin
-                  Gpusim.Buf.blit ~src:merged
-                    ~dst:(Gpusim.Device.buffer dev v);
-                  note_blit ~k ~site:".merge" ~dir:Obs.Ledger.H2d
-                    ~cause:Obs.Ledger.Rebroadcast
-                    ~bytes:(Gpusim.Buf.bytes reference) ~dev:d v
-                end)
-              alive;
+              (fun (d, _) ->
+                note_blit ~k ~site:".merge" ~dir:Obs.Ledger.H2d
+                  ~cause:Obs.Ledger.Rebroadcast
+                  ~bytes:(Gpusim.Buf.bytes reference) ~dev:d v)
+              holders;
             merge_bytes := !merge_bytes + Gpusim.Buf.bytes reference;
             Hashtbl.replace fresh_on v alive;
             if coherence then Coherence.note_kernel_write coh v ~devs:alive)
@@ -1007,7 +1032,8 @@ let exec (cfg : config) (observers : observers) (tp : Codegen.Tprog.t) =
       (* Host mode, or some of the kernel's data could not be kept on the
          device: run the whole region on the host, bridging from/to the
          arrays that do live on the device. *)
-      cpu_fallback_exec k ~ckpt:(snapshot_inputs k ~charge:false) ~entry:[]
+      cpu_fallback_exec k ~ckpt:(snapshot (kernel_arrays k) ~charge:false)
+        ~entry:[]
     else begin
       sync_inputs k;
       let members = alive_members () in
@@ -1017,10 +1043,11 @@ let exec (cfg : config) (observers : observers) (tp : Codegen.Tprog.t) =
         | _ -> false
       in
       let checkpointing = Resilience.recovers policy in
-      (* Only recovery and the shard merge read the snapshot. *)
+      (* Only recovery reads the whole snapshot, and the shard merge its
+         written arrays. *)
       let ckpt =
-        if checkpointing || sharded then
-          snapshot_inputs k ~charge:checkpointing
+        if checkpointing then snapshot (kernel_arrays k) ~charge:true
+        else if sharded then snapshot k.k_arrays_written ~charge:false
         else []
       in
       (* Only re-execution, the CPU fallback and recovery validation read

@@ -5,7 +5,9 @@
 
     - arrays are shared and live in device memory;
     - private/firstprivate scalars (and loop induction variables) are fresh
-      per iteration, initialized from the kernel-entry host value;
+      per iteration, initialized from the kernel-entry host value; a
+      parallel loop's driver takes its value at the thread's ordinal from
+      the launch's iteration space, fixed before any thread runs;
     - reduction scalars accumulate into per-thread partials that are combined
       in pairwise tree order, so float results differ from the sequential
       reference in the last bits — the CPU/GPU precision mismatch that
@@ -17,13 +19,14 @@
       behaves like a private one; only its final (dead) writeback races, so
       outputs never differ (§IV-B's undetectable latent errors).
 
-    Every launch is one session: {!start}, then the engine's runner called
-    once owning every ordinal (a whole launch) or once per shard (a launch
-    split across a device set), then {!commit}.  Runners stage their
-    threads' scalars and publish them only when the call completes, so a
-    dying device's in-flight results are discarded, and reduction partials
-    carry their ordinal, so they combine in the one-device tree order
-    however the space was split or re-executed. *)
+    Every launch is one session: {!start}, the launch's iteration space
+    (walked once by the engine's header code), then the engine's runner
+    called once with every ordinal (a whole launch) or once per shard (a
+    launch split across a device set), then {!commit}.  Runners stage
+    their threads' scalars and publish them only when the call completes,
+    so a dying device's in-flight results are discarded, and reduction
+    partials carry their ordinal, so they combine in the one-device tree
+    order however the space was split or re-executed. *)
 
 open Minic.Ast
 open Codegen.Tprog
@@ -133,6 +136,11 @@ let add_kernel ns k =
   Option.iter (add_header ns) k.k_loop;
   List.iter (add_stmt ns) k.k_body
 
+let header_names l =
+  let ns = names () in
+  add_header ns l;
+  ns.rev
+
 let kernel_names k =
   let ns = names () in
   add_kernel ns k;
@@ -199,6 +207,10 @@ type session = {
   s_slots : slot array;  (* classified scalars in order, then induction *)
   s_exit_cell : cell option;  (* host cell of the loop variable *)
   s_res : results;  (* everything published so far *)
+  s_names : string list Lazy.t;
+      (* [kernel_names] and [callee_globals], walked once per launch by
+         the tree walker's first call that binds them *)
+  s_globals : string list Lazy.t;
 }
 
 (* One runner call: its threads' cells, one per slot, and what they
@@ -252,7 +264,9 @@ let start (host_ctx : Eval.ctx) (k : kernel) : session =
   let slots = Array.of_list (classified @ List.rev induction) in
   { s_host = host_ctx; s_k = k; s_slots = slots;
     s_exit_cell = Option.bind k.k_loop (fun l -> host_cell l.kl_var);
-    s_res = results (Array.length slots) }
+    s_res = results (Array.length slots);
+    s_names = lazy (kernel_names k);
+    s_globals = lazy (callee_globals host_ctx.Eval.prog k) }
 
 let kernel s = s.s_k
 let host s = s.s_host
@@ -290,23 +304,63 @@ let kernel_ctx s device names =
         (fun b -> Value.declare kenv n (device_binding s device b))
         (Value.lookup s.s_host.Eval.env n))
     names;
-  bind_globals s device kenv (callee_globals s.s_host.Eval.prog s.s_k);
+  bind_globals s device kenv (Lazy.force s.s_globals);
   (kenv, Eval.make s.s_host.Eval.prog kenv)
 
-let total_iterations s device =
+(* ------------------------- iteration spaces -------------------------- *)
+
+(* The driver's value at every ordinal: an integer progression while the
+   values are one (every canonical header), else each value. *)
+type drivers = Step of { first : int; stride : int } | Values of scalar array
+
+(* A kernel that is not a parallel loop is one thread at ordinal 0. *)
+type space = { size : int; drivers : drivers; exit : scalar option }
+
+let single = { size = 1; drivers = Values [||]; exit = None }
+
+let walk_space driver ~cond ~step =
+  let n = ref 0 and first = ref 0 and stride = ref 0 in
+  (* the values from the first one off the progression on, newest first *)
+  let off = ref [] in
+  while cond () do
+    (match (!off, driver.v) with
+    | [], Int x when !n = 0 -> first := x
+    | [], Int x when !n = 1 -> stride := x - !first
+    | [], Int x when x = !first + (!n * !stride) -> ()
+    | _, v -> off := v :: !off);
+    incr n;
+    step ()
+  done;
+  let drivers =
+    match !off with
+    | [] -> Step { first = !first; stride = !stride }
+    | off ->
+        let a = Array.make !n (Int 0) in
+        let on_step = !n - List.length off in
+        for j = 0 to on_step - 1 do
+          a.(j) <- Int (!first + (j * !stride))
+        done;
+        List.iteri (fun j v -> a.(!n - 1 - j) <- v) off;
+        Values a
+  in
+  { size = !n; drivers; exit = Some driver.v }
+
+(* The header is evaluated as the runners once did, in an environment
+   binding only its own names: the init before the driver shadows the
+   loop variable's launch copy. *)
+let space s device =
   match s.s_k.k_loop with
   | Some l when not s.s_k.k_seq ->
-      let ns = names () in
-      add_header ns l;
-      let kenv, kctx = kernel_ctx s device ns.rev in
-      Value.declare kenv l.kl_var (Scalar { v = Eval.eval kctx l.kl_init });
-      let n = ref 0 in
-      while truthy (Eval.eval kctx l.kl_cond) do
-        incr n;
-        match l.kl_step with Some st -> Eval.exec kctx st | None -> ()
-      done;
-      !n
-  | Some _ | None -> 1
+      let kenv, kctx = kernel_ctx s device (header_names l) in
+      let driver = { v = Eval.eval kctx l.kl_init } in
+      Value.declare kenv l.kl_var (Scalar driver);
+      walk_space driver
+        ~cond:(fun () -> truthy (Eval.eval kctx l.kl_cond))
+        ~step:(fun () -> Option.iter (Eval.exec kctx) l.kl_step)
+  | Some _ | None -> single
+
+let size sp = sp.size
+let whole sp = { Gpusim.Device_set.first = 0; stride = 1; count = sp.size }
 
 let staging s =
   { cells = Array.map (fun sl -> { v = sl.sl_init }) s.s_slots;
@@ -341,6 +395,19 @@ let thread s sg ?weights (ctx : Eval.ctx) ~ordinal run =
   done
 
 let stage_exit sg v = sg.res.exit <- Some v
+
+let run_threads s sg ?weights ctx sp ~shard driver run =
+  Gpusim.Device_set.iter_shard
+    (fun o ->
+      driver.v <-
+        (match sp.drivers with
+        | Step { first; stride } -> Int (first + (o * stride))
+        | Values a -> a.(o));
+      thread s sg ?weights ctx ~ordinal:o run)
+    shard;
+  (* The loop variable's exit value matches sequential execution. *)
+  Option.iter (stage_exit sg) sp.exit;
+  shard.Gpusim.Device_set.count
 
 (* Merge a completed call's results: partials accumulate, the
    highest-ordinal writer wins. *)
@@ -393,72 +460,56 @@ let commit s =
   | Some cell, Some v -> cell.v <- v
   | _ -> ()
 
-(* The tree walker's runner: one thread per owned ordinal of a parallel
+(* The tree walker's runner: one thread per given ordinal of a parallel
    loop; ordinal 0 alone runs a straight-line body or a whole [seq] loop
    over persistent cells. *)
-let run_shard s ?weights device ~owns =
+let run_shard s sp ?weights device ~shard =
   let k = s.s_k in
-  let kenv, kctx = kernel_ctx s device (kernel_names k) in
-  (* A thread's scope binds the committed names to the staging's cells;
-     declarations land in the body's own scope above it. *)
+  let kenv, kctx = kernel_ctx s device (Lazy.force s.s_names) in
+  (* One scope per call binds the committed names to the staging's cells
+     (above a parallel loop's driver); a thread's declarations land in
+     the body's own scope above it. *)
   let sg = staging s in
-  let cells = Array.map (fun c -> Scalar c) sg.cells in
-  let in_thread_scope run =
-    let body () =
-      for i = 0 to Array.length cells - 1 do
-        Value.declare kenv s.s_slots.(i).sl_name cells.(i)
-      done;
-      run ()
-    in
-    fun () -> Value.scoped kenv body
+  let bind_cells () =
+    Array.iteri
+      (fun i c -> Value.declare kenv s.s_slots.(i).sl_name (Scalar c))
+      sg.cells
   in
-  let in_thread b =
-    let exec () = Eval.exec_block kctx b in
-    in_thread_scope (fun () -> Value.scoped kenv exec)
-  in
+  let in_body b () = Value.scoped kenv (fun () -> Eval.exec_block kctx b) in
   let executed =
+    Value.scoped kenv @@ fun () ->
     match k.k_loop with
     | None ->
-        if owns 0 then begin
-          thread s sg ?weights kctx ~ordinal:0 (in_thread k.k_body);
-          1
-        end
-        else 0
+        bind_cells ();
+        let body = in_body k.k_body in
+        Gpusim.Device_set.iter_shard
+          (fun o -> thread s sg ?weights kctx ~ordinal:o body)
+          shard;
+        shard.Gpusim.Device_set.count
     | Some l when k.k_seq ->
-        if owns 0 then begin
+        if shard.Gpusim.Device_set.count = 0 then 0
+        else begin
+          bind_cells ();
           let trips = ref 0 in
-          let exec () = Eval.exec_block kctx l.kl_body in
-          thread s sg ?weights kctx ~ordinal:0
-            (in_thread_scope (fun () ->
-                 let driver = { v = Eval.eval kctx l.kl_init } in
-                 Value.declare kenv l.kl_var (Scalar driver);
-                 while truthy (Eval.eval kctx l.kl_cond) do
-                   incr trips;
-                   Value.scoped kenv exec;
-                   match l.kl_step with
-                   | Some st -> Eval.exec kctx st
-                   | None -> ()
-                 done;
-                 stage_exit sg driver.v));
+          let body = in_body l.kl_body in
+          thread s sg ?weights kctx ~ordinal:0 (fun () ->
+              let driver = { v = Eval.eval kctx l.kl_init } in
+              Value.declare kenv l.kl_var (Scalar driver);
+              while truthy (Eval.eval kctx l.kl_cond) do
+                incr trips;
+                body ();
+                match l.kl_step with
+                | Some st -> Eval.exec kctx st
+                | None -> ()
+              done;
+              stage_exit sg driver.v);
           !trips
         end
-        else 0
     | Some l ->
-        let driver = { v = Eval.eval kctx l.kl_init } in
+        let driver = { v = Int 0 } in
         Value.declare kenv l.kl_var (Scalar driver);
-        let body = in_thread l.kl_body in
-        let executed = ref 0 and ordinal = ref 0 in
-        while truthy (Eval.eval kctx l.kl_cond) do
-          if owns !ordinal then begin
-            incr executed;
-            thread s sg ?weights kctx ~ordinal:!ordinal body
-          end;
-          incr ordinal;
-          match l.kl_step with Some st -> Eval.exec kctx st | None -> ()
-        done;
-        (* The loop variable's exit value matches sequential execution. *)
-        stage_exit sg driver.v;
-        !executed
+        bind_cells ();
+        run_threads s sg ?weights kctx sp ~shard driver (in_body l.kl_body)
   in
   publish s sg;
   executed

@@ -2,7 +2,10 @@
 
     Iterations of the parallel loop play the role of GPU threads: arrays are
     shared in device memory; private/firstprivate scalars and induction
-    variables are fresh per iteration; reduction scalars accumulate into
+    variables are fresh per iteration (a parallel loop's driver too: each
+    thread starts from its ordinal's value in the launch's iteration space,
+    and a body that writes it changes no other thread's value); reduction
+    scalars accumulate into
     per-thread partials combined in pairwise tree order (hence float results
     differ from the sequential reference in the last bits); an {e active}
     raced scalar re-reads the kernel-entry value in every iteration with the
@@ -26,21 +29,30 @@ val names_of_block : Minic.Ast.stmt list -> string list
     the kernel in place: it allocates no statement id. *)
 val kernel_names : Codegen.Tprog.kernel -> string list
 
+(** The names a loop header mentions, in {!kernel_names}' order: what a
+    space pass binds. *)
+val header_names : Codegen.Tprog.kloop -> string list
+
 (** {1 Launch sessions}
 
-    Every launch is one session: {!start}, then the engine's runner —
+    Every launch is one session: {!start}; its iteration space, computed
+    once per launch by the engine's own header code — {!space} for the
+    tree walker, [Compile.space] for the compiled engine — against the
+    first executing member's buffers; then the engine's runner —
     {!run_shard} for the tree walker, [Compile.run_shard] for the compiled
-    engine — called once owning every ordinal (a whole launch) or once per
-    shard of a launch split across a device set, then {!commit}.  A runner
-    handles all three kernel shapes: a parallel loop runs one thread per
-    owned iteration ordinal; a straight-line kernel is one thread at
-    ordinal 0 running the body; a [seq] loop is one thread at ordinal 0
-    running the whole loop over persistent scalar cells.  It stages every
-    thread's committed scalars — a parallel thread's reduction partials
-    tagged with their ordinal, every other committed scalar's latest
-    writer (a [seq] loop's reductions included) — and the loop driver's
-    exit value, and publishes them only when the call completes, so a
-    dying device's in-flight contribution is discarded and reductions
+    engine — called once with every ordinal of the space (a whole launch)
+    or once per shard of a launch split across a device set; then
+    {!commit}.  A runner handles all three kernel shapes: a parallel loop
+    runs one thread per given ordinal, its driver set from the space and
+    its header never evaluated, so every device count and schedule runs
+    the same threads; a straight-line kernel is one thread at ordinal 0
+    running the body; a [seq] loop is one thread at ordinal 0 running the
+    whole loop, header included, over persistent scalar cells.  It stages
+    every thread's committed scalars — a parallel thread's reduction
+    partials tagged with their ordinal, every other committed scalar's
+    latest writer (a [seq] loop's reductions included) — and the loop
+    driver's exit value, and publishes them only when the call completes,
+    so a dying device's in-flight contribution is discarded and reductions
     combine in exactly the one-device tree order whatever the split or the
     failover passes. *)
 
@@ -59,11 +71,38 @@ val kernel : session -> Codegen.Tprog.kernel
 (** The host context the session commits to. *)
 val host : session -> Eval.ctx
 
-(** The thread count of a sharded launch: a parallel loop's trip count,
-    sized by a driver-only pass against [device]'s buffers (the first
-    executing member's, so a header reading device data sizes the space
-    the shards step); 1 for the other shapes. *)
-val total_iterations : session -> Gpusim.Device.t -> int
+(** {2 Iteration spaces} *)
+
+(** A launch's iteration space: a parallel loop's driver value at every
+    ordinal — an integer progression kept as its first value and stride,
+    any other sequence value by value — and its exit value, fixed before
+    any thread runs; one ordinal (0) and no driver for a straight-line
+    kernel or a [seq] loop.  It is the launch's one header walk: the
+    thread count, every shard's driver values and the exit value all come
+    from it, and no other pass sizes a launch. *)
+type space
+
+(** The space of a kernel that is not a parallel loop. *)
+val single : space
+
+(** [walk_space driver ~cond ~step]: a parallel loop's space, walked by
+    an engine's header code over [driver], the loop variable's cell once
+    the init has set it: while [cond ()] holds, [driver]'s value is the
+    next ordinal's and [step ()] advances it; its last value is the exit
+    value. *)
+val walk_space :
+  Value.cell -> cond:(unit -> bool) -> step:(unit -> unit) -> space
+
+(** The tree walker's space pass: a parallel loop's header, evaluated by
+    {!Eval} against [device]'s buffers in an environment binding only the
+    header's names; {!single} for the other shapes. *)
+val space : session -> Gpusim.Device.t -> space
+
+(** The space's ordinal count: a parallel loop's trip count, else 1. *)
+val size : space -> int
+
+(** Every ordinal of the space: a whole launch's shard. *)
+val whole : space -> Gpusim.Device_set.shard
 
 (** What a launch on [device] binds a host binding to: an array to the
     device's buffer, a scalar to a private copy of its value at launch.
@@ -110,21 +149,29 @@ val thread :
 (** Stage the loop driver's exit value. *)
 val stage_exit : staging -> Value.scalar -> unit
 
+(** [run_threads s sg ctx space ~shard driver run]: a parallel loop's
+    threads, one {!thread} per ordinal of [shard] with [driver] set to the
+    space's value at it, then the space's exit value staged.  Returns the
+    ordinal count. *)
+val run_threads :
+  session -> staging -> ?weights:int array -> Eval.ctx -> space ->
+  shard:Gpusim.Device_set.shard -> Value.cell -> (unit -> unit) -> int
+
 (** A clean completion: merge the staged results into the session (the
     highest-ordinal writer wins). *)
 val publish : session -> staging -> unit
 
-(** The tree walker's runner: execute the ordinals selected by [owns] on
-    [device], against its buffers, and publish their results.  Returns
-    the iteration count the launch is priced by — the executed ordinals,
-    the [seq] trip count, or 1.  [weights] (sized {!total_iterations})
-    receives the measured interpreted-op count of every executed ordinal,
-    for shard-level cost attribution.
+(** The tree walker's runner: execute the ordinals of [shard] of [space]
+    on [device], against its buffers, and publish their results.  Returns the
+    iteration count the launch is priced by — the executed ordinals, the
+    [seq] trip count, or 1.  [weights] (sized {!size}) receives the
+    measured interpreted-op count of every executed ordinal, for
+    shard-level cost attribution.
     @raise Gpusim.Device.Device_fault if the device dies mid-call (its
     staged results are discarded). *)
 val run_shard :
-  session -> ?weights:int array -> Gpusim.Device.t -> owns:(int -> bool) ->
-  int
+  session -> space -> ?weights:int array -> Gpusim.Device.t ->
+  shard:Gpusim.Device_set.shard -> int
 
 (** Commit the published results to the host: a parallel reduction
     combines its partials in ordinal (tree) order with the entry value,

@@ -842,6 +842,13 @@ let test_exit_code_table () =
             for (int i = 0; ; i++) { a[i] = 1.0; }\n\
             return 0; }\n",
          "parallel loop requires a condition");
+        ("parallel loop without an increment",
+         Some
+           "int main() { float a[4];\n\
+            #pragma acc kernels loop\n\
+            for (int i = 0; i < 4;) { a[i] = 1.0; i = i + 1; }\n\
+            return 0; }\n",
+         ":3:1: parallel loop requires an increment");
         ("out-of-range integer literal",
          Some "int main() { float a[4]; int x = 99999999999999999999; \
                return 0; }\n",
@@ -861,6 +868,16 @@ let test_exit_code_table () =
            \  for (int i = 0; i < 4; i++) { a[i] = 1.0; }\n\
            \  return 0; }\n",
          ":4:5: unknown OpenACC clause 'frobnicate'");
+        ("pragma run into its next word",
+         Some
+           "int main() { float a[4];\n\
+            #pragmaacc kernels loop\n\
+            for (int i = 0; i < 4; i++) { a[i] = 1.0; }\n\
+            return 0; }\n",
+         ":2:1: expected 'pragma' after '#'");
+        ("pragma word run into an identifier",
+         Some "int main() { float a[4];\n#pragmafoo\nreturn 0; }\n",
+         ":2:1: expected 'pragma' after '#'");
         ("bench:nope", None, "unknown benchmark 'nope'") ]
     in
     List.iter

@@ -713,18 +713,30 @@ let test_subscript_errors () =
    parallel loops, so this table holds one program per other shape a
    launch can take — a straight-line kernel, a [seq] loop, a zero-trip
    parallel loop, a parallel loop over a variable declared before the
-   region — plus EP's Table II fault build with its raced scalars.  Each
-   runs under both engines on 1, 2 and 4 devices with either schedule,
-   and every host scalar and array it leaves must be bit-identical to the
-   tree walker's one-device run; a race-free program must also leave the
-   sequential reference's values.  Verification must agree across the
-   engines (and find nothing in a race-free program). *)
+   region, fewer ordinals than devices, a decreasing header, a header
+   whose values are no arithmetic progression — plus EP's
+   Table II fault build with its raced scalars, and two non-conforming
+   loops whose iteration space a body could move: one writes its own
+   driver, one writes the element its header is bounded by.  Each runs
+   under both engines on 1, 2 and 4 devices with either schedule, and
+   every host scalar and array it leaves must be bit-identical to the
+   tree walker's one-device run.  Verification must agree across the
+   engines.  A row's [shape_expect] says what else holds. *)
+type shape_expect =
+  | Reference
+      (** race-free: the sequential reference's values, verified clean *)
+  | Raced  (** raced scalars: nothing more *)
+  | Fixed_space of (string * float list) list
+      (** the launch's space is fixed before any thread runs: these host
+          arrays, which the sequential reference does not leave, so
+          verification fails the kernel *)
+
 let shape_programs =
   let ep = Option.get (Suite.Registry.find "EP") in
   let parse ~file src = Parser.parse_string ~file src in
   [ ( "straight-line kernel",
       Codegen.Options.default,
-      true,
+      Reference,
       parse ~file:"straight"
         {|int main() {
   int n = 8; float a[n]; float s = 1.5; float t = 0.0;
@@ -739,7 +751,7 @@ let shape_programs =
 }|} );
     ( "seq loop, data-dependent exit",
       Codegen.Options.default,
-      true,
+      Reference,
       parse ~file:"seq"
         {|int main() {
   int n = 16; float a[n]; float b[n]; float s = 3.0; int i = 0;
@@ -750,7 +762,7 @@ let shape_programs =
 }|} );
     ( "zero-trip parallel loop",
       Codegen.Options.default,
-      true,
+      Reference,
       parse ~file:"zero"
         {|int main() {
   int n = 8; float a[n]; float z = 2.5; int j = 7;
@@ -761,7 +773,7 @@ let shape_programs =
 }|} );
     ( "outer loop variable, private/firstprivate, outer induction",
       Codegen.Options.default,
-      true,
+      Reference,
       parse ~file:"outer"
         {|int main() {
   int n = 12; float a[n]; float b[n]; int k = -1; int j = -1;
@@ -777,11 +789,67 @@ let shape_programs =
   }
   return 0;
 }|} );
+    ( "three ordinals on four devices",
+      Codegen.Options.default,
+      Reference,
+      parse ~file:"three"
+        {|int main() {
+  int n = 3; float a[n]; float s = 0.5; int i = 9;
+  for (int q = 0; q < n; q++) { a[q] = float(q) + 1.0; }
+  #pragma acc kernels loop reduction(+:s)
+  for (i = 0; i < n; i++) { a[i] = a[i] * 2.0; s = s + a[i]; }
+  return 0;
+}|} );
+    ( "decreasing header, step 3",
+      Codegen.Options.default,
+      Reference,
+      parse ~file:"down"
+        {|int main() {
+  int n = 16; float a[n]; float s = 0.25; int i = 0;
+  for (int q = 0; q < n; q++) { a[q] = float(q); }
+  #pragma acc kernels loop reduction(+:s)
+  for (i = n - 2; i >= 0; i = i - 3) { a[i] = a[i] * 3.0; s = s + a[i]; }
+  return 0;
+}|} );
+    ( "geometric header",
+      Codegen.Options.default,
+      Reference,
+      parse ~file:"geometric"
+        {|int main() {
+  int n = 40; float a[n]; float s = 0.0; int i = 0;
+  for (int q = 0; q < n; q++) { a[q] = float(q) * 0.5; }
+  #pragma acc kernels loop reduction(+:s)
+  for (i = 1; i < n; i = i * 2) { a[i] = a[i] + 1.0; s = s + a[i]; }
+  return 0;
+}|} );
     ( "EP fault build",
       Codegen.Options.fault_injection,
-      false,
+      Raced,
       Openarc_core.Faults.strip_parallelism_clauses
-        (parse ~file:ep.name ep.source) ) ]
+        (parse ~file:ep.name ep.source) );
+    ( "body writes its own index",
+      Codegen.Options.default,
+      Fixed_space [ ("a", List.init 16 (fun _ -> 1.0)) ],
+      parse ~file:"index"
+        {|int main() {
+  int n = 16; float a[n];
+  for (int q = 0; q < n; q++) { a[q] = 0.0; }
+  #pragma acc kernels loop copy(a)
+  for (int i = 0; i < n; i = i + 1) { a[i] = a[i] + 1.0; i = i + 1; }
+  return 0;
+}|} );
+    ( "header bounded by an element the loop writes",
+      Codegen.Options.default,
+      Fixed_space [ ("b", [ 6.0; 1.0; 1.0; 1.0; 1.0; 0.0; 0.0; 0.0 ]) ],
+      parse ~file:"bound"
+        {|int main() {
+  int n = 8; int b[n];
+  for (int q = 0; q < n; q++) { b[q] = 0; }
+  b[0] = 5;
+  #pragma acc kernels loop copy(b)
+  for (int i = 0; i < b[0]; i++) { b[i] = b[i] + 1; }
+  return 0;
+}|} ) ]
 
 (* Every name bound in [env], once, sorted (frame iteration order is
    unspecified, so only the sorted set is observed). *)
@@ -797,7 +865,7 @@ let bound_names env =
 
 let test_kernel_shapes () =
   List.iter
-    (fun (what, opts, race_free, prog) ->
+    (fun (what, opts, expect, prog) ->
       let tp = Codegen.Translate.translate ~opts (Typecheck.check prog) prog in
       let run engine devices schedule =
         (Accrt.Interp.exec
@@ -807,9 +875,20 @@ let test_kernel_shapes () =
       in
       let oracle = run tree 1 Gpusim.Device_set.Block in
       let names = bound_names oracle in
-      if race_free then
-        check_outputs (what ^ ": tree --devices 1 vs sequential reference")
-          (Accrt.Eval.run_reference prog).Accrt.Eval.env oracle names;
+      (match expect with
+      | Reference ->
+          check_outputs (what ^ ": tree --devices 1 vs sequential reference")
+            (Accrt.Eval.run_reference prog).Accrt.Eval.env oracle names
+      | Raced -> ()
+      | Fixed_space arrays ->
+          List.iter
+            (fun (v, want) ->
+              let buf = Accrt.Value.array_buf oracle v in
+              Alcotest.(check (list (float 0.0)))
+                (Fmt.str "%s: tree --devices 1 leaves %s" what v)
+                want
+                (List.init (Gpusim.Buf.length buf) (Gpusim.Buf.get_float buf)))
+            arrays);
       List.iter
         (fun engine ->
           List.iter
@@ -831,11 +910,13 @@ let test_kernel_shapes () =
       let verify engine = Openarc_core.Kernel_verify.verify ~opts ~engine prog in
       let vt = verify tree in
       check_verify (what ^ " verify") vt (verify compiled);
-      if race_free then
-        Alcotest.(check int)
-          (what ^ ": verifies clean")
-          0
-          (List.length (Openarc_core.Kernel_verify.detected_errors vt)))
+      let detected = List.length (Openarc_core.Kernel_verify.detected_errors vt) in
+      match expect with
+      | Reference -> Alcotest.(check int) (what ^ ": verifies clean") 0 detected
+      | Raced -> ()
+      | Fixed_space _ ->
+          Alcotest.(check int) (what ^ ": verification fails the kernel") 1
+            detected)
     shape_programs
 
 (* Fault-matrix slice: the resilient runtime (retry, re-execution with

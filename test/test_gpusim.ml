@@ -363,32 +363,36 @@ let test_metrics () =
 (* --------------------------- Device_set --------------------------- *)
 
 (* Block and cyclic splits must partition the iteration space: every
-   ordinal has exactly one owner in range, per-part ordinal counts match
-   shard_size, and shard sizes sum back to the total. *)
+   ordinal has exactly one owner in range, and each part's shard lists
+   exactly the ordinals it owns, ascending (an empty space included). *)
 let split_partitions =
   let open QCheck in
   Test.make ~count:300 ~name:"Device_set split partitions the space"
-    (triple (int_range 1 100) (int_range 1 8) bool)
+    (triple (int_range 0 100) (int_range 1 8) bool)
     (fun (total, parts, cyclic) ->
       let schedule =
         if cyclic then Gpusim.Device_set.Cyclic else Gpusim.Device_set.Block
       in
-      let counts = Array.make parts 0 in
-      for i = 0 to total - 1 do
+      let owned = Array.make parts [] in
+      for i = total - 1 downto 0 do
         let o = Gpusim.Device_set.owner schedule ~parts ~total i in
         if o < 0 || o >= parts then
           Test.fail_reportf "owner %d out of range for i=%d" o i;
-        counts.(o) <- counts.(o) + 1
+        owned.(o) <- i :: owned.(o)
       done;
-      let sum = ref 0 in
       for p = 0 to parts - 1 do
-        let sz = Gpusim.Device_set.shard_size schedule ~parts ~total p in
-        if sz <> counts.(p) then
-          Test.fail_reportf "shard_size %d <> owned count %d for part %d" sz
-            counts.(p) p;
-        sum := !sum + sz
+        let shard = ref [] in
+        Gpusim.Device_set.iter_shard
+          (fun i -> shard := i :: !shard)
+          (Gpusim.Device_set.shard schedule ~parts ~total p);
+        let shard = List.rev !shard in
+        if shard <> owned.(p) then
+          Test.fail_reportf "part %d's shard [%s] <> its owned ordinals [%s]"
+            p
+            (String.concat ";" (List.map string_of_int shard))
+            (String.concat ";" (List.map string_of_int owned.(p)))
       done;
-      !sum = total)
+      true)
 
 let test_device_set_schedules () =
   let owner s i = Gpusim.Device_set.owner s ~parts:3 ~total:10 i in
@@ -404,7 +408,8 @@ let test_device_set_schedules () =
   Alcotest.(check int) "solo owner" 0
     (Gpusim.Device_set.owner Gpusim.Device_set.Cyclic ~parts:1 ~total:10 7);
   Alcotest.(check int) "solo shard" 10
-    (Gpusim.Device_set.shard_size Gpusim.Device_set.Block ~parts:1 ~total:10 0);
+    (Gpusim.Device_set.shard Gpusim.Device_set.Block ~parts:1 ~total:10 0)
+      .Gpusim.Device_set.count;
   (* schedule names round-trip; unknown names are rejected *)
   List.iter
     (fun s ->

@@ -83,6 +83,14 @@ let test_errors () =
    with Loc.Error (_, msg) ->
      Alcotest.(check bool) "pragma msg" true
        (String.length msg > 0));
+  (* [pragma] must end at a non-identifier character *)
+  List.iter
+    (fun src ->
+      Alcotest.check_raises src
+        (Loc.Error (Loc.make ~file:"t" ~line:2 ~col:1,
+                    "expected 'pragma' after '#'"))
+        (fun () -> ignore (toks ("int x;\n" ^ src))))
+    [ "#pragmaacc kernels loop"; "#pragmafoo" ];
   (* an integer literal past max_int (2^62 - 1) is located at the literal *)
   check_toks "max_int" "4611686018427387903" [ "4611686018427387903"; "<eof>" ];
   Alcotest.check_raises "out-of-range integer"

@@ -1,10 +1,11 @@
 (* Integration tests of the bench driver's [wall] tier: the exit-2 usage
    convention for malformed flags, the bench-wall JSON report shape (run
-   and verify timers, the many-kernel row, the lookup-depth row), the
-   single-engine mode, the --min-speedup gate on both suite medians (both
-   directions — impossible bounds must fail, a sub-1.0 sanity bound must
-   pass), and the fixed bounds that gate also holds the many-kernel row,
-   the front end, the static passes and the lookup depth to. *)
+   and verify timers, the many-kernel row, the lookup-depth row, the
+   shards row), the single-engine mode, the --min-speedup gate on both
+   suite medians (both directions — impossible bounds must fail, a
+   sub-1.0 sanity bound must pass), and the fixed bounds that gate also
+   holds the many-kernel row, the front end, the static passes, the
+   lookup depth and the shards ratio to. *)
 
 let exe = "../bench/main.exe"
 
@@ -92,6 +93,29 @@ let check_lookup_depth v =
         | _ -> false))
     [ "x16_s"; "x1_s"; "growth" ]
 
+(* The shards row: the compiled engine's runs on four block-split
+   devices and on one, timed whatever engines the tier compares. *)
+let check_shards v =
+  let shards = Option.get (Obs.Pjson.member "shards" v) in
+  Alcotest.(check (option (list string))) "shards devices"
+    (Some [ "1"; "4" ])
+    (match Obs.Pjson.member "devices" shards with
+    | Some (Obs.Pjson.Arr xs) ->
+        Some
+          (List.map
+             (function Obs.Pjson.Num x -> x | _ -> "not a number")
+             xs)
+    | _ -> None);
+  Alcotest.(check (option string)) "shards schedule" (Some "block")
+    (Option.map Obs.Pjson.str_exn (Obs.Pjson.member "schedule" shards));
+  List.iter
+    (fun field ->
+      Alcotest.(check bool) ("shards " ^ field ^ " positive") true
+        (match Obs.Pjson.member field shards with
+        | Some (Obs.Pjson.Num x) -> float_of_string x > 0.0
+        | _ -> false))
+    [ "dev4_s"; "dev1_s"; "ratio" ]
+
 let test_wall_report () =
   if available then begin
     let json = Filename.temp_file "wall_report" ".json" in
@@ -145,7 +169,8 @@ let test_wall_report () =
           | Some (Obs.Pjson.Num x) -> float_of_string x > 0.0
           | _ -> false))
       [ "tree_s"; "compiled_s"; "speedup" ];
-    check_lookup_depth v
+    check_lookup_depth v;
+    check_shards v
   end
 
 let test_single_engine () =
@@ -181,12 +206,14 @@ let test_single_engine () =
     Alcotest.(check bool) "many-kernel tree_s and speedup absent" true
       (Obs.Pjson.member "tree_s" many = None
       && Obs.Pjson.member "speedup" many = None);
-    check_lookup_depth v
+    check_lookup_depth v;
+    check_shards v
   end
 
 (* Given --min-speedup, the gate also holds the many-kernel speedup, the
-   growth of the front end and both static passes and the lookup-depth
-   growth to fixed bounds and prints one verdict each; returns which fail.
+   growth of the front end and both static passes, the lookup-depth
+   growth and the shards ratio to fixed bounds and prints one verdict
+   each; returns which fail.
    These are wall-clock ratios, so a loaded machine may put one past its
    bound, and the exit code must then say so. *)
 let fixed_verdicts out =
@@ -197,8 +224,8 @@ let fixed_verdicts out =
       Alcotest.(check bool) (what ^ " verdict") true (within <> over);
       over)
     [ "many-kernel speedup"; "median parse growth"; "median print growth";
-      "median instrument growth"; "median lint growth"; "lookup-depth growth"
-    ]
+      "median instrument growth"; "median lint growth"; "lookup-depth growth";
+      "shards ratio" ]
 
 let test_min_speedup_gate () =
   if available then begin
