@@ -1278,8 +1278,9 @@ let timed (calls, f) =
    the sequential reference run of one loop under many and under few
    enclosing scopes, and [Shards] the compiled runs of the selected
    benchmarks on four devices and on one; each of those rows is a gate
-   of its own. *)
-type kind = Run | Verify | Many | Growth | Depth | Shards
+   of its own.  [Search] is a benchmark's [Saturate.run] against its
+   plain compiled run, gated on the median of its ratios. *)
+type kind = Run | Verify | Many | Growth | Depth | Shards | Search
 
 (* A timed row: each side's median seconds over the rounds and, for two
    sides, the median over the rounds of the first side's time over the
@@ -1382,6 +1383,17 @@ let depth_program scopes =
 let shards_devices = 4
 let shards_bound = 1.6
 
+(* The search row: [Saturate.run] (default config) on a benchmark
+   against the compiled one-device plain run of the same translation,
+   over the run rows' rounds.  The search's cost is mostly its
+   validation ladder's runs per candidate: on JACOBI, EP and SRAD the
+   median ratio reads 28.8-32.4x with the tree walker run once per
+   candidate, and 48.3-51.7x with it run at 2 and 4 devices as well.
+   The ratio depends on the program (17-147x over the suite, whose
+   median reads 41x), so the bound fits the wall-smoke selection.  Past
+   [search_bound] the wall-smoke gate fails. *)
+let search_bound = 40.0
+
 (* A plain run of [tp] under [engine] on [devices] block-split devices,
    discarding its outcome. *)
 let plain_run ~devices engine tp =
@@ -1390,8 +1402,8 @@ let plain_run ~devices engine tp =
        { Accrt.Interp.default with engine; seed = 42; devices }
        Accrt.Interp.detached tp)
 
-(* Every row, in order: each benchmark's run and verify rows over
-   [repeats] rounds, then the many-kernel, growth, lookup-depth and
+(* Every row, in order: each benchmark's run, verify and search rows
+   over [repeats] rounds, then the many-kernel, growth, lookup-depth and
    shards rows over [rounds]. *)
 let wall_rows ~repeats ~rounds ~engines benches =
   let per_engine f =
@@ -1418,7 +1430,16 @@ let wall_rows ~repeats ~rounds ~engines benches =
             (per_engine (fun engine ->
                  ignore
                    (Openarc_core.Kernel_verify.verify ~symbolic:true ~engine
-                      prog))) ])
+                      prog)));
+          time_row ~rounds:repeats b.name Search
+            [ ( "saturate",
+                ( 1,
+                  fun () ->
+                    ignore (Saturate.run ~name:b.name ~outputs:b.outputs prog)
+                ) );
+              ( "compiled",
+                (1, fun () -> plain_run ~devices:1 Accrt.Engine.Compiled tp) )
+            ] ])
       programs
   in
   let many =
@@ -1471,7 +1492,8 @@ let pp_row ppf r =
     (match r.kind with
     | Run | Many | Shards -> "run"
     | Verify -> "verify"
-    | Growth | Depth -> "growth");
+    | Growth | Depth -> "growth"
+    | Search -> "search");
   List.iter (fun (label, t) -> Fmt.pf ppf "  %s %9.6f s" label t) r.times;
   Option.iter (Fmt.pf ppf "  %6.2fx") r.ratio;
   Fmt.pf ppf "@."
@@ -1498,7 +1520,8 @@ let wall_doc ~repeats ~engines rows =
           P.Arr [ P.int (fst growth_copies); P.int (snd growth_copies) ] ) ]
     ~footer:
       ([ ("median_speedup", ratio (median_ratio Run rows));
-         ("median_verify_speedup", ratio (median_ratio Verify rows)) ]
+         ("median_verify_speedup", ratio (median_ratio Verify rows));
+         ("median_search_ratio", ratio (median_ratio Search rows)) ]
       @ List.map
           (fun r -> (r.name ^ "_growth", ratio r.ratio))
           (of_kind Growth rows)
@@ -1526,11 +1549,13 @@ let wall_doc ~repeats ~engines rows =
                 :: row_members ~ratio:"ratio" "" r) ))
           (of_kind Shards rows))
     (List.map2
-       (fun run verify ->
+       (fun (run, verify) search ->
          P.Obj
            ((("name", P.Str run.name) :: row_members "" run)
-           @ row_members "verify_" verify))
-       (of_kind Run rows) (of_kind Verify rows))
+           @ row_members "verify_" verify
+           @ row_members ~ratio:"ratio" "search_" search))
+       (List.combine (of_kind Run rows) (of_kind Verify rows))
+       (of_kind Search rows))
 
 (* The wall-smoke gates in verdict order: label, reading (None when a
    single engine ran), and the bound it must be at least or at most. *)
@@ -1544,6 +1569,7 @@ let wall_gates ~need rows =
   @ each Growth (fun n -> "median " ^ n ^ " growth") (`At_most growth_bound)
   @ each Depth (fun n -> n ^ " growth") (`At_most depth_bound)
   @ each Shards (fun n -> n ^ " ratio") (`At_most shards_bound)
+  @ [ ("median search ratio", median_ratio Search rows, `At_most search_bound) ]
 
 (* One gate's verdict line; 1 when it fails. *)
 let verdict ppf what got bound =
@@ -1564,7 +1590,8 @@ let verdict ppf what got bound =
    both suite median speedups at least [min_speedup], the many-kernel
    speedup at least [many_bound] (when both engines ran), every pass's
    growth at most [growth_bound], the lookup-depth growth at most
-   [depth_bound], and the shards ratio at most [shards_bound].
+   [depth_bound], the shards ratio at most [shards_bound], and the
+   median search ratio at most [search_bound].
    Returns the exit code. *)
 let run_wall ?(json = wall_path) ?names
     ?(engines = [ Accrt.Engine.Tree; Accrt.Engine.Compiled ])
@@ -1573,7 +1600,8 @@ let run_wall ?(json = wall_path) ?names
   let rounds = (4 * repeats) + 1 in
   Fmt.pf ppf
     "Interpreter wall-clock (seed 42, source variant), medians of \
-     interleaved rounds:@.%d per benchmark row, %d per many-kernel row (%d \
+     interleaved rounds:@.%d per benchmark row (run, verify, and search: \
+     saturate vs compiled x1), %d per many-kernel row (%d \
      copies of three blocks), growth row (%d -> %d copies), \
      lookup-depth row (%d -> %d scopes) and shards row (compiled, 1 -> %d \
      block-split devices)@."

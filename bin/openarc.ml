@@ -712,9 +712,10 @@ let saturate_cmd =
              data-movement ledger's hoist/present/merge verdicts (plus \
              structural kernel fusion), greedily apply the top rewrite, \
              validate it via the symbolic tier, kernel verification, \
-             bit-identical outputs under both engines and 1/2/4-device \
-             sets, and a measured diff-profile confirmation, then repeat \
-             until no material candidate remains")
+             bit-identical outputs under the tree walker on one device and \
+             the compiled engine on 1/2/4-device sets, and a measured \
+             diff-profile confirmation, then repeat until no material \
+             candidate remains")
     Term.(const run $ file_arg $ seed_arg $ devices_arg $ json $ apply $ out
           $ max_steps)
 

@@ -22,8 +22,10 @@
       ({!Openarc_core.Kernel_verify.verify_tprog} [~symbolic:true]), so proved
       kernels cost zero device launches;
     + identical designated host outputs (the result comparator at
-      margin 0) against the *original* program under both execution
-      engines and 1/2/4-device sets;
+      margin 0) against the *original* program: the tree walker on one
+      device, and the compiled engine on every checked device-set size
+      (1/2/4 by default).  The engines agree bit for bit on device sets,
+      so the tree walker runs once, as the measurement run;
     + measured corroboration: the diff-profile Mem-Transfer delta of the
       patched program must land within 0.25–4x of the ledger's predicted
       [saved_s] (the memtrace confirmation band).  The profile comes from
@@ -32,9 +34,10 @@
 
     A candidate failing any rung is rolled back and blacklisted; after an
     accepted step the ledger re-runs on the patched program, so later
-    candidates are ranked against the *remaining* waste.  The search
-    stops when no material candidate is left (0.5% of the modeled
-    transfer time) or the step budget is exhausted.
+    candidates are ranked against the *remaining* waste.  A rejection
+    leaves the program as it was, so the next step reuses its ledger
+    run.  The search stops when no material candidate is left (0.5% of
+    the modeled transfer time) or the step budget is exhausted.
 
     Each compiled-engine validation run compiles the kernels it launches
     once, and the search sums those runs' untraced compile counts
@@ -525,34 +528,45 @@ let run ?(config = default_config) ~name ~outputs prog0 =
     compiles := !compiles + o.Accrt.Interp.compiles;
     o
   in
-  let tree_run ?trace ~devices tp =
-    Accrt.Interp.exec
-      { Accrt.Interp.default with engine = Accrt.Engine.Tree; seed; devices }
-      { Accrt.Interp.detached with trace }
-      tp
-  in
   (* The measured side of every prediction: a traced tree-engine run on
      one device (the committed profile baseline's configuration) — its
      outcome, profile and simulated total. *)
   let measured_run tp =
     let tr = Obs.Trace.create () in
-    let o = tree_run ~trace:tr ~devices:1 tp in
+    let o =
+      Accrt.Interp.exec
+        { Accrt.Interp.default with
+          engine = Accrt.Engine.Tree; seed; devices = 1 }
+        { Accrt.Interp.detached with trace = Some tr }
+        tp
+    in
     ( o,
       (Obs.Profile.of_trace ~categories:profile_categories tr,
        Gpusim.Metrics.total_time (Accrt.Interp.metrics o)) )
   in
+  (* The checked configurations: both engines on one device, the
+     compiled engine alone on every other size.  The tree walker runs
+     once, as the measurement run: on a device set it reproduces the
+     compiled engine's outputs bit for bit, so a tree run there would
+     only repeat the compiled run's check.  Every ladder holds the
+     one-device entry ([check_devices] contains 1). *)
+  let configs =
+    List.concat_map
+      (fun devices ->
+        if devices = 1 then
+          [ (Accrt.Engine.Tree, 1); (Accrt.Engine.Compiled, 1) ]
+        else [ (Accrt.Engine.Compiled, devices) ])
+      config.check_devices
+  in
   (* The designated outputs of one run of a checked configuration, and
-     its measurement when it is the tree-engine single-device run: that
-     output check is the measurement run itself, so no rung repeats it.
-     Every ladder checks that configuration ([check_devices] holds 1). *)
-  let run_config tp cfg =
+     its measurement when it is the tree run. *)
+  let run_config tp (engine, devices) =
     let o, m =
-      match cfg with
-      | Accrt.Engine.Tree, 1 ->
+      match engine with
+      | Accrt.Engine.Tree ->
           let o, m = measured_run tp in
           (o, Some m)
-      | Accrt.Engine.Tree, devices -> (tree_run ~devices tp, None)
-      | Accrt.Engine.Compiled, devices -> (compiled_run ~devices tp, None)
+      | Accrt.Engine.Compiled -> (compiled_run ~devices tp, None)
     in
     (* All the search keeps of a run: the outcome itself holds the run's
        device set, and through its devices' observers the whole trace. *)
@@ -560,15 +574,15 @@ let run ?(config = default_config) ~name ~outputs prog0 =
   in
   (* Reference outputs of the *original* program, one per checked
      configuration — computed once, compared against every candidate. *)
-  let reference =
-    List.concat_map
-      (fun devices ->
-        List.map
-          (fun cfg -> (cfg, run_config tp0 cfg))
-          [ (Accrt.Engine.Tree, devices); (Accrt.Engine.Compiled, devices) ])
-      config.check_devices
-  in
-  (* A ladder's measurement: its tree-engine single-device run's. *)
+  let reference = List.map (fun cfg -> (cfg, run_config tp0 cfg)) configs in
+  (* An output the original program never binds would read as a
+     divergence of every candidate: refuse the request instead. *)
+  List.iter
+    (fun (name, binding) ->
+      if Option.is_none binding then
+        Fmt.failwith "output '%s' is not a variable of the program" name)
+    (fst (List.assoc (Accrt.Engine.Tree, 1) reference));
+  (* A ladder's measurement: its tree run's. *)
   let measurement runs = Option.get (List.find_map snd runs) in
   let before = measurement (List.map snd reference) in
   (* Returns the canonical patched program with its one translation —
@@ -606,10 +620,11 @@ let run ?(config = default_config) ~name ~outputs prog0 =
           (Rejected
              (Fmt.str "kernel verification failed (%d kernel(s))"
                 (List.length errs))));
-    (* 4. identical outputs (margin 0), both engines x every device-set
-       size: directive edits move data, they must never change what the
-       host computes.  A candidate whose run *crashes* (e.g. a rewrite
-       that breaks an allocation invariant) is rejected the same way. *)
+    (* 4. identical outputs (margin 0), tree x1 and the compiled engine
+       at every device-set size: directive edits move data, they must
+       never change what the host computes.  A candidate whose run
+       *crashes* (e.g. a rewrite that breaks an allocation invariant) is
+       rejected the same way. *)
     let runs =
       List.map
         (fun (((engine, devices) as cfg), (ref_outputs, _)) ->
@@ -637,31 +652,32 @@ let run ?(config = default_config) ~name ~outputs prog0 =
     (* 5. the measurement: rung 4's tree x1 run *)
     (cand_prog, tp, measurement runs)
   in
+  (* The material candidates of an adopted program, best first, from its
+     one scoring run: a rejection leaves the program as it was, so the
+     next step reuses them. *)
+  let rank prog tp =
+    let analysis, outcome = ledger_analysis ~name ~seed ~devices:1 tp in
+    let floor = materiality *. analysis.Obs.Ledger.a_transfer_s in
+    candidates prog outcome.Accrt.Interp.tprog analysis outcome
+    |> List.filter (fun c -> c.c_predicted_s > 0.0 && c.c_predicted_s >= floor)
+    |> List.sort (fun a b ->
+           match compare b.c_predicted_s a.c_predicted_s with
+           | 0 -> compare a.c_label b.c_label
+           | c -> c)
+  in
   let prog = ref prog0 in
-  let prog_tp = ref tp0 in  (* translation of [!prog] *)
   let current = ref before in  (* measurement of [!prog] *)
+  let ranked = ref (lazy (rank prog0 tp0)) in  (* candidates of [!prog] *)
   let steps = ref [] in
   let step_idx = ref 0 in
   let rejected = Hashtbl.create 8 in
   let finished = ref false in
   while (not !finished) && !step_idx < config.max_steps do
-    let analysis, outcome =
-      ledger_analysis ~name ~seed ~devices:1 !prog_tp
-    in
-    let tp = outcome.Accrt.Interp.tprog in
-    let floor = materiality *. analysis.Obs.Ledger.a_transfer_s in
-    let cands =
-      candidates !prog tp analysis outcome
-      |> List.filter (fun c ->
-             (not (Hashtbl.mem rejected c.c_label))
-             && c.c_predicted_s > 0.0
-             && c.c_predicted_s >= floor)
-      |> List.sort (fun a b ->
-             match compare b.c_predicted_s a.c_predicted_s with
-             | 0 -> compare a.c_label b.c_label
-             | c -> c)
-    in
-    match cands with
+    match
+      List.filter
+        (fun c -> not (Hashtbl.mem rejected c.c_label))
+        (Lazy.force !ranked)
+    with
     | [] -> finished := true
     | c :: _ -> (
         let index = !step_idx in
@@ -696,8 +712,8 @@ let run ?(config = default_config) ~name ~outputs prog0 =
                   && measured <= 4.0 *. c.c_predicted_s
                 then begin
                   prog := cand_prog;
-                  prog_tp := cand_tp;
                   current := m;
+                  ranked := lazy (rank cand_prog cand_tp);
                   record ~measured ~accepted:true ~reason:"accepted"
                 end
                 else

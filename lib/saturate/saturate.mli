@@ -9,15 +9,17 @@
     apply the top-ranked candidate, validate it (print/reparse round
     trip → static validity, the reparse's one compilation through
     [Openarc_core.Compiler] → §III-A kernel verification with the
-    symbolic tier first → identical designated outputs under both
-    engines and 1/2/4-device sets → measured diff-profile corroboration
-    within 0.25–4x of the prediction), re-run the ledger, repeat until no
-    material candidate remains.
+    symbolic tier first → identical designated outputs under the tree
+    walker on one device and the compiled engine on 1/2/4-device sets →
+    measured diff-profile corroboration within 0.25–4x of the
+    prediction), re-run the ledger, repeat until no material candidate
+    remains.
 
-    Each checked configuration runs once per candidate: the traced
-    tree-engine single-device output run is also the step's measurement,
-    the original program's reference run gives the "before" profile, and
-    the last accepted measurement gives "after".  Later rungs and the
+    Each checked configuration runs once per candidate, four runs by
+    default: the traced tree-engine single-device output run is also the
+    step's measurement, the original program's reference run gives the
+    "before" profile, and the last accepted measurement gives "after".
+    The ledger runs once per adopted program.  Later rungs and the
     next step run on the round-trip rung's reparse under a rebased sid
     allocator, and equal-priced candidates rank by label, so the report
     depends only on the program — not on what the process parsed before,
@@ -71,8 +73,9 @@ type t = {
 type config = {
   max_steps : int;
   check_devices : int list;
-      (** device-set sizes of the output check; must contain 1, since the
-          tree-engine single-device check is also the measurement run *)
+      (** device-set sizes of the output check, each run on the compiled
+          engine; must contain 1, whose entry also runs the tree walker:
+          that check is the measurement run *)
   seed : int;
 }
 
@@ -92,7 +95,10 @@ val candidates :
     what [r_program] holds.
     @raise Minic.Loc.Error or Acc.Validate.Invalid when [prog] does not
     compile through [Openarc_core.Compiler]
-    @raise Invalid_argument when [config.check_devices] lacks 1 *)
+    @raise Invalid_argument when [config.check_devices] lacks 1
+    @raise Failure ["output 'x' is not a variable of the program"] when
+    the original program's tree-engine run does not bind an output when
+    [main] returns *)
 val run :
   ?config:config -> name:string -> outputs:string list ->
   Minic.Ast.program -> t

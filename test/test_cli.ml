@@ -948,6 +948,25 @@ let test_exit_code_table () =
           err)
       [ ("run", "<input>:3:1"); ("run --instrument", "<input>:3:1");
         ("saturate", "<saturate>:7:3") ];
+    (* an output main's scope no longer binds when it returns (here the
+       array a kernel writes, declared in an inner block) is refused *)
+    let inner =
+      source
+        "int main() { { float a[8]; float b[8];\n\
+         for (int i = 0; i < 8; i++) { a[i] = 1.0; b[i] = 0.0; }\n\
+         #pragma acc kernels loop copyin(a) copy(b)\n\
+         for (int i = 0; i < 8; i++) { b[i] = b[i] + a[i]; }\n\
+         }\nreturn 0; }\n"
+    in
+    List.iter
+      (fun cmd ->
+        let code, err = run_lines (cmd ^ " " ^ Filename.quote inner) in
+        Alcotest.(check int) (cmd ^ ": unbound output exits 2") 2 code;
+        Alcotest.(check (list string))
+          (cmd ^ ": names the output")
+          [ "openarc: output 'b' is not a variable of the program" ]
+          err)
+      [ "saturate"; "optimize --outputs b"; "session --outputs b" ];
     (* a function a kernel calls reads the program's globals *)
     let globals =
       source

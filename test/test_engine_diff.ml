@@ -963,8 +963,10 @@ let test_fault_diff () =
    every suite build (source and optimized) under the compiled engine on
    one device, both engines at 2 and 4 devices (block), and the compiled
    engine at 2 and 4 devices (cyclic) matches the tree walker's
-   one-device designated outputs at margin 0.  Saturate's output rung
-   relies on it. *)
+   one-device designated outputs at margin 0.  So saturate's output rung
+   runs the tree walker once per candidate, on one device, where that run
+   is also the measurement, and checks every device set on the compiled
+   engine alone. *)
 let test_device_sets_match_one_device () =
   let block = Gpusim.Device_set.Block and cyclic = Gpusim.Device_set.Cyclic in
   List.iter

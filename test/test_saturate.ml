@@ -2,13 +2,15 @@
    greedy-with-rollback accept loop, its JSON report, and what the report
    depends on. *)
 
-let hoistable_src =
-  "int main() { float a[32]; float b[32];\n\
+let hoistable_loop =
+  "float a[32]; float b[32];\n\
    for (int i = 0; i < 32; i++) { a[i] = i; b[i] = 0.0; }\n\
    for (int t = 0; t < 8; t++) {\n\
    #pragma acc kernels loop copyin(a) copy(b)\n\
    for (int i = 0; i < 32; i++) { b[i] = b[i] + a[i]; }\n\
-   }\nfloat cs = b[0];\nreturn 0; }"
+   }\nfloat cs = b[0];\n"
+
+let hoistable_src = "int main() { " ^ hoistable_loop ^ "return 0; }"
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end search on a canonical hoistable program                   *)
@@ -96,8 +98,37 @@ let test_measured_on_tree () =
 (* The report depends only on the program: how much work the validation
    ladder does (here, how many device-set sizes it checks) must not change
    the search's order, labels or results — only the [engine_*] counters,
-   which count that work. *)
+   which count that work.  Each search's final program reproduces its
+   tree x1 designated outputs at margin 0 under the tree walker on 2 and
+   4 devices, which the ladder leaves out, and under the compiled engine
+   on 1, 2 and 4, which it runs. *)
 let test_report_independent_of_ladder () =
+  let final_outputs_match (b : Suite.Bench_def.t) what (r : Saturate.t) =
+    let tp = Openarc_core.Compiler.compile_program r.Saturate.r_program in
+    let outputs (engine, devices) =
+      let o =
+        Accrt.Interp.exec
+          { Accrt.Interp.default with
+            engine; seed = r.Saturate.r_seed; devices }
+          Accrt.Interp.detached tp
+      in
+      Accrt.Value.outputs o.Accrt.Interp.ctx.Accrt.Eval.env b.outputs
+    in
+    let reference = outputs (Accrt.Engine.Tree, 1) in
+    List.iter
+      (fun ((engine, devices) as cfg) ->
+        Alcotest.(check (list string))
+          (Fmt.str "%s, %s: final program's %s x%d matches tree x1" b.name
+             what (Accrt.Engine.to_string engine) devices)
+          []
+          (List.map
+             (fun m -> m.Accrt.Value.m_what)
+             (Accrt.Value.compare_outputs ~margin:0.0 ~reference
+                (outputs cfg))))
+      [ (Accrt.Engine.Tree, 2); (Accrt.Engine.Tree, 4);
+        (Accrt.Engine.Compiled, 1); (Accrt.Engine.Compiled, 2);
+        (Accrt.Engine.Compiled, 4) ]
+  in
   let report check_devices (b : Suite.Bench_def.t) =
     let r =
       Saturate.run
@@ -105,6 +136,10 @@ let test_report_independent_of_ladder () =
         ~name:b.name ~outputs:b.outputs
         (Minic.Parser.parse_string ~file:b.name b.source)
     in
+    final_outputs_match b
+      (Fmt.str "checked devices %s"
+         (String.concat "/" (List.map string_of_int check_devices)))
+      r;
     match Obs.Pjson.parse (Saturate.to_json r) with
     | Obs.Pjson.Obj members ->
         Obs.Pjson.to_string
@@ -140,6 +175,25 @@ let test_requires_one_device () =
                ~name:"unit" ~outputs:[ "b" ] prog)))
     [ []; [ 2 ]; [ 2; 4 ] ]
 
+(* An output the program never binds is refused before any candidate,
+   whether the name is unknown or the array is scoped to an inner block
+   of [main] (gone when it returns), instead of reading as a divergence
+   of every candidate. *)
+let test_unbound_output () =
+  let jacobi = Option.get (Suite.Registry.find "JACOBI") in
+  List.iter
+    (fun (what, src, outputs, name) ->
+      Alcotest.check_raises what
+        (Failure (Fmt.str "output '%s' is not a variable of the program" name))
+        (fun () ->
+          ignore
+            (Saturate.run ~name:"unit" ~outputs
+               (Minic.Parser.parse_string src))))
+    [ ("JACOBI with an unknown output", jacobi.source,
+       jacobi.outputs @ [ "nosuch" ], "nosuch");
+      ("an array of an inner block",
+       "int main() { { " ^ hoistable_loop ^ "}\nreturn 0; }", [ "b" ], "b") ]
+
 let tests =
   [ Alcotest.test_case "search accepts the hoist" `Slow
       test_search_accepts_hoist;
@@ -149,4 +203,6 @@ let tests =
     Alcotest.test_case "report independent of the ladder's work" `Slow
       test_report_independent_of_ladder;
     Alcotest.test_case "ladder requires the one-device run" `Quick
-      test_requires_one_device ]
+      test_requires_one_device;
+    Alcotest.test_case "an unbound output is refused" `Quick
+      test_unbound_output ]

@@ -1,11 +1,11 @@
 (* Integration tests of the bench driver's [wall] tier: the exit-2 usage
-   convention for malformed flags, the bench-wall JSON report shape (run
-   and verify timers, the many-kernel row, the lookup-depth row, the
-   shards row), the single-engine mode, the --min-speedup gate on both
-   suite medians (both directions — impossible bounds must fail, a
+   convention for malformed flags, the bench-wall JSON report shape (run,
+   verify and search timers, the many-kernel row, the lookup-depth row,
+   the shards row), the single-engine mode, the --min-speedup gate on
+   both suite medians (both directions — impossible bounds must fail, a
    sub-1.0 sanity bound must pass), and the fixed bounds that gate also
    holds the many-kernel row, the front end, the static passes, the
-   lookup depth and the shards ratio to. *)
+   lookup depth, the shards ratio and the search ratio to. *)
 
 let exe = "../bench/main.exe"
 
@@ -93,6 +93,25 @@ let check_lookup_depth v =
         | _ -> false))
     [ "x16_s"; "x1_s"; "growth" ]
 
+(* Each benchmark's search row: [Saturate.run] against the compiled
+   one-device plain run, timed whatever engines the tier compares, and
+   the median of their ratios. *)
+let check_search v rows =
+  List.iter
+    (fun rv ->
+      List.iter
+        (fun field ->
+          Alcotest.(check bool) (field ^ " present and positive") true
+            (match Obs.Pjson.member field rv with
+            | Some (Obs.Pjson.Num x) -> float_of_string x > 0.0
+            | _ -> false))
+        [ "search_saturate_s"; "search_compiled_s"; "search_ratio" ])
+    rows;
+  Alcotest.(check bool) "median_search_ratio present" true
+    (match Obs.Pjson.member "median_search_ratio" v with
+    | Some (Obs.Pjson.Num x) -> float_of_string x > 0.0
+    | _ -> false)
+
 (* The shards row: the compiled engine's runs on four block-split
    devices and on one, timed whatever engines the tier compares. *)
 let check_shards v =
@@ -169,6 +188,7 @@ let test_wall_report () =
           | Some (Obs.Pjson.Num x) -> float_of_string x > 0.0
           | _ -> false))
       [ "tree_s"; "compiled_s"; "speedup" ];
+    check_search v rows;
     check_lookup_depth v;
     check_shards v
   end
@@ -206,14 +226,15 @@ let test_single_engine () =
     Alcotest.(check bool) "many-kernel tree_s and speedup absent" true
       (Obs.Pjson.member "tree_s" many = None
       && Obs.Pjson.member "speedup" many = None);
+    check_search v rows;
     check_lookup_depth v;
     check_shards v
   end
 
 (* Given --min-speedup, the gate also holds the many-kernel speedup, the
    growth of the front end and both static passes, the lookup-depth
-   growth and the shards ratio to fixed bounds and prints one verdict
-   each; returns which fail.
+   growth, the shards ratio and the median search ratio to fixed bounds
+   and prints one verdict each; returns which fail.
    These are wall-clock ratios, so a loaded machine may put one past its
    bound, and the exit code must then say so. *)
 let fixed_verdicts out =
@@ -225,7 +246,7 @@ let fixed_verdicts out =
       over)
     [ "many-kernel speedup"; "median parse growth"; "median print growth";
       "median instrument growth"; "median lint growth"; "lookup-depth growth";
-      "shards ratio" ]
+      "shards ratio"; "median search ratio" ]
 
 let test_min_speedup_gate () =
   if available then begin
