@@ -39,10 +39,11 @@ fault-matrix: build
 # verification losing its compiled sequential regions fails CI.  A plain
 # run of 100 copies of a three-block program (400 kernels, 13 rounds):
 # the compiled engine must be no slower, so costly per-kernel work on
-# every run fails CI.  Parsing, printing, instrumentation and lint on 100
-# vs 17 copies of that program (13 rounds): none may grow more than 7.3x
-# for the 5.9x larger program, so a front end, check placement or the
-# transfer lint turning super-linear fails CI.  The sequential reference run of one loop
+# every run fails CI.  Parsing, printing, instrumentation, lint and
+# kernel verification on 100 vs 17 copies of that program (13 rounds):
+# none may grow more than 7.3x for the 5.9x larger program, so a front
+# end, check placement, the transfer lint or the verifier turning
+# super-linear fails CI.  The sequential reference run of one loop
 # under 16 vs 1 enclosing scopes (13 rounds): it may grow at most 1.3x,
 # so a name lookup whose cost grows with scope depth fails CI.
 # wall-report.json carries the measurements (the full sweep is

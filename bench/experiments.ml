@@ -1311,14 +1311,17 @@ let time_row ~rounds name kind sides =
           Some (median_float (List.map2 ( /. ) (column 0) (column 1)))
       | _ -> None) }
 
-(* Growth of the front end and the static passes with program size:
-   [Parser.parse_string], [Pretty.program_to_string],
-   [Checkgen.instrument] and [Lint.run_program] on [Blocks.three] at 17
-   and 100 copies (5.9x the code).  The small side times the mean of 5
-   back-to-back calls (100 / 17, rounded down), so both sides time about
-   the same work.  Linear cost grows about 5.9x; a front end that keeps
-   every token, or dense dataflow rows of every array at every node, grow
-   faster, and past [growth_bound] the wall-smoke gate fails. *)
+(* Growth of the front end, the static passes and kernel verification
+   with program size: [Parser.parse_string], [Pretty.program_to_string],
+   [Checkgen.instrument], [Lint.run_program] and
+   [Kernel_verify.verify_tprog] on [Blocks.three] at 17 and 100 copies
+   (5.9x the code).  The small side times the mean of 5 back-to-back
+   calls (100 / 17, rounded down), so both sides time about the same
+   work.  Linear cost grows about 5.9x; a front end that keeps every
+   token, dense dataflow rows of every array at every node, or a
+   verifier that copies the whole host environment for every verified
+   kernel (20-21x) grow faster, and past [growth_bound] the wall-smoke
+   gate fails. *)
 let growth_copies = (17, 100)
 let growth_bound = 7.3
 
@@ -1336,7 +1339,9 @@ let growth_passes =
     ( "print",
       fun (_, prog, _) -> ignore (Minic.Pretty.program_to_string prog) );
     ("instrument", fun (_, _, tp) -> ignore (Codegen.Checkgen.instrument tp));
-    ("lint", fun (_, prog, _) -> ignore (Lint.run_program prog)) ]
+    ("lint", fun (_, prog, _) -> ignore (Lint.run_program prog));
+    ( "verify",
+      fun (_, _, tp) -> ignore (Openarc_core.Kernel_verify.verify_tprog tp) ) ]
 
 (* The many-kernel row: a plain run of [Blocks.three] at [many_copies]
    copies (400 kernels, each launched one to three times) per engine.

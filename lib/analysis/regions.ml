@@ -211,14 +211,6 @@ let privatizable t =
       && Hashtbl.find_opt t.first_access v = Some First_write)
     t.scalars_written
 
-(** Array roots read by [exprs] and [stmts] — a loop header's bounds and
-    step, which {!analyze} of the loop body does not see. *)
-let arrays_read ~alias exprs stmts =
-  let ctx = fresh alias in
-  List.iter (read_expr ctx) exprs;
-  List.iter (scan_stmt ctx) stmts;
-  ctx.ar
-
 (** Host-side access analysis of an arbitrary statement (used when building
     DEF/USE sets of translated host statements). *)
 let of_stmt ~alias s = analyze ~alias [ s ]

@@ -25,12 +25,6 @@ type t = {
 (** Analyze a statement list; [alias] from the enclosing function. *)
 val analyze : alias:Alias.t -> Minic.Ast.block -> t
 
-(** Array roots read by some expressions and statements — a loop
-    header's bounds and step, which {!analyze} of the loop body does not
-    see. *)
-val arrays_read :
-  alias:Alias.t -> Minic.Ast.expr list -> Minic.Ast.stmt list -> Varset.t
-
 (** Scalars written (not declared inside) whose first access is a write:
     candidates for automatic privatization. *)
 val privatizable : t -> Varset.t

@@ -29,12 +29,23 @@ let pp_kernel env ppf (k : kernel) =
     | Some t -> t
     | None -> Ast.Tfloat
   in
-  let arrays = Analysis.Varset.elements (kernel_arrays k) in
-  let params = Analysis.Varset.elements k.k_params in
+  (* The interface: its arrays, then the scalars passed by value — those
+     neither classified nor induction variables. *)
+  let arrays, scalars =
+    List.partition
+      (fun v ->
+        match typ_of v with Ast.Tarr _ | Ast.Tptr _ -> true | _ -> false)
+      (List.sort String.compare k.k_inputs)
+  in
+  let by_value v =
+    not (List.mem_assoc v k.k_scalars || Analysis.Varset.mem v k.k_induction)
+  in
   Fmt.pf ppf "__global__ void %s(" k.k_name;
   let args =
     List.map (fun v -> Fmt.str "%a%s" pp_typ (typ_of v) v) arrays
-    @ List.map (fun v -> Fmt.str "%a %s" pp_typ (typ_of v) v) params
+    @ List.map
+        (fun v -> Fmt.str "%a %s" pp_typ (typ_of v) v)
+        (List.filter by_value scalars)
   in
   Fmt.pf ppf "%s)@." (String.concat ", " args);
   Fmt.pf ppf "{@.";
@@ -49,7 +60,7 @@ let pp_kernel env ppf (k : kernel) =
         "  int %s = (blockIdx.x * blockDim.x + threadIdx.x) /* from %a */;@."
         l.kl_var Pretty.pp_expr l.kl_init;
       Fmt.pf ppf "  if (%a) {@." Pretty.pp_expr l.kl_cond;
-      Fmt.pf ppf "%s" (Fmt.str "%a" (Pretty.pp_block 2) l.kl_body);
+      Fmt.pf ppf "%s" (Fmt.str "%a" (Pretty.pp_block 2) k.k_body);
       Fmt.pf ppf "  }@."
   | None ->
       Fmt.pf ppf "  /* single-thread region */@.";

@@ -116,6 +116,109 @@ let has_reduction ~clauses (acc : Regions.t) =
   List.exists (fun c -> Acc.Query.reductions c <> []) clauses
   || acc.Regions.accumulators <> []
 
+(* ----------------------------- interface ----------------------------- *)
+
+(* The names a kernel takes from the host, found by one walk with the
+   scoping of [Eval] and [Resolve]: an [if] or [while] body and a block
+   open a scope, a [for] one around its header and another around its
+   body, a statement under a directive stays in the current scope, and a
+   declaration reads its extents and initializer before it declares its
+   name.  A use where no declaration of the name is in scope is free:
+   [free] lists each free name once, the latest first occurrence first.
+   [calls] collects the functions called. *)
+type walk = {
+  seen : (string, unit) Hashtbl.t;
+  mutable free : string list;
+  mutable calls : string list;
+}
+
+let walk () = { seen = Hashtbl.create 16; free = []; calls = [] }
+
+let rec expr w bound = function
+  | Eint _ | Efloat _ -> ()
+  | Evar v ->
+      if not (Varset.mem v bound || Hashtbl.mem w.seen v) then begin
+        Hashtbl.replace w.seen v ();
+        w.free <- v :: w.free
+      end
+  | Eindex (a, b) | Ebinop (_, a, b) -> expr w bound a; expr w bound b
+  | Eunop (_, a) -> expr w bound a
+  | Ecall (f, args) -> w.calls <- f :: w.calls; List.iter (expr w bound) args
+  | Econd (c, a, b) -> List.iter (expr w bound) [ c; a; b ]
+
+let rec lvalue w bound = function
+  | Lvar v -> expr w bound (Evar v)
+  | Lindex (b, i) -> lvalue w bound b; expr w bound i
+
+let rec extents w bound = function
+  | Tarr (t, e) -> Option.iter (expr w bound) e; extents w bound t
+  | Tptr _ | Tint | Tfloat | Tvoid -> ()
+
+(* Walk [s] with [bound] declared; returns what is declared after it. *)
+let rec stmt w bound s =
+  match s.skind with
+  | Sskip | Sbreak | Scontinue | Sreturn None -> bound
+  | Sexpr e | Sreturn (Some e) -> expr w bound e; bound
+  | Sassign (l, e) -> lvalue w bound l; expr w bound e; bound
+  | Sdecl (t, v, init) ->
+      extents w bound t;
+      Option.iter (expr w bound) init;
+      Varset.add v bound
+  | Sif (c, b1, b2) -> expr w bound c; block w bound b1; block w bound b2; bound
+  | Swhile (c, b) -> expr w bound c; block w bound b; bound
+  | Sfor (init, cond, step, b) ->
+      block w (header w bound init cond step) b;
+      bound
+  | Sblock b -> block w bound b; bound
+  | Sacc (_, b) -> Option.fold ~none:bound ~some:(stmt w bound) b
+
+and block w bound b = ignore (List.fold_left (stmt w) bound b)
+
+(* A [for] header; returns what its body sees declared. *)
+and header w bound init cond step =
+  let bound = Option.fold ~none:bound ~some:(stmt w bound) init in
+  Option.iter (expr w bound) cond;
+  Option.iter (fun s -> ignore (stmt w bound s)) step;
+  bound
+
+(* The program's global variables that the functions [calls] call name,
+   following calls through one another: a callee sees its parameters,
+   its own scopes and the globals. *)
+let callee_globals prog = function
+  | [] -> []
+  | calls ->
+      let w = walk () and entered = Hashtbl.create 8 in
+      let rec enter f =
+        if not (Hashtbl.mem entered f) then begin
+          Hashtbl.replace entered f ();
+          w.calls <- [];
+          Option.iter
+            (fun fn ->
+              let params = List.map (fun p -> p.p_name) fn.f_params in
+              block w (Varset.of_list params) fn.f_body)
+            (find_function prog f);
+          List.iter enter w.calls
+        end
+      in
+      List.iter enter calls;
+      let global n = function Gvar (_, g, _) -> g = n | Gfunc _ -> false in
+      List.filter (fun n -> List.exists (global n) prog.globals) w.free
+
+(* A kernel's interface: its free names, those of its loop header (a
+   suffix of the first), and the globals its callees name. *)
+let interface prog source =
+  let w = walk () in
+  let header_inputs =
+    match source.skind with
+    | Sfor (init, cond, step, b) ->
+        let bound = header w Varset.empty init cond step in
+        let header_inputs = w.free in
+        block w bound b;
+        header_inputs
+    | _ -> ignore (stmt w Varset.empty source); []
+  in
+  (w.free, header_inputs, callee_globals prog w.calls)
+
 (* Requested launch dimensions from gang/worker/vector-style clauses. *)
 let dims_of_clauses clauses =
   let find f = List.find_map (fun d -> List.find_map f d.clauses) clauses in
@@ -136,7 +239,7 @@ let dims_of_clauses clauses =
   in
   (gangs, workers, vlen)
 
-let mk_kernel ~(opts : Options.t) ~alias ~fname ~id ~sid ~loc ~clauses
+let mk_kernel ~(opts : Options.t) ~alias ~prog ~fname ~id ~sid ~loc ~clauses
     ~async ~seq ~source loop body =
   let acc = Regions.analyze ~alias body in
   let induction =
@@ -146,27 +249,23 @@ let mk_kernel ~(opts : Options.t) ~alias ~fname ~id ~sid ~loc ~clauses
   in
   let declared = acc.Regions.declared in
   let scalars = classify_scalars ~opts ~induction ~declared ~clauses acc in
-  let classified = Varset.of_list (List.map fst scalars) in
-  let params =
-    Varset.diff
-      (Varset.diff (Varset.diff acc.Regions.scalars_read classified) declared)
-      induction
-  in
   let kloop =
     Option.map
       (fun (v, init, cond, step) ->
-        { kl_var = v; kl_init = init; kl_cond = cond; kl_step = step;
-          kl_body = body })
+        { kl_var = v; kl_init = init; kl_cond = cond; kl_step = step })
       loop
   in
-  (* Arrays the loop header reads are kernel inputs too: every shard
-     steps the driver against its own device's buffers. *)
-  let header_reads =
-    match loop with
-    | Some (_, init, cond, step) ->
-        Regions.arrays_read ~alias [ init; cond ] (Option.to_list step)
-    | None -> Varset.empty
+  let inputs, header_inputs, globals = interface prog source in
+  let roots names =
+    List.fold_left (fun r v -> Varset.union (Alias.resolve alias v) r)
+      Varset.empty names
   in
+  (* Only what the host can name is transferred: an array the kernel
+     declares is its own, and one it reaches through a pointer it
+     declares is the pointer's host target.  Arrays the loop header
+     reads are kernel inputs too: every shard steps the driver against
+     its own device's buffers. *)
+  let host = roots inputs in
   {
     k_id = id;
     k_name = Fmt.str "%s_kernel%d" fname id;
@@ -175,10 +274,14 @@ let mk_kernel ~(opts : Options.t) ~alias ~fname ~id ~sid ~loc ~clauses
     k_loop = kloop;
     k_body = body;
     k_source = source;
+    k_inputs = inputs;
+    k_header_inputs = header_inputs;
+    k_globals = globals;
     k_scalars = scalars;
-    k_arrays_read = Varset.union acc.Regions.arrays_read header_reads;
-    k_arrays_written = acc.Regions.arrays_written;
-    k_params = params;
+    k_arrays_read =
+      Varset.union (roots header_inputs)
+        (Varset.inter host acc.Regions.arrays_read);
+    k_arrays_written = Varset.inter host acc.Regions.arrays_written;
     k_induction = induction;
     k_ops_per_iter = max 1 acc.Regions.ops;
     k_async = async;
@@ -191,8 +294,8 @@ let mk_kernel ~(opts : Options.t) ~alias ~fname ~id ~sid ~loc ~clauses
 (** Outline the kernels of one compute region.
 
     [fresh] allocates kernel ids.  Returns kernels in execution order. *)
-let outline_region ~opts ~alias ~fname ~fresh ~region_sid (d : directive)
-    body_stmt =
+let outline_region ~opts ~alias ~prog ~fname ~fresh ~region_sid
+    (d : directive) body_stmt =
   let base_clauses = [ d ] in
   let async = Acc.Query.async d |> Option.map (Option.value ~default:(Eint 0)) in
   let mk_loop_kernel ~extra_dirs (s : stmt) =
@@ -215,14 +318,14 @@ let outline_region ~opts ~alias ~fname ~fresh ~region_sid (d : directive)
            loop variable. *)
         if Option.is_none step && not seq then
           Loc.error s.sloc "parallel loop requires an increment";
-        mk_kernel ~opts ~alias ~fname ~id:(fresh ()) ~sid:region_sid
+        mk_kernel ~opts ~alias ~prog ~fname ~id:(fresh ()) ~sid:region_sid
           ~loc:s.sloc ~clauses ~async ~seq ~source:s
           (Some (v, init_e, cond, step))
           body
     | _ -> Loc.error s.sloc "loop directive must annotate a for loop"
   in
   let mk_scalar_kernel stmts loc =
-    mk_kernel ~opts ~alias ~fname ~id:(fresh ()) ~sid:region_sid ~loc
+    mk_kernel ~opts ~alias ~prog ~fname ~id:(fresh ()) ~sid:region_sid ~loc
       ~clauses:base_clauses ~async ~seq:false
       ~source:(Minic.Ast.mk_stmt ~loc (Sblock stmts))
       None stmts

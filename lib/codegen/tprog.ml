@@ -66,7 +66,6 @@ type kloop = {
   kl_init : Ast.expr;
   kl_cond : Ast.expr;
   kl_step : Ast.stmt option;
-  kl_body : Ast.block;
 }
 
 type kernel = {
@@ -75,14 +74,16 @@ type kernel = {
   k_sid : int;  (** source compute-directive statement *)
   k_loc : Loc.t;
   k_loop : kloop option;  (** [None]: straight-line body run by one thread *)
-  k_body : Ast.block;  (** the region statements (equals [kl_body] if looped) *)
+  k_body : Ast.block;  (** the region statements (a loop's body if looped) *)
   k_source : Ast.stmt;
       (** the original source statement the kernel was outlined from; kernel
           verification executes it as the sequential reference *)
+  k_inputs : string list;  (** the names it takes from the host *)
+  k_header_inputs : string list;  (** the loop header's, a suffix of those *)
+  k_globals : string list;  (** globals the kernel's callees name *)
   k_scalars : (string * scalar_class) list;
   k_arrays_read : Varset.t;  (** resolved array roots *)
   k_arrays_written : Varset.t;
-  k_params : Varset.t;  (** read-only scalars passed by value *)
   k_induction : Varset.t;  (** loop induction variables (always private) *)
   k_ops_per_iter : int;
   k_async : Ast.expr option;

@@ -64,7 +64,6 @@ type kloop = {
   kl_init : Ast.expr;
   kl_cond : Ast.expr;
   kl_step : Ast.stmt option;
-  kl_body : Ast.block;
 }
 
 type kernel = {
@@ -73,14 +72,24 @@ type kernel = {
   k_sid : int;  (** source compute-directive statement *)
   k_loc : Loc.t;
   k_loop : kloop option;  (** [None]: straight-line body run by one thread *)
-  k_body : Ast.block;
+  k_body : Ast.block;  (** the region statements: a loop's body if looped *)
   k_source : Ast.stmt;
-      (** the original source statement; kernel verification executes it as
-          the sequential reference *)
+      (** the original source statement (a loop kernel's [for]); kernel
+          verification executes it as the sequential reference *)
+  k_inputs : string list;
+      (** The kernel's interface, what it takes from the host: each name
+          [k_source] uses where none of the kernel's own declarations is
+          in scope (the engines' scoping; loop header and array extents
+          included), once, the latest first occurrence first, the header
+          walked first.  Launches and verification's sequential runs bind
+          these in this order; a pointer is listed, not its roots. *)
+  k_header_inputs : string list;
+      (** those a loop header uses (a suffix): what a space pass binds *)
+  k_globals : string list;  (** globals the kernel's callees name *)
   k_scalars : (string * scalar_class) list;
-  k_arrays_read : Varset.t;  (** resolved array roots *)
+  k_arrays_read : Varset.t;
+      (** resolved roots read through the interface, header included *)
   k_arrays_written : Varset.t;
-  k_params : Varset.t;  (** read-only scalars passed by value *)
   k_induction : Varset.t;  (** loop induction variables (always private) *)
   k_ops_per_iter : int;
   k_async : Ast.expr option;

@@ -15,6 +15,7 @@ open Tprog
 type state = {
   opts : Options.t;
   env : Typecheck.env;
+  prog : Ast.program;
   alias : Alias.t;
   fname : string;
   mutable kernels : kernel list;  (** reversed *)
@@ -246,7 +247,7 @@ and tr_directive st s d body =
       | None -> []
       | Some body_stmt ->
           let kernels =
-            Outline.outline_region ~opts:st.opts ~alias:st.alias
+            Outline.outline_region ~opts:st.opts ~alias:st.alias ~prog:st.prog
               ~fname:st.fname ~fresh:(fresh_kernel st) ~region_sid:s.sid d
               body_stmt
           in
@@ -324,7 +325,7 @@ let translate ?(opts = Options.default) env prog =
   let fname = "main" in
   let alias = Alias.compute env prog fname in
   let st =
-    { opts; env; alias; fname; kernels = []; next_kernel = 0;
+    { opts; env; prog; alias; fname; kernels = []; next_kernel = 0;
       tracked = Varset.empty; denv = [ [] ]; update_count = 0; last_tid = 0;
       last_site = 0 }
   in

@@ -41,18 +41,23 @@ let detected_errors t = List.filter (fun r -> not (kernel_ok r)) t.reports
 (* Scalars the kernel commits back to the host (everything classified). *)
 let committed_scalars k = List.map fst k.k_scalars
 
-(* A shadow host context whose scalar cells are fresh copies, so GPU-side
-   commits do not disturb the reference state. Arrays are not copied: the
-   kernel touches device buffers only, and root resolution goes through the
-   original slots. *)
-let shadow_ctx (ctx : Accrt.Eval.ctx) =
-  Accrt.Eval.make ctx.Accrt.Eval.prog
-    (Accrt.Value.map_bindings
-       (fun _ b ->
-         match b with
-         | Accrt.Value.Scalar c -> Accrt.Value.Scalar { v = c.Accrt.Value.v }
-         | Accrt.Value.Array _ -> b)
-       ctx.Accrt.Eval.env)
+(* A shadow host context holding what a launch of [k] takes from the
+   host — its interface, then its callees' globals as globals — with
+   fresh scalar cells, so GPU-side commits do not disturb the reference
+   state.  Arrays are not copied: the kernel touches device buffers only,
+   and root resolution goes through the original slots. *)
+let shadow_ctx (ctx : Accrt.Eval.ctx) k =
+  let env = ctx.Accrt.Eval.env and shadow = Accrt.Value.create () in
+  let copy declare find n =
+    match find env n with
+    | Some (Accrt.Value.Scalar c) ->
+        declare shadow n (Accrt.Value.Scalar { v = c.Accrt.Value.v })
+    | Some (Accrt.Value.Array _ as b) -> declare shadow n b
+    | None -> ()
+  in
+  List.iter (copy Accrt.Value.declare Accrt.Value.lookup) k.k_inputs;
+  List.iter (copy Accrt.Value.declare_global Accrt.Value.global) k.k_globals;
+  Accrt.Eval.make ctx.Accrt.Eval.prog shadow
 
 (** Verify a translation.  Returns the per-kernel verdicts, the simulated
     cost of the verification run, and the cost of the pure sequential
@@ -193,7 +198,7 @@ let verify_tprog ?(config = Vconfig.default) ?(engine = Accrt.Engine.Compiled)
         Gpusim.Device.upload device v ~host ~async:queue ())
       arrays;
     (* Launch on the GPU against a shadow scalar context. *)
-    let sctx = shadow_ctx ctx in
+    let sctx = shadow_ctx ctx k in
     let iterations = exec_kernel sctx k in
     Gpusim.Device.launch device ~iterations ~ops_per_iter:k.k_ops_per_iter
       ~async:queue ();

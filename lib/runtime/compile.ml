@@ -35,20 +35,21 @@
     - {e register} mode (kernel bodies): no name mirror at all — every name
       of the kernel body is register-resolved, which is what makes compiled
       kernels fast.  Kernels compile once per cache, keyed by kernel id,
-      so repeated launches (JACOBI sweeps) reuse the closure.  Entry names
-      are bound to device buffers and private scalar copies per runner
-      call.  Every launch is one {!Kernel_exec} session.  A parallel
-      loop's header compiles apart from its body, once per cache, and
-      {!space} walks it once per launch into the session's iteration
-      space; {!run_shard} is this engine's one runner: called with every
-      ordinal for a whole launch, once per shard for a sharded one, for
-      every kernel shape, and a parallel loop's threads take the driver
-      from the space, never evaluating the header.  The thread registers
-      hold the session's cells, so staging and commit are shared with the
-      tree walker's runner.
+      so repeated launches (JACOBI sweeps) reuse the closure.  The
+      kernel's interface as the translator recorded it ([k_inputs],
+      [k_globals]) is bound to device buffers and private scalar copies
+      per runner call.  Every launch is one {!Kernel_exec} session.  A
+      parallel loop's header compiles apart from its body, once per
+      cache, and {!space} walks it once per launch into the session's
+      iteration space; {!run_shard} is this engine's one runner: called
+      with every ordinal for a whole launch, once per shard for a sharded
+      one, for every kernel shape, and a parallel loop's threads take the
+      driver from the space, never evaluating the header.  The thread
+      registers hold the session's cells, so staging and commit are
+      shared with the tree walker's runner.
     - {e register-bound regions} (kernel verification's sequential runs):
       a kernel's sequential source compiles once in register mode, and at
-      each occurrence every name it mentions is bound to the environment's
+      each occurrence each of its inputs is bound to the environment's
       {e own} cell or slot.  Writes — pointer rebinding included — land
       where the surrounding program and the verifier's comparison read
       them, while names the region declares stay in registers. *)
@@ -540,7 +541,7 @@ type cmode =
   | Cpar of { driver_slot : int }
 
 type ckernel = {
-  ck_base : (string * int) list;  (** kernel names, in {!Kernel_exec.kernel_names} order *)
+  ck_base : (string * int) list;  (** the kernel's [k_inputs], in order *)
   ck_class : int list;  (** thread registers of the classified scalars *)
   ck_cands : (string * int * int) list;
       (** extra-induction candidates: (name, thread register, base register);
@@ -549,41 +550,41 @@ type ckernel = {
   ck_mode : cmode;
   ck_nregs : int;
   ck_body : cstm;
-  ck_globals : string list;  (** {!Kernel_exec.callee_globals} *)
 }
 
 (** A parallel loop's header, compiled against registers for its own
-    names only, as {!Kernel_exec.space} evaluates it. *)
+    inputs only, as {!Kernel_exec.space} evaluates it. *)
 type cheader = {
-  ch_base : (string * int) list;  (** {!Kernel_exec.header_names} *)
+  ch_base : (string * int) list;  (** the kernel's [k_header_inputs] *)
   ch_driver : int;
   ch_init : cexp;
   ch_cond : cexp;
   ch_step : cstm option;
   ch_nregs : int;
-  ch_globals : string list;
 }
 
+(* Registers for [names], declared in the resolver's current scope. *)
+let declare_all res names = List.map (fun n -> (n, Resolve.declare res n)) names
+
+(* The init is compiled before the driver is declared, so it reads the
+   loop variable's launch copy if the header takes one. *)
 let compile_header u k l =
   let res = Resolve.create () in
-  let base =
-    List.map (fun n -> (n, Resolve.declare res n)) (Kernel_exec.header_names l)
-  in
+  let base = declare_all res k.k_header_inputs in
   let init = cexpr u res l.kl_init in
+  let driver = Resolve.declare res l.kl_var in
   let cond = cexpr u res l.kl_cond in
   let step = Option.map (cstmt u res) l.kl_step in
   { ch_base = base;
-    ch_driver = List.assoc l.kl_var base;
+    ch_driver = driver;
     ch_init = init;
     ch_cond = cond;
     ch_step = step;
-    ch_nregs = max 1 (Resolve.frame_size res);
-    ch_globals = Kernel_exec.callee_globals u.uprog k }
+    ch_nregs = max 1 (Resolve.frame_size res) }
 
 let compile_kernel u (k : kernel) : ckernel =
-  let names = Kernel_exec.kernel_names k in
   let res = Resolve.create () in
-  let base = List.map (fun n -> (n, Resolve.declare res n)) names in
+  let base = declare_all res k.k_inputs in
   let base_slot n =
     match List.assoc_opt n base with
     | Some s -> s
@@ -620,7 +621,7 @@ let compile_kernel u (k : kernel) : ckernel =
         let driver_slot = Resolve.declare res l.kl_var in
         let cond = cexpr u res l.kl_cond in
         let step = Option.map (cstmt u res) l.kl_step in
-        let body = Resolve.scoped res (fun () -> cblock u res l.kl_body) in
+        let body = Resolve.scoped res (fun () -> cblock u res k.k_body) in
         Resolve.leave res;
         ( cls,
           cands,
@@ -631,7 +632,7 @@ let compile_kernel u (k : kernel) : ckernel =
         let driver_slot = base_slot l.kl_var in
         Resolve.enter res;
         let cls, cands = declare_thread () in
-        let body = Resolve.scoped res (fun () -> cblock u res l.kl_body) in
+        let body = Resolve.scoped res (fun () -> cblock u res k.k_body) in
         Resolve.leave res;
         (cls, cands, Cpar { driver_slot }, body)
   in
@@ -640,8 +641,7 @@ let compile_kernel u (k : kernel) : ckernel =
     ck_cands = cands;
     ck_mode = mode;
     ck_nregs = max 1 (Resolve.frame_size res);
-    ck_body = body;
-    ck_globals = Kernel_exec.callee_globals u.uprog k }
+    ck_body = body }
 
 (** Kept only so the benchmark harness in [perfbench/] still builds: it
     passes a store to {!Interp.run}, which ignores it.  The next change to
@@ -699,22 +699,18 @@ let host_stmt cache (ctx : Eval.ctx) tid s =
 
 (** Compiled counterpart of [Value.scoped env (fun () -> Eval.exec ctx
     k.k_source)]: run kernel [k]'s sequential source against [ctx] — its
-    [ops], hooks and environment.  Every name the source mentions is bound
-    once, before the run, to the binding an environment lookup finds (a name
-    with none stays unbound and raises the tree walker's error if read);
-    declarations inside the source shadow it in fresh registers, as they
-    would in the tree walker's scope. *)
+    [ops], hooks and environment.  Each of the kernel's [k_inputs] is bound
+    once, before the run, to the binding an environment lookup finds (a
+    name with none stays unbound and raises the tree walker's error if
+    read); the names the source declares live in registers of their own,
+    as they would in the tree walker's scope. *)
 let run_source cache (ctx : Eval.ctx) (k : kernel) =
   let cs =
     match Hashtbl.find_opt cache.csources k.k_id with
     | Some cs -> cs
     | None ->
         let res = Resolve.create () in
-        let names =
-          List.map
-            (fun n -> (n, Resolve.declare res n))
-            (Kernel_exec.names_of_block [ k.k_source ])
-        in
+        let names = declare_all res k.k_inputs in
         let body =
           Resolve.scoped res (fun () -> cstmt cache.cunit res k.k_source)
         in
@@ -743,7 +739,7 @@ let prepare cache (k : kernel) =
 (* A launch's base registers: device-array bindings and copies of the
    host scalars, bound in [base] order (device-buffer resolution can
    raise, so order matters), then the globals the kernel's callees see. *)
-let bind_base session device base globals nregs =
+let bind_base session device base nregs =
   let host_ctx = Kernel_exec.host session in
   let regs = Array.make nregs Unbound in
   let kctx = Eval.make host_ctx.prog (Value.create ()) in
@@ -755,7 +751,7 @@ let bind_base session device base globals nregs =
             reg_of_binding (Kernel_exec.device_binding session device b))
         (Value.lookup host_ctx.env n))
     base;
-  Kernel_exec.bind_globals session device kctx.env globals;
+  Kernel_exec.bind_globals session device kctx.env;
   { ctx = kctx; regs }
 
 (** The compiled engine's space pass, with {!Kernel_exec.space}'s
@@ -774,7 +770,7 @@ let space cache session device =
             Hashtbl.replace cache.cheaders k.k_id h;
             h
       in
-      let st = bind_base session device h.ch_base h.ch_globals h.ch_nregs in
+      let st = bind_base session device h.ch_base h.ch_nregs in
       let driver = { v = h.ch_init st } in
       st.regs.(h.ch_driver) <- Rscalar driver;
       Kernel_exec.walk_space driver
@@ -792,7 +788,7 @@ let run_shard cache session space ?weights device ~shard =
   let k = Kernel_exec.kernel session in
   prepare cache k;
   let ck = Hashtbl.find cache.ckernels k.k_id in
-  let st = bind_base session device ck.ck_base ck.ck_globals ck.ck_nregs in
+  let st = bind_base session device ck.ck_base ck.ck_nregs in
   let regs = st.regs and kctx = st.ctx in
   let sg = Kernel_exec.staging session in
   let cells = Kernel_exec.cells sg in

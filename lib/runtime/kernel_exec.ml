@@ -71,108 +71,6 @@ let rec tree_reduce op = function
       in
       tree_reduce op (pair l)
 
-(* Names appearing in statements, each once; [rev] lists them most recent
-   first occurrence first.  [calls] collects the functions they call. *)
-type names = {
-  seen : (string, unit) Hashtbl.t;
-  mutable rev : string list;
-  mutable calls : string list;
-}
-
-let names () = { seen = Hashtbl.create 16; rev = []; calls = [] }
-
-let add ns v =
-  if not (Hashtbl.mem ns.seen v) then begin
-    Hashtbl.replace ns.seen v ();
-    ns.rev <- v :: ns.rev
-  end
-
-let rec add_expr ns = function
-  | Eint _ | Efloat _ -> ()
-  | Evar v -> add ns v
-  | Eindex (a, i) -> add_expr ns a; add_expr ns i
-  | Eunop (_, a) -> add_expr ns a
-  | Ebinop (_, a, b) -> add_expr ns a; add_expr ns b
-  | Ecall (f, args) ->
-      ns.calls <- f :: ns.calls;
-      List.iter (add_expr ns) args
-  | Econd (c, a, b) -> add_expr ns c; add_expr ns a; add_expr ns b
-
-let rec add_lvalue ns = function
-  | Lvar v -> add ns v
-  | Lindex (b, i) -> add_lvalue ns b; add_expr ns i
-
-let rec add_stmt ns s =
-  match s.skind with
-  | Sskip | Sbreak | Scontinue -> ()
-  | Sexpr e -> add_expr ns e
-  | Sassign (l, e) -> add_lvalue ns l; add_expr ns e
-  | Sdecl (_, v, init) -> add ns v; Option.iter (add_expr ns) init
-  | Sif (c, b1, b2) ->
-      add_expr ns c; List.iter (add_stmt ns) b1; List.iter (add_stmt ns) b2
-  | Swhile (c, b) -> add_expr ns c; List.iter (add_stmt ns) b
-  | Sfor (i, c, st, b) ->
-      Option.iter (add_stmt ns) i; Option.iter (add_expr ns) c;
-      Option.iter (add_stmt ns) st; List.iter (add_stmt ns) b
-  | Sblock b -> List.iter (add_stmt ns) b
-  | Sreturn e -> Option.iter (add_expr ns) e
-  | Sacc (_, b) -> Option.iter (add_stmt ns) b
-
-let names_of_block block =
-  let ns = names () in
-  List.iter (add_stmt ns) block;
-  ns.rev
-
-(* The loop header is walked in place — as [kl_var = kl_init;],
-   [kl_cond;] and [kl_step] — so a launch builds no statement and
-   allocates no statement id. *)
-let add_header ns l =
-  add ns l.kl_var;
-  add_expr ns l.kl_init;
-  add_expr ns l.kl_cond;
-  Option.iter (add_stmt ns) l.kl_step
-
-let add_kernel ns k =
-  Option.iter (add_header ns) k.k_loop;
-  List.iter (add_stmt ns) k.k_body
-
-let header_names l =
-  let ns = names () in
-  add_header ns l;
-  ns.rev
-
-let kernel_names k =
-  let ns = names () in
-  add_kernel ns k;
-  ns.rev
-
-(* The functions a kernel calls, directly or through one another, see
-   only their own names and the globals: these are the program's global
-   variables they name. *)
-let callee_globals prog k =
-  match
-    List.filter_map
-      (function Gvar (_, g, _) -> Some g | Gfunc _ -> None)
-      prog.globals
-  with
-  | [] -> []
-  | globals ->
-      let kernel = names () and callees = names () in
-      let entered = Hashtbl.create 8 in
-      let rec enter f =
-        if not (Hashtbl.mem entered f) then begin
-          Hashtbl.replace entered f ();
-          callees.calls <- [];
-          Option.iter
-            (fun fn -> List.iter (add_stmt callees) fn.f_body)
-            (Minic.Ast.find_function prog f);
-          List.iter enter callees.calls
-        end
-      in
-      add_kernel kernel k;
-      List.iter enter kernel.calls;
-      List.filter (fun n -> List.mem n globals) callees.rev
-
 (* A parallel (non-seq) loop kernel can be split across a device set; seq
    and straight-line kernels are pinned to one member by the runtime. *)
 let shardable k =
@@ -207,10 +105,6 @@ type session = {
   s_slots : slot array;  (* classified scalars in order, then induction *)
   s_exit_cell : cell option;  (* host cell of the loop variable *)
   s_res : results;  (* everything published so far *)
-  s_names : string list Lazy.t;
-      (* [kernel_names] and [callee_globals], walked once per launch by
-         the tree walker's first call that binds them *)
-  s_globals : string list Lazy.t;
 }
 
 (* One runner call: its threads' cells, one per slot, and what they
@@ -264,9 +158,7 @@ let start (host_ctx : Eval.ctx) (k : kernel) : session =
   let slots = Array.of_list (classified @ List.rev induction) in
   { s_host = host_ctx; s_k = k; s_slots = slots;
     s_exit_cell = Option.bind k.k_loop (fun l -> host_cell l.kl_var);
-    s_res = results (Array.length slots);
-    s_names = lazy (kernel_names k);
-    s_globals = lazy (callee_globals host_ctx.Eval.prog k) }
+    s_res = results (Array.length slots) }
 
 let kernel s = s.s_k
 let host s = s.s_host
@@ -284,27 +176,26 @@ let device_binding s device = function
       in
       Array { buf = Some buf; root = a.root; shape = Value.shape_of a }
 
-let bind_globals s device kenv globals =
+let bind_globals s device kenv =
   List.iter
     (fun n ->
       Option.iter
         (fun b -> Value.declare_global kenv n (device_binding s device b))
         (Value.global s.s_host.Eval.env n))
-    globals
+    s.s_k.k_globals
 
-(* A kernel-side environment whose base scope binds [names] as a launch
-   on [device] sees them, and whose globals are those its callees name,
-   bound the same way.  Names bound nowhere are declared in the
-   kernel. *)
-let kernel_ctx s device names =
+(* A kernel-side environment whose base scope binds [inputs] — the
+   kernel's or its header's — as a launch on [device] sees them, and
+   whose globals are those its callees name, bound the same way. *)
+let kernel_ctx s device inputs =
   let kenv = Value.create () in
   List.iter
     (fun n ->
       Option.iter
         (fun b -> Value.declare kenv n (device_binding s device b))
         (Value.lookup s.s_host.Eval.env n))
-    names;
-  bind_globals s device kenv (Lazy.force s.s_globals);
+    inputs;
+  bind_globals s device kenv;
   (kenv, Eval.make s.s_host.Eval.prog kenv)
 
 (* ------------------------- iteration spaces -------------------------- *)
@@ -345,13 +236,13 @@ let walk_space driver ~cond ~step =
   in
   { size = !n; drivers; exit = Some driver.v }
 
-(* The header is evaluated as the runners once did, in an environment
-   binding only its own names: the init before the driver shadows the
-   loop variable's launch copy. *)
+(* The header is evaluated in an environment binding only its own
+   inputs: the init before the driver shadows the loop variable's launch
+   copy, if the header takes it from the host. *)
 let space s device =
   match s.s_k.k_loop with
   | Some l when not s.s_k.k_seq ->
-      let kenv, kctx = kernel_ctx s device (header_names l) in
+      let kenv, kctx = kernel_ctx s device s.s_k.k_header_inputs in
       let driver = { v = Eval.eval kctx l.kl_init } in
       Value.declare kenv l.kl_var (Scalar driver);
       walk_space driver
@@ -465,7 +356,7 @@ let commit s =
    over persistent cells. *)
 let run_shard s sp ?weights device ~shard =
   let k = s.s_k in
-  let kenv, kctx = kernel_ctx s device (Lazy.force s.s_names) in
+  let kenv, kctx = kernel_ctx s device k.k_inputs in
   (* One scope per call binds the committed names to the staging's cells
      (above a parallel loop's driver); a thread's declarations land in
      the body's own scope above it. *)
@@ -491,7 +382,7 @@ let run_shard s sp ?weights device ~shard =
         else begin
           bind_cells ();
           let trips = ref 0 in
-          let body = in_body l.kl_body in
+          let body = in_body k.k_body in
           thread s sg ?weights kctx ~ordinal:0 (fun () ->
               let driver = { v = Eval.eval kctx l.kl_init } in
               Value.declare kenv l.kl_var (Scalar driver);
@@ -509,7 +400,7 @@ let run_shard s sp ?weights device ~shard =
         let driver = { v = Int 0 } in
         Value.declare kenv l.kl_var (Scalar driver);
         bind_cells ();
-        run_threads s sg ?weights kctx sp ~shard driver (in_body l.kl_body)
+        run_threads s sg ?weights kctx sp ~shard driver (in_body k.k_body)
   in
   publish s sg;
   executed

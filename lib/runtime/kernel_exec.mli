@@ -20,19 +20,6 @@ val combine : Minic.Ast.redop -> Value.scalar -> Value.scalar -> Value.scalar
 (** Pairwise (tree-order) combination of per-thread partials. *)
 val tree_reduce : Minic.Ast.redop -> Value.scalar list -> Value.scalar option
 
-(** All names appearing in a statement list (declared ones included),
-    each once, the latest first occurrence first. *)
-val names_of_block : Minic.Ast.stmt list -> string list
-
-(** All names appearing in a kernel (loop header first, then body), in the
-    deterministic order both engines bind kernel-entry state in.  Walks
-    the kernel in place: it allocates no statement id. *)
-val kernel_names : Codegen.Tprog.kernel -> string list
-
-(** The names a loop header mentions, in {!kernel_names}' order: what a
-    space pass binds. *)
-val header_names : Codegen.Tprog.kloop -> string list
-
 (** {1 Launch sessions}
 
     Every launch is one session: {!start}; its iteration space, computed
@@ -54,7 +41,13 @@ val header_names : Codegen.Tprog.kloop -> string list
     driver's exit value, and publishes them only when the call completes,
     so a dying device's in-flight contribution is discarded and reductions
     combine in exactly the one-device tree order whatever the split or the
-    failover passes. *)
+    failover passes.
+
+    What a launch binds is the kernel's interface, as the translator
+    recorded it in {!Codegen.Tprog.kernel}: a runner binds [k_inputs], a
+    space pass [k_header_inputs], each as {!device_binding} makes it and
+    in that order, and both bind [k_globals] as globals; a name the
+    kernel declares is never bound.  No pass here walks the kernel. *)
 
 (** Can this kernel be split? (parallel loop, not [seq], not straight-line) *)
 val shardable : Codegen.Tprog.kernel -> bool
@@ -95,7 +88,8 @@ val walk_space :
 
 (** The tree walker's space pass: a parallel loop's header, evaluated by
     {!Eval} against [device]'s buffers in an environment binding only the
-    header's names; {!single} for the other shapes. *)
+    header's inputs ([k_header_inputs]); {!single} for the other
+    shapes. *)
 val space : session -> Gpusim.Device.t -> space
 
 (** The space's ordinal count: a parallel loop's trip count, else 1. *)
@@ -111,15 +105,10 @@ val whole : space -> Gpusim.Device_set.shard
 val device_binding :
   session -> Gpusim.Device.t -> Value.binding -> Value.binding
 
-(** The program's global variables named by the functions a kernel calls,
-    directly or through one another; empty when the program has none. *)
-val callee_globals : Minic.Ast.program -> Codegen.Tprog.kernel -> string list
-
-(** [bind_globals s device env globals]: bind each of [globals] as a
-    global of the kernel environment [env], as {!device_binding} binds the
-    kernel's own names, so a function the kernel calls sees them. *)
-val bind_globals :
-  session -> Gpusim.Device.t -> Value.t -> string list -> unit
+(** [bind_globals s device env]: bind each of the kernel's [k_globals]
+    as a global of the kernel environment [env], as {!device_binding}
+    binds its [k_inputs], so a function the kernel calls sees them. *)
+val bind_globals : session -> Gpusim.Device.t -> Value.t -> unit
 
 (** {2 Runner support} *)
 

@@ -2,33 +2,38 @@
 
     A resolver mirrors the lexical scope structure of one activation (a
     function body, the [main] body, or a kernel) and assigns every declared
-    variable a [(depth, slot)] index: [depth] is the lexical scope depth at
-    the declaration and [slot] is an index into the activation's flat
-    register array.  Slots are *not* reused across sibling scopes — [next]
-    only grows — so a stale register can never be observed under a slot
-    that a sibling scope also uses; reading a register whose declaration
-    has not executed yet surfaces as the same "unbound variable" error the
-    tree-walker raises.  Names that resolve to no scope are {e free}
-    (globals, or names materialized at run time by a hook) and fall back to
-    the environment lookup path. *)
-
-type binding = { depth : int; slot : int }
-
-type resolution = Local of binding | Free of string
+    variable a slot: an index into the activation's flat register array.
+    Slots are *not* reused across sibling scopes — [next] only grows — so a
+    stale register can never be observed under a slot that a sibling scope
+    also uses; reading a register whose declaration has not executed yet
+    surfaces as the same "unbound variable" error the tree-walker raises.
+    Names that resolve to no scope are {e free} (globals, or names
+    materialized at run time by a hook) and fall back to the environment
+    lookup path.  One table per resolver, as {!Value} keeps one per
+    environment: a lookup is one probe whatever the scope depth. *)
 
 type t = {
-  mutable scopes : (string, binding) Hashtbl.t list;
-  mutable next : int;  (** next fresh register index *)
-  mutable size : int;  (** high-water mark: required register-array size *)
+  slots : (string, int list) Hashtbl.t;
+      (** name -> slots of its open declarations, innermost first *)
+  mutable scopes : string list list;
+      (** the names each open scope declared, innermost scope first *)
+  mutable next : int;  (** next fresh register index: the frame size *)
 }
 
-let create () = { scopes = [ Hashtbl.create 8 ]; next = 0; size = 0 }
+let create () = { slots = Hashtbl.create 16; scopes = [ [] ]; next = 0 }
 
-let enter t = t.scopes <- Hashtbl.create 8 :: t.scopes
+let enter t = t.scopes <- [] :: t.scopes
 
 let leave t =
   match t.scopes with
-  | _ :: rest -> t.scopes <- rest
+  | names :: rest ->
+      List.iter
+        (fun name ->
+          match Hashtbl.find t.slots name with
+          | _ :: (_ :: _ as outer) -> Hashtbl.replace t.slots name outer
+          | _ -> Hashtbl.remove t.slots name)
+        names;
+      t.scopes <- rest
   | [] -> invalid_arg "Resolve.leave: no open scope"
 
 (** Run [f] inside a child scope. *)
@@ -42,26 +47,20 @@ let scoped t f =
     that scope. *)
 let declare t name =
   match t.scopes with
-  | scope :: _ ->
+  | names :: rest ->
       let slot = t.next in
       t.next <- slot + 1;
-      if t.next > t.size then t.size <- t.next;
-      Hashtbl.replace scope name { depth = List.length t.scopes - 1; slot };
+      let outer = Option.value ~default:[] (Hashtbl.find_opt t.slots name) in
+      Hashtbl.replace t.slots name (slot :: outer);
+      t.scopes <- (name :: names) :: rest;
       slot
   | [] -> invalid_arg "Resolve.declare: no open scope"
 
-let resolve t name =
-  let rec go = function
-    | [] -> Free name
-    | scope :: rest -> (
-        match Hashtbl.find_opt scope name with
-        | Some b -> Local b
-        | None -> go rest)
-  in
-  go t.scopes
-
 (** Register slot for [name] if it is locally bound. *)
 let slot_of t name =
-  match resolve t name with Local b -> Some b.slot | Free _ -> None
+  match Hashtbl.find_opt t.slots name with
+  | Some (slot :: _) -> Some slot
+  | Some [] | None -> None
 
-let frame_size t = t.size
+(** Registers an activation needs: every slot ever handed out. *)
+let frame_size t = t.next

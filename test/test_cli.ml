@@ -600,10 +600,11 @@ let test_session_outputs () =
           (contains ~needle:"transfers: 3 (192 bytes) -> 3 (192 bytes)" out))
   end
 
-(* Arrays a loop header reads are kernel inputs ([Test_kernel_exec]'s
-   header-read programs): runs and verification succeed at every device
-   count, and a session's first profiled run matches the reference; an
-   input the device lacks names the kernel and exits 1. *)
+(* A kernel's inputs ([Test_kernel_exec]'s kernel-input programs: arrays
+   a loop header reads, names a kernel declares itself): runs and
+   verification succeed at every device count, and a session's first
+   profiled run matches the reference; an input the device lacks names
+   the kernel and exits 1. *)
 let test_kernel_inputs () =
   if available then begin
     List.iter
@@ -635,7 +636,7 @@ let test_kernel_inputs () =
             Alcotest.(check int) (what ^ ": verify exits 0") 0 code;
             Alcotest.(check bool) (what ^ ": verify clean") true
               (contains ~needle:"0 kernel(s) with detected errors" out)))
-      Test_kernel_exec.header_read_programs;
+      Test_kernel_exec.kernel_input_programs;
     with_source
       "int main() { float a[4];\n#pragma acc data present(a)\n{\n#pragma acc \
        kernels loop\nfor (int i = 0; i < 4; i++) { a[i] = 1.0; }\n}\nreturn \

@@ -1121,7 +1121,18 @@ int main() {
 |},
       ("scale", 10.)
       :: List.init 4 (fun i -> (Fmt.str "b[%d]" i, (20. *. float_of_int i) +. 1.))
-    ) ]
+    );
+    ( "a kernel-local scalar named like a host array the device lacks",
+      {|int main() {
+  int n = 4; float t[n]; float a[n];
+  for (int q = 0; q < n; q++) { t[q] = 2.0; a[q] = 0.0; }
+  #pragma acc kernels loop
+  for (int i = 0; i < n; i++) { float t = 1.0; a[i] = t + float(i); }
+  return 0;
+}
+|},
+      List.init 4 (fun i -> (Fmt.str "a[%d]" i, 1. +. float_of_int i))
+      @ List.init 4 (fun i -> (Fmt.str "t[%d]" i, 2.)) ) ]
 
 let test_name_resolution () =
   List.iter

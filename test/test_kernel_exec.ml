@@ -123,15 +123,19 @@ let test_single_thread_kernel () =
   Alcotest.(check (float 0.)) "second kernel used it" 0.25
     (Gpusim.Buf.get_float (Accrt.Interp.host_array o "a") 0)
 
-(* Arrays a loop header reads are kernel inputs: they are transferred,
-   peer-synced and uploaded for verification like body reads.  In [lim]
-   the bound lives in a host array the body never reads; in [device] a
+(* A kernel's inputs are the names it takes from the host.  Arrays a
+   loop header reads are among them: they are transferred, peer-synced
+   and uploaded for verification like body reads.  In [lim] the bound
+   lives in a host array the body never reads; in [device] a
    straight-line kernel rewrites the bound on the device first, so every
    member must step the driver against device data, and the loop
-   variable's exit value comes from the runner.  Both must leave the
-   sequential reference's values under both engines on 1, 2 and 4
-   devices, and verify clean. *)
-let header_read_programs =
+   variable's exit value comes from the runner.  What a kernel declares
+   is not among them: in [local] a kernel-local scalar shares its name
+   with a host array the device does not hold, and in [local array] a
+   kernel-local array, whose extent is an input, is no transfer.  Each
+   must leave the sequential reference's values under both engines on 1,
+   2 and 4 devices, and verify clean. *)
+let kernel_input_programs =
   [ ( "lim",
       "int main() { int n = 8; int lim[2]; float b[n]; int i = 0; lim[0] = \
        5;\nfor (int q = 0; q < n; q++) { b[q] = 0.0; }\n#pragma acc kernels \
@@ -144,7 +148,18 @@ let header_read_programs =
        }\n#pragma acc data copyin(a) copy(b)\n{\n#pragma acc kernels\n{ \
        a[0] = 5; }\n#pragma acc kernels loop gang worker\nfor (i = 0; i < \
        a[0]; i++) { b[i] = 1.0; s = s + 1.0; }\n}\nreturn 0; }",
-      [ "i"; "s"; "b" ] ) ]
+      [ "i"; "s"; "b" ] );
+    ( "local",
+      "int main() { int n = 8; float t[n]; float a[n];\nfor (int q = 0; q < \
+       n; q++) { t[q] = 2.0; a[q] = 0.0; }\n#pragma acc kernels loop\nfor \
+       (int i = 0; i < n; i++) { float t = 1.0; a[i] = t; }\nreturn 0; }",
+      [ "a"; "t" ] );
+    ( "local array",
+      "int main() { int n = 8; int m = 2; float a[n];\nfor (int q = 0; q < \
+       n; q++) { a[q] = 0.0; }\n#pragma acc kernels loop copy(a)\nfor (int \
+       i = 0; i < n; i++) { float tmp[m]; tmp[0] = 1.0; a[i] = tmp[0] + \
+       float(i); }\nreturn 0; }",
+      [ "a" ] ) ]
 
 let test_header_reads () =
   List.iter
@@ -185,7 +200,7 @@ let test_header_reads () =
             0
             (List.length (Openarc_core.Kernel_verify.detected_errors v)))
         [ Accrt.Engine.Tree; Accrt.Engine.Compiled ])
-    header_read_programs
+    kernel_input_programs
 
 let tests =
   [ Alcotest.test_case "reduction identities" `Quick test_identities;

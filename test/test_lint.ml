@@ -208,6 +208,40 @@ let test_array_conflicts () =
   Alcotest.(check (option string)) "on a" (Some "a")
     (List.hd (with_code "ACC-RACE-004" ds)).Diag.var
 
+(* An array a kernel declares is one per thread: it races with no other
+   iteration, and it is no transfer.  One the kernel reaches through a
+   pointer it declares is the host's, and shared. *)
+let kernel_local_array = {|
+int main() {
+  int n = 8; int m = 2;
+  float a[n];
+  #pragma acc kernels loop copy(a)
+  for (int i = 0; i < n; i++) { float tmp[m]; tmp[0] = 1.0; a[i] = tmp[0]; }
+  return 0;
+}
+|}
+
+let kernel_local_pointer = {|
+int main() {
+  int n = 8;
+  float a[n];
+  #pragma acc kernels loop copy(a)
+  for (int i = 0; i < n; i++) { float *q = a; q[0] = float(i); }
+  return 0;
+}
+|}
+
+let test_kernel_local_arrays () =
+  let ds = lint kernel_local_array in
+  Alcotest.(check (list string)) "local array: no race" [] (race_codes ds);
+  Alcotest.(check int) "local array: nothing on tmp" 0
+    (List.length (List.filter (fun d -> d.Diag.var = Some "tmp") ds));
+  Alcotest.(check (list (option string))) "local pointer: a shared write"
+    [ Some "q" ]
+    (List.map
+       (fun d -> d.Diag.var)
+       (with_code "ACC-RACE-003" (lint kernel_local_pointer)))
+
 (* ------------------- synthetic transfer programs -------------------- *)
 
 let missing_transfer = {|
@@ -555,6 +589,7 @@ let tests =
     Alcotest.test_case "missing reduction" `Quick test_missing_reduction;
     Alcotest.test_case "carried scalar" `Quick test_carried_scalar;
     Alcotest.test_case "array conflicts" `Quick test_array_conflicts;
+    Alcotest.test_case "kernel-local arrays" `Quick test_kernel_local_arrays;
     Alcotest.test_case "missing transfer" `Quick test_missing_transfer;
     Alcotest.test_case "redundant update" `Quick test_redundant_update;
     Alcotest.test_case "incorrect update" `Quick test_incorrect_update;

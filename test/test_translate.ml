@@ -188,6 +188,82 @@ let test_cuda_rendering () =
     (contains "private (per-thread register)");
   Alcotest.(check bool) "memcpy call" true (contains "memcpyin")
 
+(* A kernel's interface: the names it takes from the host ([k_inputs],
+   the latest first occurrence first; [k_header_inputs], the header's),
+   the globals its callees name, and the array roots it transfers. *)
+type interface = {
+  inputs : string list;
+  header : string list;
+  globals : string list;
+  read : string list;
+  written : string list;
+}
+
+let interface_cases =
+  let kernel ?(setup = "") ?(after = "") ?(clauses = "") header body =
+    Fmt.str
+      "%sint main() { int n = 8; int m = 2; float t = 2.0; int j = 0; \
+       float a[n]; float b[n]; float x[n]; float *p = x;\n#pragma acc \
+       kernels loop%s\nfor (%s) { %s }\n%sreturn 0; }"
+      setup clauses header body after
+  in
+  let loop = "int i = 0; i < n; i++" in
+  let io ?(header = [ "n" ]) ?(globals = []) ?(read = []) ?(written = [ "a" ])
+      inputs =
+    { inputs; header; globals; read; written }
+  in
+  [ ("a scalar read only in the header", kernel loop "a[i] = 1.0;",
+     io [ "a"; "n" ]);
+    ( "a local scalar shadows a host array declared after the kernel",
+      kernel loop "float u = 1.0; a[i] = u;" ~after:"float u[n];\n",
+      io [ "a"; "n" ] );
+    ( "a use before a declaration in the same scope",
+      kernel loop "b[i] = t; float t = 1.0; a[i] = t;",
+      io [ "a"; "t"; "b"; "n" ] ~written:[ "a"; "b" ] );
+    ( "a host name next to a local one in a sibling block",
+      kernel loop
+        "if (i < 4) { float t = 1.0; a[i] = t; } else { a[i] = t; }",
+      io [ "t"; "a"; "n" ] );
+    ( "a declared inner loop variable",
+      kernel loop "for (int j = 0; j < n; j++) { a[i] = 1.0; }",
+      io [ "a"; "n" ] );
+    ( "an assigned inner loop variable",
+      kernel loop "for (j = 0; j < n; j++) { a[i] = 1.0; }",
+      io [ "a"; "j"; "n" ] );
+    ( "an assigned loop variable",
+      kernel "j = 0; j < n; j++" "a[j] = 1.0;",
+      io [ "a"; "n"; "j" ] ~header:[ "n"; "j" ] );
+    ( "a local array's extent",
+      kernel loop "float tmp[m]; tmp[0] = 1.0; a[i] = tmp[0];"
+        ~clauses:" copy(a)",
+      io [ "a"; "m"; "n" ] );
+    ( "a host pointer",
+      kernel loop "a[i] = p[i];", io [ "p"; "a"; "n" ] ~read:[ "x" ] );
+    ( "a local pointer to a host array",
+      kernel loop "float *q = a; q[i] = 1.0;", io [ "a"; "n" ] );
+    ( "a header reading an array",
+      kernel "int i = 0; i < int(x[0]); i++" "a[i] = 1.0;",
+      io [ "a"; "x" ] ~header:[ "x" ] ~read:[ "x" ] );
+    ( "a global read through a callee's callee",
+      kernel loop "a[i] = f(1.0);"
+        ~setup:
+          "float scale = 2.0;\nfloat g(float y) { return y * scale; \
+           }\nfloat f(float y) { return g(y); }\n",
+      io [ "a"; "n" ] ~globals:[ "scale" ] ) ]
+
+let test_interface () =
+  List.iter
+    (fun (what, src, expected) ->
+      let k = List.hd (kernels (compile src)) in
+      let names = Analysis.Varset.elements in
+      let check field = Alcotest.(check (list string)) (what ^ ": " ^ field) in
+      check "inputs" expected.inputs k.k_inputs;
+      check "header inputs" expected.header k.k_header_inputs;
+      check "callee globals" expected.globals k.k_globals;
+      check "arrays read" expected.read (names k.k_arrays_read);
+      check "arrays written" expected.written (names k.k_arrays_written))
+    interface_cases
+
 let tests =
   [ Alcotest.test_case "outline kernels loop" `Quick test_outline_kernels_loop;
     Alcotest.test_case "outline kernels region" `Quick
@@ -203,4 +279,5 @@ let tests =
     Alcotest.test_case "update and wait" `Quick test_update_and_wait;
     Alcotest.test_case "sites and provenance" `Quick test_sites_and_provenance;
     Alcotest.test_case "seq clause" `Quick test_seq_clause;
-    Alcotest.test_case "CUDA rendering" `Quick test_cuda_rendering ]
+    Alcotest.test_case "CUDA rendering" `Quick test_cuda_rendering;
+    Alcotest.test_case "kernel interface" `Quick test_interface ]

@@ -4,8 +4,9 @@
    the shards row), the single-engine mode, the --min-speedup gate on
    both suite medians (both directions — impossible bounds must fail, a
    sub-1.0 sanity bound must pass), and the fixed bounds that gate also
-   holds the many-kernel row, the front end, the static passes, the
-   lookup depth, the shards ratio and the search ratio to. *)
+   holds the many-kernel row, the front end, the static passes, kernel
+   verification, the lookup depth, the shards ratio and the search ratio
+   to. *)
 
 let exe = "../bench/main.exe"
 
@@ -175,7 +176,7 @@ let test_wall_report () =
           | Some (Obs.Pjson.Num x) -> float_of_string x > 0.0
           | _ -> false))
       [ "median_speedup"; "median_verify_speedup"; "parse_growth";
-        "print_growth"; "instrument_growth"; "lint_growth" ];
+        "print_growth"; "instrument_growth"; "lint_growth"; "verify_growth" ];
     let many = Option.get (Obs.Pjson.member "many_kernels" v) in
     Alcotest.(check (option string)) "many-kernel copies" (Some "100")
       (match Obs.Pjson.member "copies" many with
@@ -232,8 +233,9 @@ let test_single_engine () =
   end
 
 (* Given --min-speedup, the gate also holds the many-kernel speedup, the
-   growth of the front end and both static passes, the lookup-depth
-   growth, the shards ratio and the median search ratio to fixed bounds
+   growth of the front end, both static passes and kernel verification,
+   the lookup-depth growth, the shards ratio and the median search ratio
+   to fixed bounds
    and prints one verdict each; returns which fail.
    These are wall-clock ratios, so a loaded machine may put one past its
    bound, and the exit code must then say so. *)
@@ -245,8 +247,9 @@ let fixed_verdicts out =
       Alcotest.(check bool) (what ^ " verdict") true (within <> over);
       over)
     [ "many-kernel speedup"; "median parse growth"; "median print growth";
-      "median instrument growth"; "median lint growth"; "lookup-depth growth";
-      "shards ratio"; "median search ratio" ]
+      "median instrument growth"; "median lint growth";
+      "median verify growth"; "lookup-depth growth"; "shards ratio";
+      "median search ratio" ]
 
 let test_min_speedup_gate () =
   if available then begin
