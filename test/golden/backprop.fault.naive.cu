@@ -13,7 +13,7 @@ __global__ void main_kernel0(double *hidden, double *input, double *w1, int nh, 
   }
 }
 
-__global__ void main_kernel1(double *hidden, double *output, double *w2a, double *w2b, int nh, int no)
+__global__ void main_kernel1(double *hidden, double *output, double *w2, int nh, int no)
 {
   double sumo; /* unsynchronized shared (latent race) */
   int j = (blockIdx.x * blockDim.x + threadIdx.x) /* from 0 */;
@@ -26,7 +26,7 @@ __global__ void main_kernel1(double *hidden, double *output, double *w2a, double
   }
 }
 
-__global__ void main_kernel2(double *delta, double *output, double *target)
+__global__ void main_kernel2(double *delta, double *output, double *target, int no)
 {
   double err; /* UNSYNCHRONIZED SHARED (active race) */
   int j = (blockIdx.x * blockDim.x + threadIdx.x) /* from 0 */;
@@ -36,7 +36,7 @@ __global__ void main_kernel2(double *delta, double *output, double *target)
   }
 }
 
-__global__ void main_kernel3(double *delta, double *hidden, double *w2a, double *w2b, double lr, int no)
+__global__ void main_kernel3(double *delta, double *hidden, double *w2, double *w2prev, double lr, int nh, int no)
 {
   int i = (blockIdx.x * blockDim.x + threadIdx.x) /* from 0 */;
   if (i < nh) {

@@ -17,7 +17,7 @@ __global__ void main_kernel0(int *frontier, int *levels, int *nextf, int depth, 
   }
 }
 
-__global__ void main_kernel1(int *frontier, int *nextf)
+__global__ void main_kernel1(int *frontier, int *nextf, int nv)
 {
   int v = (blockIdx.x * blockDim.x + threadIdx.x) /* from 0 */;
   if (v < nv) {

@@ -1,6 +1,6 @@
 /* OpenARC output (CUDA rendering) */
 
-__global__ void main_kernel0(double *dens, double *dens_old, double *ener, double *ener_old, double *momx, double *momx_old, double *momy, double *momy_old)
+__global__ void main_kernel0(double *dens, double *dens_old, double *ener, double *ener_old, double *momx, double *momx_old, double *momy, double *momy_old, int n)
 {
   int i = (blockIdx.x * blockDim.x + threadIdx.x) /* from 0 */;
   if (i < n) {
@@ -11,7 +11,7 @@ __global__ void main_kernel0(double *dens, double *dens_old, double *ener, doubl
   }
 }
 
-__global__ void main_kernel1(double *dens, double *momx, double *momy, double *sf)
+__global__ void main_kernel1(double *dens, double *momx, double *momy, double *sf, int n)
 {
   double t1; /* private (per-thread register) */
   int i = (blockIdx.x * blockDim.x + threadIdx.x) /* from 0 */;
@@ -21,7 +21,7 @@ __global__ void main_kernel1(double *dens, double *momx, double *momy, double *s
   }
 }
 
-__global__ void main_kernel2(double *dens, double *fluxd, double *momx, double *momy)
+__global__ void main_kernel2(double *dens, double *fluxd, double *momx, double *momy, int n)
 {
   double t2; /* private (per-thread register) */
   int i = (blockIdx.x * blockDim.x + threadIdx.x) /* from 0 */;
@@ -31,7 +31,7 @@ __global__ void main_kernel2(double *dens, double *fluxd, double *momx, double *
   }
 }
 
-__global__ void main_kernel3(double *dens, double *ener, double *fluxmx, double *momx)
+__global__ void main_kernel3(double *dens, double *ener, double *fluxmx, double *momx, int n)
 {
   double t3; /* private (per-thread register) */
   int i = (blockIdx.x * blockDim.x + threadIdx.x) /* from 0 */;
@@ -41,7 +41,7 @@ __global__ void main_kernel3(double *dens, double *ener, double *fluxmx, double 
   }
 }
 
-__global__ void main_kernel4(double *dens, double *ener, double *fluxmy, double *momy)
+__global__ void main_kernel4(double *dens, double *ener, double *fluxmy, double *momy, int n)
 {
   int i = (blockIdx.x * blockDim.x + threadIdx.x) /* from 0 */;
   if (i < n) {
@@ -49,7 +49,7 @@ __global__ void main_kernel4(double *dens, double *ener, double *fluxmy, double 
   }
 }
 
-__global__ void main_kernel5(double *dens, double *ener, double *fluxe, double *momx, double *momy)
+__global__ void main_kernel5(double *dens, double *ener, double *fluxe, double *momx, double *momy, int n)
 {
   int i = (blockIdx.x * blockDim.x + threadIdx.x) /* from 0 */;
   if (i < n) {
@@ -57,7 +57,7 @@ __global__ void main_kernel5(double *dens, double *ener, double *fluxe, double *
   }
 }
 
-__global__ void main_kernel6(double *dens, double *dens_old, double *fluxd, double *sf)
+__global__ void main_kernel6(double *dens, double *dens_old, double *fluxd, double *sf, int n)
 {
   int i = (blockIdx.x * blockDim.x + threadIdx.x) /* from 0 */;
   if (i < n) {
@@ -65,7 +65,7 @@ __global__ void main_kernel6(double *dens, double *dens_old, double *fluxd, doub
   }
 }
 
-__global__ void main_kernel7(double *fluxmx, double *fluxmy, double *momx, double *momx_old, double *momy, double *momy_old, double *sf)
+__global__ void main_kernel7(double *fluxmx, double *fluxmy, double *momx, double *momx_old, double *momy, double *momy_old, double *sf, int n)
 {
   int i = (blockIdx.x * blockDim.x + threadIdx.x) /* from 0 */;
   if (i < n) {
@@ -74,7 +74,7 @@ __global__ void main_kernel7(double *fluxmx, double *fluxmy, double *momx, doubl
   }
 }
 
-__global__ void main_kernel8(double *ener, double *ener_old, double *fluxe, double *sf)
+__global__ void main_kernel8(double *ener, double *ener_old, double *fluxe, double *sf, int n)
 {
   int i = (blockIdx.x * blockDim.x + threadIdx.x) /* from 0 */;
   if (i < n) {

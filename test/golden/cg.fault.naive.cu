@@ -1,6 +1,6 @@
 /* OpenARC output (CUDA rendering) */
 
-__global__ void main_kernel0(double *p, double *q, double *r, double *x, double *z)
+__global__ void main_kernel0(double *p, double *q, double *r, double *x, double *z, int n)
 {
   int j = (blockIdx.x * blockDim.x + threadIdx.x) /* from 0 */;
   if (j < n) {
@@ -11,7 +11,7 @@ __global__ void main_kernel0(double *p, double *q, double *r, double *x, double 
   }
 }
 
-__global__ void main_kernel1(double *r)
+__global__ void main_kernel1(double *r, int n)
 {
   double rho; /* UNSYNCHRONIZED SHARED (active race) */
   int j = (blockIdx.x * blockDim.x + threadIdx.x) /* from 0 */;
@@ -20,7 +20,7 @@ __global__ void main_kernel1(double *r)
   }
 }
 
-__global__ void main_kernel2(double *aval, int *col, double *p, double *q, int *rowptr)
+__global__ void main_kernel2(double *aval, int *col, double *p, double *q, int *rowptr, int n)
 {
   double t; /* unsynchronized shared (latent race) */
   int row = (blockIdx.x * blockDim.x + threadIdx.x) /* from 0 */;
@@ -33,7 +33,7 @@ __global__ void main_kernel2(double *aval, int *col, double *p, double *q, int *
   }
 }
 
-__global__ void main_kernel3(double *p, double *q)
+__global__ void main_kernel3(double *p, double *q, int n)
 {
   double d; /* UNSYNCHRONIZED SHARED (active race) */
   int j = (blockIdx.x * blockDim.x + threadIdx.x) /* from 0 */;
@@ -42,7 +42,7 @@ __global__ void main_kernel3(double *p, double *q)
   }
 }
 
-__global__ void main_kernel4(double *p, double *q, double *r, double *z, double alpha)
+__global__ void main_kernel4(double *p, double *q, double *r, double *z, double alpha, int n)
 {
   int j = (blockIdx.x * blockDim.x + threadIdx.x) /* from 0 */;
   if (j < n) {
@@ -51,7 +51,7 @@ __global__ void main_kernel4(double *p, double *q, double *r, double *z, double 
   }
 }
 
-__global__ void main_kernel5(double *p, double *r, double beta)
+__global__ void main_kernel5(double *p, double *r, double beta, int n)
 {
   int j = (blockIdx.x * blockDim.x + threadIdx.x) /* from 0 */;
   if (j < n) {
@@ -59,7 +59,7 @@ __global__ void main_kernel5(double *p, double *r, double beta)
   }
 }
 
-__global__ void main_kernel6(double *aval, int *col, int *rowptr, double *w, double *z)
+__global__ void main_kernel6(double *aval, int *col, int *rowptr, double *w, double *z, int n)
 {
   double t2; /* unsynchronized shared (latent race) */
   int row = (blockIdx.x * blockDim.x + threadIdx.x) /* from 0 */;
@@ -72,7 +72,7 @@ __global__ void main_kernel6(double *aval, int *col, int *rowptr, double *w, dou
   }
 }
 
-__global__ void main_kernel7(double *w, double *x)
+__global__ void main_kernel7(double *w, double *x, int n)
 {
   int j = (blockIdx.x * blockDim.x + threadIdx.x) /* from 0 */;
   if (j < n) {
@@ -80,7 +80,7 @@ __global__ void main_kernel7(double *w, double *x)
   }
 }
 
-__global__ void main_kernel8(double *z)
+__global__ void main_kernel8(double *z, int n)
 {
   int j = (blockIdx.x * blockDim.x + threadIdx.x) /* from 0 */;
   if (j < n) {

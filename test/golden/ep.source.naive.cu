@@ -1,6 +1,6 @@
 /* OpenARC output (CUDA rendering) */
 
-__global__ void main_kernel0(int *seeds)
+__global__ void main_kernel0(int *seeds, int n)
 {
   int s; /* private (per-thread register) */
   int i = (blockIdx.x * blockDim.x + threadIdx.x) /* from 0 */;
@@ -11,7 +11,7 @@ __global__ void main_kernel0(int *seeds)
   }
 }
 
-__global__ void main_kernel1(int *seeds)
+__global__ void main_kernel1(int *seeds, int n)
 {
   double acc1; /* reduction(+) */
   int i = (blockIdx.x * blockDim.x + threadIdx.x) /* from 0 */;

@@ -1,6 +1,6 @@
 /* OpenARC output (CUDA rendering) */
 
-__global__ void main_kernel0(double *a, double *b)
+__global__ void main_kernel0(double *a, double *b, int n)
 {
   int i = (blockIdx.x * blockDim.x + threadIdx.x) /* from 1 */;
   if (i < n - 1) {
@@ -8,7 +8,7 @@ __global__ void main_kernel0(double *a, double *b)
   }
 }
 
-__global__ void main_kernel1(double *a, double *b)
+__global__ void main_kernel1(double *a, double *b, int n)
 {
   int i = (blockIdx.x * blockDim.x + threadIdx.x) /* from 1 */;
   if (i < n - 1) {

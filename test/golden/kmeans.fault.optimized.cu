@@ -1,6 +1,6 @@
 /* OpenARC output (CUDA rendering) */
 
-__global__ void main_kernel0(double *centroids, int *membership, double *pts, int nclu, int nf)
+__global__ void main_kernel0(double *centroids, int *membership, double *pts, int nclu, int nf, int npts)
 {
   int bestc; /* unsynchronized shared (latent race) */
   double bestd; /* unsynchronized shared (latent race) */
@@ -23,7 +23,7 @@ __global__ void main_kernel0(double *centroids, int *membership, double *pts, in
   }
 }
 
-__global__ void main_kernel1(double *centroids, double *errs, int *membership, double *pts, int nf)
+__global__ void main_kernel1(double *centroids, double *errs, int *membership, double *pts, int nf, int npts)
 {
   double dmin; /* unsynchronized shared (latent race) */
   int i = (blockIdx.x * blockDim.x + threadIdx.x) /* from 0 */;

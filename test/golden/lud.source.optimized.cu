@@ -23,7 +23,7 @@ __global__ void main_kernel1(double *m, int k, int n)
   }
 }
 
-__global__ void main_kernel2(double *ca, double *cb, double *da, double *db, double *m, double *sa, double *sb, int k, int n)
+__global__ void main_kernel2(double *m, double *pc, double *pcold, double *pd, double *pdold, double *ps, double *psold, int k, int n)
 {
   int i = (blockIdx.x * blockDim.x + threadIdx.x) /* from 0 */;
   if (i < n) {

@@ -12,7 +12,7 @@ __global__ void main_kernel0(int *seq1, int *seq2, double *sm, int d)
   }
 }
 
-__global__ void main_kernel1(int *seq1, int *seq2, double *sm, int d)
+__global__ void main_kernel1(int *seq1, int *seq2, double *sm, int d, int n)
 {
   int i = (blockIdx.x * blockDim.x + threadIdx.x) /* from d - n */;
   if (i <= n) {

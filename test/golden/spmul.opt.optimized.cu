@@ -1,6 +1,6 @@
 /* OpenARC output (CUDA rendering) */
 
-__global__ void main_kernel0(int *col, int *rowptr, double *val, double *x, double *y)
+__global__ void main_kernel0(int *col, int *rowptr, double *val, double *x, double *y, int nr)
 {
   double t; /* private (per-thread register) */
   int r = (blockIdx.x * blockDim.x + threadIdx.x) /* from 0 */;
@@ -13,7 +13,7 @@ __global__ void main_kernel0(int *col, int *rowptr, double *val, double *x, doub
   }
 }
 
-__global__ void main_kernel1(double *x, double *y)
+__global__ void main_kernel1(double *x, double *y, int nr)
 {
   int r = (blockIdx.x * blockDim.x + threadIdx.x) /* from 0 */;
   if (r < nr) {
