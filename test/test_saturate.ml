@@ -194,6 +194,109 @@ let test_unbound_output () =
       ("an array of an inner block",
        "int main() { { " ^ hoistable_loop ^ "}\nreturn 0; }", [ "b" ], "b") ]
 
+(* The search runs the verify rung once per kernel set: a hoist, present
+   or merge candidate takes its parent's verdict.  That holds because
+   verification is blind to data placement: it demotes every transfer,
+   feeding each kernel the data the sequential run produced, and the
+   sequential run is transparent to directives, so an edit of data
+   clauses and data regions leaves both what each kernel runs on and
+   what it is compared with as they were.  Every step between the
+   original program and the final one is such an edit when no fusion was
+   accepted, so the two ends' per-kernel reports must be equal: names,
+   occurrences, mismatches, assertion failures and symbolic verdicts. *)
+let test_verify_blind_to_placement () =
+  let reports tp =
+    List.map
+      (fun (kr : Openarc_core.Kernel_verify.kernel_report) ->
+        let name = kr.kr_kernel.Codegen.Tprog.k_name in
+        Fmt.str "@[<v>%s x%d mismatches [%s] assertions [%s]@,%a@]" name
+          kr.kr_occurrences
+          (String.concat "; "
+             (List.map
+                (fun (m : Accrt.Value.mismatch) ->
+                  Fmt.str "%s %d %Lx %a" m.m_what m.m_count
+                    (Int64.bits_of_float m.m_max_diff)
+                    Fmt.(Dump.list int)
+                    m.m_first_indices)
+                kr.kr_mismatches))
+          (String.concat "; " kr.kr_assertion_failures)
+          (Fmt.option Symeq.Engine.pp_kernel)
+          (Option.map
+             (fun kv_verdict -> { Symeq.Engine.kv_name = name; kv_verdict })
+             kr.kr_symbolic))
+      (Openarc_core.Kernel_verify.verify_tprog ~symbolic:true tp)
+        .Openarc_core.Kernel_verify.reports
+  in
+  List.iter
+    (fun (b : Suite.Bench_def.t) ->
+      let prog = Minic.Parser.parse_string ~file:b.name b.source in
+      let r = Saturate.run ~name:b.name ~outputs:b.outputs prog in
+      Alcotest.(check (list string))
+        (b.name ^ ": no fusion accepted") []
+        (List.filter_map
+           (fun s ->
+             if s.Saturate.st_accepted && s.Saturate.st_kind = Saturate.Fuse
+             then Some s.Saturate.st_label
+             else None)
+           r.Saturate.r_steps);
+      Alcotest.(check bool) (b.name ^ ": some edit accepted") true
+        (r.Saturate.r_accepted > 0);
+      let original = reports (Openarc_core.Compiler.compile_program prog) in
+      Alcotest.(check bool) (b.name ^ ": some kernel verified") true
+        (original <> []);
+      Alcotest.(check (list string))
+        (b.name ^ ": the final program verifies like the original")
+        original
+        (reports (Openarc_core.Compiler.compile_program r.Saturate.r_program)))
+    Suite.Registry.all
+
+(* A fusion changes kernels, so it runs the verify rung on its own kernel
+   set; once accepted, the data-clause edit after it takes that verdict. *)
+let test_fusion_verified () =
+  let src =
+    "int main() { float a[32]; float b[32]; float c[32];\n\
+     for (int i = 0; i < 32; i++) { a[i] = i; b[i] = 0.0; c[i] = 0.0; }\n\
+     #pragma acc kernels loop\n\
+     for (int i = 0; i < 32; i++) { b[i] = a[i] * 2.0; }\n\
+     #pragma acc kernels loop\n\
+     for (int i = 0; i < 32; i++) { c[i] = a[i] + 1.0; }\n\
+     float s = b[3] + c[5];\n\
+     return 0; }"
+  in
+  let r =
+    Saturate.run ~name:"unit" ~outputs:[ "b"; "c" ]
+      (Minic.Parser.parse_string src)
+  in
+  Alcotest.(check (list (pair string string)))
+    "the fusion, then a pin on the fused kernel"
+    [ ("fuse", "accepted"); ("present", "accepted") ]
+    (List.map
+       (fun s -> (Saturate.kind_name s.Saturate.st_kind, s.Saturate.st_reason))
+       r.Saturate.r_steps)
+
+(* One oracle: every checked configuration of every candidate must
+   reproduce the original program's tree x1 outputs.  Here the host adds
+   the device-set size to an output after the loop, so the original
+   program's own outputs differ between device sets, and every candidate
+   fails at the first configuration that reads another size, however it
+   would compare with the original program run there. *)
+let test_one_reference () =
+  let src =
+    "int main() { " ^ hoistable_loop
+    ^ "b[0] = b[0] + acc_get_num_devices(4);\nreturn 0; }"
+  in
+  let r =
+    Saturate.run ~name:"unit" ~outputs:[ "b" ] (Minic.Parser.parse_string src)
+  in
+  Alcotest.(check bool) "some candidate was tried" true
+    (r.Saturate.r_steps <> []);
+  List.iter
+    (fun s ->
+      Alcotest.(check string) s.Saturate.st_label
+        "rejected: outputs diverged (compiled engine, 2 device(s))"
+        s.Saturate.st_reason)
+    r.Saturate.r_steps
+
 let tests =
   [ Alcotest.test_case "search accepts the hoist" `Slow
       test_search_accepts_hoist;
@@ -205,4 +308,9 @@ let tests =
     Alcotest.test_case "ladder requires the one-device run" `Quick
       test_requires_one_device;
     Alcotest.test_case "an unbound output is refused" `Quick
-      test_unbound_output ]
+      test_unbound_output;
+    Alcotest.test_case "verification is blind to data placement" `Slow
+      test_verify_blind_to_placement;
+    Alcotest.test_case "a fusion is verified" `Quick test_fusion_verified;
+    Alcotest.test_case "one reference for every configuration" `Quick
+      test_one_reference ]
