@@ -968,6 +968,26 @@ let test_exit_code_table () =
           [ "openarc: output 'b' is not a variable of the program" ]
           err)
       [ "saturate"; "optimize --outputs b"; "session --outputs b" ];
+    (* named, an output of main's scope lets saturate search a program
+       whose kernel-written arrays live in an inner block *)
+    let inner_out =
+      source
+        "int main() { float s = 0.0;\n\
+         { float a[8]; float b[8];\n\
+         for (int i = 0; i < 8; i++) { a[i] = 1.0; b[i] = 0.0; }\n\
+         for (int t = 0; t < 4; t++) {\n\
+         #pragma acc kernels loop copyin(a) copy(b)\n\
+         for (int i = 0; i < 8; i++) { b[i] = b[i] + a[i]; } }\n\
+         s = b[7]; }\n\
+         return 0; }\n"
+    in
+    let code, out =
+      run_cmd ("saturate --outputs s " ^ Filename.quote inner_out)
+    in
+    Alcotest.(check int) "saturate --outputs s: a main-scope output exits 0"
+      0 code;
+    Alcotest.(check bool) "saturate --outputs s: the hoist is accepted" true
+      (contains ~needle:"1 step(s), 1 accepted" out);
     (* a function a kernel calls reads the program's globals *)
     let globals =
       source
