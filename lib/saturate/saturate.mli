@@ -9,21 +9,28 @@
     apply the top-ranked candidate, validate it (print/reparse round
     trip → static validity, the reparse's one compilation through
     [Openarc_core.Compiler] → §III-A kernel verification with the
-    symbolic tier first → identical designated outputs under the tree
-    walker on one device and the compiled engine on 1/2/4-device sets →
-    measured diff-profile corroboration within 0.25–4x of the
-    prediction), re-run the ledger, repeat until no material candidate
-    remains.
+    symbolic tier first → the original program's designated outputs
+    reproduced under the tree walker on one device and the compiled
+    engine on 1/2/4-device sets → measured diff-profile corroboration
+    within 0.25–4x of the prediction), re-run the ledger, repeat until
+    no material candidate remains.
 
-    Each checked configuration runs once per candidate, four runs by
-    default: the traced tree-engine single-device output run is also the
-    step's measurement, the original program's reference run gives the
-    "before" profile, and the last accepted measurement gives "after".
-    The ledger runs once per adopted program.  Later rungs and the
-    next step run on the round-trip rung's reparse under a rebased sid
-    allocator, and equal-priced candidates rank by label, so the report
-    depends only on the program — not on what the process parsed before,
-    nor on how much work the ladder does. *)
+    The original program runs once, under the tree walker on one device:
+    that reference run gives the "before" profile, checks that every
+    output is bound, and is the one oracle every checked configuration of
+    every candidate must reproduce.  Each checked configuration runs once
+    per candidate, four runs by default: the traced tree-engine
+    single-device output run is also the step's measurement, and the last
+    accepted measurement gives "after".  Kernel verification demotes
+    every transfer, so its verdict is inherited across data-only edits:
+    it runs at most once for the original program (when a candidate
+    first needs it) and once per fusion candidate; a hoist, present or
+    merge candidate takes its parent's verdict.  The ledger runs once
+    per adopted program.  Later rungs and the next step run on the
+    round-trip rung's reparse under a rebased sid allocator, and
+    equal-priced candidates rank by label, so the report depends only on
+    the program — not on what the process parsed before, nor on how much
+    work the ladder does. *)
 
 type kind = Hoist | Present | Merge | Fuse
 
@@ -90,7 +97,8 @@ val candidates :
 
 (** Run the search.  [outputs] are the designated host-visible outputs
     every accepted rewrite must preserve exactly (the result comparator,
-    {!Accrt.Value.compare_outputs}, at margin 0).  The search
+    {!Accrt.Value.compare_outputs}, at margin 0), as the original program
+    computes them under the tree walker on one device.  The search
     edits [prog]'s translated source (callees inlined), which is also
     what [r_program] holds.
     @raise Minic.Loc.Error or Acc.Validate.Invalid when [prog] does not
