@@ -1392,10 +1392,10 @@ let shards_bound = 1.6
    against the compiled one-device plain run of the same translation,
    over the run rows' rounds.  The search's cost is mostly its
    validation ladder's runs per candidate: on JACOBI, EP and SRAD the
-   median ratio reads 28.8-32.4x with the tree walker run once per
+   median ratio reads 23.6-25.9x with the tree walker run once per
    candidate, and 48.3-51.7x with it run at 2 and 4 devices as well.
-   The ratio depends on the program (17-147x over the suite, whose
-   median reads 41x), so the bound fits the wall-smoke selection.  Past
+   The ratio depends on the program (13-129x over the suite, whose
+   median reads 33x), so the bound fits the wall-smoke selection.  Past
    [search_bound] the wall-smoke gate fails. *)
 let search_bound = 40.0
 
