@@ -270,6 +270,103 @@ let test_cross_device_redundant () =
         r.Accrt.Coherence.r_desc
   | [] -> Alcotest.fail "expected a report"
 
+(* Every report sentence, byte for byte, under both granularities: the
+   text the CLI and the interactive loop show the programmer. *)
+let test_report_sentences () =
+  let last t =
+    match List.rev (Accrt.Coherence.reports t) with
+    | r :: _ -> r
+    | [] -> Alcotest.fail "expected a report"
+  in
+  let text t = (last t).Accrt.Coherence.r_desc in
+  List.iter
+    (fun granularity ->
+      let mode =
+        match granularity with
+        | Accrt.Coherence.Coarse -> "coarse "
+        | Accrt.Coherence.Fine -> "fine "
+      in
+      let fresh () =
+        let t = Accrt.Coherence.create ~granularity () in
+        Accrt.Coherence.register_len t "v" 8;
+        t
+      in
+      let t = fresh () in
+      Accrt.Coherence.check_write t "v" Gpu;
+      Accrt.Coherence.check_read t "v" Cpu;
+      Alcotest.(check string) (mode ^ "missing read")
+        (match granularity with
+        | Accrt.Coherence.Coarse ->
+            "reading v on CPU requires a transfer from GPU first"
+        | Accrt.Coherence.Fine ->
+            "reading v{[0,8)} on CPU requires a transfer from GPU first")
+        (text t);
+      let t = fresh () in
+      Accrt.Coherence.reset_status t "v" Gpu May_stale;
+      Accrt.Coherence.check_read t "v" Gpu;
+      Alcotest.(check string) (mode ^ "may-missing read")
+        "GPU copy of v may be stale at this read" (text t);
+      let t = fresh () in
+      Accrt.Coherence.check_write t "v" Cpu;
+      Accrt.Coherence.check_write t "v" Gpu;
+      Alcotest.(check string) (mode ^ "may-missing write")
+        "GPU writes v whose local copy is stale; a transfer is missing \
+         unless the write fully overwrites the data"
+        (text t);
+      let t = fresh () in
+      Accrt.Coherence.check_write t "v" Gpu;
+      Accrt.Coherence.on_transfer t "v" H2D ~site:(site "up");
+      Alcotest.(check string) (mode ^ "incorrect")
+        "copying v from host to device in up transfers an outdated value"
+        (text t);
+      let t = fresh () in
+      Accrt.Coherence.on_transfer t "v" D2H ~site:(site "down");
+      Alcotest.(check string) (mode ^ "redundant")
+        "copying v from device to host in down is redundant" (text t);
+      let t = fresh () in
+      Accrt.Coherence.check_write t "v" Gpu;
+      Accrt.Coherence.reset_status t "v" Cpu May_stale;
+      Accrt.Coherence.on_transfer t "v" D2H ~site:(site "down");
+      Alcotest.(check string) (mode ^ "may-redundant")
+        "copying v from device to host in down may be redundant (target \
+         value appears dead)"
+        (text t))
+    [ Accrt.Coherence.Coarse; Accrt.Coherence.Fine ];
+  (* a fine-mode read names the element range it found stale *)
+  let t = Accrt.Coherence.create ~granularity:Accrt.Coherence.Fine () in
+  Accrt.Coherence.register_len t "v" 8;
+  Accrt.Coherence.check_write t "v" Gpu ~range:(2, 4);
+  Accrt.Coherence.check_read t "v" Cpu ~range:(1, 2);
+  Alcotest.(check string) "fine missing subrange"
+    "reading v{[1,3)} on CPU requires a transfer from GPU first" (text t);
+  (* per-member redundancy on a diverged two-device set *)
+  let t = Accrt.Coherence.create ~devices:2 () in
+  Accrt.Coherence.set_gpu t "v" 1 Stale;
+  Accrt.Coherence.on_transfer t "v" H2D ~site:(site "up");
+  Alcotest.(check string) "redundant on one member"
+    "copying v from host to device in up is redundant on device 0 (its copy \
+     is already current)"
+    (text t);
+  (* the digest: one line per site, kind and variable, with its count and
+     the first iteration it occurred in *)
+  let t = Accrt.Coherence.create () in
+  Accrt.Coherence.enter_loop t "k";
+  for _ = 1 to 3 do
+    Accrt.Coherence.next_iteration t;
+    Accrt.Coherence.check_write ~sid:5 t "v" Gpu;
+    Accrt.Coherence.check_read ~sid:5 t "v" Cpu
+  done;
+  Accrt.Coherence.exit_loop t;
+  Alcotest.(check (list string)) "summarize"
+    [ "[missing] reading v on CPU requires a transfer from GPU first (x3, \
+       from k iteration 1 on)" ]
+    (Accrt.Coherence.summarize (Accrt.Coherence.reports t));
+  Alcotest.(check string) "pp_report"
+    "[missing] reading v on CPU requires a transfer from GPU first \
+     (enclosing loop k index = 1)"
+    (Fmt.str "%a" Accrt.Coherence.pp_report
+       (List.hd (Accrt.Coherence.reports t)))
+
 (* A one-device run keeps the paper's automaton: a kernel commit moves no
    status, so a device-only buffer re-created in every trip of a loop
    (freed, hence stale, in between) shows no runtime-initiated
@@ -322,5 +419,6 @@ let tests =
     QCheck_alcotest.to_alcotest single_device_join_identity;
     Alcotest.test_case "cross-device redundant" `Quick
       test_cross_device_redundant;
+    Alcotest.test_case "report sentences" `Quick test_report_sentences;
     Alcotest.test_case "one-device kernel commit unaudited" `Quick
       test_one_device_commit_unaudited ]
