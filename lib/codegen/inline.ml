@@ -113,7 +113,7 @@ let declared_names f =
    inlined so far; this one's names carry its number. *)
 let expand_call ~calls ~(callee : func) ~args ~result ~loc =
   incr calls;
-  let fresh v = Fmt.str "%s__%d_%s" callee.f_name !calls v in
+  let fresh v = Printf.sprintf "%s__%d_%s" callee.f_name !calls v in
   (* Only the trailing statement may be a return. *)
   let body, ret_expr =
     match List.rev callee.f_body with

@@ -268,7 +268,7 @@ let mk_kernel ~(opts : Options.t) ~alias ~prog ~fname ~id ~sid ~loc ~clauses
   let host = roots inputs in
   {
     k_id = id;
-    k_name = Fmt.str "%s_kernel%d" fname id;
+    k_name = Printf.sprintf "%s_kernel%d" fname id;
     k_sid = sid;
     k_loc = loc;
     k_loop = kloop;

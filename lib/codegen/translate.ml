@@ -94,14 +94,15 @@ let data_region_ops st ~label ~sid ~loc clauses =
             if allocates then begin
               let site =
                 mk_site st ~loc ~sid ~var:sub.sub_var
-                  (Fmt.str "%s.alloc(%s)" label root)
+                  (Printf.sprintf "%s.alloc(%s)" label root)
               in
               entry := mk st ~loc ~sid (Talloc (root, site)) :: !entry
             end;
             if Acc.Query.kind_copies_in kind && not already then begin
               let site =
                 mk_site st ~loc ~sid ~var:sub.sub_var
-                  (Fmt.str "%s.%s(%s)" label (Pretty.data_kind_str kind) root)
+                  (Printf.sprintf "%s.%s(%s)" label
+                     (Pretty.data_kind_str kind) root)
               in
               entry :=
                 mk_xfer st ?lo:sub.sub_lo ?len:sub.sub_len ~site ~dir:H2D root
@@ -110,7 +111,7 @@ let data_region_ops st ~label ~sid ~loc clauses =
             if Acc.Query.kind_copies_out kind && not already then begin
               let site =
                 mk_site st ~loc ~sid ~var:sub.sub_var
-                  (Fmt.str "%s.copyout(%s)" label root)
+                  (Printf.sprintf "%s.copyout(%s)" label root)
               in
               exit_ :=
                 mk_xfer st ?lo:sub.sub_lo ?len:sub.sub_len ~site ~dir:D2H root
@@ -119,7 +120,7 @@ let data_region_ops st ~label ~sid ~loc clauses =
             if allocates then begin
               let site =
                 mk_site st ~loc ~sid ~var:sub.sub_var
-                  (Fmt.str "%s.free(%s)" label root)
+                  (Printf.sprintf "%s.free(%s)" label root)
               in
               exit_ := mk st ~loc ~sid (Tfree (root, site)) :: !exit_
             end;
@@ -163,8 +164,8 @@ and tr_directive st s d body =
       | None | Some (Eint 1) ->
           push_frame st;
           let entry, exit_ =
-            data_region_ops st ~label:(Fmt.str "data%d" s.sid) ~sid:s.sid
-              ~loc d.clauses
+            data_region_ops st ~label:(Printf.sprintf "data%d" s.sid)
+              ~sid:s.sid ~loc d.clauses
           in
           let inner = match body with Some b -> tr_stmt st b | None -> [] in
           pop_frame st;
@@ -176,8 +177,8 @@ and tr_directive st s d body =
              region's own allocation and transfers run under the guard. *)
           push_frame st;
           let entry, exit_ =
-            data_region_ops st ~label:(Fmt.str "data%d" s.sid) ~sid:s.sid
-              ~loc d.clauses
+            data_region_ops st ~label:(Printf.sprintf "data%d" s.sid)
+              ~sid:s.sid ~loc d.clauses
           in
           pop_frame st;
           push_frame st;
@@ -191,7 +192,7 @@ and tr_directive st s d body =
   | Acc_update ->
       let n = st.update_count in
       st.update_count <- n + 1;
-      let label = Fmt.str "update%d" n in
+      let label = Printf.sprintf "update%d" n in
       let async =
         Acc.Query.async d |> Option.map (Option.value ~default:(Eint 0))
       in
@@ -212,7 +213,7 @@ and tr_directive st s d body =
                   track st root;
                   let site =
                     mk_site st ~loc ~sid:s.sid ~var:sub.sub_var
-                      (Fmt.str "%s.%s(%s)" label
+                      (Printf.sprintf "%s.%s(%s)" label
                          (match dir with H2D -> "device" | D2H -> "host")
                          root)
                   in
@@ -230,8 +231,8 @@ and tr_directive st s d body =
          copy in here; the runtime frees at program end. *)
       push_frame st;
       let entry, _exit =
-        data_region_ops st ~label:(Fmt.str "declare%d" s.sid) ~sid:s.sid ~loc
-          d.clauses
+        data_region_ops st ~label:(Printf.sprintf "declare%d" s.sid)
+          ~sid:s.sid ~loc d.clauses
       in
       let frame = List.hd st.denv in
       pop_frame st;
@@ -255,7 +256,7 @@ and tr_directive st s d body =
           push_frame st;
           let entry, exit_ =
             data_region_ops st
-              ~label:(Fmt.str "region%d" s.sid)
+              ~label:(Printf.sprintf "region%d" s.sid)
               ~sid:s.sid ~loc d.clauses
           in
           let launches =
@@ -291,11 +292,11 @@ and kernel_ops st ~sid k =
         [ mk st ~loc ~sid
             (Talloc
                (v, mk_site st ~loc ~sid ~var:v
-                     (Fmt.str "%s.alloc(%s)" k.k_name v)));
+                     (Printf.sprintf "%s.alloc(%s)" k.k_name v)));
           mk_xfer st ~dir:H2D
             ~site:
               (mk_site st ~loc ~sid ~var:v
-                 (Fmt.str "%s.pcopyin(%s)" k.k_name v))
+                 (Printf.sprintf "%s.pcopyin(%s)" k.k_name v))
             v ])
       implicit
   in
@@ -305,7 +306,7 @@ and kernel_ops st ~sid k =
         mk_xfer st ~dir:D2H
           ~site:
             (mk_site st ~loc ~sid ~var:v
-               (Fmt.str "%s.pcopyout(%s)" k.k_name v))
+               (Printf.sprintf "%s.pcopyout(%s)" k.k_name v))
           v)
       implicit
   in

@@ -82,9 +82,9 @@ let analyze (o : Accrt.Interp.outcome) =
   let missing = ref [] in
   List.iter
     (fun (r : Accrt.Coherence.report) ->
-      match (r.r_kind, r.r_site) with
+      match (r.r_kind, r.r_event) with
       | (Accrt.Coherence.Redundant | Accrt.Coherence.May_redundant
-        | Accrt.Coherence.Incorrect), Some site ->
+        | Accrt.Coherence.Incorrect), Accrt.Coherence.Copy { site; _ } ->
           (* A report names a site only from the transfer it executed. *)
           let st = Hashtbl.find stats site.site_id in
           let first_iter =
@@ -241,8 +241,8 @@ let analyze (o : Accrt.Interp.outcome) =
   let seen = Hashtbl.create 8 in
   List.iter
     (fun (r : Accrt.Coherence.report) ->
-      match r.Accrt.Coherence.r_dev with
-      | Some dev ->
+      match r.Accrt.Coherence.r_event with
+      | Accrt.Coherence.Read { dev; _ } | Accrt.Coherence.Write { dev } ->
           let host = dev = Cpu in
           let key = (r.Accrt.Coherence.r_sid, r.Accrt.Coherence.r_var, host) in
           if not (Hashtbl.mem seen key) then begin
@@ -264,7 +264,7 @@ let analyze (o : Accrt.Interp.outcome) =
                     (if host then "host" else "device")
                     r.Accrt.Coherence.r_var }
           end
-      | None -> ())
+      | Accrt.Coherence.Copy _ -> ())
     !missing;
 
   List.rev !suggestions

@@ -62,7 +62,7 @@ let scalar_diags (explicit_private, explicit_reduction) region (k : kernel) =
               (Diag.mk ~var:v
                  ~fixit:(Diag.Fix_add_reduction { sid = k.k_sid; op; var = v })
                  ~code:"ACC-RACE-002" ~severity:Diag.Error ~loc:k.k_loc
-                 (Fmt.str
+                 (Printf.sprintf
                     "accumulator '%s' in kernel '%s' needs a \
                      'reduction(%s:%s)' clause: every iteration reads and \
                      updates the shared copy, %s"
@@ -76,7 +76,7 @@ let scalar_diags (explicit_private, explicit_reduction) region (k : kernel) =
                   (Diag.mk ~var:v
                      ~fixit:(Diag.Fix_add_private { sid = k.k_sid; var = v })
                      ~code:"ACC-RACE-001" ~severity:Diag.Error ~loc:k.k_loc
-                     (Fmt.str
+                     (Printf.sprintf
                         "scalar '%s' in kernel '%s' needs a 'private' \
                          clause: it is written before being read in every \
                          iteration, but all threads share one copy — %s"
@@ -85,7 +85,7 @@ let scalar_diags (explicit_private, explicit_reduction) region (k : kernel) =
                 Some
                   (Diag.mk ~var:v ~code:"ACC-RACE-005" ~severity:Diag.Error
                      ~loc:k.k_loc
-                     (Fmt.str
+                     (Printf.sprintf
                         "scalar '%s' in kernel '%s' carries a loop-carried \
                          dependence (read of a value written by another \
                          iteration) — %s"
@@ -95,7 +95,7 @@ let scalar_diags (explicit_private, explicit_reduction) region (k : kernel) =
           (Diag.mk ~var:v
              ~fixit:(Diag.Fix_add_private { sid = k.k_sid; var = v })
              ~code:"ACC-RACE-010" ~severity:Diag.Info ~loc:k.k_loc
-             (Fmt.str
+             (Printf.sprintf
                 "scalar '%s' in kernel '%s' is privatized only by automatic \
                  recognition; an explicit 'private(%s)' clause makes the \
                  program portable to compilers without it"
@@ -107,7 +107,7 @@ let scalar_diags (explicit_private, explicit_reduction) region (k : kernel) =
           (Diag.mk ~var:v
              ~fixit:(Diag.Fix_add_reduction { sid = k.k_sid; op; var = v })
              ~code:"ACC-RACE-011" ~severity:Diag.Info ~loc:k.k_loc
-             (Fmt.str
+             (Printf.sprintf
                 "reduction on '%s' in kernel '%s' is recognized only \
                  automatically; an explicit 'reduction(%s:%s)' clause makes \
                  the program portable to compilers without it"
@@ -175,7 +175,7 @@ let array_diags alias (explicit_private, _) region (k : kernel) =
              emit
                (Diag.mk ~var:arr ~code:"ACC-RACE-003" ~severity:Diag.Warning
                   ~loc:k.k_loc
-                  (Fmt.str
+                  (Printf.sprintf
                      "array '%s' in kernel '%s': every iteration of the \
                       parallel loop writes the same element (no subscript \
                       depends on '%s') — cross-iteration write-write \
@@ -192,7 +192,7 @@ let array_diags alias (explicit_private, _) region (k : kernel) =
              emit
                (Diag.mk ~var:arr ~code:"ACC-RACE-003" ~severity:Diag.Warning
                   ~loc:k.k_loc
-                  (Fmt.str
+                  (Printf.sprintf
                      "array '%s' in kernel '%s' is written at overlapping \
                       elements by different iterations of the parallel loop \
                       (write-write conflict)"
@@ -217,7 +217,7 @@ let array_diags alias (explicit_private, _) region (k : kernel) =
             emit
               (Diag.mk ~var:arr ~code:"ACC-RACE-004" ~severity:Diag.Warning
                  ~loc:k.k_loc
-                 (Fmt.str
+                 (Printf.sprintf
                     "array '%s' in kernel '%s' is read at elements written \
                      by other iterations of the parallel loop — \
                      cross-iteration read-write dependence"

@@ -159,7 +159,7 @@ let analyze tp =
                  (Diag.Fix_insert_update
                     { before_sid = ev.ev_sid; var; host = dev = Cpu })
                ~code:"ACC-XFER-001" ~severity:Diag.Error ~loc:ev.ev_loc
-               (Fmt.str
+               (Printf.sprintf
                   "missing transfer: the %s copy of '%s' is stale at this \
                    read; a transfer from the %s is required first"
                   (device_name dev) v
@@ -168,7 +168,7 @@ let analyze tp =
           Some
             (Diag.mk ~var ~code:"ACC-XFER-002" ~severity:Diag.Info
                ~loc:ev.ev_loc
-               (Fmt.str
+               (Printf.sprintf
                   "the %s copy of '%s' may be stale at this read (stale on \
                    some execution path)"
                   (device_name dev) v))
@@ -178,7 +178,7 @@ let analyze tp =
           Some
             (Diag.mk ~var ~code:"ACC-XFER-002" ~severity:Diag.Info
                ~loc:ev.ev_loc
-               (Fmt.str
+               (Printf.sprintf
                   "%s writes '%s' while its local copy may be stale; a \
                    transfer is missing unless the write fully overwrites \
                    the data"
@@ -196,7 +196,7 @@ let analyze tp =
           Some
             (Diag.mk ~var ~site ~code:"ACC-XFER-003" ~severity:Diag.Error
                ~loc:x.x_site.site_loc
-               (Fmt.str
+               (Printf.sprintf
                   "incorrect transfer: copying '%s' %s in %s ships an \
                    outdated value (the %s copy is stale here)"
                   var dir_desc site (device_name src)))
@@ -217,7 +217,7 @@ let analyze tp =
           Some
             (Diag.mk ~var ~site ?fixit ~code:"ACC-XFER-004"
                ~severity:Diag.Warning ~loc:x.x_site.site_loc
-               (Fmt.str
+               (Printf.sprintf
                   "redundant transfer: the %s copy of '%s' is already \
                    up to date whenever %s copies it %s"
                   (device_name tgt) var site dir_desc))
@@ -225,7 +225,7 @@ let analyze tp =
           Some
             (Diag.mk ~var ~site ~code:"ACC-XFER-005" ~severity:Diag.Info
                ~loc:x.x_site.site_loc
-               (Fmt.str
+               (Printf.sprintf
                   "copying '%s' %s in %s may be redundant (the %s copy is \
                    already up to date on some execution path)"
                   var dir_desc site (device_name tgt)))

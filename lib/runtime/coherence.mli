@@ -11,19 +11,36 @@ type kind = Missing | May_missing | Incorrect | Redundant | May_redundant
 
 val kind_name : kind -> string
 
+(** What raised a report: the facts its sentence is rendered from. *)
+type event =
+  | Read of { dev : Codegen.Tprog.device; range : (int * int) option }
+      (** a checked read of [dev]'s copy; fine mode records the element
+          range [\[lo, hi)] read *)
+  | Write of { dev : Codegen.Tprog.device }
+      (** a checked write of [dev]'s copy *)
+  | Copy of {
+      site : Codegen.Tprog.site;
+      dir : Codegen.Tprog.xdir;
+      member : int option;
+    }
+      (** a transfer at [site]; [member] is the device-set member a
+          per-member redundancy verdict names *)
+
+(** One report is plain data (no closure, no lazy text), so two runs'
+    report lists compare with [=]. *)
 type report = {
   r_kind : kind;
   r_var : string;
-  r_site : Codegen.Tprog.site option;
-      (** transfer site, when the event is a transfer *)
+  r_event : event;
   r_sid : int;  (** source statement the event traces back to (-1 unknown) *)
-  r_dev : Codegen.Tprog.device option;
-      (** device whose copy was stale (missing reports) *)
-  r_desc : string;
   r_loops : (string * int) list;
       (** enclosing host loops, outermost first (the "enclosing loop index"
           of the paper's Listing 4) *)
 }
+
+(** The sentence a report shows the programmer, e.g. ["reading v on CPU
+    requires a transfer from GPU first"]; rendered only when called. *)
+val describe : report -> string
 
 val pp_report : Format.formatter -> report -> unit
 
@@ -46,6 +63,9 @@ type t = {
   granularity : granularity;
   ndevices : int;  (** device-set size; 1 = the paper's single device *)
   alive_gpus : bool array;  (** per-device liveness, updated on loss *)
+  mutable live_gpus : int list;
+      (** the members whose copies the join ranges over: the alive ones, or
+          every member once all are lost *)
   states : (string, var_state) Hashtbl.t;
   mutable reports : report list;
   mutable loop_stack : (string * int) list;

@@ -913,7 +913,7 @@ let exec (cfg : config) (observers : observers) (tp : Codegen.Tprog.t) =
       | None -> ()
       | Some tr ->
           Obs.Trace.leaf tr Obs.Trace.Kernel
-            (Fmt.str "%s.shard%d" k.k_name p)
+            (Printf.sprintf "%s.shard%d" k.k_name p)
             ~loc:(Minic.Loc.to_string k.k_loc) ~directive:k.k_name
             ~dev:executor.(p)
             ~attrs:
@@ -986,7 +986,7 @@ let exec (cfg : config) (observers : observers) (tp : Codegen.Tprog.t) =
           (fun d ->
             let dev = Gpusim.Device_set.device devset d in
             Obs.Trace.leaf tr Obs.Trace.Merge
-              (Fmt.str "%s.merge" k.k_name)
+              (Printf.sprintf "%s.merge" k.k_name)
               ~loc:(Minic.Loc.to_string k.k_loc) ~directive:k.k_name ~dev:d
               ~attrs:[ ("bytes", string_of_int !merge_bytes) ]
               ~start:dev.Gpusim.Device.metrics.Gpusim.Metrics.host_clock
@@ -1068,7 +1068,7 @@ let exec (cfg : config) (observers : observers) (tp : Codegen.Tprog.t) =
     match init with
     | Some { skind = Sdecl (_, v, _); _ } | Some { skind = Sassign (Lvar v, _); _ }
       -> v
-    | Some _ | None -> Fmt.str "loop%d" tid
+    | Some _ | None -> Printf.sprintf "loop%d" tid
   in
 
   let rec exec_t (s : tstmt) =
@@ -1086,7 +1086,7 @@ let exec (cfg : config) (observers : observers) (tp : Codegen.Tprog.t) =
         if cond then Value.scoped env (fun () -> exec_ts b1)
         else Value.scoped env (fun () -> exec_ts b2)
     | Twhile (c, b) ->
-        Coherence.enter_loop coh (Fmt.str "while%d" s.tid);
+        Coherence.enter_loop coh (Printf.sprintf "while%d" s.tid);
         (try
            while
              let v = Value.truthy (Eval.eval ctx c) in

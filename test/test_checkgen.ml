@@ -73,9 +73,10 @@ let test_hoisting_enables_detection () =
     List.filter
       (fun r ->
         r.Accrt.Coherence.r_kind = Accrt.Coherence.Redundant
-        && (match r.Accrt.Coherence.r_site with
-           | Some s -> s.site_label = "update0.host(b)"
-           | None -> false))
+        && (match r.Accrt.Coherence.r_event with
+           | Accrt.Coherence.Copy { site = s; _ } ->
+               s.site_label = "update0.host(b)"
+           | Accrt.Coherence.Read _ | Accrt.Coherence.Write _ -> false))
       (Accrt.Interp.reports o)
   in
   Alcotest.(check int) "iterations 2..3 flagged" 2
@@ -87,9 +88,10 @@ let test_hoisting_enables_detection () =
     List.filter
       (fun r ->
         r.Accrt.Coherence.r_kind = Accrt.Coherence.Redundant
-        && (match r.Accrt.Coherence.r_site with
-           | Some s -> s.site_label = "update0.host(b)"
-           | None -> false))
+        && (match r.Accrt.Coherence.r_event with
+           | Accrt.Coherence.Copy { site = s; _ } ->
+               s.site_label = "update0.host(b)"
+           | Accrt.Coherence.Read _ | Accrt.Coherence.Write _ -> false))
       (Accrt.Interp.reports on)
   in
   Alcotest.(check int) "naive placement detects none" 0

@@ -43,9 +43,11 @@ let test_redundant () =
   | [ r ] ->
       Alcotest.(check bool) "kind" true
         (r.Accrt.Coherence.r_kind = Accrt.Coherence.Redundant);
-      (match r.Accrt.Coherence.r_site with
-      | Some s -> Alcotest.(check string) "site" "up2" s.site_label
-      | None -> Alcotest.fail "site attached")
+      (match r.Accrt.Coherence.r_event with
+      | Accrt.Coherence.Copy { site = s; _ } ->
+          Alcotest.(check string) "site" "up2" s.site_label
+      | Accrt.Coherence.Read _ | Accrt.Coherence.Write _ ->
+          Alcotest.fail "site attached")
   | _ -> Alcotest.fail "expected one Redundant"
 
 let test_incorrect () =
@@ -243,7 +245,7 @@ let test_cross_device_redundant () =
   | [ r ] ->
       Alcotest.(check string) "uniform set, plain verdict"
         "copying v from host to device in up2 is redundant"
-        r.Accrt.Coherence.r_desc
+        (Accrt.Coherence.describe r)
   | rs -> Alcotest.failf "expected one report, got %d" (List.length rs));
   (* member 1 falls behind: the re-broadcast is useful there but
      redundant on member 0 — and the report says which *)
@@ -256,7 +258,7 @@ let test_cross_device_redundant () =
       Alcotest.(check string) "per-device verdict"
         "copying v from host to device in up3 is redundant on device 0 (its \
          copy is already current)"
-        r.Accrt.Coherence.r_desc
+        (Accrt.Coherence.describe r)
   | [] -> Alcotest.fail "expected a report");
   Alcotest.(check int) "two reports so far" 2
     (List.length (Accrt.Coherence.reports t));
@@ -267,7 +269,7 @@ let test_cross_device_redundant () =
   | r :: _ ->
       Alcotest.(check string) "survivor-only verdict"
         "copying v from host to device in up4 is redundant"
-        r.Accrt.Coherence.r_desc
+        (Accrt.Coherence.describe r)
   | [] -> Alcotest.fail "expected a report"
 
 (* Every report sentence, byte for byte, under both granularities: the
@@ -278,7 +280,7 @@ let test_report_sentences () =
     | r :: _ -> r
     | [] -> Alcotest.fail "expected a report"
   in
-  let text t = (last t).Accrt.Coherence.r_desc in
+  let text t = Accrt.Coherence.describe (last t) in
   List.iter
     (fun granularity ->
       let mode =

@@ -119,9 +119,11 @@ let test_fine_redundant_subrange () =
   | [ r ] ->
       Alcotest.(check bool) "redundant" true
         (r.Accrt.Coherence.r_kind = Accrt.Coherence.Redundant);
-      (match r.Accrt.Coherence.r_site with
-      | Some st -> Alcotest.(check string) "second copy" "d2" st.site_label
-      | None -> Alcotest.fail "site")
+      (match r.Accrt.Coherence.r_event with
+      | Accrt.Coherence.Copy { site = st; _ } ->
+          Alcotest.(check string) "second copy" "d2" st.site_label
+      | Accrt.Coherence.Read _ | Accrt.Coherence.Write _ ->
+          Alcotest.fail "site")
   | rs -> Alcotest.failf "expected one report, got %d" (List.length rs));
   (* a download of a different range is not redundant *)
   Accrt.Coherence.on_transfer ~range:(10, 10) t "v" D2H ~site:(site "d3");

@@ -443,11 +443,12 @@ let test_runtime_agreement () =
                   (fun r ->
                     r.Accrt.Coherence.r_kind = k
                     && Some r.Accrt.Coherence.r_var = d.Diag.var
-                    && (match (d.Diag.site, r.Accrt.Coherence.r_site) with
+                    && (match (d.Diag.site, r.Accrt.Coherence.r_event) with
                        | None, _ -> true
-                       | Some s, Some rs ->
+                       | Some s, Accrt.Coherence.Copy { site = rs; _ } ->
                            rs.Codegen.Tprog.site_label = s
-                       | Some _, None -> false))
+                       | Some _, (Accrt.Coherence.Read _
+                                 | Accrt.Coherence.Write _) -> false))
                   reports
           in
           let unmatched = List.filter (fun d -> not (confirmed d)) ds in
