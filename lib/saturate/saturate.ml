@@ -438,15 +438,20 @@ let fuse_candidates prog (tp : Codegen.Tprog.t) analysis ~pcie_latency
             then begin
               (* Price the second kernel's transfer sites on shared
                  arrays: fused, those transfers are subsumed by the first
-                 kernel's. *)
-              let prefix = k2.k_name ^ "." in
-              let plen = String.length prefix in
+                 kernel's.  Its implicit transfers are labelled by the
+                 kernel, those of its directive's data clauses by the
+                 region. *)
+              let owned =
+                [ k2.k_name ^ "."; Printf.sprintf "region%d." s2.Ast.sid ]
+              in
               let saved, labels =
                 List.fold_left
                   (fun (acc, ls) (s : Obs.Ledger.site_report) ->
                     if
-                      String.length s.Obs.Ledger.s_site > plen
-                      && String.sub s.Obs.Ledger.s_site 0 plen = prefix
+                      List.exists
+                        (fun prefix ->
+                          String.starts_with ~prefix s.Obs.Ledger.s_site)
+                        owned
                       && Analysis.Varset.mem s.Obs.Ledger.s_array shared
                     then
                       ( acc

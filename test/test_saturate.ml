@@ -274,6 +274,33 @@ let test_fusion_verified () =
        (fun s -> (Saturate.kind_name s.Saturate.st_kind, s.Saturate.st_reason))
        r.Saturate.r_steps)
 
+(* The same fusion when each directive carries its own data clauses: the
+   second kernel's upload of [a] is then labelled by its region
+   ([regionN.copyin(a)]), not by the kernel, and still prices the fusion. *)
+let test_fusion_with_clauses () =
+  let src =
+    "int main() { float a[32]; float b[32]; float c[32];\n\
+     for (int i = 0; i < 32; i++) { a[i] = i; b[i] = 0.0; c[i] = 0.0; }\n\
+     #pragma acc kernels loop copyin(a) copyout(b)\n\
+     for (int i = 0; i < 32; i++) { b[i] = a[i] * 2.0; }\n\
+     #pragma acc kernels loop copyin(a) copyout(c)\n\
+     for (int i = 0; i < 32; i++) { c[i] = a[i] + 1.0; }\n\
+     return 0; }"
+  in
+  let r =
+    Saturate.run ~name:"unit" ~outputs:[ "b"; "c" ]
+      (Minic.Parser.parse_string src)
+  in
+  match
+    List.filter (fun s -> s.Saturate.st_kind = Saturate.Fuse) r.Saturate.r_steps
+  with
+  | [ s ] ->
+      Alcotest.(check (pair string string))
+        "the fusion is a candidate, priced from the region's upload"
+        ("fuse main_kernel1 into main_kernel0", "accepted")
+        (s.Saturate.st_label, s.Saturate.st_reason)
+  | steps -> Alcotest.failf "expected one fuse step, got %d" (List.length steps)
+
 (* One oracle: every checked configuration of every candidate must
    reproduce the original program's tree x1 outputs.  Here the host adds
    the device-set size to an output after the loop, so the original
@@ -312,5 +339,7 @@ let tests =
     Alcotest.test_case "verification is blind to data placement" `Slow
       test_verify_blind_to_placement;
     Alcotest.test_case "a fusion is verified" `Quick test_fusion_verified;
+    Alcotest.test_case "a fusion priced from clause transfers" `Quick
+      test_fusion_with_clauses;
     Alcotest.test_case "one reference for every configuration" `Quick
       test_one_reference ]
