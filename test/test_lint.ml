@@ -459,6 +459,46 @@ let test_runtime_agreement () =
         [ ("source", b.source); ("opt", b.optimized) ])
     Suite.Registry.all
 
+(* The converse, on every build of the suite (source, hand-optimized and
+   Table II fault injection): every runtime report is covered by a
+   transfer diagnostic of its kind on the same variable, so the static
+   lint over-approximates the runtime checker. *)
+let covering_codes = function
+  | Accrt.Coherence.Missing | Accrt.Coherence.May_missing ->
+      [ "ACC-XFER-001"; "ACC-XFER-002" ]
+  | Accrt.Coherence.Incorrect -> [ "ACC-XFER-003" ]
+  | Accrt.Coherence.Redundant | Accrt.Coherence.May_redundant ->
+      [ "ACC-XFER-004"; "ACC-XFER-005" ]
+
+let test_runtime_reports_covered () =
+  List.iter
+    (fun (b : Suite.Bench_def.t) ->
+      List.iter
+        (fun (vname, tp) ->
+          let tp = tp () in
+          let ds = Lint.Xfer.analyze tp in
+          let o =
+            Accrt.Interp.exec Accrt.Interp.default Accrt.Interp.detached
+              (Codegen.Checkgen.instrument tp)
+          in
+          let covered (r : Accrt.Coherence.report) =
+            List.exists
+              (fun d ->
+                d.Diag.var = Some r.r_var
+                && List.mem d.Diag.code (covering_codes r.r_kind))
+              ds
+          in
+          Alcotest.(check (list string))
+            (Fmt.str "%s %s: every runtime report has a static diagnostic"
+               b.name vname)
+            []
+            (Accrt.Coherence.summarize
+               (List.filter
+                  (fun r -> not (covered r))
+                  (Accrt.Interp.reports o))))
+        (Goldens.variants b))
+    Suite.Registry.all
+
 (* ------------------------- multi-word facts ------------------------- *)
 
 (* [k] independent JACOBI-style blocks, each over its own arrays [a<i>] and
@@ -599,6 +639,8 @@ let tests =
       test_suite_clean;
     Alcotest.test_case "static claims confirmed at runtime" `Quick
       test_runtime_agreement;
+    Alcotest.test_case "runtime reports covered statically" `Quick
+      test_runtime_reports_covered;
     Alcotest.test_case "multi-word facts scale per block" `Quick
       test_multi_word;
     Alcotest.test_case "blocks add up" `Quick test_blocks_add_up ]
