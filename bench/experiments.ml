@@ -1311,10 +1311,13 @@ let time_row ~rounds name kind sides =
           Some (median_float (List.map2 ( /. ) (column 0) (column 1)))
       | _ -> None) }
 
-(* Growth of the front end, the static passes and kernel verification
-   with program size: [Parser.parse_string], [Pretty.program_to_string],
-   [Checkgen.instrument], [Lint.run_program] and
-   [Kernel_verify.verify_tprog] on [Blocks.three] at 17 and 100 copies
+(* Growth of the front end, the translator, the static passes, the
+   instrumented run and kernel verification with program size:
+   [Parser.parse_string], [Pretty.program_to_string],
+   [Compiler.compile_program], [Checkgen.instrument], [Lint.run_program],
+   a compiled one-device run of the instrumented translation (the §III-B
+   coherence runtime) and [Kernel_verify.verify_tprog] on [Blocks.three]
+   at 17 and 100 copies
    (5.9x the code).  The small side times the mean of 5 back-to-back
    calls (100 / 17, rounded down), so both sides time about the same
    work.  Linear cost grows about 5.9x; a front end that keeps every
@@ -1325,23 +1328,36 @@ let time_row ~rounds name kind sides =
 let growth_copies = (17, 100)
 let growth_bound = 7.3
 
-(* A growth side: the program's source, its AST and its translation.  The
-   parse row keeps the AST past a minor collection, as every caller of the
-   parser does.  Dropped at once, the 17-copy AST dies in the 2 MB minor
-   heap while the 100-copy one is promoted, and the row read 7.3x to 8.3x
-   for a linear parser: the minor heap's size, not the parser's growth. *)
+(* A growth side: the program's source, its AST, its translation and the
+   instrumented translation.  The parse and translate rows keep their
+   result past a minor collection, as every caller does.  Dropped at
+   once, the 17-copy AST dies in the 2 MB minor heap while the 100-copy
+   one is promoted, and the parse row read 7.3x to 8.3x for a linear
+   parser: the minor heap's size, not the parser's growth. *)
 let growth_passes =
   [ ( "parse",
-      fun (src, _, _) ->
+      fun (src, _, _, _) ->
         let prog = Minic.Parser.parse_string src in
         Gc.minor ();
         ignore (Sys.opaque_identity prog) );
     ( "print",
-      fun (_, prog, _) -> ignore (Minic.Pretty.program_to_string prog) );
-    ("instrument", fun (_, _, tp) -> ignore (Codegen.Checkgen.instrument tp));
-    ("lint", fun (_, prog, _) -> ignore (Lint.run_program prog));
+      fun (_, prog, _, _) -> ignore (Minic.Pretty.program_to_string prog) );
+    ( "translate",
+      fun (_, prog, _, _) ->
+        let tp = compile prog in
+        Gc.minor ();
+        ignore (Sys.opaque_identity tp) );
+    ( "instrument",
+      fun (_, _, tp, _) -> ignore (Codegen.Checkgen.instrument tp) );
+    ("lint", fun (_, prog, _, _) -> ignore (Lint.run_program prog));
+    ( "coherence",
+      fun (_, _, _, itp) ->
+        ignore
+          (Accrt.Interp.exec Accrt.Interp.default Accrt.Interp.detached itp)
+    );
     ( "verify",
-      fun (_, _, tp) -> ignore (Openarc_core.Kernel_verify.verify_tprog tp) ) ]
+      fun (_, _, tp, _) ->
+        ignore (Openarc_core.Kernel_verify.verify_tprog tp) ) ]
 
 (* The many-kernel row: a plain run of [Blocks.three] at [many_copies]
    copies (400 kernels, each launched one to three times) per engine.
@@ -1417,7 +1433,8 @@ let wall_rows ~repeats ~rounds ~engines benches =
   let blocks k =
     let src = Blocks.three k in
     let prog = Minic.Parser.parse_string src in
-    (src, prog, compile prog)
+    let tp = compile prog in
+    (src, prog, tp, Codegen.Checkgen.instrument tp)
   in
   let programs =
     List.map
@@ -1448,7 +1465,7 @@ let wall_rows ~repeats ~rounds ~engines benches =
       programs
   in
   let many =
-    let _, _, tp = blocks many_copies in
+    let _, _, tp, _ = blocks many_copies in
     time_row ~rounds "many-kernel" Many
       (per_engine (fun e -> plain_run ~devices:1 e tp))
   in

@@ -176,7 +176,8 @@ let test_wall_report () =
           | Some (Obs.Pjson.Num x) -> float_of_string x > 0.0
           | _ -> false))
       [ "median_speedup"; "median_verify_speedup"; "parse_growth";
-        "print_growth"; "instrument_growth"; "lint_growth"; "verify_growth" ];
+        "print_growth"; "translate_growth"; "instrument_growth";
+        "lint_growth"; "coherence_growth"; "verify_growth" ];
     let many = Option.get (Obs.Pjson.member "many_kernels" v) in
     Alcotest.(check (option string)) "many-kernel copies" (Some "100")
       (match Obs.Pjson.member "copies" many with
@@ -233,7 +234,8 @@ let test_single_engine () =
   end
 
 (* Given --min-speedup, the gate also holds the many-kernel speedup, the
-   growth of the front end, both static passes and kernel verification,
+   growth of the front end, the translator, both static passes, the
+   instrumented run and kernel verification,
    the lookup-depth growth, the shards ratio and the median search ratio
    to fixed bounds
    and prints one verdict each; returns which fail.
@@ -247,7 +249,8 @@ let fixed_verdicts out =
       Alcotest.(check bool) (what ^ " verdict") true (within <> over);
       over)
     [ "many-kernel speedup"; "median parse growth"; "median print growth";
-      "median instrument growth"; "median lint growth";
+      "median translate growth"; "median instrument growth";
+      "median lint growth"; "median coherence growth";
       "median verify growth"; "lookup-depth growth"; "shards ratio";
       "median search ratio" ]
 
