@@ -60,13 +60,11 @@ let dir_desc = function
 let describe r =
   let v = r.r_var in
   match (r.r_event, r.r_kind) with
-  | Read { dev; range = None }, Missing ->
-      Printf.sprintf "reading %s on %s requires a transfer from %s first" v
-        (device_name dev)
-        (device_name (other dev))
-  | Read { dev; range = Some (lo, hi) }, Missing ->
+  | Read { dev; range }, Missing ->
       Printf.sprintf "reading %s%s on %s requires a transfer from %s first" v
-        (Intervals.to_string (Intervals.of_range lo hi))
+        (match range with
+        | None -> ""
+        | Some (lo, hi) -> Intervals.to_string (Intervals.of_range lo hi))
         (device_name dev)
         (device_name (other dev))
   | Read { dev; _ }, (May_missing | Incorrect | Redundant | May_redundant) ->
